@@ -12,13 +12,13 @@ the action is hyperpolar exactly when nu is abelian.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (HypothesisViolationError, InvalidInputError,
                      NonPrincipalPointError)
-from .numerics import ToleranceConfig, orthogonal_complement, \
-    orthonormal_basis, rank_of
-from .subalgebras import Subalgebra, adjoint_matrix, product
+from .lie_algebras import adjoint_matrix
+from .numerics import (ToleranceConfig, orthogonal_complement,
+                       orthonormal_basis, outside_norm, rank_of)
+from .subalgebras import Subalgebra, product
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,17 @@ class FlatnessDiagnostic:
     residual_abelian: float   # norm of [X,Y]
 
 
+def _expm_skew(z):
+    """exp(z) for a real skew-symmetric z, from the eigenbasis of i z."""
+    w, v = np.linalg.eigh(1j * z)
+    return ((v * np.exp(-1j * w)) @ v.conj().T).real
+
+
 def sample_group_point(algebra, rng):
     """exp(Z1) exp(Z2) for two independent Gaussian coefficient draws."""
     z1 = rng.standard_normal(algebra.dim)
     z2 = rng.standard_normal(algebra.dim)
-    return expm(algebra.matrix_of(z1)) @ expm(algebra.matrix_of(z2))
+    return _expm_skew(algebra.matrix_of(z1)) @ _expm_skew(algebra.matrix_of(z2))
 
 
 def check_group_membership(algebra, g, tol):
@@ -76,53 +82,54 @@ def check_group_membership(algebra, g, tol):
             f"element is not in the represented group (residual {ortho:.3e})")
 
 
-def _tangent_vectors(action, g, tol):
-    """Raw spanning set {Ad(g^{-1}) X1 - X2} as coefficient rows in l."""
+def _tangent(action, g, tol):
+    """Orthonormal orbit tangent at g, moved to e, and Ad(g^{-1}).
+
+    The tangent is spanned by {Ad(g^{-1}) X1 - X2}.  These are differences
+    of form-unit vectors, so genuine tangent directions have form norm of
+    order one; scale=1 keeps the rank cutoff honest when the whole orbit
+    degenerates (fixed points).
+    """
     algebra = action.algebra
     check_group_membership(algebra, g, tol)
     ad_inv = adjoint_matrix(algebra, np.linalg.inv(g),
                             member_tol=np.sqrt(tol.residual_tol))
     n = algebra.dim
-    left = action.h.basis[:, :n]
-    right = action.h.basis[:, n:]
-    return left @ ad_inv.T - right, ad_inv
+    vectors = action.h.basis[:, :n] @ ad_inv.T - action.h.basis[:, n:]
+    tangent = orthonormal_basis(vectors, tol, chol=algebra.chol, scale=1.0)
+    return tangent, ad_inv
 
 
 def orbit_tangent(action, g, tol):
-    """Orthonormal basis of the orbit tangent space at g, moved to e.
-
-    The generating vectors are differences of form-unit vectors, so genuine
-    tangent directions have form norm of order one; scale=1 keeps the rank
-    cutoff honest when the whole orbit degenerates (fixed points).
-    """
-    vectors, _ = _tangent_vectors(action, g, tol)
-    return orthonormal_basis(vectors, tol, chol=action.algebra.chol, scale=1.0)
+    """Orthonormal basis of the orbit tangent space at g, moved to e."""
+    return _tangent(action, g, tol)[0]
 
 
-def _sampled_dims(action, tol):
+def _normal_space(action, g, tol):
+    """(tangent, nu, Ad(g^{-1})) at g; nu is the form-orthogonal
+    complement of the tangent, both moved to e."""
+    tangent, ad_inv = _tangent(action, g, tol)
+    algebra = action.algebra
+    nu = orthogonal_complement(tangent, algebra.form, tol, chol=algebra.chol)
+    return tangent, nu, ad_inv
+
+
+def principal_point(action, tol):
+    """(max sampled orbit dimension, first sampled point attaining it)."""
     rng = np.random.default_rng(tol.seed)
-    out = []
+    best, point = -1, None
     for _ in range(tol.num_samples):
         g = sample_group_point(action.algebra, rng)
-        out.append((orbit_tangent(action, g, tol).shape[0], g))
-    return out
+        dim = orbit_tangent(action, g, tol).shape[0]
+        if dim > best:
+            best, point = dim, g
+    return best, point
+
 
 def cohomogeneity(action, tol):
     """(dim L - max sampled orbit dimension, first point attaining it)."""
-    dims = _sampled_dims(action, tol)
-    best = max(d for d, _ in dims)
-    point = next(g for d, g in dims if d == best)
+    best, point = principal_point(action, tol)
     return action.algebra.dim - best, point
-
-
-def _outside_residual_many(vectors, onb, form):
-    """Max form-norm outside span(onb) over a stack of coefficient vectors."""
-    flat = vectors.reshape(-1, vectors.shape[-1])
-    if onb.shape[0]:
-        coeffs = flat @ form @ onb.T
-        flat = flat - coeffs @ onb
-    sq = np.einsum('ak,kl,al->a', flat, form, flat, optimize=True)
-    return float(np.sqrt(max(0.0, sq.max(initial=0.0))))
 
 
 def polarity_check(action, g, tol, max_orbit_dim=None):
@@ -134,15 +141,13 @@ def polarity_check(action, g, tol, max_orbit_dim=None):
     algebra = action.algebra
     form = algebra.form
     if max_orbit_dim is None:
-        max_orbit_dim = max(d for d, _ in _sampled_dims(action, tol))
-    vectors, ad_inv = _tangent_vectors(action, g, tol)
-    tangent = orthonormal_basis(vectors, tol, chol=algebra.chol, scale=1.0)
+        max_orbit_dim = principal_point(action, tol)[0]
+    tangent, nu, ad_inv = _normal_space(action, g, tol)
     if tangent.shape[0] < max_orbit_dim:
         raise NonPrincipalPointError(
             f"point has orbit dimension {tangent.shape[0]} < sampled maximum "
             f"{max_orbit_dim}; the criterion needs a principal point "
             "(raise num_samples / --samples if sampling looks unlucky)")
-    nu = orthogonal_complement(tangent, form, tol, chol=algebra.chol)
     cohom = nu.shape[0]
 
     if cohom == 0:
@@ -151,13 +156,12 @@ def polarity_check(action, g, tol, max_orbit_dim=None):
         brackets = algebra.bracket_many(nu, nu)            # (c, c, dim)
         flat = brackets.reshape(-1, algebra.dim)
         triples = algebra.bracket_many(flat, nu)           # [[X,Y],Z]
-        residual_triple = _outside_residual_many(triples, nu, form)
+        residual_triple = outside_norm(triples, nu, form)
         n = algebra.dim
         conj_h = action.h.basis[:, :n] @ ad_inv.T + action.h.basis[:, n:]
         pairings = np.einsum('ak,kl,hl->ah', flat, form, conj_h, optimize=True)
         residual_orth = float(np.abs(pairings).max(initial=0.0))
-        sq = np.einsum('ak,kl,al->a', flat, form, flat, optimize=True)
-        residual_abelian = float(np.sqrt(max(0.0, sq.max(initial=0.0))))
+        residual_abelian = outside_norm(flat, nu[:0], form)
 
     polar = (residual_triple < tol.residual_tol
              and residual_orth < tol.residual_tol)
@@ -179,18 +183,20 @@ def polarity_check(action, g, tol, max_orbit_dim=None):
 
 def analyze(action, tol):
     """Cohomogeneity sampling followed by the polarity criterion."""
-    dims = _sampled_dims(action, tol)
-    best = max(d for d, _ in dims)
-    point = next(g for d, g in dims if d == best)
+    best, point = principal_point(action, tol)
     return polarity_check(action, point, tol, max_orbit_dim=best)
+
+
+def span_rank(h1, h2, algebra, tol):
+    """Dimension of h1 + h2 inside l."""
+    if h1.parent is not algebra or h2.parent is not algebra:
+        raise InvalidInputError("h1, h2 must be subalgebras of the acted-on l")
+    return rank_of(np.vstack([h1.basis, h2.basis]), tol)
 
 
 def is_transitive(h1, h2, algebra, tol):
     """True iff h1 + h2 spans l (orbit through e open, hence everything)."""
-    if h1.parent is not algebra or h2.parent is not algebra:
-        raise InvalidInputError("h1, h2 must be subalgebras of the acted-on l")
-    stacked = np.vstack([h1.basis, h2.basis])
-    return rank_of(stacked, tol) == algebra.dim
+    return span_rank(h1, h2, algebra, tol) == algebra.dim
 
 
 def product_flatness_diagnostic(h1, h2, tol):
@@ -202,26 +208,19 @@ def product_flatness_diagnostic(h1, h2, tol):
     """
     algebra = h1.parent
     action = ActionSpec(algebra, product(h1, h2, tol))
-    dims = _sampled_dims(action, tol)
-    best = max(d for d, _ in dims)
+    best, g = principal_point(action, tol)
     cohom = algebra.dim - best
     if cohom != 2:
         raise HypothesisViolationError(
             f"product action has cohomogeneity {cohom}, diagnostic needs 2")
-    g = next(p for d, p in dims if d == best)
-    vectors, _ = _tangent_vectors(action, g, tol)
-    tangent = orthonormal_basis(vectors, tol, chol=algebra.chol, scale=1.0)
-    nu = orthogonal_complement(tangent, algebra.form, tol, chol=algebra.chol)
+    _, nu, _ = _normal_space(action, g, tol)
     x, y = nu
-    br = algebra.bracket(x, y)
-    residual_section = _outside_residual_many(br[None, :], nu, algebra.form)
+    br = algebra.bracket(x, y)[None, :]
     span_xy = orthonormal_basis(np.vstack([x, y]), tol, chol=algebra.chol)
-    residual_span = _outside_residual_many(br[None, :], span_xy, algebra.form)
-    residual_abelian = algebra.norm(br)
     return FlatnessDiagnostic(
         cohomogeneity=cohom,
         principal_point=g,
-        residual_section=residual_section,
-        residual_span=residual_span,
-        residual_abelian=residual_abelian,
+        residual_section=outside_norm(br, nu, algebra.form),
+        residual_span=outside_norm(br, span_xy, algebra.form),
+        residual_abelian=outside_norm(br, nu[:0], algebra.form),
     )

@@ -3,40 +3,20 @@ and twisted-diagonal actions, Hermann pairs, and the dimension obstruction
 for diagonal so(7)-type subalgebras of so(8)(+)so(8).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import embeddings as emb
-from .actions import ActionSpec, analyze, cohomogeneity, is_transitive
-from .errors import ClosureError, InvalidInputError
-from .lie_algebras import (build_classical, identity_automorphism,
-                           make_automorphism, realify_complex)
-from .numerics import rank_of
-from .subalgebras import Subalgebra, diagonal_sigma, product
+from .actions import ActionSpec, analyze, cohomogeneity, is_transitive, \
+    span_rank
+from .errors import InvalidInputError
+from .numerics import ToleranceConfig
+from .specs import parse_group, resolve_factor, resolve_subgroup
+from .subalgebras import Subalgebra
 
 # ---------------------------------------------------------------------------
 # shared builders
-
-
-def base_algebra(family, n, form_scale=1.0):
-    algebra = build_classical(family, n)
-    if form_scale != 1.0:
-        algebra = algebra.with_scaled_form(form_scale)
-    return algebra
-
-
-def so_in_su(ambient, tol):
-    """The real points so(n) inside su(n) (fixed set of conjugation)."""
-    n = ambient.n
-    mats = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = 1.0
-            m[j, i] = -1.0
-            mats.append(realify_complex(m.astype(complex)))
-    return Subalgebra.from_matrices(ambient, mats, tol, name=f"so({n})")
 
 
 def so7_diagonal_subalgebra(tol, twisted, form_scale=1.0):
@@ -45,107 +25,52 @@ def so7_diagonal_subalgebra(tol, twisted, form_scale=1.0):
     phi is the corner inclusion (twisted=False) or the 21-dimensional spin
     image spanned by the gamma bivectors (twisted=True).
     """
-    so8 = base_algebra("so", 8, form_scale)
-    corner_mats = []
-    for i in range(7):
-        for j in range(i + 1, 7):
-            m = np.zeros((8, 8))
-            m[i, j] = 1.0
-            m[j, i] = -1.0
-            corner_mats.append(m)
-    if twisted:
-        gammas = emb.gamma_matrices(7)
-        images = [-0.5 * gammas[i] @ gammas[j]
-                  for i in range(7) for j in range(i + 1, 7)]
-    else:
-        images = corner_mats
-    vecs = [np.concatenate([so8.coords_of(a), so8.coords_of(b)])
-            for a, b in zip(corner_mats, images)]
+    so8 = parse_group("so8", form_scale)
+    corner = emb.corner_so_matrices(8, 7)
+    images = -emb.spin_bivectors(7) if twisted else corner
+    vecs = np.hstack([so8.coords_of(corner), so8.coords_of(images)])
     name = "delta_spin(so(7))" if twisted else "delta(so(7))"
     return Subalgebra.from_vectors(so8.double(), vecs, tol, name=name), so8
+
+
+def _pair(group, h1, h2, tol, form_scale):
+    """(h1, h2, l) from a group name and two factor specs."""
+    ambient = parse_group(group, form_scale)
+    return (resolve_factor(h1, ambient, tol), resolve_factor(h2, ambient, tol),
+            ambient)
 
 
 # ---------------------------------------------------------------------------
 # Table 1 rows
 
-
-@dataclass(frozen=True)
-class TableRow:
-    row_id: str
-    description: str
-    min_n: int | None  # None for fixed rows
-
-    def build(self, tol, n=None, form_scale=1.0):
-        raise NotImplementedError
-
-
-def _row_builders():
-    def sp_su(n, tol, scale, second):
-        ambient = base_algebra("su", 2 * n, scale)
-        h1 = emb.sp_in_su(ambient, tol)
-        h2 = (emb.s_u_u1_in_su(ambient, tol) if second == "u1"
-              else emb.su_corner_in_su(ambient, 2 * n - 1, tol))
-        return h1, h2, ambient
-
-    def so_so(n, tol, scale, second):
-        ambient = base_algebra("so", 2 * n, scale)
-        h1 = emb.corner_so(ambient, 2 * n - 1, tol)
-        h2 = emb.u_in_so(ambient, tol, special=(second == "su"))
-        return h1, h2, ambient
-
-    def so_sp(n, tol, scale, right):
-        ambient = base_algebra("so", 4 * n, scale)
-        h1 = emb.corner_so(ambient, 4 * n - 1, tol)
-        h2 = emb.sp_in_so(ambient, tol, right_factor=right)
-        return h1, h2, ambient
-
-    def g2_row(tol, scale, second):
-        ambient = base_algebra("so", 7, scale)
-        h1 = emb.g2_in_so7(ambient, tol)
-        if second == "so6":
-            h2 = emb.corner_so(ambient, 6, tol)
-        elif second == "so5so2":
-            h2 = emb.block_so(ambient, [5, 2], tol)
-        else:
-            h2 = emb.corner_so(ambient, 5, tol)
-        return h1, h2, ambient
-
-    def spin_row(tol, scale, n):
-        size = {7: 8, 9: 16}[n]
-        ambient = base_algebra("so", size, scale)
-        h1 = emb.spin_subalgebra(ambient, n, tol)
-        h2 = emb.corner_so(ambient, size - 1, tol)
-        return h1, h2, ambient
-
-    return {
-        "sp-su-s_u_u1": ("Sp(n) x S(U(2n-1)U(1)) on SU(2n)", 2,
-                         lambda n, t, s: sp_su(n, t, s, "u1")),
-        "sp-su-su": ("Sp(n) x SU(2n-1) on SU(2n)", 2,
-                     lambda n, t, s: sp_su(n, t, s, "su")),
-        "so-so-u": ("SO(2n-1) x U(n) on SO(2n)", 3,
-                    lambda n, t, s: so_so(n, t, s, "u")),
-        "so-so-su": ("SO(2n-1) x SU(n) on SO(2n)", 3,
-                     lambda n, t, s: so_so(n, t, s, "su")),
-        "so-so-sp_sp1": ("SO(4n-1) x Sp(n)Sp(1) on SO(4n)", 2,
-                         lambda n, t, s: so_sp(n, t, s, "sp1")),
-        "so-so-sp_u1": ("SO(4n-1) x Sp(n)U(1) on SO(4n)", 2,
-                        lambda n, t, s: so_sp(n, t, s, "u1")),
-        "so-so-sp": ("SO(4n-1) x Sp(n) on SO(4n)", 2,
-                     lambda n, t, s: so_sp(n, t, s, "none")),
-        "g2-so7-so6": ("G2 x SO(6) on SO(7)", None,
-                       lambda n, t, s: g2_row(t, s, "so6")),
-        "g2-so7-so5so2": ("G2 x SO(5)SO(2) on SO(7)", None,
-                          lambda n, t, s: g2_row(t, s, "so5so2")),
-        "g2-so7-so5": ("G2 x SO(5) on SO(7)", None,
-                       lambda n, t, s: g2_row(t, s, "so5")),
-        "spin7-so8": ("Spin(7) x SO(7) on SO(8)", None,
-                      lambda n, t, s: spin_row(t, s, 7)),
-        "spin9-so16": ("Spin(9) x SO(15) on SO(16)", None,
-                       lambda n, t, s: spin_row(t, s, 9)),
-    }
-
-
-TABLE1_ROWS = _row_builders()
+# row id -> (description, smallest n, or None for a fixed row, and
+# n -> (group, h1, h2) as spec strings)
+TABLE1_ROWS = {
+    "sp-su-s_u_u1": ("Sp(n) x S(U(2n-1)U(1)) on SU(2n)", 2,
+                     lambda n: (f"su{2 * n}", f"sp{n}", "s_u_u1")),
+    "sp-su-su": ("Sp(n) x SU(2n-1) on SU(2n)", 2,
+                 lambda n: (f"su{2 * n}", f"sp{n}", f"su{2 * n - 1}")),
+    "so-so-u": ("SO(2n-1) x U(n) on SO(2n)", 3,
+                lambda n: (f"so{2 * n}", f"so{2 * n - 1}", f"u{n}")),
+    "so-so-su": ("SO(2n-1) x SU(n) on SO(2n)", 3,
+                 lambda n: (f"so{2 * n}", f"so{2 * n - 1}", f"su{n}")),
+    "so-so-sp_sp1": ("SO(4n-1) x Sp(n)Sp(1) on SO(4n)", 2,
+                     lambda n: (f"so{4 * n}", f"so{4 * n - 1}", f"sp{n}sp1")),
+    "so-so-sp_u1": ("SO(4n-1) x Sp(n)U(1) on SO(4n)", 2,
+                    lambda n: (f"so{4 * n}", f"so{4 * n - 1}", f"sp{n}u1")),
+    "so-so-sp": ("SO(4n-1) x Sp(n) on SO(4n)", 2,
+                 lambda n: (f"so{4 * n}", f"so{4 * n - 1}", f"sp{n}")),
+    "g2-so7-so6": ("G2 x SO(6) on SO(7)", None,
+                   lambda n: ("so7", "g2", "so6")),
+    "g2-so7-so5so2": ("G2 x SO(5)SO(2) on SO(7)", None,
+                      lambda n: ("so7", "g2", "so5so2")),
+    "g2-so7-so5": ("G2 x SO(5) on SO(7)", None,
+                   lambda n: ("so7", "g2", "so5")),
+    "spin7-so8": ("Spin(7) x SO(7) on SO(8)", None,
+                  lambda n: ("so8", "spin7", "so7")),
+    "spin9-so16": ("Spin(9) x SO(15) on SO(16)", None,
+                   lambda n: ("so16", "spin9", "so15")),
+}
 
 
 @dataclass(frozen=True)
@@ -163,12 +88,11 @@ class Table1Result:
 
 def verify_table1(row_id, n=None, tol=None, form_scale=1.0):
     """Check one row of the transitive-pair table at parameter n."""
-    from .numerics import ToleranceConfig
     tol = tol or ToleranceConfig()
     if row_id not in TABLE1_ROWS:
         raise InvalidInputError(
             f"unknown row {row_id!r}; known: {sorted(TABLE1_ROWS)}")
-    description, min_n, builder = TABLE1_ROWS[row_id]
+    description, min_n, specs = TABLE1_ROWS[row_id]
     if min_n is None:
         if n is not None:
             raise InvalidInputError(f"row {row_id} takes no parameter")
@@ -177,13 +101,12 @@ def verify_table1(row_id, n=None, tol=None, form_scale=1.0):
             n = min_n
         if n < min_n:
             raise InvalidInputError(f"row {row_id} needs n >= {min_n}")
-    h1, h2, ambient = builder(n, tol, form_scale)
-    rank = rank_of(np.vstack([h1.basis, h2.basis]), tol)
-    transitive = rank == ambient.dim
+    h1, h2, ambient = _pair(*specs(n), tol, form_scale)
+    transitive = is_transitive(h1, h2, ambient, tol)
     return Table1Result(row_id=row_id, n=n, description=description,
                         dim_h1=h1.dim, dim_h2=h2.dim, dim_l=ambient.dim,
-                        span_rank=rank, transitive=transitive,
-                        passed=transitive)
+                        span_rank=span_rank(h1, h2, ambient, tol),
+                        transitive=transitive, passed=transitive)
 
 
 @dataclass(frozen=True)
@@ -238,27 +161,11 @@ class CatalogEntry:
 
 
 def _polar_entries():
-    def conj(family, n):
+    def action(group, subgroup):
         def build(tol, scale=1.0):
-            algebra = base_algebra(family, n, scale)
-            h = diagonal_sigma(algebra, identity_automorphism(algebra), tol)
-            return ActionSpec(algebra, h)
+            algebra = parse_group(group, scale)
+            return ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
         return build
-
-    def sigma_outer_su3(tol, scale=1.0):
-        algebra = base_algebra("su", 3, scale)
-        sigma = make_automorphism(algebra, "outer_su", tol=tol)
-        return ActionSpec(algebra, diagonal_sigma(algebra, sigma, tol))
-
-    def sigma_so8_reflection(tol, scale=1.0):
-        algebra = base_algebra("so", 8, scale)
-        sigma = make_automorphism(algebra, "outer_so_even", tol=tol)
-        return ActionSpec(algebra, diagonal_sigma(algebra, sigma, tol))
-
-    def hermann_so3(tol, scale=1.0):
-        algebra = base_algebra("su", 3, scale)
-        real_points = so_in_su(algebra, tol)
-        return ActionSpec(algebra, product(real_points, real_points, tol))
 
     def lemma71(twisted):
         def build(tol, scale=1.0):
@@ -268,26 +175,26 @@ def _polar_entries():
 
     return [
         CatalogEntry("conj-su3", "conjugation action of SU(3) on itself",
-                     "action", conj("su", 3),
+                     "action", action("su3", "delta(sigma=id)"),
                      Expectation(cohomogeneity=2, polar=True, hyperpolar=True),
                      source="isotropy action; sections are maximal tori"),
         CatalogEntry("conj-so5", "conjugation action of SO(5) on itself",
-                     "action", conj("so", 5),
+                     "action", action("so5", "delta(sigma=id)"),
                      Expectation(cohomogeneity=2, polar=True, hyperpolar=True),
                      source="isotropy action; sections are maximal tori"),
         CatalogEntry("sigma-su3-outer",
                      "twisted diagonal of SU(3), complex conjugation twist",
-                     "action", sigma_outer_su3,
+                     "action", action("su3", "delta(sigma=outer_su)"),
                      Expectation(polar=True, hyperpolar=True),
                      source="twisted-diagonal actions are hyperpolar"),
         CatalogEntry("sigma-so8-reflection",
                      "twisted diagonal of SO(8), reflection twist",
-                     "action", sigma_so8_reflection,
+                     "action", action("so8", "delta(sigma=outer_so_even)"),
                      Expectation(polar=True, hyperpolar=True),
                      source="twisted-diagonal actions are hyperpolar"),
         CatalogEntry("hermann-so3so3-su3",
                      "SO(3) x SO(3) acting on SU(3)",
-                     "action", hermann_so3,
+                     "action", action("su3", "product(h1=so3,h2=so3)"),
                      Expectation(cohomogeneity=2, polar=True, hyperpolar=True),
                      source="Hermann actions are hyperpolar"),
         CatalogEntry("lemma71-standard",
@@ -305,18 +212,16 @@ def _polar_entries():
 
 def _pair_entries():
     entries = []
-    for row_id, (description, min_n, builder) in TABLE1_ROWS.items():
-        def build(tol, scale=1.0, _b=builder, _n=min_n):
-            return _b(_n, tol, scale)
+    for row_id, (description, min_n, specs) in TABLE1_ROWS.items():
+        def build(tol, scale=1.0, _specs=specs(min_n)):
+            return _pair(*_specs, tol, scale)
         entries.append(CatalogEntry(
             f"table1-{row_id}", description, "pair", build,
             Expectation(transitive=True),
             source="classification of transitive product actions"))
 
     def negative(tol, scale=1.0):
-        ambient = base_algebra("su", 4, scale)
-        corner = emb.su_corner_in_su(ambient, 3, tol)
-        return corner, corner, ambient
+        return _pair("su4", "su3", "su3", tol, scale)
 
     entries.append(CatalogEntry(
         "negative-su3su3-su4",

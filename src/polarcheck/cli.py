@@ -21,19 +21,9 @@ import sys
 from .actions import ActionSpec, analyze
 from .catalog import (TABLE1_ROWS, catalog_entries, run_known_answer_suite,
                       verify_table1)
-from .errors import PolarcheckError
+from .errors import InvalidInputError, PolarcheckError
 from .numerics import ToleranceConfig
 from .specs import parse_group, resolve_subgroup
-
-
-def _default_seed():
-    raw = os.environ.get("POLARCHECK_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"POLARCHECK_SEED must be an integer, got {raw!r}")
 
 
 def _add_common(parser):
@@ -51,7 +41,14 @@ def _add_common(parser):
 
 
 def _tolerances(args):
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get("POLARCHECK_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise InvalidInputError(
+                f"POLARCHECK_SEED must be an integer, got {raw!r}") from None
     return ToleranceConfig(rel_rank_tol=args.rank_tol,
                            residual_tol=args.residual_tol,
                            num_samples=args.samples, seed=seed)
@@ -59,8 +56,11 @@ def _tolerances(args):
 
 def _emit(text, args):
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {args.out}: {exc}") from exc
     else:
         print(text)
 
@@ -155,8 +155,12 @@ def _cmd_catalog_run(args):
 
 def _cmd_verify_table1(args):
     tol = _tolerances(args)
-    rows = [args.row] if args.row else sorted(TABLE1_ROWS)
-    results = [verify_table1(r, n=args.param, tol=tol) for r in rows]
+    if args.row:
+        results = [verify_table1(args.row, n=args.param, tol=tol)]
+    else:  # every row: --param applies to the parameterized ones
+        results = [verify_table1(r, tol=tol, n=None if min_n is None
+                                 else args.param)
+                   for r, (_, min_n, _) in sorted(TABLE1_ROWS.items())]
     if args.format == "json":
         payload = [{"row_id": r.row_id, "n": r.n, "description": r.description,
                     "dim_h1": r.dim_h1, "dim_h2": r.dim_h2, "dim_l": r.dim_l,

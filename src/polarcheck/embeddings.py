@@ -10,9 +10,9 @@ fails loudly instead of silently producing a different subspace.
 import numpy as np
 
 from .errors import InvalidInputError
-from .lie_algebras import (quaternion_left_matrices, quaternion_right_matrices,
-                           realify_complex, realify_quaternion,
-                           sp_basis_quaternion)
+from .lie_algebras import (_u_basis_complex, quaternion_left_matrices,
+                           quaternion_right_matrices, realify_complex,
+                           realify_quaternion, so_basis, sp_basis_quaternion)
 from .octonions import (derivation_matrices, octonion_table, quaternion_table,
                         restrict_to_imaginary)
 from .subalgebras import Subalgebra, zero_subalgebra
@@ -68,6 +68,13 @@ def gamma_anticommutation_residual(gammas):
     return worst
 
 
+def spin_bivectors(n):
+    """g_i g_j / 2 for i < j, in the order of so_basis(n)."""
+    gammas = gamma_matrices(n)
+    return np.array([0.5 * gammas[i] @ gammas[j]
+                     for i in range(n) for j in range(i + 1, n)])
+
+
 def spin_subalgebra(ambient, n, tol):
     """span{g_i g_j / 2 : i < j} inside so(8) (n=7) or so(16) (n=9)."""
     if n not in (7, 9):
@@ -75,27 +82,33 @@ def spin_subalgebra(ambient, n, tol):
     expected = {7: 8, 9: 16}[n]
     if ambient.family != "so" or ambient.n != expected:
         raise InvalidInputError(f"spin({n}) embeds into so({expected})")
-    gammas = gamma_matrices(n)
-    mats = [0.5 * gammas[i] @ gammas[j]
-            for i in range(n) for j in range(i + 1, n)]
-    return Subalgebra.from_matrices(ambient, mats, tol, name=f"spin({n})")
+    return Subalgebra.from_matrices(ambient, spin_bivectors(n), tol,
+                                    name=f"spin({n})")
+
+
+def corner_so_matrices(size, k, offset=0):
+    """so_basis(k) placed on coordinates offset..offset+k-1 of size."""
+    mats = np.zeros((k * (k - 1) // 2, size, size))
+    mats[:, offset:offset + k, offset:offset + k] = so_basis(k)
+    return mats
 
 
 def corner_so(ambient, k, tol, offset=0):
     """so(k) acting on coordinates offset..offset+k-1 of so(N)."""
-    size = ambient.ambient_size
-    if ambient.family != "so" or offset + k > size:
+    if ambient.family != "so" or offset + k > ambient.ambient_size:
         raise InvalidInputError(f"so({k}) corner does not fit in {ambient.name}")
     if k < 2:
         return zero_subalgebra(ambient, name=f"so({k})")
-    mats = []
-    for i in range(offset, offset + k):
-        for j in range(i + 1, offset + k):
-            m = np.zeros((size, size))
-            m[i, j] = 1.0
-            m[j, i] = -1.0
-            mats.append(m)
-    return Subalgebra.from_matrices(ambient, mats, tol, name=f"so({k})")
+    return Subalgebra.from_matrices(
+        ambient, corner_so_matrices(ambient.ambient_size, k, offset), tol,
+        name=f"so({k})")
+
+
+def so_in_su(ambient, tol):
+    """The real points so(n) inside su(n) (fixed set of conjugation)."""
+    mats = [realify_complex(m) for m in so_basis(ambient.n)]
+    return Subalgebra.from_matrices(ambient, mats, tol,
+                                    name=f"so({ambient.n})")
 
 
 def block_so(ambient, sizes, tol):
@@ -118,9 +131,7 @@ def u_in_so(ambient, tol, special=False):
     if ambient.family != "so" or ambient.n % 2 != 0:
         raise InvalidInputError("u(m) embeds into so(2m)")
     m = ambient.n // 2
-    from .lie_algebras import _su_basis_complex, _u_basis_complex
-    source = _su_basis_complex(m) if special else _u_basis_complex(m)
-    mats = [realify_complex(z) for z in source]
+    mats = [realify_complex(z) for z in _u_basis_complex(m, special)]
     name = f"su({m})" if special else f"u({m})"
     return Subalgebra.from_matrices(ambient, mats, tol, name=name)
 
@@ -129,10 +140,9 @@ def su_corner_in_su(ambient, k, tol):
     """su(k) in the top-left complex corner of su(N)."""
     if ambient.family != "su" or k > ambient.n or k < 2:
         raise InvalidInputError(f"su({k}) corner does not fit in {ambient.name}")
-    from .lie_algebras import _su_basis_complex
     big = ambient.n
     mats = []
-    for z in _su_basis_complex(k):
+    for z in _u_basis_complex(k, special=True):
         zz = np.zeros((big, big), dtype=complex)
         zz[:k, :k] = z
         mats.append(realify_complex(zz))
@@ -148,8 +158,7 @@ def s_u_u1_in_su(ambient, tol):
     extra = np.zeros((big, big), dtype=complex)
     extra[np.diag_indices(big)] = 1j
     extra[big - 1, big - 1] = 1j * (1 - big)
-    vecs = np.vstack([corner.basis,
-                      ambient.coords_of(realify_complex(extra))[None, :]])
+    vecs = np.vstack([corner.basis, ambient.coords_of(realify_complex(extra))])
     return Subalgebra.from_vectors(ambient, vecs, tol,
                                    name=f"s(u({big - 1})u(1))")
 
@@ -161,7 +170,6 @@ def sp_in_su(ambient, tol):
     m = ambient.n // 2
     mats = []
     # A skew-Hermitian, B = 0
-    from .lie_algebras import _u_basis_complex
     for a in _u_basis_complex(m):
         z = np.zeros((2 * m, 2 * m), dtype=complex)
         z[:m, :m] = a
@@ -219,21 +227,12 @@ def g2_in_so7(ambient, tol):
 
 def cartan_subalgebra(ambient, tol):
     """A maximal abelian subalgebra (standard choice per family)."""
-    size = ambient.ambient_size
     if ambient.family == "su":
-        mats = []
-        for k in range(ambient.n - 1):
-            z = np.zeros((ambient.n, ambient.n), dtype=complex)
-            z[k, k] = 1j
-            z[k + 1, k + 1] = -1j
-            mats.append(realify_complex(z))
+        diagonal = _u_basis_complex(ambient.n, special=True)[-(ambient.n - 1):]
+        mats = [realify_complex(z) for z in diagonal]
     elif ambient.family == "so":
-        mats = []
-        for k in range(ambient.n // 2):
-            m = np.zeros((size, size))
-            m[2 * k, 2 * k + 1] = 1.0
-            m[2 * k + 1, 2 * k] = -1.0
-            mats.append(m)
+        mats = [corner_so_matrices(ambient.n, 2, 2 * k)[0]
+                for k in range(ambient.n // 2)]
     elif ambient.family == "sp":
         table = quaternion_table()
         left = quaternion_left_matrices(table)

@@ -11,14 +11,13 @@ On a simple algebra this is a positive multiple of the Killing form, which
 is all the downstream criteria need.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import (ClosureError, DimensionMismatchError, InvalidFormError,
-                     InvalidInputError)
-from .numerics import cholesky_factor, rank_of
+from .errors import ClosureError, DimensionMismatchError, InvalidInputError
+from .numerics import cholesky_factor, rank_cut
 
 # ---------------------------------------------------------------------------
 # realification conventions
@@ -105,7 +104,7 @@ class LieAlgebra:
         dim, s, _ = basis.shape
         flat = basis.reshape(dim, s * s)
         sv = np.linalg.svd(flat, compute_uv=False)
-        if dim and (sv.size == 0 or sv[-1] <= 1e-12 * sv[0]):
+        if dim and rank_cut(sv, 1e-12) < dim:
             raise InvalidInputError(f"{name}: basis matrices are dependent")
         gram = -np.einsum('iab,jba->ij', basis, basis)
         gram = 0.5 * (gram + gram.T)
@@ -139,17 +138,26 @@ class LieAlgebra:
         """Ambient matrix of a coefficient vector."""
         return np.einsum('i,iab->ab', np.asarray(v, dtype=float), self.basis)
 
-    def coords_of(self, mat, require_member=True, member_tol=1e-8):
-        """Coefficient vector of an ambient matrix, checking membership."""
-        rhs = -self.trace_scale * np.einsum('kab,ba->k', self.basis, mat)
-        v = np.linalg.solve(self.form, rhs)
-        if require_member:
-            scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-            residual = float(np.abs(mat - self.matrix_of(v)).max()) / scale
-            if residual > member_tol:
-                raise ClosureError(
-                    f"matrix does not lie in {self.name}", residual=residual)
-        return v
+    def coords_of(self, mats, member_tol=1e-8):
+        """Coefficient rows of a stack of ambient matrices.
+
+        Raises ClosureError when a matrix is not in the algebra, i.e. when
+        its residual relative to max(1, its largest entry) exceeds
+        member_tol.
+        """
+        size = self.ambient_size
+        mats = np.asarray(mats, dtype=float).reshape(-1, size, size)
+        rhs = -self.trace_scale * np.einsum('kab,iba->ki', self.basis, mats,
+                                            optimize=True)
+        coords = np.linalg.solve(self.form, rhs).T
+        recon = np.einsum('ik,kab->iab', coords, self.basis, optimize=True)
+        scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2), initial=0.0))
+        residual = float((np.abs(mats - recon).max(axis=(1, 2), initial=0.0)
+                          / scale).max(initial=0.0))
+        if residual > member_tol:
+            raise ClosureError(
+                f"matrix does not lie in {self.name}", residual=residual)
+        return coords
 
     def bracket(self, x, y):
         """Coordinates of [x, y] via the structure constants."""
@@ -201,52 +209,29 @@ def direct_sum(first, second):
 # classical families
 
 
-def _so_basis(n):
-    mats = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = 1.0
-            m[j, i] = -1.0
-            mats.append(m)
-    return np.array(mats)
-
-
-def _su_basis_complex(n):
-    mats = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = np.zeros((n, n), dtype=complex)
-            a[i, j] = 1.0
-            a[j, i] = -1.0
-            mats.append(a)
-            b = np.zeros((n, n), dtype=complex)
-            b[i, j] = 1j
-            b[j, i] = 1j
-            mats.append(b)
-    for k in range(n - 1):
-        d = np.zeros((n, n), dtype=complex)
-        d[k, k] = 1j
-        d[k + 1, k + 1] = -1j
-        mats.append(d)
+def so_basis(n):
+    """E_ij - E_ji for i < j, in row-major order: the basis of so(n)."""
+    rows, cols = np.triu_indices(n, 1)
+    mats = np.zeros((rows.size, n, n))
+    mats[np.arange(rows.size), rows, cols] = 1.0
+    mats[np.arange(rows.size), cols, rows] = -1.0
     return mats
 
 
-def _u_basis_complex(n):
+def _u_basis_complex(n, special=False):
+    """Skew-Hermitian basis of u(n), or of su(n) when special.
+
+    The off-diagonal pairs E_ij - E_ji, i (E_ij + E_ji) come first; the
+    diagonal ones, i E_kk for u(n) and i (E_kk - E_k+1,k+1) for su(n), last.
+    """
     mats = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = np.zeros((n, n), dtype=complex)
-            a[i, j] = 1.0
-            a[j, i] = -1.0
-            mats.append(a)
-            b = np.zeros((n, n), dtype=complex)
-            b[i, j] = 1j
-            b[j, i] = 1j
-            mats.append(b)
-    for k in range(n):
+    for a in so_basis(n):
+        mats += [a + 0j, 1j * np.abs(a)]
+    for k in range(n - 1 if special else n):
         d = np.zeros((n, n), dtype=complex)
         d[k, k] = 1j
+        if special:
+            d[k + 1, k + 1] = -1j
         mats.append(d)
     return mats
 
@@ -269,33 +254,34 @@ def sp_basis_quaternion(n):
     return mats
 
 
-@lru_cache(maxsize=None)
-def build_classical(family, n):
-    """Standard compact algebra su/so/sp/u(n) in its realified defining rep."""
+_SMALLEST_N = {"so": 2, "su": 2, "u": 1, "sp": 1}
+
+
+def classical_basis(family, n):
+    """Basis matrices of su/so/sp/u(n) in its realified defining rep."""
+    if family not in _SMALLEST_N:
+        raise InvalidInputError(f"unsupported family {family!r}")
+    if n < _SMALLEST_N[family]:
+        raise InvalidInputError(
+            f"{family}(n) needs n >= {_SMALLEST_N[family]}")
     if family == "so":
-        if n < 2:
-            raise InvalidInputError("so(n) needs n >= 2")
-        return LieAlgebra.from_basis(f"so({n})", _so_basis(n),
-                                     family="so", n=n)
-    if family == "su":
-        if n < 2:
-            raise InvalidInputError("su(n) needs n >= 2")
-        basis = np.array([realify_complex(m) for m in _su_basis_complex(n)])
-        return LieAlgebra.from_basis(f"su({n})", basis, family="su", n=n)
-    if family == "u":
-        if n < 1:
-            raise InvalidInputError("u(n) needs n >= 1")
-        basis = np.array([realify_complex(m) for m in _u_basis_complex(n)])
-        return LieAlgebra.from_basis(f"u({n})", basis, family="u", n=n)
-    if family == "sp":
-        if n < 1:
-            raise InvalidInputError("sp(n) needs n >= 1")
+        basis = so_basis(n)
+    elif family == "sp":
         from .octonions import quaternion_table
         left = quaternion_left_matrices(quaternion_table())
         basis = np.array([realify_quaternion(q, left)
                           for q in sp_basis_quaternion(n)])
-        return LieAlgebra.from_basis(f"sp({n})", basis, family="sp", n=n)
-    raise InvalidInputError(f"unsupported family {family!r}")
+    else:
+        basis = np.array([realify_complex(m)
+                          for m in _u_basis_complex(n, family == "su")])
+    return basis
+
+
+@lru_cache(maxsize=None)
+def build_classical(family, n):
+    """Standard compact algebra su/so/sp/u(n) in its realified defining rep."""
+    return LieAlgebra.from_basis(f"{family}({n})", classical_basis(family, n),
+                                 family=family, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +309,14 @@ class Automorphism:
         return float(np.abs(d).max(initial=0.0)) / max(1.0, np.abs(g).max())
 
 
-def _conjugation_automorphism(algebra, conjugator, kind, member_tol):
-    inv = np.linalg.inv(conjugator)
-    cols = []
-    for b in algebra.basis:
-        cols.append(algebra.coords_of(conjugator @ b @ inv,
-                                      member_tol=member_tol))
-    return Automorphism(algebra, np.array(cols).T, kind)
+def adjoint_matrix(algebra, g, member_tol=1e-8):
+    """Coordinate matrix of Ad(g): X -> g X g^{-1} on the algebra.
+
+    Raises ClosureError when g does not normalize the algebra.
+    """
+    g = np.asarray(g, dtype=float)
+    conjugated = g @ algebra.basis @ np.linalg.inv(g)
+    return algebra.coords_of(conjugated, member_tol=member_tol).T
 
 
 def make_automorphism(algebra, spec, k=None, tol=None):
@@ -347,7 +334,8 @@ def make_automorphism(algebra, spec, k=None, tol=None):
         if k.shape != (algebra.ambient_size,) * 2:
             raise DimensionMismatchError("conjugator has the wrong size")
         try:
-            aut = _conjugation_automorphism(algebra, k, "inner", member_tol)
+            aut = Automorphism(algebra, adjoint_matrix(algebra, k, member_tol),
+                               "inner")
         except ClosureError as exc:
             raise InvalidInputError(
                 f"element does not normalize {algebra.name}: {exc}") from exc
@@ -355,13 +343,14 @@ def make_automorphism(algebra, spec, k=None, tol=None):
         if algebra.family != "su":
             raise InvalidInputError("outer_su only applies to su(n)")
         conj = np.kron(np.eye(algebra.n), np.diag([1.0, -1.0]))
-        aut = _conjugation_automorphism(algebra, conj, "outer_su", member_tol)
+        aut = Automorphism(algebra, adjoint_matrix(algebra, conj, member_tol),
+                           "outer_su")
     elif spec == "outer_so_even":
         if algebra.family != "so" or algebra.n % 2 != 0:
             raise InvalidInputError("outer_so_even only applies to so(2m)")
         refl = np.diag([-1.0] + [1.0] * (algebra.n - 1))
-        aut = _conjugation_automorphism(algebra, refl, "outer_so_even",
-                                        member_tol)
+        aut = Automorphism(algebra, adjoint_matrix(algebra, refl, member_tol),
+                           "outer_so_even")
     else:
         raise InvalidInputError(f"unknown automorphism spec {spec!r}")
     if aut.bracket_residual() > member_tol or aut.form_residual() > member_tol:

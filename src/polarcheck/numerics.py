@@ -57,6 +57,17 @@ def as_vector_matrix(vectors, ambient_dim=None):
     return mat
 
 
+def rank_cut(sv, rel_tol, ref=None):
+    """How many of the descending singular values sv exceed rel_tol * ref.
+
+    ref defaults to the largest singular value, which makes the cut
+    relative; an empty or zero spectrum has rank zero.
+    """
+    if ref is None:
+        ref = sv[0] if sv.size else 0.0
+    return int(np.sum(sv > rel_tol * ref)) if ref > 0 else 0
+
+
 def rank_of(vectors, tol):
     """Number of singular values above rel_rank_tol times the largest."""
     mat = np.atleast_2d(np.asarray(vectors, dtype=float))
@@ -64,10 +75,7 @@ def rank_of(vectors, tol):
         return 0
     if mat.ndim != 2:
         raise DimensionMismatchError("expected a list of equal-length vectors")
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol.rel_rank_tol * sv[0]))
+    return rank_cut(np.linalg.svd(mat, compute_uv=False), tol.rel_rank_tol)
 
 
 def cholesky_factor(form):
@@ -84,29 +92,22 @@ def cholesky_factor(form):
     return lower.T
 
 
-def orthonormal_basis(vectors, tol, form=None, chol=None, scale=None):
-    """Orthonormal (w.r.t. form, default Euclidean) basis of the span.
+def orthonormal_basis(vectors, tol, chol=None, scale=None):
+    """Orthonormal basis of the span, w.r.t. the form chol.T @ chol.
 
-    Returns a (r, d) array of rows.  Accepts a precomputed Cholesky factor
-    of the form to avoid refactorizations in hot paths.  When the caller
-    knows the natural magnitude of genuine input vectors (e.g. differences
-    of unit vectors), passing it as `scale` makes the cutoff absolute with
-    respect to that magnitude, so an all-roundoff input yields rank zero
-    instead of being renormalized into a full-rank matrix.
+    Returns a (r, d) array of rows; without chol the form is Euclidean.
+    When the caller knows the natural magnitude of genuine input vectors
+    (e.g. differences of unit vectors), passing it as `scale` makes the
+    cutoff absolute with respect to that magnitude, so an all-roundoff input
+    yields rank zero instead of being renormalized into a full-rank matrix.
     """
     mat = np.atleast_2d(np.asarray(vectors, dtype=float))
     if mat.size == 0:
         return mat.reshape(0, mat.shape[-1] if mat.ndim == 2 else 0)
-    if chol is None and form is not None:
-        chol = cholesky_factor(form)
     euc = mat if chol is None else mat @ chol.T
     _, sv, vh = np.linalg.svd(euc, full_matrices=False)
-    ref = sv[0] if sv.size else 0.0
-    if scale is not None:
-        ref = max(ref, float(scale))
-    r = 0 if sv.size == 0 or ref == 0.0 else int(
-        np.sum(sv > tol.rel_rank_tol * ref))
-    onb_euc = vh[:r]
+    ref = None if scale is None else max(sv[0], float(scale))
+    onb_euc = vh[:rank_cut(sv, tol.rel_rank_tol, ref)]
     if chol is None:
         return onb_euc
     return np.linalg.solve(chol, onb_euc.T).T
@@ -118,21 +119,12 @@ def orthogonal_complement(vectors, form, tol, chol=None):
     The ambient dimension is read off the form.  An empty input yields an
     orthonormal basis of the whole space.
     """
-    form = np.asarray(form, dtype=float)
     if chol is None:
         chol = cholesky_factor(form)
-    d = form.shape[0]
+    d = chol.shape[0]
     mat = as_vector_matrix(vectors, ambient_dim=d) if not isinstance(
         vectors, np.ndarray) else np.asarray(vectors, dtype=float).reshape(-1, d)
-    euc = mat @ chol.T
-    if euc.shape[0] == 0:
-        comp_euc = np.eye(d)
-    else:
-        _, sv, vh = np.linalg.svd(euc, full_matrices=True)
-        r = 0 if sv.size == 0 or sv[0] == 0.0 else int(
-            np.sum(sv > tol.rel_rank_tol * sv[0]))
-        comp_euc = vh[r:]
-    return np.linalg.solve(chol, comp_euc.T).T
+    return np.linalg.solve(chol, nullspace(mat @ chol.T, tol).T).T
 
 
 def nullspace(matrix, tol):
@@ -141,21 +133,28 @@ def nullspace(matrix, tol):
     if mat.shape[0] == 0:
         return np.eye(mat.shape[1])
     _, sv, vh = np.linalg.svd(mat, full_matrices=True)
-    r = 0 if sv.size == 0 or sv[0] == 0.0 else int(
-        np.sum(sv > tol.rel_rank_tol * sv[0]))
-    return vh[r:]
+    return vh[rank_cut(sv, tol.rel_rank_tol):]
 
 
-def form_norm(v, form):
-    """Norm of a coefficient vector with respect to an SPD form."""
-    v = np.asarray(v, dtype=float)
-    return float(np.sqrt(max(0.0, v @ form @ v)))
+_BLOCK_BYTES = 2 ** 25  # size of each temporary in outside_norm
 
 
-def residual_outside(v, onb, form):
-    """Form-norm of the component of v outside the span of a form-ONB."""
-    v = np.asarray(v, dtype=float)
-    if onb.shape[0] == 0:
-        return form_norm(v, form)
-    coeffs = onb @ form @ v
-    return form_norm(v - onb.T @ coeffs, form)
+def outside_norm(vectors, onb, form):
+    """Largest form-norm of a component outside span(onb) over a stack.
+
+    vectors is any array whose last axis holds coefficients; onb holds
+    form-orthonormal rows, possibly none, in which case this is the largest
+    form-norm.  The stack is taken in blocks, so the temporaries stay small
+    next to a large input.
+    """
+    flat = vectors.reshape(-1, vectors.shape[-1])
+    to_coeffs = form @ onb.T
+    step = max(1, _BLOCK_BYTES // (8 * flat.shape[1]))
+    worst = 0.0
+    for start in range(0, flat.shape[0], step):
+        rest = flat[start:start + step]
+        if onb.shape[0]:
+            rest = rest - (rest @ to_coeffs) @ onb
+        sq = np.einsum('ak,ak->a', rest @ form, rest)
+        worst = max(worst, float(sq.max(initial=0.0)))
+    return float(np.sqrt(worst))

@@ -14,10 +14,7 @@ uK, spK, spKsp1, spKu1, s_u_u1) or as span(file=path).
 
 import re
 
-import numpy as np
-
 from . import embeddings as emb
-from .catalog import so_in_su
 from .errors import InvalidInputError
 from .lie_algebras import build_classical, identity_automorphism, \
     make_automorphism
@@ -68,13 +65,16 @@ def _split_args(body):
     return args
 
 
-def _span_factor(path, algebra, tol):
-    size, mats = parse_span_file(path)
+def _span(args, algebra, tol, name):
+    """Subalgebra spanned by the matrices of a span file."""
+    if set(args) != {"file"}:
+        raise InvalidInputError("span takes exactly file=...")
+    size, mats = parse_span_file(args["file"])
     if size != algebra.ambient_size:
         raise InvalidInputError(
             f"span file ambient size {size} does not match "
             f"{algebra.name} (size {algebra.ambient_size})")
-    return Subalgebra.from_matrices(algebra, mats, tol, name=f"span({path})")
+    return Subalgebra.from_matrices(algebra, mats, tol, name=name)
 
 
 def resolve_factor(spec, algebra, tol):
@@ -82,10 +82,7 @@ def resolve_factor(spec, algebra, tol):
     spec = spec.strip()
     call = _CALL_RE.match(spec)
     if call and call.group(1) == "span":
-        args = _split_args(call.group(2))
-        if set(args) != {"file"}:
-            raise InvalidInputError("span takes exactly file=...")
-        return _span_factor(args["file"], algebra, tol)
+        return _span(_split_args(call.group(2)), algebra, tol, name=spec)
     name = spec.lower()
     if name == "full":
         return full_subalgebra(algebra, tol)
@@ -121,7 +118,7 @@ def resolve_factor(spec, algebra, tol):
                 raise InvalidInputError(
                     f"so({k}) resolves to the real points of su({algebra.n}) "
                     "and needs matching size")
-            return so_in_su(algebra, tol)
+            return emb.so_in_su(algebra, tol)
         return emb.corner_so(algebra, k, tol)
     m = re.match(r"^su(\d+)$", name)
     if m:
@@ -166,13 +163,5 @@ def resolve_subgroup(spec, algebra, tol):
         h2 = resolve_factor(args["h2"], algebra, tol)
         return product(h1, h2, tol)
     if head == "span":
-        if set(args) != {"file"}:
-            raise InvalidInputError("span takes exactly file=...")
-        size, mats = parse_span_file(args["file"])
-        double = algebra.double()
-        if size != double.ambient_size:
-            raise InvalidInputError(
-                f"span file ambient size {size} must be "
-                f"{double.ambient_size} (block-diagonal pairs) for l(+)l")
-        return Subalgebra.from_matrices(double, mats, tol, name="span(file)")
+        return _span(args, algebra.double(), tol, name="span(file)")
     raise InvalidInputError(f"unknown subgroup constructor {head!r}")

@@ -8,8 +8,9 @@ import numpy as np
 
 from .errors import (ClosureError, DimensionMismatchError,
                      InternalConsistencyError, InvalidInputError)
+from .lie_algebras import adjoint_matrix
 from .numerics import (as_vector_matrix, nullspace, orthogonal_complement,
-                       orthonormal_basis, rank_of)
+                       orthonormal_basis, outside_norm, rank_of)
 
 
 class Subalgebra:
@@ -39,8 +40,7 @@ class Subalgebra:
     @classmethod
     def from_matrices(cls, parent, matrices, tol, name="", check_closure=True):
         """Build from ambient matrices that must lie in the parent algebra."""
-        vecs = [parent.coords_of(m, member_tol=tol.residual_tol)
-                for m in matrices]
+        vecs = parent.coords_of(matrices, member_tol=tol.residual_tol)
         return cls.from_vectors(parent, vecs, tol, name=name,
                                 check_closure=check_closure)
 
@@ -49,12 +49,8 @@ class Subalgebra:
         if self.dim == 0:
             return 0.0
         b = self.basis
-        g = self.parent.form
-        brackets = self.parent.bracket_many(b, b)
-        coeffs = np.einsum('abk,kl,cl->abc', brackets, g, b, optimize=True)
-        outside = brackets - np.einsum('abc,cl->abl', coeffs, b, optimize=True)
-        sq = np.einsum('abl,lm,abm->ab', outside, g, outside, optimize=True)
-        return float(np.sqrt(max(0.0, sq.max(initial=0.0))))
+        return outside_norm(self.parent.bracket_many(b, b), b,
+                            self.parent.form)
 
     def gram_residual(self):
         gram = self.basis @ self.parent.form @ self.basis.T
@@ -63,14 +59,6 @@ class Subalgebra:
     def matrices(self):
         """Ambient matrices of the basis vectors."""
         return np.einsum('ki,iab->kab', self.basis, self.parent.basis)
-
-    def contains_residual(self, v):
-        """Form-norm of the component of a coefficient vector outside self."""
-        v = np.asarray(v, dtype=float)
-        g = self.parent.form
-        coeffs = self.basis @ g @ v
-        rest = v - self.basis.T @ coeffs
-        return float(np.sqrt(max(0.0, rest @ g @ rest)))
 
     def __repr__(self):
         return f"Subalgebra({self.name or '?'}, dim={self.dim}, parent={self.parent.name})"
@@ -109,14 +97,14 @@ def product(h1, h2, tol):
                                    name=f"{h1.name}x{h2.name}")
 
 
-def split_ideals(h, tol, left_dim=None):
+def split_ideals(h, tol):
     """Split h into (h1', h2', h_delta) per the projection kernels.
 
     h1' = h intersected with the first factor, h2' with the second, and
     h_delta the orthogonal complement of their sum inside h.  Checks the
     identity pi_1(h) = pi_1(h_delta) (+) h1' numerically.
     """
-    n = left_dim if left_dim is not None else h.parent.dim // 2
+    n = h.parent.dim // 2
     if 2 * n != h.parent.dim:
         raise DimensionMismatchError("parent is not a doubled algebra")
     basis = h.basis
@@ -145,23 +133,6 @@ def split_ideals(h, tol, left_dim=None):
             f"projection split identity fails for {h.name}: "
             f"{r_h} != {r_delta} + {h1_prime.dim}")
     return h1_prime, h2_prime, h_delta
-
-
-def adjoint_matrix(algebra, g, member_tol=1e-8):
-    """Coordinate matrix of Ad(g): X -> g X g^{-1} on the algebra."""
-    g = np.asarray(g, dtype=float)
-    inv = np.linalg.inv(g)
-    conjugated = np.einsum('ab,ibc,cd->iad', g, algebra.basis, inv, optimize=True)
-    rhs = -algebra.trace_scale * np.einsum('kab,iba->ki', algebra.basis,
-                                           conjugated, optimize=True)
-    coords = np.linalg.solve(algebra.form, rhs)
-    recon = np.einsum('ki,kab->iab', coords, algebra.basis)
-    scale = max(1.0, float(np.abs(conjugated).max(initial=0.0)))
-    residual = float(np.abs(conjugated - recon).max(initial=0.0)) / scale
-    if residual > member_tol:
-        raise ClosureError(
-            f"element does not normalize {algebra.name}", residual=residual)
-    return coords
 
 
 def conjugated_subalgebra(h, a, tol):

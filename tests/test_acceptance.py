@@ -67,12 +67,13 @@ def test_conjugation_actions():
 
 def test_hermann_action_and_flatness():
     from polarcheck.actions import product_flatness_diagnostic
-    from polarcheck.catalog import base_algebra, so_in_su
+    from polarcheck.embeddings import so_in_su
+    from polarcheck.specs import parse_group
     rep = analyze(get_entry("hermann-so3so3-su3").builder(TOL), TOL)
     ok = rep.cohomogeneity == 2 and rep.hyperpolar
     ok &= max(rep.residual_triple, rep.residual_orth,
               rep.residual_abelian) < 1e-8
-    algebra = base_algebra("su", 3)
+    algebra = parse_group("su3")
     real_points = so_in_su(algebra, TOL)
     diag = product_flatness_diagnostic(real_points, real_points, TOL)
     ok &= max(diag.residual_section, diag.residual_span,

@@ -1,16 +1,23 @@
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
+
+import polarcheck
 
 from polarcheck.actions import (ActionSpec, analyze, check_group_membership,
                                 cohomogeneity, is_transitive, orbit_tangent,
                                 polarity_check, product_flatness_diagnostic,
                                 sample_group_point)
-from polarcheck.catalog import so_in_su
-from polarcheck.embeddings import cartan_subalgebra, corner_so
+from polarcheck.embeddings import cartan_subalgebra, corner_so, so_in_su
 from polarcheck.errors import (HypothesisViolationError, InvalidInputError,
                                NonPrincipalPointError)
-from polarcheck.lie_algebras import build_classical, identity_automorphism
+from polarcheck.lie_algebras import (build_classical, classical_basis,
+                                     identity_automorphism)
 from polarcheck.numerics import ToleranceConfig
 from polarcheck.subalgebras import (conjugated_pair_subalgebra,
                                     diagonal_sigma, full_subalgebra, product,
@@ -242,3 +249,29 @@ class TestSampling:
         g1 = sample_group_point(algebra, np.random.default_rng(5))
         g2 = sample_group_point(algebra, np.random.default_rng(5))
         assert np.array_equal(g1, g2)
+
+    @pytest.mark.parametrize("family,n", [
+        ("so", 3), ("so", 8), ("so", 20), ("su", 2), ("su", 10),
+        ("sp", 1), ("sp", 5), ("u", 1), ("u", 10)])
+    def test_exponential_matches_expm(self, family, n):
+        # sample_group_point reads only dim and matrix_of, so the bare basis
+        # stands in for the algebra and no structure constants are fitted
+        basis = classical_basis(family, n)
+        algebra = SimpleNamespace(
+            dim=len(basis), matrix_of=lambda v: np.tensordot(v, basis, 1))
+        for seed in range(3):
+            g = sample_group_point(algebra, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            z1 = rng.standard_normal(algebra.dim)
+            z2 = rng.standard_normal(algebra.dim)
+            ref = expm(algebra.matrix_of(z1)) @ expm(algebra.matrix_of(z2))
+            assert np.abs(g - ref).max() < 1e-12
+            assert np.abs(g.T @ g - np.eye(len(g))).max() < 1e-13
+
+
+def test_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(polarcheck.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, polarcheck, polarcheck.cli; "
+            "sys.exit('scipy' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -66,6 +66,37 @@ class TestAnalyze:
         assert out == ""
         assert json.loads(target.read_text())["cohomogeneity"] == 2
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("group,subgroup,verdict", [
+        ("su3", "product(h1=su2,h2=su2)", (2, False, False)),
+        ("su3", "product(h1=cartan,h2=cartan)", (4, False, False)),
+        ("su2", "product(h1=zero,h2=zero)", (3, True, False)),
+    ])
+    def test_non_hyperpolar_verdicts(self, capsys, group, subgroup, verdict,
+                                     seed):
+        # controls for the branches a catalog of hyperpolar actions never
+        # reaches: not polar, and polar but not hyperpolar
+        code, out, _ = run(capsys, ["analyze", "--group", group, "--subgroup",
+                                    subgroup, "--seed", str(seed),
+                                    "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["cohomogeneity"], payload["polar"],
+                payload["hyperpolar"]) == verdict
+
+    def test_bad_seed_environment_is_invalid_input(self, capsys, monkeypatch):
+        monkeypatch.setenv("POLARCHECK_SEED", "abc")
+        code, _, err = run(capsys, ["catalog-run", "--entry", "conj-su3"])
+        assert code == 2
+        assert "POLARCHECK_SEED" in err
+
+    def test_unwritable_out_is_invalid_input(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, ["catalog-list", "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write")
+
     def test_bad_group(self, capsys):
         code, _, err = run(capsys, ["analyze", "--group", "xyz",
                                     "--subgroup", "delta(sigma=id)"])
@@ -158,6 +189,17 @@ class TestVerifyTable1:
         code, out, _ = run(capsys, ["verify-table1", "--row", "sp-su-su",
                                     "--param", "3"])
         assert code == 0
+
+    def test_param_without_row_applies_to_parameterized_rows(self, capsys):
+        code, out, _ = run(capsys, ["verify-table1", "--param", "3",
+                                    "--format", "json"])
+        assert code == 0
+        payload = {r["row_id"]: r for r in json.loads(out)}
+        assert len(payload) == 12
+        assert all(r["passed"] for r in payload.values())
+        assert payload["sp-su-su"]["n"] == 3
+        assert payload["so-so-u"]["n"] == 3
+        assert payload["spin7-so8"]["n"] is None
 
     def test_all_rows_json(self, capsys):
         code, out, _ = run(capsys, ["verify-table1", "--format", "json"])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarcheck.errors import InvalidInputError
+from polarcheck.errors import ClosureError, InvalidInputError
 from polarcheck.lie_algebras import (ad_invariance_residual,
                                      antisymmetry_residual, build_classical,
                                      direct_sum, identity_automorphism,
@@ -11,7 +11,8 @@ from polarcheck.lie_algebras import (ad_invariance_residual,
                                      make_automorphism,
                                      quaternion_left_matrices,
                                      quaternion_right_matrices,
-                                     realify_complex, sp_basis_quaternion)
+                                     realify_complex, so_basis,
+                                     sp_basis_quaternion)
 from polarcheck.octonions import quaternion_table
 
 SMALL_CASES = [("so", 3), ("so", 5), ("so", 8), ("su", 2), ("su", 3),
@@ -73,6 +74,23 @@ class TestDimensions:
         with pytest.raises(InvalidInputError):
             build_classical("sl", 2)
 
+    @pytest.mark.parametrize("family,n", [("so", 1), ("su", 1), ("u", 0),
+                                          ("sp", 0)])
+    def test_too_small(self, family, n):
+        with pytest.raises(InvalidInputError):
+            build_classical(family, n)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_so_basis_matches_the_loop(self, n):
+        expected = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                m = np.zeros((n, n))
+                m[i, j] = 1.0
+                m[j, i] = -1.0
+                expected.append(m)
+        assert np.array_equal(so_basis(n), np.array(expected))
+
 
 class TestInvariants:
     @pytest.mark.parametrize("family,n", SMALL_CASES)
@@ -125,10 +143,19 @@ class TestBracket:
         v = np.arange(algebra.dim, dtype=float)
         assert np.abs(algebra.coords_of(algebra.matrix_of(v)) - v).max() < 1e-10
 
+    def test_coords_of_a_stack(self):
+        algebra = build_classical("su", 3)
+        vs = np.random.default_rng(3).standard_normal((4, algebra.dim))
+        mats = np.array([algebra.matrix_of(v) for v in vs])
+        assert np.abs(algebra.coords_of(mats) - vs).max() < 1e-10
+
     def test_coords_rejects_non_member(self):
         algebra = build_classical("so", 4)
-        with pytest.raises(Exception):
+        with pytest.raises(ClosureError):
             algebra.coords_of(np.eye(4))
+        # one non-member in a stack of members is enough
+        with pytest.raises(ClosureError):
+            algebra.coords_of(np.array([algebra.basis[0], np.eye(4)]))
 
 
 class TestFormScaling:

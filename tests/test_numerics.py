@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarcheck.errors import InvalidFormError, InvalidInputError
-from polarcheck.numerics import (ToleranceConfig, cholesky_factor, form_norm,
-                                 nullspace, orthogonal_complement,
-                                 orthonormal_basis, rank_of, residual_outside)
+from polarcheck import numerics
+from polarcheck.numerics import (ToleranceConfig, cholesky_factor, nullspace,
+                                 orthogonal_complement, orthonormal_basis,
+                                 outside_norm, rank_cut, rank_of)
 
 
 TOL = ToleranceConfig()
@@ -52,6 +53,14 @@ class TestRank:
         mat = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 0.0]])
         assert rank_of(mat, tol) == 2
 
+    def test_cut_is_relative_unless_a_reference_is_given(self):
+        sv = np.array([1e-3, 1e-3, 1e-14])
+        assert rank_cut(sv, 1e-9) == 2
+        assert rank_cut(sv, 1e-9, ref=1e7) == 0
+        assert rank_cut(sv, 1e-20) == 3
+        assert rank_cut(np.zeros(3), 1e-9) == 0
+        assert rank_cut(np.zeros(0), 1e-9) == 0
+
     @given(seed=st.integers(0, 10**6), rows=st.integers(1, 8),
            cols=st.integers(1, 8), scale=st.floats(1e-6, 1e6))
     def test_rank_is_scale_invariant(self, seed, rows, cols, scale):
@@ -89,7 +98,7 @@ class TestOrthonormalBasis:
     def test_gram_is_identity(self, seed, rows, d):
         mat = random_matrix(seed, rows, d)
         form = random_spd(seed + 1, d)
-        onb = orthonormal_basis(mat, TOL, form=form)
+        onb = orthonormal_basis(mat, TOL, chol=cholesky_factor(form))
         gram = onb @ form @ onb.T
         assert np.abs(gram - np.eye(onb.shape[0])).max() < 1e-9
         assert onb.shape[0] == rank_of(mat, TOL)
@@ -97,6 +106,11 @@ class TestOrthonormalBasis:
     def test_empty_input(self):
         onb = orthonormal_basis(np.zeros((0, 4)), TOL)
         assert onb.shape == (0, 4)
+
+    def test_scale_drops_roundoff_input(self):
+        noise = 1e-15 * random_matrix(0, 3, 4)
+        assert orthonormal_basis(noise, TOL).shape[0] == 3
+        assert orthonormal_basis(noise, TOL, scale=1.0).shape[0] == 0
 
 
 class TestComplement:
@@ -142,13 +156,40 @@ class TestResiduals:
     def test_vector_in_span(self, tol):
         form = np.eye(3)
         onb = orthonormal_basis(np.array([[1.0, 1.0, 0.0]]), tol)
-        assert residual_outside(np.array([2.0, 2.0, 0.0]), onb, form) < 1e-12
+        assert outside_norm(np.array([[2.0, 2.0, 0.0]]), onb, form) < 1e-12
 
     def test_vector_outside_span(self, tol):
         form = np.eye(3)
         onb = orthonormal_basis(np.array([[1.0, 0.0, 0.0]]), tol)
-        v = np.array([5.0, 0.0, 3.0])
-        assert residual_outside(v, onb, form) == pytest.approx(3.0)
+        v = np.array([[5.0, 0.0, 3.0]])
+        assert outside_norm(v, onb, form) == pytest.approx(3.0)
 
     def test_form_norm(self):
-        assert form_norm(np.array([3.0, 4.0]), np.eye(2)) == pytest.approx(5.0)
+        # with an empty span the residual is the plain form-norm
+        empty = np.zeros((0, 2))
+        assert outside_norm(np.array([[3.0, 4.0]]), empty, np.eye(2)) == \
+            pytest.approx(5.0)
+        form = np.diag([4.0, 1.0])
+        assert outside_norm(np.array([[3.0, 4.0]]), empty, form) == \
+            pytest.approx(np.sqrt(52.0))
+
+    def test_largest_over_a_stack_with_a_form(self, tol):
+        form = random_spd(5, 4)
+        onb = orthonormal_basis(random_matrix(6, 2, 4), tol,
+                                chol=cholesky_factor(form))
+        stack = random_matrix(7, 6, 4).reshape(2, 3, 4)
+        expected = 0.0
+        for v in stack.reshape(-1, 4):
+            rest = v - onb.T @ (onb @ form @ v)
+            expected = max(expected, float(np.sqrt(rest @ form @ rest)))
+        assert outside_norm(stack, onb, form) == pytest.approx(expected)
+        assert outside_norm(stack[:, :0], onb, form) == 0.0
+
+    def test_blocks_do_not_change_the_result(self, tol, monkeypatch):
+        form = random_spd(8, 5)
+        onb = orthonormal_basis(random_matrix(9, 2, 5), tol,
+                                chol=cholesky_factor(form))
+        stack = random_matrix(10, 50, 5)
+        whole = outside_norm(stack, onb, form)
+        monkeypatch.setattr(numerics, "_BLOCK_BYTES", 8 * 5 * 3)
+        assert outside_norm(stack, onb, form) == pytest.approx(whole, rel=1e-12)
