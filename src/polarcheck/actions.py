@@ -153,15 +153,19 @@ def polarity_check(action, g, tol, max_orbit_dim=None):
     if cohom == 0:
         residual_triple = residual_orth = residual_abelian = 0.0
     else:
+        # Residuals are taken in the unit-trace-scale form, where form-unit
+        # vectors are sqrt(t) times ours and form-norms 1/sqrt(t) times ours,
+        # so that they do not depend on the scale t of the form.
+        t = algebra.trace_scale
         brackets = algebra.bracket_many(nu, nu)            # (c, c, dim)
         flat = brackets.reshape(-1, algebra.dim)
         triples = algebra.bracket_many(flat, nu)           # [[X,Y],Z]
-        residual_triple = outside_norm(triples, nu, form)
+        residual_triple = t * outside_norm(triples, nu, form)
         n = algebra.dim
         conj_h = action.h.basis[:, :n] @ ad_inv.T + action.h.basis[:, n:]
         pairings = np.einsum('ak,kl,hl->ah', flat, form, conj_h, optimize=True)
-        residual_orth = float(np.abs(pairings).max(initial=0.0))
-        residual_abelian = outside_norm(flat, nu[:0], form)
+        residual_orth = t ** 0.5 * float(np.abs(pairings).max(initial=0.0))
+        residual_abelian = t ** 0.5 * outside_norm(flat, nu[:0], form)
 
     polar = (residual_triple < tol.residual_tol
              and residual_orth < tol.residual_tol)
@@ -204,7 +208,8 @@ def product_flatness_diagnostic(h1, h2, tol):
 
     At a principal point with normal basis {X, Y}: the bracket [X, Y] must
     land back in the normal space, hence in span{X, Y}, hence vanish (a
-    two-dimensional subalgebra of a compact algebra is abelian).
+    two-dimensional subalgebra of a compact algebra is abelian).  Residuals
+    are taken in the unit-trace-scale form, as in polarity_check.
     """
     algebra = h1.parent
     action = ActionSpec(algebra, product(h1, h2, tol))
@@ -217,10 +222,11 @@ def product_flatness_diagnostic(h1, h2, tol):
     x, y = nu
     br = algebra.bracket(x, y)[None, :]
     span_xy = orthonormal_basis(np.vstack([x, y]), tol, chol=algebra.chol)
+    root = algebra.trace_scale ** 0.5
     return FlatnessDiagnostic(
         cohomogeneity=cohom,
         principal_point=g,
-        residual_section=outside_norm(br, nu, algebra.form),
-        residual_span=outside_norm(br, span_xy, algebra.form),
-        residual_abelian=outside_norm(br, nu[:0], algebra.form),
+        residual_section=root * outside_norm(br, nu, algebra.form),
+        residual_span=root * outside_norm(br, span_xy, algebra.form),
+        residual_abelian=root * outside_norm(br, nu[:0], algebra.form),
     )

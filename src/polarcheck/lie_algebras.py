@@ -9,6 +9,10 @@ The invariant inner product is <X, Y> = -tr(XY) on the realified defining
 representation, optionally rescaled by a positive constant (`trace_scale`).
 On a simple algebra this is a positive multiple of the Killing form, which
 is all the downstream criteria need.
+
+The direct sum l(+)l (LieAlgebra.double) holds block-diagonal copies of l's
+basis and form and shares l's structure constants, bracketing each half
+with them.
 """
 
 from dataclasses import dataclass
@@ -17,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ClosureError, DimensionMismatchError, InvalidInputError
-from .numerics import cholesky_factor, rank_cut
+from .numerics import cholesky_factor, rank_cut, row_blocks
 
 # ---------------------------------------------------------------------------
 # realification conventions
@@ -108,20 +112,20 @@ class LieAlgebra:
             raise InvalidInputError(f"{name}: basis matrices are dependent")
         gram = -np.einsum('iab,jba->ij', basis, basis)
         gram = 0.5 * (gram + gram.T)
-        cholesky_factor(gram)  # raises InvalidFormError when not SPD
+        # coords_of reads only the basis and the form, so the structure
+        # constants are set once it has fitted them
+        algebra = cls(name, basis, np.zeros((dim, dim, 0)), trace_scale * gram,
+                      trace_scale=trace_scale, family=family, n=n)
         comms = np.einsum('iab,jbc->ijac', basis, basis, optimize=True)
         comms = comms - comms.transpose(1, 0, 2, 3)
-        rhs = -np.einsum('ijab,kba->ijk', comms, basis, optimize=True)
-        coeffs = np.linalg.solve(gram, rhs.reshape(dim * dim, dim).T)
-        c = coeffs.T.reshape(dim, dim, dim)
-        recon = np.einsum('ijk,kab->ijab', c, basis, optimize=True)
-        scale = max(1.0, float(np.abs(comms).max(initial=0.0)))
-        residual = float(np.abs(comms - recon).max(initial=0.0)) / scale
-        if residual > _CONSTRUCT_TOL:
+        try:
+            c = algebra.coords_of(comms, member_tol=_CONSTRUCT_TOL)
+        except ClosureError as exc:
             raise ClosureError(f"{name}: basis span is not bracket-closed",
-                               residual=residual)
-        return cls(name, basis, c, trace_scale * gram, trace_scale=trace_scale,
-                   family=family, n=n)
+                               residual=exc.residual) from None
+        algebra.structure_constants = c.reshape(dim, dim, dim)
+        algebra.structure_constants.flags.writeable = False
+        return algebra
 
     def with_scaled_form(self, factor):
         """Same algebra with the invariant metric multiplied by factor > 0."""
@@ -143,29 +147,35 @@ class LieAlgebra:
 
         Raises ClosureError when a matrix is not in the algebra, i.e. when
         its residual relative to max(1, its largest entry) exceeds
-        member_tol.
+        member_tol.  The stack is taken in blocks, as in outside_norm.
         """
         size = self.ambient_size
         mats = np.asarray(mats, dtype=float).reshape(-1, size, size)
-        rhs = -self.trace_scale * np.einsum('kab,iba->ki', self.basis, mats,
-                                            optimize=True)
-        coords = np.linalg.solve(self.form, rhs).T
-        recon = np.einsum('ik,kab->iab', coords, self.basis, optimize=True)
-        scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2), initial=0.0))
-        residual = float((np.abs(mats - recon).max(axis=(1, 2), initial=0.0)
-                          / scale).max(initial=0.0))
+        coords = np.empty((mats.shape[0], self.dim))
+        residual = 0.0
+        for rows in row_blocks(mats.shape[0], size * size):
+            block = mats[rows]
+            rhs = -self.trace_scale * np.einsum('kab,iba->ki', self.basis,
+                                                block, optimize=True)
+            coords[rows] = np.linalg.solve(self.form, rhs).T
+            recon = np.einsum('ik,kab->iab', coords[rows], self.basis,
+                              optimize=True)
+            scale = np.maximum(1.0, np.abs(block).max(axis=(1, 2), initial=0.0))
+            residual = max(residual, float(
+                (np.abs(block - recon).max(axis=(1, 2), initial=0.0)
+                 / scale).max(initial=0.0)))
         if residual > member_tol:
             raise ClosureError(
                 f"matrix does not lie in {self.name}", residual=residual)
         return coords
 
     def bracket(self, x, y):
-        """Coordinates of [x, y] via the structure constants."""
+        """Coordinates of [x, y]: one row of bracket_many."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise DimensionMismatchError("coefficient vectors of wrong length")
-        return np.einsum('ijk,i,j->k', self.structure_constants, x, y)
+        return self.bracket_many(x[None], y[None])[0, 0]
 
     def bracket_many(self, xs, ys):
         """Pairwise brackets of two stacks of coefficient vectors."""
@@ -182,27 +192,35 @@ class LieAlgebra:
     def double(self):
         """The direct sum l + l, memoized so identity is stable."""
         if self._double is None:
-            self._double = direct_sum(self, self)
+            self._double = _Double(self)
         return self._double
 
 
-def direct_sum(first, second):
-    """Block-diagonal direct sum of two algebras with matching metric scale."""
-    if first.trace_scale != second.trace_scale:
-        raise InvalidInputError("summands must share the metric scale")
-    n1, n2 = first.dim, second.dim
-    s1, s2 = first.ambient_size, second.ambient_size
-    basis = np.zeros((n1 + n2, s1 + s2, s1 + s2))
-    basis[:n1, :s1, :s1] = first.basis
-    basis[n1:, s1:, s1:] = second.basis
-    c = np.zeros((n1 + n2,) * 3)
-    c[:n1, :n1, :n1] = first.structure_constants
-    c[n1:, n1:, n1:] = second.structure_constants
-    form = np.zeros((n1 + n2, n1 + n2))
-    form[:n1, :n1] = first.form
-    form[n1:, n1:] = second.form
-    return LieAlgebra(f"{first.name}(+){second.name}", basis, c, form,
-                      trace_scale=first.trace_scale)
+class _Double(LieAlgebra):
+    """l(+)l on block-diagonal copies of l's basis and form.
+
+    It shares l's structure constants: the bracket takes each half of the
+    coordinates with them, so the (2 dim)^3 constants of the sum never exist.
+    """
+
+    def __init__(self, half):
+        n, s = half.dim, half.ambient_size
+        basis = np.zeros((2 * n, 2 * s, 2 * s))
+        basis[:n, :s, :s] = half.basis
+        basis[n:, s:, s:] = half.basis
+        form = np.zeros((2 * n, 2 * n))
+        form[:n, :n] = half.form
+        form[n:, n:] = half.form
+        super().__init__(f"{half.name}(+){half.name}", basis,
+                         half.structure_constants, form,
+                         trace_scale=half.trace_scale)
+        self.half = half
+
+    def bracket_many(self, xs, ys):
+        n = self.half.dim
+        return np.concatenate(
+            [self.half.bracket_many(xs[..., :n], ys[..., :n]),
+             self.half.bracket_many(xs[..., n:], ys[..., n:])], axis=-1)
 
 
 # ---------------------------------------------------------------------------

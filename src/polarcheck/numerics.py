@@ -136,7 +136,13 @@ def nullspace(matrix, tol):
     return vh[rank_cut(sv, tol.rel_rank_tol):]
 
 
-_BLOCK_BYTES = 2 ** 25  # size of each temporary in outside_norm
+_BLOCK_BYTES = 2 ** 22  # size of each temporary in a blocked walk
+
+
+def row_blocks(count, row_floats):
+    """Slices over count rows of row_floats floats each, _BLOCK_BYTES a slice."""
+    step = max(1, _BLOCK_BYTES // (8 * row_floats))
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def outside_norm(vectors, onb, form):
@@ -149,10 +155,9 @@ def outside_norm(vectors, onb, form):
     """
     flat = vectors.reshape(-1, vectors.shape[-1])
     to_coeffs = form @ onb.T
-    step = max(1, _BLOCK_BYTES // (8 * flat.shape[1]))
     worst = 0.0
-    for start in range(0, flat.shape[0], step):
-        rest = flat[start:start + step]
+    for rows in row_blocks(flat.shape[0], flat.shape[1]):
+        rest = flat[rows]
         if onb.shape[0]:
             rest = rest - (rest @ to_coeffs) @ onb
         sq = np.einsum('ak,ak->a', rest @ form, rest)

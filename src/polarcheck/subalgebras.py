@@ -2,6 +2,11 @@
 
 A Subalgebra stores an orthonormalized coefficient basis with respect to its
 parent's invariant form, so residual thresholds have a uniform meaning.
+
+from_vectors and from_matrices check bracket closure, the only guarantee
+for spans and embeddings.  closed_span does not; full_subalgebra, product
+(of closed factors) and diagonal_sigma (the graph of an automorphism, which
+make_automorphism checks) use it because their closure is implied.
 """
 
 import numpy as np
@@ -24,33 +29,37 @@ class Subalgebra:
         self.name = name
 
     @classmethod
-    def from_vectors(cls, parent, vectors, tol, name="", check_closure=True):
-        """Orthonormalize coefficient vectors and verify bracket closure."""
+    def closed_span(cls, parent, vectors, tol, name=""):
+        """Orthonormalize coefficient vectors whose span is known closed."""
         vecs = as_vector_matrix(vectors, ambient_dim=parent.dim)
-        onb = orthonormal_basis(vecs, tol, chol=parent.chol)
-        sub = cls(parent, onb, name=name)
-        if check_closure:
-            residual = sub.closure_residual()
-            if residual > tol.residual_tol:
-                raise ClosureError(
-                    f"span {name or '<anonymous>'} is not bracket-closed",
-                    residual=residual)
+        return cls(parent, orthonormal_basis(vecs, tol, chol=parent.chol),
+                   name=name)
+
+    @classmethod
+    def from_vectors(cls, parent, vectors, tol, name=""):
+        """Orthonormalize coefficient vectors and verify bracket closure."""
+        sub = cls.closed_span(parent, vectors, tol, name=name)
+        residual = sub.closure_residual()
+        if residual > tol.residual_tol:
+            raise ClosureError(
+                f"span {name or '<anonymous>'} is not bracket-closed",
+                residual=residual)
         return sub
 
     @classmethod
-    def from_matrices(cls, parent, matrices, tol, name="", check_closure=True):
+    def from_matrices(cls, parent, matrices, tol, name=""):
         """Build from ambient matrices that must lie in the parent algebra."""
         vecs = parent.coords_of(matrices, member_tol=tol.residual_tol)
-        return cls.from_vectors(parent, vecs, tol, name=name,
-                                check_closure=check_closure)
+        return cls.from_vectors(parent, vecs, tol, name=name)
 
     def closure_residual(self):
-        """Largest form-norm of a basis bracket's component outside the span."""
+        """Largest form-norm of a basis bracket's component outside the span,
+        in the unit-trace-scale form (see actions.polarity_check)."""
         if self.dim == 0:
             return 0.0
         b = self.basis
-        return outside_norm(self.parent.bracket_many(b, b), b,
-                            self.parent.form)
+        return self.parent.trace_scale ** 0.5 * outside_norm(
+            self.parent.bracket_many(b, b), b, self.parent.form)
 
     def gram_residual(self):
         gram = self.basis @ self.parent.form @ self.basis.T
@@ -69,32 +78,29 @@ def zero_subalgebra(parent, name="0"):
 
 
 def full_subalgebra(parent, tol, name=None):
-    return Subalgebra.from_vectors(parent, np.eye(parent.dim), tol,
-                                   name=name or parent.name)
+    return Subalgebra.closed_span(parent, np.eye(parent.dim), tol,
+                                  name=name or parent.name)
 
 
 def diagonal_sigma(algebra, sigma, tol):
     """Twisted diagonal {(X, sigma(X))} inside l(+)l."""
     if sigma.algebra is not algebra:
         raise InvalidInputError("automorphism belongs to a different algebra")
-    double = algebra.double()
     vecs = np.hstack([np.eye(algebra.dim), sigma.matrix.T])
-    return Subalgebra.from_vectors(double, vecs, tol,
-                                   name=f"delta^{sigma.kind}({algebra.name})")
+    return Subalgebra.closed_span(algebra.double(), vecs, tol,
+                                  name=f"delta^{sigma.kind}({algebra.name})")
 
 
 def product(h1, h2, tol):
     """h1 x h2 = {(A, 0)} + {(0, B)} inside l(+)l."""
     if h1.parent is not h2.parent:
         raise InvalidInputError("product factors must share the parent algebra")
-    algebra = h1.parent
-    double = algebra.double()
-    n = algebra.dim
+    n = h1.parent.dim
     vecs = np.zeros((h1.dim + h2.dim, 2 * n))
     vecs[:h1.dim, :n] = h1.basis
     vecs[h1.dim:, n:] = h2.basis
-    return Subalgebra.from_vectors(double, vecs, tol,
-                                   name=f"{h1.name}x{h2.name}")
+    return Subalgebra.closed_span(h1.parent.double(), vecs, tol,
+                                  name=f"{h1.name}x{h2.name}")
 
 
 def split_ideals(h, tol):

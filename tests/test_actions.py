@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import polarcheck
@@ -19,6 +21,7 @@ from polarcheck.errors import (HypothesisViolationError, InvalidInputError,
 from polarcheck.lie_algebras import (build_classical, classical_basis,
                                      identity_automorphism)
 from polarcheck.numerics import ToleranceConfig
+from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
 from polarcheck.subalgebras import (conjugated_pair_subalgebra,
                                     diagonal_sigma, full_subalgebra, product,
                                     zero_subalgebra)
@@ -154,6 +157,40 @@ class TestPolarityCheck:
             report = analyze(conjugation_action("su", 3, tol), tol)
             assert report.cohomogeneity == 2
             assert report.hyperpolar
+
+
+class TestFormScale:
+    @pytest.mark.parametrize("group,subgroup,verdict", [
+        ("su3", "delta(sigma=id)", (2, True, True)),
+        ("su3", "product(h1=su2,h2=su2)", (2, False, False)),
+        ("su3", "product(h1=cartan,h2=cartan)", (4, False, False)),
+        ("su2", "product(h1=zero,h2=zero)", (3, True, False)),
+    ])
+    @given(exponent=st.floats(-12.0, 12.0))
+    @settings(deadline=None, max_examples=25)
+    def test_verdict_does_not_depend_on_the_form_scale(self, group, subgroup,
+                                                       verdict, exponent):
+        tol = ToleranceConfig()
+        algebra = parse_group(group, form_scale=10.0 ** exponent)
+        h = resolve_subgroup(subgroup, algebra, tol)
+        report = analyze(ActionSpec(algebra, h), tol)
+        assert (report.cohomogeneity, report.polar,
+                report.hyperpolar) == verdict
+
+    def test_residuals_do_not_depend_on_the_form_scale(self, tol):
+        # su(2) x su(2) on SU(3) is not polar and has a two-dimensional nu,
+        # on whose basis these residuals do not depend
+        values = []
+        for scale in (1.0, 1e6):
+            algebra = build_classical("su", 3).with_scaled_form(scale)
+            su2 = resolve_factor("su2", algebra, tol)
+            report = analyze(ActionSpec(algebra, product(su2, su2, tol)), tol)
+            diag = product_flatness_diagnostic(su2, su2, tol)
+            values.append([report.residual_orth, report.residual_abelian,
+                           diag.residual_section, diag.residual_span,
+                           diag.residual_abelian])
+        assert min(values[0]) > 0.1
+        assert values[1] == pytest.approx(values[0], rel=1e-6)
 
 
 class TestTransitivity:

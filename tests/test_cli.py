@@ -147,6 +147,46 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["cohomogeneity"] == 0
 
+    @pytest.mark.parametrize("pairs,verdict", [
+        ([(0, 0), (1, 1), (2, 2)], (1, True, True)),   # (X, X) over su(2)
+        ([(0, None), (None, 1)], (1, True, True)),     # u(1) x u(1)
+    ])
+    def test_span_file_in_the_double(self, capsys, tmp_path, pairs, verdict):
+        path = _double_span_file(tmp_path, pairs)
+        code, out, _ = run(capsys, ["analyze", "--group", "su2", "--subgroup",
+                                    f"span(file={path})", "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["cohomogeneity"], payload["polar"],
+                payload["hyperpolar"]) == verdict
+
+    def test_non_closed_span_file_in_the_double(self, capsys, tmp_path):
+        # (e1, e1) and (e2, e2) bracket to (e3, e3), outside their span
+        path = _double_span_file(tmp_path, [(0, 0), (1, 1)])
+        code, _, err = run(capsys, ["analyze", "--group", "su2", "--subgroup",
+                                    f"span(file={path})"])
+        assert code == 2
+        assert "not bracket-closed" in err
+        assert "residual 7.071e-01" in err
+
+
+def _double_span_file(tmp_path, pairs):
+    """Span file of block-diagonal pairs (e_i, e_j) of su(2) basis
+    matrices, None standing for the zero matrix."""
+    from polarcheck.lie_algebras import build_classical
+    basis = build_classical("su", 2).basis
+    lines = ["8"]
+    for left, right in pairs:
+        mat = np.zeros((8, 8))
+        if left is not None:
+            mat[:4, :4] = basis[left]
+        if right is not None:
+            mat[4:, 4:] = basis[right]
+        lines.append(" ".join(f"{x:.17g}" for x in mat.ravel()))
+    path = tmp_path / "span.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
 
 class TestCatalogCommands:
     def test_list(self, capsys):

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarcheck import numerics
 from polarcheck.errors import ClosureError, InvalidInputError
-from polarcheck.lie_algebras import (ad_invariance_residual,
+from polarcheck.lie_algebras import (LieAlgebra, ad_invariance_residual,
                                      antisymmetry_residual, build_classical,
-                                     direct_sum, identity_automorphism,
+                                     identity_automorphism,
                                      jacobi_residual, killing_proportionality,
                                      make_automorphism,
                                      quaternion_left_matrices,
@@ -149,6 +150,21 @@ class TestBracket:
         mats = np.array([algebra.matrix_of(v) for v in vs])
         assert np.abs(algebra.coords_of(mats) - vs).max() < 1e-10
 
+    def test_coords_of_in_blocks(self, monkeypatch):
+        algebra = build_classical("su", 3)
+        vs = np.random.default_rng(4).standard_normal((7, algebra.dim))
+        mats = np.einsum('ik,kab->iab', vs, algebra.basis)
+        whole = algebra.coords_of(mats)
+        # three 6x6 matrices a block
+        monkeypatch.setattr(numerics, "_BLOCK_BYTES", 8 * 36 * 3)
+        assert np.abs(algebra.coords_of(mats) - whole).max() < 1e-12
+        with pytest.raises(ClosureError):
+            algebra.coords_of(np.concatenate([mats, np.eye(6)[None]]))
+
+    def test_open_span_is_rejected(self):
+        with pytest.raises(ClosureError, match="not bracket-closed"):
+            LieAlgebra.from_basis("so(3) minus e12", so_basis(3)[:2])
+
     def test_coords_rejects_non_member(self):
         algebra = build_classical("so", 4)
         with pytest.raises(ClosureError):
@@ -176,18 +192,34 @@ class TestFormScaling:
 
 
 class TestDirectSum:
-    def test_dimensions_and_blocks(self, tol):
-        a = build_classical("so", 3)
-        b = build_classical("so", 4)
-        d = direct_sum(a, b)
-        assert d.dim == a.dim + b.dim
-        # cross brackets vanish
-        x = np.zeros(d.dim)
-        y = np.zeros(d.dim)
-        x[0] = 1.0
-        y[a.dim] = 1.0
-        assert d.norm(d.bracket(x, y)) < 1e-12
-        assert jacobi_residual(d) < 1e-10
+    def test_dimensions_and_blocks(self):
+        a = build_classical("so", 4)
+        d = a.double()
+        n = a.dim
+        assert (d.dim, d.ambient_size) == (2 * n, 2 * a.ambient_size)
+        x, y = np.random.default_rng(0).standard_normal((2, n))
+        zero = np.zeros(n)
+        # cross brackets vanish, and each half brackets as l
+        assert not d.bracket(np.r_[x, zero], np.r_[zero, y]).any()
+        assert np.array_equal(d.bracket(np.r_[x, zero], np.r_[y, zero]),
+                              np.r_[a.bracket(x, y), zero])
+        assert np.array_equal(d.bracket(np.r_[zero, x], np.r_[zero, y]),
+                              np.r_[zero, a.bracket(x, y)])
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(deadline=None)
+    def test_bracket_many_is_the_block_commutator(self, seed):
+        algebra = build_classical("su", 3)
+        double = algebra.double()
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((3, double.dim))
+        ys = rng.standard_normal((2, double.dim))
+        brackets = double.bracket_many(xs, ys)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                a, b = double.matrix_of(x), double.matrix_of(y)
+                assert np.abs(double.matrix_of(brackets[i, j])
+                              - (a @ b - b @ a)).max() < 1e-10
 
     def test_double_is_cached(self):
         algebra = build_classical("su", 2)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from polarcheck.embeddings import cartan_subalgebra, corner_so
+from polarcheck.catalog import catalog_entries, get_entry
+from polarcheck.embeddings import cartan_subalgebra, corner_so, so_in_su
 from polarcheck.errors import ClosureError, InvalidInputError
 from polarcheck.lie_algebras import (build_classical, identity_automorphism,
                                      make_automorphism)
 from polarcheck.numerics import outside_norm
+from polarcheck.specs import parse_group, resolve_subgroup
 from polarcheck.subalgebras import (Subalgebra, adjoint_matrix,
                                     conjugated_pair_subalgebra,
                                     conjugated_subalgebra, diagonal_sigma,
@@ -17,8 +19,11 @@ from polarcheck.subalgebras import (Subalgebra, adjoint_matrix,
 class TestConstruction:
     def test_orthonormalized(self, tol):
         algebra = build_classical("su", 3)
-        vecs = np.random.default_rng(0).standard_normal((3, algebra.dim))
-        sub = Subalgebra.from_vectors(algebra, vecs, tol, check_closure=False)
+        # a random mix of a closed span: the real points so(3)
+        real = so_in_su(algebra, tol)
+        mix = np.random.default_rng(0).standard_normal((real.dim,) * 2)
+        sub = Subalgebra.from_vectors(algebra, mix @ real.basis, tol)
+        assert sub.dim == real.dim
         assert sub.gram_residual() < 1e-10
 
     def test_closure_enforced(self, tol):
@@ -69,6 +74,31 @@ class TestDiagonalAndProduct:
         b = build_classical("so", 5)
         with pytest.raises(InvalidInputError):
             product(corner_so(a, 3, tol), corner_so(b, 3, tol), tol)
+
+
+class TestImpliedClosure:
+    # product and diagonal_sigma do not check closure; it must hold anyway
+    @pytest.mark.parametrize("entry_id", [e.entry_id for e in catalog_entries()
+                                          if e.kind == "action"])
+    def test_catalog_actions(self, entry_id, tol):
+        h = get_entry(entry_id).builder(tol).h
+        assert h.closure_residual() < tol.residual_tol
+
+    @pytest.mark.parametrize("group,subgroup", [
+        ("su3", "delta(sigma=outer_su)"),
+        ("su4", "delta(sigma=outer_su)"),
+        ("so6", "delta(sigma=outer_so_even)"),
+        ("sp2", "delta(sigma=id)"),
+        ("su3", "product(h1=full,h2=cartan)"),
+        ("su4", "product(h1=sp2,h2=s_u_u1)"),
+        ("so7", "product(h1=g2,h2=so6)"),
+        ("so8", "product(h1=spin7,h2=u4)"),
+        ("so8", "product(h1=sp2sp1,h2=so4so4)"),
+    ])
+    def test_specs(self, group, subgroup, tol):
+        algebra = parse_group(group)
+        h = resolve_subgroup(subgroup, algebra, tol)
+        assert h.closure_residual() < tol.residual_tol
 
 
 class TestSplitIdeals:
