@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (HypothesisViolationError, InvalidInputError,
                      NonPrincipalPointError)
-from .lie_algebras import adjoint_matrix
+from .lie_algebras import adjoint_matrix, commutator, pair_commutators
 from .numerics import (ToleranceConfig, orthogonal_complement,
                        orthonormal_basis, outside_norm, rank_of)
 from .subalgebras import Subalgebra, product
@@ -53,8 +53,7 @@ class PolarityReport:
 class FlatnessDiagnostic:
     cohomogeneity: int
     principal_point: np.ndarray
-    residual_section: float   # ([X,Y], -[X,Y]) back in the normal space
-    residual_span: float      # [X,Y] inside span{X, Y}
+    residual_section: float   # [X,Y] back in the normal space span{X, Y}
     residual_abelian: float   # norm of [X,Y]
 
 
@@ -132,40 +131,44 @@ def cohomogeneity(action, tol):
     return action.algebra.dim - best, point
 
 
-def polarity_check(action, g, tol, max_orbit_dim=None):
+def polarity_check(action, g, tol, max_orbit_dim):
     """Evaluate the polarity criterion at a principal point g.
 
-    If max_orbit_dim is not given, the sampler is re-run (same seed) to
-    establish the principal orbit dimension; g must attain it.
+    g must attain max_orbit_dim, the principal orbit dimension that
+    principal_point found.  Residuals are norms of commutators of
+    Frobenius-orthonormal matrices of nu, taken in the unit-trace-scale form
+    (see LieAlgebra.frobenius_matrices).  The tangent component of a triple
+    [[X,Y],Z] comes from ad-invariance, <[[X,Y],Z],T> = <[X,Y],[Z,T]> over
+    the orthonormal tangent basis, so no triple is ever formed; the
+    brackets [X,Y], X before Y in nu, are formed a block at a time.
     """
     algebra = action.algebra
-    form = algebra.form
-    if max_orbit_dim is None:
-        max_orbit_dim = principal_point(action, tol)[0]
     tangent, nu, ad_inv = _normal_space(action, g, tol)
     if tangent.shape[0] < max_orbit_dim:
         raise NonPrincipalPointError(
             f"point has orbit dimension {tangent.shape[0]} < sampled maximum "
             f"{max_orbit_dim}; the criterion needs a principal point "
             "(raise num_samples / --samples if sampling looks unlucky)")
-    cohom = nu.shape[0]
-
-    if cohom == 0:
-        residual_triple = residual_orth = residual_abelian = 0.0
-    else:
-        # Residuals are taken in the unit-trace-scale form, where form-unit
-        # vectors are sqrt(t) times ours and form-norms 1/sqrt(t) times ours,
-        # so that they do not depend on the scale t of the form.
-        t = algebra.trace_scale
-        brackets = algebra.bracket_many(nu, nu)            # (c, c, dim)
-        flat = brackets.reshape(-1, algebra.dim)
-        triples = algebra.bracket_many(flat, nu)           # [[X,Y],Z]
-        residual_triple = t * outside_norm(triples, nu, form)
-        n = algebra.dim
-        conj_h = action.h.basis[:, :n] @ ad_inv.T + action.h.basis[:, n:]
-        pairings = np.einsum('ak,kl,hl->ah', flat, form, conj_h, optimize=True)
-        residual_orth = t ** 0.5 * float(np.abs(pairings).max(initial=0.0))
-        residual_abelian = t ** 0.5 * outside_norm(flat, nu[:0], form)
+    cohom, n = nu.shape
+    dim_t = tangent.shape[0]
+    size = algebra.ambient_size ** 2
+    x = algebra.frobenius_matrices(nu)
+    conj_h = action.h.basis[:, :n] @ ad_inv.T + action.h.basis[:, n:]
+    h_mats = algebra.frobenius_matrices(conj_h).reshape(len(conj_h), size)
+    zt = commutator(x[:, None], algebra.frobenius_matrices(tangent)[None])
+    zt = zt.reshape(cohom * dim_t, size)                  # [Z, T]
+    triple = residual_orth = abelian = 0.0
+    for xy in pair_commutators(x, extra_floats=cohom * dim_t):
+        # coordinates of the tangent components of [[X,Y],Z]
+        outside = (xy @ zt.T).reshape(len(xy), cohom, dim_t)
+        triple = max(triple, float(np.einsum('pzt,pzt->pz', outside, outside)
+                                   .max(initial=0.0)))
+        residual_orth = max(residual_orth,
+                            float(np.abs(xy @ h_mats.T).max(initial=0.0)))
+        abelian = max(abelian,
+                      float(np.einsum('pk,pk->p', xy, xy).max(initial=0.0)))
+    residual_triple = float(np.sqrt(triple))
+    residual_abelian = float(np.sqrt(abelian))
 
     polar = (residual_triple < tol.residual_tol
              and residual_orth < tol.residual_tol)
@@ -219,14 +222,11 @@ def product_flatness_diagnostic(h1, h2, tol):
         raise HypothesisViolationError(
             f"product action has cohomogeneity {cohom}, diagnostic needs 2")
     _, nu, _ = _normal_space(action, g, tol)
-    x, y = nu
-    br = algebra.bracket(x, y)[None, :]
-    span_xy = orthonormal_basis(np.vstack([x, y]), tol, chol=algebra.chol)
-    root = algebra.trace_scale ** 0.5
+    x, y = algebra.frobenius_matrices(nu)
+    br = commutator(x, y).reshape(1, -1)
     return FlatnessDiagnostic(
         cohomogeneity=cohom,
         principal_point=g,
-        residual_section=root * outside_norm(br, nu, algebra.form),
-        residual_span=root * outside_norm(br, span_xy, algebra.form),
-        residual_abelian=root * outside_norm(br, nu[:0], algebra.form),
+        residual_section=outside_norm(br, np.vstack([x.ravel(), y.ravel()])),
+        residual_abelian=float(np.linalg.norm(br)),
     )

@@ -1,7 +1,8 @@
-"""Compact matrix Lie algebras: classical families, brackets, invariant form.
+"""Compact matrix Lie algebras: classical families, commutators, invariant form.
 
-Every algebra is stored through an explicit real matrix basis.  Complex
-entries are realified as 2x2 blocks [[a, -b], [b, a]] (coordinates
+Every algebra is the span of an explicit basis of real skew matrices, and
+its bracket is the matrix commutator; no structure constants are stored.
+Complex entries are realified as 2x2 blocks [[a, -b], [b, a]] (coordinates
 interleaved), quaternionic entries as 4x4 left-multiplication blocks; these
 conventions are fixed once here and reused by every embedding builder.
 
@@ -10,9 +11,11 @@ representation, optionally rescaled by a positive constant (`trace_scale`).
 On a simple algebra this is a positive multiple of the Killing form, which
 is all the downstream criteria need.
 
-The direct sum l(+)l (LieAlgebra.double) holds block-diagonal copies of l's
-basis and form and shares l's structure constants, bracketing each half
-with them.
+Residuals are taken on Frobenius-orthonormal matrices
+(LieAlgebra.frobenius_matrices), which makes them independent of that
+constant.  The direct sum l(+)l (LieAlgebra.double) holds block-diagonal
+copies of l's basis and form; its Frobenius matrices are pairs of l's
+halves, so brackets act on each half.
 """
 
 from dataclasses import dataclass
@@ -21,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ClosureError, DimensionMismatchError, InvalidInputError
-from .numerics import cholesky_factor, rank_cut, row_blocks
+from .numerics import cholesky_factor, outside_norm, rank_cut, row_blocks
 
 # ---------------------------------------------------------------------------
 # realification conventions
@@ -65,26 +68,53 @@ def realify_quaternion(qmat, left_units):
 # the algebra container
 
 
-_CONSTRUCT_TOL = 1e-10  # relative residual allowed when fitting brackets
+_CONSTRUCT_TOL = 1e-10  # closure residual allowed for caller-given matrices
+
+
+def commutator(a, b):
+    """[a, b] = ab - ba over the last two axes, broadcasting the others."""
+    return a @ b - b @ a
+
+
+def pair_commutators(mats, extra_floats=0):
+    """Flattened [M_i, M_j] for i < j, yielded a block of pairs at a time.
+
+    mats holds matrices, or pairs of blocks (the halves of l(+)l), which
+    are bracketed block by block.  A block is sized for rows of the
+    commutator plus extra_floats that the caller derives from each, so the
+    whole stack of commutators never exists.
+    """
+    size = int(np.prod(mats.shape[1:]))
+    first, second = np.triu_indices(mats.shape[0], 1)
+    for rows in row_blocks(first.size, size + extra_floats):
+        comms = commutator(mats[first[rows]], mats[second[rows]])
+        yield comms.reshape(-1, size)
+
+
+def span_closure_residual(mats):
+    """Largest Frobenius norm of a component of [M_i, M_j] outside span(M),
+    for Frobenius-orthonormal matrices (or pairs of blocks) M."""
+    flat = mats.reshape(mats.shape[0], int(np.prod(mats.shape[1:])))
+    return max((outside_norm(comms, flat) for comms in pair_commutators(mats)),
+               default=0.0)
 
 
 class LieAlgebra:
-    """A compact Lie algebra given by a real matrix basis.
+    """A compact Lie algebra spanned by real skew matrices.
 
-    Immutable after construction.  `structure_constants[i, j, :]` holds the
-    coordinates of [b_i, b_j]; `form` is the Gram matrix of the invariant
-    inner product trace_scale * (-tr(XY)).
+    Immutable after construction.  It is its basis, the Gram matrix `form`
+    of the invariant inner product trace_scale * (-tr(XY)), which on skew
+    matrices is trace_scale times the Frobenius product, and the Cholesky
+    factor `chol` of the form.  Brackets are matrix commutators.
     """
 
-    def __init__(self, name, basis, structure_constants, form, trace_scale=1.0,
-                 family=None, n=None):
+    def __init__(self, name, basis, form, trace_scale=1.0, family=None,
+                 n=None):
         self.name = name
         self.basis = np.asarray(basis, dtype=float)
         self.basis.flags.writeable = False
         self.dim = self.basis.shape[0]
         self.ambient_size = self.basis.shape[1]
-        self.structure_constants = np.asarray(structure_constants, dtype=float)
-        self.structure_constants.flags.writeable = False
         self.form = np.asarray(form, dtype=float)
         self.form.flags.writeable = False
         self.trace_scale = float(trace_scale)
@@ -96,51 +126,62 @@ class LieAlgebra:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_basis(cls, name, basis, trace_scale=1.0, family=None, n=None):
-        """Build an algebra from matrices, fitting structure constants.
+    def closed_span(cls, name, basis, trace_scale=1.0, family=None, n=None):
+        """Algebra on skew matrices whose span is known bracket-closed."""
+        basis = np.asarray(basis, dtype=float)
+        gram = -np.einsum('iab,jba->ij', basis, basis)
+        gram = 0.5 * (gram + gram.T)
+        return cls(name, basis, trace_scale * gram, trace_scale=trace_scale,
+                   family=family, n=n)
 
-        Raises ClosureError if the span is not closed under commutators and
-        InvalidFormError if -tr(XY) is not positive definite on it.
+    @classmethod
+    def from_basis(cls, name, basis, trace_scale=1.0, family=None, n=None):
+        """Algebra on caller-given skew matrices, checking their span.
+
+        Raises InvalidInputError if the matrices are dependent, ClosureError
+        if their span is not closed under commutators and InvalidFormError
+        if -tr(XY) is not positive definite on it.
         """
         basis = np.asarray(basis, dtype=float)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
             raise DimensionMismatchError("basis must be a list of square matrices")
         dim, s, _ = basis.shape
-        flat = basis.reshape(dim, s * s)
-        sv = np.linalg.svd(flat, compute_uv=False)
+        _, sv, onb = np.linalg.svd(basis.reshape(dim, s * s),
+                                   full_matrices=False)
         if dim and rank_cut(sv, 1e-12) < dim:
             raise InvalidInputError(f"{name}: basis matrices are dependent")
-        gram = -np.einsum('iab,jba->ij', basis, basis)
-        gram = 0.5 * (gram + gram.T)
-        # coords_of reads only the basis and the form, so the structure
-        # constants are set once it has fitted them
-        algebra = cls(name, basis, np.zeros((dim, dim, 0)), trace_scale * gram,
-                      trace_scale=trace_scale, family=family, n=n)
-        comms = np.einsum('iab,jbc->ijac', basis, basis, optimize=True)
-        comms = comms - comms.transpose(1, 0, 2, 3)
-        try:
-            c = algebra.coords_of(comms, member_tol=_CONSTRUCT_TOL)
-        except ClosureError as exc:
+        residual = span_closure_residual(onb.reshape(dim, s, s))
+        if residual > _CONSTRUCT_TOL:
             raise ClosureError(f"{name}: basis span is not bracket-closed",
-                               residual=exc.residual) from None
-        algebra.structure_constants = c.reshape(dim, dim, dim)
-        algebra.structure_constants.flags.writeable = False
-        return algebra
+                               residual=residual)
+        return cls.closed_span(name, basis, trace_scale=trace_scale,
+                               family=family, n=n)
 
     def with_scaled_form(self, factor):
         """Same algebra with the invariant metric multiplied by factor > 0."""
         if not factor > 0:
             raise InvalidInputError("form scale factor must be positive")
-        return LieAlgebra(self.name, self.basis, self.structure_constants,
-                          factor * self.form,
+        return LieAlgebra(self.name, self.basis, factor * self.form,
                           trace_scale=factor * self.trace_scale,
                           family=self.family, n=self.n)
 
-    # -- coordinates and brackets -------------------------------------------
+    # -- coordinates and matrices -------------------------------------------
 
     def matrix_of(self, v):
         """Ambient matrix of a coefficient vector."""
         return np.einsum('i,iab->ab', np.asarray(v, dtype=float), self.basis)
+
+    def frobenius_matrices(self, coeffs):
+        """sqrt(trace_scale) times the ambient matrices of coefficient rows.
+
+        Frobenius products of the results are form products of the rows, so
+        form-orthonormal rows become Frobenius-orthonormal matrices, and
+        norms built from their commutators are taken in the unit-trace-scale
+        form, whatever the scale of this form.
+        """
+        size = self.ambient_size
+        flat = coeffs @ self.basis.reshape(self.dim, size * size)
+        return self.trace_scale ** 0.5 * flat.reshape(-1, size, size)
 
     def coords_of(self, mats, member_tol=1e-8):
         """Coefficient rows of a stack of ambient matrices.
@@ -169,18 +210,6 @@ class LieAlgebra:
                 f"matrix does not lie in {self.name}", residual=residual)
         return coords
 
-    def bracket(self, x, y):
-        """Coordinates of [x, y]: one row of bracket_many."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != (self.dim,) or y.shape != (self.dim,):
-            raise DimensionMismatchError("coefficient vectors of wrong length")
-        return self.bracket_many(x[None], y[None])[0, 0]
-
-    def bracket_many(self, xs, ys):
-        """Pairwise brackets of two stacks of coefficient vectors."""
-        return np.einsum('ijk,ai,bj->abk', self.structure_constants, xs, ys, optimize=True)
-
     def inner(self, x, y):
         return float(np.asarray(x) @ self.form @ np.asarray(y))
 
@@ -199,8 +228,8 @@ class LieAlgebra:
 class _Double(LieAlgebra):
     """l(+)l on block-diagonal copies of l's basis and form.
 
-    It shares l's structure constants: the bracket takes each half of the
-    coordinates with them, so the (2 dim)^3 constants of the sum never exist.
+    Its Frobenius matrices are (k, 2, s, s) pairs of l's halves, so
+    commutators and pairings run on each half and never on 2s x 2s blocks.
     """
 
     def __init__(self, half):
@@ -211,16 +240,14 @@ class _Double(LieAlgebra):
         form = np.zeros((2 * n, 2 * n))
         form[:n, :n] = half.form
         form[n:, n:] = half.form
-        super().__init__(f"{half.name}(+){half.name}", basis,
-                         half.structure_constants, form,
+        super().__init__(f"{half.name}(+){half.name}", basis, form,
                          trace_scale=half.trace_scale)
         self.half = half
 
-    def bracket_many(self, xs, ys):
+    def frobenius_matrices(self, coeffs):
         n = self.half.dim
-        return np.concatenate(
-            [self.half.bracket_many(xs[..., :n], ys[..., :n]),
-             self.half.bracket_many(xs[..., n:], ys[..., n:])], axis=-1)
+        return np.stack([self.half.frobenius_matrices(coeffs[:, :n]),
+                         self.half.frobenius_matrices(coeffs[:, n:])], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +324,13 @@ def classical_basis(family, n):
 
 @lru_cache(maxsize=None)
 def build_classical(family, n):
-    """Standard compact algebra su/so/sp/u(n) in its realified defining rep."""
-    return LieAlgebra.from_basis(f"{family}({n})", classical_basis(family, n),
-                                 family=family, n=n)
+    """Standard compact algebra su/so/sp/u(n) in its realified defining rep.
+
+    Its span is closed by construction, so closure is not checked here.
+    """
+    return LieAlgebra.closed_span(f"{family}({n})",
+                                  classical_basis(family, n),
+                                  family=family, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -308,18 +339,16 @@ def build_classical(family, n):
 
 @dataclass(frozen=True)
 class Automorphism:
-    """Coordinate matrix of a bracket- and form-preserving map."""
+    """Coordinate matrix of a bracket- and form-preserving map.
+
+    Every spec is Ad(k) of a k that adjoint_matrix has shown to normalize
+    the algebra, so it preserves commutators identically; only its form
+    residual is checked.
+    """
 
     algebra: LieAlgebra
     matrix: np.ndarray
     kind: str
-
-    def bracket_residual(self):
-        c = self.algebra.structure_constants
-        a = self.matrix
-        lhs = np.einsum('ijk,kl->ijl', c, a.T)          # sigma([b_i, b_j])
-        rhs = np.einsum('klm,ki,lj->ijm', c, a, a, optimize=True)      # [sigma b_i, sigma b_j]
-        return float(np.abs(lhs - rhs).max(initial=0.0))
 
     def form_residual(self):
         g = self.algebra.form
@@ -371,7 +400,7 @@ def make_automorphism(algebra, spec, k=None, tol=None):
                            "outer_so_even")
     else:
         raise InvalidInputError(f"unknown automorphism spec {spec!r}")
-    if aut.bracket_residual() > member_tol or aut.form_residual() > member_tol:
+    if aut.form_residual() > member_tol:
         raise InvalidInputError(
             f"{spec} does not define an automorphism of {algebra.name}")
     return aut
@@ -385,43 +414,15 @@ def identity_automorphism(algebra):
 # health diagnostics
 
 
-def antisymmetry_residual(algebra):
-    c = algebra.structure_constants
-    return float(np.abs(c + c.transpose(1, 0, 2)).max(initial=0.0))
-
-
-def jacobi_residual(algebra):
-    """Max form-norm of the cyclic Jacobi sum over all basis triples.
-
-    Chunked over the third index to keep memory linear in dim^3.
-    """
-    c = algebra.structure_constants
-    g = algebra.form
-    n = algebra.dim
-    if n == 0:
-        return 0.0
-    cflat = c.reshape(n * n, n)
-    worst = 0.0
-    for k in range(n):
-        t1 = (cflat @ c[:, k, :]).reshape(n, n, n)        # [[bi,bj],bk]
-        t2 = np.einsum('jm,mil->ijl', c[:, k, :], c, optimize=True)      # [[bj,bk],bi]
-        t3 = np.einsum('im,mjl->ijl', c[k, :, :], c, optimize=True)      # [[bk,bi],bj]
-        jac = t1 + t2 + t3
-        norms = np.einsum('ijl,lm,ijm->ij', jac, g, jac, optimize=True)
-        worst = max(worst, float(norms.max(initial=0.0)))
-    return float(np.sqrt(max(0.0, worst)))
-
-
-def ad_invariance_residual(algebra):
-    """Max |<[x,y],z> + <y,[x,z]>| over basis triples."""
-    t = np.einsum('ijl,lk->ijk', algebra.structure_constants, algebra.form, optimize=True)
-    return float(np.abs(t + t.transpose(0, 2, 1)).max(initial=0.0))
-
-
 def killing_proportionality(algebra):
-    """Least-squares fit B = -c * form; returns (c, relative residual)."""
-    c = algebra.structure_constants
-    killing = np.einsum('iml,jlm->ij', c, c, optimize=True)
+    """Least-squares fit B = -c * form; returns (c, relative residual).
+
+    ad b_i is read off the coordinates of the commutators [b_i, b_j].
+    """
+    b = algebra.basis
+    ad = algebra.coords_of(commutator(b[:, None], b[None]))
+    ad = ad.reshape(algebra.dim, algebra.dim, algebra.dim)
+    killing = np.einsum('iml,jlm->ij', ad, ad, optimize=True)
     g = algebra.form
     denom = float(np.sum(g * g))
     factor = -float(np.sum(killing * g)) / denom

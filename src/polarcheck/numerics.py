@@ -145,21 +145,21 @@ def row_blocks(count, row_floats):
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def outside_norm(vectors, onb, form):
-    """Largest form-norm of a component outside span(onb) over a stack.
+def outside_norm(vectors, onb):
+    """Largest Euclidean norm of a component outside span(onb) over a stack.
 
-    vectors is any array whose last axis holds coefficients; onb holds
-    form-orthonormal rows, possibly none, in which case this is the largest
-    form-norm.  The stack is taken in blocks, so the temporaries stay small
-    next to a large input.
+    vectors is any array whose last axis holds coordinates; onb holds
+    orthonormal rows, possibly none, in which case this is the largest
+    norm.  A form-norm is this norm of coordinates mapped through the
+    form's Cholesky factor.  The stack is taken in blocks, so the
+    temporaries stay small next to a large input.
     """
     flat = vectors.reshape(-1, vectors.shape[-1])
-    to_coeffs = form @ onb.T
     worst = 0.0
     for rows in row_blocks(flat.shape[0], flat.shape[1]):
         rest = flat[rows]
         if onb.shape[0]:
-            rest = rest - (rest @ to_coeffs) @ onb
-        sq = np.einsum('ak,ak->a', rest @ form, rest)
+            rest = rest - (rest @ onb.T) @ onb
+        sq = np.einsum('ak,ak->a', rest, rest)
         worst = max(worst, float(sq.max(initial=0.0)))
     return float(np.sqrt(worst))

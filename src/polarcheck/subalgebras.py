@@ -13,9 +13,9 @@ import numpy as np
 
 from .errors import (ClosureError, DimensionMismatchError,
                      InternalConsistencyError, InvalidInputError)
-from .lie_algebras import adjoint_matrix
+from .lie_algebras import adjoint_matrix, span_closure_residual
 from .numerics import (as_vector_matrix, nullspace, orthogonal_complement,
-                       orthonormal_basis, outside_norm, rank_of)
+                       orthonormal_basis, rank_of)
 
 
 class Subalgebra:
@@ -53,13 +53,9 @@ class Subalgebra:
         return cls.from_vectors(parent, vecs, tol, name=name)
 
     def closure_residual(self):
-        """Largest form-norm of a basis bracket's component outside the span,
-        in the unit-trace-scale form (see actions.polarity_check)."""
-        if self.dim == 0:
-            return 0.0
-        b = self.basis
-        return self.parent.trace_scale ** 0.5 * outside_norm(
-            self.parent.bracket_many(b, b), b, self.parent.form)
+        """Largest norm of a basis commutator's component outside the span,
+        in the unit-trace-scale form (see LieAlgebra.frobenius_matrices)."""
+        return span_closure_residual(self.parent.frobenius_matrices(self.basis))
 
     def gram_residual(self):
         gram = self.basis @ self.parent.form @ self.basis.T

@@ -13,14 +13,15 @@ import polarcheck
 
 from polarcheck.actions import (ActionSpec, analyze, check_group_membership,
                                 cohomogeneity, is_transitive, orbit_tangent,
-                                polarity_check, product_flatness_diagnostic,
+                                polarity_check, principal_point,
+                                product_flatness_diagnostic,
                                 sample_group_point)
 from polarcheck.embeddings import cartan_subalgebra, corner_so, so_in_su
 from polarcheck.errors import (HypothesisViolationError, InvalidInputError,
                                NonPrincipalPointError)
 from polarcheck.lie_algebras import (build_classical, classical_basis,
-                                     identity_automorphism)
-from polarcheck.numerics import ToleranceConfig
+                                     commutator, identity_automorphism)
+from polarcheck.numerics import ToleranceConfig, outside_norm
 from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
 from polarcheck.subalgebras import (conjugated_pair_subalgebra,
                                     diagonal_sigma, full_subalgebra, product,
@@ -39,7 +40,8 @@ def brute_force_rank(algebra, samples=6, seed=0):
     best = algebra.dim
     for _ in range(samples):
         x = rng.standard_normal(algebra.dim)
-        ad = np.einsum('ijk,i->jk', algebra.structure_constants, x).T
+        ad = algebra.coords_of(commutator(algebra.matrix_of(x),
+                                          algebra.basis)).T
         kernel = np.sum(np.linalg.svd(ad, compute_uv=False) < 1e-9)
         best = min(best, int(kernel))
     return best
@@ -127,7 +129,8 @@ class TestPolarityCheck:
     def test_non_principal_point_rejected(self, tol):
         action = conjugation_action("su", 3, tol)
         with pytest.raises(NonPrincipalPointError):
-            polarity_check(action, np.eye(6), tol)
+            polarity_check(action, np.eye(6), tol,
+                           principal_point(action, tol)[0])
 
     def test_reports_are_reproducible(self, tol):
         action = conjugation_action("su", 3, tol)
@@ -187,10 +190,40 @@ class TestFormScale:
             report = analyze(ActionSpec(algebra, product(su2, su2, tol)), tol)
             diag = product_flatness_diagnostic(su2, su2, tol)
             values.append([report.residual_orth, report.residual_abelian,
-                           diag.residual_section, diag.residual_span,
-                           diag.residual_abelian])
+                           diag.residual_section, diag.residual_abelian])
         assert min(values[0]) > 0.1
         assert values[1] == pytest.approx(values[0], rel=1e-6)
+
+
+class TestCriterionReference:
+    """The criterion's residuals against brute force over every triple."""
+
+    @pytest.mark.parametrize("group,subgroup", [
+        ("su3", "product(h1=su2,h2=su2)"),        # nonzero residuals
+        ("su3", "product(h1=cartan,h2=cartan)"),
+        ("so5", "delta(sigma=id)"),               # zero residuals
+        ("su2", "product(h1=zero,h2=zero)"),      # empty tangent
+    ])
+    def test_residuals_match_brute_force(self, group, subgroup, tol):
+        algebra = parse_group(group)
+        action = ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
+        report = analyze(action, tol)
+        x = algebra.frobenius_matrices(report.section_basis)
+        size = x[0].size
+        nu = x.reshape(len(x), size)
+        xy = commutator(x[:, None], x[None])
+        triples = commutator(xy[:, :, None], x[None, None])   # [[X,Y],Z]
+        assert report.residual_triple == pytest.approx(
+            outside_norm(triples.reshape(-1, size), nu), abs=1e-12)
+        assert report.residual_abelian == pytest.approx(
+            outside_norm(xy.reshape(-1, size), nu[:0]), abs=1e-12)
+        # h moved to e: (Ad(g^-1) A, B) pairs with [X,Y] as Ad(g^-1) A + B
+        g, h, n = report.principal_point, action.h.basis, algebra.dim
+        moved = (g.T @ algebra.frobenius_matrices(h[:, :n]) @ g
+                 + algebra.frobenius_matrices(h[:, n:]))
+        pairings = xy.reshape(-1, size) @ moved.reshape(len(h), size).T
+        assert report.residual_orth == pytest.approx(
+            np.abs(pairings).max(initial=0.0), abs=1e-12)
 
 
 class TestTransitivity:
@@ -225,7 +258,6 @@ class TestFlatnessDiagnostic:
         diag = product_flatness_diagnostic(real_points, real_points, tol)
         assert diag.cohomogeneity == 2
         assert diag.residual_section < 1e-8
-        assert diag.residual_span < 1e-8
         assert diag.residual_abelian < 1e-8
 
     def test_requires_cohomogeneity_two(self, tol):

@@ -5,19 +5,38 @@ from hypothesis import strategies as st
 
 from polarcheck import numerics
 from polarcheck.errors import ClosureError, InvalidInputError
-from polarcheck.lie_algebras import (LieAlgebra, ad_invariance_residual,
-                                     antisymmetry_residual, build_classical,
+from polarcheck.lie_algebras import (LieAlgebra, build_classical,
+                                     classical_basis, commutator,
                                      identity_automorphism,
-                                     jacobi_residual, killing_proportionality,
+                                     killing_proportionality,
                                      make_automorphism,
                                      quaternion_left_matrices,
                                      quaternion_right_matrices,
                                      realify_complex, so_basis,
                                      sp_basis_quaternion)
+from polarcheck.numerics import outside_norm
 from polarcheck.octonions import quaternion_table
 
 SMALL_CASES = [("so", 3), ("so", 5), ("so", 8), ("su", 2), ("su", 3),
                ("su", 4), ("sp", 1), ("sp", 2), ("u", 2), ("u", 3)]
+BUILT_IN = ([("so", n) for n in range(2, 13)] + [("su", n) for n in range(2, 9)]
+            + [("sp", n) for n in range(1, 5)] + [("u", n) for n in range(1, 5)])
+
+
+def basis_commutators(algebra):
+    """[b_i, b_j] for every pair of basis matrices, flattened to (d^2, s, s)."""
+    b = algebra.basis
+    return commutator(b[:, None], b[None]).reshape(-1, *b.shape[1:])
+
+
+def commutator_residual(aut):
+    """Largest entry of sigma([b_i, b_j]) - [sigma(b_i), sigma(b_j)]."""
+    algebra = aut.algebra
+    images = np.einsum('ki,kab->iab', aut.matrix, algebra.basis)
+    coords = algebra.coords_of(basis_commutators(algebra))
+    lhs = np.einsum('pk,lk,lab->pab', coords, aut.matrix, algebra.basis)
+    rhs = commutator(images[:, None], images[None]).reshape(lhs.shape)
+    return float(np.abs(lhs - rhs).max())
 
 
 class TestRealification:
@@ -97,9 +116,24 @@ class TestInvariants:
     @pytest.mark.parametrize("family,n", SMALL_CASES)
     def test_health_residuals(self, family, n):
         algebra = build_classical(family, n)
-        assert antisymmetry_residual(algebra) < 1e-10
-        assert jacobi_residual(algebra) < 1e-10
-        assert ad_invariance_residual(algebra) < 1e-10
+        d = algebra.dim
+        # every basis commutator lies in the algebra ...
+        coords = algebra.coords_of(basis_commutators(algebra),
+                                   member_tol=1e-10).reshape(d, d, d)
+        assert np.abs(coords + coords.transpose(1, 0, 2)).max() < 1e-10
+        # ... and the form is ad-invariant: <[x,y],z> + <y,[x,z]> = 0
+        t = np.einsum('ijl,lk->ijk', coords, algebra.form)
+        assert np.abs(t + t.transpose(0, 2, 1)).max() < 1e-10
+
+    @pytest.mark.parametrize("family,n", BUILT_IN)
+    def test_built_in_basis_is_bracket_closed(self, family, n):
+        # build_classical does not check closure: it holds by construction
+        basis = classical_basis(family, n)
+        assert np.array_equal(build_classical(family, n).basis, basis)
+        flat = basis.reshape(len(basis), -1)
+        onb = np.linalg.qr(flat.T)[0].T
+        comms = commutator(basis[:, None], basis[None])
+        assert outside_norm(comms.reshape(-1, flat.shape[1]), onb) < 1e-12
 
     @pytest.mark.parametrize("family,n", [("so", 5), ("su", 3), ("sp", 2)])
     def test_killing_proportional_on_simple_algebras(self, family, n):
@@ -122,22 +156,23 @@ class TestInvariants:
 class TestBracket:
     def test_so3_is_cyclic(self, tol):
         algebra = build_classical("so", 3)
-        # the basis is E_ij - E_ji for (i,j) = (0,1), (0,2), (1,2)
-        e01, e02, e12 = np.eye(3)
-        br = algebra.bracket(e01, e02)
-        assert np.abs(algebra.matrix_of(br) -
-                      (algebra.matrix_of(e01) @ algebra.matrix_of(e02) -
-                       algebra.matrix_of(e02) @ algebra.matrix_of(e01))).max() \
-            < 1e-12
+        # the basis is E_ij - E_ji for (i,j) = (0,1), (0,2), (1,2), and
+        # [b0, b1] = -b2, [b1, b2] = -b0, [b2, b0] = -b1
+        b = algebra.basis
+        for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+            assert np.array_equal(commutator(b[i], b[j]), -b[k])
 
     @given(seed=st.integers(0, 10**6))
     def test_bracket_matches_matrix_commutator(self, seed):
         algebra = build_classical("su", 3)
         rng = np.random.default_rng(seed)
         x, y = rng.standard_normal((2, algebra.dim))
-        lhs = algebra.matrix_of(algebra.bracket(x, y))
         a, b = algebra.matrix_of(x), algebra.matrix_of(y)
-        assert np.abs(lhs - (a @ b - b @ a)).max() < 1e-10
+        assert np.array_equal(commutator(a, b), a @ b - b @ a)
+        # the commutator lies in the algebra and its coordinates rebuild it
+        coords = algebra.coords_of(commutator(a, b))[0]
+        assert np.abs(algebra.matrix_of(coords) - commutator(a, b)).max() \
+            < 1e-10
 
     def test_coords_roundtrip(self):
         algebra = build_classical("sp", 2)
@@ -184,42 +219,42 @@ class TestFormScaling:
         assert scaled.norm(v) == pytest.approx(np.sqrt(factor) * algebra.norm(v))
         assert np.abs(scaled.coords_of(scaled.matrix_of(v)) - v).max() < 1e-10
 
-    def test_structure_constants_unchanged(self):
-        algebra = build_classical("so", 4)
-        scaled = algebra.with_scaled_form(3.0)
-        assert np.abs(scaled.structure_constants -
-                      algebra.structure_constants).max() < 1e-12
-
 
 class TestDirectSum:
     def test_dimensions_and_blocks(self):
-        a = build_classical("so", 4)
+        a = build_classical("so", 4).with_scaled_form(3.0)
         d = a.double()
-        n = a.dim
-        assert (d.dim, d.ambient_size) == (2 * n, 2 * a.ambient_size)
-        x, y = np.random.default_rng(0).standard_normal((2, n))
-        zero = np.zeros(n)
-        # cross brackets vanish, and each half brackets as l
-        assert not d.bracket(np.r_[x, zero], np.r_[zero, y]).any()
-        assert np.array_equal(d.bracket(np.r_[x, zero], np.r_[y, zero]),
-                              np.r_[a.bracket(x, y), zero])
-        assert np.array_equal(d.bracket(np.r_[zero, x], np.r_[zero, y]),
-                              np.r_[zero, a.bracket(x, y)])
+        n, s = a.dim, a.ambient_size
+        assert (d.dim, d.ambient_size) == (2 * n, 2 * s)
+        xs = np.random.default_rng(0).standard_normal((3, 2 * n))
+        # the Frobenius matrices of l(+)l are the pairs of l's halves, and
+        # the form is their Frobenius product
+        pairs = d.frobenius_matrices(xs)
+        assert pairs.shape == (3, 2, s, s)
+        assert np.array_equal(pairs[:, 0], a.frobenius_matrices(xs[:, :n]))
+        assert np.array_equal(pairs[:, 1], a.frobenius_matrices(xs[:, n:]))
+        flat = pairs.reshape(3, -1)
+        assert np.abs(flat @ flat.T - xs @ d.form @ xs.T).max() < 1e-10
 
     @given(seed=st.integers(0, 10**6))
     @settings(deadline=None)
-    def test_bracket_many_is_the_block_commutator(self, seed):
+    def test_halves_bracket_as_the_block_commutator(self, seed):
         algebra = build_classical("su", 3)
         double = algebra.double()
+        s = algebra.ambient_size
         rng = np.random.default_rng(seed)
         xs = rng.standard_normal((3, double.dim))
         ys = rng.standard_normal((2, double.dim))
-        brackets = double.bracket_many(xs, ys)
+        halves = commutator(double.frobenius_matrices(xs)[:, None],
+                            double.frobenius_matrices(ys)[None])
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 a, b = double.matrix_of(x), double.matrix_of(y)
-                assert np.abs(double.matrix_of(brackets[i, j])
-                              - (a @ b - b @ a)).max() < 1e-10
+                block = commutator(a, b)
+                # cross blocks vanish, and each half brackets as l
+                assert not block[:s, s:].any() and not block[s:, :s].any()
+                assert np.abs(halves[i, j, 0] - block[:s, :s]).max() < 1e-10
+                assert np.abs(halves[i, j, 1] - block[s:, s:]).max() < 1e-10
 
     def test_double_is_cached(self):
         algebra = build_classical("su", 2)
@@ -234,13 +269,13 @@ class TestAutomorphisms:
     def test_identity(self):
         algebra = build_classical("su", 3)
         aut = identity_automorphism(algebra)
-        assert aut.bracket_residual() < 1e-12
+        assert commutator_residual(aut) < 1e-12
         assert self._fixed_dim(aut) == algebra.dim
 
     def test_outer_su3_fixes_so3(self, tol):
         algebra = build_classical("su", 3)
         aut = make_automorphism(algebra, "outer_su", tol=tol)
-        assert aut.bracket_residual() < 1e-10
+        assert commutator_residual(aut) < 1e-10
         assert aut.form_residual() < 1e-10
         # fixed set of complex conjugation is so(3), dimension 3
         assert self._fixed_dim(aut) == 3
@@ -250,7 +285,7 @@ class TestAutomorphisms:
     def test_reflection_on_so8_fixes_so7(self, tol):
         algebra = build_classical("so", 8)
         aut = make_automorphism(algebra, "outer_so_even", tol=tol)
-        assert aut.bracket_residual() < 1e-10
+        assert commutator_residual(aut) < 1e-10
         assert self._fixed_dim(aut) == 21
 
     def test_inner_automorphism(self, tol):
@@ -258,7 +293,7 @@ class TestAutomorphisms:
         from scipy.linalg import expm
         g = expm(algebra.matrix_of(np.arange(algebra.dim, dtype=float) / 10))
         aut = make_automorphism(algebra, "inner", k=g, tol=tol)
-        assert aut.bracket_residual() < 1e-8
+        assert commutator_residual(aut) < 1e-8
         assert aut.form_residual() < 1e-8
 
     def test_bad_specs(self, tol):

@@ -4,7 +4,7 @@ import pytest
 from polarcheck.embeddings import (g2_in_so7, gamma_anticommutation_residual,
                                    gamma_matrices, spin_subalgebra)
 from polarcheck.errors import InvalidInputError
-from polarcheck.lie_algebras import build_classical, jacobi_residual
+from polarcheck.lie_algebras import build_classical
 from polarcheck.numerics import outside_norm
 from polarcheck.octonions import (cayley_dickson_double, complex_table,
                                   derivation_matrices, octonion_table,
@@ -157,4 +157,5 @@ class TestG2:
         imag = restrict_to_imaginary(derivation_matrices(octonion_table(), tol))
         other = Subalgebra.from_matrices(so7, list(imag), tol)
         assert other.dim == 14
-        assert outside_norm(other.basis, g2.basis, so7.form) < 1e-9
+        assert outside_norm(other.basis @ so7.chol.T,
+                            g2.basis @ so7.chol.T) < 1e-9
