@@ -81,21 +81,28 @@ def check_group_membership(algebra, g, tol):
             f"element is not in the represented group (residual {ortho:.3e})")
 
 
-def _tangent(action, g, tol):
-    """Orthonormal orbit tangent at g, moved to e, and Ad(g^{-1}).
+def _tangent_vectors(action, g, tol):
+    """Rows Ad(g^{-1}) X1 - X2 over h's basis, which span the orbit tangent
+    at g moved to e, and Ad(g^{-1}).
 
-    The tangent is spanned by {Ad(g^{-1}) X1 - X2}.  These are differences
-    of form-unit vectors, so genuine tangent directions have form norm of
-    order one; scale=1 keeps the rank cutoff honest when the whole orbit
-    degenerates (fixed points).
+    They are differences of form-unit vectors, so genuine tangent
+    directions have form norm of order one; their rank is cut with scale=1,
+    which keeps the cutoff honest when the whole orbit degenerates (fixed
+    points).
     """
     algebra = action.algebra
     check_group_membership(algebra, g, tol)
     ad_inv = adjoint_matrix(algebra, np.linalg.inv(g),
                             member_tol=np.sqrt(tol.residual_tol))
     n = algebra.dim
-    vectors = action.h.basis[:, :n] @ ad_inv.T - action.h.basis[:, n:]
-    tangent = orthonormal_basis(vectors, tol, chol=algebra.chol, scale=1.0)
+    return action.h.basis[:, :n] @ ad_inv.T - action.h.basis[:, n:], ad_inv
+
+
+def _tangent(action, g, tol):
+    """Orthonormal orbit tangent at g, moved to e, and Ad(g^{-1})."""
+    vectors, ad_inv = _tangent_vectors(action, g, tol)
+    tangent = orthonormal_basis(vectors, tol, chol=action.algebra.chol,
+                                scale=1.0)
     return tangent, ad_inv
 
 
@@ -114,12 +121,21 @@ def _normal_space(action, g, tol):
 
 
 def principal_point(action, tol):
-    """(max sampled orbit dimension, first sampled point attaining it)."""
+    """(max sampled orbit dimension, first sampled point attaining it).
+
+    A sample needs only the orbit dimension: the rank of its tangent
+    vectors in Cholesky coordinates, cut as orbit_tangent cuts it, but read
+    off singular values alone, which takes about half the time of the SVD
+    with singular vectors.  polarity_check builds the tangent basis once,
+    at the chosen point.
+    """
+    algebra = action.algebra
     rng = np.random.default_rng(tol.seed)
     best, point = -1, None
     for _ in range(tol.num_samples):
-        g = sample_group_point(action.algebra, rng)
-        dim = orbit_tangent(action, g, tol).shape[0]
+        g = sample_group_point(algebra, rng)
+        vectors, _ = _tangent_vectors(action, g, tol)
+        dim = rank_of(vectors @ algebra.chol.T, tol, scale=1.0)
         if dim > best:
             best, point = dim, g
     return best, point

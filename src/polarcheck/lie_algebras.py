@@ -91,12 +91,33 @@ def pair_commutators(mats, extra_floats=0):
         yield comms.reshape(-1, size)
 
 
-def span_closure_residual(mats):
+def span_closure_residual(mats, complement=None):
     """Largest Frobenius norm of a component of [M_i, M_j] outside span(M),
-    for Frobenius-orthonormal matrices (or pairs of blocks) M."""
-    flat = mats.reshape(mats.shape[0], int(np.prod(mats.shape[1:])))
-    return max((outside_norm(comms, flat) for comms in pair_commutators(mats)),
-               default=0.0)
+    for Frobenius-orthonormal matrices (or pairs of blocks) M.
+
+    Without complement, each [M_i, M_j], i < j, is projected onto span(M):
+    k^2/2 commutators and a k-dimensional projection of each.  complement,
+    a Frobenius-orthonormal basis R of the complement of span(M) in a
+    bracket-closed algebra, gives the outside component's coordinates
+    instead: by ad-invariance <[M_i, M_j], R_m> = <M_i, [M_j, R_m]>, so
+    only the k q commutators [M_j, R_m] are formed, a block of j at a time,
+    and contracted with M.  That is cheaper when q < k.
+    """
+    size = int(np.prod(mats.shape[1:]))
+    flat = mats.reshape(mats.shape[0], size)
+    if complement is None:
+        return max((outside_norm(comms, flat)
+                    for comms in pair_commutators(mats)), default=0.0)
+    k, q = len(mats), len(complement)
+    if q == 0:
+        return 0.0
+    worst = 0.0
+    for rows in row_blocks(k, q * (size + k)):
+        comms = commutator(mats[rows, None], complement[None])
+        coords = (flat @ comms.reshape(-1, size).T).reshape(k, -1, q)
+        worst = max(worst, float(np.einsum('ijm,ijm->ij', coords, coords)
+                                 .max(initial=0.0)))
+    return float(np.sqrt(worst))
 
 
 class LieAlgebra:
@@ -209,12 +230,6 @@ class LieAlgebra:
             raise ClosureError(
                 f"matrix does not lie in {self.name}", residual=residual)
         return coords
-
-    def inner(self, x, y):
-        return float(np.asarray(x) @ self.form @ np.asarray(y))
-
-    def norm(self, x):
-        return float(np.sqrt(max(0.0, self.inner(x, x))))
 
     # -- direct sum ----------------------------------------------------------
 

@@ -68,14 +68,25 @@ def rank_cut(sv, rel_tol, ref=None):
     return int(np.sum(sv > rel_tol * ref)) if ref > 0 else 0
 
 
-def rank_of(vectors, tol):
-    """Number of singular values above rel_rank_tol times the largest."""
+def _scaled_rank(sv, tol, scale):
+    """rank_cut of sv at rel_rank_tol, against max(sv[0], scale) if given."""
+    ref = None if scale is None else max(sv[0], float(scale))
+    return rank_cut(sv, tol.rel_rank_tol, ref)
+
+
+def rank_of(vectors, tol, scale=None):
+    """Number of singular values above rel_rank_tol times the largest.
+
+    scale has the meaning it has in orthonormal_basis, and the cut is the
+    same, so this is the row count of orthonormal_basis(vectors, tol,
+    scale=scale) without computing any singular vectors.
+    """
     mat = np.atleast_2d(np.asarray(vectors, dtype=float))
     if mat.size == 0:
         return 0
     if mat.ndim != 2:
         raise DimensionMismatchError("expected a list of equal-length vectors")
-    return rank_cut(np.linalg.svd(mat, compute_uv=False), tol.rel_rank_tol)
+    return _scaled_rank(np.linalg.svd(mat, compute_uv=False), tol, scale)
 
 
 def cholesky_factor(form):
@@ -106,8 +117,7 @@ def orthonormal_basis(vectors, tol, chol=None, scale=None):
         return mat.reshape(0, mat.shape[-1] if mat.ndim == 2 else 0)
     euc = mat if chol is None else mat @ chol.T
     _, sv, vh = np.linalg.svd(euc, full_matrices=False)
-    ref = None if scale is None else max(sv[0], float(scale))
-    onb_euc = vh[:rank_cut(sv, tol.rel_rank_tol, ref)]
+    onb_euc = vh[:_scaled_rank(sv, tol, scale)]
     if chol is None:
         return onb_euc
     return np.linalg.solve(chol, onb_euc.T).T

@@ -7,6 +7,13 @@ from_vectors and from_matrices check bracket closure, the only guarantee
 for spans and embeddings.  closed_span does not; full_subalgebra, product
 (of closed factors) and diagonal_sigma (the graph of an automorphism, which
 make_automorphism checks) use it because their closure is implied.
+
+closure_residual picks its method from two dimensions of the input, with
+no setting: when the complement q = dim l - dim h is smaller than k =
+dim h (so19 in so20, su9 in su10), it brackets h with an orthonormal basis
+of the complement, k q commutators; otherwise (a Cartan or spin(9) in
+so(16), a diagonal) it projects the k^2/2 commutators of h onto h, which
+is then the cheaper of the two.
 """
 
 import numpy as np
@@ -54,8 +61,25 @@ class Subalgebra:
 
     def closure_residual(self):
         """Largest norm of a basis commutator's component outside the span,
-        in the unit-trace-scale form (see LieAlgebra.frobenius_matrices)."""
-        return span_closure_residual(self.parent.frobenius_matrices(self.basis))
+        in the unit-trace-scale form (see LieAlgebra.frobenius_matrices).
+
+        When the complement of h in the parent is smaller than h, the
+        residual is read off the coordinates along an orthonormal basis of
+        that complement (see span_closure_residual), which forms fewer
+        commutators and projects none onto h; otherwise commutators are
+        projected onto h, the cheaper way for a small h.  The complement is
+        completed from h's basis by a complete QR in Cholesky coordinates,
+        which needs no tolerance.  h = l has an empty complement and
+        residual 0.
+        """
+        parent = self.parent
+        mats = parent.frobenius_matrices(self.basis)
+        if 2 * self.dim <= parent.dim:
+            return span_closure_residual(mats)
+        euc = self.basis @ parent.chol.T
+        full = np.linalg.qr(euc.T, mode='complete')[0]
+        rest = np.linalg.solve(parent.chol, full[:, self.dim:]).T
+        return span_closure_residual(mats, parent.frobenius_matrices(rest))
 
     def gram_residual(self):
         gram = self.basis @ self.parent.form @ self.basis.T

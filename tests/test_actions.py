@@ -226,6 +226,33 @@ class TestCriterionReference:
             np.abs(pairings).max(initial=0.0), abs=1e-12)
 
 
+class TestPrincipalPointReference:
+    """principal_point counts ranks from singular values alone; it must pick
+    what a loop over full orbit tangents picks."""
+
+    @pytest.mark.parametrize("group,subgroup", [
+        ("su3", "delta(sigma=id)"),
+        ("su2", "product(h1=zero,h2=zero)"),      # the orbit collapses
+        ("so5", "delta(sigma=id)"),
+        ("su3", "product(h1=su2,h2=su2)"),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_tangent_loop(self, group, subgroup, seed):
+        tol = ToleranceConfig(seed=seed)
+        algebra = parse_group(group)
+        action = ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
+        rng = np.random.default_rng(seed)
+        best, point = -1, None
+        for _ in range(tol.num_samples):
+            g = sample_group_point(algebra, rng)
+            dim = orbit_tangent(action, g, tol).shape[0]
+            if dim > best:
+                best, point = dim, g
+        dim, g = principal_point(action, tol)
+        assert dim == best
+        assert np.array_equal(g, point)
+
+
 class TestTransitivity:
     def test_full_pair(self, tol):
         algebra = build_classical("su", 2)

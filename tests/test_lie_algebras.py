@@ -216,7 +216,9 @@ class TestFormScaling:
         algebra = build_classical("su", 2)
         scaled = algebra.with_scaled_form(factor)
         v = np.array([1.0, 2.0, -1.0])
-        assert scaled.norm(v) == pytest.approx(np.sqrt(factor) * algebra.norm(v))
+        assert np.array_equal(scaled.form, factor * algebra.form)
+        assert np.linalg.norm(scaled.chol @ v) == pytest.approx(
+            np.sqrt(factor) * np.linalg.norm(algebra.chol @ v))
         assert np.abs(scaled.coords_of(scaled.matrix_of(v)) - v).max() < 1e-10
 
 

@@ -112,6 +112,19 @@ class TestOrthonormalBasis:
         assert orthonormal_basis(noise, TOL).shape[0] == 3
         assert orthonormal_basis(noise, TOL, scale=1.0).shape[0] == 0
 
+    def test_rank_takes_the_same_scale(self):
+        noise = 1e-15 * random_matrix(0, 3, 4)
+        assert rank_of(noise, TOL) == 3
+        assert rank_of(noise, TOL, scale=1.0) == 0
+        # the cut is rel_rank_tol * max(largest singular value, scale)
+        mat = np.diag([1e-3, 1e-11, 0.0])
+        assert rank_of(mat, TOL) == rank_of(mat, TOL, scale=1e-6) == 2
+        assert rank_of(mat, TOL, scale=1.0) == 1
+        for rows in range(1, 4):
+            mat = random_matrix(rows, rows, 4) * 10.0 ** -rows
+            assert rank_of(mat, TOL, scale=1.0) == orthonormal_basis(
+                mat, TOL, scale=1.0).shape[0]
+
 
 class TestComplement:
     @given(seed=st.integers(0, 10**6), rows=st.integers(0, 8),

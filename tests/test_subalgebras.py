@@ -6,9 +6,10 @@ from polarcheck.catalog import catalog_entries, get_entry
 from polarcheck.embeddings import cartan_subalgebra, corner_so, so_in_su
 from polarcheck.errors import ClosureError, InvalidInputError
 from polarcheck.lie_algebras import (build_classical, commutator,
-                                     identity_automorphism, make_automorphism)
-from polarcheck.numerics import outside_norm
-from polarcheck.specs import parse_group, resolve_subgroup
+                                     identity_automorphism, make_automorphism,
+                                     span_closure_residual)
+from polarcheck.numerics import orthogonal_complement, outside_norm
+from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
 from polarcheck.subalgebras import (Subalgebra, adjoint_matrix,
                                     conjugated_pair_subalgebra,
                                     conjugated_subalgebra, diagonal_sigma,
@@ -101,6 +102,77 @@ class TestImpliedClosure:
         algebra = parse_group(group)
         h = resolve_subgroup(subgroup, algebra, tol)
         assert h.closure_residual() < tol.residual_tol
+
+
+def _open_so6_span(tol, corner):
+    """closed_span (no closure check) of random so(6) vectors: the so(5)
+    corner plus one, or two alone."""
+    so6 = build_classical("so", 6)
+    rng = np.random.default_rng(3)
+    if corner:
+        vecs = np.vstack([resolve_factor("so5", so6, tol).basis,
+                          rng.standard_normal((1, so6.dim))])
+    else:
+        vecs = rng.standard_normal((2, so6.dim))
+    return Subalgebra.closed_span(so6, vecs, tol)
+
+
+# name -> (builder, whether closure_residual takes the complement branch)
+CLOSURE_CASES = {
+    "so5-in-so6": (lambda tol: resolve_factor("so5", parse_group("so6"), tol),
+                   True),
+    "spin7-in-so8": (
+        lambda tol: resolve_factor("spin7", parse_group("so8"), tol), True),
+    "cartan-in-su4": (
+        lambda tol: resolve_factor("cartan", parse_group("su4"), tol), False),
+    "open-so5-plus-one": (lambda tol: _open_so6_span(tol, True), True),
+    "open-two-vectors": (lambda tol: _open_so6_span(tol, False), False),
+    "su3-full-x-so3": (lambda tol: resolve_subgroup(
+        "product(h1=full,h2=so3)", parse_group("su3"), tol), True),
+    "su3-delta-id": (lambda tol: resolve_subgroup(
+        "delta(sigma=id)", parse_group("su3"), tol), False),
+    "su3-whole": (lambda tol: full_subalgebra(parse_group("su3"), tol), True),
+    "su3-zero": (lambda tol: zero_subalgebra(parse_group("su3")), False),
+}
+
+
+class TestClosureReference:
+    """closure_residual, on both branches, against brute force."""
+
+    @staticmethod
+    def brute_force(h):
+        """outside_norm of every [H_i, H_j] against span H."""
+        mats = h.parent.frobenius_matrices(h.basis)
+        flat = mats.reshape(h.dim, int(np.prod(mats.shape[1:])))
+        comms = commutator(mats[:, None], mats[None])
+        return outside_norm(comms.reshape(-1, flat.shape[1]), flat)
+
+    @pytest.mark.parametrize("case", sorted(CLOSURE_CASES))
+    def test_branches_match_brute_force(self, case, tol):
+        build, uses_complement = CLOSURE_CASES[case]
+        h = build(tol)
+        parent = h.parent
+        # closure_residual takes the complement branch when it is smaller
+        assert (2 * h.dim > parent.dim) == uses_complement
+        mats = parent.frobenius_matrices(h.basis)
+        rest = orthogonal_complement(h.basis, parent.form, tol,
+                                     chol=parent.chol)
+        reference = self.brute_force(h)
+        for residual in (h.closure_residual(), span_closure_residual(mats),
+                         span_closure_residual(
+                             mats, parent.frobenius_matrices(rest))):
+            assert residual == pytest.approx(reference, abs=1e-12)
+
+    def test_open_spans_are_open(self, tol):
+        for corner in (True, False):
+            assert _open_so6_span(tol, corner).closure_residual() > 0.1
+
+    def test_whole_algebra_has_an_empty_complement(self, tol):
+        for group in ("su3", "so6"):
+            algebra = parse_group(group)
+            assert full_subalgebra(algebra, tol).closure_residual() == 0.0
+            whole = resolve_subgroup("product(h1=full,h2=full)", algebra, tol)
+            assert whole.closure_residual() == 0.0
 
 
 class TestSplitIdeals:
