@@ -9,16 +9,15 @@ generated algebra nu + [nu, nu] is orthogonal to the (conjugated) h, and
 the action is hyperpolar exactly when nu is abelian.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (HypothesisViolationError, InvalidInputError,
-                     NonPrincipalPointError)
+from .errors import InvalidInputError, NonPrincipalPointError
 from .lie_algebras import adjoint_matrix, commutator, pair_commutators
 from .numerics import (ToleranceConfig, orthogonal_complement,
-                       orthonormal_basis, outside_norm, rank_of)
-from .subalgebras import Subalgebra, product
+                       orthonormal_basis, rank_of)
+from .subalgebras import Subalgebra
 
 
 @dataclass(frozen=True)
@@ -47,14 +46,6 @@ class PolarityReport:
     samples_used: int
     seed: int
     tolerances: ToleranceConfig
-
-
-@dataclass(frozen=True)
-class FlatnessDiagnostic:
-    cohomogeneity: int
-    principal_point: np.ndarray
-    residual_section: float   # [X,Y] back in the normal space span{X, Y}
-    residual_abelian: float   # norm of [X,Y]
 
 
 def _expm_skew(z):
@@ -111,39 +102,39 @@ def orbit_tangent(action, g, tol):
     return _tangent(action, g, tol)[0]
 
 
-def _normal_space(action, g, tol):
-    """(tangent, nu, Ad(g^{-1})) at g; nu is the form-orthogonal
-    complement of the tangent, both moved to e."""
-    tangent, ad_inv = _tangent(action, g, tol)
-    algebra = action.algebra
-    nu = orthogonal_complement(tangent, algebra.form, tol, chol=algebra.chol)
-    return tangent, nu, ad_inv
-
-
 def principal_point(action, tol):
-    """(max sampled orbit dimension, first sampled point attaining it).
+    """(max sampled orbit dimension, first sampled point attaining it,
+    number of points drawn).
 
     A sample needs only the orbit dimension: the rank of its tangent
     vectors in Cholesky coordinates, cut as orbit_tangent cuts it, but read
     off singular values alone, which takes about half the time of the SVD
     with singular vectors.  polarity_check builds the tangent basis once,
     at the chosen point.
+
+    The tangent vectors are dim h rows in dim l coordinates, so no orbit
+    dimension exceeds min(dim h, dim l).  Drawing stops at the first sample
+    that reaches this ceiling, which no later sample could beat, so the
+    dimension and the point are what all tol.num_samples draws would give.
     """
     algebra = action.algebra
+    ceiling = min(action.h.dim, algebra.dim)
     rng = np.random.default_rng(tol.seed)
     best, point = -1, None
-    for _ in range(tol.num_samples):
+    for drawn in range(1, tol.num_samples + 1):
         g = sample_group_point(algebra, rng)
         vectors, _ = _tangent_vectors(action, g, tol)
         dim = rank_of(vectors @ algebra.chol.T, tol, scale=1.0)
         if dim > best:
             best, point = dim, g
-    return best, point
+        if best == ceiling:
+            break
+    return best, point, drawn
 
 
 def cohomogeneity(action, tol):
     """(dim L - max sampled orbit dimension, first point attaining it)."""
-    best, point = principal_point(action, tol)
+    best, point, _ = principal_point(action, tol)
     return action.algebra.dim - best, point
 
 
@@ -159,12 +150,13 @@ def polarity_check(action, g, tol, max_orbit_dim):
     brackets [X,Y], X before Y in nu, are formed a block at a time.
     """
     algebra = action.algebra
-    tangent, nu, ad_inv = _normal_space(action, g, tol)
+    tangent, ad_inv = _tangent(action, g, tol)
     if tangent.shape[0] < max_orbit_dim:
         raise NonPrincipalPointError(
             f"point has orbit dimension {tangent.shape[0]} < sampled maximum "
             f"{max_orbit_dim}; the criterion needs a principal point "
             "(raise num_samples / --samples if sampling looks unlucky)")
+    nu = orthogonal_complement(tangent, algebra.form, tol, chol=algebra.chol)
     cohom, n = nu.shape
     dim_t = tangent.shape[0]
     size = algebra.ambient_size ** 2
@@ -205,9 +197,13 @@ def polarity_check(action, g, tol, max_orbit_dim):
 
 
 def analyze(action, tol):
-    """Cohomogeneity sampling followed by the polarity criterion."""
-    best, point = principal_point(action, tol)
-    return polarity_check(action, point, tol, max_orbit_dim=best)
+    """Cohomogeneity sampling followed by the polarity criterion.
+
+    samples_used counts the points drawn, at most tol.num_samples.
+    """
+    best, point, drawn = principal_point(action, tol)
+    report = polarity_check(action, point, tol, max_orbit_dim=best)
+    return replace(report, samples_used=drawn)
 
 
 def span_rank(h1, h2, algebra, tol):
@@ -220,29 +216,3 @@ def span_rank(h1, h2, algebra, tol):
 def is_transitive(h1, h2, algebra, tol):
     """True iff h1 + h2 spans l (orbit through e open, hence everything)."""
     return span_rank(h1, h2, algebra, tol) == algebra.dim
-
-
-def product_flatness_diagnostic(h1, h2, tol):
-    """Check the bracket mechanics of a cohomogeneity-two product action.
-
-    At a principal point with normal basis {X, Y}: the bracket [X, Y] must
-    land back in the normal space, hence in span{X, Y}, hence vanish (a
-    two-dimensional subalgebra of a compact algebra is abelian).  Residuals
-    are taken in the unit-trace-scale form, as in polarity_check.
-    """
-    algebra = h1.parent
-    action = ActionSpec(algebra, product(h1, h2, tol))
-    best, g = principal_point(action, tol)
-    cohom = algebra.dim - best
-    if cohom != 2:
-        raise HypothesisViolationError(
-            f"product action has cohomogeneity {cohom}, diagnostic needs 2")
-    _, nu, _ = _normal_space(action, g, tol)
-    x, y = algebra.frobenius_matrices(nu)
-    br = commutator(x, y).reshape(1, -1)
-    return FlatnessDiagnostic(
-        cohomogeneity=cohom,
-        principal_point=g,
-        residual_section=outside_norm(br, np.vstack([x.ravel(), y.ravel()])),
-        residual_abelian=float(np.linalg.norm(br)),
-    )

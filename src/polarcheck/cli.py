@@ -28,7 +28,7 @@ from .specs import parse_group, resolve_subgroup
 
 def _add_common(parser):
     parser.add_argument("--samples", type=int, default=8,
-                        help="points sampled to find a principal orbit")
+                        help="most points sampled to find a principal orbit")
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: POLARCHECK_SEED or 0)")
     parser.add_argument("--rank-tol", type=float, default=1e-9,
@@ -62,7 +62,14 @@ def _emit(text, args):
         except OSError as exc:
             raise InvalidInputError(f"cannot write {args.out}: {exc}") from exc
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader left early (`| head`); point stdout at devnull so
+            # that the flush at exit does not raise again, and keep the
+            # command's own exit code
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
 
 
 def _tol_dict(tol):

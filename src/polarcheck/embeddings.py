@@ -106,7 +106,7 @@ def corner_so(ambient, k, tol, offset=0):
 
 def so_in_su(ambient, tol):
     """The real points so(n) inside su(n) (fixed set of conjugation)."""
-    mats = [realify_complex(m) for m in so_basis(ambient.n)]
+    mats = realify_complex(so_basis(ambient.n))
     return Subalgebra.from_matrices(ambient, mats, tol,
                                     name=f"so({ambient.n})")
 
@@ -131,7 +131,7 @@ def u_in_so(ambient, tol, special=False):
     if ambient.family != "so" or ambient.n % 2 != 0:
         raise InvalidInputError("u(m) embeds into so(2m)")
     m = ambient.n // 2
-    mats = [realify_complex(z) for z in _u_basis_complex(m, special)]
+    mats = realify_complex(_u_basis_complex(m, special))
     name = f"su({m})" if special else f"u({m})"
     return Subalgebra.from_matrices(ambient, mats, tol, name=name)
 
@@ -140,13 +140,11 @@ def su_corner_in_su(ambient, k, tol):
     """su(k) in the top-left complex corner of su(N)."""
     if ambient.family != "su" or k > ambient.n or k < 2:
         raise InvalidInputError(f"su({k}) corner does not fit in {ambient.name}")
-    big = ambient.n
-    mats = []
-    for z in _u_basis_complex(k, special=True):
-        zz = np.zeros((big, big), dtype=complex)
-        zz[:k, :k] = z
-        mats.append(realify_complex(zz))
-    return Subalgebra.from_matrices(ambient, mats, tol, name=f"su({k})")
+    corner = _u_basis_complex(k, special=True)
+    mats = np.zeros((len(corner), ambient.n, ambient.n), dtype=complex)
+    mats[:, :k, :k] = corner
+    return Subalgebra.from_matrices(ambient, realify_complex(mats), tol,
+                                    name=f"su({k})")
 
 
 def s_u_u1_in_su(ambient, tol):
@@ -204,15 +202,15 @@ def sp_in_so(ambient, tol, right_factor="none"):
     m = ambient.n // 4
     table = quaternion_table()
     left = quaternion_left_matrices(table)
-    mats = [realify_quaternion(q, left) for q in sp_basis_quaternion(m)]
+    mats = realify_quaternion(sp_basis_quaternion(m), left)
     name = f"sp({m})"
     if right_factor != "none":
         rights = quaternion_right_matrices(table)
         picks = [1] if right_factor == "u1" else [1, 2, 3]
         if right_factor not in ("u1", "sp1"):
             raise InvalidInputError(f"unknown right factor {right_factor!r}")
-        for c in picks:
-            mats.append(np.kron(np.eye(m), rights[c]))
+        mats = np.concatenate(
+            [mats, [np.kron(np.eye(m), rights[c]) for c in picks]])
         name += "(+)u(1)" if right_factor == "u1" else "(+)sp(1)"
     return Subalgebra.from_matrices(ambient, mats, tol, name=name)
 
@@ -229,7 +227,7 @@ def cartan_subalgebra(ambient, tol):
     """A maximal abelian subalgebra (standard choice per family)."""
     if ambient.family == "su":
         diagonal = _u_basis_complex(ambient.n, special=True)[-(ambient.n - 1):]
-        mats = [realify_complex(z) for z in diagonal]
+        mats = realify_complex(diagonal)
     elif ambient.family == "so":
         mats = [corner_so_matrices(ambient.n, 2, 2 * k)[0]
                 for k in range(ambient.n // 2)]

@@ -31,9 +31,5 @@ class NonPrincipalPointError(PolarcheckError):
     """The polarity criterion was invoked at a non-principal point."""
 
 
-class HypothesisViolationError(PolarcheckError):
-    """A diagnostic was invoked on an action violating its hypothesis."""
-
-
 class InternalConsistencyError(PolarcheckError):
     """A structural identity that must hold failed numerically."""

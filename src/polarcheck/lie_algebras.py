@@ -34,7 +34,11 @@ _IM = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def realify_complex(mat):
-    """Realify a complex matrix, each entry a+bi becoming [[a,-b],[b,a]]."""
+    """Realify a complex matrix, each entry a+bi becoming [[a,-b],[b,a]].
+
+    A stack of matrices (leading axes) is realified matrix by matrix, as
+    np.kron broadcasts over them.
+    """
     mat = np.asarray(mat, dtype=complex)
     return np.kron(mat.real, _RE) + np.kron(mat.imag, _IM)
 
@@ -53,15 +57,16 @@ def quaternion_right_matrices(table):
 
 
 def realify_quaternion(qmat, left_units):
-    """Realify an (n, n, 4) quaternion-entry matrix via 4x4 left-mult blocks."""
+    """Realify (..., n, n, 4) quaternion-entry matrices via 4x4 blocks.
+
+    Entry (i, j) becomes the left-multiplication block sum_c q_ijc L_c,
+    summed in the order of c; leading axes are a stack of matrices,
+    realified one by one.
+    """
     qmat = np.asarray(qmat, dtype=float)
-    n = qmat.shape[0]
-    out = np.zeros((4 * n, 4 * n))
-    for i in range(n):
-        for j in range(n):
-            block = sum(qmat[i, j, c] * left_units[c] for c in range(4))
-            out[4 * i:4 * i + 4, 4 * j:4 * j + 4] = block
-    return out
+    blocks = sum(qmat[..., c, None, None] * left_units[c] for c in range(4))
+    n = qmat.shape[-2]
+    return blocks.swapaxes(-3, -2).reshape(*qmat.shape[:-3], 4 * n, 4 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +98,17 @@ def pair_commutators(mats, extra_floats=0):
 
 def span_closure_residual(mats, complement=None):
     """Largest Frobenius norm of a component of [M_i, M_j] outside span(M),
-    for Frobenius-orthonormal matrices (or pairs of blocks) M.
+    for Frobenius-orthonormal skew matrices (or pairs of blocks) M.
 
     Without complement, each [M_i, M_j], i < j, is projected onto span(M):
     k^2/2 commutators and a k-dimensional projection of each.  complement,
     a Frobenius-orthonormal basis R of the complement of span(M) in a
     bracket-closed algebra, gives the outside component's coordinates
-    instead: by ad-invariance <[M_i, M_j], R_m> = <M_i, [M_j, R_m]>, so
-    only the k q commutators [M_j, R_m] are formed, a block of j at a time,
-    and contracted with M.  That is cheaper when q < k.
+    instead: by ad-invariance <[M_i, M_j], R_m> = <M_i, [M_j, R_m]>, and
+    for skew M_j, R_m the commutator is P - P^T with P = M_j R_m, while
+    <M_i, P^T> = -<M_i, P>, so the coordinate is 2 <M_i, M_j R_m> (block
+    by block on pairs).  Only the k q products M_j R_m are formed, a block
+    of j at a time, and contracted with M.  That is cheaper when q < k.
     """
     size = int(np.prod(mats.shape[1:]))
     flat = mats.reshape(mats.shape[0], size)
@@ -113,11 +120,11 @@ def span_closure_residual(mats, complement=None):
         return 0.0
     worst = 0.0
     for rows in row_blocks(k, q * (size + k)):
-        comms = commutator(mats[rows, None], complement[None])
-        coords = (flat @ comms.reshape(-1, size).T).reshape(k, -1, q)
+        prods = mats[rows, None] @ complement[None]
+        coords = (flat @ prods.reshape(-1, size).T).reshape(k, -1, q)
         worst = max(worst, float(np.einsum('ijm,ijm->ij', coords, coords)
                                  .max(initial=0.0)))
-    return float(np.sqrt(worst))
+    return 2.0 * float(np.sqrt(worst))
 
 
 class LieAlgebra:
@@ -150,7 +157,10 @@ class LieAlgebra:
     def closed_span(cls, name, basis, trace_scale=1.0, family=None, n=None):
         """Algebra on skew matrices whose span is known bracket-closed."""
         basis = np.asarray(basis, dtype=float)
-        gram = -np.einsum('iab,jba->ij', basis, basis)
+        dim, size = basis.shape[0], basis.shape[1] * basis.shape[2]
+        # -tr(X_i X_j) as one product of the flattened X_i and X_j^T
+        transposes = basis.swapaxes(1, 2).reshape(dim, size)
+        gram = -(basis.reshape(dim, size) @ transposes.T)
         gram = 0.5 * (gram + gram.T)
         return cls(name, basis, trace_scale * gram, trace_scale=trace_scale,
                    family=family, n=n)
@@ -159,14 +169,19 @@ class LieAlgebra:
     def from_basis(cls, name, basis, trace_scale=1.0, family=None, n=None):
         """Algebra on caller-given skew matrices, checking their span.
 
-        Raises InvalidInputError if the matrices are dependent, ClosureError
-        if their span is not closed under commutators and InvalidFormError
-        if -tr(XY) is not positive definite on it.
+        Raises InvalidInputError if the matrices are not skew or are
+        dependent, ClosureError if their span is not closed under
+        commutators and InvalidFormError if -tr(XY) is not positive definite
+        on it.
         """
         basis = np.asarray(basis, dtype=float)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
             raise DimensionMismatchError("basis must be a list of square matrices")
         dim, s, _ = basis.shape
+        asym = np.abs(basis + basis.swapaxes(1, 2)).max(initial=0.0)
+        if asym > _CONSTRUCT_TOL * max(1.0, np.abs(basis).max(initial=0.0)):
+            raise InvalidInputError(
+                f"{name}: basis matrices are not skew (residual {asym:.3e})")
         _, sv, onb = np.linalg.svd(basis.reshape(dim, s * s),
                                    full_matrices=False)
         if dim and rank_cut(sv, 1e-12) < dim:
@@ -279,25 +294,25 @@ def so_basis(n):
 
 
 def _u_basis_complex(n, special=False):
-    """Skew-Hermitian basis of u(n), or of su(n) when special.
+    """Skew-Hermitian basis of u(n), or of su(n) when special, as a stack.
 
     The off-diagonal pairs E_ij - E_ji, i (E_ij + E_ji) come first; the
     diagonal ones, i E_kk for u(n) and i (E_kk - E_k+1,k+1) for su(n), last.
     """
-    mats = []
-    for a in so_basis(n):
-        mats += [a + 0j, 1j * np.abs(a)]
-    for k in range(n - 1 if special else n):
-        d = np.zeros((n, n), dtype=complex)
-        d[k, k] = 1j
-        if special:
-            d[k + 1, k + 1] = -1j
-        mats.append(d)
+    real = so_basis(n)
+    pairs = 2 * len(real)
+    diagonal = np.arange(n - 1 if special else n)
+    mats = np.zeros((pairs + diagonal.size, n, n), dtype=complex)
+    mats[0:pairs:2] = real
+    mats[1:pairs:2] = 1j * np.abs(real)
+    mats[pairs + diagonal, diagonal, diagonal] = 1j
+    if special:
+        mats[pairs + diagonal, diagonal + 1, diagonal + 1] = -1j
     return mats
 
 
 def sp_basis_quaternion(n):
-    """Quaternionic skew-Hermitian basis as (n, n, 4) coefficient arrays."""
+    """Quaternionic skew-Hermitian basis as a (k, n, n, 4) coefficient stack."""
     mats = []
     for i in range(n):
         for c in range(1, 4):
@@ -311,7 +326,7 @@ def sp_basis_quaternion(n):
                 q[i, j, c] = 1.0
                 q[j, i, c] = -1.0 if c == 0 else 1.0  # -conjugate
                 mats.append(q)
-    return mats
+    return np.array(mats)
 
 
 _SMALLEST_N = {"so": 2, "su": 2, "u": 1, "sp": 1}
@@ -329,11 +344,9 @@ def classical_basis(family, n):
     elif family == "sp":
         from .octonions import quaternion_table
         left = quaternion_left_matrices(quaternion_table())
-        basis = np.array([realify_quaternion(q, left)
-                          for q in sp_basis_quaternion(n)])
+        basis = realify_quaternion(sp_basis_quaternion(n), left)
     else:
-        basis = np.array([realify_complex(m)
-                          for m in _u_basis_complex(n, family == "su")])
+        basis = realify_complex(_u_basis_complex(n, family == "su"))
     return basis
 
 

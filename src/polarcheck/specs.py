@@ -160,7 +160,9 @@ def resolve_subgroup(spec, algebra, tol):
         if set(args) != {"h1", "h2"}:
             raise InvalidInputError("product takes exactly h1=..., h2=...")
         h1 = resolve_factor(args["h1"], algebra, tol)
-        h2 = resolve_factor(args["h2"], algebra, tol)
+        # a repeated factor is resolved, and its closure checked, once
+        h2 = (h1 if args["h2"] == args["h1"]
+              else resolve_factor(args["h2"], algebra, tol))
         return product(h1, h2, tol)
     if head == "span":
         return _span(args, algebra.double(), tol, name="span(file)")

@@ -14,11 +14,9 @@ import polarcheck
 from polarcheck.actions import (ActionSpec, analyze, check_group_membership,
                                 cohomogeneity, is_transitive, orbit_tangent,
                                 polarity_check, principal_point,
-                                product_flatness_diagnostic,
                                 sample_group_point)
 from polarcheck.embeddings import cartan_subalgebra, corner_so, so_in_su
-from polarcheck.errors import (HypothesisViolationError, InvalidInputError,
-                               NonPrincipalPointError)
+from polarcheck.errors import InvalidInputError, NonPrincipalPointError
 from polarcheck.lie_algebras import (build_classical, classical_basis,
                                      commutator, identity_automorphism)
 from polarcheck.numerics import ToleranceConfig, outside_norm
@@ -188,9 +186,7 @@ class TestFormScale:
             algebra = build_classical("su", 3).with_scaled_form(scale)
             su2 = resolve_factor("su2", algebra, tol)
             report = analyze(ActionSpec(algebra, product(su2, su2, tol)), tol)
-            diag = product_flatness_diagnostic(su2, su2, tol)
-            values.append([report.residual_orth, report.residual_abelian,
-                           diag.residual_section, diag.residual_abelian])
+            values.append([report.residual_orth, report.residual_abelian])
         assert min(values[0]) > 0.1
         assert values[1] == pytest.approx(values[0], rel=1e-6)
 
@@ -227,16 +223,22 @@ class TestCriterionReference:
 
 
 class TestPrincipalPointReference:
-    """principal_point counts ranks from singular values alone; it must pick
-    what a loop over full orbit tangents picks."""
+    """principal_point counts ranks from singular values alone and stops at
+    the ceiling min(dim h, dim l); it must pick what a loop over the full
+    orbit tangents of all tol.num_samples points picks."""
+
+    CEILING_CASES = {("su2", "product(h1=zero,h2=zero)"),   # dim h = 0
+                     ("su3", "product(h1=su2,h2=su2)"),     # dim h = 6
+                     ("su3", "product(h1=full,h2=zero)")}   # dim l = 8
 
     @pytest.mark.parametrize("group,subgroup", [
         ("su3", "delta(sigma=id)"),
         ("su2", "product(h1=zero,h2=zero)"),      # the orbit collapses
         ("so5", "delta(sigma=id)"),
         ("su3", "product(h1=su2,h2=su2)"),
+        ("su3", "product(h1=full,h2=zero)"),      # transitive
     ])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_matches_the_tangent_loop(self, group, subgroup, seed):
         tol = ToleranceConfig(seed=seed)
         algebra = parse_group(group)
@@ -248,9 +250,14 @@ class TestPrincipalPointReference:
             dim = orbit_tangent(action, g, tol).shape[0]
             if dim > best:
                 best, point = dim, g
-        dim, g = principal_point(action, tol)
+        dim, g, drawn = principal_point(action, tol)
         assert dim == best
         assert np.array_equal(g, point)
+        # the first point of a ceiling case reaches min(dim h, dim l)
+        at_ceiling = (group, subgroup) in self.CEILING_CASES
+        assert (best == min(action.h.dim, algebra.dim)) == at_ceiling
+        assert drawn == (1 if at_ceiling else tol.num_samples)
+        assert analyze(action, tol).samples_used == drawn
 
 
 class TestTransitivity:
@@ -278,20 +285,27 @@ class TestTransitivity:
                           b, tol)
 
 
-class TestFlatnessDiagnostic:
+class TestFlatSection:
+    """At cohomogeneity two nu = span{X, Y}, and [X, Y] lies in nu exactly
+    when it vanishes (<[X,Y],X> = <[X,Y],Y> = 0), so residual_abelian alone
+    decides whether the section is flat."""
+
     def test_hermann_pair(self, tol):
         algebra = build_classical("su", 3)
         real_points = so_in_su(algebra, tol)
-        diag = product_flatness_diagnostic(real_points, real_points, tol)
-        assert diag.cohomogeneity == 2
-        assert diag.residual_section < 1e-8
-        assert diag.residual_abelian < 1e-8
+        report = analyze(ActionSpec(algebra, product(real_points, real_points,
+                                                     tol)), tol)
+        assert report.cohomogeneity == 2
+        assert report.residual_abelian < 1e-8
+        assert report.hyperpolar
 
-    def test_requires_cohomogeneity_two(self, tol):
-        algebra = build_classical("su", 2)
-        full = full_subalgebra(algebra, tol)
-        with pytest.raises(HypothesisViolationError):
-            product_flatness_diagnostic(full, zero_subalgebra(algebra), tol)
+    def test_non_polar_pair_is_not_flat(self, tol):
+        algebra = build_classical("su", 3)
+        su2 = resolve_factor("su2", algebra, tol)
+        report = analyze(ActionSpec(algebra, product(su2, su2, tol)), tol)
+        assert report.cohomogeneity == 2
+        assert report.residual_abelian > 0.1
+        assert not report.polar
 
 
 class TestProperties:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +86,25 @@ class TestAnalyze:
         payload = json.loads(out)
         assert (payload["cohomogeneity"], payload["polar"],
                 payload["hyperpolar"]) == verdict
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--group", "so12", "--subgroup",
+         "product(h1=zero,h2=zero)", "--format", "json"],
+        ["catalog-list"],
+    ])
+    def test_closed_pipe_exits_quietly(self, argv):
+        # the reader is gone before the report is written, as with
+        # `polarcheck ... | head -1` on output larger than the pipe buffer
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen([sys.executable, "-m", "polarcheck.cli"] + argv,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert err == b""
 
     def test_bad_seed_environment_is_invalid_input(self, capsys, monkeypatch):
         monkeypatch.setenv("POLARCHECK_SEED", "abc")

@@ -12,8 +12,8 @@ from polarcheck.lie_algebras import (LieAlgebra, build_classical,
                                      make_automorphism,
                                      quaternion_left_matrices,
                                      quaternion_right_matrices,
-                                     realify_complex, so_basis,
-                                     sp_basis_quaternion)
+                                     realify_complex, realify_quaternion,
+                                     so_basis, sp_basis_quaternion)
 from polarcheck.numerics import outside_norm
 from polarcheck.octonions import quaternion_table
 
@@ -71,6 +71,29 @@ class TestRealification:
         assert len(basis) == 2 * (2 * 2 + 1)
         for b in basis:
             assert np.asarray(b).shape == (2, 2, 4)
+
+    def test_complex_stack_is_realified_matrix_by_matrix(self):
+        rng = np.random.default_rng(5)
+        stack = (rng.standard_normal((6, 3, 3))
+                 + 1j * rng.standard_normal((6, 3, 3)))
+        assert np.array_equal(realify_complex(stack),
+                              np.array([realify_complex(z) for z in stack]))
+
+    def test_quaternion_stack_is_realified_block_by_block(self):
+        left = quaternion_left_matrices(quaternion_table())
+        stack = np.random.default_rng(6).standard_normal((5, 3, 3, 4))
+
+        def by_blocks(q):
+            out = np.zeros((12, 12))
+            for i in range(3):
+                for j in range(3):
+                    out[4 * i:4 * i + 4, 4 * j:4 * j + 4] = sum(
+                        q[i, j, c] * left[c] for c in range(4))
+            return out
+
+        expected = np.array([by_blocks(q) for q in stack])
+        assert np.array_equal(realify_quaternion(stack, left), expected)
+        assert np.array_equal(realify_quaternion(stack[0], left), expected[0])
 
 
 class TestDimensions:
@@ -134,6 +157,18 @@ class TestInvariants:
         onb = np.linalg.qr(flat.T)[0].T
         comms = commutator(basis[:, None], basis[None])
         assert outside_norm(comms.reshape(-1, flat.shape[1]), onb) < 1e-12
+
+    @pytest.mark.parametrize("family,n", [("so", n) for n in range(2, 21)]
+                             + [("su", n) for n in range(2, 11)]
+                             + [("sp", n) for n in range(1, 6)]
+                             + [("u", n) for n in range(1, 5)])
+    def test_form_is_the_trace_form(self, family, n):
+        # the Gram product must give -tr(XY) bit for bit on the integer
+        # entries of the built-in bases
+        basis = classical_basis(family, n)
+        gram = -np.einsum('iab,jba->ij', basis, basis)
+        assert np.array_equal(build_classical(family, n).form,
+                              0.5 * (gram + gram.T))
 
     @pytest.mark.parametrize("family,n", [("so", 5), ("su", 3), ("sp", 2)])
     def test_killing_proportional_on_simple_algebras(self, family, n):
@@ -199,6 +234,12 @@ class TestBracket:
     def test_open_span_is_rejected(self):
         with pytest.raises(ClosureError, match="not bracket-closed"):
             LieAlgebra.from_basis("so(3) minus e12", so_basis(3)[:2])
+
+    def test_non_skew_basis_is_rejected(self):
+        # its span is closed and its -tr(XY) positive, but it is not skew
+        with pytest.raises(InvalidInputError, match="not skew"):
+            LieAlgebra.from_basis("bad", [[[0.1, -1.0], [1.0, -0.1]]])
+        assert LieAlgebra.from_basis("so(2)", so_basis(2)).dim == 1
 
     def test_coords_rejects_non_member(self):
         algebra = build_classical("so", 4)

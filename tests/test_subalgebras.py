@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from polarcheck import specs
 from polarcheck.catalog import catalog_entries, get_entry
 from polarcheck.embeddings import cartan_subalgebra, corner_so, so_in_su
 from polarcheck.errors import ClosureError, InvalidInputError
@@ -103,6 +104,17 @@ class TestImpliedClosure:
         h = resolve_subgroup(subgroup, algebra, tol)
         assert h.closure_residual() < tol.residual_tol
 
+    def test_repeated_factor_is_resolved_once(self, tol, monkeypatch):
+        calls = []
+        resolve = specs.resolve_factor
+        monkeypatch.setattr(specs, "resolve_factor",
+                            lambda *args: calls.append(args) or resolve(*args))
+        algebra = parse_group("su4")
+        h = resolve_subgroup("product(h1=su3,h2=su3)", algebra, tol)
+        assert (len(calls), h.dim) == (1, 16)
+        resolve_subgroup("product(h1=su3,h2=su2)", algebra, tol)
+        assert len(calls) == 3
+
 
 def _open_so6_span(tol, corner):
     """closed_span (no closure check) of random so(6) vectors: the so(5)
@@ -133,6 +145,10 @@ CLOSURE_CASES = {
         "delta(sigma=id)", parse_group("su3"), tol), False),
     "su3-whole": (lambda tol: full_subalgebra(parse_group("su3"), tol), True),
     "su3-zero": (lambda tol: zero_subalgebra(parse_group("su3")), False),
+    "u3-in-so6": (lambda tol: resolve_factor("u3", parse_group("so6"), tol),
+                  True),
+    "su3-in-su4": (lambda tol: resolve_factor("su3", parse_group("su4"), tol),
+                   True),
 }
 
 
