@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embeddings as emb
-from .actions import ActionSpec, analyze, cohomogeneity, is_transitive, \
-    span_rank
+from .actions import ActionSpec, analyze, is_transitive, span_rank
 from .errors import InvalidInputError
 from .numerics import ToleranceConfig
 from .specs import parse_group, resolve_factor, resolve_subgroup
@@ -23,14 +22,16 @@ def so7_diagonal_subalgebra(tol, twisted, form_scale=1.0):
     """Graph {(X, phi(X))} of so(7) into so(8)(+)so(8).
 
     phi is the corner inclusion (twisted=False) or the 21-dimensional spin
-    image spanned by the gamma bivectors (twisted=True).
+    image spanned by the gamma bivectors (twisted=True).  Either graph is
+    closed by construction, as phi is a homomorphism: -spin_bivectors(7)
+    brackets like so_basis(7).
     """
     so8 = parse_group("so8", form_scale)
     corner = emb.corner_so_matrices(8, 7)
     images = -emb.spin_bivectors(7) if twisted else corner
     vecs = np.hstack([so8.coords_of(corner), so8.coords_of(images)])
     name = "delta_spin(so(7))" if twisted else "delta(so(7))"
-    return Subalgebra.from_vectors(so8.double(), vecs, tol, name=name), so8
+    return Subalgebra.closed_span(so8.double(), vecs, tol, name=name), so8
 
 
 def _pair(group, h1, h2, tol, form_scale):
@@ -102,39 +103,12 @@ def verify_table1(row_id, n=None, tol=None, form_scale=1.0):
         if n < min_n:
             raise InvalidInputError(f"row {row_id} needs n >= {min_n}")
     h1, h2, ambient = _pair(*specs(n), tol, form_scale)
-    transitive = is_transitive(h1, h2, ambient, tol)
+    rank = span_rank(h1, h2, ambient, tol)
+    transitive = rank == ambient.dim
     return Table1Result(row_id=row_id, n=n, description=description,
                         dim_h1=h1.dim, dim_h2=h2.dim, dim_l=ambient.dim,
-                        span_rank=span_rank(h1, h2, ambient, tol),
-                        transitive=transitive, passed=transitive)
-
-
-@dataclass(frozen=True)
-class ObstructionResult:
-    variant: str
-    dim_h: int
-    dim_l: int
-    cohomogeneity: int
-    lower_bound: int
-    passed: bool
-
-
-def verify_lemma71_obstruction(tol, form_scale=1.0):
-    """Diagonal so(7)-type subalgebras of so(8)(+)so(8) cannot have
-    cohomogeneity two: the orbit dimension is capped by dim h = 21 < 28 - 2,
-    so the sampled cohomogeneity is at least 7 for both the standard and the
-    spin-twisted graph."""
-    results = []
-    for twisted in (False, True):
-        h, so8 = so7_diagonal_subalgebra(tol, twisted, form_scale)
-        cohom, _ = cohomogeneity(ActionSpec(so8, h), tol)
-        bound = so8.dim - h.dim
-        results.append(ObstructionResult(
-            variant="spin-twisted" if twisted else "standard",
-            dim_h=h.dim, dim_l=so8.dim, cohomogeneity=cohom,
-            lower_bound=bound,
-            passed=(h.dim == 21 and cohom >= bound and cohom > 2)))
-    return results
+                        span_rank=rank, transitive=transitive,
+                        passed=transitive)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +142,9 @@ def _polar_entries():
         return build
 
     def lemma71(twisted):
+        # a diagonal so(7)-type h in so(8)(+)so(8) cannot act with
+        # cohomogeneity two: orbits have dimension at most dim h = 21, so
+        # the cohomogeneity is at least 28 - 21 = 7, twisted or not
         def build(tol, scale=1.0):
             h, so8 = so7_diagonal_subalgebra(tol, twisted, scale)
             return ActionSpec(so8, h)

@@ -2,9 +2,12 @@
 octonion derivations (the 14-dimensional algebra inside so(7)), and spin
 images built from real gamma matrices.
 
-All builders return a Subalgebra of the ambient algebra and go through the
-generic membership and closure checks, so a wrong sign or block convention
-fails loudly instead of silently producing a different subspace.
+Every builder returns a Subalgebra of the ambient algebra that is
+bracket-closed by construction, which the tests check once per builder;
+closure is not checked at run time.  The matrices still pass the membership
+check of LieAlgebra.coords_of, so a wrong sign or block convention fails
+loudly, and the full-rank check of Subalgebra.closed_span, so a rank cut too
+coarse for them fails instead of silently shrinking the subspace.
 """
 
 import numpy as np
@@ -54,18 +57,6 @@ def gamma_matrices(n):
         nine.append(np.kron(_TAU, np.eye(8)))
         return nine
     raise InvalidInputError("gamma matrices only provided for n in {7, 9}")
-
-
-def gamma_anticommutation_residual(gammas):
-    """Max deviation from g_i g_j + g_j g_i = 2 s delta_ij with fitted sign s."""
-    size = gammas[0].shape[0]
-    sign = float(np.sign(np.trace(gammas[0] @ gammas[0])))
-    worst = 0.0
-    for i, gi in enumerate(gammas):
-        for j, gj in enumerate(gammas):
-            target = 2.0 * sign * np.eye(size) if i == j else 0.0
-            worst = max(worst, float(np.abs(gi @ gj + gj @ gi - target).max()))
-    return worst
 
 
 def spin_bivectors(n):
@@ -123,7 +114,7 @@ def block_so(ambient, sizes, tol):
     name = "(+)".join(f"so({k})" for k in sizes)
     if not vecs:
         return zero_subalgebra(ambient, name=name)
-    return Subalgebra.from_vectors(ambient, np.vstack(vecs), tol, name=name)
+    return Subalgebra.closed_span(ambient, np.vstack(vecs), tol, name=name)
 
 
 def u_in_so(ambient, tol, special=False):
@@ -157,8 +148,8 @@ def s_u_u1_in_su(ambient, tol):
     extra[np.diag_indices(big)] = 1j
     extra[big - 1, big - 1] = 1j * (1 - big)
     vecs = np.vstack([corner.basis, ambient.coords_of(realify_complex(extra))])
-    return Subalgebra.from_vectors(ambient, vecs, tol,
-                                   name=f"s(u({big - 1})u(1))")
+    return Subalgebra.closed_span(ambient, vecs, tol,
+                                  name=f"s(u({big - 1})u(1))")
 
 
 def sp_in_su(ambient, tol):

@@ -436,24 +436,3 @@ def make_automorphism(algebra, spec, k=None, tol=None):
 
 def identity_automorphism(algebra):
     return Automorphism(algebra, np.eye(algebra.dim), "inner")
-
-
-# ---------------------------------------------------------------------------
-# health diagnostics
-
-
-def killing_proportionality(algebra):
-    """Least-squares fit B = -c * form; returns (c, relative residual).
-
-    ad b_i is read off the coordinates of the commutators [b_i, b_j].
-    """
-    b = algebra.basis
-    ad = algebra.coords_of(commutator(b[:, None], b[None]))
-    ad = ad.reshape(algebra.dim, algebra.dim, algebra.dim)
-    killing = np.einsum('iml,jlm->ij', ad, ad, optimize=True)
-    g = algebra.form
-    denom = float(np.sum(g * g))
-    factor = -float(np.sum(killing * g)) / denom
-    residual = float(np.abs(killing + factor * g).max(initial=0.0))
-    scale = max(1.0, float(np.abs(killing).max(initial=0.0)))
-    return factor, residual / scale

@@ -20,9 +20,10 @@ from .errors import DimensionMismatchError, InvalidFormError, InvalidInputError
 class ToleranceConfig:
     """Numerical policy shared by every verdict-producing routine.
 
-    rel_rank_tol thresholds singular values relative to the largest one;
-    residual_tol bounds membership/closure residuals; num_samples controls
-    the principal-point search; seed feeds the single RNG.
+    rel_rank_tol, in (0, 1), thresholds singular values relative to the
+    largest one; residual_tol, positive and finite, bounds membership and
+    closure residuals; num_samples controls the principal-point search;
+    seed, >= 0, feeds the single RNG.
     """
 
     rel_rank_tol: float = 1e-9
@@ -31,12 +32,14 @@ class ToleranceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.rel_rank_tol > 0:
-            raise InvalidInputError("rel_rank_tol must be positive")
-        if not self.residual_tol > 0:
-            raise InvalidInputError("residual_tol must be positive")
+        if not 0 < self.rel_rank_tol < 1:
+            raise InvalidInputError("rel_rank_tol must lie in (0, 1)")
+        if not 0 < self.residual_tol < np.inf:
+            raise InvalidInputError("residual_tol must be positive and finite")
         if self.num_samples < 1:
             raise InvalidInputError("num_samples must be >= 1")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be >= 0")
 
 
 def as_vector_matrix(vectors, ambient_dim=None):

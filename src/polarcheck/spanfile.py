@@ -1,10 +1,14 @@
 """Text ingestion of custom spans.
 
 Schema: optional '#' comment lines; the first token is the ambient matrix
-size s; every following group of s*s decimal reals is one basis matrix in
-row-major order.  Validation (membership in the ambient algebra, bracket
-closure) happens when the matrices are turned into a Subalgebra, so a bad
-file is rejected with the failing residual.
+size s; every following group of s*s finite decimal reals is one basis
+matrix in row-major order.
+
+A span file is input from outside the program: parse_span_file rejects
+malformed and non-finite entries, and the matrices then pass the membership
+check of LieAlgebra.coords_of and the closure check of
+Subalgebra.from_vectors, so a bad file is rejected with the failing
+residual.  Unlike a built-in embedding's, they may be dependent.
 """
 
 import numpy as np
@@ -42,4 +46,7 @@ def parse_span_file(path):
     except ValueError as exc:
         raise InvalidInputError(
             f"span file {path}: non-numeric entry ({exc})") from exc
+    if not np.isfinite(data).all():
+        raise InvalidInputError(
+            f"span file {path}: non-finite entry (nan or inf)")
     return size, list(data.reshape(-1, size, size))

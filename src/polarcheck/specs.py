@@ -74,7 +74,8 @@ def _span(args, algebra, tol, name):
         raise InvalidInputError(
             f"span file ambient size {size} does not match "
             f"{algebra.name} (size {algebra.ambient_size})")
-    return Subalgebra.from_matrices(algebra, mats, tol, name=name)
+    vecs = algebra.coords_of(mats, member_tol=tol.residual_tol)
+    return Subalgebra.from_vectors(algebra, vecs, tol, name=name)
 
 
 def resolve_factor(spec, algebra, tol):
@@ -160,7 +161,7 @@ def resolve_subgroup(spec, algebra, tol):
         if set(args) != {"h1", "h2"}:
             raise InvalidInputError("product takes exactly h1=..., h2=...")
         h1 = resolve_factor(args["h1"], algebra, tol)
-        # a repeated factor is resolved, and its closure checked, once
+        # a repeated factor is resolved once
         h2 = (h1 if args["h2"] == args["h1"]
               else resolve_factor(args["h2"], algebra, tol))
         return product(h1, h2, tol)

@@ -3,10 +3,14 @@
 A Subalgebra stores an orthonormalized coefficient basis with respect to its
 parent's invariant form, so residual thresholds have a uniform meaning.
 
-from_vectors and from_matrices check bracket closure, the only guarantee
-for spans and embeddings.  closed_span does not; full_subalgebra, product
-(of closed factors) and diagonal_sigma (the graph of an automorphism, which
-make_automorphism checks) use it because their closure is implied.
+Bracket closure is checked only on input from outside the program:
+from_vectors checks it for span files, whose matrices have passed the
+membership check of LieAlgebra.coords_of, and for the parts split_ideals
+cuts out.  The built-in embeddings (from_matrices, which keeps the
+membership check), full_subalgebra, product (of closed factors) and
+diagonal_sigma (the graph of an automorphism) are closed by construction,
+which the tests check once; closed_span checks only that the rank cut keeps
+every vector they give.
 
 closure_residual picks its method from two dimensions of the input, with
 no setting: when the complement q = dim l - dim h is smaller than k =
@@ -20,7 +24,7 @@ import numpy as np
 
 from .errors import (ClosureError, DimensionMismatchError,
                      InternalConsistencyError, InvalidInputError)
-from .lie_algebras import adjoint_matrix, span_closure_residual
+from .lie_algebras import span_closure_residual
 from .numerics import (as_vector_matrix, nullspace, orthogonal_complement,
                        orthonormal_basis, rank_of)
 
@@ -37,15 +41,27 @@ class Subalgebra:
 
     @classmethod
     def closed_span(cls, parent, vectors, tol, name=""):
-        """Orthonormalize coefficient vectors whose span is known closed."""
+        """Orthonormalize independent coefficient vectors of a closed span.
+
+        Raises InvalidInputError when the rank cut keeps fewer rows than
+        it was given, i.e. when rel_rank_tol is too coarse for them.
+        """
         vecs = as_vector_matrix(vectors, ambient_dim=parent.dim)
-        return cls(parent, orthonormal_basis(vecs, tol, chol=parent.chol),
-                   name=name)
+        sub = cls(parent, orthonormal_basis(vecs, tol, chol=parent.chol),
+                  name=name)
+        if sub.dim < len(vecs):
+            raise InvalidInputError(
+                f"{name or '<anonymous>'}: the rank cut keeps {sub.dim} of "
+                f"{len(vecs)} independent vectors; rel_rank_tol "
+                f"{tol.rel_rank_tol:g} is too coarse")
+        return sub
 
     @classmethod
     def from_vectors(cls, parent, vectors, tol, name=""):
         """Orthonormalize coefficient vectors and verify bracket closure."""
-        sub = cls.closed_span(parent, vectors, tol, name=name)
+        vecs = as_vector_matrix(vectors, ambient_dim=parent.dim)
+        sub = cls(parent, orthonormal_basis(vecs, tol, chol=parent.chol),
+                  name=name)
         residual = sub.closure_residual()
         if residual > tol.residual_tol:
             raise ClosureError(
@@ -55,9 +71,10 @@ class Subalgebra:
 
     @classmethod
     def from_matrices(cls, parent, matrices, tol, name=""):
-        """Build from ambient matrices that must lie in the parent algebra."""
+        """closed_span of independent ambient matrices of a built-in
+        embedding, which must lie in the parent algebra."""
         vecs = parent.coords_of(matrices, member_tol=tol.residual_tol)
-        return cls.from_vectors(parent, vecs, tol, name=name)
+        return cls.closed_span(parent, vecs, tol, name=name)
 
     def closure_residual(self):
         """Largest norm of a basis commutator's component outside the span,
@@ -80,10 +97,6 @@ class Subalgebra:
         full = np.linalg.qr(euc.T, mode='complete')[0]
         rest = np.linalg.solve(parent.chol, full[:, self.dim:]).T
         return span_closure_residual(mats, parent.frobenius_matrices(rest))
-
-    def gram_residual(self):
-        gram = self.basis @ self.parent.form @ self.basis.T
-        return float(np.abs(gram - np.eye(self.dim)).max(initial=0.0))
 
     def matrices(self):
         """Ambient matrices of the basis vectors."""
@@ -159,23 +172,3 @@ def split_ideals(h, tol):
             f"projection split identity fails for {h.name}: "
             f"{r_h} != {r_delta} + {h1_prime.dim}")
     return h1_prime, h2_prime, h_delta
-
-
-def conjugated_subalgebra(h, a, tol):
-    """Image of a subalgebra of l under Ad(a)."""
-    ad = adjoint_matrix(h.parent, a, member_tol=tol.residual_tol)
-    return Subalgebra.from_vectors(h.parent, h.basis @ ad.T, tol,
-                                   name=f"Ad({h.name})")
-
-
-def conjugated_pair_subalgebra(h, algebra, a, b, tol):
-    """Image of h in l(+)l under (Ad(a), Ad(b)); `algebra` is the factor l."""
-    n = algebra.dim
-    if h.parent.dim != 2 * n:
-        raise DimensionMismatchError("h does not live in the double of algebra")
-    left = h.basis[:, :n]
-    right = h.basis[:, n:]
-    ad_a = adjoint_matrix(algebra, a, member_tol=tol.residual_tol)
-    ad_b = adjoint_matrix(algebra, b, member_tol=tol.residual_tol)
-    vecs = np.hstack([left @ ad_a.T, right @ ad_b.T])
-    return Subalgebra.from_vectors(h.parent, vecs, tol, name=f"Ad({h.name})")

@@ -1,0 +1,62 @@
+"""Diagnostics and fixtures that only the tests use."""
+
+import numpy as np
+
+from polarcheck.errors import DimensionMismatchError
+from polarcheck.lie_algebras import adjoint_matrix, commutator
+from polarcheck.subalgebras import Subalgebra
+
+
+def killing_proportionality(algebra):
+    """Least-squares fit B = -c * form; returns (c, relative residual).
+
+    ad b_i is read off the coordinates of the commutators [b_i, b_j].
+    """
+    b = algebra.basis
+    ad = algebra.coords_of(commutator(b[:, None], b[None]))
+    ad = ad.reshape(algebra.dim, algebra.dim, algebra.dim)
+    killing = np.einsum('iml,jlm->ij', ad, ad, optimize=True)
+    g = algebra.form
+    denom = float(np.sum(g * g))
+    factor = -float(np.sum(killing * g)) / denom
+    residual = float(np.abs(killing + factor * g).max(initial=0.0))
+    scale = max(1.0, float(np.abs(killing).max(initial=0.0)))
+    return factor, residual / scale
+
+
+def gamma_anticommutation_residual(gammas):
+    """Max deviation from g_i g_j + g_j g_i = 2 s delta_ij with fitted sign s."""
+    size = gammas[0].shape[0]
+    sign = float(np.sign(np.trace(gammas[0] @ gammas[0])))
+    worst = 0.0
+    for i, gi in enumerate(gammas):
+        for j, gj in enumerate(gammas):
+            target = 2.0 * sign * np.eye(size) if i == j else 0.0
+            worst = max(worst, float(np.abs(gi @ gj + gj @ gi - target).max()))
+    return worst
+
+
+def gram_residual(sub):
+    """Largest deviation of a subalgebra's basis from form-orthonormality."""
+    gram = sub.basis @ sub.parent.form @ sub.basis.T
+    return float(np.abs(gram - np.eye(sub.dim)).max(initial=0.0))
+
+
+def conjugated_subalgebra(h, a, tol):
+    """Image of a subalgebra of l under Ad(a)."""
+    ad = adjoint_matrix(h.parent, a, member_tol=tol.residual_tol)
+    return Subalgebra.from_vectors(h.parent, h.basis @ ad.T, tol,
+                                   name=f"Ad({h.name})")
+
+
+def conjugated_pair_subalgebra(h, algebra, a, b, tol):
+    """Image of h in l(+)l under (Ad(a), Ad(b)); `algebra` is the factor l."""
+    n = algebra.dim
+    if h.parent.dim != 2 * n:
+        raise DimensionMismatchError("h does not live in the double of algebra")
+    left = h.basis[:, :n]
+    right = h.basis[:, n:]
+    ad_a = adjoint_matrix(algebra, a, member_tol=tol.residual_tol)
+    ad_b = adjoint_matrix(algebra, b, member_tol=tol.residual_tol)
+    vecs = np.hstack([left @ ad_a.T, right @ ad_b.T])
+    return Subalgebra.from_vectors(h.parent, vecs, tol, name=f"Ad({h.name})")

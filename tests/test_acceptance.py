@@ -7,13 +7,13 @@ import pytest
 
 from polarcheck.actions import ActionSpec, analyze, sample_group_point
 from polarcheck.catalog import (TABLE1_ROWS, catalog_entries, evaluate_entry,
-                                get_entry, verify_lemma71_obstruction,
-                                verify_table1)
+                                get_entry, verify_table1)
 from polarcheck.embeddings import g2_in_so7, spin_subalgebra
-from polarcheck.lie_algebras import build_classical, killing_proportionality
+from polarcheck.lie_algebras import build_classical
 from polarcheck.numerics import ToleranceConfig
-from polarcheck.subalgebras import (conjugated_pair_subalgebra,
-                                    full_subalgebra)
+from polarcheck.subalgebras import full_subalgebra
+
+from helpers import conjugated_pair_subalgebra, killing_proportionality
 
 TOL = ToleranceConfig()
 
@@ -86,9 +86,13 @@ def test_twisted_diagonal_actions():
 
 
 def test_diagonal_so7_obstruction():
-    results = verify_lemma71_obstruction(TOL)
-    ok = len(results) == 2
-    ok &= all(r.dim_h == 21 and r.cohomogeneity >= 7 for r in results)
+    ok = True
+    for entry_id in ("lemma71-standard", "lemma71-twisted"):
+        entry = get_entry(entry_id)
+        action = entry.builder(TOL)
+        result = evaluate_entry(entry, TOL)
+        ok &= (action.h.dim, action.algebra.dim) == (21, 28)
+        ok &= result.passed and result.details["cohomogeneity"] >= 7
     report("diagonal so(7) graphs in so(8)+so(8): cohomogeneity >= 7 "
            "(21 < 28 - 2)", ok)
 

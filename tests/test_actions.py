@@ -21,9 +21,10 @@ from polarcheck.lie_algebras import (build_classical, classical_basis,
                                      commutator, identity_automorphism)
 from polarcheck.numerics import ToleranceConfig, outside_norm
 from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
-from polarcheck.subalgebras import (conjugated_pair_subalgebra,
-                                    diagonal_sigma, full_subalgebra, product,
+from polarcheck.subalgebras import (diagonal_sigma, full_subalgebra, product,
                                     zero_subalgebra)
+
+from helpers import conjugated_pair_subalgebra
 
 
 def conjugation_action(family, n, tol):

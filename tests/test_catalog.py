@@ -2,7 +2,7 @@ import pytest
 
 from polarcheck.catalog import (TABLE1_ROWS, catalog_entries, evaluate_entry,
                                 get_entry, run_known_answer_suite,
-                                verify_lemma71_obstruction, verify_table1)
+                                verify_table1)
 from polarcheck.errors import InvalidInputError
 
 
@@ -39,13 +39,14 @@ class TestTable1:
 
 class TestObstruction:
     def test_both_variants(self, tol):
-        results = verify_lemma71_obstruction(tol)
-        assert {r.variant for r in results} == {"standard", "spin-twisted"}
-        for r in results:
-            assert r.dim_h == 21
-            assert r.dim_l == 28
-            assert r.cohomogeneity >= 7
-            assert r.passed
+        for entry_id in ("lemma71-standard", "lemma71-twisted"):
+            entry = get_entry(entry_id)
+            action = entry.builder(tol)
+            assert action.h.dim == 21
+            assert action.algebra.dim == 28
+            result = evaluate_entry(entry, tol)
+            assert result.details["cohomogeneity"] >= 7
+            assert result.passed
 
 
 class TestCatalog:

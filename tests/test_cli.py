@@ -119,6 +119,37 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error: cannot write")
 
+    @pytest.mark.parametrize("option", [
+        ["--seed", "-1"],
+        ["--residual-tol", "inf"],
+        ["--rank-tol", "inf"],
+    ])
+    def test_bad_tolerance_is_invalid_input(self, capsys, option):
+        code, out, err = run(capsys, ["analyze", "--group", "su3", "--subgroup",
+                                      "product(h1=su2,h2=su2)"] + option)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_negative_seed_from_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("POLARCHECK_SEED", "-3")
+        code, _, err = run(capsys, ["analyze", "--group", "su3", "--subgroup",
+                                    "delta(sigma=id)"])
+        assert code == 2
+        assert "seed must be >= 0" in err
+
+    @pytest.mark.parametrize("group,subgroup,rank_tol,kept", [
+        ("so6", "product(h1=u3,h2=zero)", "0.9", "6 of 9"),
+        # the cut used to shrink the diagonal, which read as not polar
+        ("su10", "delta(sigma=id)", "0.5", "96 of 99"),
+    ])
+    def test_rank_cut_too_coarse_for_a_subgroup(self, capsys, group,
+                                                 subgroup, rank_tol, kept):
+        code, out, err = run(capsys, ["analyze", "--group", group,
+                                      "--subgroup", subgroup,
+                                      "--rank-tol", rank_tol])
+        assert (code, out) == (2, "")
+        assert f"rank cut keeps {kept}" in err
+
     def test_bad_group(self, capsys):
         code, _, err = run(capsys, ["analyze", "--group", "xyz",
                                     "--subgroup", "delta(sigma=id)"])
@@ -153,6 +184,18 @@ class TestAnalyze:
         assert code == 2
         assert "not bracket-closed" in err
         assert "residual" in err
+
+    @pytest.mark.parametrize("entries", [
+        "0 nan nan 0",
+        "0 inf -inf 0",   # the membership residual would be nan
+    ])
+    def test_non_finite_span_file(self, capsys, tmp_path, entries):
+        path = tmp_path / "span.txt"
+        path.write_text(f"2\n{entries}\n")
+        code, out, err = run(capsys, ["analyze", "--group", "so2", "--subgroup",
+                                      f"product(h1=span(file={path}),h2=zero)"])
+        assert (code, out) == (2, "")
+        assert "non-finite entry" in err
 
     def test_valid_span_file(self, capsys, tmp_path):
         # the whole of su(2) as an explicit span: a transitive action
@@ -269,6 +312,13 @@ class TestVerifyTable1:
         payload = json.loads(out)
         assert len(payload) == 12
         assert all(r["passed"] for r in payload)
+
+    def test_rank_cut_too_coarse_for_a_row(self, capsys):
+        # s(u(3)u(1)) would otherwise shrink to its u(1) and fail the row
+        code, out, err = run(capsys, ["verify-table1", "--row", "sp-su-s_u_u1",
+                                      "--rank-tol", "0.5"])
+        assert (code, out) == (2, "")
+        assert "rank cut keeps 1 of 9" in err
 
     def test_bad_row_is_invalid_input(self, capsys):
         code, _, err = run(capsys, ["verify-table1", "--row", "nope"])

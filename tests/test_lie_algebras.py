@@ -8,7 +8,6 @@ from polarcheck.errors import ClosureError, InvalidInputError
 from polarcheck.lie_algebras import (LieAlgebra, build_classical,
                                      classical_basis, commutator,
                                      identity_automorphism,
-                                     killing_proportionality,
                                      make_automorphism,
                                      quaternion_left_matrices,
                                      quaternion_right_matrices,
@@ -16,6 +15,8 @@ from polarcheck.lie_algebras import (LieAlgebra, build_classical,
                                      so_basis, sp_basis_quaternion)
 from polarcheck.numerics import outside_norm
 from polarcheck.octonions import quaternion_table
+
+from helpers import killing_proportionality
 
 SMALL_CASES = [("so", 3), ("so", 5), ("so", 8), ("su", 2), ("su", 3),
                ("su", 4), ("sp", 1), ("sp", 2), ("u", 2), ("u", 3)]

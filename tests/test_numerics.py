@@ -33,8 +33,14 @@ class TestToleranceConfig:
     @pytest.mark.parametrize("kwargs", [
         {"rel_rank_tol": 0.0},
         {"rel_rank_tol": -1e-9},
+        {"rel_rank_tol": 1.0},
+        {"rel_rank_tol": float("inf")},
+        {"rel_rank_tol": float("nan")},
         {"residual_tol": 0.0},
+        {"residual_tol": float("inf")},
+        {"residual_tol": float("nan")},
         {"num_samples": 0},
+        {"seed": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidInputError):

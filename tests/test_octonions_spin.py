@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from polarcheck.embeddings import (g2_in_so7, gamma_anticommutation_residual,
-                                   gamma_matrices, spin_subalgebra)
+from polarcheck.embeddings import g2_in_so7, gamma_matrices, spin_subalgebra
 from polarcheck.errors import InvalidInputError
 from polarcheck.lie_algebras import build_classical
 from polarcheck.numerics import outside_norm
@@ -10,6 +9,8 @@ from polarcheck.octonions import (cayley_dickson_double, complex_table,
                                   derivation_matrices, octonion_table,
                                   quaternion_table, real_table,
                                   restrict_to_imaginary)
+
+from helpers import gamma_anticommutation_residual
 from polarcheck.subalgebras import Subalgebra
 
 

@@ -3,19 +3,21 @@ import pytest
 from scipy.linalg import expm
 
 from polarcheck import specs
-from polarcheck.catalog import catalog_entries, get_entry
+from polarcheck.catalog import (catalog_entries, get_entry,
+                                so7_diagonal_subalgebra)
 from polarcheck.embeddings import cartan_subalgebra, corner_so, so_in_su
 from polarcheck.errors import ClosureError, InvalidInputError
-from polarcheck.lie_algebras import (build_classical, commutator,
-                                     identity_automorphism, make_automorphism,
-                                     span_closure_residual)
+from polarcheck.lie_algebras import (adjoint_matrix, build_classical,
+                                     commutator, identity_automorphism,
+                                     make_automorphism, span_closure_residual)
 from polarcheck.numerics import orthogonal_complement, outside_norm
 from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
-from polarcheck.subalgebras import (Subalgebra, adjoint_matrix,
-                                    conjugated_pair_subalgebra,
-                                    conjugated_subalgebra, diagonal_sigma,
+from polarcheck.subalgebras import (Subalgebra, diagonal_sigma,
                                     full_subalgebra, product, split_ideals,
                                     zero_subalgebra)
+
+from helpers import (conjugated_pair_subalgebra, conjugated_subalgebra,
+                     gram_residual)
 
 
 class TestConstruction:
@@ -26,7 +28,7 @@ class TestConstruction:
         mix = np.random.default_rng(0).standard_normal((real.dim,) * 2)
         sub = Subalgebra.from_vectors(algebra, mix @ real.basis, tol)
         assert sub.dim == real.dim
-        assert sub.gram_residual() < 1e-10
+        assert gram_residual(sub) < 1e-10
 
     def test_closure_enforced(self, tol):
         algebra = build_classical("su", 2)
@@ -80,8 +82,58 @@ class TestDiagonalAndProduct:
             product(corner_so(a, 3, tol), corner_so(b, 3, tol), tol)
 
 
+# (group, factor) per built-in embedding builder, over a range of sizes
+BUILTIN_FACTORS = [
+    # corner_so
+    ("so3", "so2"), ("so6", "so5"), ("so10", "so4"), ("so12", "so11"),
+    # block_so
+    ("so5", "so2so3"), ("so8", "so4so4"), ("so11", "so5so6"),
+    # so_in_su
+    ("su3", "so3"), ("su5", "so5"), ("su7", "so7"),
+    # u_in_so, also special
+    ("so4", "u2"), ("so6", "su3"), ("so8", "u4"), ("so12", "u6"),
+    ("so12", "su6"),
+    # su_corner_in_su
+    ("su3", "su2"), ("su5", "su4"), ("su8", "su7"),
+    # s_u_u1_in_su
+    ("su3", "s_u_u1"), ("su5", "s_u_u1"), ("su8", "s_u_u1"),
+    # sp_in_su
+    ("su2", "sp1"), ("su4", "sp2"), ("su6", "sp3"), ("su8", "sp4"),
+    # sp_in_so, with each right factor
+    ("so4", "sp1"), ("so8", "sp2u1"), ("so12", "sp3sp1"), ("so12", "sp3"),
+    # g2_in_so7 and spin_subalgebra
+    ("so7", "g2"), ("so8", "spin7"), ("so16", "spin9"),
+    # cartan_subalgebra
+    ("su2", "cartan"), ("su8", "cartan"), ("so2", "cartan"),
+    ("so12", "cartan"), ("sp1", "cartan"), ("sp4", "cartan"),
+]
+
+
 class TestImpliedClosure:
-    # product and diagonal_sigma do not check closure; it must hold anyway
+    # built-in embeddings, product and diagonal_sigma do not check closure
+    # at run time; it must hold anyway, and is checked here once
+    @pytest.mark.parametrize("group,factor", BUILTIN_FACTORS)
+    def test_builtin_factor_is_closed(self, group, factor, tol):
+        h = resolve_factor(factor, parse_group(group), tol)
+        assert h.dim > 0
+        assert h.closure_residual() < 1e-12
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_so7_graph_is_closed(self, twisted, tol):
+        h, _ = so7_diagonal_subalgebra(tol, twisted)
+        assert h.closure_residual() < 1e-12
+
+    def test_builtins_never_check_closure(self, tol, monkeypatch):
+        def refuse(sub):
+            raise AssertionError(f"closure checked on {sub.name}")
+
+        monkeypatch.setattr(Subalgebra, "closure_residual", refuse)
+        for group, factor in BUILTIN_FACTORS + [("su3", "full"),
+                                                ("su3", "zero")]:
+            resolve_factor(factor, parse_group(group), tol)
+        for entry in catalog_entries():
+            entry.builder(tol)
+
     @pytest.mark.parametrize("entry_id", [e.entry_id for e in catalog_entries()
                                           if e.kind == "action"])
     def test_catalog_actions(self, entry_id, tol):
