@@ -66,6 +66,9 @@ def check_group_membership(algebra, g, tol):
     g = np.asarray(g, dtype=float)
     if g.shape != (algebra.ambient_size,) * 2:
         raise InvalidInputError("group element has the wrong ambient size")
+    if not np.isfinite(g).all():
+        raise InvalidInputError(
+            "group element has a non-finite entry (nan or inf)")
     ortho = float(np.abs(g.T @ g - np.eye(algebra.ambient_size)).max())
     if ortho > np.sqrt(tol.residual_tol):
         raise InvalidInputError(
@@ -156,7 +159,7 @@ def polarity_check(action, g, tol, max_orbit_dim):
             f"point has orbit dimension {tangent.shape[0]} < sampled maximum "
             f"{max_orbit_dim}; the criterion needs a principal point "
             "(raise num_samples / --samples if sampling looks unlucky)")
-    nu = orthogonal_complement(tangent, algebra.form, tol, chol=algebra.chol)
+    nu = orthogonal_complement(tangent, tol, algebra.chol)
     cohom, n = nu.shape
     dim_t = tangent.shape[0]
     size = algebra.ambient_size ** 2

@@ -157,28 +157,20 @@ def sp_in_su(ambient, tol):
     if ambient.family != "su" or ambient.n % 2 != 0:
         raise InvalidInputError("sp(m) embeds into su(2m)")
     m = ambient.n // 2
-    mats = []
-    # A skew-Hermitian, B = 0
-    for a in _u_basis_complex(m):
-        z = np.zeros((2 * m, 2 * m), dtype=complex)
-        z[:m, :m] = a
-        z[m:, m:] = np.conj(a)
-        mats.append(realify_complex(z))
-    # A = 0, B complex symmetric
-    sym = []
-    for i in range(m):
-        for j in range(i, m):
-            b = np.zeros((m, m), dtype=complex)
-            b[i, j] = b[j, i] = 1.0
-            sym.append(b)
-            b = np.zeros((m, m), dtype=complex)
-            b[i, j] = b[j, i] = 1j
-            sym.append(b)
-    for b in sym:
-        z = np.zeros((2 * m, 2 * m), dtype=complex)
-        z[m:, :m] = b
-        z[:m, m:] = -np.conj(b)
-        mats.append(realify_complex(z))
+    # A skew-Hermitian with B = 0, then A = 0 with B complex symmetric:
+    # B_ij = B_ji = 1, then = i, for each i <= j
+    a = _u_basis_complex(m)
+    rows, cols = np.triu_indices(m)
+    sym = np.zeros((rows.size, m, m))
+    sym[np.arange(rows.size), rows, cols] = 1.0
+    sym[np.arange(rows.size), cols, rows] = 1.0
+    b = np.stack([sym, 1j * sym], axis=1).reshape(-1, m, m)
+    z = np.zeros((len(a) + len(b), 2 * m, 2 * m), dtype=complex)
+    z[:len(a), :m, :m] = a
+    z[:len(a), m:, m:] = np.conj(a)
+    z[len(a):, m:, :m] = b
+    z[len(a):, :m, m:] = -np.conj(b)
+    mats = realify_complex(z)
     return Subalgebra.from_matrices(ambient, mats, tol, name=f"sp({m})")
 
 
@@ -225,11 +217,10 @@ def cartan_subalgebra(ambient, tol):
     elif ambient.family == "sp":
         table = quaternion_table()
         left = quaternion_left_matrices(table)
-        mats = []
-        for k in range(ambient.n):
-            q = np.zeros((ambient.n, ambient.n, 4))
-            q[k, k, 1] = 1.0
-            mats.append(realify_quaternion(q, left))
+        n = np.arange(ambient.n)
+        q = np.zeros((ambient.n, ambient.n, ambient.n, 4))
+        q[n, n, n, 1] = 1.0  # i on the k-th diagonal entry of matrix k
+        mats = realify_quaternion(q, left)
     else:
         raise InvalidInputError(f"no Cartan recipe for {ambient.name}")
     return Subalgebra.from_matrices(ambient, mats, tol, name="cartan")

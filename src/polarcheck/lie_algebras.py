@@ -96,35 +96,17 @@ def pair_commutators(mats, extra_floats=0):
         yield comms.reshape(-1, size)
 
 
-def span_closure_residual(mats, complement=None):
+def span_closure_residual(mats):
     """Largest Frobenius norm of a component of [M_i, M_j] outside span(M),
     for Frobenius-orthonormal skew matrices (or pairs of blocks) M.
 
-    Without complement, each [M_i, M_j], i < j, is projected onto span(M):
-    k^2/2 commutators and a k-dimensional projection of each.  complement,
-    a Frobenius-orthonormal basis R of the complement of span(M) in a
-    bracket-closed algebra, gives the outside component's coordinates
-    instead: by ad-invariance <[M_i, M_j], R_m> = <M_i, [M_j, R_m]>, and
-    for skew M_j, R_m the commutator is P - P^T with P = M_j R_m, while
-    <M_i, P^T> = -<M_i, P>, so the coordinate is 2 <M_i, M_j R_m> (block
-    by block on pairs).  Only the k q products M_j R_m are formed, a block
-    of j at a time, and contracted with M.  That is cheaper when q < k.
+    Each [M_i, M_j], i < j, is projected onto span(M), a block of pairs at
+    a time (see pair_commutators); k matrices give k(k-1)/2 commutators.
     """
     size = int(np.prod(mats.shape[1:]))
     flat = mats.reshape(mats.shape[0], size)
-    if complement is None:
-        return max((outside_norm(comms, flat)
-                    for comms in pair_commutators(mats)), default=0.0)
-    k, q = len(mats), len(complement)
-    if q == 0:
-        return 0.0
-    worst = 0.0
-    for rows in row_blocks(k, q * (size + k)):
-        prods = mats[rows, None] @ complement[None]
-        coords = (flat @ prods.reshape(-1, size).T).reshape(k, -1, q)
-        worst = max(worst, float(np.einsum('ijm,ijm->ij', coords, coords)
-                                 .max(initial=0.0)))
-    return 2.0 * float(np.sqrt(worst))
+    return max((outside_norm(comms, flat)
+                for comms in pair_commutators(mats)), default=0.0)
 
 
 class LieAlgebra:
@@ -169,14 +151,17 @@ class LieAlgebra:
     def from_basis(cls, name, basis, trace_scale=1.0, family=None, n=None):
         """Algebra on caller-given skew matrices, checking their span.
 
-        Raises InvalidInputError if the matrices are not skew or are
-        dependent, ClosureError if their span is not closed under
-        commutators and InvalidFormError if -tr(XY) is not positive definite
-        on it.
+        Raises InvalidInputError if the matrices have a non-finite entry,
+        are not skew or are dependent, ClosureError if their span is not
+        closed under commutators and InvalidFormError if -tr(XY) is not
+        positive definite on it.
         """
         basis = np.asarray(basis, dtype=float)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
             raise DimensionMismatchError("basis must be a list of square matrices")
+        if not np.isfinite(basis).all():
+            raise InvalidInputError(
+                f"{name}: basis matrices have a non-finite entry (nan or inf)")
         dim, s, _ = basis.shape
         asym = np.abs(basis + basis.swapaxes(1, 2)).max(initial=0.0)
         if asym > _CONSTRUCT_TOL * max(1.0, np.abs(basis).max(initial=0.0)):
@@ -222,12 +207,16 @@ class LieAlgebra:
     def coords_of(self, mats, member_tol=1e-8):
         """Coefficient rows of a stack of ambient matrices.
 
-        Raises ClosureError when a matrix is not in the algebra, i.e. when
-        its residual relative to max(1, its largest entry) exceeds
-        member_tol.  The stack is taken in blocks, as in outside_norm.
+        Raises InvalidInputError on a non-finite entry and ClosureError
+        when a matrix is not in the algebra, i.e. when its residual
+        relative to max(1, its largest entry) exceeds member_tol.  The
+        stack is taken in row_blocks.
         """
         size = self.ambient_size
         mats = np.asarray(mats, dtype=float).reshape(-1, size, size)
+        if not np.isfinite(mats).all():
+            raise InvalidInputError(
+                f"matrix for {self.name} has a non-finite entry (nan or inf)")
         coords = np.empty((mats.shape[0], self.dim))
         residual = 0.0
         for rows in row_blocks(mats.shape[0], size * size):

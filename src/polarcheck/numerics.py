@@ -126,17 +126,14 @@ def orthonormal_basis(vectors, tol, chol=None, scale=None):
     return np.linalg.solve(chol, onb_euc.T).T
 
 
-def orthogonal_complement(vectors, form, tol, chol=None):
-    """Orthonormal basis (w.r.t. form) of the complement of span(vectors).
+def orthogonal_complement(vectors, tol, chol):
+    """Orthonormal basis, w.r.t. the form chol.T @ chol, of the complement
+    of span(vectors), a (k, d) array with d = len(chol).
 
-    The ambient dimension is read off the form.  An empty input yields an
-    orthonormal basis of the whole space.
+    It is the nullspace of the vectors in Cholesky coordinates, mapped
+    back; an empty input yields an orthonormal basis of the whole space.
     """
-    if chol is None:
-        chol = cholesky_factor(form)
-    d = chol.shape[0]
-    mat = as_vector_matrix(vectors, ambient_dim=d) if not isinstance(
-        vectors, np.ndarray) else np.asarray(vectors, dtype=float).reshape(-1, d)
+    mat = np.asarray(vectors, dtype=float).reshape(-1, chol.shape[0])
     return np.linalg.solve(chol, nullspace(mat @ chol.T, tol).T).T
 
 
@@ -164,15 +161,11 @@ def outside_norm(vectors, onb):
     vectors is any array whose last axis holds coordinates; onb holds
     orthonormal rows, possibly none, in which case this is the largest
     norm.  A form-norm is this norm of coordinates mapped through the
-    form's Cholesky factor.  The stack is taken in blocks, so the
-    temporaries stay small next to a large input.
+    form's Cholesky factor.  The stack is taken whole;
+    span_closure_residual hands it one block of commutators at a time.
     """
-    flat = vectors.reshape(-1, vectors.shape[-1])
-    worst = 0.0
-    for rows in row_blocks(flat.shape[0], flat.shape[1]):
-        rest = flat[rows]
-        if onb.shape[0]:
-            rest = rest - (rest @ onb.T) @ onb
-        sq = np.einsum('ak,ak->a', rest, rest)
-        worst = max(worst, float(sq.max(initial=0.0)))
-    return float(np.sqrt(worst))
+    rest = vectors.reshape(-1, vectors.shape[-1])
+    if onb.shape[0]:
+        rest = rest - (rest @ onb.T) @ onb
+    sq = np.einsum('ak,ak->a', rest, rest)
+    return float(np.sqrt(sq.max(initial=0.0)))

@@ -3,21 +3,16 @@
 A Subalgebra stores an orthonormalized coefficient basis with respect to its
 parent's invariant form, so residual thresholds have a uniform meaning.
 
-Bracket closure is checked only on input from outside the program:
-from_vectors checks it for span files, whose matrices have passed the
-membership check of LieAlgebra.coords_of, and for the parts split_ideals
-cuts out.  The built-in embeddings (from_matrices, which keeps the
-membership check), full_subalgebra, product (of closed factors) and
-diagonal_sigma (the graph of an automorphism) are closed by construction,
-which the tests check once; closed_span checks only that the rank cut keeps
-every vector they give.
-
-closure_residual picks its method from two dimensions of the input, with
-no setting: when the complement q = dim l - dim h is smaller than k =
-dim h (so19 in so20, su9 in su10), it brackets h with an orthonormal basis
-of the complement, k q commutators; otherwise (a Cartan or spin(9) in
-so(16), a diagonal) it projects the k^2/2 commutators of h onto h, which
-is then the cheaper of the two.
+Bracket closure is checked one way, and only on input from outside the
+program: closure_residual projects the commutators of the basis onto the
+span (span_closure_residual, which LieAlgebra.from_basis calls on
+caller-given matrices too).  from_vectors runs it for span files, whose
+matrices have passed the membership check of LieAlgebra.coords_of, and for
+the parts split_ideals cuts out.  The built-in embeddings (from_matrices,
+which keeps the membership check), full_subalgebra, product (of closed
+factors) and diagonal_sigma (the graph of an automorphism) are closed by
+construction, which the tests check once; closed_span checks only that the
+rank cut keeps every vector they give.
 """
 
 import numpy as np
@@ -25,8 +20,7 @@ import numpy as np
 from .errors import (ClosureError, DimensionMismatchError,
                      InternalConsistencyError, InvalidInputError)
 from .lie_algebras import span_closure_residual
-from .numerics import (as_vector_matrix, nullspace, orthogonal_complement,
-                       orthonormal_basis, rank_of)
+from .numerics import as_vector_matrix, nullspace, orthonormal_basis, rank_of
 
 
 class Subalgebra:
@@ -80,23 +74,11 @@ class Subalgebra:
         """Largest norm of a basis commutator's component outside the span,
         in the unit-trace-scale form (see LieAlgebra.frobenius_matrices).
 
-        When the complement of h in the parent is smaller than h, the
-        residual is read off the coordinates along an orthonormal basis of
-        that complement (see span_closure_residual), which forms fewer
-        commutators and projects none onto h; otherwise commutators are
-        projected onto h, the cheaper way for a small h.  The complement is
-        completed from h's basis by a complete QR in Cholesky coordinates,
-        which needs no tolerance.  h = l has an empty complement and
-        residual 0.
+        The commutators are projected onto h by span_closure_residual; the
+        zero subalgebra has residual 0.
         """
-        parent = self.parent
-        mats = parent.frobenius_matrices(self.basis)
-        if 2 * self.dim <= parent.dim:
-            return span_closure_residual(mats)
-        euc = self.basis @ parent.chol.T
-        full = np.linalg.qr(euc.T, mode='complete')[0]
-        rest = np.linalg.solve(parent.chol, full[:, self.dim:]).T
-        return span_closure_residual(mats, parent.frobenius_matrices(rest))
+        return span_closure_residual(
+            self.parent.frobenius_matrices(self.basis))
 
     def matrices(self):
         """Ambient matrices of the basis vectors."""
@@ -150,7 +132,8 @@ def split_ideals(h, tol):
     in_first = nullspace(basis[:, n:].T, tol)   # coefficients killing pi_2
     in_second = nullspace(basis[:, :n].T, tol)  # coefficients killing pi_1
     inside = np.vstack([in_first, in_second])
-    delta_coeffs = orthogonal_complement(inside, np.eye(h.dim), tol)
+    # coefficients over h's form-orthonormal basis: a Euclidean complement
+    delta_coeffs = nullspace(inside, tol)
 
     def build(coeffs, name):
         try:

@@ -17,8 +17,9 @@ from polarcheck.actions import (ActionSpec, analyze, check_group_membership,
                                 sample_group_point)
 from polarcheck.embeddings import cartan_subalgebra, corner_so, so_in_su
 from polarcheck.errors import InvalidInputError, NonPrincipalPointError
-from polarcheck.lie_algebras import (build_classical, classical_basis,
-                                     commutator, identity_automorphism)
+from polarcheck.lie_algebras import (LieAlgebra, build_classical,
+                                     classical_basis, commutator,
+                                     identity_automorphism, make_automorphism)
 from polarcheck.numerics import ToleranceConfig, outside_norm
 from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
 from polarcheck.subalgebras import (diagonal_sigma, full_subalgebra, product,
@@ -73,6 +74,25 @@ class TestOrbitTangent:
             check_group_membership(algebra, 2.0 * np.eye(4), tol)
         with pytest.raises(InvalidInputError):
             check_group_membership(algebra, np.eye(3), tol)
+
+
+NAN_6X6 = np.full((6, 6), np.nan)
+NON_FINITE_CALLS = {
+    "from_basis": lambda su3, tol: LieAlgebra.from_basis(
+        "x", [[[0.0, np.nan], [-np.nan, 0.0]]]),
+    "coords_of": lambda su3, tol: su3.coords_of(NAN_6X6[None]),
+    "inner_automorphism": lambda su3, tol: make_automorphism(
+        su3, "inner", k=NAN_6X6),
+    "group_membership": lambda su3, tol: check_group_membership(
+        su3, NAN_6X6, tol),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+def test_non_finite_library_input_is_invalid(call, tol):
+    # a NaN fails every `residual > tol` comparison, so it must stop here
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        NON_FINITE_CALLS[call](build_classical("su", 3), tol)
 
 
 class TestCohomogeneity:

@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarcheck.actions import ActionSpec, analyze
 from polarcheck.errors import InvalidFormError, InvalidInputError
 from polarcheck import numerics
+from polarcheck.lie_algebras import build_classical
 from polarcheck.numerics import (ToleranceConfig, cholesky_factor, nullspace,
                                  orthogonal_complement, orthonormal_basis,
                                  outside_norm, rank_cut, rank_of)
+from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
+from polarcheck.subalgebras import Subalgebra
 
 
 TOL = ToleranceConfig()
@@ -139,7 +143,7 @@ class TestComplement:
     def test_dimensions_add_up(self, seed, rows, d):
         mat = random_matrix(seed, rows, d)
         form = random_spd(seed + 1, d)
-        comp = orthogonal_complement(mat, form, TOL)
+        comp = orthogonal_complement(mat, TOL, chol=cholesky_factor(form))
         assert rank_of(mat, TOL) + comp.shape[0] == d
 
     @given(seed=st.integers(0, 10**6), rows=st.integers(1, 6),
@@ -148,12 +152,13 @@ class TestComplement:
     def test_complement_is_orthogonal(self, seed, rows, d):
         mat = random_matrix(seed, rows, d)
         form = random_spd(seed + 1, d)
-        comp = orthogonal_complement(mat, form, TOL)
+        comp = orthogonal_complement(mat, TOL, chol=cholesky_factor(form))
         if comp.shape[0]:
             assert np.abs(mat @ form @ comp.T).max() < 1e-8 * np.abs(mat).max()
 
     def test_empty_input_gives_whole_space(self):
-        comp = orthogonal_complement(np.zeros((0, 3)), np.eye(3), TOL)
+        comp = orthogonal_complement(np.zeros((0, 3)), TOL,
+                                     chol=cholesky_factor(np.eye(3)))
         assert comp.shape == (3, 3)
 
 
@@ -205,8 +210,25 @@ class TestResiduals:
         assert outside_norm(stack[:, :0], onb) == 0.0
 
     def test_blocks_do_not_change_the_result(self, tol, monkeypatch):
-        onb = orthonormal_basis(random_matrix(9, 2, 5), tol)
-        stack = random_matrix(10, 50, 5)
-        whole = outside_norm(stack, onb)
-        monkeypatch.setattr(numerics, "_BLOCK_BYTES", 8 * 5 * 3)
-        assert outside_norm(stack, onb) == pytest.approx(whole, rel=1e-12)
+        # pair_commutators walks the commutators of closure_residual and
+        # polarity_check in blocks; a few rows a block must give the same
+        so6 = build_classical("so", 6)
+        vecs = np.vstack([resolve_factor("so5", so6, tol).basis,
+                          random_matrix(3, 1, so6.dim)])
+        open_span = Subalgebra.closed_span(so6, vecs, tol)
+        su3 = parse_group("su3")
+        # cohomogeneity 2 and 5: one and ten pairs of normal vectors
+        actions = [ActionSpec(su3, resolve_subgroup(spec, su3, tol))
+                   for spec in ("product(h1=su2,h2=su2)",
+                                "product(h1=su2,h2=zero)")]
+
+        def residuals():
+            reports = [analyze(action, tol) for action in actions]
+            return np.array([open_span.closure_residual()] + [
+                value for r in reports for value in (
+                    r.residual_triple, r.residual_orth, r.residual_abelian)])
+
+        whole = residuals()
+        assert whole.min() > 0.1
+        monkeypatch.setattr(numerics, "_BLOCK_BYTES", 8 * 36 * 3)
+        assert np.abs(residuals() - whole).max() < 1e-12

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from polarcheck import specs
+from polarcheck import embeddings, specs
 from polarcheck.catalog import (catalog_entries, get_entry,
                                 so7_diagonal_subalgebra)
 from polarcheck.embeddings import cartan_subalgebra, corner_so, so_in_su
 from polarcheck.errors import ClosureError, InvalidInputError
-from polarcheck.lie_algebras import (adjoint_matrix, build_classical,
-                                     commutator, identity_automorphism,
-                                     make_automorphism, span_closure_residual)
-from polarcheck.numerics import orthogonal_complement, outside_norm
+from polarcheck.lie_algebras import (_u_basis_complex, adjoint_matrix,
+                                     build_classical, commutator,
+                                     identity_automorphism, make_automorphism,
+                                     quaternion_left_matrices, realify_complex,
+                                     realify_quaternion, span_closure_residual)
+from polarcheck.octonions import quaternion_table
+from polarcheck.numerics import outside_norm
 from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
 from polarcheck.subalgebras import (Subalgebra, diagonal_sigma,
                                     full_subalgebra, product, split_ideals,
@@ -181,31 +184,28 @@ def _open_so6_span(tol, corner):
     return Subalgebra.closed_span(so6, vecs, tol)
 
 
-# name -> (builder, whether closure_residual takes the complement branch)
+# name -> builder of a subalgebra whose closure residual is checked
 CLOSURE_CASES = {
-    "so5-in-so6": (lambda tol: resolve_factor("so5", parse_group("so6"), tol),
-                   True),
-    "spin7-in-so8": (
-        lambda tol: resolve_factor("spin7", parse_group("so8"), tol), True),
-    "cartan-in-su4": (
-        lambda tol: resolve_factor("cartan", parse_group("su4"), tol), False),
-    "open-so5-plus-one": (lambda tol: _open_so6_span(tol, True), True),
-    "open-two-vectors": (lambda tol: _open_so6_span(tol, False), False),
-    "su3-full-x-so3": (lambda tol: resolve_subgroup(
-        "product(h1=full,h2=so3)", parse_group("su3"), tol), True),
-    "su3-delta-id": (lambda tol: resolve_subgroup(
-        "delta(sigma=id)", parse_group("su3"), tol), False),
-    "su3-whole": (lambda tol: full_subalgebra(parse_group("su3"), tol), True),
-    "su3-zero": (lambda tol: zero_subalgebra(parse_group("su3")), False),
-    "u3-in-so6": (lambda tol: resolve_factor("u3", parse_group("so6"), tol),
-                  True),
-    "su3-in-su4": (lambda tol: resolve_factor("su3", parse_group("su4"), tol),
-                   True),
+    "so5-in-so6": lambda tol: resolve_factor("so5", parse_group("so6"), tol),
+    "spin7-in-so8": lambda tol: resolve_factor("spin7", parse_group("so8"),
+                                               tol),
+    "cartan-in-su4": lambda tol: resolve_factor("cartan", parse_group("su4"),
+                                                tol),
+    "open-so5-plus-one": lambda tol: _open_so6_span(tol, True),
+    "open-two-vectors": lambda tol: _open_so6_span(tol, False),
+    "su3-full-x-so3": lambda tol: resolve_subgroup(
+        "product(h1=full,h2=so3)", parse_group("su3"), tol),
+    "su3-delta-id": lambda tol: resolve_subgroup(
+        "delta(sigma=id)", parse_group("su3"), tol),
+    "su3-whole": lambda tol: full_subalgebra(parse_group("su3"), tol),
+    "su3-zero": lambda tol: zero_subalgebra(parse_group("su3")),
+    "u3-in-so6": lambda tol: resolve_factor("u3", parse_group("so6"), tol),
+    "su3-in-su4": lambda tol: resolve_factor("su3", parse_group("su4"), tol),
 }
 
 
 class TestClosureReference:
-    """closure_residual, on both branches, against brute force."""
+    """closure_residual against brute force."""
 
     @staticmethod
     def brute_force(h):
@@ -217,18 +217,10 @@ class TestClosureReference:
 
     @pytest.mark.parametrize("case", sorted(CLOSURE_CASES))
     def test_branches_match_brute_force(self, case, tol):
-        build, uses_complement = CLOSURE_CASES[case]
-        h = build(tol)
-        parent = h.parent
-        # closure_residual takes the complement branch when it is smaller
-        assert (2 * h.dim > parent.dim) == uses_complement
-        mats = parent.frobenius_matrices(h.basis)
-        rest = orthogonal_complement(h.basis, parent.form, tol,
-                                     chol=parent.chol)
+        h = CLOSURE_CASES[case](tol)
         reference = self.brute_force(h)
-        for residual in (h.closure_residual(), span_closure_residual(mats),
-                         span_closure_residual(
-                             mats, parent.frobenius_matrices(rest))):
+        mats = h.parent.frobenius_matrices(h.basis)
+        for residual in (h.closure_residual(), span_closure_residual(mats)):
             assert residual == pytest.approx(reference, abs=1e-12)
 
     def test_open_spans_are_open(self, tol):
@@ -238,9 +230,9 @@ class TestClosureReference:
     def test_whole_algebra_has_an_empty_complement(self, tol):
         for group in ("su3", "so6"):
             algebra = parse_group(group)
-            assert full_subalgebra(algebra, tol).closure_residual() == 0.0
+            assert full_subalgebra(algebra, tol).closure_residual() < 1e-14
             whole = resolve_subgroup("product(h1=full,h2=full)", algebra, tol)
-            assert whole.closure_residual() == 0.0
+            assert whole.closure_residual() < 1e-14
 
 
 class TestSplitIdeals:
@@ -363,3 +355,47 @@ class TestConjugation:
         moved = conjugated_pair_subalgebra(h, algebra, a, b, tol)
         assert moved.dim == h.dim
         assert moved.closure_residual() < 1e-9
+
+
+class TestStackedEmbeddings:
+    """Builders that realify one stack give the matrices of the loops they
+    replaced, bit for bit."""
+
+    @staticmethod
+    def built_matrices(monkeypatch, builder, ambient, tol):
+        monkeypatch.setattr(embeddings.Subalgebra, "from_matrices",
+                            lambda parent, mats, tol, name: np.asarray(mats))
+        return builder(ambient, tol)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_sp_in_su(self, m, tol, monkeypatch):
+        expected = []
+        for a in _u_basis_complex(m):
+            z = np.zeros((2 * m, 2 * m), dtype=complex)
+            z[:m, :m] = a
+            z[m:, m:] = np.conj(a)
+            expected.append(realify_complex(z))
+        for i in range(m):
+            for j in range(i, m):
+                for value in (1.0, 1j):
+                    b = np.zeros((m, m), dtype=complex)
+                    b[i, j] = b[j, i] = value
+                    z = np.zeros((2 * m, 2 * m), dtype=complex)
+                    z[m:, :m] = b
+                    z[:m, m:] = -np.conj(b)
+                    expected.append(realify_complex(z))
+        mats = self.built_matrices(monkeypatch, embeddings.sp_in_su,
+                                   build_classical("su", 2 * m), tol)
+        assert np.array_equal(mats, np.array(expected))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_sp_cartan(self, n, tol, monkeypatch):
+        left = quaternion_left_matrices(quaternion_table())
+        expected = []
+        for k in range(n):
+            q = np.zeros((n, n, 4))
+            q[k, k, 1] = 1.0
+            expected.append(realify_quaternion(q, left))
+        mats = self.built_matrices(monkeypatch, embeddings.cartan_subalgebra,
+                                   build_classical("sp", n), tol)
+        assert np.array_equal(mats, np.array(expected))
