@@ -68,11 +68,8 @@ def spin_bivectors(n):
 
 def spin_subalgebra(ambient, n, tol):
     """span{g_i g_j / 2 : i < j} inside so(8) (n=7) or so(16) (n=9)."""
-    if n not in (7, 9):
-        raise InvalidInputError("spin embedding only for n in {7, 9}")
-    expected = {7: 8, 9: 16}[n]
-    if ambient.family != "so" or ambient.n != expected:
-        raise InvalidInputError(f"spin({n}) embeds into so({expected})")
+    if ambient.family != "so" or ambient.n != {7: 8, 9: 16}.get(n):
+        raise InvalidInputError(f"spin({n}) does not embed in {ambient.name}")
     return Subalgebra.from_matrices(ambient, spin_bivectors(n), tol,
                                     name=f"spin({n})")
 
@@ -95,15 +92,19 @@ def corner_so(ambient, k, tol, offset=0):
         name=f"so({k})")
 
 
-def so_in_su(ambient, tol):
+def so_in_su(ambient, tol, k):
     """The real points so(n) inside su(n) (fixed set of conjugation)."""
-    mats = realify_complex(so_basis(ambient.n))
-    return Subalgebra.from_matrices(ambient, mats, tol,
-                                    name=f"so({ambient.n})")
+    if ambient.family != "su" or ambient.n != k:
+        raise InvalidInputError(f"so({k}) does not embed in {ambient.name}")
+    mats = realify_complex(so_basis(k))
+    return Subalgebra.from_matrices(ambient, mats, tol, name=f"so({k})")
 
 
 def block_so(ambient, sizes, tol):
     """so(k1)(+)so(k2)(+)... in consecutive diagonal blocks of so(N)."""
+    name = "(+)".join(f"so({k})" for k in sizes)
+    if ambient.family != "so" or sum(sizes) > ambient.n:
+        raise InvalidInputError(f"{name} does not fit in {ambient.name}")
     vecs = []
     offset = 0
     for k in sizes:
@@ -111,19 +112,17 @@ def block_so(ambient, sizes, tol):
         if sub.dim:
             vecs.append(sub.basis)
         offset += k
-    name = "(+)".join(f"so({k})" for k in sizes)
     if not vecs:
         return zero_subalgebra(ambient, name=name)
     return Subalgebra.closed_span(ambient, np.vstack(vecs), tol, name=name)
 
 
-def u_in_so(ambient, tol, special=False):
+def u_in_so(ambient, tol, m, special=False):
     """u(m) (or su(m)) of a complex structure on R^{2m} inside so(2m)."""
-    if ambient.family != "so" or ambient.n % 2 != 0:
-        raise InvalidInputError("u(m) embeds into so(2m)")
-    m = ambient.n // 2
-    mats = realify_complex(_u_basis_complex(m, special))
     name = f"su({m})" if special else f"u({m})"
+    if ambient.family != "so" or ambient.n != 2 * m:
+        raise InvalidInputError(f"{name} does not embed in {ambient.name}")
+    mats = realify_complex(_u_basis_complex(m, special))
     return Subalgebra.from_matrices(ambient, mats, tol, name=name)
 
 
@@ -139,11 +138,13 @@ def su_corner_in_su(ambient, k, tol):
 
 
 def s_u_u1_in_su(ambient, tol):
-    """s(u(N-1)+u(1)): the su(N-1) corner plus the traceless i-diagonal."""
+    """s(u(N-1)+u(1)): the su(N-1) corner (zero in su(2)) plus the traceless
+    i-diagonal."""
     if ambient.family != "su":
-        raise InvalidInputError("s(u(k)u(1)) lives in su(N)")
+        raise InvalidInputError(f"s_u_u1 does not embed in {ambient.name}")
     big = ambient.n
-    corner = su_corner_in_su(ambient, big - 1, tol)
+    corner = (su_corner_in_su(ambient, big - 1, tol) if big > 2
+              else zero_subalgebra(ambient))
     extra = np.zeros((big, big), dtype=complex)
     extra[np.diag_indices(big)] = 1j
     extra[big - 1, big - 1] = 1j * (1 - big)
@@ -152,11 +153,10 @@ def s_u_u1_in_su(ambient, tol):
                                   name=f"s(u({big - 1})u(1))")
 
 
-def sp_in_su(ambient, tol):
+def sp_in_su(ambient, tol, m):
     """sp(m) = {[[A, -conj(B)], [B, conj(A)]]} inside su(2m)."""
-    if ambient.family != "su" or ambient.n % 2 != 0:
-        raise InvalidInputError("sp(m) embeds into su(2m)")
-    m = ambient.n // 2
+    if ambient.family != "su" or ambient.n != 2 * m:
+        raise InvalidInputError(f"sp({m}) does not embed in {ambient.name}")
     # A skew-Hermitian with B = 0, then A = 0 with B complex symmetric:
     # B_ij = B_ji = 1, then = i, for each i <= j
     a = _u_basis_complex(m)
@@ -174,15 +174,14 @@ def sp_in_su(ambient, tol):
     return Subalgebra.from_matrices(ambient, mats, tol, name=f"sp({m})")
 
 
-def sp_in_so(ambient, tol, right_factor="none"):
+def sp_in_so(ambient, tol, m, right_factor="none"):
     """sp(m) acting on H^m = R^{4m}, optionally extended by right scalars.
 
     right_factor: 'none' -> sp(m); 'u1' -> sp(m)(+)u(1); 'sp1' -> sp(m)(+)sp(1),
     the right multiplications by imaginary quaternion scalars.
     """
-    if ambient.family != "so" or ambient.n % 4 != 0:
-        raise InvalidInputError("sp(m) embeds into so(4m)")
-    m = ambient.n // 4
+    if ambient.family != "so" or ambient.n != 4 * m:
+        raise InvalidInputError(f"sp({m}) does not embed in {ambient.name}")
     table = quaternion_table()
     left = quaternion_left_matrices(table)
     mats = realify_quaternion(sp_basis_quaternion(m), left)
@@ -201,7 +200,7 @@ def sp_in_so(ambient, tol, right_factor="none"):
 def g2_in_so7(ambient, tol):
     """Derivations of the octonions, restricted to the imaginary part."""
     if ambient.family != "so" or ambient.n != 7:
-        raise InvalidInputError("the derivation algebra g2 lives in so(7)")
+        raise InvalidInputError(f"g2 does not embed in {ambient.name}")
     ders = restrict_to_imaginary(derivation_matrices(octonion_table(), tol))
     return Subalgebra.from_matrices(ambient, ders, tol, name="g2")
 

@@ -207,13 +207,19 @@ class LieAlgebra:
     def coords_of(self, mats, member_tol=1e-8):
         """Coefficient rows of a stack of ambient matrices.
 
-        Raises InvalidInputError on a non-finite entry and ClosureError
-        when a matrix is not in the algebra, i.e. when its residual
-        relative to max(1, its largest entry) exceeds member_tol.  The
-        stack is taken in row_blocks.
+        Raises DimensionMismatchError unless the last two axes are
+        (ambient_size, ambient_size), InvalidInputError on a non-finite
+        entry and ClosureError when a matrix is not in the algebra, i.e. when
+        its residual relative to max(1, its largest entry) exceeds
+        member_tol.  The stack is taken in row_blocks.
         """
         size = self.ambient_size
-        mats = np.asarray(mats, dtype=float).reshape(-1, size, size)
+        mats = np.asarray(mats, dtype=float)
+        if mats.shape[-2:] != (size, size):
+            raise DimensionMismatchError(
+                f"matrices of shape {mats.shape} for {self.name}, whose "
+                f"matrices are {size} x {size}")
+        mats = mats.reshape(-1, size, size)
         if not np.isfinite(mats).all():
             raise InvalidInputError(
                 f"matrix for {self.name} has a non-finite entry (nan or inf)")
@@ -376,10 +382,15 @@ class Automorphism:
 def adjoint_matrix(algebra, g, member_tol=1e-8):
     """Coordinate matrix of Ad(g): X -> g X g^{-1} on the algebra.
 
-    Raises ClosureError when g does not normalize the algebra.
+    Raises InvalidInputError when g is singular and ClosureError when it
+    does not normalize the algebra.
     """
     g = np.asarray(g, dtype=float)
-    conjugated = g @ algebra.basis @ np.linalg.inv(g)
+    try:
+        inverse = np.linalg.inv(g)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidInputError(f"conjugator is singular: {exc}") from exc
+    conjugated = g @ algebra.basis @ inverse
     return algebra.coords_of(conjugated, member_tol=member_tol).T
 
 

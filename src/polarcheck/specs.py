@@ -7,12 +7,11 @@ are written as:
     product(h1=<factor>, h2=<factor>)
     span(file=path)                       # block-diagonal matrices in l(+)l
 
-Factors (subalgebras of l) are resolved by name against the built-in
-embedding catalog (full, zero, cartan, g2, spin7, spin9, soK, soAsoB, suK,
-uK, spK, spKsp1, spKu1, s_u_u1) or as span(file=path).
+Factors (subalgebras of l) are the names in FACTORS or span(file=path).
 """
 
 import re
+from functools import partial
 
 from . import embeddings as emb
 from .errors import InvalidInputError
@@ -78,64 +77,52 @@ def _span(args, algebra, tol, name):
     return Subalgebra.from_vectors(algebra, vecs, tol, name=name)
 
 
+_FAMILIES = ("su", "so", "sp", "u")
+
+# Factors of l by name: (pattern, {family of l: builder}).  A builder is
+# called as builder(l, tol, *integers in the name) and raises
+# InvalidInputError itself when the factor does not fit the size of l.
+FACTORS = [
+    ("full", dict.fromkeys(_FAMILIES, full_subalgebra)),
+    ("zero", dict.fromkeys(_FAMILIES,
+                           lambda ambient, tol: zero_subalgebra(ambient))),
+    ("cartan", dict.fromkeys(("su", "so", "sp"), emb.cartan_subalgebra)),
+    ("g2", {"so": emb.g2_in_so7}),
+    (r"spin(\d+)",
+     {"so": lambda ambient, tol, n: emb.spin_subalgebra(ambient, n, tol)}),
+    ("s_u_u1", {"su": emb.s_u_u1_in_su}),
+    (r"so(\d+)",
+     {"su": emb.so_in_su,
+      "so": lambda ambient, tol, k: emb.corner_so(ambient, k, tol)}),
+    (r"so(\d+)so(\d+)",
+     {"so": lambda ambient, tol, a, b: emb.block_so(ambient, [a, b], tol)}),
+    (r"su(\d+)",
+     {"su": lambda ambient, tol, k: emb.su_corner_in_su(ambient, k, tol),
+      "so": partial(emb.u_in_so, special=True)}),
+    (r"u(\d+)", {"so": emb.u_in_so}),
+    (r"sp(\d+)", {"su": emb.sp_in_su, "so": emb.sp_in_so}),
+    (r"sp(\d+)sp1", {"so": partial(emb.sp_in_so, right_factor="sp1")}),
+    (r"sp(\d+)u1", {"so": partial(emb.sp_in_so, right_factor="u1")}),
+]
+
+
 def resolve_factor(spec, algebra, tol):
-    """Resolve a subalgebra-of-l spec string."""
+    """Resolve a subalgebra-of-l spec string: a FACTORS name or span(...)."""
     spec = spec.strip()
     call = _CALL_RE.match(spec)
     if call and call.group(1) == "span":
         return _span(_split_args(call.group(2)), algebra, tol, name=spec)
     name = spec.lower()
-    if name == "full":
-        return full_subalgebra(algebra, tol)
-    if name == "zero":
-        return zero_subalgebra(algebra)
-    if name == "cartan":
-        return emb.cartan_subalgebra(algebra, tol)
-    if name == "g2":
-        return emb.g2_in_so7(algebra, tol)
-    if name in ("spin7", "spin9"):
-        return emb.spin_subalgebra(algebra, int(name[4:]), tol)
-    if name == "s_u_u1":
-        return emb.s_u_u1_in_su(algebra, tol)
-    m = re.match(r"^so(\d+)so(\d+)$", name)
-    if m:
-        return emb.block_so(algebra, [int(m.group(1)), int(m.group(2))], tol)
-    m = re.match(r"^sp(\d+)(sp1|u1)?$", name)
-    if m:
-        k = int(m.group(1))
-        if algebra.family == "su":
-            if m.group(2) or algebra.n != 2 * k:
-                raise InvalidInputError(f"{name} does not embed in {algebra.name}")
-            return emb.sp_in_su(algebra, tol)
-        right = {"sp1": "sp1", "u1": "u1", None: "none"}[m.group(2)]
-        if algebra.family != "so" or algebra.n != 4 * k:
-            raise InvalidInputError(f"{name} does not embed in {algebra.name}")
-        return emb.sp_in_so(algebra, tol, right_factor=right)
-    m = re.match(r"^so(\d+)$", name)
-    if m:
-        k = int(m.group(1))
-        if algebra.family == "su":
-            if k != algebra.n:
+    for pattern, builders in FACTORS:
+        match = re.fullmatch(pattern, name)
+        if match:
+            if algebra.family not in builders:
                 raise InvalidInputError(
-                    f"so({k}) resolves to the real points of su({algebra.n}) "
-                    "and needs matching size")
-            return emb.so_in_su(algebra, tol)
-        return emb.corner_so(algebra, k, tol)
-    m = re.match(r"^su(\d+)$", name)
-    if m:
-        k = int(m.group(1))
-        if algebra.family == "su":
-            return emb.su_corner_in_su(algebra, k, tol)
-        if algebra.family == "so" and algebra.n == 2 * k:
-            return emb.u_in_so(algebra, tol, special=True)
-        raise InvalidInputError(f"su({k}) does not embed in {algebra.name}")
-    m = re.match(r"^u(\d+)$", name)
-    if m:
-        k = int(m.group(1))
-        if algebra.family == "so" and algebra.n == 2 * k:
-            return emb.u_in_so(algebra, tol)
-        raise InvalidInputError(f"u({k}) does not embed in {algebra.name}")
-    raise InvalidInputError(f"unknown subalgebra spec {spec!r}")
+                    f"{name} does not embed in {algebra.name}")
+            return builders[algebra.family](
+                algebra, tol, *map(int, match.groups()))
+    raise InvalidInputError(
+        f"unknown subalgebra spec {spec!r} for {algebra.name}")
 
 
 def resolve_subgroup(spec, algebra, tol):

@@ -313,7 +313,7 @@ class TestFlatSection:
 
     def test_hermann_pair(self, tol):
         algebra = build_classical("su", 3)
-        real_points = so_in_su(algebra, tol)
+        real_points = so_in_su(algebra, tol, 3)
         report = analyze(ActionSpec(algebra, product(real_points, real_points,
                                                      tol)), tol)
         assert report.cohomogeneity == 2

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 from polarcheck import cli
+from polarcheck.errors import InvalidInputError
+from polarcheck.specs import parse_group, resolve_factor
 
 REPORT_FIELDS = {"cohomogeneity", "principal_point", "section_basis", "polar",
                  "hyperpolar", "residual_triple", "residual_orth",
@@ -149,6 +152,21 @@ class TestAnalyze:
                                       "--rank-tol", rank_tol])
         assert (code, out) == (2, "")
         assert f"rank cut keeps {kept}" in err
+
+    @pytest.mark.parametrize("group,factor", [
+        ("su4", "sp1"), ("su4", "u2"), ("so8", "su3"), ("so7", "u3"),
+        ("so6", "sp1"), ("su3", "spin7"), ("su3", "so2"), ("so8", "g2"),
+        ("sp3", "sp2"), ("so8", "so9"), ("so8", "so3so6"), ("su4", "su5"),
+        ("u3", "cartan"), ("so8", "xyz")])
+    def test_factor_that_does_not_fit(self, capsys, group, factor, tol):
+        with pytest.raises(InvalidInputError):
+            resolve_factor(factor, parse_group(group), tol)
+        code, out, err = run(capsys, ["analyze", "--group", group, "--subgroup",
+                                      f"product(h1={factor},h2=zero)"])
+        assert (code, out) == (2, "")
+        # the message names both, as in 'so(3)(+)so(6) ... in so(8)'
+        message = re.sub(r"[()+]", "", err)
+        assert factor in message and group in message
 
     def test_bad_group(self, capsys):
         code, _, err = run(capsys, ["analyze", "--group", "xyz",

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarcheck import numerics
-from polarcheck.errors import ClosureError, InvalidInputError
+from polarcheck.errors import (ClosureError, DimensionMismatchError,
+                               InvalidInputError)
 from polarcheck.lie_algebras import (LieAlgebra, build_classical,
                                      classical_basis, commutator,
                                      identity_automorphism,
@@ -250,6 +251,14 @@ class TestBracket:
         with pytest.raises(ClosureError):
             algebra.coords_of(np.array([algebra.basis[0], np.eye(4)]))
 
+    @pytest.mark.parametrize("mats", [
+        # sixteen entries: four so(2) generators if read as a 2 x 2 stack
+        np.tile([0.0, 1.0, -1.0, 0.0], 4).reshape(4, 4),
+        np.zeros((3, 3)), np.zeros((2, 2, 3)), np.zeros(4)])
+    def test_coords_rejects_a_mis_sized_stack(self, mats):
+        with pytest.raises(DimensionMismatchError):
+            build_classical("so", 2).coords_of(mats)
+
 
 class TestFormScaling:
     @given(factor=st.floats(0.1, 10.0))
@@ -348,3 +357,9 @@ class TestAutomorphisms:
             make_automorphism(algebra, "outer_so_even", tol=tol)
         with pytest.raises(InvalidInputError):
             make_automorphism(algebra, "inner", tol=tol)
+
+    @pytest.mark.parametrize("k", [np.zeros((6, 6)),
+                                   np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])])
+    def test_singular_conjugator_is_invalid(self, k, tol):
+        with pytest.raises(InvalidInputError, match="singular"):
+            make_automorphism(build_classical("su", 3), "inner", k=k, tol=tol)

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -14,7 +17,8 @@ from polarcheck.lie_algebras import (_u_basis_complex, adjoint_matrix,
                                      realify_quaternion, span_closure_residual)
 from polarcheck.octonions import quaternion_table
 from polarcheck.numerics import outside_norm
-from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
+from polarcheck.specs import (FACTORS, parse_group, resolve_factor,
+                              resolve_subgroup)
 from polarcheck.subalgebras import (Subalgebra, diagonal_sigma,
                                     full_subalgebra, product, split_ideals,
                                     zero_subalgebra)
@@ -27,7 +31,7 @@ class TestConstruction:
     def test_orthonormalized(self, tol):
         algebra = build_classical("su", 3)
         # a random mix of a closed span: the real points so(3)
-        real = so_in_su(algebra, tol)
+        real = so_in_su(algebra, tol, 3)
         mix = np.random.default_rng(0).standard_normal((real.dim,) * 2)
         sub = Subalgebra.from_vectors(algebra, mix @ real.basis, tol)
         assert sub.dim == real.dim
@@ -99,7 +103,8 @@ BUILTIN_FACTORS = [
     # su_corner_in_su
     ("su3", "su2"), ("su5", "su4"), ("su8", "su7"),
     # s_u_u1_in_su
-    ("su3", "s_u_u1"), ("su5", "s_u_u1"), ("su8", "s_u_u1"),
+    ("su2", "s_u_u1"), ("su3", "s_u_u1"), ("su5", "s_u_u1"),
+    ("su8", "s_u_u1"),
     # sp_in_su
     ("su2", "sp1"), ("su4", "sp2"), ("su6", "sp3"), ("su8", "sp4"),
     # sp_in_so, with each right factor
@@ -109,7 +114,18 @@ BUILTIN_FACTORS = [
     # cartan_subalgebra
     ("su2", "cartan"), ("su8", "cartan"), ("so2", "cartan"),
     ("so12", "cartan"), ("sp1", "cartan"), ("sp4", "cartan"),
+    # full_subalgebra and zero_subalgebra
+    ("su3", "full"), ("so5", "full"), ("sp2", "full"), ("u3", "full"),
+    ("su3", "zero"), ("so5", "zero"), ("sp2", "zero"), ("u3", "zero"),
 ]
+
+
+def readme_factor_names():
+    """The names listed under product(...) in the README, e.g. 'so<k>'."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text[text.index("- `product("):text.index("- `span(file=...)`")]
+    heads = re.findall(r"^ +- (.*?):", section, re.M)
+    return [name for head in heads for name in re.findall(r"`([^`]+)`", head)]
 
 
 class TestImpliedClosure:
@@ -118,7 +134,7 @@ class TestImpliedClosure:
     @pytest.mark.parametrize("group,factor", BUILTIN_FACTORS)
     def test_builtin_factor_is_closed(self, group, factor, tol):
         h = resolve_factor(factor, parse_group(group), tol)
-        assert h.dim > 0
+        assert (h.dim == 0) == (factor == "zero")
         assert h.closure_residual() < 1e-12
 
     @pytest.mark.parametrize("twisted", [False, True])
@@ -131,8 +147,7 @@ class TestImpliedClosure:
             raise AssertionError(f"closure checked on {sub.name}")
 
         monkeypatch.setattr(Subalgebra, "closure_residual", refuse)
-        for group, factor in BUILTIN_FACTORS + [("su3", "full"),
-                                                ("su3", "zero")]:
+        for group, factor in BUILTIN_FACTORS:
             resolve_factor(factor, parse_group(group), tol)
         for entry in catalog_entries():
             entry.builder(tol)
@@ -169,6 +184,42 @@ class TestImpliedClosure:
         assert (len(calls), h.dim) == (1, 16)
         resolve_subgroup("product(h1=su3,h2=su2)", algebra, tol)
         assert len(calls) == 3
+
+
+class TestFactorTable:
+    @pytest.mark.parametrize("pattern,family", [
+        (pattern, family) for pattern, builders in FACTORS
+        for family in builders])
+    def test_every_entry_has_a_builtin_case(self, pattern, family):
+        # so that TestImpliedClosure covers every builder the table reaches
+        assert any(re.fullmatch(pattern, factor)
+                   and group.rstrip("0123456789") == family
+                   for group, factor in BUILTIN_FACTORS)
+
+    @pytest.mark.parametrize("name", readme_factor_names())
+    def test_readme_name_resolves(self, name, tol):
+        template = re.sub(r"<\w+>", r"\\d+", name)
+        cases = [(group, factor) for group, factor in BUILTIN_FACTORS
+                 if re.fullmatch(template, factor)]
+        assert cases
+        for group, factor in cases:
+            resolve_factor(factor, parse_group(group), tol)
+
+    def test_readme_lists_every_entry(self):
+        names = [re.sub(r"<\w+>", "3", name) for name in readme_factor_names()]
+        for pattern, _ in FACTORS:
+            assert any(re.fullmatch(pattern, name) for name in names), pattern
+        for name in names:
+            assert sum(bool(re.fullmatch(pattern, name))
+                       for pattern, _ in FACTORS) == 1, name
+
+    def test_s_u_u1_in_su2_is_the_cartan(self, tol):
+        su2 = parse_group("su2")
+        circle = resolve_factor("s_u_u1", su2, tol)
+        cartan = resolve_factor("cartan", su2, tol)
+        assert circle.dim == cartan.dim == 1
+        assert outside_norm(circle.basis @ su2.chol.T,
+                            cartan.basis @ su2.chol.T) < 1e-12
 
 
 def _open_so6_span(tol, corner):
@@ -362,10 +413,10 @@ class TestStackedEmbeddings:
     replaced, bit for bit."""
 
     @staticmethod
-    def built_matrices(monkeypatch, builder, ambient, tol):
+    def built_matrices(monkeypatch, builder, ambient, tol, *args):
         monkeypatch.setattr(embeddings.Subalgebra, "from_matrices",
                             lambda parent, mats, tol, name: np.asarray(mats))
-        return builder(ambient, tol)
+        return builder(ambient, tol, *args)
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_sp_in_su(self, m, tol, monkeypatch):
@@ -385,7 +436,7 @@ class TestStackedEmbeddings:
                     z[:m, m:] = -np.conj(b)
                     expected.append(realify_complex(z))
         mats = self.built_matrices(monkeypatch, embeddings.sp_in_su,
-                                   build_classical("su", 2 * m), tol)
+                                   build_classical("su", 2 * m), tol, m)
         assert np.array_equal(mats, np.array(expected))
 
     @pytest.mark.parametrize("n", range(1, 5))
