@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NonPrincipalPointError
 from .lie_algebras import adjoint_matrix, commutator, pair_commutators
-from .numerics import (ToleranceConfig, orthogonal_complement,
-                       orthonormal_basis, rank_of)
+from .numerics import ToleranceConfig, orthonormal_basis, rank_of, split_span
 from .subalgebras import Subalgebra
 
 
@@ -79,8 +78,8 @@ def _tangent_vectors(action, g, tol):
     """Rows Ad(g^{-1}) X1 - X2 over h's basis, which span the orbit tangent
     at g moved to e, and Ad(g^{-1}).
 
-    They are differences of form-unit vectors, so genuine tangent
-    directions have form norm of order one; their rank is cut with scale=1,
+    They are differences of unit vectors, so genuine tangent directions
+    have norm of order one; their rank is cut with scale=1,
     which keeps the cutoff honest when the whole orbit degenerates (fixed
     points).
     """
@@ -92,17 +91,10 @@ def _tangent_vectors(action, g, tol):
     return action.h.basis[:, :n] @ ad_inv.T - action.h.basis[:, n:], ad_inv
 
 
-def _tangent(action, g, tol):
-    """Orthonormal orbit tangent at g, moved to e, and Ad(g^{-1})."""
-    vectors, ad_inv = _tangent_vectors(action, g, tol)
-    tangent = orthonormal_basis(vectors, tol, chol=action.algebra.chol,
-                                scale=1.0)
-    return tangent, ad_inv
-
-
 def orbit_tangent(action, g, tol):
     """Orthonormal basis of the orbit tangent space at g, moved to e."""
-    return _tangent(action, g, tol)[0]
+    vectors, _ = _tangent_vectors(action, g, tol)
+    return orthonormal_basis(vectors, tol, scale=1.0)
 
 
 def principal_point(action, tol):
@@ -110,10 +102,10 @@ def principal_point(action, tol):
     number of points drawn).
 
     A sample needs only the orbit dimension: the rank of its tangent
-    vectors in Cholesky coordinates, cut as orbit_tangent cuts it, but read
-    off singular values alone, which takes about half the time of the SVD
-    with singular vectors.  polarity_check builds the tangent basis once,
-    at the chosen point.
+    vectors, cut as orbit_tangent cuts it, but read off singular values
+    alone, which takes about half the time of the SVD with singular
+    vectors.  polarity_check builds the tangent basis once, at the chosen
+    point.
 
     The tangent vectors are dim h rows in dim l coordinates, so no orbit
     dimension exceeds min(dim h, dim l).  Drawing stops at the first sample
@@ -127,7 +119,7 @@ def principal_point(action, tol):
     for drawn in range(1, tol.num_samples + 1):
         g = sample_group_point(algebra, rng)
         vectors, _ = _tangent_vectors(action, g, tol)
-        dim = rank_of(vectors @ algebra.chol.T, tol, scale=1.0)
+        dim = rank_of(vectors, tol, scale=1.0)
         if dim > best:
             best, point = dim, g
         if best == ceiling:
@@ -145,21 +137,31 @@ def polarity_check(action, g, tol, max_orbit_dim):
     """Evaluate the polarity criterion at a principal point g.
 
     g must attain max_orbit_dim, the principal orbit dimension that
-    principal_point found.  Residuals are norms of commutators of
-    Frobenius-orthonormal matrices of nu, taken in the unit-trace-scale form
-    (see LieAlgebra.frobenius_matrices).  The tangent component of a triple
+    principal_point found.  One SVD of the tangent vectors gives the
+    tangent and nu, its orthogonal complement; InvalidInputError is raised
+    when the rank cut drops a singular value above residual_tol, i.e. when
+    rel_rank_tol is too coarse for the tangent.
+
+    Residuals are norms of commutators of Frobenius-orthonormal matrices of
+    nu, taken in the unit-trace-scale form (see
+    LieAlgebra.frobenius_matrices).  The tangent component of a triple
     [[X,Y],Z] comes from ad-invariance, <[[X,Y],Z],T> = <[X,Y],[Z,T]> over
     the orthonormal tangent basis, so no triple is ever formed; the
     brackets [X,Y], X before Y in nu, are formed a block at a time.
     """
     algebra = action.algebra
-    tangent, ad_inv = _tangent(action, g, tol)
+    vectors, ad_inv = _tangent_vectors(action, g, tol)
+    tangent, nu, dropped = split_span(vectors, tol, scale=1.0)
+    if dropped > tol.residual_tol:
+        raise InvalidInputError(
+            f"rel_rank_tol {tol.rel_rank_tol:g} is too coarse for the orbit "
+            f"tangent: the rank cut drops a singular value {dropped:.3e} "
+            f"above residual_tol {tol.residual_tol:g}")
     if tangent.shape[0] < max_orbit_dim:
         raise NonPrincipalPointError(
             f"point has orbit dimension {tangent.shape[0]} < sampled maximum "
             f"{max_orbit_dim}; the criterion needs a principal point "
             "(raise num_samples / --samples if sampling looks unlucky)")
-    nu = orthogonal_complement(tangent, tol, algebra.chol)
     cohom, n = nu.shape
     dim_t = tangent.shape[0]
     size = algebra.ambient_size ** 2

@@ -8,7 +8,8 @@ Subcommands:
     verify-table1  check one transitive-pair table row
 
 Exit codes: 0 = success / expectations met, 1 = a verification failed,
-2 = invalid input (bad spec, bad span file, non-principal point).
+2 = invalid input (bad spec, bad span file, non-principal point, a rank
+cut too coarse for a subgroup or an orbit tangent).
 The seed comes from --seed, else the POLARCHECK_SEED environment variable,
 else 0; with a fixed seed and configuration the JSON output is byte-stable.
 """
@@ -27,13 +28,16 @@ from .specs import parse_group, resolve_subgroup
 
 
 def _add_common(parser):
-    parser.add_argument("--samples", type=int, default=8,
+    defaults = ToleranceConfig()
+    parser.add_argument("--samples", type=int, default=defaults.num_samples,
                         help="most points sampled to find a principal orbit")
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: POLARCHECK_SEED or 0)")
-    parser.add_argument("--rank-tol", type=float, default=1e-9,
+    parser.add_argument("--rank-tol", type=float,
+                        default=defaults.rel_rank_tol,
                         help="relative singular-value threshold")
-    parser.add_argument("--residual-tol", type=float, default=1e-8,
+    parser.add_argument("--residual-tol", type=float,
+                        default=defaults.residual_tol,
                         help="residual threshold for all verdicts")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None,

@@ -9,10 +9,6 @@ class DimensionMismatchError(PolarcheckError):
     """Vectors or matrices with incompatible shapes."""
 
 
-class InvalidFormError(PolarcheckError):
-    """A bilinear form that is not symmetric positive definite."""
-
-
 class InvalidInputError(PolarcheckError):
     """Unsupported family, parameter, or malformed user input."""
 

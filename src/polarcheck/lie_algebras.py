@@ -1,21 +1,23 @@
 """Compact matrix Lie algebras: classical families, commutators, invariant form.
 
-Every algebra is the span of an explicit basis of real skew matrices, and
-its bracket is the matrix commutator; no structure constants are stored.
-Complex entries are realified as 2x2 blocks [[a, -b], [b, a]] (coordinates
-interleaved), quaternionic entries as 4x4 left-multiplication blocks; these
-conventions are fixed once here and reused by every embedding builder.
+Every algebra is the span of a Frobenius-orthonormal basis of real skew
+matrices, and its bracket is the matrix commutator; no structure constants
+are stored.  Complex entries are realified as 2x2 blocks [[a, -b], [b, a]]
+(coordinates interleaved), quaternionic entries as 4x4 left-multiplication
+blocks; these conventions are fixed once here and reused by every embedding
+builder.
 
 The invariant inner product is <X, Y> = -tr(XY) on the realified defining
 representation, optionally rescaled by a positive constant (`trace_scale`).
 On a simple algebra this is a positive multiple of the Killing form, which
-is all the downstream criteria need.
+is all the downstream criteria need.  On skew matrices -tr(XY) is the
+Frobenius product, so in coordinates the form is trace_scale times the
+identity: coordinates are orthonormal for it up to that constant, and
+orthogonality, ranks and residuals do not depend on it.
 
-Residuals are taken on Frobenius-orthonormal matrices
-(LieAlgebra.frobenius_matrices), which makes them independent of that
-constant.  The direct sum l(+)l (LieAlgebra.double) holds block-diagonal
-copies of l's basis and form; its Frobenius matrices are pairs of l's
-halves, so brackets act on each half.
+The direct sum l(+)l (LieAlgebra.double) holds block-diagonal copies of
+l's basis; its Frobenius matrices are pairs of l's halves, so brackets act
+on each half.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ClosureError, DimensionMismatchError, InvalidInputError
-from .numerics import cholesky_factor, outside_norm, rank_cut, row_blocks
+from .numerics import outside_norm, rank_cut, row_blocks
 
 # ---------------------------------------------------------------------------
 # realification conventions
@@ -112,49 +114,43 @@ def span_closure_residual(mats):
 class LieAlgebra:
     """A compact Lie algebra spanned by real skew matrices.
 
-    Immutable after construction.  It is its basis, the Gram matrix `form`
-    of the invariant inner product trace_scale * (-tr(XY)), which on skew
-    matrices is trace_scale times the Frobenius product, and the Cholesky
-    factor `chol` of the form.  Brackets are matrix commutators.
+    Immutable after construction.  Its basis is Frobenius-orthonormal, so
+    the invariant inner product trace_scale * (-tr(XY)) is trace_scale
+    times the Euclidean product of coordinates.  Brackets are matrix
+    commutators.
     """
 
-    def __init__(self, name, basis, form, trace_scale=1.0, family=None,
-                 n=None):
+    def __init__(self, name, basis, trace_scale=1.0, family=None, n=None):
         self.name = name
         self.basis = np.asarray(basis, dtype=float)
         self.basis.flags.writeable = False
         self.dim = self.basis.shape[0]
         self.ambient_size = self.basis.shape[1]
-        self.form = np.asarray(form, dtype=float)
-        self.form.flags.writeable = False
         self.trace_scale = float(trace_scale)
         self.family = family
         self.n = n
-        self.chol = cholesky_factor(self.form)
         self._double = None
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def closed_span(cls, name, basis, trace_scale=1.0, family=None, n=None):
-        """Algebra on skew matrices whose span is known bracket-closed."""
+        """Algebra on independent skew matrices whose span is known
+        bracket-closed, orthonormalized by one QR."""
         basis = np.asarray(basis, dtype=float)
-        dim, size = basis.shape[0], basis.shape[1] * basis.shape[2]
-        # -tr(X_i X_j) as one product of the flattened X_i and X_j^T
-        transposes = basis.swapaxes(1, 2).reshape(dim, size)
-        gram = -(basis.reshape(dim, size) @ transposes.T)
-        gram = 0.5 * (gram + gram.T)
-        return cls(name, basis, trace_scale * gram, trace_scale=trace_scale,
-                   family=family, n=n)
+        dim, size = basis.shape[0], basis.shape[1]
+        onb = np.linalg.qr(basis.reshape(dim, size * size).T)[0].T
+        return cls(name, onb.reshape(dim, size, size),
+                   trace_scale=trace_scale, family=family, n=n)
 
     @classmethod
     def from_basis(cls, name, basis, trace_scale=1.0, family=None, n=None):
         """Algebra on caller-given skew matrices, checking their span.
 
         Raises InvalidInputError if the matrices have a non-finite entry,
-        are not skew or are dependent, ClosureError if their span is not
-        closed under commutators and InvalidFormError if -tr(XY) is not
-        positive definite on it.
+        are not skew or are dependent, and ClosureError if their span is not
+        closed under commutators.  The orthonormal basis of the dependence
+        check becomes the algebra's basis.
         """
         basis = np.asarray(basis, dtype=float)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
@@ -171,18 +167,18 @@ class LieAlgebra:
                                    full_matrices=False)
         if dim and rank_cut(sv, 1e-12) < dim:
             raise InvalidInputError(f"{name}: basis matrices are dependent")
-        residual = span_closure_residual(onb.reshape(dim, s, s))
+        onb = onb.reshape(dim, s, s)
+        residual = span_closure_residual(onb)
         if residual > _CONSTRUCT_TOL:
             raise ClosureError(f"{name}: basis span is not bracket-closed",
                                residual=residual)
-        return cls.closed_span(name, basis, trace_scale=trace_scale,
-                               family=family, n=n)
+        return cls(name, onb, trace_scale=trace_scale, family=family, n=n)
 
     def with_scaled_form(self, factor):
         """Same algebra with the invariant metric multiplied by factor > 0."""
         if not factor > 0:
             raise InvalidInputError("form scale factor must be positive")
-        return LieAlgebra(self.name, self.basis, factor * self.form,
+        return LieAlgebra(self.name, self.basis,
                           trace_scale=factor * self.trace_scale,
                           family=self.family, n=self.n)
 
@@ -193,21 +189,22 @@ class LieAlgebra:
         return np.einsum('i,iab->ab', np.asarray(v, dtype=float), self.basis)
 
     def frobenius_matrices(self, coeffs):
-        """sqrt(trace_scale) times the ambient matrices of coefficient rows.
+        """Ambient matrices of coefficient rows.
 
-        Frobenius products of the results are form products of the rows, so
-        form-orthonormal rows become Frobenius-orthonormal matrices, and
-        norms built from their commutators are taken in the unit-trace-scale
-        form, whatever the scale of this form.
+        The basis is Frobenius-orthonormal, so orthonormal rows become
+        Frobenius-orthonormal matrices, and norms built from their
+        commutators are taken in the unit-trace-scale form, whatever the
+        scale of this form.
         """
         size = self.ambient_size
         flat = coeffs @ self.basis.reshape(self.dim, size * size)
-        return self.trace_scale ** 0.5 * flat.reshape(-1, size, size)
+        return flat.reshape(-1, size, size)
 
     def coords_of(self, mats, member_tol=1e-8):
         """Coefficient rows of a stack of ambient matrices.
 
-        Raises DimensionMismatchError unless the last two axes are
+        Each row holds the Frobenius products of one matrix with the
+        orthonormal basis.  Raises DimensionMismatchError unless the last two axes are
         (ambient_size, ambient_size), InvalidInputError on a non-finite
         entry and ClosureError when a matrix is not in the algebra, i.e. when
         its residual relative to max(1, its largest entry) exceeds
@@ -219,22 +216,19 @@ class LieAlgebra:
             raise DimensionMismatchError(
                 f"matrices of shape {mats.shape} for {self.name}, whose "
                 f"matrices are {size} x {size}")
-        mats = mats.reshape(-1, size, size)
+        mats = mats.reshape(-1, size * size)
         if not np.isfinite(mats).all():
             raise InvalidInputError(
                 f"matrix for {self.name} has a non-finite entry (nan or inf)")
+        flat = self.basis.reshape(self.dim, size * size)
         coords = np.empty((mats.shape[0], self.dim))
         residual = 0.0
         for rows in row_blocks(mats.shape[0], size * size):
             block = mats[rows]
-            rhs = -self.trace_scale * np.einsum('kab,iba->ki', self.basis,
-                                                block, optimize=True)
-            coords[rows] = np.linalg.solve(self.form, rhs).T
-            recon = np.einsum('ik,kab->iab', coords[rows], self.basis,
-                              optimize=True)
-            scale = np.maximum(1.0, np.abs(block).max(axis=(1, 2), initial=0.0))
+            coords[rows] = block @ flat.T
+            scale = np.maximum(1.0, np.abs(block).max(axis=1, initial=0.0))
             residual = max(residual, float(
-                (np.abs(block - recon).max(axis=(1, 2), initial=0.0)
+                (np.abs(block - coords[rows] @ flat).max(axis=1, initial=0.0)
                  / scale).max(initial=0.0)))
         if residual > member_tol:
             raise ClosureError(
@@ -251,7 +245,7 @@ class LieAlgebra:
 
 
 class _Double(LieAlgebra):
-    """l(+)l on block-diagonal copies of l's basis and form.
+    """l(+)l on block-diagonal copies of l's orthonormal basis.
 
     Its Frobenius matrices are (k, 2, s, s) pairs of l's halves, so
     commutators and pairings run on each half and never on 2s x 2s blocks.
@@ -262,10 +256,7 @@ class _Double(LieAlgebra):
         basis = np.zeros((2 * n, 2 * s, 2 * s))
         basis[:n, :s, :s] = half.basis
         basis[n:, s:, s:] = half.basis
-        form = np.zeros((2 * n, 2 * n))
-        form[:n, :n] = half.form
-        form[n:, n:] = half.form
-        super().__init__(f"{half.name}(+){half.name}", basis, form,
+        super().__init__(f"{half.name}(+){half.name}", basis,
                          trace_scale=half.trace_scale)
         self.half = half
 
@@ -347,7 +338,8 @@ def classical_basis(family, n):
 
 @lru_cache(maxsize=None)
 def build_classical(family, n):
-    """Standard compact algebra su/so/sp/u(n) in its realified defining rep.
+    """Standard compact algebra su/so/sp/u(n) in its realified defining rep,
+    on an orthonormalized classical_basis.
 
     Its span is closed by construction, so closure is not checked here.
     """
@@ -374,9 +366,10 @@ class Automorphism:
     kind: str
 
     def form_residual(self):
-        g = self.algebra.form
-        d = self.matrix.T @ g @ self.matrix - g
-        return float(np.abs(d).max(initial=0.0)) / max(1.0, np.abs(g).max())
+        """Largest entry of M^T M - I: in orthonormal coordinates a map
+        preserves the form exactly when its matrix M is orthogonal."""
+        d = self.matrix.T @ self.matrix - np.eye(self.algebra.dim)
+        return float(np.abs(d).max(initial=0.0))
 
 
 def adjoint_matrix(algebra, g, member_tol=1e-8):

@@ -2,9 +2,9 @@
 
 Rank decisions use singular values with a *relative* threshold (relative to
 the largest singular value), so verdicts are stable under rescaling the
-whole input.  Orthonormality may be taken with respect to an arbitrary
-symmetric positive-definite form: vectors are mapped to Euclidean
-coordinates through a Cholesky factor, processed there, and mapped back.
+whole input.  Orthonormality is Euclidean: every algebra has a
+Frobenius-orthonormal basis, so coordinates are Euclidean for the
+invariant form up to its constant scale.
 
 All functions are pure; nothing here owns randomness.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidFormError, InvalidInputError
+from .errors import DimensionMismatchError, InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ def rank_cut(sv, rel_tol, ref=None):
 
 
 def _scaled_rank(sv, tol, scale):
-    """rank_cut of sv at rel_rank_tol, against max(sv[0], scale) if given."""
-    ref = None if scale is None else max(sv[0], float(scale))
+    """rank_cut of sv at rel_rank_tol, against max(largest sv, scale) if given."""
+    ref = None if scale is None else max(sv.max(initial=0.0), float(scale))
     return rank_cut(sv, tol.rel_rank_tol, ref)
 
 
@@ -92,58 +92,30 @@ def rank_of(vectors, tol, scale=None):
     return _scaled_rank(np.linalg.svd(mat, compute_uv=False), tol, scale)
 
 
-def cholesky_factor(form):
-    """Return W with form = W.T @ W, raising InvalidFormError if not SPD."""
-    form = np.asarray(form, dtype=float)
-    if form.ndim != 2 or form.shape[0] != form.shape[1]:
-        raise InvalidFormError("form must be a square matrix")
-    if not np.allclose(form, form.T, atol=1e-12 * max(1.0, np.abs(form).max())):
-        raise InvalidFormError("form is not symmetric")
-    try:
-        lower = np.linalg.cholesky(form)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidFormError("form is not positive definite") from exc
-    return lower.T
+def orthonormal_basis(vectors, tol, scale=None):
+    """Orthonormal basis of the span, as a (r, d) array of rows.
 
-
-def orthonormal_basis(vectors, tol, chol=None, scale=None):
-    """Orthonormal basis of the span, w.r.t. the form chol.T @ chol.
-
-    Returns a (r, d) array of rows; without chol the form is Euclidean.
     When the caller knows the natural magnitude of genuine input vectors
     (e.g. differences of unit vectors), passing it as `scale` makes the
     cutoff absolute with respect to that magnitude, so an all-roundoff input
     yields rank zero instead of being renormalized into a full-rank matrix.
     """
-    mat = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if mat.size == 0:
-        return mat.reshape(0, mat.shape[-1] if mat.ndim == 2 else 0)
-    euc = mat if chol is None else mat @ chol.T
-    _, sv, vh = np.linalg.svd(euc, full_matrices=False)
-    onb_euc = vh[:_scaled_rank(sv, tol, scale)]
-    if chol is None:
-        return onb_euc
-    return np.linalg.solve(chol, onb_euc.T).T
+    return split_span(vectors, tol, scale)[0]
 
 
-def orthogonal_complement(vectors, tol, chol):
-    """Orthonormal basis, w.r.t. the form chol.T @ chol, of the complement
-    of span(vectors), a (k, d) array with d = len(chol).
-
-    It is the nullspace of the vectors in Cholesky coordinates, mapped
-    back; an empty input yields an orthonormal basis of the whole space.
-    """
-    mat = np.asarray(vectors, dtype=float).reshape(-1, chol.shape[0])
-    return np.linalg.solve(chol, nullspace(mat @ chol.T, tol).T).T
+def split_span(matrix, tol, scale=None):
+    """Orthonormal bases (rows) of the row space of a real matrix and of its
+    orthogonal complement, from one SVD and cut as orthonormal_basis cuts,
+    and the largest singular value the cut drops (0.0 if it drops none)."""
+    mat = np.atleast_2d(np.asarray(matrix, dtype=float))
+    _, sv, vh = np.linalg.svd(mat, full_matrices=True)
+    rank = _scaled_rank(sv, tol, scale)
+    return vh[:rank], vh[rank:], float(sv[rank]) if rank < sv.size else 0.0
 
 
 def nullspace(matrix, tol):
     """Orthonormal basis (rows) of the kernel of a real matrix."""
-    mat = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if mat.shape[0] == 0:
-        return np.eye(mat.shape[1])
-    _, sv, vh = np.linalg.svd(mat, full_matrices=True)
-    return vh[rank_cut(sv, tol.rel_rank_tol):]
+    return split_span(matrix, tol)[1]
 
 
 _BLOCK_BYTES = 2 ** 22  # size of each temporary in a blocked walk
@@ -160,8 +132,8 @@ def outside_norm(vectors, onb):
 
     vectors is any array whose last axis holds coordinates; onb holds
     orthonormal rows, possibly none, in which case this is the largest
-    norm.  A form-norm is this norm of coordinates mapped through the
-    form's Cholesky factor.  The stack is taken whole;
+    norm.  On coordinates it is a norm in the unit-trace-scale form.  The
+    stack is taken whole;
     span_closure_residual hands it one block of commutators at a time.
     """
     rest = vectors.reshape(-1, vectors.shape[-1])

@@ -1,7 +1,8 @@
 """Subalgebras of l and of l(+)l: diagonals, products, spans, ideal splitting.
 
-A Subalgebra stores an orthonormalized coefficient basis with respect to its
-parent's invariant form, so residual thresholds have a uniform meaning.
+A Subalgebra stores an orthonormal basis of coefficient rows.  Its parent's
+basis is Frobenius-orthonormal, so these rows are orthonormal in the
+unit-trace-scale form, and residual thresholds have a uniform meaning.
 
 Bracket closure is checked one way, and only on input from outside the
 program: closure_residual projects the commutators of the basis onto the
@@ -41,8 +42,7 @@ class Subalgebra:
         it was given, i.e. when rel_rank_tol is too coarse for them.
         """
         vecs = as_vector_matrix(vectors, ambient_dim=parent.dim)
-        sub = cls(parent, orthonormal_basis(vecs, tol, chol=parent.chol),
-                  name=name)
+        sub = cls(parent, orthonormal_basis(vecs, tol), name=name)
         if sub.dim < len(vecs):
             raise InvalidInputError(
                 f"{name or '<anonymous>'}: the rank cut keeps {sub.dim} of "
@@ -54,8 +54,7 @@ class Subalgebra:
     def from_vectors(cls, parent, vectors, tol, name=""):
         """Orthonormalize coefficient vectors and verify bracket closure."""
         vecs = as_vector_matrix(vectors, ambient_dim=parent.dim)
-        sub = cls(parent, orthonormal_basis(vecs, tol, chol=parent.chol),
-                  name=name)
+        sub = cls(parent, orthonormal_basis(vecs, tol), name=name)
         residual = sub.closure_residual()
         if residual > tol.residual_tol:
             raise ClosureError(
@@ -123,16 +122,19 @@ def split_ideals(h, tol):
 
     h1' = h intersected with the first factor, h2' with the second, and
     h_delta the orthogonal complement of their sum inside h.  Checks the
-    identity pi_1(h) = pi_1(h_delta) (+) h1' numerically.
+    identity pi_1(h) = pi_1(h_delta) (+) h1' numerically.  Raises
+    DimensionMismatchError unless h lives in a doubled algebra l(+)l.
     """
-    n = h.parent.dim // 2
-    if 2 * n != h.parent.dim:
-        raise DimensionMismatchError("parent is not a doubled algebra")
+    half = getattr(h.parent, "half", None)
+    if half is None:
+        raise DimensionMismatchError(
+            f"{h.parent.name} is not a doubled algebra l(+)l")
+    n = half.dim
     basis = h.basis
     in_first = nullspace(basis[:, n:].T, tol)   # coefficients killing pi_2
     in_second = nullspace(basis[:, :n].T, tol)  # coefficients killing pi_1
     inside = np.vstack([in_first, in_second])
-    # coefficients over h's form-orthonormal basis: a Euclidean complement
+    # coefficients over h's orthonormal basis: a Euclidean complement
     delta_coeffs = nullspace(inside, tol)
 
     def build(coeffs, name):

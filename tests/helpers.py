@@ -16,7 +16,7 @@ def killing_proportionality(algebra):
     ad = algebra.coords_of(commutator(b[:, None], b[None]))
     ad = ad.reshape(algebra.dim, algebra.dim, algebra.dim)
     killing = np.einsum('iml,jlm->ij', ad, ad, optimize=True)
-    g = algebra.form
+    g = algebra.trace_scale * np.eye(algebra.dim)   # the form in coordinates
     denom = float(np.sum(g * g))
     factor = -float(np.sum(killing * g)) / denom
     residual = float(np.abs(killing + factor * g).max(initial=0.0))
@@ -37,8 +37,8 @@ def gamma_anticommutation_residual(gammas):
 
 
 def gram_residual(sub):
-    """Largest deviation of a subalgebra's basis from form-orthonormality."""
-    gram = sub.basis @ sub.parent.form @ sub.basis.T
+    """Largest deviation of a subalgebra's basis from orthonormality."""
+    gram = sub.basis @ sub.basis.T
     return float(np.abs(gram - np.eye(sub.dim)).max(initial=0.0))
 
 

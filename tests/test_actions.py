@@ -141,8 +141,7 @@ class TestPolarityCheck:
         action = conjugation_action("so", 5, tol)
         report = analyze(action, tol)
         tangent = orbit_tangent(action, report.principal_point, tol)
-        form = action.algebra.form
-        cross = report.section_basis @ form @ tangent.T
+        cross = report.section_basis @ tangent.T
         assert np.abs(cross).max() < 1e-9
 
     def test_non_principal_point_rejected(self, tol):

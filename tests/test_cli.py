@@ -9,6 +9,7 @@ import pytest
 
 from polarcheck import cli
 from polarcheck.errors import InvalidInputError
+from polarcheck.numerics import ToleranceConfig
 from polarcheck.specs import parse_group, resolve_factor
 
 REPORT_FIELDS = {"cohomogeneity", "principal_point", "section_basis", "polar",
@@ -142,8 +143,6 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("group,subgroup,rank_tol,kept", [
         ("so6", "product(h1=u3,h2=zero)", "0.9", "6 of 9"),
-        # the cut used to shrink the diagonal, which read as not polar
-        ("su10", "delta(sigma=id)", "0.5", "96 of 99"),
     ])
     def test_rank_cut_too_coarse_for_a_subgroup(self, capsys, group,
                                                  subgroup, rank_tol, kept):
@@ -152,6 +151,26 @@ class TestAnalyze:
                                       "--rank-tol", rank_tol])
         assert (code, out) == (2, "")
         assert f"rank cut keeps {kept}" in err
+
+    @pytest.mark.parametrize("group,rank", [("so10", 5), ("sp4", 4),
+                                            ("su10", 9)])
+    def test_rank_cut_too_coarse_for_the_tangent(self, capsys, group, rank):
+        # the cut used to drop genuine tangent directions, which read as
+        # a higher cohomogeneity and not polar, with exit 0
+        code, out, err = run(capsys, ["analyze", "--group", group,
+                                      "--subgroup", "delta(sigma=id)",
+                                      "--rank-tol", "0.5"])
+        assert (code, out) == (2, "")
+        assert "rel_rank_tol 0.5 is too coarse for the orbit tangent" in err
+        dropped = float(re.search(r"singular value (\S+) above", err).group(1))
+        assert dropped > 1e-8
+        # at the default cut it is the conjugation action: cohomogeneity is
+        # the rank, and the action is hyperpolar
+        code, out, _ = run(capsys, ["analyze", "--group", group, "--subgroup",
+                                    "delta(sigma=id)", "--format", "json"])
+        payload = json.loads(out)
+        assert code == 0 and payload["hyperpolar"]
+        assert payload["cohomogeneity"] == rank
 
     @pytest.mark.parametrize("group,factor", [
         ("su4", "sp1"), ("su4", "u2"), ("so8", "su3"), ("so7", "u3"),
@@ -251,6 +270,15 @@ class TestAnalyze:
         assert code == 2
         assert "not bracket-closed" in err
         assert "residual 7.071e-01" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--group", "su3", "--subgroup", "delta(sigma=id)"],
+    ["catalog-run"], ["verify-table1"]])
+def test_flag_defaults_are_the_tolerance_defaults(argv, monkeypatch):
+    monkeypatch.delenv("POLARCHECK_SEED", raising=False)
+    args = cli.build_parser().parse_args(argv)
+    assert cli._tolerances(args) == ToleranceConfig()
 
 
 def _double_span_file(tmp_path, pairs):

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from polarcheck import numerics
 from polarcheck.errors import (ClosureError, DimensionMismatchError,
                                InvalidInputError)
-from polarcheck.lie_algebras import (LieAlgebra, build_classical,
-                                     classical_basis, commutator,
+from polarcheck.lie_algebras import (LieAlgebra, _u_basis_complex,
+                                     build_classical, classical_basis,
+                                     commutator,
                                      identity_automorphism,
                                      make_automorphism,
                                      quaternion_left_matrices,
@@ -146,31 +147,49 @@ class TestInvariants:
         coords = algebra.coords_of(basis_commutators(algebra),
                                    member_tol=1e-10).reshape(d, d, d)
         assert np.abs(coords + coords.transpose(1, 0, 2)).max() < 1e-10
-        # ... and the form is ad-invariant: <[x,y],z> + <y,[x,z]> = 0
-        t = np.einsum('ijl,lk->ijk', coords, algebra.form)
-        assert np.abs(t + t.transpose(0, 2, 1)).max() < 1e-10
+        # ... and the form, a multiple of the identity in these coordinates,
+        # is ad-invariant: <[x,y],z> + <y,[x,z]> = 0
+        assert np.abs(coords + coords.transpose(0, 2, 1)).max() < 1e-10
 
     @pytest.mark.parametrize("family,n", BUILT_IN)
     def test_built_in_basis_is_bracket_closed(self, family, n):
-        # build_classical does not check closure: it holds by construction
-        basis = classical_basis(family, n)
-        assert np.array_equal(build_classical(family, n).basis, basis)
-        flat = basis.reshape(len(basis), -1)
-        onb = np.linalg.qr(flat.T)[0].T
+        # build_classical does not check closure: it holds by construction;
+        # its basis spans classical_basis, with as many matrices
+        classical = classical_basis(family, n)
+        basis = build_classical(family, n).basis
+        assert basis.shape == classical.shape
+        size = basis[0].size
+        onb = np.linalg.qr(basis.reshape(len(basis), size).T)[0].T
+        assert outside_norm(classical.reshape(len(basis), size), onb) < 1e-12
         comms = commutator(basis[:, None], basis[None])
-        assert outside_norm(comms.reshape(-1, flat.shape[1]), onb) < 1e-12
+        assert outside_norm(comms.reshape(-1, size), onb) < 1e-12
 
     @pytest.mark.parametrize("family,n", [("so", n) for n in range(2, 21)]
                              + [("su", n) for n in range(2, 11)]
                              + [("sp", n) for n in range(1, 6)]
                              + [("u", n) for n in range(1, 5)])
     def test_form_is_the_trace_form(self, family, n):
-        # the Gram product must give -tr(XY) bit for bit on the integer
-        # entries of the built-in bases
-        basis = classical_basis(family, n)
+        # the form in coordinates, trace_scale times the identity, is -tr(XY)
+        # on the built-in basis: that basis is Frobenius-orthonormal
+        algebra = build_classical(family, n)
+        basis = algebra.basis
         gram = -np.einsum('iab,jba->ij', basis, basis)
-        assert np.array_equal(build_classical(family, n).form,
-                              0.5 * (gram + gram.T))
+        assert algebra.trace_scale == 1.0
+        assert np.abs(gram - np.eye(algebra.dim)).max() < 1e-13
+        assert np.abs(basis + basis.swapaxes(1, 2)).max() < 1e-15
+
+    @pytest.mark.parametrize("name,mats", [
+        ("so(4)", so_basis(4)),
+        # so(3) in an independent but far from orthogonal basis
+        ("so(3)", np.einsum('ij,jab->iab', [[1.0, 0.0, 0.0], [1.0, 1e-3, 0.0],
+                                             [3.0, 2.0, 5.0]], so_basis(3))),
+        ("su(3)", realify_complex(_u_basis_complex(3, special=True)))])
+    def test_from_basis_is_orthonormal_and_spans_its_input(self, name, mats):
+        algebra = LieAlgebra.from_basis(name, mats, trace_scale=7.0)
+        flat = algebra.basis.reshape(algebra.dim, -1)
+        assert algebra.dim == len(mats)
+        assert np.abs(flat @ flat.T - np.eye(algebra.dim)).max() < 1e-13
+        assert outside_norm(mats.reshape(len(mats), -1), flat) < 1e-12
 
     @pytest.mark.parametrize("family,n", [("so", 5), ("su", 3), ("sp", 2)])
     def test_killing_proportional_on_simple_algebras(self, family, n):
@@ -193,11 +212,14 @@ class TestInvariants:
 class TestBracket:
     def test_so3_is_cyclic(self, tol):
         algebra = build_classical("so", 3)
-        # the basis is E_ij - E_ji for (i,j) = (0,1), (0,2), (1,2), and
-        # [b0, b1] = -b2, [b1, b2] = -b0, [b2, b0] = -b1
+        # any Frobenius-orthonormal basis of so(3) brackets cyclically,
+        # [b0, b1] = s b2 / sqrt(2) and its rotations, with one sign s
+        # fixed by the orientation of the basis
         b = algebra.basis
+        sign = np.sign(np.sum(commutator(b[0], b[1]) * b[2]))
         for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-            assert np.array_equal(commutator(b[i], b[j]), -b[k])
+            assert np.abs(commutator(b[i], b[j])
+                          - sign * b[k] / np.sqrt(2)).max() < 1e-14
 
     @given(seed=st.integers(0, 10**6))
     def test_bracket_matches_matrix_commutator(self, seed):
@@ -267,9 +289,13 @@ class TestFormScaling:
         algebra = build_classical("su", 2)
         scaled = algebra.with_scaled_form(factor)
         v = np.array([1.0, 2.0, -1.0])
-        assert np.array_equal(scaled.form, factor * algebra.form)
-        assert np.linalg.norm(scaled.chol @ v) == pytest.approx(
-            np.sqrt(factor) * np.linalg.norm(algebra.chol @ v))
+        # the basis is kept, so a coordinate vector is the same matrix and
+        # its form-norm scales by sqrt(factor)
+        assert scaled.trace_scale == factor * algebra.trace_scale
+        assert np.array_equal(scaled.basis, algebra.basis)
+        x = scaled.matrix_of(v)
+        assert np.sqrt(-scaled.trace_scale * np.trace(x @ x)) == \
+            pytest.approx(np.sqrt(factor) * np.linalg.norm(v))
         assert np.abs(scaled.coords_of(scaled.matrix_of(v)) - v).max() < 1e-10
 
 
@@ -281,13 +307,13 @@ class TestDirectSum:
         assert (d.dim, d.ambient_size) == (2 * n, 2 * s)
         xs = np.random.default_rng(0).standard_normal((3, 2 * n))
         # the Frobenius matrices of l(+)l are the pairs of l's halves, and
-        # the form is their Frobenius product
+        # their Frobenius product is the Euclidean one of coordinates
         pairs = d.frobenius_matrices(xs)
         assert pairs.shape == (3, 2, s, s)
         assert np.array_equal(pairs[:, 0], a.frobenius_matrices(xs[:, :n]))
         assert np.array_equal(pairs[:, 1], a.frobenius_matrices(xs[:, n:]))
         flat = pairs.reshape(3, -1)
-        assert np.abs(flat @ flat.T - xs @ d.form @ xs.T).max() < 1e-10
+        assert np.abs(flat @ flat.T - xs @ xs.T).max() < 1e-10
 
     @given(seed=st.integers(0, 10**6))
     @settings(deadline=None)

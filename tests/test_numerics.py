@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polarcheck.actions import ActionSpec, analyze
-from polarcheck.errors import InvalidFormError, InvalidInputError
+from polarcheck.errors import InvalidInputError
 from polarcheck import numerics
 from polarcheck.lie_algebras import build_classical
-from polarcheck.numerics import (ToleranceConfig, cholesky_factor, nullspace,
-                                 orthogonal_complement, orthonormal_basis,
-                                 outside_norm, rank_cut, rank_of)
+from polarcheck.numerics import (ToleranceConfig, nullspace, orthonormal_basis,
+                                 outside_norm, rank_cut, rank_of, split_span)
 from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
 from polarcheck.subalgebras import Subalgebra
 
@@ -19,11 +18,6 @@ TOL = ToleranceConfig()
 
 def random_matrix(seed, rows, cols):
     return np.random.default_rng(seed).standard_normal((rows, cols))
-
-
-def random_spd(seed, d):
-    a = np.random.default_rng(seed).standard_normal((d, d))
-    return a @ a.T + d * np.eye(d)
 
 
 class TestToleranceConfig:
@@ -85,33 +79,16 @@ class TestRank:
         assert rank_of(mat, TOL) == rank_of(doubled, TOL)
 
 
-class TestCholesky:
-    @given(seed=st.integers(0, 10**6), d=st.integers(1, 8))
-    def test_reconstruction(self, seed, d):
-        form = random_spd(seed, d)
-        w = cholesky_factor(form)
-        assert np.abs(w.T @ w - form).max() < 1e-10 * np.abs(form).max()
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(InvalidFormError):
-            cholesky_factor(np.diag([1.0, -1.0]))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(InvalidFormError):
-            cholesky_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
 class TestOrthonormalBasis:
     @given(seed=st.integers(0, 10**6), rows=st.integers(1, 8),
            d=st.integers(1, 8))
     @settings(deadline=None)
     def test_gram_is_identity(self, seed, rows, d):
         mat = random_matrix(seed, rows, d)
-        form = random_spd(seed + 1, d)
-        onb = orthonormal_basis(mat, TOL, chol=cholesky_factor(form))
-        gram = onb @ form @ onb.T
-        assert np.abs(gram - np.eye(onb.shape[0])).max() < 1e-9
+        onb = orthonormal_basis(mat, TOL)
+        assert np.abs(onb @ onb.T - np.eye(onb.shape[0])).max() < 1e-12
         assert onb.shape[0] == rank_of(mat, TOL)
+        assert outside_norm(mat, onb) < 1e-12 * np.abs(mat).max()
 
     def test_empty_input(self):
         onb = orthonormal_basis(np.zeros((0, 4)), TOL)
@@ -136,30 +113,33 @@ class TestOrthonormalBasis:
                 mat, TOL, scale=1.0).shape[0]
 
 
-class TestComplement:
+class TestSplitSpan:
     @given(seed=st.integers(0, 10**6), rows=st.integers(0, 8),
-           d=st.integers(1, 8))
+           d=st.integers(1, 8), drop=st.integers(0, 8))
+    @example(seed=0, rows=0, d=3, drop=0)   # the complement is everything
     @settings(deadline=None)
-    def test_dimensions_add_up(self, seed, rows, d):
-        mat = random_matrix(seed, rows, d)
-        form = random_spd(seed + 1, d)
-        comp = orthogonal_complement(mat, TOL, chol=cholesky_factor(form))
-        assert rank_of(mat, TOL) + comp.shape[0] == d
+    def test_span_and_complement(self, seed, rows, d, drop):
+        # rank min(rows, d) - drop, up to 1e-12 in each other direction
+        u, _, vh = np.linalg.svd(random_matrix(seed, rows, d))
+        sv = np.zeros(min(rows, d))
+        kept = max(0, sv.size - drop)
+        sv[:kept] = np.linspace(2.0, 1.0, kept)
+        sv[kept:] = 1e-12
+        mat = (u[:, :sv.size] * sv) @ vh[:sv.size]
+        span, rest, dropped = split_span(mat, TOL, scale=1.0)
+        assert (span.shape[0], rest.shape[0]) == (kept, d - kept)
+        both = np.vstack([span, rest])
+        assert np.abs(both @ both.T - np.eye(d)).max() < 1e-12
+        assert np.abs(mat @ rest.T).max(initial=0.0) < 1e-11
+        onb = orthonormal_basis(mat, TOL, scale=1.0)
+        assert np.abs(span.T @ span - onb.T @ onb).max() < 1e-12
+        assert dropped == pytest.approx(1e-12 if kept < sv.size else 0.0)
 
-    @given(seed=st.integers(0, 10**6), rows=st.integers(1, 6),
-           d=st.integers(2, 8))
-    @settings(deadline=None)
-    def test_complement_is_orthogonal(self, seed, rows, d):
-        mat = random_matrix(seed, rows, d)
-        form = random_spd(seed + 1, d)
-        comp = orthogonal_complement(mat, TOL, chol=cholesky_factor(form))
-        if comp.shape[0]:
-            assert np.abs(mat @ form @ comp.T).max() < 1e-8 * np.abs(mat).max()
-
-    def test_empty_input_gives_whole_space(self):
-        comp = orthogonal_complement(np.zeros((0, 3)), TOL,
-                                     chol=cholesky_factor(np.eye(3)))
-        assert comp.shape == (3, 3)
+    def test_scale_keeps_roundoff_out_of_the_span(self):
+        noise = 1e-15 * random_matrix(0, 3, 4)
+        span, rest, dropped = split_span(noise, TOL, scale=1.0)
+        assert (span.shape[0], rest.shape[0]) == (0, 4)
+        assert dropped == pytest.approx(np.linalg.svd(noise, compute_uv=False)[0])
 
 
 class TestNullspace:
@@ -187,26 +167,29 @@ class TestResiduals:
         assert outside_norm(v, onb) == pytest.approx(3.0)
 
     def test_form_norm(self):
-        # with an empty span the residual is the plain norm, and the
-        # form-norm once the vector is mapped through the Cholesky factor
+        # with an empty span the residual is the plain norm; of coordinates
+        # it is the norm of their matrix in the unit-trace-scale form
         empty = np.zeros((0, 2))
         assert outside_norm(np.array([[3.0, 4.0]]), empty) == pytest.approx(5.0)
-        chol = cholesky_factor(np.diag([4.0, 1.0]))
-        assert outside_norm(np.array([[3.0, 4.0]]) @ chol.T, empty) == \
-            pytest.approx(np.sqrt(52.0))
+        su3 = build_classical("su", 3).with_scaled_form(4.0)
+        v = random_matrix(1, 1, su3.dim)
+        x = su3.matrix_of(v[0])
+        assert su3.trace_scale * -np.trace(x @ x) == pytest.approx(
+            4.0 * outside_norm(v, empty[:, :0].reshape(0, su3.dim)) ** 2)
 
     def test_largest_over_a_stack_with_a_form(self, tol):
-        form = random_spd(5, 4)
-        chol = cholesky_factor(form)
-        onb = orthonormal_basis(random_matrix(6, 2, 4), tol, chol=chol)
-        stack = random_matrix(7, 6, 4).reshape(2, 3, 4)
+        # coordinate rows orthonormal in the unit-trace-scale form give the
+        # residual of the matrices in that form, whatever the form's scale
+        algebra = build_classical("sp", 2).with_scaled_form(9.0)
+        onb = orthonormal_basis(random_matrix(6, 2, algebra.dim), tol)
+        stack = random_matrix(7, 6, algebra.dim).reshape(2, 3, algebra.dim)
+        span = algebra.frobenius_matrices(onb).reshape(2, -1)
         expected = 0.0
-        for v in stack.reshape(-1, 4):
-            rest = v - onb.T @ (onb @ form @ v)
-            expected = max(expected, float(np.sqrt(rest @ form @ rest)))
-        # form-orthonormal rows are orthonormal in Cholesky coordinates
-        assert outside_norm(stack @ chol.T, onb @ chol.T) == \
-            pytest.approx(expected)
+        for v in stack.reshape(-1, algebra.dim):
+            x = algebra.matrix_of(v).ravel()
+            rest = x - span.T @ np.linalg.lstsq(span.T, x, rcond=None)[0]
+            expected = max(expected, float(np.sqrt(rest @ rest)))
+        assert outside_norm(stack, onb) == pytest.approx(expected)
         assert outside_norm(stack[:, :0], onb) == 0.0
 
     def test_blocks_do_not_change_the_result(self, tol, monkeypatch):

@@ -158,5 +158,4 @@ class TestG2:
         imag = restrict_to_imaginary(derivation_matrices(octonion_table(), tol))
         other = Subalgebra.from_matrices(so7, list(imag), tol)
         assert other.dim == 14
-        assert outside_norm(other.basis @ so7.chol.T,
-                            g2.basis @ so7.chol.T) < 1e-9
+        assert outside_norm(other.basis, g2.basis) < 1e-9

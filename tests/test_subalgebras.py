@@ -9,7 +9,8 @@ from polarcheck import embeddings, specs
 from polarcheck.catalog import (catalog_entries, get_entry,
                                 so7_diagonal_subalgebra)
 from polarcheck.embeddings import cartan_subalgebra, corner_so, so_in_su
-from polarcheck.errors import ClosureError, InvalidInputError
+from polarcheck.errors import (ClosureError, DimensionMismatchError,
+                               InvalidInputError)
 from polarcheck.lie_algebras import (_u_basis_complex, adjoint_matrix,
                                      build_classical, commutator,
                                      identity_automorphism, make_automorphism,
@@ -51,9 +52,7 @@ class TestConstruction:
         rebuilt = Subalgebra.from_matrices(algebra, list(corner.matrices()),
                                            tol)
         assert rebuilt.dim == corner.dim
-        chol = algebra.chol
-        assert outside_norm(corner.basis @ chol.T, rebuilt.basis @ chol.T) \
-            < 1e-10
+        assert outside_norm(corner.basis, rebuilt.basis) < 1e-10
 
     def test_zero_and_full(self, tol):
         algebra = build_classical("so", 5)
@@ -218,8 +217,7 @@ class TestFactorTable:
         circle = resolve_factor("s_u_u1", su2, tol)
         cartan = resolve_factor("cartan", su2, tol)
         assert circle.dim == cartan.dim == 1
-        assert outside_norm(circle.basis @ su2.chol.T,
-                            cartan.basis @ su2.chol.T) < 1e-12
+        assert outside_norm(circle.basis, cartan.basis) < 1e-12
 
 
 def _open_so6_span(tol, corner):
@@ -341,11 +339,10 @@ class TestSplitIdeals:
         h = product(h1, h2, tol)
         parts = split_ideals(h, tol)
         assert sum(p.dim for p in parts) == h.dim
-        form = algebra.double().form
         for i, a in enumerate(parts):
             for b in parts[i + 1:]:
                 if a.dim and b.dim:
-                    assert np.abs(a.basis @ form @ b.basis.T).max() < 1e-9
+                    assert np.abs(a.basis @ b.basis.T).max() < 1e-9
 
     def test_parts_are_ideals(self, tol):
         algebra = build_classical("so", 5)
@@ -363,6 +360,14 @@ class TestSplitIdeals:
                             pm.reshape(p1.dim, size)) < 1e-9
 
 
+    def test_parent_must_be_a_double(self, tol):
+        # so(4) has even dimension 6, which once passed for a double of a
+        # 3-dimensional algebra and split its Cartan into 1 + 1 + 0
+        cartan = cartan_subalgebra(build_classical("so", 4), tol)
+        with pytest.raises(DimensionMismatchError, match="not a doubled"):
+            split_ideals(cartan, tol)
+
+
 class TestAdjoint:
     def test_matches_exponential_of_ad(self, tol):
         algebra = build_classical("su", 3)
@@ -378,8 +383,8 @@ class TestAdjoint:
         algebra = build_classical("so", 5)
         x = np.random.default_rng(2).standard_normal(algebra.dim) / 4
         ad_g = adjoint_matrix(algebra, expm(algebra.matrix_of(x)))
-        g = algebra.form
-        assert np.abs(ad_g.T @ g @ ad_g - g).max() < 1e-9
+        # the form is a multiple of the identity in these coordinates
+        assert np.abs(ad_g.T @ ad_g - np.eye(algebra.dim)).max() < 1e-9
 
     def test_rejects_non_normalizing_element(self, tol):
         algebra = build_classical("su", 2)
