@@ -142,6 +142,31 @@ class TestSplitSpan:
         assert dropped == pytest.approx(np.linalg.svd(noise, compute_uv=False)[0])
 
 
+class TestComplement:
+    # the complement split_span returns: nu in polarity_check
+    @given(seed=st.integers(0, 10**6), rows=st.integers(0, 8),
+           d=st.integers(1, 8))
+    @settings(deadline=None)
+    def test_dimensions_add_up(self, seed, rows, d):
+        mat = random_matrix(seed, rows, d)
+        comp = split_span(mat, TOL)[1]
+        assert rank_of(mat, TOL) + comp.shape[0] == d
+
+    @given(seed=st.integers(0, 10**6), rows=st.integers(1, 6),
+           d=st.integers(2, 8))
+    @settings(deadline=None)
+    def test_complement_is_orthogonal(self, seed, rows, d):
+        mat = random_matrix(seed, rows, d)
+        comp = split_span(mat, TOL)[1]
+        if comp.shape[0]:
+            assert np.abs(mat @ comp.T).max() < 1e-8 * np.abs(mat).max()
+            assert np.abs(comp @ comp.T - np.eye(comp.shape[0])).max() < 1e-12
+
+    def test_empty_input_gives_whole_space(self):
+        span, comp, dropped = split_span(np.zeros((0, 3)), TOL)
+        assert (span.shape, comp.shape, dropped) == ((0, 3), (3, 3), 0.0)
+
+
 class TestNullspace:
     @given(seed=st.integers(0, 10**6), rows=st.integers(1, 8),
            cols=st.integers(1, 8))
