@@ -127,12 +127,6 @@ def principal_point(action, tol):
     return best, point, drawn
 
 
-def cohomogeneity(action, tol):
-    """(dim L - max sampled orbit dimension, first point attaining it)."""
-    best, point, _ = principal_point(action, tol)
-    return action.algebra.dim - best, point
-
-
 def polarity_check(action, g, tol, max_orbit_dim):
     """Evaluate the polarity criterion at a principal point g.
 

@@ -25,7 +25,3 @@ class ClosureError(PolarcheckError):
 
 class NonPrincipalPointError(PolarcheckError):
     """The polarity criterion was invoked at a non-principal point."""
-
-
-class InternalConsistencyError(PolarcheckError):
-    """A structural identity that must hold failed numerically."""

@@ -15,9 +15,10 @@ Frobenius product, so in coordinates the form is trace_scale times the
 identity: coordinates are orthonormal for it up to that constant, and
 orthogonality, ranks and residuals do not depend on it.
 
-The direct sum l(+)l (LieAlgebra.double) holds block-diagonal copies of
-l's basis; its Frobenius matrices are pairs of l's halves, so brackets act
-on each half.
+The direct sum l(+)l (LieAlgebra.double) holds only l and no basis of its
+own: its coordinates are pairs of l's, its Frobenius matrices are pairs of
+l's halves, so brackets act on each half, and a block-diagonal matrix gets
+its coordinates block by block.
 """
 
 from dataclasses import dataclass
@@ -244,26 +245,54 @@ class LieAlgebra:
         return self._double
 
 
-class _Double(LieAlgebra):
-    """l(+)l on block-diagonal copies of l's orthonormal basis.
+class _Double:
+    """l(+)l, held as its half l; it has no basis of its own.
 
     Its Frobenius matrices are (k, 2, s, s) pairs of l's halves, so
     commutators and pairings run on each half and never on 2s x 2s blocks.
+    Its coordinates are those of the left half followed by those of the
+    right.
     """
 
     def __init__(self, half):
-        n, s = half.dim, half.ambient_size
-        basis = np.zeros((2 * n, 2 * s, 2 * s))
-        basis[:n, :s, :s] = half.basis
-        basis[n:, s:, s:] = half.basis
-        super().__init__(f"{half.name}(+){half.name}", basis,
-                         trace_scale=half.trace_scale)
         self.half = half
+        self.name = f"{half.name}(+){half.name}"
+        self.dim = 2 * half.dim
+        self.ambient_size = 2 * half.ambient_size
 
     def frobenius_matrices(self, coeffs):
         n = self.half.dim
         return np.stack([self.half.frobenius_matrices(coeffs[:, :n]),
                          self.half.frobenius_matrices(coeffs[:, n:])], axis=1)
+
+    def coords_of(self, mats, member_tol=1e-8):
+        """Coefficient rows of a stack of block-diagonal 2s x 2s matrices.
+
+        Raises DimensionMismatchError unless the last two axes are
+        (2s, 2s), InvalidInputError on a non-finite entry anywhere, and
+        ClosureError when an off-diagonal block is non-zero relative to
+        max(1, the matrix's largest entry) or a diagonal block is not in l
+        (see LieAlgebra.coords_of).
+        """
+        s, size = self.half.ambient_size, self.ambient_size
+        mats = np.asarray(mats, dtype=float)
+        if mats.shape[-2:] != (size, size):
+            raise DimensionMismatchError(
+                f"matrices of shape {mats.shape} for {self.name}, whose "
+                f"matrices are {size} x {size}")
+        mats = mats.reshape(-1, size, size)
+        if not np.isfinite(mats).all():
+            raise InvalidInputError(
+                f"matrix for {self.name} has a non-finite entry (nan or inf)")
+        scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2), initial=0.0))
+        off = np.maximum(np.abs(mats[:, :s, s:]).max(axis=(1, 2), initial=0.0),
+                         np.abs(mats[:, s:, :s]).max(axis=(1, 2), initial=0.0))
+        residual = float((off / scale).max(initial=0.0))
+        if residual > member_tol:
+            raise ClosureError(
+                f"matrix does not lie in {self.name}", residual=residual)
+        return np.hstack([self.half.coords_of(mats[:, :s, :s], member_tol),
+                          self.half.coords_of(mats[:, s:, s:], member_tol)])
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ matrix in row-major order.
 
 A span file is input from outside the program: parse_span_file rejects
 malformed and non-finite entries, and the matrices then pass the membership
-check of LieAlgebra.coords_of and the closure check of
-Subalgebra.from_vectors, so a bad file is rejected with the failing
-residual.  Unlike a built-in embedding's, they may be dependent.
+check of coords_of (on l(+)l, the off-diagonal blocks and then each
+diagonal block) and the closure check of Subalgebra.from_vectors, so a bad
+file is rejected with the failing residual.  Unlike a built-in embedding's,
+they may be dependent.
 """
 
 import numpy as np

@@ -143,7 +143,7 @@ def resolve_subgroup(spec, algebra, tol):
             sigma = identity_automorphism(algebra)
         else:
             sigma = make_automorphism(algebra, sigma_name, tol=tol)
-        return diagonal_sigma(algebra, sigma, tol)
+        return diagonal_sigma(algebra, sigma)
     if head == "product":
         if set(args) != {"h1", "h2"}:
             raise InvalidInputError("product takes exactly h1=..., h2=...")
@@ -151,7 +151,7 @@ def resolve_subgroup(spec, algebra, tol):
         # a repeated factor is resolved once
         h2 = (h1 if args["h2"] == args["h1"]
               else resolve_factor(args["h2"], algebra, tol))
-        return product(h1, h2, tol)
+        return product(h1, h2)
     if head == "span":
         return _span(args, algebra.double(), tol, name="span(file)")
     raise InvalidInputError(f"unknown subgroup constructor {head!r}")

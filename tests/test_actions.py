@@ -12,9 +12,8 @@ from scipy.linalg import expm
 import polarcheck
 
 from polarcheck.actions import (ActionSpec, analyze, check_group_membership,
-                                cohomogeneity, is_transitive, orbit_tangent,
-                                polarity_check, principal_point,
-                                sample_group_point)
+                                is_transitive, orbit_tangent, polarity_check,
+                                principal_point, sample_group_point)
 from polarcheck.embeddings import cartan_subalgebra, corner_so, so_in_su
 from polarcheck.errors import InvalidInputError, NonPrincipalPointError
 from polarcheck.lie_algebras import (LieAlgebra, build_classical,
@@ -30,7 +29,7 @@ from helpers import conjugated_pair_subalgebra
 
 def conjugation_action(family, n, tol):
     algebra = build_classical(family, n)
-    h = diagonal_sigma(algebra, identity_automorphism(algebra), tol)
+    h = diagonal_sigma(algebra, identity_automorphism(algebra))
     return ActionSpec(algebra, h)
 
 
@@ -50,8 +49,7 @@ def brute_force_rank(algebra, samples=6, seed=0):
 class TestOrbitTangent:
     def test_left_translations_fill_everything(self, tol):
         algebra = build_classical("su", 2)
-        h = product(full_subalgebra(algebra, tol), zero_subalgebra(algebra),
-                    tol)
+        h = product(full_subalgebra(algebra, tol), zero_subalgebra(algebra))
         action = ActionSpec(algebra, h)
         tangent = orbit_tangent(action, np.eye(algebra.ambient_size), tol)
         assert tangent.shape[0] == algebra.dim
@@ -64,7 +62,7 @@ class TestOrbitTangent:
     def test_rejects_wrong_parent(self, tol):
         a = build_classical("su", 2)
         b = build_classical("su", 3)
-        h = diagonal_sigma(a, identity_automorphism(a), tol)
+        h = diagonal_sigma(a, identity_automorphism(a))
         with pytest.raises(InvalidInputError):
             ActionSpec(b, h)
 
@@ -102,28 +100,27 @@ class TestCohomogeneity:
         # oracle: the conjugation action has cohomogeneity = rank, computed
         # independently as the generic dimension of ker(ad X)
         action = conjugation_action(family, n, tol)
-        cohom, _ = cohomogeneity(action, tol)
-        assert cohom == brute_force_rank(action.algebra)
+        orbit_dim, _, _ = principal_point(action, tol)
+        assert action.algebra.dim - orbit_dim == \
+            brute_force_rank(action.algebra)
 
     def test_transitive_action_has_cohomogeneity_zero(self, tol):
         algebra = build_classical("su", 2)
-        h = product(full_subalgebra(algebra, tol), zero_subalgebra(algebra),
-                    tol)
-        cohom, _ = cohomogeneity(ActionSpec(algebra, h), tol)
-        assert cohom == 0
+        h = product(full_subalgebra(algebra, tol), zero_subalgebra(algebra))
+        orbit_dim, _, _ = principal_point(ActionSpec(algebra, h), tol)
+        assert orbit_dim == algebra.dim
 
     def test_determinism(self, tol):
         action = conjugation_action("su", 3, tol)
-        _, p1 = cohomogeneity(action, tol)
-        _, p2 = cohomogeneity(action, tol)
+        _, p1, _ = principal_point(action, tol)
+        _, p2, _ = principal_point(action, tol)
         assert np.array_equal(p1, p2)
 
 
 class TestPolarityCheck:
     def test_cohomogeneity_zero_report(self, tol):
         algebra = build_classical("su", 2)
-        h = product(full_subalgebra(algebra, tol), zero_subalgebra(algebra),
-                    tol)
+        h = product(full_subalgebra(algebra, tol), zero_subalgebra(algebra))
         report = analyze(ActionSpec(algebra, h), tol)
         assert report.cohomogeneity == 0
         assert report.polar and report.hyperpolar
@@ -160,7 +157,7 @@ class TestPolarityCheck:
 
     def test_verdicts_stable_under_conjugation(self, tol):
         algebra = build_classical("su", 3)
-        h = diagonal_sigma(algebra, identity_automorphism(algebra), tol)
+        h = diagonal_sigma(algebra, identity_automorphism(algebra))
         base = analyze(ActionSpec(algebra, h), tol)
         rng = np.random.default_rng(11)
         for _ in range(3):
@@ -205,7 +202,7 @@ class TestFormScale:
         for scale in (1.0, 1e6):
             algebra = build_classical("su", 3).with_scaled_form(scale)
             su2 = resolve_factor("su2", algebra, tol)
-            report = analyze(ActionSpec(algebra, product(su2, su2, tol)), tol)
+            report = analyze(ActionSpec(algebra, product(su2, su2)), tol)
             values.append([report.residual_orth, report.residual_abelian])
         assert min(values[0]) > 0.1
         assert values[1] == pytest.approx(values[0], rel=1e-6)
@@ -313,8 +310,8 @@ class TestFlatSection:
     def test_hermann_pair(self, tol):
         algebra = build_classical("su", 3)
         real_points = so_in_su(algebra, tol, 3)
-        report = analyze(ActionSpec(algebra, product(real_points, real_points,
-                                                     tol)), tol)
+        report = analyze(ActionSpec(algebra, product(real_points,
+                                                     real_points)), tol)
         assert report.cohomogeneity == 2
         assert report.residual_abelian < 1e-8
         assert report.hyperpolar
@@ -322,7 +319,7 @@ class TestFlatSection:
     def test_non_polar_pair_is_not_flat(self, tol):
         algebra = build_classical("su", 3)
         su2 = resolve_factor("su2", algebra, tol)
-        report = analyze(ActionSpec(algebra, product(su2, su2, tol)), tol)
+        report = analyze(ActionSpec(algebra, product(su2, su2)), tol)
         assert report.cohomogeneity == 2
         assert report.residual_abelian > 0.1
         assert not report.polar
@@ -332,7 +329,7 @@ class TestProperties:
     def test_orbit_dimension_constant_along_orbit(self, tol):
         # moving g to a g b^{-1} with (a, b) in H keeps the orbit dimension
         algebra = build_classical("su", 3)
-        h = diagonal_sigma(algebra, identity_automorphism(algebra), tol)
+        h = diagonal_sigma(algebra, identity_automorphism(algebra))
         action = ActionSpec(algebra, h)
         rng = np.random.default_rng(7)
         g = sample_group_point(algebra, rng)
@@ -360,10 +357,10 @@ class TestProperties:
                                                tol):
         algebra = build_classical("su", 3)
         h1, h2 = builder(algebra, tol)
-        action = ActionSpec(algebra, product(h1, h2, tol))
-        cohom, _ = cohomogeneity(action, tol)
+        action = ActionSpec(algebra, product(h1, h2))
+        orbit_dim, _, _ = principal_point(action, tol)
         assert is_transitive(h1, h2, algebra, tol) == transitive
-        assert (cohom == 0) == transitive
+        assert (orbit_dim == algebra.dim) == transitive
 
 
 class TestSampling:

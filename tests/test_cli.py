@@ -272,6 +272,20 @@ class TestAnalyze:
         assert "residual 7.071e-01" in err
 
 
+    def test_off_diagonal_span_file_in_the_double(self, capsys, tmp_path):
+        # (e1, e1) plus a skew pair in the off-diagonal blocks: skew, but
+        # not in su(2)(+)su(2)
+        path = _double_span_file(tmp_path, [(0, 0)])
+        size, entries = path.read_text().split("\n", 1)
+        mat = np.array(entries.split(), dtype=float).reshape(8, 8)
+        mat[0, 4], mat[4, 0] = 0.5, -0.5
+        path.write_text(size + "\n" + " ".join(f"{x:.17g}" for x in
+                                               mat.ravel()) + "\n")
+        code, out, err = run(capsys, ["analyze", "--group", "su2",
+                                      "--subgroup", f"span(file={path})"])
+        assert (code, out) == (2, "")
+        assert "does not lie in su(2)(+)su(2)" in err
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--group", "su3", "--subgroup", "delta(sigma=id)"],
     ["catalog-run"], ["verify-table1"]])

@@ -299,6 +299,15 @@ class TestFormScaling:
         assert np.abs(scaled.coords_of(scaled.matrix_of(v)) - v).max() < 1e-10
 
 
+def block_diagonal(algebra, v):
+    """The 2s x 2s block-diagonal matrix of coordinates v of l(+)l."""
+    n, s = algebra.dim, algebra.ambient_size
+    mat = np.zeros((2 * s, 2 * s))
+    mat[:s, :s] = algebra.matrix_of(v[:n])
+    mat[s:, s:] = algebra.matrix_of(v[n:])
+    return mat
+
+
 class TestDirectSum:
     def test_dimensions_and_blocks(self):
         a = build_classical("so", 4).with_scaled_form(3.0)
@@ -328,12 +337,64 @@ class TestDirectSum:
                             double.frobenius_matrices(ys)[None])
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
-                a, b = double.matrix_of(x), double.matrix_of(y)
+                a, b = block_diagonal(algebra, x), block_diagonal(algebra, y)
                 block = commutator(a, b)
                 # cross blocks vanish, and each half brackets as l
                 assert not block[:s, s:].any() and not block[s:, :s].any()
                 assert np.abs(halves[i, j, 0] - block[:s, :s]).max() < 1e-10
                 assert np.abs(halves[i, j, 1] - block[s:, s:]).max() < 1e-10
+
+    def test_holds_no_basis(self):
+        double = build_classical("so", 5).double()
+        assert not isinstance(double, LieAlgebra)
+        assert not hasattr(double, "basis")
+
+    @pytest.mark.parametrize("family,n", [("su", 3), ("so", 5), ("sp", 2)])
+    def test_coords_roundtrip_block_diagonal_stacks(self, family, n):
+        algebra = build_classical(family, n)
+        double = algebra.double()
+        vs = np.random.default_rng(n).standard_normal((4, double.dim)) * 10
+        mats = np.array([block_diagonal(algebra, v) for v in vs])
+        assert np.abs(double.coords_of(mats) - vs).max() < 1e-10
+        assert np.abs(double.coords_of(mats[0]) - vs[:1]).max() < 1e-10
+
+    @pytest.mark.parametrize("corner", ["upper", "lower"])
+    def test_coords_reject_an_off_diagonal_block(self, corner):
+        algebra = build_classical("su", 2)
+        double = algebra.double()
+        s = algebra.ambient_size
+        vs = np.random.default_rng(1).standard_normal((3, double.dim))
+        mats = np.array([block_diagonal(algebra, v) for v in vs])
+        # one off-diagonal entry in one matrix of the stack is enough
+        row, col = (0, s + 1) if corner == "upper" else (s + 1, 0)
+        mats[1, row, col] = 1e-6
+        with pytest.raises(ClosureError,
+                           match=r"does not lie in su\(2\)\(\+\)su\(2\)"):
+            double.coords_of(mats)
+        # relative to the matrix's largest entry, as for l itself
+        mats[1] *= 1e4
+        mats[1, row, col] = 1e-7
+        double.coords_of(mats)
+
+    def test_coords_reject_a_non_member_block(self):
+        algebra = build_classical("so", 4)
+        mats = np.zeros((1, 8, 8))
+        mats[0, 4:, 4:] = np.eye(4)
+        with pytest.raises(ClosureError, match="does not lie in"):
+            algebra.double().coords_of(mats)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_coords_reject_non_finite_off_diagonal_entries(self, value):
+        algebra = build_classical("su", 2)
+        mats = np.zeros((2, 8, 8))
+        mats[1, 2, 6] = value
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            algebra.double().coords_of(mats)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 8, 4), (64,)])
+    def test_coords_reject_a_mis_sized_stack(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            build_classical("su", 2).double().coords_of(np.zeros(shape))
 
     def test_double_is_cached(self):
         algebra = build_classical("su", 2)

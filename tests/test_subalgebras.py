@@ -9,20 +9,18 @@ from polarcheck import embeddings, specs
 from polarcheck.catalog import (catalog_entries, get_entry,
                                 so7_diagonal_subalgebra)
 from polarcheck.embeddings import cartan_subalgebra, corner_so, so_in_su
-from polarcheck.errors import (ClosureError, DimensionMismatchError,
-                               InvalidInputError)
+from polarcheck.errors import ClosureError, InvalidInputError
 from polarcheck.lie_algebras import (_u_basis_complex, adjoint_matrix,
                                      build_classical, commutator,
                                      identity_automorphism, make_automorphism,
                                      quaternion_left_matrices, realify_complex,
                                      realify_quaternion, span_closure_residual)
 from polarcheck.octonions import quaternion_table
-from polarcheck.numerics import outside_norm
+from polarcheck.numerics import orthonormal_basis, outside_norm
 from polarcheck.specs import (FACTORS, parse_group, resolve_factor,
                               resolve_subgroup)
 from polarcheck.subalgebras import (Subalgebra, diagonal_sigma,
-                                    full_subalgebra, product, split_ideals,
-                                    zero_subalgebra)
+                                    full_subalgebra, product, zero_subalgebra)
 
 from helpers import (conjugated_pair_subalgebra, conjugated_subalgebra,
                      gram_residual)
@@ -49,8 +47,8 @@ class TestConstruction:
     def test_from_matrices_roundtrip(self, tol):
         algebra = build_classical("so", 4)
         corner = corner_so(algebra, 3, tol)
-        rebuilt = Subalgebra.from_matrices(algebra, list(corner.matrices()),
-                                           tol)
+        rebuilt = Subalgebra.from_matrices(
+            algebra, algebra.frobenius_matrices(corner.basis), tol)
         assert rebuilt.dim == corner.dim
         assert outside_norm(corner.basis, rebuilt.basis) < 1e-10
 
@@ -63,7 +61,7 @@ class TestConstruction:
 class TestDiagonalAndProduct:
     def test_diagonal_dimension(self, tol):
         algebra = build_classical("su", 3)
-        h = diagonal_sigma(algebra, identity_automorphism(algebra), tol)
+        h = diagonal_sigma(algebra, identity_automorphism(algebra))
         assert h.parent is algebra.double()
         assert h.dim == algebra.dim
         assert h.closure_residual() < 1e-10
@@ -71,21 +69,21 @@ class TestDiagonalAndProduct:
     def test_twisted_diagonal(self, tol):
         algebra = build_classical("so", 8)
         sigma = make_automorphism(algebra, "outer_so_even", tol=tol)
-        h = diagonal_sigma(algebra, sigma, tol)
+        h = diagonal_sigma(algebra, sigma)
         assert h.dim == algebra.dim
 
     def test_product_dimensions(self, tol):
         algebra = build_classical("so", 5)
         h1 = corner_so(algebra, 4, tol)
         h2 = corner_so(algebra, 3, tol)
-        h = product(h1, h2, tol)
+        h = product(h1, h2)
         assert h.dim == h1.dim + h2.dim
 
     def test_product_rejects_mixed_parents(self, tol):
         a = build_classical("so", 4)
         b = build_classical("so", 5)
         with pytest.raises(InvalidInputError):
-            product(corner_so(a, 3, tol), corner_so(b, 3, tol), tol)
+            product(corner_so(a, 3, tol), corner_so(b, 3, tol))
 
 
 # (group, factor) per built-in embedding builder, over a range of sizes
@@ -220,6 +218,60 @@ class TestFactorTable:
         assert outside_norm(circle.basis, cartan.basis) < 1e-12
 
 
+# the products of the catalog and of the benchmark workloads, by group
+WRITTEN_DOWN_PRODUCTS = [
+    ("su2", "zero", "zero"), ("su3", "so3", "so3"),
+    ("su4", "sp2", "s_u_u1"), ("su4", "sp2", "su3"), ("su4", "su3", "su3"),
+    ("so6", "so5", "u3"), ("so6", "so5", "su3"), ("so7", "g2", "so6"),
+    ("so7", "g2", "so5so2"), ("so7", "g2", "so5"), ("so8", "so7", "sp2sp1"),
+    ("so8", "so7", "sp2u1"), ("so8", "so7", "sp2"), ("so8", "spin7", "so7"),
+    ("so16", "spin9", "so15"), ("so20", "so19", "u10"),
+    ("su10", "su9", "su9"), ("so14", "cartan", "cartan"),
+    ("so12", "zero", "zero"), ("su8", "cartan", "cartan"),
+]
+# every group of the catalog and of the benchmark, with each of its sigmas
+WRITTEN_DOWN_DIAGONALS = [
+    (group, sigma)
+    for group in sorted({g for g, _, _ in WRITTEN_DOWN_PRODUCTS}
+                        | {"so5", "sp5"})
+    for sigma in ("id", "outer_su", "outer_so_even")
+    if sigma == "id" or (sigma == "outer_su" and group.startswith("su"))
+    or (sigma == "outer_so_even" and group.startswith("so")
+        and int(group[2:]) % 2 == 0)]
+
+
+class TestWrittenDownRows:
+    """product and diagonal_sigma write their rows down orthonormal, with
+    the span that the rank cut of the unnormalized rows gives."""
+
+    @staticmethod
+    def check(h, rows, tol):
+        assert np.abs(h.basis @ h.basis.T
+                      - np.eye(h.dim)).max(initial=0.0) < 1e-12
+        reference = orthonormal_basis(rows, tol)
+        assert reference.shape == h.basis.shape
+        assert np.abs(h.basis.T @ h.basis
+                      - reference.T @ reference).max(initial=0.0) < 1e-12
+
+    @pytest.mark.parametrize("group,h1,h2", WRITTEN_DOWN_PRODUCTS)
+    def test_product(self, group, h1, h2, tol):
+        algebra = parse_group(group)
+        f1 = resolve_factor(h1, algebra, tol)
+        f2 = resolve_factor(h2, algebra, tol)
+        rows = np.zeros((f1.dim + f2.dim, 2 * algebra.dim))
+        rows[:f1.dim, :algebra.dim] = 3.0 * f1.basis
+        rows[f1.dim:, algebra.dim:] = f2.basis
+        self.check(product(f1, f2), rows, tol)
+
+    @pytest.mark.parametrize("group,sigma", WRITTEN_DOWN_DIAGONALS)
+    def test_diagonal(self, group, sigma, tol):
+        algebra = parse_group(group)
+        aut = (identity_automorphism(algebra) if sigma == "id"
+               else make_automorphism(algebra, sigma, tol=tol))
+        rows = np.hstack([np.eye(algebra.dim), aut.matrix.T])
+        self.check(diagonal_sigma(algebra, aut), rows, tol)
+
+
 def _open_so6_span(tol, corner):
     """closed_span (no closure check) of random so(6) vectors: the so(5)
     corner plus one, or two alone."""
@@ -284,90 +336,6 @@ class TestClosureReference:
             assert whole.closure_residual() < 1e-14
 
 
-class TestSplitIdeals:
-    def test_pure_product(self, tol):
-        algebra = build_classical("su", 3)
-        h1 = cartan_subalgebra(algebra, tol)
-        h2 = full_subalgebra(algebra, tol)
-        h = product(h1, h2, tol)
-        p1, p2, delta = split_ideals(h, tol)
-        assert (p1.dim, p2.dim, delta.dim) == (h1.dim, h2.dim, 0)
-
-    def test_pure_diagonal(self, tol):
-        algebra = build_classical("su", 3)
-        h = diagonal_sigma(algebra, identity_automorphism(algebra), tol)
-        p1, p2, delta = split_ideals(h, tol)
-        assert (p1.dim, p2.dim, delta.dim) == (0, 0, algebra.dim)
-
-    def test_mixed(self, tol):
-        # graph of one torus direction plus a second direction in the right
-        # factor only: h1' = 0, h2' = 1-dimensional, diagonal part 1
-        algebra = build_classical("su", 3)
-        torus = cartan_subalgebra(algebra, tol)
-        t1, t2 = torus.basis
-        n = algebra.dim
-        vecs = np.zeros((2, 2 * n))
-        vecs[0, :n] = t1
-        vecs[0, n:] = t1
-        vecs[1, n:] = t2
-        h = Subalgebra.from_vectors(algebra.double(), vecs, tol)
-        p1, p2, delta = split_ideals(h, tol)
-        assert (p1.dim, p2.dim, delta.dim) == (0, 1, 1)
-
-    def test_diagonal_su2_plus_right_u1(self, tol):
-        # diagonal su(2) corner plus the centralizing u(1) in the right
-        # factor only: h1' = 0, h2' = u(1), diagonal part = su(2)
-        from polarcheck.embeddings import su_corner_in_su
-        from polarcheck.lie_algebras import realify_complex
-        algebra = build_classical("su", 3)
-        su2 = su_corner_in_su(algebra, 2, tol)
-        u1 = algebra.coords_of(realify_complex(
-            1j * np.diag([1.0, 1.0, -2.0]) / np.sqrt(6)))[0]
-        n = algebra.dim
-        vecs = np.zeros((su2.dim + 1, 2 * n))
-        vecs[:su2.dim, :n] = su2.basis
-        vecs[:su2.dim, n:] = su2.basis
-        vecs[su2.dim, n:] = u1
-        h = Subalgebra.from_vectors(algebra.double(), vecs, tol)
-        p1, p2, delta = split_ideals(h, tol)
-        assert (p1.dim, p2.dim, delta.dim) == (0, 1, 3)
-
-    def test_parts_sum_to_h_and_are_orthogonal(self, tol):
-        algebra = build_classical("so", 5)
-        h1 = corner_so(algebra, 4, tol)
-        h2 = corner_so(algebra, 3, tol)
-        h = product(h1, h2, tol)
-        parts = split_ideals(h, tol)
-        assert sum(p.dim for p in parts) == h.dim
-        for i, a in enumerate(parts):
-            for b in parts[i + 1:]:
-                if a.dim and b.dim:
-                    assert np.abs(a.basis @ b.basis.T).max() < 1e-9
-
-    def test_parts_are_ideals(self, tol):
-        algebra = build_classical("so", 5)
-        h1 = corner_so(algebra, 4, tol)
-        h2 = corner_so(algebra, 3, tol)
-        h = product(h1, h2, tol)
-        p1, p2, _ = split_ideals(h, tol)
-        # [h, p1] stays in p1
-        double = algebra.double()
-        hm = double.frobenius_matrices(h.basis)
-        pm = double.frobenius_matrices(p1.basis)
-        brackets = commutator(hm[:, None], pm[None])
-        size = pm[0].size
-        assert outside_norm(brackets.reshape(-1, size),
-                            pm.reshape(p1.dim, size)) < 1e-9
-
-
-    def test_parent_must_be_a_double(self, tol):
-        # so(4) has even dimension 6, which once passed for a double of a
-        # 3-dimensional algebra and split its Cartan into 1 + 1 + 0
-        cartan = cartan_subalgebra(build_classical("so", 4), tol)
-        with pytest.raises(DimensionMismatchError, match="not a doubled"):
-            split_ideals(cartan, tol)
-
-
 class TestAdjoint:
     def test_matches_exponential_of_ad(self, tol):
         algebra = build_classical("su", 3)
@@ -404,7 +372,7 @@ class TestConjugation:
 
     def test_conjugated_pair_subalgebra(self, tol):
         algebra = build_classical("su", 3)
-        h = diagonal_sigma(algebra, identity_automorphism(algebra), tol)
+        h = diagonal_sigma(algebra, identity_automorphism(algebra))
         rng = np.random.default_rng(4)
         a = expm(algebra.matrix_of(rng.standard_normal(algebra.dim) / 4))
         b = expm(algebra.matrix_of(rng.standard_normal(algebra.dim) / 4))
