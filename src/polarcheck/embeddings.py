@@ -10,12 +10,15 @@ loudly, and the full-rank check of Subalgebra.closed_span, so a rank cut too
 coarse for them fails instead of silently shrinking the subspace.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import InvalidInputError
 from .lie_algebras import (_u_basis_complex, quaternion_left_matrices,
                            quaternion_right_matrices, realify_complex,
                            realify_quaternion, so_basis, sp_basis_quaternion)
+from .numerics import ToleranceConfig
 from .octonions import (derivation_matrices, octonion_table, quaternion_table,
                         restrict_to_imaginary)
 from .subalgebras import Subalgebra, zero_subalgebra
@@ -197,12 +200,31 @@ def sp_in_so(ambient, tol, m, right_factor="none"):
     return Subalgebra.from_matrices(ambient, mats, tol, name=name)
 
 
+@lru_cache(maxsize=None)
+def _g2_matrices(rel_rank_tol):
+    """The octonion derivations on the imaginary part, read-only.
+
+    Keyed on rel_rank_tol, the only tolerance the Leibniz kernel reads.  A
+    cut that loses the imaginary part raises on every call, since lru_cache
+    stores no exception.
+    """
+    tol = ToleranceConfig(rel_rank_tol=rel_rank_tol)
+    ders = restrict_to_imaginary(derivation_matrices(octonion_table(), tol))
+    ders.flags.writeable = False
+    return ders
+
+
 def g2_in_so7(ambient, tol):
-    """Derivations of the octonions, restricted to the imaginary part."""
+    """Derivations of the octonions, restricted to the imaginary part.
+
+    g2 is a constant, like so(n): its matrices are derived once per process
+    for each tol.rel_rank_tol and shared read-only.  The membership check
+    and rank guard of from_matrices run on every call, with tol.
+    """
     if ambient.family != "so" or ambient.n != 7:
         raise InvalidInputError(f"g2 does not embed in {ambient.name}")
-    ders = restrict_to_imaginary(derivation_matrices(octonion_table(), tol))
-    return Subalgebra.from_matrices(ambient, ders, tol, name="g2")
+    return Subalgebra.from_matrices(ambient, _g2_matrices(tol.rel_rank_tol),
+                                    tol, name="g2")
 
 
 def cartan_subalgebra(ambient, tol):

@@ -6,6 +6,11 @@ whole input.  Orthonormality is Euclidean: every algebra has a
 Frobenius-orthonormal basis, so coordinates are Euclidean for the
 invariant form up to its constant scale.
 
+Row spaces and complements come from the right singular vectors alone.
+LAPACK is asked for the full, square V only when the matrix has fewer rows
+than columns: otherwise the thin V is already complete, and the full U of
+a tall system (512 x 512 for the octonion Leibniz system) is never formed.
+
 All functions are pure; nothing here owns randomness.
 """
 
@@ -106,9 +111,15 @@ def orthonormal_basis(vectors, tol, scale=None):
 def split_span(matrix, tol, scale=None):
     """Orthonormal bases (rows) of the row space of a real matrix and of its
     orthogonal complement, from one SVD and cut as orthonormal_basis cuts,
-    and the largest singular value the cut drops (0.0 if it drops none)."""
+    and the largest singular value the cut drops (0.0 if it drops none).
+
+    Only V is read, never U.  A matrix with at least as many rows as
+    columns has as many singular values as columns, so the thin V is
+    already square and orthogonal; only a matrix with fewer rows than
+    columns needs the full V, whose extra rows complete its complement.
+    """
     mat = np.atleast_2d(np.asarray(matrix, dtype=float))
-    _, sv, vh = np.linalg.svd(mat, full_matrices=True)
+    _, sv, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     rank = _scaled_rank(sv, tol, scale)
     return vh[:rank], vh[rank:], float(sv[rank]) if rank < sv.size else 0.0
 

@@ -31,24 +31,30 @@ def cayley_dickson_double(table):
     return out
 
 
+def _read_only(array):
+    """array, made read-only: every caller of a cached table shares it."""
+    array.flags.writeable = False
+    return array
+
+
 @lru_cache(maxsize=None)
 def real_table():
-    return np.ones((1, 1, 1))
+    return _read_only(np.ones((1, 1, 1)))
 
 
 @lru_cache(maxsize=None)
 def complex_table():
-    return cayley_dickson_double(real_table())
+    return _read_only(cayley_dickson_double(real_table()))
 
 
 @lru_cache(maxsize=None)
 def quaternion_table():
-    return cayley_dickson_double(complex_table())
+    return _read_only(cayley_dickson_double(complex_table()))
 
 
 @lru_cache(maxsize=None)
 def octonion_table():
-    return cayley_dickson_double(quaternion_table())
+    return _read_only(cayley_dickson_double(quaternion_table()))
 
 
 def derivation_matrices(table, tol=None):

@@ -344,6 +344,24 @@ class TestCatalogCommands:
         assert payload["results"][0]["entry_id"] == "conj-so5"
 
 
+class TestOneProcessMatchesFresh:
+    def test_catalog_and_table_reports(self, capsys):
+        # g2 and the classical algebras are cached for the life of a process;
+        # what ran before must not change a report
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        argvs = [[cmd, "--seed", str(seed), "--format", "json"]
+                 for seed in range(3) for cmd in ("catalog-run", "verify-table1")]
+        fresh = [subprocess.Popen([sys.executable, "-m", "polarcheck.cli"] + argv,
+                                  stdout=subprocess.PIPE, env=env, text=True)
+                 for argv in argvs]
+        for argv, proc in zip(argvs, fresh):
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            assert out == proc.communicate(timeout=120)[0]
+            assert proc.returncode == 0
+
+
 class TestVerifyTable1:
     def test_single_row(self, capsys):
         code, out, _ = run(capsys, ["verify-table1", "--row", "spin7-so8"])

@@ -9,6 +9,7 @@ from polarcheck import numerics
 from polarcheck.lie_algebras import build_classical
 from polarcheck.numerics import (ToleranceConfig, nullspace, orthonormal_basis,
                                  outside_norm, rank_cut, rank_of, split_span)
+from polarcheck.octonions import derivation_matrices, octonion_table
 from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
 from polarcheck.subalgebras import Subalgebra
 
@@ -117,6 +118,8 @@ class TestSplitSpan:
     @given(seed=st.integers(0, 10**6), rows=st.integers(0, 8),
            d=st.integers(1, 8), drop=st.integers(0, 8))
     @example(seed=0, rows=0, d=3, drop=0)   # the complement is everything
+    @example(seed=1, rows=8, d=3, drop=1)   # tall: the thin V is complete
+    @example(seed=2, rows=8, d=3, drop=0)
     @settings(deadline=None)
     def test_span_and_complement(self, seed, rows, d, drop):
         # rank min(rows, d) - drop, up to 1e-12 in each other direction
@@ -140,6 +143,36 @@ class TestSplitSpan:
         span, rest, dropped = split_span(noise, TOL, scale=1.0)
         assert (span.shape[0], rest.shape[0]) == (0, 4)
         assert dropped == pytest.approx(np.linalg.svd(noise, compute_uv=False)[0])
+
+    def test_asks_for_the_full_v_only_when_fat(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def recording(mat, *args, **kwargs):
+            calls.append((mat.shape, kwargs["full_matrices"]))
+            return svd(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        derivation_matrices(octonion_table(), TOL)   # the Leibniz system
+        for shape in [(9, 4), (4, 4), (3, 7)]:
+            split_span(random_matrix(0, *shape), TOL)
+        assert calls == [((512, 64), False), ((9, 4), False), ((4, 4), False),
+                         ((3, 7), True)]
+
+    @pytest.mark.parametrize("rows, d, rank", [
+        (9, 4, 4), (9, 4, 2), (4, 4, 4), (4, 4, 3), (3, 7, 3), (3, 7, 2),
+        (0, 5, 0)])
+    def test_matches_the_full_svd(self, rows, d, rank):
+        rng = np.random.default_rng(100 * rows + 10 * d + rank)
+        mat = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, d))
+        _, sv, vh = np.linalg.svd(mat, full_matrices=True)
+        cut = rank_cut(sv, TOL.rel_rank_tol)
+        span, rest, dropped = split_span(mat, TOL)
+        assert (span.shape, rest.shape) == ((rank, d), (d - rank, d))
+        for got, want in [(span, vh[:cut]), (rest, vh[cut:])]:
+            gap = got.T @ got - want.T @ want
+            assert np.abs(gap).max(initial=0.0) < 1e-12
+        assert abs(dropped - (sv[cut] if cut < sv.size else 0.0)) < 1e-12
 
 
 class TestComplement:
@@ -170,6 +203,7 @@ class TestComplement:
 class TestNullspace:
     @given(seed=st.integers(0, 10**6), rows=st.integers(1, 8),
            cols=st.integers(1, 8))
+    @example(seed=0, rows=8, cols=3)   # tall: the thin V is complete
     def test_kernel_property(self, seed, rows, cols):
         mat = random_matrix(seed, rows, cols)
         ns = nullspace(mat, TOL)

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from polarcheck import embeddings
+from polarcheck.catalog import verify_table1
 from polarcheck.embeddings import g2_in_so7, gamma_matrices, spin_subalgebra
 from polarcheck.errors import InvalidInputError
 from polarcheck.lie_algebras import build_classical
-from polarcheck.numerics import outside_norm
+from polarcheck.numerics import ToleranceConfig, outside_norm
 from polarcheck.octonions import (cayley_dickson_double, complex_table,
                                   derivation_matrices, octonion_table,
                                   quaternion_table, real_table,
                                   restrict_to_imaginary)
 
 from helpers import gamma_anticommutation_residual
+from polarcheck.specs import resolve_factor
 from polarcheck.subalgebras import Subalgebra
 
 
@@ -159,3 +162,47 @@ class TestG2:
         other = Subalgebra.from_matrices(so7, list(imag), tol)
         assert other.dim == 14
         assert outside_norm(other.basis, g2.basis) < 1e-9
+
+
+@pytest.fixture
+def g2_cache():
+    embeddings._g2_matrices.cache_clear()
+    yield
+    embeddings._g2_matrices.cache_clear()
+
+
+class TestG2Cache:
+    def test_derived_once_per_rank_tol(self, g2_cache, monkeypatch):
+        calls = []
+
+        def counting(table, tol):
+            calls.append(tol.rel_rank_tol)
+            return derivation_matrices(table, tol)
+
+        monkeypatch.setattr(embeddings, "derivation_matrices", counting)
+        so7 = build_classical("so", 7)
+        for seed in range(6):
+            assert resolve_factor("g2", so7, ToleranceConfig(seed=seed)).dim == 14
+        for _ in range(3):
+            assert verify_table1("g2-so7-so6").passed
+        assert calls == [1e-9]
+        assert resolve_factor("g2", so7, ToleranceConfig(rel_rank_tol=1e-8)).dim == 14
+        assert calls == [1e-9, 1e-8]
+
+    def test_a_failing_cut_raises_on_every_call(self, g2_cache):
+        so7 = build_classical("so", 7)
+        tol = ToleranceConfig(rel_rank_tol=0.5)
+        for _ in range(2):
+            with pytest.raises(InvalidInputError,
+                               match="do not preserve the imaginary part"):
+                g2_in_so7(so7, tol)
+
+
+@pytest.mark.parametrize("table", [
+    real_table, complex_table, quaternion_table, octonion_table,
+    lambda: embeddings._g2_matrices(ToleranceConfig().rel_rank_tol),
+], ids=["real", "complex", "quaternion", "octonion", "g2"])
+def test_cached_tables_are_read_only(table):
+    # every caller shares the cached array, so a write must not go through
+    with pytest.raises(ValueError):
+        table()[0, 0, 0] = 1.0
