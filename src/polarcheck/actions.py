@@ -137,11 +137,11 @@ def polarity_check(action, g, tol, max_orbit_dim):
     rel_rank_tol is too coarse for the tangent.
 
     Residuals are norms of commutators of Frobenius-orthonormal matrices of
-    nu, taken in the unit-trace-scale form (see
-    LieAlgebra.frobenius_matrices).  The tangent component of a triple
-    [[X,Y],Z] comes from ad-invariance, <[[X,Y],Z],T> = <[X,Y],[Z,T]> over
-    the orthonormal tangent basis, so no triple is ever formed; the
-    brackets [X,Y], X before Y in nu, are formed a block at a time.
+    nu, taken in the invariant form (see LieAlgebra.frobenius_matrices).
+    The tangent component of a triple [[X,Y],Z] comes from ad-invariance,
+    <[[X,Y],Z],T> = <[X,Y],[Z,T]> over the orthonormal tangent basis, so no
+    triple is ever formed; the brackets [X,Y], X before Y in nu, are formed
+    a block at a time.
     """
     algebra = action.algebra
     vectors, ad_inv = _tangent_vectors(action, g, tol)

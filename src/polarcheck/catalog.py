@@ -18,7 +18,7 @@ from .subalgebras import Subalgebra
 # shared builders
 
 
-def so7_diagonal_subalgebra(tol, twisted, form_scale=1.0):
+def so7_diagonal_subalgebra(tol, twisted):
     """Graph {(X, phi(X))} of so(7) into so(8)(+)so(8).
 
     phi is the corner inclusion (twisted=False) or the 21-dimensional spin
@@ -26,17 +26,18 @@ def so7_diagonal_subalgebra(tol, twisted, form_scale=1.0):
     closed by construction, as phi is a homomorphism: -spin_bivectors(7)
     brackets like so_basis(7).
     """
-    so8 = parse_group("so8", form_scale)
+    so8 = parse_group("so8")
     corner = emb.corner_so_matrices(8, 7)
     images = -emb.spin_bivectors(7) if twisted else corner
-    vecs = np.hstack([so8.coords_of(corner), so8.coords_of(images)])
+    vecs = np.hstack([so8.coords_of(mats, member_tol=tol.residual_tol)
+                      for mats in (corner, images)])
     name = "delta_spin(so(7))" if twisted else "delta(so(7))"
     return Subalgebra.closed_span(so8.double(), vecs, tol, name=name), so8
 
 
-def _pair(group, h1, h2, tol, form_scale):
+def _pair(group, h1, h2, tol):
     """(h1, h2, l) from a group name and two factor specs."""
-    ambient = parse_group(group, form_scale)
+    ambient = parse_group(group)
     return (resolve_factor(h1, ambient, tol), resolve_factor(h2, ambient, tol),
             ambient)
 
@@ -87,7 +88,7 @@ class Table1Result:
     passed: bool
 
 
-def verify_table1(row_id, n=None, tol=None, form_scale=1.0):
+def verify_table1(row_id, n=None, tol=None):
     """Check one row of the transitive-pair table at parameter n."""
     tol = tol or ToleranceConfig()
     if row_id not in TABLE1_ROWS:
@@ -102,7 +103,7 @@ def verify_table1(row_id, n=None, tol=None, form_scale=1.0):
             n = min_n
         if n < min_n:
             raise InvalidInputError(f"row {row_id} needs n >= {min_n}")
-    h1, h2, ambient = _pair(*specs(n), tol, form_scale)
+    h1, h2, ambient = _pair(*specs(n), tol)
     rank = span_rank(h1, h2, ambient, tol)
     transitive = rank == ambient.dim
     return Table1Result(row_id=row_id, n=n, description=description,
@@ -129,15 +130,15 @@ class CatalogEntry:
     entry_id: str
     description: str
     kind: str                   # "action" or "pair"
-    builder: object             # callable(tol, form_scale) -> payload
+    builder: object             # callable(tol) -> payload
     expectation: Expectation
     source: str = ""
 
 
 def _polar_entries():
     def action(group, subgroup):
-        def build(tol, scale=1.0):
-            algebra = parse_group(group, scale)
+        def build(tol):
+            algebra = parse_group(group)
             return ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
         return build
 
@@ -145,8 +146,8 @@ def _polar_entries():
         # a diagonal so(7)-type h in so(8)(+)so(8) cannot act with
         # cohomogeneity two: orbits have dimension at most dim h = 21, so
         # the cohomogeneity is at least 28 - 21 = 7, twisted or not
-        def build(tol, scale=1.0):
-            h, so8 = so7_diagonal_subalgebra(tol, twisted, scale)
+        def build(tol):
+            h, so8 = so7_diagonal_subalgebra(tol, twisted)
             return ActionSpec(so8, h)
         return build
 
@@ -190,15 +191,15 @@ def _polar_entries():
 def _pair_entries():
     entries = []
     for row_id, (description, min_n, specs) in TABLE1_ROWS.items():
-        def build(tol, scale=1.0, _specs=specs(min_n)):
-            return _pair(*_specs, tol, scale)
+        def build(tol, _specs=specs(min_n)):
+            return _pair(*_specs, tol)
         entries.append(CatalogEntry(
             f"table1-{row_id}", description, "pair", build,
             Expectation(transitive=True),
             source="classification of transitive product actions"))
 
-    def negative(tol, scale=1.0):
-        return _pair("su4", "su3", "su3", tol, scale)
+    def negative(tol):
+        return _pair("su4", "su3", "su3", tol)
 
     entries.append(CatalogEntry(
         "negative-su3su3-su4",
@@ -227,17 +228,17 @@ class EntryResult:
     details: dict
 
 
-def evaluate_entry(entry, tol, form_scale=1.0):
+def evaluate_entry(entry, tol):
     """Run one catalog entry and compare against its expectation."""
     exp = entry.expectation
     if entry.kind == "pair":
-        h1, h2, ambient = entry.builder(tol, form_scale)
+        h1, h2, ambient = entry.builder(tol)
         transitive = is_transitive(h1, h2, ambient, tol)
         passed = transitive == exp.transitive
         details = {"transitive": transitive, "dim_h1": h1.dim,
                    "dim_h2": h2.dim, "dim_l": ambient.dim}
         return EntryResult(entry.entry_id, passed, details)
-    action = entry.builder(tol, form_scale)
+    action = entry.builder(tol)
     report = analyze(action, tol)
     passed = True
     if exp.cohomogeneity is not None:
@@ -270,13 +271,13 @@ class SuiteSummary:
         return self.failed == 0
 
 
-def run_known_answer_suite(tol, form_scale=1.0, entry_ids=None):
+def run_known_answer_suite(tol, entry_ids=None):
     """Run every catalog entry (or a selection); failures are data."""
     results = []
     for entry in catalog_entries():
         if entry_ids is not None and entry.entry_id not in entry_ids:
             continue
-        results.append(evaluate_entry(entry, tol, form_scale))
+        results.append(evaluate_entry(entry, tol))
     passed = sum(1 for r in results if r.passed)
     return SuiteSummary(results=tuple(results), passed=passed,
                         failed=len(results) - passed)

@@ -21,7 +21,7 @@ from .lie_algebras import (_u_basis_complex, quaternion_left_matrices,
 from .numerics import ToleranceConfig
 from .octonions import (derivation_matrices, octonion_table, quaternion_table,
                         restrict_to_imaginary)
-from .subalgebras import Subalgebra, zero_subalgebra
+from .subalgebras import Subalgebra
 
 # 2x2 building blocks for Kronecker constructions
 _EPS = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -84,15 +84,9 @@ def corner_so_matrices(size, k, offset=0):
     return mats
 
 
-def corner_so(ambient, k, tol, offset=0):
-    """so(k) acting on coordinates offset..offset+k-1 of so(N)."""
-    if ambient.family != "so" or offset + k > ambient.ambient_size:
-        raise InvalidInputError(f"so({k}) corner does not fit in {ambient.name}")
-    if k < 2:
-        return zero_subalgebra(ambient, name=f"so({k})")
-    return Subalgebra.from_matrices(
-        ambient, corner_so_matrices(ambient.ambient_size, k, offset), tol,
-        name=f"so({k})")
+def corner_so(ambient, k, tol):
+    """so(k) acting on the first k coordinates of so(N)."""
+    return block_so(ambient, [k], tol)
 
 
 def so_in_su(ambient, tol, k):
@@ -108,16 +102,10 @@ def block_so(ambient, sizes, tol):
     name = "(+)".join(f"so({k})" for k in sizes)
     if ambient.family != "so" or sum(sizes) > ambient.n:
         raise InvalidInputError(f"{name} does not fit in {ambient.name}")
-    vecs = []
-    offset = 0
-    for k in sizes:
-        sub = corner_so(ambient, k, tol, offset=offset)
-        if sub.dim:
-            vecs.append(sub.basis)
-        offset += k
-    if not vecs:
-        return zero_subalgebra(ambient, name=name)
-    return Subalgebra.closed_span(ambient, np.vstack(vecs), tol, name=name)
+    offsets = np.cumsum([0, *sizes[:-1]])
+    mats = np.concatenate([corner_so_matrices(ambient.n, k, offset)
+                           for k, offset in zip(sizes, offsets)])
+    return Subalgebra.from_matrices(ambient, mats, tol, name=name)
 
 
 def u_in_so(ambient, tol, m, special=False):
@@ -141,19 +129,17 @@ def su_corner_in_su(ambient, k, tol):
 
 
 def s_u_u1_in_su(ambient, tol):
-    """s(u(N-1)+u(1)): the su(N-1) corner (zero in su(2)) plus the traceless
-    i-diagonal."""
+    """s(u(N-1)+u(1)): the su(N-1) corner (empty in su(2)) plus the
+    traceless i-diagonal."""
     if ambient.family != "su":
         raise InvalidInputError(f"s_u_u1 does not embed in {ambient.name}")
     big = ambient.n
-    corner = (su_corner_in_su(ambient, big - 1, tol) if big > 2
-              else zero_subalgebra(ambient))
-    extra = np.zeros((big, big), dtype=complex)
-    extra[np.diag_indices(big)] = 1j
-    extra[big - 1, big - 1] = 1j * (1 - big)
-    vecs = np.vstack([corner.basis, ambient.coords_of(realify_complex(extra))])
-    return Subalgebra.closed_span(ambient, vecs, tol,
-                                  name=f"s(u({big - 1})u(1))")
+    corner = _u_basis_complex(big - 1, special=True)
+    mats = np.zeros((len(corner) + 1, big, big), dtype=complex)
+    mats[:-1, :-1, :-1] = corner
+    mats[-1] = np.diag([1j] * (big - 1) + [1j * (1 - big)])
+    return Subalgebra.from_matrices(ambient, realify_complex(mats), tol,
+                                    name=f"s(u({big - 1})u(1))")
 
 
 def sp_in_su(ambient, tol, m):

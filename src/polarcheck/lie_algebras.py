@@ -7,13 +7,12 @@ are stored.  Complex entries are realified as 2x2 blocks [[a, -b], [b, a]]
 blocks; these conventions are fixed once here and reused by every embedding
 builder.
 
-The invariant inner product is <X, Y> = -tr(XY) on the realified defining
-representation, optionally rescaled by a positive constant (`trace_scale`).
-On a simple algebra this is a positive multiple of the Killing form, which
-is all the downstream criteria need.  On skew matrices -tr(XY) is the
-Frobenius product, so in coordinates the form is trace_scale times the
-identity: coordinates are orthonormal for it up to that constant, and
-orthogonality, ranks and residuals do not depend on it.
+The invariant inner product is fixed as <X, Y> = -tr(XY) on the realified
+defining representation.  On a simple algebra a biinvariant metric is
+unique up to a positive constant, and that constant changes no normal
+space, section or bracket, so polarity cannot depend on it and no other
+scale is offered.  On skew matrices -tr(XY) is the Frobenius product, so
+in coordinates the form is the identity.
 
 The direct sum l(+)l (LieAlgebra.double) holds only l and no basis of its
 own: its coordinates are pairs of l's, its Frobenius matrices are pairs of
@@ -116,18 +115,16 @@ class LieAlgebra:
     """A compact Lie algebra spanned by real skew matrices.
 
     Immutable after construction.  Its basis is Frobenius-orthonormal, so
-    the invariant inner product trace_scale * (-tr(XY)) is trace_scale
-    times the Euclidean product of coordinates.  Brackets are matrix
-    commutators.
+    the invariant inner product -tr(XY) is the Euclidean product of
+    coordinates.  Brackets are matrix commutators.
     """
 
-    def __init__(self, name, basis, trace_scale=1.0, family=None, n=None):
+    def __init__(self, name, basis, family=None, n=None):
         self.name = name
         self.basis = np.asarray(basis, dtype=float)
         self.basis.flags.writeable = False
         self.dim = self.basis.shape[0]
         self.ambient_size = self.basis.shape[1]
-        self.trace_scale = float(trace_scale)
         self.family = family
         self.n = n
         self._double = None
@@ -135,17 +132,16 @@ class LieAlgebra:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def closed_span(cls, name, basis, trace_scale=1.0, family=None, n=None):
+    def closed_span(cls, name, basis, family=None, n=None):
         """Algebra on independent skew matrices whose span is known
         bracket-closed, orthonormalized by one QR."""
         basis = np.asarray(basis, dtype=float)
         dim, size = basis.shape[0], basis.shape[1]
         onb = np.linalg.qr(basis.reshape(dim, size * size).T)[0].T
-        return cls(name, onb.reshape(dim, size, size),
-                   trace_scale=trace_scale, family=family, n=n)
+        return cls(name, onb.reshape(dim, size, size), family=family, n=n)
 
     @classmethod
-    def from_basis(cls, name, basis, trace_scale=1.0, family=None, n=None):
+    def from_basis(cls, name, basis, family=None, n=None):
         """Algebra on caller-given skew matrices, checking their span.
 
         Raises InvalidInputError if the matrices have a non-finite entry,
@@ -173,15 +169,7 @@ class LieAlgebra:
         if residual > _CONSTRUCT_TOL:
             raise ClosureError(f"{name}: basis span is not bracket-closed",
                                residual=residual)
-        return cls(name, onb, trace_scale=trace_scale, family=family, n=n)
-
-    def with_scaled_form(self, factor):
-        """Same algebra with the invariant metric multiplied by factor > 0."""
-        if not factor > 0:
-            raise InvalidInputError("form scale factor must be positive")
-        return LieAlgebra(self.name, self.basis,
-                          trace_scale=factor * self.trace_scale,
-                          family=self.family, n=self.n)
+        return cls(name, onb, family=family, n=n)
 
     # -- coordinates and matrices -------------------------------------------
 
@@ -194,8 +182,7 @@ class LieAlgebra:
 
         The basis is Frobenius-orthonormal, so orthonormal rows become
         Frobenius-orthonormal matrices, and norms built from their
-        commutators are taken in the unit-trace-scale form, whatever the
-        scale of this form.
+        commutators are taken in the invariant form.
         """
         size = self.ambient_size
         flat = coeffs @ self.basis.reshape(self.dim, size * size)

@@ -4,7 +4,7 @@ Rank decisions use singular values with a *relative* threshold (relative to
 the largest singular value), so verdicts are stable under rescaling the
 whole input.  Orthonormality is Euclidean: every algebra has a
 Frobenius-orthonormal basis, so coordinates are Euclidean for the
-invariant form up to its constant scale.
+invariant form.
 
 Row spaces and complements come from the right singular vectors alone.
 LAPACK is asked for the full, square V only when the matrix has fewer rows
@@ -143,9 +143,9 @@ def outside_norm(vectors, onb):
 
     vectors is any array whose last axis holds coordinates; onb holds
     orthonormal rows, possibly none, in which case this is the largest
-    norm.  On coordinates it is a norm in the unit-trace-scale form.  The
-    stack is taken whole;
-    span_closure_residual hands it one block of commutators at a time.
+    norm.  On coordinates it is a norm in the invariant form.  The stack
+    is taken whole; span_closure_residual hands it one block of
+    commutators at a time.
     """
     rest = vectors.reshape(-1, vectors.shape[-1])
     if onb.shape[0]:

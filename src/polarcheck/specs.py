@@ -25,16 +25,13 @@ _GROUP_RE = re.compile(r"^(su|so|sp|u)(\d+)$")
 _CALL_RE = re.compile(r"^([a-z_0-9]+)\((.*)\)$", re.S)
 
 
-def parse_group(name, form_scale=1.0):
+def parse_group(name):
     """Resolve a group name like 'su3' to its Lie algebra."""
     m = _GROUP_RE.match(name.strip().lower())
     if not m:
         raise InvalidInputError(
             f"cannot parse group {name!r} (expected e.g. su3, so8, sp2)")
-    algebra = build_classical(m.group(1), int(m.group(2)))
-    if form_scale != 1.0:
-        algebra = algebra.with_scaled_form(form_scale)
-    return algebra
+    return build_classical(m.group(1), int(m.group(2)))
 
 
 def _split_args(body):

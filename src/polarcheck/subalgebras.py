@@ -2,7 +2,7 @@
 
 A Subalgebra stores an orthonormal basis of coefficient rows.  Its parent's
 coordinates are Frobenius-orthonormal, so these rows are orthonormal in the
-unit-trace-scale form, and residual thresholds have a uniform meaning.
+invariant form, and residual thresholds have a uniform meaning.
 
 Bracket closure is checked one way, and only on input from outside the
 program: closure_residual projects the commutators of the basis onto the
@@ -72,7 +72,7 @@ class Subalgebra:
 
     def closure_residual(self):
         """Largest norm of a basis commutator's component outside the span,
-        in the unit-trace-scale form (see LieAlgebra.frobenius_matrices).
+        in the invariant form (see LieAlgebra.frobenius_matrices).
 
         The commutators are projected onto h by span_closure_residual; the
         zero subalgebra has residual 0.

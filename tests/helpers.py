@@ -16,7 +16,7 @@ def killing_proportionality(algebra):
     ad = algebra.coords_of(commutator(b[:, None], b[None]))
     ad = ad.reshape(algebra.dim, algebra.dim, algebra.dim)
     killing = np.einsum('iml,jlm->ij', ad, ad, optimize=True)
-    g = algebra.trace_scale * np.eye(algebra.dim)   # the form in coordinates
+    g = np.eye(algebra.dim)   # the form in coordinates
     denom = float(np.sum(g * g))
     factor = -float(np.sum(killing * g)) / denom
     residual = float(np.abs(killing + factor * g).max(initial=0.0))

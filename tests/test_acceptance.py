@@ -116,18 +116,13 @@ def test_invariance_suite():
             flips += (rep.cohomogeneity, rep.polar,
                       rep.hyperpolar) != verdict
 
-        for scale in (0.5, 3.0):
-            rep = analyze(entry.builder(TOL, scale), TOL)
-            flips += (rep.cohomogeneity, rep.polar,
-                      rep.hyperpolar) != verdict
-
         for seed in range(1, 6):
             tol = ToleranceConfig(seed=seed)
             rep = analyze(base_action, tol)
             flips += (rep.cohomogeneity, rep.polar,
                       rep.hyperpolar) != verdict
-    report(f"invariance: 0 verdict flips over conjugations, form scales, "
-           f"seeds (got {flips})", flips == 0)
+    report(f"invariance: 0 verdict flips over conjugations and seeds "
+           f"(got {flips})", flips == 0)
 
 
 def test_algebra_health_and_implication():

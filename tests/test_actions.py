@@ -5,8 +5,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import polarcheck
@@ -177,35 +175,57 @@ class TestPolarityCheck:
             assert report.hyperpolar
 
 
-class TestFormScale:
-    @pytest.mark.parametrize("group,subgroup,verdict", [
-        ("su3", "delta(sigma=id)", (2, True, True)),
-        ("su3", "product(h1=su2,h2=su2)", (2, False, False)),
-        ("su3", "product(h1=cartan,h2=cartan)", (4, False, False)),
-        ("su2", "product(h1=zero,h2=zero)", (3, True, False)),
-    ])
-    @given(exponent=st.floats(-12.0, 12.0))
-    @settings(deadline=None, max_examples=25)
-    def test_verdict_does_not_depend_on_the_form_scale(self, group, subgroup,
-                                                       verdict, exponent):
-        tol = ToleranceConfig()
-        algebra = parse_group(group, form_scale=10.0 ** exponent)
-        h = resolve_subgroup(subgroup, algebra, tol)
-        report = analyze(ActionSpec(algebra, h), tol)
+def write_span_file(path, mats):
+    """A span file of a stack of square matrices, at full precision."""
+    lines = [str(mats.shape[-1])]
+    lines += [" ".join(f"{x:.17g}" for x in mat.ravel()) for mat in mats]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestSpanFileUnits:
+    """The invariant form is fixed, so units can enter only through the
+    matrices of a span file; scaling them by 10**e changes no verdict."""
+
+    @staticmethod
+    def scaled_factor_product(tmp_path, factor, scale, tol):
+        """su(3) acted on by h x h, h read from a span file of the matrices
+        of a built-in factor times scale."""
+        su3 = build_classical("su", 3)
+        mats = su3.frobenius_matrices(resolve_factor(factor, su3, tol).basis)
+        path = write_span_file(tmp_path / f"{factor}.txt", scale * mats)
+        spec = f"span(file={path})"
+        h = resolve_subgroup(f"product(h1={spec},h2={spec})", su3, tol)
+        return analyze(ActionSpec(su3, h), tol)
+
+    @pytest.mark.parametrize("factor,verdict", [
+        ("su2", (2, False, False)), ("cartan", (4, False, False))],
+        ids=["su2", "cartan"])
+    @pytest.mark.parametrize("exponent", range(-12, 13))
+    def test_product_of_a_scaled_factor(self, factor, verdict, exponent,
+                                        tmp_path, tol):
+        # neither action is polar, so the residuals are far from zero
+        base = self.scaled_factor_product(tmp_path, factor, 1.0, tol)
+        report = self.scaled_factor_product(tmp_path, factor,
+                                            10.0 ** exponent, tol)
         assert (report.cohomogeneity, report.polar,
                 report.hyperpolar) == verdict
+        assert min(base.residual_orth, base.residual_abelian) > 0.1
+        assert [report.residual_orth, report.residual_abelian] == \
+            pytest.approx([base.residual_orth, base.residual_abelian],
+                          rel=1e-6)
 
-    def test_residuals_do_not_depend_on_the_form_scale(self, tol):
-        # su(2) x su(2) on SU(3) is not polar and has a two-dimensional nu,
-        # on whose basis these residuals do not depend
-        values = []
-        for scale in (1.0, 1e6):
-            algebra = build_classical("su", 3).with_scaled_form(scale)
-            su2 = resolve_factor("su2", algebra, tol)
-            report = analyze(ActionSpec(algebra, product(su2, su2)), tol)
-            values.append([report.residual_orth, report.residual_abelian])
-        assert min(values[0]) > 0.1
-        assert values[1] == pytest.approx(values[0], rel=1e-6)
+    @pytest.mark.parametrize("exponent", range(-12, 13))
+    def test_scaled_doubled_diagonal(self, exponent, tmp_path, tol):
+        su3 = build_classical("su", 3)
+        s = su3.ambient_size
+        mats = np.zeros((su3.dim, 2 * s, 2 * s))
+        mats[:, :s, :s] = mats[:, s:, s:] = 10.0 ** exponent * su3.basis
+        path = write_span_file(tmp_path / "delta.txt", mats)
+        h = resolve_subgroup(f"span(file={path})", su3, tol)
+        report = analyze(ActionSpec(su3, h), tol)
+        assert (report.cohomogeneity, report.polar,
+                report.hyperpolar) == (2, True, True)
 
 
 class TestCriterionReference:

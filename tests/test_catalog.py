@@ -76,11 +76,3 @@ class TestCatalog:
         summary = run_known_answer_suite(tol, entry_ids={"conj-su3"})
         assert len(summary.results) == 1
         assert summary.results[0].entry_id == "conj-su3"
-
-    def test_suite_under_scaled_form(self, tol):
-        for scale in (0.5, 3.0):
-            summary = run_known_answer_suite(
-                tol, form_scale=scale,
-                entry_ids={"conj-su3", "hermann-so3so3-su3",
-                           "table1-g2-so7-so6"})
-            assert summary.ok

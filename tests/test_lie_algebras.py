@@ -169,12 +169,11 @@ class TestInvariants:
                              + [("sp", n) for n in range(1, 6)]
                              + [("u", n) for n in range(1, 5)])
     def test_form_is_the_trace_form(self, family, n):
-        # the form in coordinates, trace_scale times the identity, is -tr(XY)
-        # on the built-in basis: that basis is Frobenius-orthonormal
+        # the form in coordinates, the identity, is -tr(XY) on the
+        # built-in basis: that basis is Frobenius-orthonormal
         algebra = build_classical(family, n)
         basis = algebra.basis
         gram = -np.einsum('iab,jba->ij', basis, basis)
-        assert algebra.trace_scale == 1.0
         assert np.abs(gram - np.eye(algebra.dim)).max() < 1e-13
         assert np.abs(basis + basis.swapaxes(1, 2)).max() < 1e-15
 
@@ -185,7 +184,7 @@ class TestInvariants:
                                              [3.0, 2.0, 5.0]], so_basis(3))),
         ("su(3)", realify_complex(_u_basis_complex(3, special=True)))])
     def test_from_basis_is_orthonormal_and_spans_its_input(self, name, mats):
-        algebra = LieAlgebra.from_basis(name, mats, trace_scale=7.0)
+        algebra = LieAlgebra.from_basis(name, mats)
         flat = algebra.basis.reshape(algebra.dim, -1)
         assert algebra.dim == len(mats)
         assert np.abs(flat @ flat.T - np.eye(algebra.dim)).max() < 1e-13
@@ -282,23 +281,6 @@ class TestBracket:
             build_classical("so", 2).coords_of(mats)
 
 
-class TestFormScaling:
-    @given(factor=st.floats(0.1, 10.0))
-    @settings(deadline=None)
-    def test_scaled_form_scales_norms(self, factor):
-        algebra = build_classical("su", 2)
-        scaled = algebra.with_scaled_form(factor)
-        v = np.array([1.0, 2.0, -1.0])
-        # the basis is kept, so a coordinate vector is the same matrix and
-        # its form-norm scales by sqrt(factor)
-        assert scaled.trace_scale == factor * algebra.trace_scale
-        assert np.array_equal(scaled.basis, algebra.basis)
-        x = scaled.matrix_of(v)
-        assert np.sqrt(-scaled.trace_scale * np.trace(x @ x)) == \
-            pytest.approx(np.sqrt(factor) * np.linalg.norm(v))
-        assert np.abs(scaled.coords_of(scaled.matrix_of(v)) - v).max() < 1e-10
-
-
 def block_diagonal(algebra, v):
     """The 2s x 2s block-diagonal matrix of coordinates v of l(+)l."""
     n, s = algebra.dim, algebra.ambient_size
@@ -310,7 +292,7 @@ def block_diagonal(algebra, v):
 
 class TestDirectSum:
     def test_dimensions_and_blocks(self):
-        a = build_classical("so", 4).with_scaled_form(3.0)
+        a = build_classical("so", 4)
         d = a.double()
         n, s = a.dim, a.ambient_size
         assert (d.dim, d.ambient_size) == (2 * n, 2 * s)

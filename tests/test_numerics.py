@@ -227,19 +227,19 @@ class TestResiduals:
 
     def test_form_norm(self):
         # with an empty span the residual is the plain norm; of coordinates
-        # it is the norm of their matrix in the unit-trace-scale form
+        # it is the norm of their matrix in the invariant form
         empty = np.zeros((0, 2))
         assert outside_norm(np.array([[3.0, 4.0]]), empty) == pytest.approx(5.0)
-        su3 = build_classical("su", 3).with_scaled_form(4.0)
+        su3 = build_classical("su", 3)
         v = random_matrix(1, 1, su3.dim)
         x = su3.matrix_of(v[0])
-        assert su3.trace_scale * -np.trace(x @ x) == pytest.approx(
-            4.0 * outside_norm(v, empty[:, :0].reshape(0, su3.dim)) ** 2)
+        assert -np.trace(x @ x) == pytest.approx(
+            outside_norm(v, empty[:, :0].reshape(0, su3.dim)) ** 2)
 
     def test_largest_over_a_stack_with_a_form(self, tol):
-        # coordinate rows orthonormal in the unit-trace-scale form give the
-        # residual of the matrices in that form, whatever the form's scale
-        algebra = build_classical("sp", 2).with_scaled_form(9.0)
+        # coordinate rows orthonormal in the invariant form give the
+        # residual of the matrices in that form
+        algebra = build_classical("sp", 2)
         onb = orthonormal_basis(random_matrix(6, 2, algebra.dim), tol)
         stack = random_matrix(7, 6, algebra.dim).reshape(2, 3, algebra.dim)
         span = algebra.frobenius_matrices(onb).reshape(2, -1)

@@ -10,13 +10,15 @@ from polarcheck.catalog import (catalog_entries, get_entry,
                                 so7_diagonal_subalgebra)
 from polarcheck.embeddings import cartan_subalgebra, corner_so, so_in_su
 from polarcheck.errors import ClosureError, InvalidInputError
-from polarcheck.lie_algebras import (_u_basis_complex, adjoint_matrix,
-                                     build_classical, commutator,
-                                     identity_automorphism, make_automorphism,
+from polarcheck.lie_algebras import (LieAlgebra, _u_basis_complex,
+                                     adjoint_matrix, build_classical,
+                                     commutator, identity_automorphism,
+                                     make_automorphism,
                                      quaternion_left_matrices, realify_complex,
                                      realify_quaternion, span_closure_residual)
 from polarcheck.octonions import quaternion_table
-from polarcheck.numerics import orthonormal_basis, outside_norm
+from polarcheck.numerics import (ToleranceConfig, orthonormal_basis,
+                                 outside_norm)
 from polarcheck.specs import (FACTORS, parse_group, resolve_factor,
                               resolve_subgroup)
 from polarcheck.subalgebras import (Subalgebra, diagonal_sigma,
@@ -217,6 +219,64 @@ class TestFactorTable:
         assert circle.dim == cartan.dim == 1
         assert outside_norm(circle.basis, cartan.basis) < 1e-12
 
+
+
+def per_block_basis(ambient, factor, tol):
+    """Rows of so5so2 or s_u_u1 as they were once built: each block
+    orthonormalized on its own, then the stack of blocks once more."""
+    if factor == "so5so2":
+        blocks = [Subalgebra.from_matrices(
+            ambient, embeddings.corner_so_matrices(ambient.n, k, offset),
+            tol).basis for k, offset in ((5, 0), (2, 5))]
+    else:
+        n = ambient.n
+        extra = np.diag([1j] * (n - 1) + [1j * (1 - n)])
+        blocks = [ambient.coords_of(realify_complex(extra))]
+        if n > 2:
+            blocks.insert(
+                0, embeddings.su_corner_in_su(ambient, n - 1, tol).basis)
+    return orthonormal_basis(np.vstack(blocks), tol)
+
+
+class TestMembershipTolerance:
+    """Every membership check of a built-in factor reads residual_tol."""
+
+    @staticmethod
+    def recorded_member_tols(monkeypatch):
+        calls = []
+        coords_of = LieAlgebra.coords_of
+
+        def recording(algebra, mats, member_tol=None):
+            calls.append(member_tol)
+            if member_tol is None:
+                return coords_of(algebra, mats)
+            return coords_of(algebra, mats, member_tol)
+
+        monkeypatch.setattr(LieAlgebra, "coords_of", recording)
+        return calls
+
+    @pytest.mark.parametrize("group,factor", BUILTIN_FACTORS)
+    def test_every_factor(self, group, factor, monkeypatch):
+        calls = self.recorded_member_tols(monkeypatch)
+        resolve_factor(factor, parse_group(group),
+                       ToleranceConfig(residual_tol=1e-9))
+        assert calls == [1e-9] * len(calls)
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_so7_diagonal_graph(self, twisted, monkeypatch):
+        calls = self.recorded_member_tols(monkeypatch)
+        so7_diagonal_subalgebra(ToleranceConfig(residual_tol=1e-9), twisted)
+        assert calls == [1e-9, 1e-9]
+
+    @pytest.mark.parametrize("group,factor", [
+        ("so7", "so5so2"), ("so8", "so5so2"), ("su2", "s_u_u1"),
+        ("su3", "s_u_u1"), ("su4", "s_u_u1"), ("su5", "s_u_u1")])
+    def test_one_stack_spans_the_per_block_span(self, group, factor, tol):
+        ambient = parse_group(group)
+        rows = resolve_factor(factor, ambient, tol).basis
+        old = per_block_basis(ambient, factor, tol)
+        assert rows.shape == old.shape
+        assert np.abs(rows.T @ rows - old.T @ old).max() < 1e-12
 
 # the products of the catalog and of the benchmark workloads, by group
 WRITTEN_DOWN_PRODUCTS = [
