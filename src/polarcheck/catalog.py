@@ -10,7 +10,6 @@ import numpy as np
 from . import embeddings as emb
 from .actions import ActionSpec, analyze, is_transitive, span_rank
 from .errors import InvalidInputError
-from .numerics import ToleranceConfig
 from .specs import parse_group, resolve_factor, resolve_subgroup
 from .subalgebras import Subalgebra
 
@@ -88,9 +87,8 @@ class Table1Result:
     passed: bool
 
 
-def verify_table1(row_id, n=None, tol=None):
+def verify_table1(row_id, tol, n=None):
     """Check one row of the transitive-pair table at parameter n."""
-    tol = tol or ToleranceConfig()
     if row_id not in TABLE1_ROWS:
         raise InvalidInputError(
             f"unknown row {row_id!r}; known: {sorted(TABLE1_ROWS)}")

@@ -69,7 +69,7 @@ def spin_bivectors(n):
                      for i in range(n) for j in range(i + 1, n)])
 
 
-def spin_subalgebra(ambient, n, tol):
+def spin_subalgebra(ambient, tol, n):
     """span{g_i g_j / 2 : i < j} inside so(8) (n=7) or so(16) (n=9)."""
     if ambient.family != "so" or ambient.n != {7: 8, 9: 16}.get(n):
         raise InvalidInputError(f"spin({n}) does not embed in {ambient.name}")
@@ -84,11 +84,6 @@ def corner_so_matrices(size, k, offset=0):
     return mats
 
 
-def corner_so(ambient, k, tol):
-    """so(k) acting on the first k coordinates of so(N)."""
-    return block_so(ambient, [k], tol)
-
-
 def so_in_su(ambient, tol, k):
     """The real points so(n) inside su(n) (fixed set of conjugation)."""
     if ambient.family != "su" or ambient.n != k:
@@ -97,8 +92,9 @@ def so_in_su(ambient, tol, k):
     return Subalgebra.from_matrices(ambient, mats, tol, name=f"so({k})")
 
 
-def block_so(ambient, sizes, tol):
-    """so(k1)(+)so(k2)(+)... in consecutive diagonal blocks of so(N)."""
+def block_so(ambient, tol, *sizes):
+    """so(k1)(+)so(k2)(+)... in consecutive diagonal blocks of so(N),
+    starting at the first coordinate; one size gives the so(k) corner."""
     name = "(+)".join(f"so({k})" for k in sizes)
     if ambient.family != "so" or sum(sizes) > ambient.n:
         raise InvalidInputError(f"{name} does not fit in {ambient.name}")
@@ -117,7 +113,7 @@ def u_in_so(ambient, tol, m, special=False):
     return Subalgebra.from_matrices(ambient, mats, tol, name=name)
 
 
-def su_corner_in_su(ambient, k, tol):
+def su_corner_in_su(ambient, tol, k):
     """su(k) in the top-left complex corner of su(N)."""
     if ambient.family != "su" or k > ambient.n or k < 2:
         raise InvalidInputError(f"su({k}) corner does not fit in {ambient.name}")

@@ -188,7 +188,7 @@ class LieAlgebra:
         flat = coeffs @ self.basis.reshape(self.dim, size * size)
         return flat.reshape(-1, size, size)
 
-    def coords_of(self, mats, member_tol=1e-8):
+    def coords_of(self, mats, member_tol):
         """Coefficient rows of a stack of ambient matrices.
 
         Each row holds the Frobenius products of one matrix with the
@@ -252,7 +252,7 @@ class _Double:
         return np.stack([self.half.frobenius_matrices(coeffs[:, :n]),
                          self.half.frobenius_matrices(coeffs[:, n:])], axis=1)
 
-    def coords_of(self, mats, member_tol=1e-8):
+    def coords_of(self, mats, member_tol):
         """Coefficient rows of a stack of block-diagonal 2s x 2s matrices.
 
         Raises DimensionMismatchError unless the last two axes are
@@ -372,9 +372,9 @@ def build_classical(family, n):
 class Automorphism:
     """Coordinate matrix of a bracket- and form-preserving map.
 
-    Every spec is Ad(k) of a k that adjoint_matrix has shown to normalize
-    the algebra, so it preserves commutators identically; only its form
-    residual is checked.
+    The identity is np.eye; every other spec is Ad(k) of a k that
+    adjoint_matrix has shown to normalize the algebra, so it preserves
+    commutators identically, and only its form residual is checked.
     """
 
     algebra: LieAlgebra
@@ -388,11 +388,12 @@ class Automorphism:
         return float(np.abs(d).max(initial=0.0))
 
 
-def adjoint_matrix(algebra, g, member_tol=1e-8):
+def adjoint_matrix(algebra, g, member_tol):
     """Coordinate matrix of Ad(g): X -> g X g^{-1} on the algebra.
 
     Raises InvalidInputError when g is singular and ClosureError when it
-    does not normalize the algebra.
+    does not normalize the algebra, i.e. when a conjugated basis matrix
+    leaves it by more than member_tol (see LieAlgebra.coords_of).
     """
     g = np.asarray(g, dtype=float)
     try:
@@ -403,45 +404,29 @@ def adjoint_matrix(algebra, g, member_tol=1e-8):
     return algebra.coords_of(conjugated, member_tol=member_tol).T
 
 
-def make_automorphism(algebra, spec, k=None, tol=None):
-    """Build an automorphism: 'inner' (with k), 'outer_su', 'outer_so_even'.
+def make_automorphism(algebra, spec, tol):
+    """Build an automorphism from the twists delta(sigma=...) can name:
+    'id', 'outer_su' or 'outer_so_even'.
 
-    Inner automorphisms conjugate by a group element k that must normalize
-    the represented algebra; the outer specs are complex conjugation on
-    su(n) and conjugation by diag(-1, 1, ..., 1) on so(2m).
+    The outer specs are complex conjugation on su(n) and conjugation by
+    diag(-1, 1, ..., 1) on so(2m); their matrices must preserve the form
+    within tol.residual_tol.
     """
-    member_tol = tol.residual_tol if tol is not None else 1e-8
-    if spec == "inner":
-        if k is None:
-            raise InvalidInputError("inner automorphism needs a group element")
-        k = np.asarray(k, dtype=float)
-        if k.shape != (algebra.ambient_size,) * 2:
-            raise DimensionMismatchError("conjugator has the wrong size")
-        try:
-            aut = Automorphism(algebra, adjoint_matrix(algebra, k, member_tol),
-                               "inner")
-        except ClosureError as exc:
-            raise InvalidInputError(
-                f"element does not normalize {algebra.name}: {exc}") from exc
-    elif spec == "outer_su":
+    if spec == "id":
+        return Automorphism(algebra, np.eye(algebra.dim), "id")
+    if spec == "outer_su":
         if algebra.family != "su":
             raise InvalidInputError("outer_su only applies to su(n)")
         conj = np.kron(np.eye(algebra.n), np.diag([1.0, -1.0]))
-        aut = Automorphism(algebra, adjoint_matrix(algebra, conj, member_tol),
-                           "outer_su")
     elif spec == "outer_so_even":
         if algebra.family != "so" or algebra.n % 2 != 0:
             raise InvalidInputError("outer_so_even only applies to so(2m)")
-        refl = np.diag([-1.0] + [1.0] * (algebra.n - 1))
-        aut = Automorphism(algebra, adjoint_matrix(algebra, refl, member_tol),
-                           "outer_so_even")
+        conj = np.diag([-1.0] + [1.0] * (algebra.n - 1))
     else:
         raise InvalidInputError(f"unknown automorphism spec {spec!r}")
-    if aut.form_residual() > member_tol:
+    aut = Automorphism(algebra, adjoint_matrix(algebra, conj, tol.residual_tol),
+                       spec)
+    if aut.form_residual() > tol.residual_tol:
         raise InvalidInputError(
             f"{spec} does not define an automorphism of {algebra.name}")
     return aut
-
-
-def identity_automorphism(algebra):
-    return Automorphism(algebra, np.eye(algebra.dim), "inner")

@@ -47,24 +47,6 @@ class ToleranceConfig:
             raise InvalidInputError("seed must be >= 0")
 
 
-def as_vector_matrix(vectors, ambient_dim=None):
-    """Stack a list of vectors into a (k, d) array, checking shapes."""
-    vectors = list(vectors)
-    if not vectors:
-        if ambient_dim is None:
-            raise DimensionMismatchError(
-                "empty vector list needs an explicit ambient dimension")
-        return np.zeros((0, ambient_dim))
-    lengths = {np.asarray(v).shape for v in vectors}
-    if len(lengths) != 1 or len(next(iter(lengths))) != 1:
-        raise DimensionMismatchError(f"inconsistent vector shapes: {lengths}")
-    mat = np.asarray(vectors, dtype=float)
-    if ambient_dim is not None and mat.shape[1] != ambient_dim:
-        raise DimensionMismatchError(
-            f"vectors have length {mat.shape[1]}, expected {ambient_dim}")
-    return mat
-
-
 def rank_cut(sv, rel_tol, ref=None):
     """How many of the descending singular values sv exceed rel_tol * ref.
 

@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import ToleranceConfig, nullspace
+from .numerics import nullspace
 
 
 def cayley_dickson_double(table):
@@ -57,14 +57,12 @@ def octonion_table():
     return _read_only(cayley_dickson_double(quaternion_table()))
 
 
-def derivation_matrices(table, tol=None):
+def derivation_matrices(table, tol):
     """Basis of {D : D(xy) = D(x)y + x D(y)} as a (k, m, m) array.
 
     Computed as the nullspace of the linear Leibniz constraint system; an
     empty result is legal (e.g. the complex numbers).
     """
-    if tol is None:
-        tol = ToleranceConfig()
     table = np.asarray(table, dtype=float)
     if table.ndim != 3 or len(set(table.shape)) != 1:
         raise InvalidInputError("multiplication table must be an (m,m,m) tensor")

@@ -15,8 +15,7 @@ from functools import partial
 
 from . import embeddings as emb
 from .errors import InvalidInputError
-from .lie_algebras import build_classical, identity_automorphism, \
-    make_automorphism
+from .lie_algebras import build_classical, make_automorphism
 from .spanfile import parse_span_file
 from .subalgebras import (Subalgebra, diagonal_sigma, full_subalgebra,
                           product, zero_subalgebra)
@@ -76,26 +75,24 @@ def _span(args, algebra, tol, name):
 
 _FAMILIES = ("su", "so", "sp", "u")
 
-# Factors of l by name: (pattern, {family of l: builder}).  A builder is
-# called as builder(l, tol, *integers in the name) and raises
-# InvalidInputError itself when the factor does not fit the size of l.
+# Factors of l by name: (pattern, {family of l: builder}).  Every builder
+# is called as builder(l, tol, *integers in the name), and the embeddings
+# take their arguments in that order, so the table names them directly:
+# partial only fixes a keyword, and the zero factor, which reads no
+# tolerance, drops tol.  A builder raises InvalidInputError itself when the
+# factor does not fit the size of l.
 FACTORS = [
     ("full", dict.fromkeys(_FAMILIES, full_subalgebra)),
     ("zero", dict.fromkeys(_FAMILIES,
                            lambda ambient, tol: zero_subalgebra(ambient))),
     ("cartan", dict.fromkeys(("su", "so", "sp"), emb.cartan_subalgebra)),
     ("g2", {"so": emb.g2_in_so7}),
-    (r"spin(\d+)",
-     {"so": lambda ambient, tol, n: emb.spin_subalgebra(ambient, n, tol)}),
+    (r"spin(\d+)", {"so": emb.spin_subalgebra}),
     ("s_u_u1", {"su": emb.s_u_u1_in_su}),
-    (r"so(\d+)",
-     {"su": emb.so_in_su,
-      "so": lambda ambient, tol, k: emb.corner_so(ambient, k, tol)}),
-    (r"so(\d+)so(\d+)",
-     {"so": lambda ambient, tol, a, b: emb.block_so(ambient, [a, b], tol)}),
+    (r"so(\d+)", {"su": emb.so_in_su, "so": emb.block_so}),
+    (r"so(\d+)so(\d+)", {"so": emb.block_so}),
     (r"su(\d+)",
-     {"su": lambda ambient, tol, k: emb.su_corner_in_su(ambient, k, tol),
-      "so": partial(emb.u_in_so, special=True)}),
+     {"su": emb.su_corner_in_su, "so": partial(emb.u_in_so, special=True)}),
     (r"u(\d+)", {"so": emb.u_in_so}),
     (r"sp(\d+)", {"su": emb.sp_in_su, "so": emb.sp_in_so}),
     (r"sp(\d+)sp1", {"so": partial(emb.sp_in_so, right_factor="sp1")}),
@@ -136,11 +133,8 @@ def resolve_subgroup(spec, algebra, tol):
         sigma_name = args.pop("sigma", "id")
         if args:
             raise InvalidInputError(f"delta got unexpected keys {sorted(args)}")
-        if sigma_name == "id":
-            sigma = identity_automorphism(algebra)
-        else:
-            sigma = make_automorphism(algebra, sigma_name, tol=tol)
-        return diagonal_sigma(algebra, sigma)
+        return diagonal_sigma(algebra,
+                              make_automorphism(algebra, sigma_name, tol))
     if head == "product":
         if set(args) != {"h1", "h2"}:
             raise InvalidInputError("product takes exactly h1=..., h2=...")

@@ -16,21 +16,33 @@ of an automorphism) are closed by construction, which the tests check once.
 The last three write their rows down orthonormal, with no rank cut: the
 identity, [h1, 0; 0, h2] of orthonormal factor bases, and
 [I, Sigma^T] / sqrt(2) of an orthogonal automorphism matrix Sigma.
+
+Every constructor ends in Subalgebra.__init__, which rejects rows whose
+length is not the parent's dimension.
 """
 
 import numpy as np
 
-from .errors import ClosureError, InvalidInputError
+from .errors import ClosureError, DimensionMismatchError, InvalidInputError
 from .lie_algebras import span_closure_residual
-from .numerics import as_vector_matrix, orthonormal_basis
+from .numerics import orthonormal_basis
 
 
 class Subalgebra:
-    """A bracket-closed subspace of l or of l(+)l, on orthonormal rows."""
+    """A bracket-closed subspace of l or of l(+)l, on orthonormal rows.
+
+    Raises DimensionMismatchError unless basis is a stack of rows of
+    length parent.dim.
+    """
 
     def __init__(self, parent, basis, name=""):
         self.parent = parent
-        self.basis = np.asarray(basis, dtype=float).reshape(-1, parent.dim)
+        self.basis = np.asarray(basis, dtype=float)
+        if self.basis.ndim != 2 or self.basis.shape[1] != parent.dim:
+            raise DimensionMismatchError(
+                f"{name or '<anonymous>'}: rows of shape {self.basis.shape} "
+                f"for {parent.name}, whose coordinate rows have length "
+                f"{parent.dim}")
         self.basis.flags.writeable = False
         self.dim = self.basis.shape[0]
         self.name = name
@@ -42,7 +54,7 @@ class Subalgebra:
         Raises InvalidInputError when the rank cut keeps fewer rows than
         it was given, i.e. when rel_rank_tol is too coarse for them.
         """
-        vecs = as_vector_matrix(vectors, ambient_dim=parent.dim)
+        vecs = np.asarray(vectors, dtype=float)
         sub = cls(parent, orthonormal_basis(vecs, tol), name=name)
         if sub.dim < len(vecs):
             raise InvalidInputError(
@@ -54,8 +66,7 @@ class Subalgebra:
     @classmethod
     def from_vectors(cls, parent, vectors, tol, name=""):
         """Orthonormalize coefficient vectors and verify bracket closure."""
-        vecs = as_vector_matrix(vectors, ambient_dim=parent.dim)
-        sub = cls(parent, orthonormal_basis(vecs, tol), name=name)
+        sub = cls(parent, orthonormal_basis(vectors, tol), name=name)
         residual = sub.closure_residual()
         if residual > tol.residual_tol:
             raise ClosureError(

@@ -13,7 +13,7 @@ def killing_proportionality(algebra):
     ad b_i is read off the coordinates of the commutators [b_i, b_j].
     """
     b = algebra.basis
-    ad = algebra.coords_of(commutator(b[:, None], b[None]))
+    ad = algebra.coords_of(commutator(b[:, None], b[None]), member_tol=1e-8)
     ad = ad.reshape(algebra.dim, algebra.dim, algebra.dim)
     killing = np.einsum('iml,jlm->ij', ad, ad, optimize=True)
     g = np.eye(algebra.dim)   # the form in coordinates

@@ -3,7 +3,6 @@
 import time
 
 import numpy as np
-import pytest
 
 from polarcheck.actions import ActionSpec, analyze, sample_group_point
 from polarcheck.catalog import (TABLE1_ROWS, catalog_entries, evaluate_entry,
@@ -31,8 +30,8 @@ def test_dimension_facts():
     ok &= all(build_classical("sp", n).dim == n * (2 * n + 1)
               for n in range(1, 5))
     ok &= g2_in_so7(build_classical("so", 7), TOL).dim == 14
-    ok &= spin_subalgebra(build_classical("so", 8), 7, TOL).dim == 21
-    ok &= spin_subalgebra(build_classical("so", 16), 9, TOL).dim == 36
+    ok &= spin_subalgebra(build_classical("so", 8), TOL, 7).dim == 21
+    ok &= spin_subalgebra(build_classical("so", 16), TOL, 9).dim == 36
     ok &= (time.monotonic() - start) < 30.0
     report("dimension facts (classical families, g2, spin images)", ok)
 

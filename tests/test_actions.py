@@ -12,11 +12,11 @@ import polarcheck
 from polarcheck.actions import (ActionSpec, analyze, check_group_membership,
                                 is_transitive, orbit_tangent, polarity_check,
                                 principal_point, sample_group_point)
-from polarcheck.embeddings import cartan_subalgebra, corner_so, so_in_su
+from polarcheck.embeddings import block_so, cartan_subalgebra, so_in_su
 from polarcheck.errors import InvalidInputError, NonPrincipalPointError
-from polarcheck.lie_algebras import (LieAlgebra, build_classical,
-                                     classical_basis, commutator,
-                                     identity_automorphism, make_automorphism)
+from polarcheck.lie_algebras import (LieAlgebra, adjoint_matrix,
+                                     build_classical, classical_basis,
+                                     commutator, make_automorphism)
 from polarcheck.numerics import ToleranceConfig, outside_norm
 from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
 from polarcheck.subalgebras import (diagonal_sigma, full_subalgebra, product,
@@ -27,7 +27,7 @@ from helpers import conjugated_pair_subalgebra
 
 def conjugation_action(family, n, tol):
     algebra = build_classical(family, n)
-    h = diagonal_sigma(algebra, identity_automorphism(algebra))
+    h = diagonal_sigma(algebra, make_automorphism(algebra, "id", tol))
     return ActionSpec(algebra, h)
 
 
@@ -38,7 +38,7 @@ def brute_force_rank(algebra, samples=6, seed=0):
     for _ in range(samples):
         x = rng.standard_normal(algebra.dim)
         ad = algebra.coords_of(commutator(algebra.matrix_of(x),
-                                          algebra.basis)).T
+                                          algebra.basis), member_tol=1e-8).T
         kernel = np.sum(np.linalg.svd(ad, compute_uv=False) < 1e-9)
         best = min(best, int(kernel))
     return best
@@ -60,7 +60,7 @@ class TestOrbitTangent:
     def test_rejects_wrong_parent(self, tol):
         a = build_classical("su", 2)
         b = build_classical("su", 3)
-        h = diagonal_sigma(a, identity_automorphism(a))
+        h = diagonal_sigma(a, make_automorphism(a, "id", tol))
         with pytest.raises(InvalidInputError):
             ActionSpec(b, h)
 
@@ -76,9 +76,10 @@ NAN_6X6 = np.full((6, 6), np.nan)
 NON_FINITE_CALLS = {
     "from_basis": lambda su3, tol: LieAlgebra.from_basis(
         "x", [[[0.0, np.nan], [-np.nan, 0.0]]]),
-    "coords_of": lambda su3, tol: su3.coords_of(NAN_6X6[None]),
-    "inner_automorphism": lambda su3, tol: make_automorphism(
-        su3, "inner", k=NAN_6X6),
+    "coords_of": lambda su3, tol: su3.coords_of(NAN_6X6[None],
+                                                tol.residual_tol),
+    "inner_automorphism": lambda su3, tol: adjoint_matrix(
+        su3, NAN_6X6, tol.residual_tol),
     "group_membership": lambda su3, tol: check_group_membership(
         su3, NAN_6X6, tol),
 }
@@ -155,7 +156,7 @@ class TestPolarityCheck:
 
     def test_verdicts_stable_under_conjugation(self, tol):
         algebra = build_classical("su", 3)
-        h = diagonal_sigma(algebra, identity_automorphism(algebra))
+        h = diagonal_sigma(algebra, make_automorphism(algebra, "id", tol))
         base = analyze(ActionSpec(algebra, h), tol)
         rng = np.random.default_rng(11)
         for _ in range(3):
@@ -310,7 +311,7 @@ class TestTransitivity:
 
     def test_complementary_pair(self, tol):
         algebra = build_classical("so", 5)
-        h1 = corner_so(algebra, 4, tol)
+        h1 = block_so(algebra, tol, 4)
         assert not is_transitive(h1, h1, algebra, tol)
         assert is_transitive(h1, full_subalgebra(algebra, tol), algebra, tol)
 
@@ -349,7 +350,7 @@ class TestProperties:
     def test_orbit_dimension_constant_along_orbit(self, tol):
         # moving g to a g b^{-1} with (a, b) in H keeps the orbit dimension
         algebra = build_classical("su", 3)
-        h = diagonal_sigma(algebra, identity_automorphism(algebra))
+        h = diagonal_sigma(algebra, make_automorphism(algebra, "id", tol))
         action = ActionSpec(algebra, h)
         rng = np.random.default_rng(7)
         g = sample_group_point(algebra, rng)

@@ -198,6 +198,13 @@ class TestAnalyze:
                                     "--subgroup", "frobnicate(x=1)"])
         assert code == 2
 
+    def test_unknown_twist(self, capsys):
+        # Ad(k) needs a group element k, which no spec can pass
+        code, out, err = run(capsys, ["analyze", "--group", "su3", "--subgroup",
+                                      "delta(sigma=inner)"])
+        assert (code, out) == (2, "")
+        assert "unknown automorphism spec 'inner'" in err
+
     def test_bad_span_file(self, capsys, tmp_path):
         path = tmp_path / "span.txt"
         path.write_text("this is not a span file\n")

@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 from polarcheck import numerics
 from polarcheck.errors import (ClosureError, DimensionMismatchError,
                                InvalidInputError)
-from polarcheck.lie_algebras import (LieAlgebra, _u_basis_complex,
+from polarcheck.lie_algebras import (Automorphism, LieAlgebra,
+                                     _u_basis_complex, adjoint_matrix,
                                      build_classical, classical_basis,
-                                     commutator,
-                                     identity_automorphism,
-                                     make_automorphism,
+                                     commutator, make_automorphism,
                                      quaternion_left_matrices,
                                      quaternion_right_matrices,
                                      realify_complex, realify_quaternion,
@@ -36,7 +35,7 @@ def commutator_residual(aut):
     """Largest entry of sigma([b_i, b_j]) - [sigma(b_i), sigma(b_j)]."""
     algebra = aut.algebra
     images = np.einsum('ki,kab->iab', aut.matrix, algebra.basis)
-    coords = algebra.coords_of(basis_commutators(algebra))
+    coords = algebra.coords_of(basis_commutators(algebra), member_tol=1e-8)
     lhs = np.einsum('pk,lk,lab->pab', coords, aut.matrix, algebra.basis)
     rhs = commutator(images[:, None], images[None]).reshape(lhs.shape)
     return float(np.abs(lhs - rhs).max())
@@ -228,31 +227,35 @@ class TestBracket:
         a, b = algebra.matrix_of(x), algebra.matrix_of(y)
         assert np.array_equal(commutator(a, b), a @ b - b @ a)
         # the commutator lies in the algebra and its coordinates rebuild it
-        coords = algebra.coords_of(commutator(a, b))[0]
+        coords = algebra.coords_of(commutator(a, b), member_tol=1e-8)[0]
         assert np.abs(algebra.matrix_of(coords) - commutator(a, b)).max() \
             < 1e-10
 
-    def test_coords_roundtrip(self):
+    def test_coords_roundtrip(self, tol):
         algebra = build_classical("sp", 2)
         v = np.arange(algebra.dim, dtype=float)
-        assert np.abs(algebra.coords_of(algebra.matrix_of(v)) - v).max() < 1e-10
+        coords = algebra.coords_of(algebra.matrix_of(v), tol.residual_tol)
+        assert np.abs(coords - v).max() < 1e-10
 
-    def test_coords_of_a_stack(self):
+    def test_coords_of_a_stack(self, tol):
         algebra = build_classical("su", 3)
         vs = np.random.default_rng(3).standard_normal((4, algebra.dim))
         mats = np.array([algebra.matrix_of(v) for v in vs])
-        assert np.abs(algebra.coords_of(mats) - vs).max() < 1e-10
+        assert np.abs(algebra.coords_of(mats, tol.residual_tol)
+                      - vs).max() < 1e-10
 
-    def test_coords_of_in_blocks(self, monkeypatch):
+    def test_coords_of_in_blocks(self, monkeypatch, tol):
         algebra = build_classical("su", 3)
         vs = np.random.default_rng(4).standard_normal((7, algebra.dim))
         mats = np.einsum('ik,kab->iab', vs, algebra.basis)
-        whole = algebra.coords_of(mats)
+        whole = algebra.coords_of(mats, tol.residual_tol)
         # three 6x6 matrices a block
         monkeypatch.setattr(numerics, "_BLOCK_BYTES", 8 * 36 * 3)
-        assert np.abs(algebra.coords_of(mats) - whole).max() < 1e-12
+        assert np.abs(algebra.coords_of(mats, tol.residual_tol)
+                      - whole).max() < 1e-12
         with pytest.raises(ClosureError):
-            algebra.coords_of(np.concatenate([mats, np.eye(6)[None]]))
+            algebra.coords_of(np.concatenate([mats, np.eye(6)[None]]),
+                              tol.residual_tol)
 
     def test_open_span_is_rejected(self):
         with pytest.raises(ClosureError, match="not bracket-closed"):
@@ -264,21 +267,22 @@ class TestBracket:
             LieAlgebra.from_basis("bad", [[[0.1, -1.0], [1.0, -0.1]]])
         assert LieAlgebra.from_basis("so(2)", so_basis(2)).dim == 1
 
-    def test_coords_rejects_non_member(self):
+    def test_coords_rejects_non_member(self, tol):
         algebra = build_classical("so", 4)
         with pytest.raises(ClosureError):
-            algebra.coords_of(np.eye(4))
+            algebra.coords_of(np.eye(4), tol.residual_tol)
         # one non-member in a stack of members is enough
         with pytest.raises(ClosureError):
-            algebra.coords_of(np.array([algebra.basis[0], np.eye(4)]))
+            algebra.coords_of(np.array([algebra.basis[0], np.eye(4)]),
+                              tol.residual_tol)
 
     @pytest.mark.parametrize("mats", [
         # sixteen entries: four so(2) generators if read as a 2 x 2 stack
         np.tile([0.0, 1.0, -1.0, 0.0], 4).reshape(4, 4),
         np.zeros((3, 3)), np.zeros((2, 2, 3)), np.zeros(4)])
-    def test_coords_rejects_a_mis_sized_stack(self, mats):
+    def test_coords_rejects_a_mis_sized_stack(self, mats, tol):
         with pytest.raises(DimensionMismatchError):
-            build_classical("so", 2).coords_of(mats)
+            build_classical("so", 2).coords_of(mats, tol.residual_tol)
 
 
 def block_diagonal(algebra, v):
@@ -332,16 +336,18 @@ class TestDirectSum:
         assert not hasattr(double, "basis")
 
     @pytest.mark.parametrize("family,n", [("su", 3), ("so", 5), ("sp", 2)])
-    def test_coords_roundtrip_block_diagonal_stacks(self, family, n):
+    def test_coords_roundtrip_block_diagonal_stacks(self, family, n, tol):
         algebra = build_classical(family, n)
         double = algebra.double()
         vs = np.random.default_rng(n).standard_normal((4, double.dim)) * 10
         mats = np.array([block_diagonal(algebra, v) for v in vs])
-        assert np.abs(double.coords_of(mats) - vs).max() < 1e-10
-        assert np.abs(double.coords_of(mats[0]) - vs[:1]).max() < 1e-10
+        assert np.abs(double.coords_of(mats, tol.residual_tol)
+                      - vs).max() < 1e-10
+        assert np.abs(double.coords_of(mats[0], tol.residual_tol)
+                      - vs[:1]).max() < 1e-10
 
     @pytest.mark.parametrize("corner", ["upper", "lower"])
-    def test_coords_reject_an_off_diagonal_block(self, corner):
+    def test_coords_reject_an_off_diagonal_block(self, corner, tol):
         algebra = build_classical("su", 2)
         double = algebra.double()
         s = algebra.ambient_size
@@ -352,31 +358,32 @@ class TestDirectSum:
         mats[1, row, col] = 1e-6
         with pytest.raises(ClosureError,
                            match=r"does not lie in su\(2\)\(\+\)su\(2\)"):
-            double.coords_of(mats)
+            double.coords_of(mats, tol.residual_tol)
         # relative to the matrix's largest entry, as for l itself
         mats[1] *= 1e4
         mats[1, row, col] = 1e-7
-        double.coords_of(mats)
+        double.coords_of(mats, tol.residual_tol)
 
-    def test_coords_reject_a_non_member_block(self):
+    def test_coords_reject_a_non_member_block(self, tol):
         algebra = build_classical("so", 4)
         mats = np.zeros((1, 8, 8))
         mats[0, 4:, 4:] = np.eye(4)
         with pytest.raises(ClosureError, match="does not lie in"):
-            algebra.double().coords_of(mats)
+            algebra.double().coords_of(mats, tol.residual_tol)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_coords_reject_non_finite_off_diagonal_entries(self, value):
+    def test_coords_reject_non_finite_off_diagonal_entries(self, value, tol):
         algebra = build_classical("su", 2)
         mats = np.zeros((2, 8, 8))
         mats[1, 2, 6] = value
         with pytest.raises(InvalidInputError, match="non-finite"):
-            algebra.double().coords_of(mats)
+            algebra.double().coords_of(mats, tol.residual_tol)
 
     @pytest.mark.parametrize("shape", [(4, 4), (2, 8, 4), (64,)])
-    def test_coords_reject_a_mis_sized_stack(self, shape):
+    def test_coords_reject_a_mis_sized_stack(self, shape, tol):
         with pytest.raises(DimensionMismatchError):
-            build_classical("su", 2).double().coords_of(np.zeros(shape))
+            build_classical("su", 2).double().coords_of(np.zeros(shape),
+                                                        tol.residual_tol)
 
     def test_double_is_cached(self):
         algebra = build_classical("su", 2)
@@ -388,9 +395,10 @@ class TestAutomorphisms:
         vals, vecs = np.linalg.eig(aut.matrix)
         return int(np.sum(np.abs(vals - 1.0) < 1e-8))
 
-    def test_identity(self):
+    def test_identity(self, tol):
         algebra = build_classical("su", 3)
-        aut = identity_automorphism(algebra)
+        aut = make_automorphism(algebra, "id", tol)
+        assert np.array_equal(aut.matrix, np.eye(algebra.dim))
         assert commutator_residual(aut) < 1e-12
         assert self._fixed_dim(aut) == algebra.dim
 
@@ -411,10 +419,13 @@ class TestAutomorphisms:
         assert self._fixed_dim(aut) == 21
 
     def test_inner_automorphism(self, tol):
+        # Ad(g) of a group element g, which no delta(sigma=...) names
         algebra = build_classical("so", 4)
         from scipy.linalg import expm
         g = expm(algebra.matrix_of(np.arange(algebra.dim, dtype=float) / 10))
-        aut = make_automorphism(algebra, "inner", k=g, tol=tol)
+        aut = Automorphism(algebra,
+                           adjoint_matrix(algebra, g, tol.residual_tol),
+                           "inner")
         assert commutator_residual(aut) < 1e-8
         assert aut.form_residual() < 1e-8
 
@@ -424,11 +435,12 @@ class TestAutomorphisms:
             make_automorphism(algebra, "outer_su", tol=tol)
         with pytest.raises(InvalidInputError):
             make_automorphism(algebra, "outer_so_even", tol=tol)
-        with pytest.raises(InvalidInputError):
-            make_automorphism(algebra, "inner", tol=tol)
+        # Ad(k) needs a group element k, which no delta(sigma=...) can pass
+        with pytest.raises(InvalidInputError, match="unknown automorphism spec"):
+            make_automorphism(algebra, "inner", tol)
 
     @pytest.mark.parametrize("k", [np.zeros((6, 6)),
                                    np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])])
     def test_singular_conjugator_is_invalid(self, k, tol):
         with pytest.raises(InvalidInputError, match="singular"):
-            make_automorphism(build_classical("su", 3), "inner", k=k, tol=tol)
+            adjoint_matrix(build_classical("su", 3), k, tol.residual_tol)

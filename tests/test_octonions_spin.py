@@ -127,22 +127,22 @@ class TestGammaMatrices:
 class TestSpinImages:
     def test_spin7_dimension(self, tol):
         so8 = build_classical("so", 8)
-        spin7 = spin_subalgebra(so8, 7, tol)
+        spin7 = spin_subalgebra(so8, tol, 7)
         assert spin7.dim == 21
         assert spin7.closure_residual() < 1e-10
 
     def test_spin9_dimension(self, tol):
         so16 = build_classical("so", 16)
-        spin9 = spin_subalgebra(so16, 9, tol)
+        spin9 = spin_subalgebra(so16, tol, 9)
         assert spin9.dim == 36
         assert spin9.closure_residual() < 1e-10
 
     def test_spin7_differs_from_corner(self, tol):
-        from polarcheck.embeddings import corner_so
+        from polarcheck.embeddings import block_so
         from polarcheck.numerics import rank_of
         so8 = build_classical("so", 8)
-        spin7 = spin_subalgebra(so8, 7, tol)
-        corner = corner_so(so8, 7, tol)
+        spin7 = spin_subalgebra(so8, tol, 7)
+        corner = block_so(so8, tol, 7)
         stacked = np.vstack([spin7.basis, corner.basis])
         assert rank_of(stacked, tol) == 28  # together they span so(8)
 
@@ -184,7 +184,7 @@ class TestG2Cache:
         for seed in range(6):
             assert resolve_factor("g2", so7, ToleranceConfig(seed=seed)).dim == 14
         for _ in range(3):
-            assert verify_table1("g2-so7-so6").passed
+            assert verify_table1("g2-so7-so6", ToleranceConfig()).passed
         assert calls == [1e-9]
         assert resolve_factor("g2", so7, ToleranceConfig(rel_rank_tol=1e-8)).dim == 14
         assert calls == [1e-9, 1e-8]

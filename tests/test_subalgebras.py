@@ -8,12 +8,12 @@ from scipy.linalg import expm
 from polarcheck import embeddings, specs
 from polarcheck.catalog import (catalog_entries, get_entry,
                                 so7_diagonal_subalgebra)
-from polarcheck.embeddings import cartan_subalgebra, corner_so, so_in_su
-from polarcheck.errors import ClosureError, InvalidInputError
+from polarcheck.embeddings import block_so, so_in_su
+from polarcheck.errors import (ClosureError, DimensionMismatchError,
+                               InvalidInputError)
 from polarcheck.lie_algebras import (LieAlgebra, _u_basis_complex,
                                      adjoint_matrix, build_classical,
-                                     commutator, identity_automorphism,
-                                     make_automorphism,
+                                     commutator, make_automorphism,
                                      quaternion_left_matrices, realify_complex,
                                      realify_quaternion, span_closure_residual)
 from polarcheck.octonions import quaternion_table
@@ -48,7 +48,7 @@ class TestConstruction:
 
     def test_from_matrices_roundtrip(self, tol):
         algebra = build_classical("so", 4)
-        corner = corner_so(algebra, 3, tol)
+        corner = block_so(algebra, tol, 3)
         rebuilt = Subalgebra.from_matrices(
             algebra, algebra.frobenius_matrices(corner.basis), tol)
         assert rebuilt.dim == corner.dim
@@ -59,11 +59,25 @@ class TestConstruction:
         assert zero_subalgebra(algebra).dim == 0
         assert full_subalgebra(algebra, tol).dim == algebra.dim
 
+    @pytest.mark.parametrize("rows", [
+        # three rows of length 4, whose twelve entries a reshape would
+        # read as two rows of so(4)'s length 6
+        np.eye(4)[:3], np.eye(7)[:2], np.zeros(6), np.zeros((1, 2, 3))])
+    def test_rows_of_the_wrong_width_are_rejected(self, rows, tol):
+        so4 = build_classical("so", 4)
+        with pytest.raises(DimensionMismatchError, match="length 6"):
+            Subalgebra(so4, rows)
+        if rows.ndim == 2:
+            with pytest.raises(DimensionMismatchError, match="length 6"):
+                Subalgebra.from_vectors(so4, rows, tol)
+            with pytest.raises(DimensionMismatchError, match="length 6"):
+                Subalgebra.closed_span(so4, rows, tol)
+
 
 class TestDiagonalAndProduct:
     def test_diagonal_dimension(self, tol):
         algebra = build_classical("su", 3)
-        h = diagonal_sigma(algebra, identity_automorphism(algebra))
+        h = diagonal_sigma(algebra, make_automorphism(algebra, "id", tol))
         assert h.parent is algebra.double()
         assert h.dim == algebra.dim
         assert h.closure_residual() < 1e-10
@@ -76,8 +90,8 @@ class TestDiagonalAndProduct:
 
     def test_product_dimensions(self, tol):
         algebra = build_classical("so", 5)
-        h1 = corner_so(algebra, 4, tol)
-        h2 = corner_so(algebra, 3, tol)
+        h1 = block_so(algebra, tol, 4)
+        h2 = block_so(algebra, tol, 3)
         h = product(h1, h2)
         assert h.dim == h1.dim + h2.dim
 
@@ -85,14 +99,14 @@ class TestDiagonalAndProduct:
         a = build_classical("so", 4)
         b = build_classical("so", 5)
         with pytest.raises(InvalidInputError):
-            product(corner_so(a, 3, tol), corner_so(b, 3, tol))
+            product(block_so(a, tol, 3), block_so(b, tol, 3))
 
 
 # (group, factor) per built-in embedding builder, over a range of sizes
 BUILTIN_FACTORS = [
-    # corner_so
+    # block_so, one block
     ("so3", "so2"), ("so6", "so5"), ("so10", "so4"), ("so12", "so11"),
-    # block_so
+    # block_so, two blocks
     ("so5", "so2so3"), ("so8", "so4so4"), ("so11", "so5so6"),
     # so_in_su
     ("su3", "so3"), ("su5", "so5"), ("su7", "so7"),
@@ -231,10 +245,10 @@ def per_block_basis(ambient, factor, tol):
     else:
         n = ambient.n
         extra = np.diag([1j] * (n - 1) + [1j * (1 - n)])
-        blocks = [ambient.coords_of(realify_complex(extra))]
+        blocks = [ambient.coords_of(realify_complex(extra), tol.residual_tol)]
         if n > 2:
             blocks.insert(
-                0, embeddings.su_corner_in_su(ambient, n - 1, tol).basis)
+                0, embeddings.su_corner_in_su(ambient, tol, n - 1).basis)
     return orthonormal_basis(np.vstack(blocks), tol)
 
 
@@ -246,10 +260,8 @@ class TestMembershipTolerance:
         calls = []
         coords_of = LieAlgebra.coords_of
 
-        def recording(algebra, mats, member_tol=None):
+        def recording(algebra, mats, member_tol):
             calls.append(member_tol)
-            if member_tol is None:
-                return coords_of(algebra, mats)
             return coords_of(algebra, mats, member_tol)
 
         monkeypatch.setattr(LieAlgebra, "coords_of", recording)
@@ -326,8 +338,7 @@ class TestWrittenDownRows:
     @pytest.mark.parametrize("group,sigma", WRITTEN_DOWN_DIAGONALS)
     def test_diagonal(self, group, sigma, tol):
         algebra = parse_group(group)
-        aut = (identity_automorphism(algebra) if sigma == "id"
-               else make_automorphism(algebra, sigma, tol=tol))
+        aut = make_automorphism(algebra, sigma, tol)
         rows = np.hstack([np.eye(algebra.dim), aut.matrix.T])
         self.check(diagonal_sigma(algebra, aut), rows, tol)
 
@@ -401,16 +412,18 @@ class TestAdjoint:
         algebra = build_classical("su", 3)
         x = np.random.default_rng(1).standard_normal(algebra.dim) / 4
         g = expm(algebra.matrix_of(x))
-        ad_g = adjoint_matrix(algebra, g)
+        ad_g = adjoint_matrix(algebra, g, tol.residual_tol)
         # oracle: Ad(exp X) = exp(ad X) in coordinates
         ad_x = algebra.coords_of(commutator(algebra.matrix_of(x),
-                                            algebra.basis)).T
+                                            algebra.basis),
+                                 tol.residual_tol).T
         assert np.abs(ad_g - expm(ad_x)).max() < 1e-10
 
     def test_preserves_form(self, tol):
         algebra = build_classical("so", 5)
         x = np.random.default_rng(2).standard_normal(algebra.dim) / 4
-        ad_g = adjoint_matrix(algebra, expm(algebra.matrix_of(x)))
+        ad_g = adjoint_matrix(algebra, expm(algebra.matrix_of(x)),
+                              tol.residual_tol)
         # the form is a multiple of the identity in these coordinates
         assert np.abs(ad_g.T @ ad_g - np.eye(algebra.dim)).max() < 1e-9
 
@@ -418,13 +431,13 @@ class TestAdjoint:
         algebra = build_classical("su", 2)
         bad = np.diag([1.0, -1.0, 1.0, 1.0])  # not in the represented group
         with pytest.raises(ClosureError):
-            adjoint_matrix(algebra, bad)
+            adjoint_matrix(algebra, bad, tol.residual_tol)
 
 
 class TestConjugation:
     def test_conjugated_subalgebra_keeps_dim(self, tol):
         algebra = build_classical("so", 5)
-        h = corner_so(algebra, 4, tol)
+        h = block_so(algebra, tol, 4)
         x = np.random.default_rng(3).standard_normal(algebra.dim) / 4
         moved = conjugated_subalgebra(h, expm(algebra.matrix_of(x)), tol)
         assert moved.dim == h.dim
@@ -432,7 +445,7 @@ class TestConjugation:
 
     def test_conjugated_pair_subalgebra(self, tol):
         algebra = build_classical("su", 3)
-        h = diagonal_sigma(algebra, identity_automorphism(algebra))
+        h = diagonal_sigma(algebra, make_automorphism(algebra, "id", tol))
         rng = np.random.default_rng(4)
         a = expm(algebra.matrix_of(rng.standard_normal(algebra.dim) / 4))
         b = expm(algebra.matrix_of(rng.standard_normal(algebra.dim) / 4))
