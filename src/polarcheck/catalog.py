@@ -270,12 +270,16 @@ class SuiteSummary:
 
 
 def run_known_answer_suite(tol, entry_ids=None):
-    """Run every catalog entry (or a selection); failures are data."""
-    results = []
-    for entry in catalog_entries():
-        if entry_ids is not None and entry.entry_id not in entry_ids:
-            continue
-        results.append(evaluate_entry(entry, tol))
+    """Run every catalog entry (or a selection); failures are data, an
+    unknown entry id is invalid input."""
+    entries = catalog_entries()
+    if entry_ids is not None:
+        unknown = set(entry_ids) - {e.entry_id for e in entries}
+        if unknown:
+            raise InvalidInputError(
+                f"unknown catalog entries: {sorted(unknown)}")
+        entries = [e for e in entries if e.entry_id in entry_ids]
+    results = [evaluate_entry(entry, tol) for entry in entries]
     passed = sum(1 for r in results if r.passed)
     return SuiteSummary(results=tuple(results), passed=passed,
                         failed=len(results) - passed)

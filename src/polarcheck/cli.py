@@ -9,15 +9,20 @@ Subcommands:
 
 Exit codes: 0 = success / expectations met, 1 = a verification failed,
 2 = invalid input (bad spec, bad span file, non-principal point, a rank
-cut too coarse for a subgroup or an orbit tangent).
-The seed comes from --seed, else the POLARCHECK_SEED environment variable,
-else 0; with a fixed seed and configuration the JSON output is byte-stable.
+cut too coarse for a subgroup or an orbit tangent, an unknown catalog
+entry). Every setting is a flag; the seed defaults to 0. A JSON report is
+its result dataclass (PolarityReport plus "config", SuiteSummary plus
+"tolerances", a list of Table1Result), rendered field by field, so with a
+fixed seed and configuration it is byte-stable.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+
+import numpy as np
 
 from .actions import ActionSpec, analyze
 from .catalog import (TABLE1_ROWS, catalog_entries, run_known_answer_suite,
@@ -31,8 +36,8 @@ def _add_common(parser):
     defaults = ToleranceConfig()
     parser.add_argument("--samples", type=int, default=defaults.num_samples,
                         help="most points sampled to find a principal orbit")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (default: POLARCHECK_SEED or 0)")
+    parser.add_argument("--seed", type=int, default=defaults.seed,
+                        help="RNG seed, >= 0")
     parser.add_argument("--rank-tol", type=float,
                         default=defaults.rel_rank_tol,
                         help="relative singular-value threshold")
@@ -45,17 +50,9 @@ def _add_common(parser):
 
 
 def _tolerances(args):
-    seed = args.seed
-    if seed is None:
-        raw = os.environ.get("POLARCHECK_SEED", "0")
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise InvalidInputError(
-                f"POLARCHECK_SEED must be an integer, got {raw!r}") from None
     return ToleranceConfig(rel_rank_tol=args.rank_tol,
                            residual_tol=args.residual_tol,
-                           num_samples=args.samples, seed=seed)
+                           num_samples=args.samples, seed=args.seed)
 
 
 def _emit(text, args):
@@ -76,26 +73,15 @@ def _emit(text, args):
             os.dup2(devnull, sys.stdout.fileno())
 
 
-def _tol_dict(tol):
-    return {"rel_rank_tol": tol.rel_rank_tol, "residual_tol": tol.residual_tol,
-            "num_samples": tol.num_samples, "seed": tol.seed}
-
-
-def _report_dict(report, config):
-    return {
-        "cohomogeneity": report.cohomogeneity,
-        "principal_point": report.principal_point.tolist(),
-        "section_basis": report.section_basis.tolist(),
-        "polar": report.polar,
-        "hyperpolar": report.hyperpolar,
-        "residual_triple": report.residual_triple,
-        "residual_orth": report.residual_orth,
-        "residual_abelian": report.residual_abelian,
-        "samples_used": report.samples_used,
-        "seed": report.seed,
-        "tolerances": _tol_dict(report.tolerances),
-        "config": config,
-    }
+def _json(payload):
+    """The JSON report: a dataclass as its fields, an array as nested lists."""
+    def fields(obj):
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
+        if dataclasses.is_dataclass(obj):
+            return vars(obj)  # shallow: asdict would deep-copy the arrays
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return json.dumps(payload, sort_keys=True, indent=2, default=fields)
 
 
 def _report_text(report, config):
@@ -119,8 +105,7 @@ def _cmd_analyze(args):
     report = analyze(ActionSpec(algebra, h), tol)
     config = {"group": args.group, "subgroup": args.subgroup}
     if args.format == "json":
-        _emit(json.dumps(_report_dict(report, config), sort_keys=True,
-                         indent=2), args)
+        _emit(_json(dict(vars(report), config=config)), args)
     else:
         _emit(_report_text(report, config), args)
     return 0
@@ -137,21 +122,9 @@ def _cmd_catalog_list(args):
 def _cmd_catalog_run(args):
     tol = _tolerances(args)
     entry_ids = set(args.entry) if args.entry else None
-    if entry_ids:
-        known = {e.entry_id for e in catalog_entries()}
-        unknown = entry_ids - known
-        if unknown:
-            raise PolarcheckError(f"unknown catalog entries: {sorted(unknown)}")
     summary = run_known_answer_suite(tol, entry_ids=entry_ids)
     if args.format == "json":
-        payload = {
-            "passed": summary.passed,
-            "failed": summary.failed,
-            "tolerances": _tol_dict(tol),
-            "results": [{"entry_id": r.entry_id, "passed": r.passed,
-                         "details": r.details} for r in summary.results],
-        }
-        _emit(json.dumps(payload, sort_keys=True, indent=2), args)
+        _emit(_json(dict(vars(summary), tolerances=tol)), args)
     else:
         lines = []
         for r in summary.results:
@@ -173,11 +146,7 @@ def _cmd_verify_table1(args):
                                  else args.param)
                    for r, (_, min_n, _) in sorted(TABLE1_ROWS.items())]
     if args.format == "json":
-        payload = [{"row_id": r.row_id, "n": r.n, "description": r.description,
-                    "dim_h1": r.dim_h1, "dim_h2": r.dim_h2, "dim_l": r.dim_l,
-                    "span_rank": r.span_rank, "transitive": r.transitive,
-                    "passed": r.passed} for r in results]
-        _emit(json.dumps(payload, sort_keys=True, indent=2), args)
+        _emit(_json(results), args)
     else:
         lines = []
         for r in results:
@@ -226,17 +195,8 @@ def build_parser():
     return parser
 
 
-def _normalize_argv(argv):
-    """Accept 'catalog list' / 'catalog run' as spelled-out aliases."""
-    if len(argv) >= 2 and argv[0] == "catalog" and argv[1] in ("list", "run"):
-        return [f"catalog-{argv[1]}"] + argv[2:]
-    return argv
-
-
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(_normalize_argv(argv))
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PolarcheckError as exc:

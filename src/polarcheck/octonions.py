@@ -77,13 +77,20 @@ def derivation_matrices(table, tol):
     return kernel.reshape(-1, m, m)
 
 
-def restrict_to_imaginary(derivations, residual_tol=1e-10):
+# Derivations kill the unit exactly, and the only input is the built-in
+# octonion table, so a genuine derivation has a unit row and column of pure
+# roundoff; a fixed bound, not a user tolerance, tells it from a kernel that
+# a too coarse rank cut has mixed with non-derivations.
+_UNIT_BORDER_TOL = 1e-10
+
+
+def restrict_to_imaginary(derivations):
     """Drop the unit coordinate: derivations annihilate e_0 and fix its span."""
     derivations = np.asarray(derivations, dtype=float)
     if derivations.size:
         border = max(float(np.abs(derivations[:, :, 0]).max()),
                      float(np.abs(derivations[:, 0, :]).max()))
-        if border > residual_tol:
+        if border > _UNIT_BORDER_TOL:
             raise InvalidInputError(
                 f"derivations do not preserve the imaginary part ({border:.3e})")
     return derivations[:, 1:, 1:]

@@ -76,3 +76,9 @@ class TestCatalog:
         summary = run_known_answer_suite(tol, entry_ids={"conj-su3"})
         assert len(summary.results) == 1
         assert summary.results[0].entry_id == "conj-su3"
+
+    def test_unknown_entry_is_invalid_input(self, tol):
+        # an unknown id is invalid input, even beside a known one
+        with pytest.raises(InvalidInputError,
+                           match=r"unknown catalog entries: \['bogus'\]"):
+            run_known_answer_suite(tol, entry_ids={"bogus", "conj-su3"})
