@@ -271,9 +271,11 @@ class SuiteSummary:
 
 def run_known_answer_suite(tol, entry_ids=None):
     """Run every catalog entry (or a selection); failures are data, an
-    unknown entry id is invalid input."""
+    unknown entry id or an empty selection is invalid input."""
     entries = catalog_entries()
     if entry_ids is not None:
+        if not entry_ids:
+            raise InvalidInputError("the catalog entry selection is empty")
         unknown = set(entry_ids) - {e.entry_id for e in entries}
         if unknown:
             raise InvalidInputError(

@@ -2,6 +2,12 @@
 octonion derivations (the 14-dimensional algebra inside so(7)), and spin
 images built from real gamma matrices.
 
+Complex and quaternionic structures use the one realification of
+lie_algebras: u(m), su(m) and so(m) are realified complex stacks, and every
+sp(m) factor is classical_basis('sp', m).  In su(2m) it is that stack as
+is; in so(4m) it is moved, with its right quaternion scalars, to H^m by one
+signed permutation of R^{4m} (see sp_in_so).
+
 Every builder returns a Subalgebra of the ambient algebra that is
 bracket-closed by construction, which the tests check once per builder;
 closure is not checked at run time.  The matrices still pass the membership
@@ -15,11 +21,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError
-from .lie_algebras import (_u_basis_complex, quaternion_left_matrices,
-                           quaternion_right_matrices, realify_complex,
-                           realify_quaternion, so_basis, sp_basis_quaternion)
+from .lie_algebras import (_u_basis_complex, classical_basis,
+                           conjugation_matrix, realify_complex, so_basis)
 from .numerics import ToleranceConfig
-from .octonions import (derivation_matrices, octonion_table, quaternion_table,
+from .octonions import (derivation_matrices, octonion_table,
                         restrict_to_imaginary)
 from .subalgebras import Subalgebra
 
@@ -142,43 +147,49 @@ def sp_in_su(ambient, tol, m):
     """sp(m) = {[[A, -conj(B)], [B, conj(A)]]} inside su(2m)."""
     if ambient.family != "su" or ambient.n != 2 * m:
         raise InvalidInputError(f"sp({m}) does not embed in {ambient.name}")
-    # A skew-Hermitian with B = 0, then A = 0 with B complex symmetric:
-    # B_ij = B_ji = 1, then = i, for each i <= j
-    a = _u_basis_complex(m)
-    rows, cols = np.triu_indices(m)
-    sym = np.zeros((rows.size, m, m))
-    sym[np.arange(rows.size), rows, cols] = 1.0
-    sym[np.arange(rows.size), cols, rows] = 1.0
-    b = np.stack([sym, 1j * sym], axis=1).reshape(-1, m, m)
-    z = np.zeros((len(a) + len(b), 2 * m, 2 * m), dtype=complex)
-    z[:len(a), :m, :m] = a
-    z[:len(a), m:, m:] = np.conj(a)
-    z[len(a):, m:, :m] = b
-    z[len(a):, :m, m:] = -np.conj(b)
-    mats = realify_complex(z)
-    return Subalgebra.from_matrices(ambient, mats, tol, name=f"sp({m})")
+    return Subalgebra.from_matrices(ambient, classical_basis("sp", m), tol,
+                                    name=f"sp({m})")
+
+
+@lru_cache(maxsize=None)
+def _sp_on_h(m, right_factor):
+    """The matrices of sp_in_so, read-only.
+
+    Like g2 they are a constant of (m, right_factor), derived once per
+    process: the catalog resolves the same sp factors for every seed.
+    """
+    i = realify_complex(1j * np.eye(2 * m))
+    j = realify_complex(np.kron(_EPS, np.eye(m))) @ conjugation_matrix(2 * m)
+    scalars = {"none": [], "u1": [i], "sp1": [i, j, i @ j]}
+    if right_factor not in scalars:
+        raise InvalidInputError(f"unknown right factor {right_factor!r}")
+    mats = np.array([*classical_basis("sp", m), *scalars[right_factor]])
+    # coordinate 4a + 2p + t of H^m is coordinate 2mp + 2a + t of the
+    # realified C^{2m}: part t (Re, Im) of z_a for p = 0, of w_a for p = 1
+    order = np.arange(4 * m).reshape(2, m, 2).transpose(1, 0, 2).ravel()
+    sign = np.tile([1.0, 1.0, 1.0, -1.0], m)
+    mats = sign[:, None] * mats[:, order[:, None], order] * sign
+    mats.flags.writeable = False
+    return mats
 
 
 def sp_in_so(ambient, tol, m, right_factor="none"):
     """sp(m) acting on H^m = R^{4m}, optionally extended by right scalars.
 
     right_factor: 'none' -> sp(m); 'u1' -> sp(m)(+)u(1); 'sp1' -> sp(m)(+)sp(1),
-    the right multiplications by imaginary quaternion scalars.
+    the right multiplications by imaginary quaternion scalars.  On the
+    realified C^{2m} of classical_basis('sp', m) these are i = multiplication
+    by 1j, j = J o conj with J = [[0, -I], [I, 0]], and k = ij.  One signed
+    permutation then maps the quaternion q = z + j w, for z, w in C^m, to
+    the H^m coordinates (Re z, Im z, Re w, -Im w): the coefficients of
+    1, i, j, k in each block of four, on which sp(m) acts by quaternion
+    matrices from the left.
     """
     if ambient.family != "so" or ambient.n != 4 * m:
         raise InvalidInputError(f"sp({m}) does not embed in {ambient.name}")
-    table = quaternion_table()
-    left = quaternion_left_matrices(table)
-    mats = realify_quaternion(sp_basis_quaternion(m), left)
-    name = f"sp({m})"
-    if right_factor != "none":
-        rights = quaternion_right_matrices(table)
-        picks = [1] if right_factor == "u1" else [1, 2, 3]
-        if right_factor not in ("u1", "sp1"):
-            raise InvalidInputError(f"unknown right factor {right_factor!r}")
-        mats = np.concatenate(
-            [mats, [np.kron(np.eye(m), rights[c]) for c in picks]])
-        name += "(+)u(1)" if right_factor == "u1" else "(+)sp(1)"
+    mats = _sp_on_h(m, right_factor)
+    name = f"sp({m})" + {"none": "", "u1": "(+)u(1)",
+                         "sp1": "(+)sp(1)"}[right_factor]
     return Subalgebra.from_matrices(ambient, mats, tol, name=name)
 
 
@@ -218,12 +229,8 @@ def cartan_subalgebra(ambient, tol):
         mats = [corner_so_matrices(ambient.n, 2, 2 * k)[0]
                 for k in range(ambient.n // 2)]
     elif ambient.family == "sp":
-        table = quaternion_table()
-        left = quaternion_left_matrices(table)
-        n = np.arange(ambient.n)
-        q = np.zeros((ambient.n, ambient.n, ambient.n, 4))
-        q[n, n, n, 1] = 1.0  # i on the k-th diagonal entry of matrix k
-        mats = realify_quaternion(q, left)
+        n = ambient.n  # the rows [[iE_kk, 0], [0, -iE_kk]] of sp(n)
+        mats = classical_basis("sp", n)[n * (n - 1):n * n]
     else:
         raise InvalidInputError(f"no Cartan recipe for {ambient.name}")
     return Subalgebra.from_matrices(ambient, mats, tol, name="cartan")

@@ -3,9 +3,11 @@
 Every algebra is the span of a Frobenius-orthonormal basis of real skew
 matrices, and its bracket is the matrix commutator; no structure constants
 are stored.  Complex entries are realified as 2x2 blocks [[a, -b], [b, a]]
-(coordinates interleaved), quaternionic entries as 4x4 left-multiplication
-blocks; these conventions are fixed once here and reused by every embedding
-builder.
+(coordinates interleaved), and this is the only realification: sp(n) is
+the complex stack {[[A, -conj(B)], [B, conj(A)]]} in u(2n), the
+commutant of the quaternionic structure J o conj on C^{2n}, with
+J = [[0, -I], [I, 0]].  The convention is fixed once here and reused by
+every embedding builder.
 
 The invariant inner product is fixed as <X, Y> = -tr(XY) on the realified
 defining representation.  On a simple algebra a biinvariant metric is
@@ -45,30 +47,9 @@ def realify_complex(mat):
     return np.kron(mat.real, _RE) + np.kron(mat.imag, _IM)
 
 
-def quaternion_left_matrices(table):
-    """4x4 matrices of left multiplication by each quaternion basis unit."""
-    # table[c, b, a] is the e_a coefficient of e_c e_b
-    return [np.array([[table[c, b, a] for b in range(4)] for a in range(4)],
-                     dtype=float) for c in range(4)]
-
-
-def quaternion_right_matrices(table):
-    """4x4 matrices of right multiplication by each quaternion basis unit."""
-    return [np.array([[table[b, c, a] for b in range(4)] for a in range(4)],
-                     dtype=float) for c in range(4)]
-
-
-def realify_quaternion(qmat, left_units):
-    """Realify (..., n, n, 4) quaternion-entry matrices via 4x4 blocks.
-
-    Entry (i, j) becomes the left-multiplication block sum_c q_ijc L_c,
-    summed in the order of c; leading axes are a stack of matrices,
-    realified one by one.
-    """
-    qmat = np.asarray(qmat, dtype=float)
-    blocks = sum(qmat[..., c, None, None] * left_units[c] for c in range(4))
-    n = qmat.shape[-2]
-    return blocks.swapaxes(-3, -2).reshape(*qmat.shape[:-3], 4 * n, 4 * n)
+def conjugation_matrix(n):
+    """Complex conjugation of C^n, realified: diag(1, -1) on each entry."""
+    return np.kron(np.eye(n), np.diag([1.0, -1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -313,22 +294,26 @@ def _u_basis_complex(n, special=False):
     return mats
 
 
-def sp_basis_quaternion(n):
-    """Quaternionic skew-Hermitian basis as a (k, n, n, 4) coefficient stack."""
-    mats = []
-    for i in range(n):
-        for c in range(1, 4):
-            q = np.zeros((n, n, 4))
-            q[i, i, c] = 1.0
-            mats.append(q)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for c in range(4):
-                q = np.zeros((n, n, 4))
-                q[i, j, c] = 1.0
-                q[j, i, c] = -1.0 if c == 0 else 1.0  # -conjugate
-                mats.append(q)
-    return np.array(mats)
+def _sp_basis_complex(m):
+    """sp(m) = {[[A, -conj(B)], [B, conj(A)]]} in u(2m), as a stack.
+
+    A skew-Hermitian with B = 0 first (the rows of _u_basis_complex(m), so
+    the diagonal [[iE_kk, 0], [0, -iE_kk]] come at m(m-1)..m^2-1), then
+    A = 0 with B complex symmetric: B_ij = B_ji = 1, then = i, for each
+    i <= j.
+    """
+    a = _u_basis_complex(m)
+    rows, cols = np.triu_indices(m)
+    sym = np.zeros((rows.size, m, m))
+    sym[np.arange(rows.size), rows, cols] = 1.0
+    sym[np.arange(rows.size), cols, rows] = 1.0
+    b = np.stack([sym, 1j * sym], axis=1).reshape(-1, m, m)
+    z = np.zeros((len(a) + len(b), 2 * m, 2 * m), dtype=complex)
+    z[:len(a), :m, :m] = a
+    z[:len(a), m:, m:] = np.conj(a)
+    z[len(a):, m:, :m] = b
+    z[len(a):, :m, m:] = -np.conj(b)
+    return z
 
 
 _SMALLEST_N = {"so": 2, "su": 2, "u": 1, "sp": 1}
@@ -342,14 +327,10 @@ def classical_basis(family, n):
         raise InvalidInputError(
             f"{family}(n) needs n >= {_SMALLEST_N[family]}")
     if family == "so":
-        basis = so_basis(n)
-    elif family == "sp":
-        from .octonions import quaternion_table
-        left = quaternion_left_matrices(quaternion_table())
-        basis = realify_quaternion(sp_basis_quaternion(n), left)
-    else:
-        basis = realify_complex(_u_basis_complex(n, family == "su"))
-    return basis
+        return so_basis(n)
+    if family == "sp":
+        return realify_complex(_sp_basis_complex(n))
+    return realify_complex(_u_basis_complex(n, family == "su"))
 
 
 @lru_cache(maxsize=None)
@@ -417,7 +398,7 @@ def make_automorphism(algebra, spec, tol):
     if spec == "outer_su":
         if algebra.family != "su":
             raise InvalidInputError("outer_su only applies to su(n)")
-        conj = np.kron(np.eye(algebra.n), np.diag([1.0, -1.0]))
+        conj = conjugation_matrix(algebra.n)
     elif spec == "outer_so_even":
         if algebra.family != "so" or algebra.n % 2 != 0:
             raise InvalidInputError("outer_so_even only applies to so(2m)")

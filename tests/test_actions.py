@@ -260,6 +260,32 @@ class TestCriterionReference:
             np.abs(pairings).max(initial=0.0), abs=1e-12)
 
 
+class TestSpVerdicts:
+    """Verdicts of actions that mix sp(n) with factors built in other
+    conventions.  The relative position of two factors is part of the spec,
+    so these pin that sp(k) sits on H^k as before, not only up to
+    isomorphism: with sp(3) inside the complex structure of u(6), so12
+    sp3 x u6 would have cohomogeneity 10."""
+
+    @pytest.mark.parametrize("group,subgroup,verdict", [
+        ("so12", "product(h1=sp3,h2=u6)", (9, False, False)),
+        ("so8", "product(h1=sp2sp1,h2=sp2u1)", (5, False, False)),
+        ("so8", "product(h1=sp2,h2=sp2)", (9, False, False)),
+        ("so8", "product(h1=sp2sp1,h2=sp2sp1)", (3, True, True)),
+        ("su6", "product(h1=sp3,h2=so6)", (2, True, True)),
+        ("sp3", "product(h1=cartan,h2=cartan)", (15, False, False)),
+        ("sp1", "product(h1=cartan,h2=zero)", (2, False, False)),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_pinned_verdict(self, group, subgroup, verdict, seed):
+        tol = ToleranceConfig(seed=seed)
+        algebra = parse_group(group)
+        report = analyze(
+            ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol)), tol)
+        assert (report.cohomogeneity, report.polar,
+                report.hyperpolar) == verdict
+
+
 class TestPrincipalPointReference:
     """principal_point counts ranks from singular values alone and stops at
     the ceiling min(dim h, dim l); it must pick what a loop over the full

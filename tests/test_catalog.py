@@ -77,6 +77,12 @@ class TestCatalog:
         assert len(summary.results) == 1
         assert summary.results[0].entry_id == "conj-su3"
 
+    @pytest.mark.parametrize("entry_ids", [set(), [], ()])
+    def test_empty_selection_is_invalid_input(self, tol, entry_ids):
+        # an empty selection runs nothing, so it cannot report ok=True
+        with pytest.raises(InvalidInputError, match="selection is empty"):
+            run_known_answer_suite(tol, entry_ids=entry_ids)
+
     def test_unknown_entry_is_invalid_input(self, tol):
         # an unknown id is invalid input, even beside a known one
         with pytest.raises(InvalidInputError,

@@ -10,12 +10,8 @@ from polarcheck.lie_algebras import (Automorphism, LieAlgebra,
                                      _u_basis_complex, adjoint_matrix,
                                      build_classical, classical_basis,
                                      commutator, make_automorphism,
-                                     quaternion_left_matrices,
-                                     quaternion_right_matrices,
-                                     realify_complex, realify_quaternion,
-                                     so_basis, sp_basis_quaternion)
+                                     realify_complex, so_basis)
 from polarcheck.numerics import outside_norm
-from polarcheck.octonions import quaternion_table
 
 from helpers import killing_proportionality
 
@@ -51,51 +47,12 @@ class TestRealification:
         rhs = realify_complex(a @ b)
         assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(rhs).max())
 
-    def test_quaternion_units_satisfy_relations(self):
-        one, i, j, k = quaternion_left_matrices(quaternion_table())
-        eye = np.eye(4)
-        assert np.array_equal(one, eye)
-        for unit in (i, j, k):
-            assert np.array_equal(unit @ unit, -eye)
-        assert np.array_equal(i @ j, k)
-        assert np.array_equal(j @ k, i)
-        assert np.array_equal(k @ i, j)
-
-    def test_left_and_right_multiplications_commute(self):
-        lefts = quaternion_left_matrices(quaternion_table())
-        rights = quaternion_right_matrices(quaternion_table())
-        for l in lefts:
-            for r in rights:
-                assert np.array_equal(l @ r, r @ l)
-
-    def test_sp_basis_shape(self):
-        basis = sp_basis_quaternion(2)
-        assert len(basis) == 2 * (2 * 2 + 1)
-        for b in basis:
-            assert np.asarray(b).shape == (2, 2, 4)
-
     def test_complex_stack_is_realified_matrix_by_matrix(self):
         rng = np.random.default_rng(5)
         stack = (rng.standard_normal((6, 3, 3))
                  + 1j * rng.standard_normal((6, 3, 3)))
         assert np.array_equal(realify_complex(stack),
                               np.array([realify_complex(z) for z in stack]))
-
-    def test_quaternion_stack_is_realified_block_by_block(self):
-        left = quaternion_left_matrices(quaternion_table())
-        stack = np.random.default_rng(6).standard_normal((5, 3, 3, 4))
-
-        def by_blocks(q):
-            out = np.zeros((12, 12))
-            for i in range(3):
-                for j in range(3):
-                    out[4 * i:4 * i + 4, 4 * j:4 * j + 4] = sum(
-                        q[i, j, c] * left[c] for c in range(4))
-            return out
-
-        expected = np.array([by_blocks(q) for q in stack])
-        assert np.array_equal(realify_quaternion(stack, left), expected)
-        assert np.array_equal(realify_quaternion(stack[0], left), expected[0])
 
 
 class TestDimensions:

@@ -13,9 +13,9 @@ from polarcheck.errors import (ClosureError, DimensionMismatchError,
                                InvalidInputError)
 from polarcheck.lie_algebras import (LieAlgebra, _u_basis_complex,
                                      adjoint_matrix, build_classical,
-                                     commutator, make_automorphism,
-                                     quaternion_left_matrices, realify_complex,
-                                     realify_quaternion, span_closure_residual)
+                                     classical_basis, commutator,
+                                     make_automorphism, realify_complex,
+                                     so_basis, span_closure_residual)
 from polarcheck.octonions import quaternion_table
 from polarcheck.numerics import (ToleranceConfig, orthonormal_basis,
                                  outside_norm)
@@ -484,15 +484,73 @@ class TestStackedEmbeddings:
         mats = self.built_matrices(monkeypatch, embeddings.sp_in_su,
                                    build_classical("su", 2 * m), tol, m)
         assert np.array_equal(mats, np.array(expected))
+        assert np.array_equal(mats, classical_basis("sp", m))
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_sp_cartan(self, n, tol, monkeypatch):
-        left = quaternion_left_matrices(quaternion_table())
         expected = []
         for k in range(n):
-            q = np.zeros((n, n, 4))
-            q[k, k, 1] = 1.0
-            expected.append(realify_quaternion(q, left))
+            z = np.zeros((2 * n, 2 * n), dtype=complex)
+            z[k, k] = 1j
+            z[n + k, n + k] = -1j
+            expected.append(realify_complex(z))
         mats = self.built_matrices(monkeypatch, embeddings.cartan_subalgebra,
                                    build_classical("sp", n), tol)
         assert np.array_equal(mats, np.array(expected))
+
+
+def span_projector(mats):
+    """Orthogonal projector onto the span of a stack of matrices."""
+    flat = np.asarray(mats).reshape(len(mats), -1)
+    _, sv, vt = np.linalg.svd(flat, full_matrices=False)
+    onb = vt[:int(np.sum(sv > 1e-10 * sv[0]))]
+    return onb.T @ onb
+
+
+class TestSpInSo:
+    """sp(m) and its right scalars in so(4m), against right multiplication
+    on H^m read off the quaternion table: sp(m) is the commutant of the
+    right scalars i and j."""
+
+    @staticmethod
+    def right_units(m):
+        # e_b e_c = sum_a table[b, c, a] e_a, so x -> x e_c acts on the
+        # coordinates of one quaternion by table[:, c, :].T
+        table = quaternion_table()
+        return [np.kron(np.eye(m), table[:, c, :].T) for c in (1, 2, 3)]
+
+    @staticmethod
+    def factor_matrices(m, name, tol):
+        ambient = build_classical("so", 4 * m)
+        return ambient.frobenius_matrices(
+            resolve_factor(name, ambient, tol).basis)
+
+    @classmethod
+    def commutant(cls, m):
+        """so(4m) matrices that commute with the right scalars i and j."""
+        basis = so_basis(4 * m)
+        r_i, r_j, _ = cls.right_units(m)
+        system = np.concatenate([commutator(basis, r).reshape(len(basis), -1)
+                                 for r in (r_i, r_j)], axis=1)
+        _, sv, vt = np.linalg.svd(system.T)
+        kernel = vt[int(np.sum(sv > 1e-10 * sv[0])):]
+        return np.einsum('kc,cab->kab', kernel, basis)
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_sp_is_the_commutant_of_the_right_scalars(self, m, tol):
+        mats = self.factor_matrices(m, f"sp{m}", tol)
+        assert len(mats) == m * (2 * m + 1)
+        commutant = self.commutant(m)
+        assert len(commutant) == len(mats)
+        assert np.abs(span_projector(mats)
+                      - span_projector(commutant)).max() < 1e-12
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    @pytest.mark.parametrize("suffix,scalars", [("u1", 1), ("sp1", 3)])
+    def test_right_factor_adds_the_right_scalars(self, m, suffix, scalars,
+                                                 tol):
+        mats = self.factor_matrices(m, f"sp{m}{suffix}", tol)
+        expected = [*self.commutant(m), *self.right_units(m)[:scalars]]
+        assert len(mats) == len(expected)
+        assert np.abs(span_projector(mats)
+                      - span_projector(expected)).max() < 1e-12
