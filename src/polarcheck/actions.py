@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import InvalidInputError, NonPrincipalPointError
 from .lie_algebras import adjoint_matrix, commutator, pair_commutators
-from .numerics import ToleranceConfig, orthonormal_basis, rank_of, split_span
+from .numerics import (ToleranceConfig, orthonormal_basis, rank_and_dropped,
+                       rank_of, split_span)
 from .subalgebras import Subalgebra
 
 
@@ -127,6 +128,15 @@ def principal_point(action, tol):
     return best, point, drawn
 
 
+def _check_cut(dropped, tol, what):
+    """InvalidInputError if a rank cut drops a value above residual_tol."""
+    if dropped > tol.residual_tol:
+        raise InvalidInputError(
+            f"rel_rank_tol {tol.rel_rank_tol:g} is too coarse for {what}: the "
+            f"rank cut drops a singular value {dropped:.3e} above "
+            f"residual_tol {tol.residual_tol:g}")
+
+
 def polarity_check(action, g, tol, max_orbit_dim):
     """Evaluate the polarity criterion at a principal point g.
 
@@ -146,11 +156,7 @@ def polarity_check(action, g, tol, max_orbit_dim):
     algebra = action.algebra
     vectors, ad_inv = _tangent_vectors(action, g, tol)
     tangent, nu, dropped = split_span(vectors, tol, scale=1.0)
-    if dropped > tol.residual_tol:
-        raise InvalidInputError(
-            f"rel_rank_tol {tol.rel_rank_tol:g} is too coarse for the orbit "
-            f"tangent: the rank cut drops a singular value {dropped:.3e} "
-            f"above residual_tol {tol.residual_tol:g}")
+    _check_cut(dropped, tol, "the orbit tangent")
     if tangent.shape[0] < max_orbit_dim:
         raise NonPrincipalPointError(
             f"point has orbit dimension {tangent.shape[0]} < sampled maximum "
@@ -206,10 +212,12 @@ def analyze(action, tol):
 
 
 def span_rank(h1, h2, algebra, tol):
-    """Dimension of h1 + h2 inside l."""
+    """Dimension of h1 + h2 inside l, from a guarded cut (see _check_cut)."""
     if h1.parent is not algebra or h2.parent is not algebra:
         raise InvalidInputError("h1, h2 must be subalgebras of the acted-on l")
-    return rank_of(np.vstack([h1.basis, h2.basis]), tol)
+    rank, dropped = rank_and_dropped(np.vstack([h1.basis, h2.basis]), tol)
+    _check_cut(dropped, tol, f"the span of {h1.name} and {h2.name}")
+    return rank
 
 
 def is_transitive(h1, h2, algebra, tol):

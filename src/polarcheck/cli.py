@@ -9,11 +9,11 @@ Subcommands:
 
 Exit codes: 0 = success / expectations met, 1 = a verification failed,
 2 = invalid input (bad spec, bad span file, non-principal point, a rank
-cut too coarse for a subgroup or an orbit tangent, an unknown catalog
-entry). Every setting is a flag; the seed defaults to 0. A JSON report is
-its result dataclass (PolarityReport plus "config", SuiteSummary plus
-"tolerances", a list of Table1Result), rendered field by field, so with a
-fixed seed and configuration it is byte-stable.
+cut too coarse for a subgroup, the span of two factors or an orbit
+tangent, an unknown catalog entry). Every setting is a flag; the seed
+defaults to 0. A JSON report is its result dataclass (PolarityReport plus
+"config", SuiteSummary plus "tolerances", a list of Table1Result), rendered
+field by field, so with a fixed seed and configuration it is byte-stable.
 """
 
 import argparse

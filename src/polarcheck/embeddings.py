@@ -1,18 +1,14 @@
-"""Concrete subalgebra embeddings: corners, complex/quaternionic structures,
-octonion derivations (the 14-dimensional algebra inside so(7)), and spin
-images built from real gamma matrices.
+"""Concrete subalgebra embeddings: symmetric subalgebras, corners, complex
+structures, octonion derivations (the 14-dimensional algebra inside so(7)),
+and spin images built from real gamma matrices.
 
-Complex and quaternionic structures use the one realification of
-lie_algebras: u(m), su(m) and so(m) are realified complex stacks, and every
-sp(m) factor is classical_basis('sp', m).  In su(2m) it is that stack as
-is; in so(4m) it is moved, with its right quaternion scalars, to H^m by one
-signed permutation of R^{4m} (see sp_in_so).
-
-Every builder returns a Subalgebra of the ambient algebra that is
-bracket-closed by construction, which the tests check once per builder;
-closure is not checked at run time.  The matrices still pass the membership
-check of LieAlgebra.coords_of, so a wrong sign or block convention fails
-loudly, and the full-rank check of Subalgebra.closed_span, so a rank cut too
+Every symmetric factor is the fixed algebra of involutions Ad(s) (see
+fixed_subalgebra); the other builders lay out matrices, realified as in
+lie_algebras.  Every builder returns a Subalgebra that is bracket-closed by
+construction, which the tests check once per builder; closure is not
+checked at run time.  Matrices and conjugators still pass the membership
+check of LieAlgebra.coords_of, so a wrong sign fails loudly, and laid-out
+matrices the full-rank check of Subalgebra.closed_span, so a rank cut too
 coarse for them fails instead of silently shrinking the subspace.
 """
 
@@ -21,10 +17,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError
-from .lie_algebras import (_u_basis_complex, classical_basis,
+from .lie_algebras import (_u_basis_complex, adjoint_matrix, classical_basis,
                            conjugation_matrix, realify_complex, so_basis)
-from .numerics import ToleranceConfig
-from .octonions import (derivation_matrices, octonion_table,
+from .numerics import ToleranceConfig, split_span
+from .octonions import (derivation_matrices, octonion_table, quaternion_table,
                         restrict_to_imaginary)
 from .subalgebras import Subalgebra
 
@@ -89,14 +85,6 @@ def corner_so_matrices(size, k, offset=0):
     return mats
 
 
-def so_in_su(ambient, tol, k):
-    """The real points so(n) inside su(n) (fixed set of conjugation)."""
-    if ambient.family != "su" or ambient.n != k:
-        raise InvalidInputError(f"so({k}) does not embed in {ambient.name}")
-    mats = realify_complex(so_basis(k))
-    return Subalgebra.from_matrices(ambient, mats, tol, name=f"so({k})")
-
-
 def block_so(ambient, tol, *sizes):
     """so(k1)(+)so(k2)(+)... in consecutive diagonal blocks of so(N),
     starting at the first coordinate; one size gives the so(k) corner."""
@@ -129,68 +117,64 @@ def su_corner_in_su(ambient, tol, k):
                                     name=f"su({k})")
 
 
-def s_u_u1_in_su(ambient, tol):
-    """s(u(N-1)+u(1)): the su(N-1) corner (empty in su(2)) plus the
-    traceless i-diagonal."""
-    if ambient.family != "su":
-        raise InvalidInputError(f"s_u_u1 does not embed in {ambient.name}")
-    big = ambient.n
-    corner = _u_basis_complex(big - 1, special=True)
-    mats = np.zeros((len(corner) + 1, big, big), dtype=complex)
-    mats[:-1, :-1, :-1] = corner
-    mats[-1] = np.diag([1j] * (big - 1) + [1j * (1 - big)])
-    return Subalgebra.from_matrices(ambient, realify_complex(mats), tol,
-                                    name=f"s(u({big - 1})u(1))")
+def fixed_subalgebra(ambient, tol, conjugators, name):
+    """The algebra fixed by Ad(s) for every s in conjugators, orthogonal
+    matrices whose Ad are commuting involutions, on orthonormal rows.
+
+    The nullspaces of Ad(s) - I are intersected one s at a time: on the rows
+    fixed so far, which Ad(s) preserves, its singular values are 0 and 2
+    alone, so a cut against 2 is exact at every rel_rank_tol (a stack of
+    every Ad(s) - I would add 2 sqrt(2)).  A fixed algebra is closed."""
+    rows = np.eye(ambient.dim)
+    for s in conjugators:
+        moved = adjoint_matrix(ambient, s, tol.residual_tol) @ rows.T - rows.T
+        rows = split_span(moved, tol, scale=2.0)[1] @ rows
+    return Subalgebra(ambient, rows, name=name)
+
+
+def so_in_su(ambient, tol, k):
+    """The real points so(k) of su(k), fixed by complex conjugation."""
+    if ambient.family != "su" or ambient.n != k:
+        raise InvalidInputError(f"so({k}) does not embed in {ambient.name}")
+    return fixed_subalgebra(ambient, tol, [conjugation_matrix(k)], f"so({k})")
+
+
+def s_u_in_su(ambient, tol, p, q):
+    """s(u(p)u(q)), the block-diagonal matrices of su(p+q), fixed by
+    Ad(diag(I_p, -I_q))."""
+    name = f"s(u({p})u({q}))"
+    if ambient.family != "su" or min(p, q) < 1 or ambient.n != p + q:
+        raise InvalidInputError(f"{name} does not embed in {ambient.name}")
+    s = realify_complex(np.diag([1.0] * p + [-1.0] * q))
+    return fixed_subalgebra(ambient, tol, [s], name)
 
 
 def sp_in_su(ambient, tol, m):
-    """sp(m) = {[[A, -conj(B)], [B, conj(A)]]} inside su(2m)."""
+    """sp(m) = {[[A, -conj(B)], [B, conj(A)]]} inside su(2m), fixed by
+    Ad(J o conj) of the quaternionic structure, J = [[0, -I], [I, 0]]."""
     if ambient.family != "su" or ambient.n != 2 * m:
         raise InvalidInputError(f"sp({m}) does not embed in {ambient.name}")
-    return Subalgebra.from_matrices(ambient, classical_basis("sp", m), tol,
-                                    name=f"sp({m})")
-
-
-@lru_cache(maxsize=None)
-def _sp_on_h(m, right_factor):
-    """The matrices of sp_in_so, read-only.
-
-    Like g2 they are a constant of (m, right_factor), derived once per
-    process: the catalog resolves the same sp factors for every seed.
-    """
-    i = realify_complex(1j * np.eye(2 * m))
     j = realify_complex(np.kron(_EPS, np.eye(m))) @ conjugation_matrix(2 * m)
-    scalars = {"none": [], "u1": [i], "sp1": [i, j, i @ j]}
-    if right_factor not in scalars:
-        raise InvalidInputError(f"unknown right factor {right_factor!r}")
-    mats = np.array([*classical_basis("sp", m), *scalars[right_factor]])
-    # coordinate 4a + 2p + t of H^m is coordinate 2mp + 2a + t of the
-    # realified C^{2m}: part t (Re, Im) of z_a for p = 0, of w_a for p = 1
-    order = np.arange(4 * m).reshape(2, m, 2).transpose(1, 0, 2).ravel()
-    sign = np.tile([1.0, 1.0, 1.0, -1.0], m)
-    mats = sign[:, None] * mats[:, order[:, None], order] * sign
-    mats.flags.writeable = False
-    return mats
+    return fixed_subalgebra(ambient, tol, [j], f"sp({m})")
 
 
-def sp_in_so(ambient, tol, m, right_factor="none"):
-    """sp(m) acting on H^m = R^{4m}, optionally extended by right scalars.
+def sp_in_so(ambient, tol, m, right_units=0):
+    """sp(m) acting on H^m = R^{4m}, extended by right_units right scalars:
+    none, R_i (sp(m)(+)u(1)) or R_i, R_j, R_k (sp(m)(+)sp(1)).
 
-    right_factor: 'none' -> sp(m); 'u1' -> sp(m)(+)u(1); 'sp1' -> sp(m)(+)sp(1),
-    the right multiplications by imaginary quaternion scalars.  On the
-    realified C^{2m} of classical_basis('sp', m) these are i = multiplication
-    by 1j, j = J o conj with J = [[0, -I], [I, 0]], and k = ij.  One signed
-    permutation then maps the quaternion q = z + j w, for z, w in C^m, to
-    the H^m coordinates (Re z, Im z, Re w, -Im w): the coefficients of
-    1, i, j, k in each block of four, on which sp(m) acts by quaternion
-    matrices from the left.
+    A block of four coordinates holds the coefficients of 1, i, j, k, on
+    which x -> x e_c acts by R_c[a, b] = quaternion_table()[b, c, a]; sp(m)
+    is fixed by Ad(R_i) and Ad(R_j).  The right scalars are orthogonal to
+    sp(m) and to each other, so their rows are only normalized.
     """
     if ambient.family != "so" or ambient.n != 4 * m:
         raise InvalidInputError(f"sp({m}) does not embed in {ambient.name}")
-    mats = _sp_on_h(m, right_factor)
-    name = f"sp({m})" + {"none": "", "u1": "(+)u(1)",
-                         "sp1": "(+)sp(1)"}[right_factor]
-    return Subalgebra.from_matrices(ambient, mats, tol, name=name)
+    right = np.kron(np.eye(m), quaternion_table()[:, 1:, :].transpose(1, 2, 0))
+    sp = fixed_subalgebra(ambient, tol, right[:2], f"sp({m})")
+    scalars = ambient.coords_of(right[:right_units], tol.residual_tol)
+    scalars /= np.linalg.norm(scalars, axis=1, keepdims=True)
+    name = f"sp({m})" + {0: "", 1: "(+)u(1)", 3: "(+)sp(1)"}[right_units]
+    return Subalgebra(ambient, np.vstack([sp.basis, scalars]), name=name)
 
 
 @lru_cache(maxsize=None)

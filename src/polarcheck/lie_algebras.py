@@ -92,6 +92,20 @@ def span_closure_residual(mats):
                 for comms in pair_commutators(mats)), default=0.0)
 
 
+def _matrix_stack(mats, size, name):
+    """mats as a (k, size, size) stack, checked as coords_of documents."""
+    mats = np.asarray(mats, dtype=float)
+    if mats.shape[-2:] != (size, size):
+        raise DimensionMismatchError(
+            f"matrices of shape {mats.shape} for {name}, whose "
+            f"matrices are {size} x {size}")
+    mats = mats.reshape(-1, size, size)
+    if not np.isfinite(mats).all():
+        raise InvalidInputError(
+            f"matrix for {name} has a non-finite entry (nan or inf)")
+    return mats
+
+
 class LieAlgebra:
     """A compact Lie algebra spanned by real skew matrices.
 
@@ -180,15 +194,7 @@ class LieAlgebra:
         member_tol.  The stack is taken in row_blocks.
         """
         size = self.ambient_size
-        mats = np.asarray(mats, dtype=float)
-        if mats.shape[-2:] != (size, size):
-            raise DimensionMismatchError(
-                f"matrices of shape {mats.shape} for {self.name}, whose "
-                f"matrices are {size} x {size}")
-        mats = mats.reshape(-1, size * size)
-        if not np.isfinite(mats).all():
-            raise InvalidInputError(
-                f"matrix for {self.name} has a non-finite entry (nan or inf)")
+        mats = _matrix_stack(mats, size, self.name).reshape(-1, size * size)
         flat = self.basis.reshape(self.dim, size * size)
         coords = np.empty((mats.shape[0], self.dim))
         residual = 0.0
@@ -242,16 +248,8 @@ class _Double:
         max(1, the matrix's largest entry) or a diagonal block is not in l
         (see LieAlgebra.coords_of).
         """
-        s, size = self.half.ambient_size, self.ambient_size
-        mats = np.asarray(mats, dtype=float)
-        if mats.shape[-2:] != (size, size):
-            raise DimensionMismatchError(
-                f"matrices of shape {mats.shape} for {self.name}, whose "
-                f"matrices are {size} x {size}")
-        mats = mats.reshape(-1, size, size)
-        if not np.isfinite(mats).all():
-            raise InvalidInputError(
-                f"matrix for {self.name} has a non-finite entry (nan or inf)")
+        s = self.half.ambient_size
+        mats = _matrix_stack(mats, self.ambient_size, self.name)
         scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2), initial=0.0))
         off = np.maximum(np.abs(mats[:, :s, s:]).max(axis=(1, 2), initial=0.0),
                          np.abs(mats[:, s:, :s]).max(axis=(1, 2), initial=0.0))

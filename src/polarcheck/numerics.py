@@ -58,10 +58,12 @@ def rank_cut(sv, rel_tol, ref=None):
     return int(np.sum(sv > rel_tol * ref)) if ref > 0 else 0
 
 
-def _scaled_rank(sv, tol, scale):
-    """rank_cut of sv at rel_rank_tol, against max(largest sv, scale) if given."""
+def _cut(sv, tol, scale):
+    """rank_cut of sv at rel_rank_tol, against max(largest sv, scale) if
+    given, and the largest singular value it drops (0.0 if none)."""
     ref = None if scale is None else max(sv.max(initial=0.0), float(scale))
-    return rank_cut(sv, tol.rel_rank_tol, ref)
+    rank = rank_cut(sv, tol.rel_rank_tol, ref)
+    return rank, float(sv[rank]) if rank < sv.size else 0.0
 
 
 def rank_of(vectors, tol, scale=None):
@@ -71,12 +73,17 @@ def rank_of(vectors, tol, scale=None):
     same, so this is the row count of orthonormal_basis(vectors, tol,
     scale=scale) without computing any singular vectors.
     """
+    return rank_and_dropped(vectors, tol, scale)[0]
+
+
+def rank_and_dropped(vectors, tol, scale=None):
+    """rank_of, and the largest singular value its cut drops (0.0 if none)."""
     mat = np.atleast_2d(np.asarray(vectors, dtype=float))
     if mat.size == 0:
-        return 0
+        return 0, 0.0
     if mat.ndim != 2:
         raise DimensionMismatchError("expected a list of equal-length vectors")
-    return _scaled_rank(np.linalg.svd(mat, compute_uv=False), tol, scale)
+    return _cut(np.linalg.svd(mat, compute_uv=False), tol, scale)
 
 
 def orthonormal_basis(vectors, tol, scale=None):
@@ -102,8 +109,8 @@ def split_span(matrix, tol, scale=None):
     """
     mat = np.atleast_2d(np.asarray(matrix, dtype=float))
     _, sv, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    rank = _scaled_rank(sv, tol, scale)
-    return vh[:rank], vh[rank:], float(sv[rank]) if rank < sv.size else 0.0
+    rank, dropped = _cut(sv, tol, scale)
+    return vh[:rank], vh[rank:], dropped
 
 
 def nullspace(matrix, tol):

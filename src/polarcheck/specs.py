@@ -78,9 +78,9 @@ _FAMILIES = ("su", "so", "sp", "u")
 # Factors of l by name: (pattern, {family of l: builder}).  Every builder
 # is called as builder(l, tol, *integers in the name), and the embeddings
 # take their arguments in that order, so the table names them directly:
-# partial only fixes a keyword, and the zero factor, which reads no
-# tolerance, drops tol.  A builder raises InvalidInputError itself when the
-# factor does not fit the size of l.
+# partial only fixes a keyword, the zero factor, which reads no tolerance,
+# drops tol, and s_u_u1 reads its blocks off the size of l.  A builder
+# raises InvalidInputError itself when the factor does not fit the size of l.
 FACTORS = [
     ("full", dict.fromkeys(_FAMILIES, full_subalgebra)),
     ("zero", dict.fromkeys(_FAMILIES,
@@ -88,15 +88,17 @@ FACTORS = [
     ("cartan", dict.fromkeys(("su", "so", "sp"), emb.cartan_subalgebra)),
     ("g2", {"so": emb.g2_in_so7}),
     (r"spin(\d+)", {"so": emb.spin_subalgebra}),
-    ("s_u_u1", {"su": emb.s_u_u1_in_su}),
+    ("s_u_u1", {"su": lambda ambient, tol:
+                emb.s_u_in_su(ambient, tol, ambient.n - 1, 1)}),
+    (r"s_u(\d+)u(\d+)", {"su": emb.s_u_in_su}),
     (r"so(\d+)", {"su": emb.so_in_su, "so": emb.block_so}),
     (r"so(\d+)so(\d+)", {"so": emb.block_so}),
     (r"su(\d+)",
      {"su": emb.su_corner_in_su, "so": partial(emb.u_in_so, special=True)}),
     (r"u(\d+)", {"so": emb.u_in_so}),
     (r"sp(\d+)", {"su": emb.sp_in_su, "so": emb.sp_in_so}),
-    (r"sp(\d+)sp1", {"so": partial(emb.sp_in_so, right_factor="sp1")}),
-    (r"sp(\d+)u1", {"so": partial(emb.sp_in_so, right_factor="u1")}),
+    (r"sp(\d+)sp1", {"so": partial(emb.sp_in_so, right_units=3)}),
+    (r"sp(\d+)u1", {"so": partial(emb.sp_in_so, right_units=1)}),
 ]
 
 

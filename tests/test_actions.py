@@ -11,13 +11,16 @@ import polarcheck
 
 from polarcheck.actions import (ActionSpec, analyze, check_group_membership,
                                 is_transitive, orbit_tangent, polarity_check,
-                                principal_point, sample_group_point)
+                                principal_point, sample_group_point,
+                                span_rank)
+from polarcheck.catalog import TABLE1_ROWS
 from polarcheck.embeddings import block_so, cartan_subalgebra, so_in_su
 from polarcheck.errors import InvalidInputError, NonPrincipalPointError
 from polarcheck.lie_algebras import (LieAlgebra, adjoint_matrix,
                                      build_classical, classical_basis,
                                      commutator, make_automorphism)
-from polarcheck.numerics import ToleranceConfig, outside_norm
+from polarcheck.numerics import (ToleranceConfig, outside_norm,
+                                 rank_and_dropped)
 from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
 from polarcheck.subalgebras import (diagonal_sigma, full_subalgebra, product,
                                     zero_subalgebra)
@@ -260,6 +263,15 @@ class TestCriterionReference:
             np.abs(pairings).max(initial=0.0), abs=1e-12)
 
 
+def seeded_verdict(group, subgroup, seed):
+    """(cohomogeneity, polar, hyperpolar) of analyze at a seed."""
+    tol = ToleranceConfig(seed=seed)
+    algebra = parse_group(group)
+    report = analyze(
+        ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol)), tol)
+    return report.cohomogeneity, report.polar, report.hyperpolar
+
+
 class TestSpVerdicts:
     """Verdicts of actions that mix sp(n) with factors built in other
     conventions.  The relative position of two factors is part of the spec,
@@ -278,12 +290,22 @@ class TestSpVerdicts:
     ])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_pinned_verdict(self, group, subgroup, verdict, seed):
-        tol = ToleranceConfig(seed=seed)
-        algebra = parse_group(group)
-        report = analyze(
-            ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol)), tol)
-        assert (report.cohomogeneity, report.polar,
-                report.hyperpolar) == verdict
+        assert seeded_verdict(group, subgroup, seed) == verdict
+
+
+class TestHermannVerdicts:
+    """K1 x K2, each Ki the fixed group of an involution, acts
+    hyperpolarly (Hermann); the cohomogeneities are pinned."""
+
+    @pytest.mark.parametrize("group,subgroup,verdict", [
+        ("su4", "product(h1=s_u2u2,h2=s_u2u2)", (2, True, True)),
+        ("su5", "product(h1=s_u2u3,h2=s_u2u3)", (2, True, True)),
+        ("su4", "product(h1=so4,h2=s_u2u2)", (2, True, True)),
+        ("su6", "product(h1=s_u3u3,h2=sp3)", (1, True, True)),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_pinned_verdict(self, group, subgroup, verdict, seed):
+        assert seeded_verdict(group, subgroup, seed) == verdict
 
 
 class TestPrincipalPointReference:
@@ -347,6 +369,28 @@ class TestTransitivity:
         with pytest.raises(InvalidInputError):
             is_transitive(full_subalgebra(a, tol), full_subalgebra(b, tol),
                           b, tol)
+
+    @pytest.mark.parametrize("group,h1,h2", [
+        *[specs(n) for _, min_n, specs in TABLE1_ROWS.values()
+          for n in ((None,) if min_n is None
+                    else (min_n, min_n + 1, min_n + 2))],
+        ("su4", "su3", "su3"), ("su3", "so3", "so3"), ("so8", "sp2", "sp2"),
+        ("so7", "g2", "g2")])
+    def test_default_cut_drops_only_roundoff(self, group, h1, h2, tol):
+        algebra = parse_group(group)
+        f1, f2 = (resolve_factor(h, algebra, tol) for h in (h1, h2))
+        rank, dropped = rank_and_dropped(np.vstack([f1.basis, f2.basis]), tol)
+        assert dropped < 1e-14
+        assert span_rank(f1, f2, algebra, tol) == rank
+
+    def test_coarse_cut_is_invalid_input(self):
+        # so(5) + u(3) spans so(6), with a singular value 0.54 that a cut
+        # relative to the largest, sqrt(2), drops at rel_rank_tol 0.5
+        coarse = ToleranceConfig(rel_rank_tol=0.5)
+        algebra = parse_group("so6")
+        h1, h2 = (resolve_factor(h, algebra, coarse) for h in ("so5", "u3"))
+        with pytest.raises(InvalidInputError, match="too coarse for the span"):
+            is_transitive(h1, h2, algebra, coarse)
 
 
 class TestFlatSection:

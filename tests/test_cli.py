@@ -396,11 +396,22 @@ class TestVerifyTable1:
         assert all(r["passed"] for r in payload)
 
     def test_rank_cut_too_coarse_for_a_row(self, capsys):
-        # s(u(3)u(1)) would otherwise shrink to its u(1) and fail the row
+        # s(u(3)u(1)) is a fixed algebra, exact at every cut; the cut of
+        # the span of the pair is not
         code, out, err = run(capsys, ["verify-table1", "--row", "sp-su-s_u_u1",
                                       "--rank-tol", "0.5"])
         assert (code, out) == (2, "")
-        assert "rank cut keeps 1 of 9" in err
+        assert "too coarse for the span of sp(2) and s(u(3)u(1))" in err
+
+    @pytest.mark.parametrize("row", ["so-so-u", "so-so-su", "so-so-sp",
+                                     "spin7-so8", "sp-su-su"])
+    def test_rank_cut_too_coarse_for_a_span(self, capsys, row):
+        # the cut used to drop a genuine singular value 0.54 of the stacked
+        # bases, and a transitive row printed FAIL with exit 1
+        code, out, err = run(capsys, ["verify-table1", "--row", row,
+                                      "--rank-tol", "0.5"])
+        assert (code, out) == (2, "")
+        assert "too coarse for the span" in err
 
     def test_bad_row_is_invalid_input(self, capsys):
         code, _, err = run(capsys, ["verify-table1", "--row", "nope"])

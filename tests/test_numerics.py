@@ -8,7 +8,8 @@ from polarcheck.errors import InvalidInputError
 from polarcheck import numerics
 from polarcheck.lie_algebras import build_classical
 from polarcheck.numerics import (ToleranceConfig, nullspace, orthonormal_basis,
-                                 outside_norm, rank_cut, rank_of, split_span)
+                                 outside_norm, rank_and_dropped, rank_cut,
+                                 rank_of, split_span)
 from polarcheck.octonions import derivation_matrices, octonion_table
 from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
 from polarcheck.subalgebras import Subalgebra
@@ -137,6 +138,9 @@ class TestSplitSpan:
         onb = orthonormal_basis(mat, TOL, scale=1.0)
         assert np.abs(span.T @ span - onb.T @ onb).max() < 1e-12
         assert dropped == pytest.approx(1e-12 if kept < sv.size else 0.0)
+        # the same cut from singular values alone
+        rank, alone = rank_and_dropped(mat, TOL, scale=1.0)
+        assert rank == kept and abs(alone - dropped) < 1e-15
 
     def test_scale_keeps_roundoff_out_of_the_span(self):
         noise = 1e-15 * random_matrix(0, 3, 4)
@@ -173,6 +177,8 @@ class TestSplitSpan:
             gap = got.T @ got - want.T @ want
             assert np.abs(gap).max(initial=0.0) < 1e-12
         assert abs(dropped - (sv[cut] if cut < sv.size else 0.0)) < 1e-12
+        assert rank_and_dropped(mat, TOL)[0] == cut
+        assert abs(rank_and_dropped(mat, TOL)[1] - dropped) < 1e-12
 
 
 class TestComplement:

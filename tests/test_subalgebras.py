@@ -115,9 +115,10 @@ BUILTIN_FACTORS = [
     ("so12", "su6"),
     # su_corner_in_su
     ("su3", "su2"), ("su5", "su4"), ("su8", "su7"),
-    # s_u_u1_in_su
+    # s_u_in_su, also as s_u_u1
     ("su2", "s_u_u1"), ("su3", "s_u_u1"), ("su5", "s_u_u1"),
-    ("su8", "s_u_u1"),
+    ("su8", "s_u_u1"), ("su2", "s_u1u1"), ("su4", "s_u2u2"),
+    ("su5", "s_u2u3"), ("su7", "s_u4u3"),
     # sp_in_su
     ("su2", "sp1"), ("su4", "sp2"), ("su6", "sp3"), ("su8", "sp4"),
     # sp_in_so, with each right factor
@@ -455,7 +456,7 @@ class TestConjugation:
 
 
 class TestStackedEmbeddings:
-    """Builders that realify one stack give the matrices of the loops they
+    """Realified complex stacks give the matrices of the loops they
     replaced, bit for bit."""
 
     @staticmethod
@@ -465,7 +466,7 @@ class TestStackedEmbeddings:
         return builder(ambient, tol, *args)
 
     @pytest.mark.parametrize("m", range(1, 6))
-    def test_sp_in_su(self, m, tol, monkeypatch):
+    def test_sp_in_su(self, m, tol):
         expected = []
         for a in _u_basis_complex(m):
             z = np.zeros((2 * m, 2 * m), dtype=complex)
@@ -481,10 +482,12 @@ class TestStackedEmbeddings:
                     z[m:, :m] = b
                     z[:m, m:] = -np.conj(b)
                     expected.append(realify_complex(z))
-        mats = self.built_matrices(monkeypatch, embeddings.sp_in_su,
-                                   build_classical("su", 2 * m), tol, m)
-        assert np.array_equal(mats, np.array(expected))
-        assert np.array_equal(mats, classical_basis("sp", m))
+        assert np.array_equal(classical_basis("sp", m), np.array(expected))
+        # the fixed algebra of J o conj spans the stack
+        su = build_classical("su", 2 * m)
+        mats = su.frobenius_matrices(embeddings.sp_in_su(su, tol, m).basis)
+        assert np.abs(span_projector(mats)
+                      - span_projector(expected)).max() < 1e-12
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_sp_cartan(self, n, tol, monkeypatch):
@@ -554,3 +557,99 @@ class TestSpInSo:
         assert len(mats) == len(expected)
         assert np.abs(span_projector(mats)
                       - span_projector(expected)).max() < 1e-12
+
+
+# the factors built as fixed algebras, over a range of sizes
+FIXED_FACTORS = [
+    ("su2", "so2"), ("su3", "so3"), ("su6", "so6"), ("su10", "so10"),
+    ("su2", "s_u_u1"), ("su6", "s_u_u1"), ("su4", "s_u2u2"),
+    ("su7", "s_u3u4"), ("su10", "s_u6u4"),
+    ("su2", "sp1"), ("su6", "sp3"), ("su10", "sp5"),
+    ("so4", "sp1"), ("so8", "sp2"), ("so12", "sp3"),
+    ("so4", "sp1u1"), ("so8", "sp2u1"), ("so12", "sp3u1"),
+    ("so4", "sp1sp1"), ("so8", "sp2sp1"), ("so12", "sp3sp1"),
+]
+
+
+def s_u_reference(p, q):
+    """The su(p) and su(q) corners of su(p+q) and the traceless
+    i-diagonal, realified."""
+    n = p + q
+    blocks = []
+    for k, offset in ((p, 0), (q, p)):
+        corner = _u_basis_complex(k, special=True)
+        block = np.zeros((len(corner), n, n), dtype=complex)
+        block[:, offset:offset + k, offset:offset + k] = corner
+        blocks.append(block)
+    blocks.append(np.diag([1j * q] * p + [-1j * p] * q)[None])
+    return realify_complex(np.concatenate(blocks))
+
+
+class TestFixedAlgebras:
+    """so(n) and sp(m) in su, s(u(p)u(q)) and sp(m) in so(4m) are fixed
+    algebras of commuting involutions Ad(s), which span the subspaces that
+    were laid out by hand, and whose rank cuts are exact."""
+
+    @staticmethod
+    def check_span(group, factor, reference, tol):
+        ambient = parse_group(group)
+        mats = ambient.frobenius_matrices(
+            resolve_factor(factor, ambient, tol).basis)
+        assert len(mats) == len(reference)
+        assert np.abs(span_projector(mats)
+                      - span_projector(reference)).max() < 1e-12
+
+    @pytest.mark.parametrize("group,factor", FIXED_FACTORS)
+    def test_conjugators_are_commuting_involutions(self, group, factor, tol,
+                                                   monkeypatch):
+        calls = []
+        fixed = embeddings.fixed_subalgebra
+
+        def recording(ambient, tol, conjugators, name):
+            calls.append((ambient, conjugators))
+            return fixed(ambient, tol, conjugators, name)
+
+        monkeypatch.setattr(embeddings, "fixed_subalgebra", recording)
+        resolve_factor(factor, parse_group(group), tol)
+        [(ambient, conjugators)] = calls
+        ads = []
+        for s in conjugators:
+            assert np.abs(s.T @ s - np.eye(len(s))).max() < 1e-12
+            ads.append(adjoint_matrix(ambient, s, tol.residual_tol))
+            assert np.abs(ads[-1] @ ads[-1]
+                          - np.eye(ambient.dim)).max() < 1e-12
+        for a in ads:
+            for b in ads:
+                assert np.abs(a @ b - b @ a).max() < 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_so_in_su_is_the_real_points(self, n, tol):
+        self.check_span(f"su{n}", f"so{n}", realify_complex(so_basis(n)),
+                        tol)
+
+    @pytest.mark.parametrize("p,q", [(p, n - p) for n in range(2, 11)
+                                     for p in range(1, n)])
+    def test_s_u_is_block_diagonal(self, p, q, tol):
+        self.check_span(f"su{p + q}", f"s_u{p}u{q}", s_u_reference(p, q), tol)
+        if q == 1:
+            self.check_span(f"su{p + 1}", "s_u_u1", s_u_reference(p, 1), tol)
+
+    # sp(m) in su(2m) against classical_basis: TestStackedEmbeddings
+
+    @pytest.mark.parametrize("rel_rank_tol", [1e-9, 0.5, 0.75, 0.9])
+    def test_exact_at_every_cut(self, rel_rank_tol, tol):
+        coarse = ToleranceConfig(rel_rank_tol=rel_rank_tol)
+        for group, factor in FIXED_FACTORS:
+            ambient = parse_group(group)
+            h = resolve_factor(factor, ambient, coarse)
+            default = resolve_factor(factor, ambient, tol)
+            assert h.dim == default.dim, (group, factor)
+            assert gram_residual(h) < 1e-12, (group, factor)
+            assert np.abs(h.basis.T @ h.basis
+                          - default.basis.T @ default.basis).max() < 1e-12
+
+    @pytest.mark.parametrize("group,factor", [
+        ("su4", "s_u0u4"), ("su5", "s_u2u2"), ("so4", "s_u1u1")])
+    def test_s_u_blocks_must_fill_the_group(self, group, factor, tol):
+        with pytest.raises(InvalidInputError, match="does not embed"):
+            resolve_factor(factor, parse_group(group), tol)
