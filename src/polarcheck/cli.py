@@ -10,10 +10,11 @@ Subcommands:
 Exit codes: 0 = success / expectations met, 1 = a verification failed,
 2 = invalid input (bad spec, bad span file, non-principal point, a rank
 cut too coarse for a subgroup, the span of two factors or an orbit
-tangent, an unknown catalog entry). Every setting is a flag; the seed
-defaults to 0. A JSON report is its result dataclass (PolarityReport plus
-"config", SuiteSummary plus "tolerances", a list of Table1Result), rendered
-field by field, so with a fixed seed and configuration it is byte-stable.
+tangent, an unknown catalog entry, a group or --param too large for
+memory). Every setting is a flag; the seed defaults to 0. A JSON report is
+its result dataclass (PolarityReport plus "config", SuiteSummary plus
+"tolerances", a list of Table1Result), rendered field by field, so with a
+fixed seed and configuration it is byte-stable.
 """
 
 import argparse
@@ -201,6 +202,13 @@ def main(argv=None):
         return args.func(args)
     except PolarcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        setting = next((f"--{key} {getattr(args, key)}"
+                        for key in ("group", "param")
+                        if getattr(args, key, None) is not None),
+                       "the request")
+        print(f"error: out of memory: {setting} is too large", file=sys.stderr)
         return 2
 
 

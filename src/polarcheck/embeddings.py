@@ -12,14 +12,12 @@ matrices the full-rank check of Subalgebra.closed_span, so a rank cut too
 coarse for them fails instead of silently shrinking the subspace.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import InvalidInputError
 from .lie_algebras import (_u_basis_complex, adjoint_matrix, classical_basis,
                            conjugation_matrix, realify_complex, so_basis)
-from .numerics import ToleranceConfig, split_span
+from .numerics import split_span
 from .octonions import (derivation_matrices, octonion_table, quaternion_table,
                         restrict_to_imaginary)
 from .subalgebras import Subalgebra
@@ -177,31 +175,17 @@ def sp_in_so(ambient, tol, m, right_units=0):
     return Subalgebra(ambient, np.vstack([sp.basis, scalars]), name=name)
 
 
-@lru_cache(maxsize=None)
-def _g2_matrices(rel_rank_tol):
-    """The octonion derivations on the imaginary part, read-only.
-
-    Keyed on rel_rank_tol, the only tolerance the Leibniz kernel reads.  A
-    cut that loses the imaginary part raises on every call, since lru_cache
-    stores no exception.
-    """
-    tol = ToleranceConfig(rel_rank_tol=rel_rank_tol)
-    ders = restrict_to_imaginary(derivation_matrices(octonion_table(), tol))
-    ders.flags.writeable = False
-    return ders
-
-
 def g2_in_so7(ambient, tol):
     """Derivations of the octonions, restricted to the imaginary part.
 
-    g2 is a constant, like so(n): its matrices are derived once per process
-    for each tol.rel_rank_tol and shared read-only.  The membership check
-    and rank guard of from_matrices run on every call, with tol.
+    Derived on every call; specs.resolve_factor, its only caller, builds it
+    once per process for each tolerance pair.  A rank cut that loses the
+    imaginary part raises InvalidInputError.
     """
     if ambient.family != "so" or ambient.n != 7:
         raise InvalidInputError(f"g2 does not embed in {ambient.name}")
-    return Subalgebra.from_matrices(ambient, _g2_matrices(tol.rel_rank_tol),
-                                    tol, name="g2")
+    ders = restrict_to_imaginary(derivation_matrices(octonion_table(), tol))
+    return Subalgebra.from_matrices(ambient, ders, tol, name="g2")
 
 
 def cartan_subalgebra(ambient, tol):

@@ -8,14 +8,18 @@ are written as:
     span(file=path)                       # block-diagonal matrices in l(+)l
 
 Factors (subalgebras of l) are the names in FACTORS or span(file=path).
+A named factor reads no seed and no sample count, so it is built once per
+process for each algebra and each (rel_rank_tol, residual_tol) pair and
+then shared; a span file is read and checked on every call.
 """
 
 import re
-from functools import partial
+from functools import lru_cache, partial
 
 from . import embeddings as emb
 from .errors import InvalidInputError
 from .lie_algebras import build_classical, make_automorphism
+from .numerics import ToleranceConfig
 from .spanfile import parse_span_file
 from .subalgebras import (Subalgebra, diagonal_sigma, full_subalgebra,
                           product, zero_subalgebra)
@@ -102,13 +106,16 @@ FACTORS = [
 ]
 
 
-def resolve_factor(spec, algebra, tol):
-    """Resolve a subalgebra-of-l spec string: a FACTORS name or span(...)."""
-    spec = spec.strip()
-    call = _CALL_RE.match(spec)
-    if call and call.group(1) == "span":
-        return _span(_split_args(call.group(2)), algebra, tol, name=spec)
-    name = spec.lower()
+@lru_cache(maxsize=None)
+def _named_factor(algebra, name, rel_rank_tol, residual_tol):
+    """The FACTORS entry name on algebra, or None if no pattern matches.
+
+    Keyed on exactly what a builder reads: algebra, unique per process
+    through build_classical, the lower-cased name and the two tolerances.
+    A factor that does not fit raises on every call, since lru_cache
+    stores no exception.
+    """
+    tol = ToleranceConfig(rel_rank_tol=rel_rank_tol, residual_tol=residual_tol)
     for pattern, builders in FACTORS:
         match = re.fullmatch(pattern, name)
         if match:
@@ -117,8 +124,27 @@ def resolve_factor(spec, algebra, tol):
                     f"{name} does not embed in {algebra.name}")
             return builders[algebra.family](
                 algebra, tol, *map(int, match.groups()))
-    raise InvalidInputError(
-        f"unknown subalgebra spec {spec!r} for {algebra.name}")
+    return None
+
+
+def resolve_factor(spec, algebra, tol):
+    """Resolve a subalgebra-of-l spec string: a FACTORS name or span(...).
+
+    A named factor is built once per process for each algebra and each
+    (tol.rel_rank_tol, tol.residual_tol) pair, and every later call returns
+    the same Subalgebra, whose basis is read-only; a span file is read and
+    checked on every call.
+    """
+    spec = spec.strip()
+    call = _CALL_RE.match(spec)
+    if call and call.group(1) == "span":
+        return _span(_split_args(call.group(2)), algebra, tol, name=spec)
+    factor = _named_factor(algebra, spec.lower(), tol.rel_rank_tol,
+                           tol.residual_tol)
+    if factor is None:
+        raise InvalidInputError(
+            f"unknown subalgebra spec {spec!r} for {algebra.name}")
+    return factor
 
 
 def resolve_subgroup(spec, algebra, tol):
@@ -140,11 +166,8 @@ def resolve_subgroup(spec, algebra, tol):
     if head == "product":
         if set(args) != {"h1", "h2"}:
             raise InvalidInputError("product takes exactly h1=..., h2=...")
-        h1 = resolve_factor(args["h1"], algebra, tol)
-        # a repeated factor is resolved once
-        h2 = (h1 if args["h2"] == args["h1"]
-              else resolve_factor(args["h2"], algebra, tol))
-        return product(h1, h2)
+        return product(resolve_factor(args["h1"], algebra, tol),
+                       resolve_factor(args["h2"], algebra, tol))
     if head == "span":
         return _span(args, algebra.double(), tol, name="span(file)")
     raise InvalidInputError(f"unknown subgroup constructor {head!r}")

@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from polarcheck import cli
+from polarcheck import cli, specs
 from polarcheck.actions import PolarityReport
 from polarcheck.catalog import SuiteSummary, Table1Result
 from polarcheck.errors import InvalidInputError
@@ -176,6 +176,23 @@ class TestAnalyze:
         # the message names both, as in 'so(3)(+)so(6) ... in so(8)'
         message = re.sub(r"[()+]", "", err)
         assert factor in message and group in message
+
+    @pytest.mark.parametrize("argv,setting", [
+        (["analyze", "--group", "so5000", "--subgroup", "delta(sigma=id)"],
+         "--group so5000"),
+        (["verify-table1", "--row", "sp-su-su", "--param", "1000000"],
+         "--param 1000000")])
+    def test_out_of_memory_is_invalid_input(self, capsys, monkeypatch, argv,
+                                            setting):
+        # exit 1 means a verification failed; a request too large for
+        # memory is bad input, reported without a traceback
+        def exhausted(family, n):
+            raise MemoryError
+
+        monkeypatch.setattr(specs, "build_classical", exhausted)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: out of memory: {setting} is too large\n"
 
     def test_bad_group(self, capsys):
         code, _, err = run(capsys, ["analyze", "--group", "xyz",
@@ -350,8 +367,10 @@ class TestCatalogCommands:
 
 class TestOneProcessMatchesFresh:
     def test_catalog_and_table_reports(self, capsys):
-        # g2 and the classical algebras are cached for the life of a process;
-        # what ran before must not change a report
+        # named factors and the classical algebras are cached for the life
+        # of a process; what ran before must not change a report: a failing
+        # cut at another rank_tol, which must not be stored, and factors of
+        # a Table-1 row at the default cut
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         argvs = [[cmd, "--seed", str(seed), "--format", "json"]
@@ -359,6 +378,13 @@ class TestOneProcessMatchesFresh:
         fresh = [subprocess.Popen([sys.executable, "-m", "polarcheck.cli"] + argv,
                                   stdout=subprocess.PIPE, env=env, text=True)
                  for argv in argvs]
+        code, _, err = run(capsys, ["analyze", "--group", "so7", "--subgroup",
+                                    "product(h1=g2,h2=zero)",
+                                    "--rank-tol", "0.5"])
+        assert code == 2 and "imaginary part" in err
+        code, _, _ = run(capsys, ["analyze", "--group", "so16", "--subgroup",
+                                  "product(h1=spin9,h2=so15)"])
+        assert code == 0
         for argv, proc in zip(argvs, fresh):
             code, out, _ = run(capsys, argv)
             assert code == 0

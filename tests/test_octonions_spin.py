@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polarcheck import embeddings
-from polarcheck.catalog import verify_table1
+from polarcheck.catalog import run_known_answer_suite, verify_table1
 from polarcheck.embeddings import g2_in_so7, gamma_matrices, spin_subalgebra
 from polarcheck.errors import InvalidInputError
 from polarcheck.lie_algebras import build_classical
@@ -164,45 +164,40 @@ class TestG2:
         assert outside_norm(other.basis, g2.basis) < 1e-9
 
 
-@pytest.fixture
-def g2_cache():
-    embeddings._g2_matrices.cache_clear()
-    yield
-    embeddings._g2_matrices.cache_clear()
-
-
 class TestG2Cache:
-    def test_derived_once_per_rank_tol(self, g2_cache, monkeypatch):
+    def test_derived_once_per_rank_tol(self, monkeypatch):
+        # g2 is one entry of the factor cache: the seed, the catalog entry
+        # and the Table-1 row that share a tolerance pair share one
+        # derivation, and a different rank_tol or residual_tol derives anew
         calls = []
 
         def counting(table, tol):
-            calls.append(tol.rel_rank_tol)
+            calls.append((tol.rel_rank_tol, tol.residual_tol))
             return derivation_matrices(table, tol)
 
         monkeypatch.setattr(embeddings, "derivation_matrices", counting)
         so7 = build_classical("so", 7)
-        for seed in range(6):
-            assert resolve_factor("g2", so7, ToleranceConfig(seed=seed)).dim == 14
-        for _ in range(3):
-            assert verify_table1("g2-so7-so6", ToleranceConfig()).passed
-        assert calls == [1e-9]
+        g2_rows = ["g2-so7-so6", "g2-so7-so5so2", "g2-so7-so5"]
+        for seed in range(3):
+            tol = ToleranceConfig(seed=seed, num_samples=seed + 1)
+            assert resolve_factor("g2", so7, tol).dim == 14
+            summary = run_known_answer_suite(
+                tol, entry_ids={f"table1-{row}" for row in g2_rows})
+            assert (summary.passed, summary.failed) == (3, 0)
+            assert all(verify_table1(row, tol).passed for row in g2_rows)
+        assert calls == [(1e-9, 1e-8)]
         assert resolve_factor("g2", so7, ToleranceConfig(rel_rank_tol=1e-8)).dim == 14
-        assert calls == [1e-9, 1e-8]
-
-    def test_a_failing_cut_raises_on_every_call(self, g2_cache):
-        so7 = build_classical("so", 7)
-        tol = ToleranceConfig(rel_rank_tol=0.5)
-        for _ in range(2):
-            with pytest.raises(InvalidInputError,
-                               match="do not preserve the imaginary part"):
-                g2_in_so7(so7, tol)
+        assert resolve_factor("g2", so7, ToleranceConfig(residual_tol=1e-9)).dim == 14
+        assert calls == [(1e-9, 1e-8), (1e-8, 1e-8), (1e-9, 1e-9)]
 
 
 @pytest.mark.parametrize("table", [
     real_table, complex_table, quaternion_table, octonion_table,
-    lambda: embeddings._g2_matrices(ToleranceConfig().rel_rank_tol),
+    lambda: resolve_factor("g2", build_classical("so", 7),
+                           ToleranceConfig()).basis,
 ], ids=["real", "complex", "quaternion", "octonion", "g2"])
 def test_cached_tables_are_read_only(table):
     # every caller shares the cached array, so a write must not go through
+    array = table()
     with pytest.raises(ValueError):
-        table()[0, 0, 0] = 1.0
+        array[(0,) * array.ndim] = 1.0

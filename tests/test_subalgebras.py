@@ -189,15 +189,22 @@ class TestImpliedClosure:
         assert h.closure_residual() < tol.residual_tol
 
     def test_repeated_factor_is_resolved_once(self, tol, monkeypatch):
-        calls = []
-        resolve = specs.resolve_factor
-        monkeypatch.setattr(specs, "resolve_factor",
-                            lambda *args: calls.append(args) or resolve(*args))
+        # the factor cache builds su3 once, for h1 and h2 alike
+        calls, pairs = [], []
+        builders = dict(specs.FACTORS)[r"su(\d+)"]
+        corner = builders["su"]
+        monkeypatch.setitem(builders, "su",
+                            lambda *args: calls.append(args) or corner(*args))
+        monkeypatch.setattr(specs, "product",
+                            lambda h1, h2: pairs.append((h1, h2))
+                            or product(h1, h2))
         algebra = parse_group("su4")
         h = resolve_subgroup("product(h1=su3,h2=su3)", algebra, tol)
         assert (len(calls), h.dim) == (1, 16)
+        [(h1, h2)] = pairs
+        assert h2 is h1
         resolve_subgroup("product(h1=su3,h2=su2)", algebra, tol)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
 
 class TestFactorTable:
@@ -234,6 +241,78 @@ class TestFactorTable:
         assert circle.dim == cartan.dim == 1
         assert outside_norm(circle.basis, cartan.basis) < 1e-12
 
+
+
+class TestFactorCache:
+    """A named factor is built once per process for each algebra and each
+    (rel_rank_tol, residual_tol) pair; a span file is read on every call."""
+
+    @pytest.mark.parametrize("group,factor", BUILTIN_FACTORS)
+    def test_seed_and_samples_share_one_factor(self, group, factor):
+        # no builder reads the seed or the sample count, so they must not
+        # split the cache, and the shared basis must equal a fresh build
+        # bit for bit and refuse writes from any of its callers
+        ambient = parse_group(group)
+        factors = [resolve_factor(factor, ambient,
+                                  ToleranceConfig(seed=seed, num_samples=n))
+                   for seed in (0, 5) for n in (1, 8)]
+        assert all(h is factors[0] for h in factors)
+        tol = ToleranceConfig()
+        fresh = specs._named_factor.__wrapped__(
+            ambient, factor, tol.rel_rank_tol, tol.residual_tol)
+        assert fresh is not factors[0]
+        assert np.array_equal(fresh.basis, factors[0].basis)
+        basis = factors[0].basis
+        if basis.size:
+            with pytest.raises(ValueError):
+                basis[0, 0] = 1.0
+
+    def test_another_tolerance_rebuilds(self, tol):
+        # each tolerance a builder reads is part of the key
+        so8 = parse_group("so8")
+        default = resolve_factor("spin7", so8, tol)
+        finer = resolve_factor("spin7", so8, ToleranceConfig(rel_rank_tol=1e-10))
+        tighter = resolve_factor("spin7", so8, ToleranceConfig(residual_tol=1e-9))
+        assert len({id(default), id(finer), id(tighter)}) == 3
+        assert resolve_factor("spin7", so8, tol) is default
+
+    def test_a_failing_cut_raises_on_every_call(self, tol):
+        # lru_cache stores no exception: g2 at a coarse cut fails every
+        # time, before and after the default cut is cached
+        so7 = parse_group("so7")
+        coarse = ToleranceConfig(rel_rank_tol=0.5)
+        for resolve_default in (False, True, False):
+            if resolve_default:
+                assert resolve_factor("g2", so7, tol).dim == 14
+            for _ in range(2):
+                with pytest.raises(InvalidInputError,
+                                   match="do not preserve the imaginary part"):
+                    resolve_factor("g2", so7, coarse)
+
+    def test_span_file_is_read_on_every_call(self, tmp_path, tol):
+        # a span file is never cached: a rewritten file gives its new
+        # subspace, and its closure check runs again
+        path = tmp_path / "span.txt"
+        spec = f"span(file={path})"
+        so3 = parse_group("so3")
+        rows = ["0 1 0 -1 0 0 0 0 0", "0 0 1 0 0 0 -1 0 0",
+                "0 0 0 0 0 1 0 -1 0"]
+        path.write_text("3\n" + rows[0] + "\n")
+        assert resolve_factor(spec, so3, tol).dim == 1
+        path.write_text("3\n" + "\n".join(rows) + "\n")
+        assert resolve_factor(spec, so3, tol).dim == 3
+        path.write_text("3\n" + "\n".join(rows[:2]) + "\n")
+        with pytest.raises(ClosureError, match="not bracket-closed"):
+            resolve_factor(spec, so3, tol)
+
+    def test_unknown_name_keeps_the_spelling(self, tol):
+        # the cache is keyed on the lower-cased name, but the message
+        # quotes what the user wrote, on every call
+        so8 = parse_group("so8")
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match="'XyZ' for so"):
+                resolve_factor(" XyZ ", so8, tol)
+        assert resolve_factor("SO7", so8, tol) is resolve_factor("so7", so8, tol)
 
 
 def per_block_basis(ambient, factor, tol):
