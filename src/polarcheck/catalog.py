@@ -1,37 +1,16 @@
 """Named, runnable verification cases: transitive product pairs, conjugation
 and twisted-diagonal actions, Hermann pairs, and the dimension obstruction
 for diagonal so(7)-type subalgebras of so(8)(+)so(8).
+
+Every entry is data: a group, a spec (a subgroup spec, which `polarcheck
+analyze` runs as it stands, or a pair of factor specs) and an expectation.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import embeddings as emb
 from .actions import ActionSpec, analyze, is_transitive, span_rank
 from .errors import InvalidInputError
 from .specs import parse_group, resolve_factor, resolve_subgroup
-from .subalgebras import Subalgebra
-
-# ---------------------------------------------------------------------------
-# shared builders
-
-
-def so7_diagonal_subalgebra(tol, twisted):
-    """Graph {(X, phi(X))} of so(7) into so(8)(+)so(8).
-
-    phi is the corner inclusion (twisted=False) or the 21-dimensional spin
-    image spanned by the gamma bivectors (twisted=True).  Either graph is
-    closed by construction, as phi is a homomorphism: -spin_bivectors(7)
-    brackets like so_basis(7).
-    """
-    so8 = parse_group("so8")
-    corner = emb.corner_so_matrices(8, 7)
-    images = -emb.spin_bivectors(7) if twisted else corner
-    vecs = np.hstack([so8.coords_of(mats, member_tol=tol.residual_tol)
-                      for mats in (corner, images)])
-    name = "delta_spin(so(7))" if twisted else "delta(so(7))"
-    return Subalgebra.closed_span(so8.double(), vecs, tol, name=name), so8
 
 
 def _pair(group, h1, h2, tol):
@@ -125,91 +104,76 @@ class Expectation:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A known answer on group: spec is a subgroup spec (an action) or an
+    (h1, h2) tuple of factor specs (a pair)."""
+
     entry_id: str
     description: str
-    kind: str                   # "action" or "pair"
-    builder: object             # callable(tol) -> payload
+    group: str
+    spec: str | tuple
     expectation: Expectation
     source: str = ""
 
+    @property
+    def kind(self):
+        return "pair" if isinstance(self.spec, tuple) else "action"
 
-def _polar_entries():
-    def action(group, subgroup):
-        def build(tol):
-            algebra = parse_group(group)
-            return ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
-        return build
-
-    def lemma71(twisted):
-        # a diagonal so(7)-type h in so(8)(+)so(8) cannot act with
-        # cohomogeneity two: orbits have dimension at most dim h = 21, so
-        # the cohomogeneity is at least 28 - 21 = 7, twisted or not
-        def build(tol):
-            h, so8 = so7_diagonal_subalgebra(tol, twisted)
-            return ActionSpec(so8, h)
-        return build
-
-    return [
-        CatalogEntry("conj-su3", "conjugation action of SU(3) on itself",
-                     "action", action("su3", "delta(sigma=id)"),
-                     Expectation(cohomogeneity=2, polar=True, hyperpolar=True),
-                     source="isotropy action; sections are maximal tori"),
-        CatalogEntry("conj-so5", "conjugation action of SO(5) on itself",
-                     "action", action("so5", "delta(sigma=id)"),
-                     Expectation(cohomogeneity=2, polar=True, hyperpolar=True),
-                     source="isotropy action; sections are maximal tori"),
-        CatalogEntry("sigma-su3-outer",
-                     "twisted diagonal of SU(3), complex conjugation twist",
-                     "action", action("su3", "delta(sigma=outer_su)"),
-                     Expectation(polar=True, hyperpolar=True),
-                     source="twisted-diagonal actions are hyperpolar"),
-        CatalogEntry("sigma-so8-reflection",
-                     "twisted diagonal of SO(8), reflection twist",
-                     "action", action("so8", "delta(sigma=outer_so_even)"),
-                     Expectation(polar=True, hyperpolar=True),
-                     source="twisted-diagonal actions are hyperpolar"),
-        CatalogEntry("hermann-so3so3-su3",
-                     "SO(3) x SO(3) acting on SU(3)",
-                     "action", action("su3", "product(h1=so3,h2=so3)"),
-                     Expectation(cohomogeneity=2, polar=True, hyperpolar=True),
-                     source="Hermann actions are hyperpolar"),
-        CatalogEntry("lemma71-standard",
-                     "diagonal so(7) graph in so(8)+so(8), corner inclusion",
-                     "action", lemma71(False),
-                     Expectation(min_cohomogeneity=7),
-                     source="dimension obstruction 28 - 21"),
-        CatalogEntry("lemma71-twisted",
-                     "diagonal so(7) graph in so(8)+so(8), spin-image twist",
-                     "action", lemma71(True),
-                     Expectation(min_cohomogeneity=7),
-                     source="dimension obstruction 28 - 21"),
-    ]
+    def builder(self, tol):
+        """The ActionSpec of an action, the (h1, h2, l) of a pair."""
+        if self.kind == "pair":
+            return _pair(self.group, *self.spec, tol)
+        algebra = parse_group(self.group)
+        return ActionSpec(algebra, resolve_subgroup(self.spec, algebra, tol))
 
 
-def _pair_entries():
-    entries = []
-    for row_id, (description, min_n, specs) in TABLE1_ROWS.items():
-        def build(tol, _specs=specs(min_n)):
-            return _pair(*_specs, tol)
-        entries.append(CatalogEntry(
-            f"table1-{row_id}", description, "pair", build,
-            Expectation(transitive=True),
-            source="classification of transitive product actions"))
+_HYPERPOLAR = Expectation(polar=True, hyperpolar=True)
+_RANK_TWO = Expectation(cohomogeneity=2, polar=True, hyperpolar=True)
+# orbits of a diagonal so(7)-type h in so(8)(+)so(8) have dimension at most
+# dim h = 21, so its cohomogeneity is at least 28 - 21 = 7, whether h sits in
+# the corner or is twisted by triality onto a spin(7)
+_LEMMA71 = Expectation(min_cohomogeneity=7)
 
-    def negative(tol):
-        return _pair("su4", "su3", "su3", tol)
-
-    entries.append(CatalogEntry(
-        "negative-su3su3-su4",
-        "two copies of the su(3) corner of su(4): not transitive",
-        "pair", negative, Expectation(transitive=False),
-        source="span rank control case"))
-    return entries
+_ENTRIES = (
+    CatalogEntry("conj-su3", "conjugation action of SU(3) on itself",
+                 "su3", "delta(sigma=id)", _RANK_TWO,
+                 source="isotropy action; sections are maximal tori"),
+    CatalogEntry("conj-so5", "conjugation action of SO(5) on itself",
+                 "so5", "delta(sigma=id)", _RANK_TWO,
+                 source="isotropy action; sections are maximal tori"),
+    CatalogEntry("sigma-su3-outer",
+                 "twisted diagonal of SU(3), complex conjugation twist",
+                 "su3", "delta(sigma=outer_su)", _HYPERPOLAR,
+                 source="twisted-diagonal actions are hyperpolar"),
+    CatalogEntry("sigma-so8-reflection",
+                 "twisted diagonal of SO(8), reflection twist",
+                 "so8", "delta(sigma=outer_so_even)", _HYPERPOLAR,
+                 source="twisted-diagonal actions are hyperpolar"),
+    CatalogEntry("hermann-so3so3-su3", "SO(3) x SO(3) acting on SU(3)",
+                 "su3", "product(h1=so3,h2=so3)", _RANK_TWO,
+                 source="Hermann actions are hyperpolar"),
+    CatalogEntry("lemma71-standard",
+                 "diagonal so(7) graph in so(8)+so(8), corner inclusion",
+                 "so8", "delta(on=so7)", _LEMMA71,
+                 source="dimension obstruction 28 - 21"),
+    CatalogEntry("lemma71-twisted",
+                 "diagonal so(7) graph in so(8)+so(8), triality twist",
+                 "so8", "delta(sigma=triality,on=so7)", _LEMMA71,
+                 source="dimension obstruction 28 - 21"),
+    *(CatalogEntry(f"table1-{row_id}", description, group, (h1, h2),
+                   Expectation(transitive=True),
+                   source="classification of transitive product actions")
+      for row_id, (description, min_n, specs) in TABLE1_ROWS.items()
+      for group, h1, h2 in [specs(min_n)]),
+    CatalogEntry("negative-su3su3-su4",
+                 "two copies of the su(3) corner of su(4): not transitive",
+                 "su4", ("su3", "su3"), Expectation(transitive=False),
+                 source="span rank control case"),
+)
 
 
 def catalog_entries():
     """All catalog entries, polar actions first, deterministic order."""
-    return _polar_entries() + _pair_entries()
+    return list(_ENTRIES)
 
 
 def get_entry(entry_id):

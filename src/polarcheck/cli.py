@@ -115,7 +115,10 @@ def _cmd_analyze(args):
 def _cmd_catalog_list(args):
     lines = []
     for entry in catalog_entries():
-        lines.append(f"{entry.entry_id:28s} [{entry.kind}] {entry.description}")
+        spec = ("product(h1={},h2={})".format(*entry.spec)
+                if entry.kind == "pair" else entry.spec)
+        lines.append(f"{entry.entry_id:28s} [{entry.kind}] {entry.group} "
+                     f"{spec}  {entry.description}")
     _emit("\n".join(lines), args)
     return 0
 
@@ -170,7 +173,7 @@ def build_parser():
     p = sub.add_parser("analyze", help="analyze one action")
     p.add_argument("--group", required=True, help="e.g. su3, so8, sp2")
     p.add_argument("--subgroup", required=True,
-                   help="delta(sigma=...), product(h1=...,h2=...), "
+                   help="delta(sigma=...,on=...), product(h1=...,h2=...), "
                         "span(file=...)")
     _add_common(p)
     p.set_defaults(func=_cmd_analyze)

@@ -61,19 +61,14 @@ def gamma_matrices(n):
     raise InvalidInputError("gamma matrices only provided for n in {7, 9}")
 
 
-def spin_bivectors(n):
-    """g_i g_j / 2 for i < j, in the order of so_basis(n)."""
-    gammas = gamma_matrices(n)
-    return np.array([0.5 * gammas[i] @ gammas[j]
-                     for i in range(n) for j in range(i + 1, n)])
-
-
 def spin_subalgebra(ambient, tol, n):
     """span{g_i g_j / 2 : i < j} inside so(8) (n=7) or so(16) (n=9)."""
     if ambient.family != "so" or ambient.n != {7: 8, 9: 16}.get(n):
         raise InvalidInputError(f"spin({n}) does not embed in {ambient.name}")
-    return Subalgebra.from_matrices(ambient, spin_bivectors(n), tol,
-                                    name=f"spin({n})")
+    gammas = gamma_matrices(n)
+    mats = [0.5 * gammas[i] @ gammas[j]
+            for i in range(n) for j in range(i + 1, n)]
+    return Subalgebra.from_matrices(ambient, mats, tol, name=f"spin({n})")
 
 
 def corner_so_matrices(size, k, offset=0):

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import ClosureError, DimensionMismatchError, InvalidInputError
 from .numerics import outside_norm, rank_cut, row_blocks
+from .octonions import octonion_table
 
 # ---------------------------------------------------------------------------
 # realification conventions
@@ -351,9 +352,11 @@ def build_classical(family, n):
 class Automorphism:
     """Coordinate matrix of a bracket- and form-preserving map.
 
-    The identity is np.eye; every other spec is Ad(k) of a k that
-    adjoint_matrix has shown to normalize the algebra, so it preserves
-    commutators identically, and only its form residual is checked.
+    The identity is np.eye; the outer twists are Ad(k) of a k that
+    adjoint_matrix has shown to normalize the algebra, so they preserve
+    commutators identically; triality is not an Ad(k), and preserves them
+    by the Moufang identity (see triality_matrix).  Only the form residual
+    of a twist is checked at run time.
     """
 
     algebra: LieAlgebra
@@ -383,13 +386,33 @@ def adjoint_matrix(algebra, g, member_tol):
     return algebra.coords_of(conjugated, member_tol=member_tol).T
 
 
+def triality_matrix(algebra, member_tol):
+    """Coordinate matrix of the triality B -> C of so(8), of order 3.
+
+    (A, B, C) in so(8)^3 is a triple when A(xy) = (Bx)y + x(Cy) on the
+    octonions.  Derivations D give (D, D, D), and by the Moufang identity
+    (L_u + R_u, L_u, R_u) and (R_u, -R_u, L_u + R_u) are triples for
+    imaginary u.  so(8) = Der + L_Im + R_Im with Der orthogonal to the rest,
+    so B -> C fixes Der (its fixed algebra, g2) and sends L_u -> R_u and
+    R_u -> -(L_u + R_u): one solve, and no rank cut.
+    """
+    table = octonion_table()
+    left = table[1:].transpose(0, 2, 1)      # L_c[a, b] = table[c, b, a]
+    right = table[:, 1:].transpose(1, 2, 0)  # R_c[a, b] = table[b, c, a]
+    moved = algebra.coords_of(np.concatenate([left, right]), member_tol)
+    image = np.vstack([moved[7:], -(moved[:7] + moved[7:])])
+    return np.eye(algebra.dim) + (image - moved).T @ np.linalg.solve(
+        moved @ moved.T, moved)
+
+
 def make_automorphism(algebra, spec, tol):
     """Build an automorphism from the twists delta(sigma=...) can name:
-    'id', 'outer_su' or 'outer_so_even'.
+    'id', 'outer_su', 'outer_so_even' or 'triality'.
 
     The outer specs are complex conjugation on su(n) and conjugation by
-    diag(-1, 1, ..., 1) on so(2m); their matrices must preserve the form
-    within tol.residual_tol.
+    diag(-1, 1, ..., 1) on so(2m); 'triality' is the order-3 outer
+    automorphism of so(8) of triality_matrix.  Each matrix must preserve
+    the form within tol.residual_tol.
     """
     if spec == "id":
         return Automorphism(algebra, np.eye(algebra.dim), "id")
@@ -401,10 +424,14 @@ def make_automorphism(algebra, spec, tol):
         if algebra.family != "so" or algebra.n % 2 != 0:
             raise InvalidInputError("outer_so_even only applies to so(2m)")
         conj = np.diag([-1.0] + [1.0] * (algebra.n - 1))
+    elif spec == "triality":
+        if algebra.family != "so" or algebra.n != 8:
+            raise InvalidInputError("triality only applies to so(8)")
     else:
         raise InvalidInputError(f"unknown automorphism spec {spec!r}")
-    aut = Automorphism(algebra, adjoint_matrix(algebra, conj, tol.residual_tol),
-                       spec)
+    matrix = (triality_matrix(algebra, tol.residual_tol) if spec == "triality"
+              else adjoint_matrix(algebra, conj, tol.residual_tol))
+    aut = Automorphism(algebra, matrix, spec)
     if aut.form_residual() > tol.residual_tol:
         raise InvalidInputError(
             f"{spec} does not define an automorphism of {algebra.name}")

@@ -3,10 +3,11 @@
 Groups are named family+n, e.g. 'su3', 'so8', 'sp2'.  Subgroups of L x L
 are written as:
 
-    delta(sigma=id|outer_su|outer_so_even)
+    delta(sigma=id|outer_su|outer_so_even|triality, on=<factor>)
     product(h1=<factor>, h2=<factor>)
     span(file=path)                       # block-diagonal matrices in l(+)l
 
+delta is the graph of sigma (default id) over the factor on (default l).
 Factors (subalgebras of l) are the names in FACTORS or span(file=path).
 A named factor reads no seed and no sample count, so it is built once per
 process for each algebra and each (rel_rank_tol, residual_tol) pair and
@@ -38,7 +39,8 @@ def parse_group(name):
 
 
 def _split_args(body):
-    """Split 'k1=v1, k2=v2' at top-level commas, respecting parentheses."""
+    """Split 'k1=v1, k2=v2' at top-level commas, respecting parentheses;
+    a key given twice is invalid input."""
     parts, depth, current = [], 0, []
     for ch in body:
         if ch == "(":
@@ -59,8 +61,10 @@ def _split_args(body):
             continue
         if "=" not in part:
             raise InvalidInputError(f"expected key=value, got {part!r}")
-        key, value = part.split("=", 1)
-        args[key.strip()] = value.strip()
+        key, value = (side.strip() for side in part.split("=", 1))
+        if key in args:
+            raise InvalidInputError(f"key {key!r} is given twice")
+        args[key] = value
     return args
 
 
@@ -158,11 +162,12 @@ def resolve_subgroup(spec, algebra, tol):
     head, body = call.group(1), call.group(2)
     args = _split_args(body)
     if head == "delta":
-        sigma_name = args.pop("sigma", "id")
+        sigma, on = args.pop("sigma", "id"), args.pop("on", None)
         if args:
             raise InvalidInputError(f"delta got unexpected keys {sorted(args)}")
-        return diagonal_sigma(algebra,
-                              make_automorphism(algebra, sigma_name, tol))
+        return diagonal_sigma(
+            algebra, make_automorphism(algebra, sigma, tol),
+            None if on is None else resolve_factor(on, algebra, tol))
     if head == "product":
         if set(args) != {"h1", "h2"}:
             raise InvalidInputError("product takes exactly h1=..., h2=...")

@@ -12,10 +12,10 @@ matrices have passed the membership check of coords_of.  The built-in
 embeddings (from_matrices: the membership check, then closed_span, which
 checks only that the rank cut keeps every vector it is given),
 full_subalgebra, product (of closed factors) and diagonal_sigma (the graph
-of an automorphism) are closed by construction, which the tests check once.
-The last three write their rows down orthonormal, with no rank cut: the
-identity, [h1, 0; 0, h2] of orthonormal factor bases, and
-[I, Sigma^T] / sqrt(2) of an orthogonal automorphism matrix Sigma.
+of an automorphism on a closed factor) are closed by construction, which the
+tests check once.  The last three write their rows down orthonormal, with no
+rank cut: the identity, [h1, 0; 0, h2] of orthonormal factor bases, and
+[k, k Sigma^T] / sqrt(2) of a factor's rows k and an orthogonal Sigma.
 
 Every constructor ends in Subalgebra.__init__, which rejects rows whose
 length is not the parent's dimension.
@@ -105,17 +105,21 @@ def full_subalgebra(parent, tol, name=None):
     return Subalgebra(parent, np.eye(parent.dim), name=name or parent.name)
 
 
-def diagonal_sigma(algebra, sigma):
-    """Twisted diagonal {(X, sigma(X))} inside l(+)l.
+def diagonal_sigma(algebra, sigma, on=None):
+    """Twisted diagonal {(X, sigma(X)) : X in on} inside l(+)l, on is a
+    subalgebra of l or None for all of l.
 
-    Its rows (e_i, sigma(e_i)) / sqrt(2) are orthonormal, because
-    make_automorphism has checked that sigma's matrix is orthogonal.
+    Its rows (k_i, sigma(k_i)) / sqrt(2), k_i the rows of on, are
+    orthonormal, because make_automorphism has checked that sigma's matrix
+    is orthogonal.
     """
-    if sigma.algebra is not algebra:
-        raise InvalidInputError("automorphism belongs to a different algebra")
-    vecs = np.hstack([np.eye(algebra.dim), sigma.matrix.T]) / np.sqrt(2.0)
+    on = on or full_subalgebra(algebra, None)
+    if sigma.algebra is not algebra or on.parent is not algebra:
+        raise InvalidInputError(
+            "the automorphism or the factor belongs to a different algebra")
+    vecs = np.hstack([on.basis, on.basis @ sigma.matrix.T]) / np.sqrt(2.0)
     return Subalgebra(algebra.double(), vecs,
-                      name=f"delta^{sigma.kind}({algebra.name})")
+                      name=f"delta^{sigma.kind}({on.name})")
 
 
 def product(h1, h2):

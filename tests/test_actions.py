@@ -308,6 +308,36 @@ class TestHermannVerdicts:
         assert seeded_verdict(group, subgroup, seed) == verdict
 
 
+class TestControlVerdicts:
+    """Known answers written with delta(sigma=..., on=...), pinned at five
+    seeds; they wait outside the catalog, since a catalog id that the
+    benchmark does not pin counts there as a failed operation."""
+
+    @pytest.mark.parametrize("group,subgroup,verdict", [
+        ("so8", "delta(sigma=triality)", (2, True, True)),
+        ("so8", "delta(sigma=triality,on=so7)", (7, False, False)),
+        ("so8", "delta(on=so7)", (7, False, False)),
+        ("so8", "delta(sigma=outer_so_even,on=so7)", (7, False, False)),
+        ("su3", "delta(on=so3)", (5, False, False)),
+        # circle conjugation on S^3: polar, not hyperpolar
+        ("su2", "delta(on=cartan)", (2, True, False)),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_pinned_verdict(self, group, subgroup, verdict, seed):
+        assert seeded_verdict(group, subgroup, seed) == verdict
+
+    def test_triality_needs_no_rank_cut(self):
+        # a coarse rel_rank_tol builds the same twisted diagonal; analyze
+        # itself would stop at the orbit tangent's cut, as so10 delta does
+        so8, coarse = parse_group("so8"), ToleranceConfig(rel_rank_tol=0.5)
+        h = resolve_subgroup("delta(sigma=triality)", so8, coarse)
+        assert np.array_equal(h.basis, resolve_subgroup(
+            "delta(sigma=triality)", so8, ToleranceConfig()).basis)
+        report = analyze(ActionSpec(so8, h), ToleranceConfig())
+        assert (report.cohomogeneity, report.polar,
+                report.hyperpolar) == (2, True, True)
+
+
 class TestPrincipalPointReference:
     """principal_point counts ranks from singular values alone and stops at
     the ceiling min(dim h, dim l); it must pick what a loop over the full

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from polarcheck.catalog import (TABLE1_ROWS, catalog_entries, evaluate_entry,
@@ -54,6 +56,18 @@ class TestCatalog:
         ids = [e.entry_id for e in catalog_entries()]
         assert len(ids) == len(set(ids))
         assert len(ids) == 20
+
+    def test_entries_are_data(self):
+        # a group, a spec and an expectation; kind and builder derive
+        entries = catalog_entries()
+        for entry in entries:
+            assert not any(callable(getattr(entry, field.name))
+                           for field in fields(entry))
+        assert [e.kind for e in entries] == ["action"] * 7 + ["pair"] * 13
+        for row_id, (_, min_n, specs) in TABLE1_ROWS.items():
+            group, h1, h2 = specs(min_n)
+            entry = get_entry(f"table1-{row_id}")
+            assert (entry.group, entry.spec) == (group, (h1, h2))
 
     def test_get_entry(self):
         assert get_entry("conj-su3").kind == "action"

@@ -10,7 +10,7 @@ import pytest
 
 from polarcheck import cli, specs
 from polarcheck.actions import PolarityReport
-from polarcheck.catalog import SuiteSummary, Table1Result
+from polarcheck.catalog import SuiteSummary, Table1Result, catalog_entries
 from polarcheck.errors import InvalidInputError
 from polarcheck.numerics import ToleranceConfig
 from polarcheck.specs import parse_group, resolve_factor
@@ -205,6 +205,33 @@ class TestAnalyze:
                                     "--subgroup", "frobnicate(x=1)"])
         assert code == 2
 
+    @pytest.mark.parametrize("group,factor", [
+        ("su3", "g2"), ("so8", "so9"), ("su3", "spin7"), ("so8", "xyz")])
+    def test_diagonal_factor_that_does_not_fit(self, capsys, group, factor):
+        code, out, err = run(capsys, ["analyze", "--group", group, "--subgroup",
+                                      f"delta(on={factor})"])
+        assert (code, out) == (2, "")
+        message = re.sub(r"[()+]", "", err)
+        assert factor in message and group in message
+
+    @pytest.mark.parametrize("subgroup,key", [
+        # the later value used to win silently: so3 x zero, and outer_su
+        ("product(h1=su2,h1=so3,h2=zero)", "h1"),
+        ("delta(sigma=id,sigma=outer_su)", "sigma"),
+        ("delta(on=su2, on=so3)", "on")])
+    def test_repeated_key_is_invalid_input(self, capsys, subgroup, key):
+        code, out, err = run(capsys, ["analyze", "--group", "su3",
+                                      "--subgroup", subgroup])
+        assert (code, out) == (2, "")
+        assert f"key '{key}' is given twice" in err
+
+    @pytest.mark.parametrize("group", ["so7", "so16", "su3"])
+    def test_triality_only_on_so8(self, capsys, group):
+        code, out, err = run(capsys, ["analyze", "--group", group,
+                                      "--subgroup", "delta(sigma=triality)"])
+        assert (code, out) == (2, "")
+        assert "triality only applies to so(8)" in err
+
     def test_unknown_twist(self, capsys):
         # Ad(k) needs a group element k, which no spec can pass
         code, out, err = run(capsys, ["analyze", "--group", "su3", "--subgroup",
@@ -345,7 +372,30 @@ class TestCatalogCommands:
         assert code == 0
         assert "conj-su3" in out
         assert "table1-spin9-so16" in out
-        assert len(out.strip().splitlines()) == 20
+        lines = out.strip().splitlines()
+        assert len(lines) == 20
+        assert "lemma71-twisted" in lines[6]
+        assert " so8 delta(sigma=triality,on=so7) " in lines[6]
+        assert " so16 product(h1=spin9,h2=so15) " in lines[18]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_every_action_entry_is_an_analyze_call(self, capsys, seed):
+        # catalog entries are data: the CLI reruns each action as it stands
+        code, out, _ = run(capsys, ["catalog-run", "--seed", str(seed),
+                                    "--format", "json"])
+        assert code == 0
+        details = {r["entry_id"]: r["details"]
+                   for r in json.loads(out)["results"]}
+        actions = [e for e in catalog_entries() if e.kind == "action"]
+        assert len(actions) == 7
+        for entry in actions:
+            code, out, _ = run(capsys, ["analyze", "--group", entry.group,
+                                        "--subgroup", entry.spec, "--seed",
+                                        str(seed), "--format", "json"])
+            report = json.loads(out)
+            assert code == 0
+            assert details[entry.entry_id] == {
+                key: report[key] for key in details[entry.entry_id]}
 
     def test_run_selected_entry(self, capsys):
         code, out, _ = run(capsys, ["catalog-run", "--entry", "conj-su3"])

@@ -11,7 +11,8 @@ from polarcheck.lie_algebras import (Automorphism, LieAlgebra,
                                      build_classical, classical_basis,
                                      commutator, make_automorphism,
                                      realify_complex, so_basis)
-from polarcheck.numerics import outside_norm
+from polarcheck.numerics import nullspace, outside_norm
+from polarcheck.octonions import derivation_matrices, octonion_table
 
 from helpers import killing_proportionality
 
@@ -401,3 +402,51 @@ class TestAutomorphisms:
     def test_singular_conjugator_is_invalid(self, k, tol):
         with pytest.raises(InvalidInputError, match="singular"):
             adjoint_matrix(build_classical("su", 3), k, tol.residual_tol)
+
+
+def triality_reference(algebra, tol):
+    """The B -> C map of so(8) read off the triality algebra, the nullspace
+    of A(e_i e_j) = (B e_i) e_j + e_i (C e_j) in so(8) coordinates."""
+    table, basis = octonion_table(), algebra.basis
+    a = np.einsum('ijk,plk->ijlp', table, basis)
+    b = -np.einsum('mjl,pmi->ijlp', table, basis)
+    c = -np.einsum('iml,pmj->ijlp', table, basis)
+    system = np.concatenate([a, b, c], axis=3).reshape(8 ** 3, 3 * 28)
+    kernel = nullspace(system, tol)
+    assert kernel.shape == (28, 84)   # the triality algebra is so(8)
+    # each kernel row (a, b, c) is sent b -> c
+    return np.linalg.solve(kernel[:, 28:56], kernel[:, 56:]).T
+
+
+class TestTriality:
+    @pytest.fixture
+    def aut(self, tol):
+        return make_automorphism(build_classical("so", 8), "triality", tol)
+
+    def test_orthogonal_of_order_three(self, aut):
+        eye = np.eye(28)
+        assert aut.form_residual() < 1e-14
+        assert np.abs(np.linalg.matrix_power(aut.matrix, 3) - eye).max() \
+            < 1e-14
+        assert np.abs(aut.matrix - eye).max() > 0.5
+
+    def test_preserves_brackets(self, aut):
+        assert commutator_residual(aut) < 1e-14
+
+    def test_fixes_the_octonion_derivations(self, aut, tol):
+        algebra = aut.algebra
+        fixed = nullspace(aut.matrix - np.eye(28), tol)
+        ders = algebra.coords_of(
+            derivation_matrices(octonion_table(), tol), tol.residual_tol)
+        ders = np.linalg.qr(ders.T)[0].T
+        assert fixed.shape == ders.shape == (14, 28)
+        assert np.abs(fixed.T @ fixed - ders.T @ ders).max() < 1e-12
+
+    def test_matches_the_triality_algebra(self, aut, tol):
+        assert np.abs(aut.matrix
+                      - triality_reference(aut.algebra, tol)).max() < 1e-12
+
+    @pytest.mark.parametrize("family,n", [("so", 7), ("so", 16), ("su", 3)])
+    def test_only_so8(self, family, n, tol):
+        with pytest.raises(InvalidInputError, match=r"only applies to so\(8\)"):
+            make_automorphism(build_classical(family, n), "triality", tol)

@@ -6,8 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from polarcheck import embeddings, specs
-from polarcheck.catalog import (catalog_entries, get_entry,
-                                so7_diagonal_subalgebra)
+from polarcheck.catalog import catalog_entries, get_entry
 from polarcheck.embeddings import block_so, so_in_su
 from polarcheck.errors import (ClosureError, DimensionMismatchError,
                                InvalidInputError)
@@ -142,6 +141,10 @@ def readme_factor_names():
     return [name for head in heads for name in re.findall(r"`([^`]+)`", head)]
 
 
+# the diagonal so(7) graphs of the lemma71-* catalog entries, by twist
+SO7_GRAPHS = {False: "delta(on=so7)", True: "delta(sigma=triality,on=so7)"}
+
+
 class TestImpliedClosure:
     # built-in embeddings, product and diagonal_sigma do not check closure
     # at run time; it must hold anyway, and is checked here once
@@ -153,7 +156,8 @@ class TestImpliedClosure:
 
     @pytest.mark.parametrize("twisted", [False, True])
     def test_so7_graph_is_closed(self, twisted, tol):
-        h, _ = so7_diagonal_subalgebra(tol, twisted)
+        h = resolve_subgroup(SO7_GRAPHS[twisted], parse_group("so8"), tol)
+        assert h.dim == 21
         assert h.closure_residual() < 1e-12
 
     def test_builtins_never_check_closure(self, tol, monkeypatch):
@@ -182,6 +186,9 @@ class TestImpliedClosure:
         ("so7", "product(h1=g2,h2=so6)"),
         ("so8", "product(h1=spin7,h2=u4)"),
         ("so8", "product(h1=sp2sp1,h2=so4so4)"),
+        ("so8", "delta(sigma=triality)"),
+        ("su3", "delta(sigma=outer_su,on=su2)"),
+        ("su2", "delta(on=cartan)"),
     ])
     def test_specs(self, group, subgroup, tol):
         algebra = parse_group(group)
@@ -356,9 +363,11 @@ class TestMembershipTolerance:
 
     @pytest.mark.parametrize("twisted", [False, True])
     def test_so7_diagonal_graph(self, twisted, monkeypatch):
+        # the so7 corner, and the multiplications of triality_matrix
         calls = self.recorded_member_tols(monkeypatch)
-        so7_diagonal_subalgebra(ToleranceConfig(residual_tol=1e-9), twisted)
-        assert calls == [1e-9, 1e-9]
+        resolve_subgroup(SO7_GRAPHS[twisted], parse_group("so8"),
+                         ToleranceConfig(residual_tol=1e-9))
+        assert calls == [1e-9] * (1 + twisted)
 
     @pytest.mark.parametrize("group,factor", [
         ("so7", "so5so2"), ("so8", "so5so2"), ("su2", "s_u_u1"),
@@ -386,10 +395,18 @@ WRITTEN_DOWN_DIAGONALS = [
     (group, sigma)
     for group in sorted({g for g, _, _ in WRITTEN_DOWN_PRODUCTS}
                         | {"so5", "sp5"})
-    for sigma in ("id", "outer_su", "outer_so_even")
+    for sigma in ("id", "outer_su", "outer_so_even", "triality")
     if sigma == "id" or (sigma == "outer_su" and group.startswith("su"))
     or (sigma == "outer_so_even" and group.startswith("so")
-        and int(group[2:]) % 2 == 0)]
+        and int(group[2:]) % 2 == 0)
+    or (sigma == "triality" and group == "so8")]
+# (group, sigma, on): graphs over a factor, proper or not
+WRITTEN_DOWN_SUB_DIAGONALS = [
+    ("so8", "id", "so7"), ("so8", "triality", "so7"),
+    ("so8", "outer_so_even", "so7"), ("so8", "triality", "spin7"),
+    ("su3", "id", "so3"), ("su3", "outer_su", "su2"), ("su2", "id", "cartan"),
+    ("so7", "id", "g2"), ("su4", "outer_su", "sp2"),
+]
 
 
 class TestWrittenDownRows:
@@ -421,6 +438,43 @@ class TestWrittenDownRows:
         aut = make_automorphism(algebra, sigma, tol)
         rows = np.hstack([np.eye(algebra.dim), aut.matrix.T])
         self.check(diagonal_sigma(algebra, aut), rows, tol)
+
+    @pytest.mark.parametrize("group,sigma,on", WRITTEN_DOWN_SUB_DIAGONALS)
+    def test_diagonal_on(self, group, sigma, on, tol):
+        algebra = parse_group(group)
+        aut = make_automorphism(algebra, sigma, tol)
+        k = resolve_factor(on, algebra, tol)
+        rows = np.hstack([2.0 * k.basis, 2.0 * k.basis @ aut.matrix.T])
+        h = resolve_subgroup(f"delta(sigma={sigma},on={on})", algebra, tol)
+        assert h.dim == k.dim
+        self.check(h, rows, tol)
+
+
+class TestDiagonalOn:
+    """delta(on=<factor>): the graph of a twist over a factor of l."""
+
+    @pytest.mark.parametrize("group,sigma", [
+        ("su3", "id"), ("su4", "outer_su"), ("so6", "outer_so_even"),
+        ("so8", "triality"), ("sp2", "id")])
+    def test_full_is_no_on(self, group, sigma, tol):
+        algebra = parse_group(group)
+        whole = resolve_subgroup(f"delta(sigma={sigma})", algebra, tol)
+        full = resolve_subgroup(f"delta(sigma={sigma},on=full)", algebra, tol)
+        assert np.array_equal(whole.basis, full.basis)
+        assert whole.name == full.name
+
+    @pytest.mark.parametrize("group,sigma", [("su3", "id"),
+                                             ("so8", "triality")])
+    def test_zero_is_empty(self, group, sigma, tol):
+        h = resolve_subgroup(f"delta(sigma={sigma},on=zero)",
+                             parse_group(group), tol)
+        assert h.dim == 0
+
+    def test_factor_of_another_algebra_is_rejected(self, tol):
+        su3, so3 = parse_group("su3"), parse_group("so3")
+        with pytest.raises(InvalidInputError, match="different algebra"):
+            diagonal_sigma(su3, make_automorphism(su3, "id", tol),
+                           full_subalgebra(so3, tol))
 
 
 def _open_so6_span(tol, corner):
