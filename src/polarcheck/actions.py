@@ -95,7 +95,7 @@ def _tangent_vectors(action, g, tol):
 def orbit_tangent(action, g, tol):
     """Orthonormal basis of the orbit tangent space at g, moved to e."""
     vectors, _ = _tangent_vectors(action, g, tol)
-    return orthonormal_basis(vectors, tol, scale=1.0)
+    return orthonormal_basis(vectors, scale=1.0)
 
 
 def principal_point(action, tol):
@@ -120,7 +120,7 @@ def principal_point(action, tol):
     for drawn in range(1, tol.num_samples + 1):
         g = sample_group_point(algebra, rng)
         vectors, _ = _tangent_vectors(action, g, tol)
-        dim = rank_of(vectors, tol, scale=1.0)
+        dim = rank_of(vectors, scale=1.0)
         if dim > best:
             best, point = dim, g
         if best == ceiling:
@@ -129,12 +129,12 @@ def principal_point(action, tol):
 
 
 def _check_cut(dropped, tol, what):
-    """InvalidInputError if a rank cut drops a value above residual_tol."""
+    """InvalidInputError if the rank cut drops a value above residual_tol:
+    a residual_tol that fine asks for a distinction the cut cannot make."""
     if dropped > tol.residual_tol:
         raise InvalidInputError(
-            f"rel_rank_tol {tol.rel_rank_tol:g} is too coarse for {what}: the "
-            f"rank cut drops a singular value {dropped:.3e} above "
-            f"residual_tol {tol.residual_tol:g}")
+            f"residual_tol {tol.residual_tol:g} is too fine for {what}: the "
+            f"rank cut drops a singular value {dropped:.3e} above it")
 
 
 def polarity_check(action, g, tol, max_orbit_dim):
@@ -144,7 +144,7 @@ def polarity_check(action, g, tol, max_orbit_dim):
     principal_point found.  One SVD of the tangent vectors gives the
     tangent and nu, its orthogonal complement; InvalidInputError is raised
     when the rank cut drops a singular value above residual_tol, i.e. when
-    rel_rank_tol is too coarse for the tangent.
+    residual_tol is too fine for the tangent.
 
     Residuals are norms of commutators of Frobenius-orthonormal matrices of
     nu, taken in the invariant form (see LieAlgebra.frobenius_matrices).
@@ -155,7 +155,7 @@ def polarity_check(action, g, tol, max_orbit_dim):
     """
     algebra = action.algebra
     vectors, ad_inv = _tangent_vectors(action, g, tol)
-    tangent, nu, dropped = split_span(vectors, tol, scale=1.0)
+    tangent, nu, dropped = split_span(vectors, scale=1.0)
     _check_cut(dropped, tol, "the orbit tangent")
     if tangent.shape[0] < max_orbit_dim:
         raise NonPrincipalPointError(
@@ -215,7 +215,7 @@ def span_rank(h1, h2, algebra, tol):
     """Dimension of h1 + h2 inside l, from a guarded cut (see _check_cut)."""
     if h1.parent is not algebra or h2.parent is not algebra:
         raise InvalidInputError("h1, h2 must be subalgebras of the acted-on l")
-    rank, dropped = rank_and_dropped(np.vstack([h1.basis, h2.basis]), tol)
+    rank, dropped = rank_and_dropped(np.vstack([h1.basis, h2.basis]))
     _check_cut(dropped, tol, f"the span of {h1.name} and {h2.name}")
     return rank
 

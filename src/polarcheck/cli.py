@@ -8,13 +8,14 @@ Subcommands:
     verify-table1  check one transitive-pair table row
 
 Exit codes: 0 = success / expectations met, 1 = a verification failed,
-2 = invalid input (bad spec, bad span file, non-principal point, a rank
-cut too coarse for a subgroup, the span of two factors or an orbit
-tangent, an unknown catalog entry, a group or --param too large for
-memory). Every setting is a flag; the seed defaults to 0. A JSON report is
-its result dataclass (PolarityReport plus "config", SuiteSummary plus
-"tolerances", a list of Table1Result), rendered field by field, so with a
-fixed seed and configuration it is byte-stable.
+2 = invalid input (bad spec, bad span file, non-principal point, a
+--residual-tol finer than a singular value that the rank cut drops from
+the span of two factors or an orbit tangent, an unknown catalog entry, a
+group or --param too large for memory). Every setting is a flag, and the
+seed defaults to 0; the rank cut is no setting (numerics.RANK_TOL). A JSON
+report is its result dataclass (PolarityReport plus "config", SuiteSummary
+plus "tolerances", a list of Table1Result), rendered field by field, so
+with a fixed seed and configuration it is byte-stable.
 """
 
 import argparse
@@ -39,9 +40,6 @@ def _add_common(parser):
                         help="most points sampled to find a principal orbit")
     parser.add_argument("--seed", type=int, default=defaults.seed,
                         help="RNG seed, >= 0")
-    parser.add_argument("--rank-tol", type=float,
-                        default=defaults.rel_rank_tol,
-                        help="relative singular-value threshold")
     parser.add_argument("--residual-tol", type=float,
                         default=defaults.residual_tol,
                         help="residual threshold for all verdicts")
@@ -51,8 +49,7 @@ def _add_common(parser):
 
 
 def _tolerances(args):
-    return ToleranceConfig(rel_rank_tol=args.rank_tol,
-                           residual_tol=args.residual_tol,
+    return ToleranceConfig(residual_tol=args.residual_tol,
                            num_samples=args.samples, seed=args.seed)
 
 

@@ -5,11 +5,10 @@ and spin images built from real gamma matrices.
 Every symmetric factor is the fixed algebra of involutions Ad(s) (see
 fixed_subalgebra); the other builders lay out matrices, realified as in
 lie_algebras.  Every builder returns a Subalgebra that is bracket-closed by
-construction, which the tests check once per builder; closure is not
-checked at run time.  Matrices and conjugators still pass the membership
-check of LieAlgebra.coords_of, so a wrong sign fails loudly, and laid-out
-matrices the full-rank check of Subalgebra.closed_span, so a rank cut too
-coarse for them fails instead of silently shrinking the subspace.
+construction, and has the dimension it should, which the tests check once
+per builder; neither is checked at run time.  Matrices and conjugators still
+pass the membership check of LieAlgebra.coords_of, so a wrong sign fails
+loudly.
 """
 
 import numpy as np
@@ -116,12 +115,13 @@ def fixed_subalgebra(ambient, tol, conjugators, name):
 
     The nullspaces of Ad(s) - I are intersected one s at a time: on the rows
     fixed so far, which Ad(s) preserves, its singular values are 0 and 2
-    alone, so a cut against 2 is exact at every rel_rank_tol (a stack of
-    every Ad(s) - I would add 2 sqrt(2)).  A fixed algebra is closed."""
+    alone, so the cut, taken against 2, splits them with nothing in between
+    (a stack of every Ad(s) - I would add 2 sqrt(2)).  A fixed algebra is
+    closed."""
     rows = np.eye(ambient.dim)
     for s in conjugators:
         moved = adjoint_matrix(ambient, s, tol.residual_tol) @ rows.T - rows.T
-        rows = split_span(moved, tol, scale=2.0)[1] @ rows
+        rows = split_span(moved, scale=2.0)[1] @ rows
     return Subalgebra(ambient, rows, name=name)
 
 
@@ -174,12 +174,11 @@ def g2_in_so7(ambient, tol):
     """Derivations of the octonions, restricted to the imaginary part.
 
     Derived on every call; specs.resolve_factor, its only caller, builds it
-    once per process for each tolerance pair.  A rank cut that loses the
-    imaginary part raises InvalidInputError.
+    once per process for each residual_tol.
     """
     if ambient.family != "so" or ambient.n != 7:
         raise InvalidInputError(f"g2 does not embed in {ambient.name}")
-    ders = restrict_to_imaginary(derivation_matrices(octonion_table(), tol))
+    ders = restrict_to_imaginary(derivation_matrices(octonion_table()))
     return Subalgebra.from_matrices(ambient, ders, tol, name="g2")
 
 

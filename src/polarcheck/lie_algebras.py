@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ClosureError, DimensionMismatchError, InvalidInputError
-from .numerics import outside_norm, rank_cut, row_blocks
+from .numerics import orthonormal_basis, outside_norm, row_blocks
 from .octonions import octonion_table
 
 # ---------------------------------------------------------------------------
@@ -156,9 +156,8 @@ class LieAlgebra:
         if asym > _CONSTRUCT_TOL * max(1.0, np.abs(basis).max(initial=0.0)):
             raise InvalidInputError(
                 f"{name}: basis matrices are not skew (residual {asym:.3e})")
-        _, sv, onb = np.linalg.svd(basis.reshape(dim, s * s),
-                                   full_matrices=False)
-        if dim and rank_cut(sv, 1e-12) < dim:
+        onb = orthonormal_basis(basis.reshape(dim, s * s))
+        if len(onb) < dim:
             raise InvalidInputError(f"{name}: basis matrices are dependent")
         onb = onb.reshape(dim, s, s)
         residual = span_closure_residual(onb)

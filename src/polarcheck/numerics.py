@@ -1,9 +1,18 @@
-"""Deterministic dense real linear algebra with an explicit tolerance policy.
+"""Deterministic dense real linear algebra with one rank cut.
 
-Rank decisions use singular values with a *relative* threshold (relative to
-the largest singular value), so verdicts are stable under rescaling the
-whole input.  Orthonormality is Euclidean: every algebra has a
-Frobenius-orthonormal basis, so coordinates are Euclidean for the
+Every rank decision keeps the singular values above
+
+    RANK_TOL * max(largest singular value, scale),  RANK_TOL = 1e-9,
+
+with scale given only where the caller knows the size of a genuine vector
+(1.0 for differences of unit vectors), so that a stack of pure roundoff has
+rank zero instead of being renormalized into a full-rank matrix.  Relative
+to the largest value, the cut does not move when the input is rescaled, so
+no verdict depends on units.  It is a constant, not a setting: on the
+catalog, Table 1 and the benchmark actions every kept value is at least
+1e-2 of the reference and every dropped one at most 1e-15, and 1e-9 sits
+in the middle of that gap.  Orthonormality is Euclidean: every algebra has
+a Frobenius-orthonormal basis, so coordinates are Euclidean for the
 invariant form.
 
 Row spaces and complements come from the right singular vectors alone.
@@ -21,24 +30,23 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidInputError
 
 
+RANK_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numerical policy shared by every verdict-producing routine.
 
-    rel_rank_tol, in (0, 1), thresholds singular values relative to the
-    largest one; residual_tol, positive and finite, bounds membership and
-    closure residuals; num_samples controls the principal-point search;
-    seed, >= 0, feeds the single RNG.
+    residual_tol, positive and finite, bounds membership and closure
+    residuals; num_samples controls the principal-point search; seed,
+    >= 0, feeds the single RNG.  The rank cut is RANK_TOL, not a setting.
     """
 
-    rel_rank_tol: float = 1e-9
     residual_tol: float = 1e-8
     num_samples: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.rel_rank_tol < 1:
-            raise InvalidInputError("rel_rank_tol must lie in (0, 1)")
         if not 0 < self.residual_tol < np.inf:
             raise InvalidInputError("residual_tol must be positive and finite")
         if self.num_samples < 1:
@@ -47,46 +55,38 @@ class ToleranceConfig:
             raise InvalidInputError("seed must be >= 0")
 
 
-def rank_cut(sv, rel_tol, ref=None):
-    """How many of the descending singular values sv exceed rel_tol * ref.
+def _cut(sv, scale=None):
+    """How many of the descending singular values sv exceed RANK_TOL *
+    max(largest sv, scale), and the largest one dropped (0.0 if none).
 
-    ref defaults to the largest singular value, which makes the cut
-    relative; an empty or zero spectrum has rank zero.
+    An empty or zero spectrum has rank zero.
     """
-    if ref is None:
-        ref = sv[0] if sv.size else 0.0
-    return int(np.sum(sv > rel_tol * ref)) if ref > 0 else 0
-
-
-def _cut(sv, tol, scale):
-    """rank_cut of sv at rel_rank_tol, against max(largest sv, scale) if
-    given, and the largest singular value it drops (0.0 if none)."""
-    ref = None if scale is None else max(sv.max(initial=0.0), float(scale))
-    rank = rank_cut(sv, tol.rel_rank_tol, ref)
+    ref = max(sv.max(initial=0.0), 0.0 if scale is None else float(scale))
+    rank = int(np.sum(sv > RANK_TOL * ref)) if ref > 0 else 0
     return rank, float(sv[rank]) if rank < sv.size else 0.0
 
 
-def rank_of(vectors, tol, scale=None):
-    """Number of singular values above rel_rank_tol times the largest.
+def rank_of(vectors, scale=None):
+    """Number of singular values the cut keeps.
 
     scale has the meaning it has in orthonormal_basis, and the cut is the
-    same, so this is the row count of orthonormal_basis(vectors, tol,
+    same, so this is the row count of orthonormal_basis(vectors,
     scale=scale) without computing any singular vectors.
     """
-    return rank_and_dropped(vectors, tol, scale)[0]
+    return rank_and_dropped(vectors, scale)[0]
 
 
-def rank_and_dropped(vectors, tol, scale=None):
+def rank_and_dropped(vectors, scale=None):
     """rank_of, and the largest singular value its cut drops (0.0 if none)."""
     mat = np.atleast_2d(np.asarray(vectors, dtype=float))
     if mat.size == 0:
         return 0, 0.0
     if mat.ndim != 2:
         raise DimensionMismatchError("expected a list of equal-length vectors")
-    return _cut(np.linalg.svd(mat, compute_uv=False), tol, scale)
+    return _cut(np.linalg.svd(mat, compute_uv=False), scale)
 
 
-def orthonormal_basis(vectors, tol, scale=None):
+def orthonormal_basis(vectors, scale=None):
     """Orthonormal basis of the span, as a (r, d) array of rows.
 
     When the caller knows the natural magnitude of genuine input vectors
@@ -94,10 +94,10 @@ def orthonormal_basis(vectors, tol, scale=None):
     cutoff absolute with respect to that magnitude, so an all-roundoff input
     yields rank zero instead of being renormalized into a full-rank matrix.
     """
-    return split_span(vectors, tol, scale)[0]
+    return split_span(vectors, scale)[0]
 
 
-def split_span(matrix, tol, scale=None):
+def split_span(matrix, scale=None):
     """Orthonormal bases (rows) of the row space of a real matrix and of its
     orthogonal complement, from one SVD and cut as orthonormal_basis cuts,
     and the largest singular value the cut drops (0.0 if it drops none).
@@ -109,13 +109,13 @@ def split_span(matrix, tol, scale=None):
     """
     mat = np.atleast_2d(np.asarray(matrix, dtype=float))
     _, sv, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    rank, dropped = _cut(sv, tol, scale)
+    rank, dropped = _cut(sv, scale)
     return vh[:rank], vh[rank:], dropped
 
 
-def nullspace(matrix, tol):
+def nullspace(matrix):
     """Orthonormal basis (rows) of the kernel of a real matrix."""
-    return split_span(matrix, tol)[1]
+    return split_span(matrix)[1]
 
 
 _BLOCK_BYTES = 2 ** 22  # size of each temporary in a blocked walk

@@ -57,7 +57,7 @@ def octonion_table():
     return _read_only(cayley_dickson_double(quaternion_table()))
 
 
-def derivation_matrices(table, tol):
+def derivation_matrices(table):
     """Basis of {D : D(xy) = D(x)y + x D(y)} as a (k, m, m) array.
 
     Computed as the nullspace of the linear Leibniz constraint system; an
@@ -73,24 +73,12 @@ def derivation_matrices(table, tol):
     a2 = np.einsum('pjl,qi->ijlpq', table, eye)
     a3 = np.einsum('ipl,qj->ijlpq', table, eye)
     system = (a1 - a2 - a3).reshape(m ** 3, m ** 2)
-    kernel = nullspace(system, tol)
+    kernel = nullspace(system)
     return kernel.reshape(-1, m, m)
 
 
-# Derivations kill the unit exactly, and the only input is the built-in
-# octonion table, so a genuine derivation has a unit row and column of pure
-# roundoff; a fixed bound, not a user tolerance, tells it from a kernel that
-# a too coarse rank cut has mixed with non-derivations.
-_UNIT_BORDER_TOL = 1e-10
-
-
 def restrict_to_imaginary(derivations):
-    """Drop the unit coordinate: derivations annihilate e_0 and fix its span."""
-    derivations = np.asarray(derivations, dtype=float)
-    if derivations.size:
-        border = max(float(np.abs(derivations[:, :, 0]).max()),
-                     float(np.abs(derivations[:, 0, :]).max()))
-        if border > _UNIT_BORDER_TOL:
-            raise InvalidInputError(
-                f"derivations do not preserve the imaginary part ({border:.3e})")
-    return derivations[:, 1:, 1:]
+    """Drop the unit coordinate: derivations annihilate e_0 and fix its span,
+    so their unit row and column are zero up to roundoff (the tests check
+    that they stay below 1e-12 for the octonions)."""
+    return np.asarray(derivations, dtype=float)[:, 1:, 1:]

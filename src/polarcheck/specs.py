@@ -10,8 +10,8 @@ are written as:
 delta is the graph of sigma (default id) over the factor on (default l).
 Factors (subalgebras of l) are the names in FACTORS or span(file=path).
 A named factor reads no seed and no sample count, so it is built once per
-process for each algebra and each (rel_rank_tol, residual_tol) pair and
-then shared; a span file is read and checked on every call.
+process for each algebra and each residual_tol and then shared; a span file
+is read and checked on every call.
 """
 
 import re
@@ -111,15 +111,15 @@ FACTORS = [
 
 
 @lru_cache(maxsize=None)
-def _named_factor(algebra, name, rel_rank_tol, residual_tol):
+def _named_factor(algebra, name, residual_tol):
     """The FACTORS entry name on algebra, or None if no pattern matches.
 
     Keyed on exactly what a builder reads: algebra, unique per process
-    through build_classical, the lower-cased name and the two tolerances.
-    A factor that does not fit raises on every call, since lru_cache
-    stores no exception.
+    through build_classical, the lower-cased name and residual_tol.  A
+    factor that does not fit raises on every call, since lru_cache stores
+    no exception.
     """
-    tol = ToleranceConfig(rel_rank_tol=rel_rank_tol, residual_tol=residual_tol)
+    tol = ToleranceConfig(residual_tol=residual_tol)
     for pattern, builders in FACTORS:
         match = re.fullmatch(pattern, name)
         if match:
@@ -135,16 +135,15 @@ def resolve_factor(spec, algebra, tol):
     """Resolve a subalgebra-of-l spec string: a FACTORS name or span(...).
 
     A named factor is built once per process for each algebra and each
-    (tol.rel_rank_tol, tol.residual_tol) pair, and every later call returns
-    the same Subalgebra, whose basis is read-only; a span file is read and
-    checked on every call.
+    tol.residual_tol, and every later call returns the same Subalgebra,
+    whose basis is read-only; a span file is read and checked on every
+    call.
     """
     spec = spec.strip()
     call = _CALL_RE.match(spec)
     if call and call.group(1) == "span":
         return _span(_split_args(call.group(2)), algebra, tol, name=spec)
-    factor = _named_factor(algebra, spec.lower(), tol.rel_rank_tol,
-                           tol.residual_tol)
+    factor = _named_factor(algebra, spec.lower(), tol.residual_tol)
     if factor is None:
         raise InvalidInputError(
             f"unknown subalgebra spec {spec!r} for {algebra.name}")

@@ -10,12 +10,13 @@ span (span_closure_residual, which LieAlgebra.from_basis calls on
 caller-given matrices too).  from_vectors runs it for span files, whose
 matrices have passed the membership check of coords_of.  The built-in
 embeddings (from_matrices: the membership check, then closed_span, which
-checks only that the rank cut keeps every vector it is given),
-full_subalgebra, product (of closed factors) and diagonal_sigma (the graph
-of an automorphism on a closed factor) are closed by construction, which the
-tests check once.  The last three write their rows down orthonormal, with no
-rank cut: the identity, [h1, 0; 0, h2] of orthonormal factor bases, and
-[k, k Sigma^T] / sqrt(2) of a factor's rows k and an orthogonal Sigma.
+checks nothing), full_subalgebra, product (of closed factors) and
+diagonal_sigma (the graph of an automorphism on a closed factor) are closed
+by construction, and the rank cut keeps every vector that a built-in
+embedding lays out; the tests check both once.  The last three write their
+rows down orthonormal, with no rank cut: the identity, [h1, 0; 0, h2] of
+orthonormal factor bases, and [k, k Sigma^T] / sqrt(2) of a factor's rows k
+and an orthogonal Sigma.
 
 Every constructor ends in Subalgebra.__init__, which rejects rows whose
 length is not the parent's dimension.
@@ -48,25 +49,14 @@ class Subalgebra:
         self.name = name
 
     @classmethod
-    def closed_span(cls, parent, vectors, tol, name=""):
-        """Orthonormalize independent coefficient vectors of a closed span.
-
-        Raises InvalidInputError when the rank cut keeps fewer rows than
-        it was given, i.e. when rel_rank_tol is too coarse for them.
-        """
-        vecs = np.asarray(vectors, dtype=float)
-        sub = cls(parent, orthonormal_basis(vecs, tol), name=name)
-        if sub.dim < len(vecs):
-            raise InvalidInputError(
-                f"{name or '<anonymous>'}: the rank cut keeps {sub.dim} of "
-                f"{len(vecs)} independent vectors; rel_rank_tol "
-                f"{tol.rel_rank_tol:g} is too coarse")
-        return sub
+    def closed_span(cls, parent, vectors, name=""):
+        """Orthonormalize coefficient vectors of a closed span."""
+        return cls(parent, orthonormal_basis(vectors), name=name)
 
     @classmethod
     def from_vectors(cls, parent, vectors, tol, name=""):
         """Orthonormalize coefficient vectors and verify bracket closure."""
-        sub = cls(parent, orthonormal_basis(vectors, tol), name=name)
+        sub = cls(parent, orthonormal_basis(vectors), name=name)
         residual = sub.closure_residual()
         if residual > tol.residual_tol:
             raise ClosureError(
@@ -76,10 +66,10 @@ class Subalgebra:
 
     @classmethod
     def from_matrices(cls, parent, matrices, tol, name=""):
-        """closed_span of independent ambient matrices of a built-in
-        embedding, which must lie in the parent algebra."""
+        """closed_span of the ambient matrices of a built-in embedding,
+        which must lie in the parent algebra."""
         vecs = parent.coords_of(matrices, member_tol=tol.residual_tol)
-        return cls.closed_span(parent, vecs, tol, name=name)
+        return cls.closed_span(parent, vecs, name=name)
 
     def closure_residual(self):
         """Largest norm of a basis commutator's component outside the span,

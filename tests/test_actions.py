@@ -22,8 +22,8 @@ from polarcheck.lie_algebras import (LieAlgebra, adjoint_matrix,
 from polarcheck.numerics import (ToleranceConfig, outside_norm,
                                  rank_and_dropped)
 from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
-from polarcheck.subalgebras import (diagonal_sigma, full_subalgebra, product,
-                                    zero_subalgebra)
+from polarcheck.subalgebras import (Subalgebra, diagonal_sigma,
+                                    full_subalgebra, product, zero_subalgebra)
 
 from helpers import conjugated_pair_subalgebra
 
@@ -321,18 +321,34 @@ class TestControlVerdicts:
         ("su3", "delta(on=so3)", (5, False, False)),
         # circle conjugation on S^3: polar, not hyperpolar
         ("su2", "delta(on=cartan)", (2, True, False)),
+        ("su3", "product(h1=su2,h2=su2)", (2, False, False)),
+        # the Hopf action on S^3: not polar
+        ("su2", "product(h1=cartan,h2=zero)", (2, False, False)),
     ])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_pinned_verdict(self, group, subgroup, verdict, seed):
         assert seeded_verdict(group, subgroup, seed) == verdict
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_hopf_fails_orthogonality_alone(self, seed):
+        # nu is a Lie triple system, but [nu, nu] meets the conjugated h:
+        # the only control in which the orthogonality test alone decides
+        tol = ToleranceConfig(seed=seed)
+        su2 = parse_group("su2")
+        h = resolve_subgroup("product(h1=cartan,h2=zero)", su2, tol)
+        report = analyze(ActionSpec(su2, h), tol)
+        assert report.residual_triple < 1e-12
+        assert report.residual_orth > 0.5
+
     def test_triality_needs_no_rank_cut(self):
-        # a coarse rel_rank_tol builds the same twisted diagonal; analyze
-        # itself would stop at the orbit tangent's cut, as so10 delta does
-        so8, coarse = parse_group("so8"), ToleranceConfig(rel_rank_tol=0.5)
-        h = resolve_subgroup("delta(sigma=triality)", so8, coarse)
+        # the twist is one solve: residual_tol, the only tolerance left,
+        # does not move the twisted diagonal
+        so8 = parse_group("so8")
+        h = resolve_subgroup("delta(sigma=triality)", so8,
+                             ToleranceConfig(residual_tol=1e-6))
         assert np.array_equal(h.basis, resolve_subgroup(
-            "delta(sigma=triality)", so8, ToleranceConfig()).basis)
+            "delta(sigma=triality)", so8,
+            ToleranceConfig(residual_tol=1e-12)).basis)
         report = analyze(ActionSpec(so8, h), ToleranceConfig())
         assert (report.cohomogeneity, report.polar,
                 report.hyperpolar) == (2, True, True)
@@ -409,18 +425,23 @@ class TestTransitivity:
     def test_default_cut_drops_only_roundoff(self, group, h1, h2, tol):
         algebra = parse_group(group)
         f1, f2 = (resolve_factor(h, algebra, tol) for h in (h1, h2))
-        rank, dropped = rank_and_dropped(np.vstack([f1.basis, f2.basis]), tol)
+        rank, dropped = rank_and_dropped(np.vstack([f1.basis, f2.basis]))
         assert dropped < 1e-14
         assert span_rank(f1, f2, algebra, tol) == rank
 
-    def test_coarse_cut_is_invalid_input(self):
-        # so(5) + u(3) spans so(6), with a singular value 0.54 that a cut
-        # relative to the largest, sqrt(2), drops at rel_rank_tol 0.5
-        coarse = ToleranceConfig(rel_rank_tol=0.5)
-        algebra = parse_group("so6")
-        h1, h2 = (resolve_factor(h, algebra, coarse) for h in ("so5", "u3"))
-        with pytest.raises(InvalidInputError, match="too coarse for the span"):
-            is_transitive(h1, h2, algebra, coarse)
+    def test_residual_tol_finer_than_the_cut_is_invalid_input(self, tol):
+        # e1 and a unit vector 1e-10 off it: the cut drops the second
+        # singular value, 7.07e-11, which a residual_tol of 1e-11 would
+        # have to tell from zero
+        so3 = build_classical("so", 3)
+        tilted = np.array([[1.0, 1e-10, 0.0]])
+        h1 = Subalgebra(so3, np.eye(3)[:1], name="a")
+        h2 = Subalgebra(so3, tilted / np.linalg.norm(tilted), name="b")
+        assert span_rank(h1, h2, so3, tol) == 1
+        with pytest.raises(InvalidInputError, match="too fine") as err:
+            span_rank(h1, h2, so3, ToleranceConfig(residual_tol=1e-11))
+        assert "the span of a and b" in str(err.value)
+        assert "7.071e-11" in str(err.value)
 
 
 class TestFlatSection:

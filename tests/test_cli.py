@@ -21,7 +21,10 @@ REPORT_FIELDS = {"cohomogeneity", "principal_point", "section_basis", "polar",
 
 
 def run(capsys, argv):
-    code = cli.main(argv)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:   # argparse rejects the command line itself
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -126,36 +129,20 @@ class TestAnalyze:
         ["--rank-tol", "inf"],
     ])
     def test_bad_tolerance_is_invalid_input(self, capsys, option):
+        # the rank cut is no setting: argparse rejects --rank-tol itself
         code, out, err = run(capsys, ["analyze", "--group", "su3", "--subgroup",
                                       "product(h1=su2,h2=su2)"] + option)
         assert (code, out) == (2, "")
-        assert err.startswith("error: ")
-
-    @pytest.mark.parametrize("group,subgroup,rank_tol,kept", [
-        ("so6", "product(h1=u3,h2=zero)", "0.9", "6 of 9"),
-    ])
-    def test_rank_cut_too_coarse_for_a_subgroup(self, capsys, group,
-                                                 subgroup, rank_tol, kept):
-        code, out, err = run(capsys, ["analyze", "--group", group,
-                                      "--subgroup", subgroup,
-                                      "--rank-tol", rank_tol])
-        assert (code, out) == (2, "")
-        assert f"rank cut keeps {kept}" in err
+        if option[0] == "--rank-tol":
+            assert "unrecognized arguments: --rank-tol" in err
+        else:
+            assert err.startswith("error: ")
 
     @pytest.mark.parametrize("group,rank", [("so10", 5), ("sp4", 4),
                                             ("su10", 9)])
     def test_rank_cut_too_coarse_for_the_tangent(self, capsys, group, rank):
-        # the cut used to drop genuine tangent directions, which read as
-        # a higher cohomogeneity and not polar, with exit 0
-        code, out, err = run(capsys, ["analyze", "--group", group,
-                                      "--subgroup", "delta(sigma=id)",
-                                      "--rank-tol", "0.5"])
-        assert (code, out) == (2, "")
-        assert "rel_rank_tol 0.5 is too coarse for the orbit tangent" in err
-        dropped = float(re.search(r"singular value (\S+) above", err).group(1))
-        assert dropped > 1e-8
-        # at the default cut it is the conjugation action: cohomogeneity is
-        # the rank, and the action is hyperpolar
+        # the conjugation action: every tangent direction survives the
+        # cut, so cohomogeneity is the rank, and the action is hyperpolar
         code, out, _ = run(capsys, ["analyze", "--group", group, "--subgroup",
                                     "delta(sigma=id)", "--format", "json"])
         payload = json.loads(out)
@@ -414,13 +401,26 @@ class TestCatalogCommands:
         assert payload["failed"] == 0
         assert payload["results"][0]["entry_id"] == "conj-so5"
 
+    @pytest.mark.parametrize("residual_tol", ["1e-6", "1e-12"])
+    def test_residual_tol_moves_no_verdict(self, capsys, residual_tol):
+        # the one tolerance left, two orders of magnitude above its
+        # default or four below, passes every catalog entry and Table-1 row
+        option = ["--residual-tol", residual_tol, "--format", "json"]
+        code, out, _ = run(capsys, ["catalog-run"] + option)
+        payload = json.loads(out)
+        assert (code, payload["passed"], payload["failed"]) == (0, 20, 0)
+        code, out, _ = run(capsys, ["verify-table1"] + option)
+        payload = json.loads(out)
+        assert (code, len(payload)) == (0, 12)
+        assert all(r["passed"] for r in payload)
+
 
 class TestOneProcessMatchesFresh:
     def test_catalog_and_table_reports(self, capsys):
         # named factors and the classical algebras are cached for the life
-        # of a process; what ran before must not change a report: a failing
-        # cut at another rank_tol, which must not be stored, and factors of
-        # a Table-1 row at the default cut
+        # of a process; what ran before must not change a report: a factor
+        # that fails at another residual_tol, which must not be stored, and
+        # factors of a Table-1 row at the default tolerance
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         argvs = [[cmd, "--seed", str(seed), "--format", "json"]
@@ -430,8 +430,8 @@ class TestOneProcessMatchesFresh:
                  for argv in argvs]
         code, _, err = run(capsys, ["analyze", "--group", "so7", "--subgroup",
                                     "product(h1=g2,h2=zero)",
-                                    "--rank-tol", "0.5"])
-        assert code == 2 and "imaginary part" in err
+                                    "--residual-tol", "1e-20"])
+        assert code == 2 and "does not lie in so(7)" in err
         code, _, _ = run(capsys, ["analyze", "--group", "so16", "--subgroup",
                                   "product(h1=spin9,h2=so15)"])
         assert code == 0
@@ -470,24 +470,6 @@ class TestVerifyTable1:
         payload = json.loads(out)
         assert len(payload) == 12
         assert all(r["passed"] for r in payload)
-
-    def test_rank_cut_too_coarse_for_a_row(self, capsys):
-        # s(u(3)u(1)) is a fixed algebra, exact at every cut; the cut of
-        # the span of the pair is not
-        code, out, err = run(capsys, ["verify-table1", "--row", "sp-su-s_u_u1",
-                                      "--rank-tol", "0.5"])
-        assert (code, out) == (2, "")
-        assert "too coarse for the span of sp(2) and s(u(3)u(1))" in err
-
-    @pytest.mark.parametrize("row", ["so-so-u", "so-so-su", "so-so-sp",
-                                     "spin7-so8", "sp-su-su"])
-    def test_rank_cut_too_coarse_for_a_span(self, capsys, row):
-        # the cut used to drop a genuine singular value 0.54 of the stacked
-        # bases, and a transitive row printed FAIL with exit 1
-        code, out, err = run(capsys, ["verify-table1", "--row", row,
-                                      "--rank-tol", "0.5"])
-        assert (code, out) == (2, "")
-        assert "too coarse for the span" in err
 
     def test_bad_row_is_invalid_input(self, capsys):
         code, _, err = run(capsys, ["verify-table1", "--row", "nope"])

@@ -8,14 +8,11 @@ from polarcheck.errors import InvalidInputError
 from polarcheck import numerics
 from polarcheck.lie_algebras import build_classical
 from polarcheck.numerics import (ToleranceConfig, nullspace, orthonormal_basis,
-                                 outside_norm, rank_and_dropped, rank_cut,
-                                 rank_of, split_span)
+                                 outside_norm, rank_and_dropped, rank_of,
+                                 split_span)
 from polarcheck.octonions import derivation_matrices, octonion_table
 from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
 from polarcheck.subalgebras import Subalgebra
-
-
-TOL = ToleranceConfig()
 
 
 def random_matrix(seed, rows, cols):
@@ -25,17 +22,12 @@ def random_matrix(seed, rows, cols):
 class TestToleranceConfig:
     def test_defaults(self):
         tol = ToleranceConfig()
-        assert tol.rel_rank_tol == 1e-9
+        assert numerics.RANK_TOL == 1e-9
         assert tol.residual_tol == 1e-8
         assert tol.num_samples == 8
         assert tol.seed == 0
 
     @pytest.mark.parametrize("kwargs", [
-        {"rel_rank_tol": 0.0},
-        {"rel_rank_tol": -1e-9},
-        {"rel_rank_tol": 1.0},
-        {"rel_rank_tol": float("inf")},
-        {"rel_rank_tol": float("nan")},
         {"residual_tol": 0.0},
         {"residual_tol": float("inf")},
         {"residual_tol": float("nan")},
@@ -48,37 +40,37 @@ class TestToleranceConfig:
 
 
 class TestRank:
-    def test_identity(self, tol):
-        assert rank_of(np.eye(5), tol) == 5
+    def test_identity(self):
+        assert rank_of(np.eye(5)) == 5
 
-    def test_zero(self, tol):
-        assert rank_of(np.zeros((3, 4)), tol) == 0
-        assert rank_of(np.zeros((0, 4)), tol) == 0
+    def test_zero(self):
+        assert rank_of(np.zeros((3, 4))) == 0
+        assert rank_of(np.zeros((0, 4))) == 0
 
-    def test_dependent_rows(self, tol):
+    def test_dependent_rows(self):
         mat = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 0.0]])
-        assert rank_of(mat, tol) == 2
+        assert rank_of(mat) == 2
 
     def test_cut_is_relative_unless_a_reference_is_given(self):
         sv = np.array([1e-3, 1e-3, 1e-14])
-        assert rank_cut(sv, 1e-9) == 2
-        assert rank_cut(sv, 1e-9, ref=1e7) == 0
-        assert rank_cut(sv, 1e-20) == 3
-        assert rank_cut(np.zeros(3), 1e-9) == 0
-        assert rank_cut(np.zeros(0), 1e-9) == 0
+        assert numerics._cut(sv) == (2, 1e-14)
+        assert numerics._cut(sv, scale=1e7) == (0, 1e-3)
+        assert numerics._cut(sv, scale=1e-6) == (2, 1e-14)
+        assert numerics._cut(np.zeros(3)) == (0, 0.0)
+        assert numerics._cut(np.zeros(0)) == (0, 0.0)
 
     @given(seed=st.integers(0, 10**6), rows=st.integers(1, 8),
            cols=st.integers(1, 8), scale=st.floats(1e-6, 1e6))
     def test_rank_is_scale_invariant(self, seed, rows, cols, scale):
         mat = random_matrix(seed, rows, cols)
-        assert rank_of(mat, TOL) == rank_of(scale * mat, TOL)
+        assert rank_of(mat) == rank_of(scale * mat)
 
     @given(seed=st.integers(0, 10**6), rows=st.integers(1, 6),
            cols=st.integers(1, 6))
     def test_duplicating_rows_keeps_rank(self, seed, rows, cols):
         mat = random_matrix(seed, rows, cols)
         doubled = np.vstack([mat, mat])
-        assert rank_of(mat, TOL) == rank_of(doubled, TOL)
+        assert rank_of(mat) == rank_of(doubled)
 
 
 class TestOrthonormalBasis:
@@ -87,32 +79,32 @@ class TestOrthonormalBasis:
     @settings(deadline=None)
     def test_gram_is_identity(self, seed, rows, d):
         mat = random_matrix(seed, rows, d)
-        onb = orthonormal_basis(mat, TOL)
+        onb = orthonormal_basis(mat)
         assert np.abs(onb @ onb.T - np.eye(onb.shape[0])).max() < 1e-12
-        assert onb.shape[0] == rank_of(mat, TOL)
+        assert onb.shape[0] == rank_of(mat)
         assert outside_norm(mat, onb) < 1e-12 * np.abs(mat).max()
 
     def test_empty_input(self):
-        onb = orthonormal_basis(np.zeros((0, 4)), TOL)
+        onb = orthonormal_basis(np.zeros((0, 4)))
         assert onb.shape == (0, 4)
 
     def test_scale_drops_roundoff_input(self):
         noise = 1e-15 * random_matrix(0, 3, 4)
-        assert orthonormal_basis(noise, TOL).shape[0] == 3
-        assert orthonormal_basis(noise, TOL, scale=1.0).shape[0] == 0
+        assert orthonormal_basis(noise).shape[0] == 3
+        assert orthonormal_basis(noise, scale=1.0).shape[0] == 0
 
     def test_rank_takes_the_same_scale(self):
         noise = 1e-15 * random_matrix(0, 3, 4)
-        assert rank_of(noise, TOL) == 3
-        assert rank_of(noise, TOL, scale=1.0) == 0
-        # the cut is rel_rank_tol * max(largest singular value, scale)
+        assert rank_of(noise) == 3
+        assert rank_of(noise, scale=1.0) == 0
+        # the cut is RANK_TOL * max(largest singular value, scale)
         mat = np.diag([1e-3, 1e-11, 0.0])
-        assert rank_of(mat, TOL) == rank_of(mat, TOL, scale=1e-6) == 2
-        assert rank_of(mat, TOL, scale=1.0) == 1
+        assert rank_of(mat) == rank_of(mat, scale=1e-6) == 2
+        assert rank_of(mat, scale=1.0) == 1
         for rows in range(1, 4):
             mat = random_matrix(rows, rows, 4) * 10.0 ** -rows
-            assert rank_of(mat, TOL, scale=1.0) == orthonormal_basis(
-                mat, TOL, scale=1.0).shape[0]
+            assert rank_of(mat, scale=1.0) == orthonormal_basis(
+                mat, scale=1.0).shape[0]
 
 
 class TestSplitSpan:
@@ -130,21 +122,21 @@ class TestSplitSpan:
         sv[:kept] = np.linspace(2.0, 1.0, kept)
         sv[kept:] = 1e-12
         mat = (u[:, :sv.size] * sv) @ vh[:sv.size]
-        span, rest, dropped = split_span(mat, TOL, scale=1.0)
+        span, rest, dropped = split_span(mat, scale=1.0)
         assert (span.shape[0], rest.shape[0]) == (kept, d - kept)
         both = np.vstack([span, rest])
         assert np.abs(both @ both.T - np.eye(d)).max() < 1e-12
         assert np.abs(mat @ rest.T).max(initial=0.0) < 1e-11
-        onb = orthonormal_basis(mat, TOL, scale=1.0)
+        onb = orthonormal_basis(mat, scale=1.0)
         assert np.abs(span.T @ span - onb.T @ onb).max() < 1e-12
         assert dropped == pytest.approx(1e-12 if kept < sv.size else 0.0)
         # the same cut from singular values alone
-        rank, alone = rank_and_dropped(mat, TOL, scale=1.0)
+        rank, alone = rank_and_dropped(mat, scale=1.0)
         assert rank == kept and abs(alone - dropped) < 1e-15
 
     def test_scale_keeps_roundoff_out_of_the_span(self):
         noise = 1e-15 * random_matrix(0, 3, 4)
-        span, rest, dropped = split_span(noise, TOL, scale=1.0)
+        span, rest, dropped = split_span(noise, scale=1.0)
         assert (span.shape[0], rest.shape[0]) == (0, 4)
         assert dropped == pytest.approx(np.linalg.svd(noise, compute_uv=False)[0])
 
@@ -157,9 +149,9 @@ class TestSplitSpan:
             return svd(mat, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recording)
-        derivation_matrices(octonion_table(), TOL)   # the Leibniz system
+        derivation_matrices(octonion_table())   # the Leibniz system
         for shape in [(9, 4), (4, 4), (3, 7)]:
-            split_span(random_matrix(0, *shape), TOL)
+            split_span(random_matrix(0, *shape))
         assert calls == [((512, 64), False), ((9, 4), False), ((4, 4), False),
                          ((3, 7), True)]
 
@@ -170,15 +162,15 @@ class TestSplitSpan:
         rng = np.random.default_rng(100 * rows + 10 * d + rank)
         mat = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, d))
         _, sv, vh = np.linalg.svd(mat, full_matrices=True)
-        cut = rank_cut(sv, TOL.rel_rank_tol)
-        span, rest, dropped = split_span(mat, TOL)
+        cut = numerics._cut(sv)[0]
+        span, rest, dropped = split_span(mat)
         assert (span.shape, rest.shape) == ((rank, d), (d - rank, d))
         for got, want in [(span, vh[:cut]), (rest, vh[cut:])]:
             gap = got.T @ got - want.T @ want
             assert np.abs(gap).max(initial=0.0) < 1e-12
         assert abs(dropped - (sv[cut] if cut < sv.size else 0.0)) < 1e-12
-        assert rank_and_dropped(mat, TOL)[0] == cut
-        assert abs(rank_and_dropped(mat, TOL)[1] - dropped) < 1e-12
+        assert rank_and_dropped(mat)[0] == cut
+        assert abs(rank_and_dropped(mat)[1] - dropped) < 1e-12
 
 
 class TestComplement:
@@ -188,21 +180,21 @@ class TestComplement:
     @settings(deadline=None)
     def test_dimensions_add_up(self, seed, rows, d):
         mat = random_matrix(seed, rows, d)
-        comp = split_span(mat, TOL)[1]
-        assert rank_of(mat, TOL) + comp.shape[0] == d
+        comp = split_span(mat)[1]
+        assert rank_of(mat) + comp.shape[0] == d
 
     @given(seed=st.integers(0, 10**6), rows=st.integers(1, 6),
            d=st.integers(2, 8))
     @settings(deadline=None)
     def test_complement_is_orthogonal(self, seed, rows, d):
         mat = random_matrix(seed, rows, d)
-        comp = split_span(mat, TOL)[1]
+        comp = split_span(mat)[1]
         if comp.shape[0]:
             assert np.abs(mat @ comp.T).max() < 1e-8 * np.abs(mat).max()
             assert np.abs(comp @ comp.T - np.eye(comp.shape[0])).max() < 1e-12
 
     def test_empty_input_gives_whole_space(self):
-        span, comp, dropped = split_span(np.zeros((0, 3)), TOL)
+        span, comp, dropped = split_span(np.zeros((0, 3)))
         assert (span.shape, comp.shape, dropped) == ((0, 3), (3, 3), 0.0)
 
 
@@ -212,22 +204,22 @@ class TestNullspace:
     @example(seed=0, rows=8, cols=3)   # tall: the thin V is complete
     def test_kernel_property(self, seed, rows, cols):
         mat = random_matrix(seed, rows, cols)
-        ns = nullspace(mat, TOL)
-        assert rank_of(mat, TOL) + ns.shape[0] == cols
+        ns = nullspace(mat)
+        assert rank_of(mat) + ns.shape[0] == cols
         if ns.shape[0]:
             assert np.abs(mat @ ns.T).max() < 1e-9 * max(1.0, np.abs(mat).max())
 
-    def test_empty_matrix(self, tol):
-        assert nullspace(np.zeros((0, 4)), tol).shape == (4, 4)
+    def test_empty_matrix(self):
+        assert nullspace(np.zeros((0, 4))).shape == (4, 4)
 
 
 class TestResiduals:
-    def test_vector_in_span(self, tol):
-        onb = orthonormal_basis(np.array([[1.0, 1.0, 0.0]]), tol)
+    def test_vector_in_span(self):
+        onb = orthonormal_basis(np.array([[1.0, 1.0, 0.0]]))
         assert outside_norm(np.array([[2.0, 2.0, 0.0]]), onb) < 1e-12
 
-    def test_vector_outside_span(self, tol):
-        onb = orthonormal_basis(np.array([[1.0, 0.0, 0.0]]), tol)
+    def test_vector_outside_span(self):
+        onb = orthonormal_basis(np.array([[1.0, 0.0, 0.0]]))
         v = np.array([[5.0, 0.0, 3.0]])
         assert outside_norm(v, onb) == pytest.approx(3.0)
 
@@ -242,11 +234,11 @@ class TestResiduals:
         assert -np.trace(x @ x) == pytest.approx(
             outside_norm(v, empty[:, :0].reshape(0, su3.dim)) ** 2)
 
-    def test_largest_over_a_stack_with_a_form(self, tol):
+    def test_largest_over_a_stack_with_a_form(self):
         # coordinate rows orthonormal in the invariant form give the
         # residual of the matrices in that form
         algebra = build_classical("sp", 2)
-        onb = orthonormal_basis(random_matrix(6, 2, algebra.dim), tol)
+        onb = orthonormal_basis(random_matrix(6, 2, algebra.dim))
         stack = random_matrix(7, 6, algebra.dim).reshape(2, 3, algebra.dim)
         span = algebra.frobenius_matrices(onb).reshape(2, -1)
         expected = 0.0
@@ -263,7 +255,7 @@ class TestResiduals:
         so6 = build_classical("so", 6)
         vecs = np.vstack([resolve_factor("so5", so6, tol).basis,
                           random_matrix(3, 1, so6.dim)])
-        open_span = Subalgebra.closed_span(so6, vecs, tol)
+        open_span = Subalgebra.closed_span(so6, vecs)
         su3 = parse_group("su3")
         # cohomogeneity 2 and 5: one and ten pairs of normal vectors
         actions = [ActionSpec(su3, resolve_subgroup(spec, su3, tol))
