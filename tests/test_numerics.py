@@ -28,6 +28,11 @@ class TestToleranceConfig:
         assert tol.seed == 0
 
     @pytest.mark.parametrize("kwargs", [
+        {"residual_tol": -1e-8},
+        {"residual_tol": -0.0},
+        {"residual_tol": float("-inf")},
+        {"num_samples": -1},
+        {"seed": -10**9},
         {"residual_tol": 0.0},
         {"residual_tol": float("inf")},
         {"residual_tol": float("nan")},
