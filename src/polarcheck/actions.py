@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import InvalidInputError, NonPrincipalPointError
 from .lie_algebras import adjoint_matrix, commutator, pair_commutators
-from .numerics import (ToleranceConfig, orthonormal_basis, rank_and_dropped,
-                       rank_of, split_span)
+from .numerics import (ToleranceConfig, orthonormal_basis, outside_norm,
+                       rank_and_dropped, rank_of, split_span)
 from .subalgebras import Subalgebra
 
 
@@ -137,6 +137,77 @@ def _check_cut(dropped, tol, what):
             f"rank cut drops a singular value {dropped:.3e} above it")
 
 
+def _direct_is_cheaper(cohom, dim_t, ambient_size):
+    """Whether the direct triple path costs fewer flops than the
+    ad-invariance path, for c = cohom, dim_t tangent directions and
+    matrices of side m = ambient_size; ties go to the ad-invariance path.
+
+    A commutator costs 4 m^3 flops and a pairing of two matrices m^2.  With
+    P = c(c-1)/2 pairs X before Y in nu, the ad-invariance path forms c*dim_t
+    brackets [Z,T] and P*c*dim_t pairings; the direct path forms P*c triples
+    [[X,Y],Z] and projects each onto nu, 2c pairings each.
+    """
+    pairs = cohom * (cohom - 1) // 2
+    bracket = 4 * ambient_size ** 3
+    pairing = ambient_size ** 2
+    ad_invariance = cohom * dim_t * (bracket + pairs * pairing)
+    direct = pairs * cohom * (bracket + 2 * cohom * pairing)
+    return direct < ad_invariance
+
+
+def _ad_invariance_triples(x, tangent):
+    """(extra floats per pair, reader): the reader takes a block of flat
+    brackets [X,Y] and returns the largest tangent component of a triple
+    [[X,Y],Z], read off <[[X,Y],Z],T> = <[X,Y],[Z,T]> over the orthonormal
+    tangent matrices T, so no triple is formed."""
+    cohom, dim_t, side = len(x), len(tangent), x.shape[-1]
+    zt = commutator(x[:, None], tangent[None]).reshape(cohom * dim_t,
+                                                       side * side)
+
+    def largest(xy):
+        outside = (xy @ zt.T).reshape(len(xy), cohom, dim_t)
+        return float(np.sqrt(np.einsum('pzt,pzt->pz', outside, outside)
+                             .max(initial=0.0)))
+    return zt.shape[0], largest
+
+
+def _direct_triples(x):
+    """(extra floats per pair, reader): the reader takes a block of flat
+    brackets [X,Y], forms each [[X,Y],Z] and returns the largest component
+    outside nu, which nu + tangent = l makes the tangent component."""
+    cohom, side = len(x), x.shape[-1]
+    nu = x.reshape(cohom, side * side)
+
+    def largest(xy):
+        xyz = commutator(xy.reshape(-1, 1, side, side), x)
+        return outside_norm(xyz.reshape(-1, side * side), nu)
+    return cohom * side * side, largest
+
+
+def _criterion_residuals(algebra, nu, tangent, h_mats, direct):
+    """(residual_triple, residual_orth, residual_abelian) of the coefficient
+    rows nu against h_mats, flat matrices of the conjugated h, with the
+    triple residual taken by the direct path or, from the orthonormal
+    tangent rows, by the ad-invariance path.
+
+    The brackets [X,Y], X before Y in nu, are formed a block at a time and
+    read by both residuals and the triple path.
+    """
+    x = algebra.frobenius_matrices(nu)
+    if direct:
+        extra, triple_of = _direct_triples(x)
+    else:
+        extra, triple_of = _ad_invariance_triples(
+            x, algebra.frobenius_matrices(tangent))
+    triple = orth = abelian = 0.0
+    for xy in pair_commutators(x, extra_floats=extra):
+        triple = max(triple, triple_of(xy))
+        orth = max(orth, float(np.abs(xy @ h_mats.T).max(initial=0.0)))
+        abelian = max(abelian,
+                      float(np.einsum('pk,pk->p', xy, xy).max(initial=0.0)))
+    return triple, orth, float(np.sqrt(abelian))
+
+
 def polarity_check(action, g, tol, max_orbit_dim):
     """Evaluate the polarity criterion at a principal point g.
 
@@ -148,10 +219,19 @@ def polarity_check(action, g, tol, max_orbit_dim):
 
     Residuals are norms of commutators of Frobenius-orthonormal matrices of
     nu, taken in the invariant form (see LieAlgebra.frobenius_matrices).
-    The tangent component of a triple [[X,Y],Z] comes from ad-invariance,
-    <[[X,Y],Z],T> = <[X,Y],[Z,T]> over the orthonormal tangent basis, so no
-    triple is ever formed; the brackets [X,Y], X before Y in nu, are formed
-    a block at a time.
+    residual_triple is the largest tangent component of a triple [[X,Y],Z],
+    taken by one of two exact paths, whichever costs fewer flops for the
+    cohomogeneity c, the tangent dimension and the matrix size (see
+    _direct_is_cheaper):
+
+    - ad-invariance: <[[X,Y],Z],T> = <[X,Y],[Z,T]> over an orthonormal
+      tangent basis, from all c * dim(tangent) brackets [Z,T] at once; it
+      wins when the tangent is small (high cohomogeneity);
+    - direct: form [[X,Y],Z] and take its component outside nu, which is
+      its tangent component because nu + tangent = l; it holds only a
+      block of triples at a time, and wins when nu is small.
+
+    The two agree to roundoff.
     """
     algebra = action.algebra
     vectors, ad_inv = _tangent_vectors(action, g, tol)
@@ -163,25 +243,12 @@ def polarity_check(action, g, tol, max_orbit_dim):
             f"{max_orbit_dim}; the criterion needs a principal point "
             "(raise num_samples / --samples if sampling looks unlucky)")
     cohom, n = nu.shape
-    dim_t = tangent.shape[0]
-    size = algebra.ambient_size ** 2
-    x = algebra.frobenius_matrices(nu)
     conj_h = action.h.basis[:, :n] @ ad_inv.T + action.h.basis[:, n:]
-    h_mats = algebra.frobenius_matrices(conj_h).reshape(len(conj_h), size)
-    zt = commutator(x[:, None], algebra.frobenius_matrices(tangent)[None])
-    zt = zt.reshape(cohom * dim_t, size)                  # [Z, T]
-    triple = residual_orth = abelian = 0.0
-    for xy in pair_commutators(x, extra_floats=cohom * dim_t):
-        # coordinates of the tangent components of [[X,Y],Z]
-        outside = (xy @ zt.T).reshape(len(xy), cohom, dim_t)
-        triple = max(triple, float(np.einsum('pzt,pzt->pz', outside, outside)
-                                   .max(initial=0.0)))
-        residual_orth = max(residual_orth,
-                            float(np.abs(xy @ h_mats.T).max(initial=0.0)))
-        abelian = max(abelian,
-                      float(np.einsum('pk,pk->p', xy, xy).max(initial=0.0)))
-    residual_triple = float(np.sqrt(triple))
-    residual_abelian = float(np.sqrt(abelian))
+    h_mats = algebra.frobenius_matrices(conj_h).reshape(
+        len(conj_h), algebra.ambient_size ** 2)
+    direct = _direct_is_cheaper(cohom, tangent.shape[0], algebra.ambient_size)
+    residual_triple, residual_orth, residual_abelian = _criterion_residuals(
+        algebra, nu, tangent, h_mats, direct)
 
     polar = (residual_triple < tol.residual_tol
              and residual_orth < tol.residual_tol)

@@ -23,6 +23,7 @@ a tall system (512 x 512 for the octonion Leibniz system) is never formed.
 All functions are pure; nothing here owns randomness.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,12 @@ RANK_TOL = 1e-9
 class ToleranceConfig:
     """Numerical policy shared by every verdict-producing routine.
 
-    residual_tol, positive and finite, bounds membership and closure
-    residuals; num_samples controls the principal-point search; seed,
-    >= 0, feeds the single RNG.  The rank cut is RANK_TOL, not a setting.
+    residual_tol, a positive and finite real, bounds membership and closure
+    residuals; num_samples, an integer >= 1, controls the principal-point
+    search; seed, an integer >= 0, feeds the single RNG.  A bool is neither
+    a number nor an integer here.  NumPy scalars are taken and stored as
+    Python float and int, so the fields write to JSON as numbers.  The rank
+    cut is RANK_TOL, not a setting.
     """
 
     residual_tol: float = 1e-8
@@ -47,12 +51,25 @@ class ToleranceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.residual_tol < np.inf:
-            raise InvalidInputError("residual_tol must be positive and finite")
-        if self.num_samples < 1:
-            raise InvalidInputError("num_samples must be >= 1")
-        if self.seed < 0:
-            raise InvalidInputError("seed must be >= 0")
+        if not _is_real(self.residual_tol) or \
+                not 0 < self.residual_tol < np.inf:
+            raise InvalidInputError(
+                "residual_tol must be a positive, finite real number")
+        if not _is_integer(self.num_samples) or self.num_samples < 1:
+            raise InvalidInputError("num_samples must be an integer >= 1")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise InvalidInputError("seed must be an integer >= 0")
+        object.__setattr__(self, "residual_tol", float(self.residual_tol))
+        object.__setattr__(self, "num_samples", int(self.num_samples))
+        object.__setattr__(self, "seed", int(self.seed))
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _cut(sv, scale=None):
@@ -133,8 +150,9 @@ def outside_norm(vectors, onb):
     vectors is any array whose last axis holds coordinates; onb holds
     orthonormal rows, possibly none, in which case this is the largest
     norm.  On coordinates it is a norm in the invariant form.  The stack
-    is taken whole; span_closure_residual hands it one block of
-    commutators at a time.
+    is taken whole, so callers hand it one block at a time:
+    span_closure_residual a block of commutators, the direct triple path
+    of actions.polarity_check a block of triples [[X,Y],Z].
     """
     rest = vectors.reshape(-1, vectors.shape[-1])
     if onb.shape[0]:

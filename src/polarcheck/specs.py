@@ -18,7 +18,7 @@ import re
 from functools import lru_cache, partial
 
 from . import embeddings as emb
-from .errors import InvalidInputError
+from .errors import ClosureError, InvalidInputError
 from .lie_algebras import build_classical, make_automorphism
 from .numerics import ToleranceConfig
 from .spanfile import parse_span_file
@@ -117,7 +117,8 @@ def _named_factor(algebra, name, residual_tol):
     Keyed on exactly what a builder reads: algebra, unique per process
     through build_classical, the lower-cased name and residual_tol.  A
     factor that does not fit raises on every call, since lru_cache stores
-    no exception.
+    no exception.  A ClosureError from a builder's checks is raised again
+    with the factor, the algebra and the residual_tol it failed.
     """
     tol = ToleranceConfig(residual_tol=residual_tol)
     for pattern, builders in FACTORS:
@@ -126,8 +127,15 @@ def _named_factor(algebra, name, residual_tol):
             if algebra.family not in builders:
                 raise InvalidInputError(
                     f"{name} does not embed in {algebra.name}")
-            return builders[algebra.family](
-                algebra, tol, *map(int, match.groups()))
+            try:
+                return builders[algebra.family](
+                    algebra, tol, *map(int, match.groups()))
+            except ClosureError as exc:
+                named = ClosureError(
+                    f"factor {name} of {algebra.name} fails its check at "
+                    f"residual_tol {residual_tol:g}: {exc}")
+                named.residual = exc.residual
+                raise named from exc
     return None
 
 

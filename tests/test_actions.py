@@ -9,11 +9,12 @@ from scipy.linalg import expm
 
 import polarcheck
 
+from polarcheck import actions
 from polarcheck.actions import (ActionSpec, analyze, check_group_membership,
                                 is_transitive, orbit_tangent, polarity_check,
                                 principal_point, sample_group_point,
                                 span_rank)
-from polarcheck.catalog import TABLE1_ROWS
+from polarcheck.catalog import TABLE1_ROWS, catalog_entries
 from polarcheck.embeddings import block_so, cartan_subalgebra, so_in_su
 from polarcheck.errors import InvalidInputError, NonPrincipalPointError
 from polarcheck.lie_algebras import (LieAlgebra, adjoint_matrix,
@@ -232,6 +233,67 @@ class TestSpanFileUnits:
                 report.hyperpolar) == (2, True, True)
 
 
+# Known answers written with delta(sigma=..., on=...), and two products
+CONTROLS = [
+    ("so8", "delta(sigma=triality)", (2, True, True)),
+    ("so8", "delta(sigma=triality,on=so7)", (7, False, False)),
+    ("so8", "delta(on=so7)", (7, False, False)),
+    ("so8", "delta(sigma=outer_so_even,on=so7)", (7, False, False)),
+    ("su3", "delta(on=so3)", (5, False, False)),
+    # circle conjugation on S^3: polar, not hyperpolar
+    ("su2", "delta(on=cartan)", (2, True, False)),
+    ("su3", "product(h1=su2,h2=su2)", (2, False, False)),
+    # the Hopf action on S^3: not polar
+    ("su2", "product(h1=cartan,h2=zero)", (2, False, False)),
+]
+
+# each triple path against brute force: every catalog action, every
+# control, and small shapes of the benchmark actions
+PATH_CASES = list(dict.fromkeys([
+    *((entry.group, entry.spec) for entry in catalog_entries()
+      if entry.kind == "action"),
+    *((group, subgroup) for group, subgroup, _ in CONTROLS),
+    ("so8", "product(h1=so7,h2=u4)"),             # transitive: no nu
+    ("so8", "delta(sigma=id)"),
+    ("su4", "product(h1=su3,h2=su3)"),
+    ("sp2", "delta(sigma=id)"),
+    ("so6", "product(h1=cartan,h2=cartan)"),
+    ("su4", "product(h1=cartan,h2=cartan)"),
+    ("so6", "product(h1=zero,h2=zero)"),          # no tangent
+    ("so6", "product(h1=so5,h2=zero)"),
+]))
+
+
+def conjugated_h(action, g):
+    """Flat matrices of h moved to e: (A, B) becomes g^-1 A g + B."""
+    algebra, h, n = action.algebra, action.h.basis, action.algebra.dim
+    moved = (g.T @ algebra.frobenius_matrices(h[:, :n]) @ g
+             + algebra.frobenius_matrices(h[:, n:]))
+    return moved.reshape(len(h), algebra.ambient_size ** 2)
+
+
+def brute_force_residuals(action, report):
+    """(triple, orth, abelian) over every triple [[X,Y],Z] and every pair of
+    the report's nu, with h conjugated to e at its point."""
+    algebra = action.algebra
+    x = algebra.frobenius_matrices(report.section_basis)
+    size = algebra.ambient_size ** 2
+    nu = x.reshape(len(x), size)
+    xy = commutator(x[:, None], x[None])
+    triples = commutator(xy[:, :, None], x[None, None])   # [[X,Y],Z]
+    pairings = xy.reshape(-1, size) @ conjugated_h(
+        action, report.principal_point).T
+    return (outside_norm(triples.reshape(-1, size), nu),
+            float(np.abs(pairings).max(initial=0.0)),
+            outside_norm(xy.reshape(-1, size), nu[:0]))
+
+
+def analyzed(group, subgroup, tol):
+    algebra = parse_group(group)
+    action = ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
+    return action, analyze(action, tol)
+
+
 class TestCriterionReference:
     """The criterion's residuals against brute force over every triple."""
 
@@ -242,25 +304,43 @@ class TestCriterionReference:
         ("su2", "product(h1=zero,h2=zero)"),      # empty tangent
     ])
     def test_residuals_match_brute_force(self, group, subgroup, tol):
-        algebra = parse_group(group)
-        action = ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
-        report = analyze(action, tol)
-        x = algebra.frobenius_matrices(report.section_basis)
-        size = x[0].size
-        nu = x.reshape(len(x), size)
-        xy = commutator(x[:, None], x[None])
-        triples = commutator(xy[:, :, None], x[None, None])   # [[X,Y],Z]
-        assert report.residual_triple == pytest.approx(
-            outside_norm(triples.reshape(-1, size), nu), abs=1e-12)
-        assert report.residual_abelian == pytest.approx(
-            outside_norm(xy.reshape(-1, size), nu[:0]), abs=1e-12)
-        # h moved to e: (Ad(g^-1) A, B) pairs with [X,Y] as Ad(g^-1) A + B
-        g, h, n = report.principal_point, action.h.basis, algebra.dim
-        moved = (g.T @ algebra.frobenius_matrices(h[:, :n]) @ g
-                 + algebra.frobenius_matrices(h[:, n:]))
-        pairings = xy.reshape(-1, size) @ moved.reshape(len(h), size).T
-        assert report.residual_orth == pytest.approx(
-            np.abs(pairings).max(initial=0.0), abs=1e-12)
+        action, report = analyzed(group, subgroup, tol)
+        assert [report.residual_triple, report.residual_orth,
+                report.residual_abelian] == pytest.approx(
+            brute_force_residuals(action, report), abs=1e-12)
+
+    @pytest.mark.parametrize("direct", [False, True],
+                             ids=["ad_invariance", "direct"])
+    @pytest.mark.parametrize("group,subgroup", PATH_CASES)
+    def test_each_path_matches_brute_force(self, group, subgroup, direct,
+                                           tol):
+        action, report = analyzed(group, subgroup, tol)
+        g = report.principal_point
+        residuals = actions._criterion_residuals(
+            action.algebra, report.section_basis,
+            orbit_tangent(action, g, tol), conjugated_h(action, g), direct)
+        assert list(residuals) == pytest.approx(
+            brute_force_residuals(action, report), abs=1e-12)
+
+    @pytest.mark.parametrize("group,subgroup,direct", [
+        ("so20", "delta(sigma=id)", True),
+        ("so16", "delta(sigma=id)", True),
+        ("su12", "product(h1=su11,h2=su11)", True),
+        ("so20", "product(h1=so19,h2=zero)", True),
+        ("so14", "product(h1=cartan,h2=cartan)", False),
+        ("so12", "product(h1=zero,h2=zero)", False),
+        ("so6", "product(h1=zero,h2=zero)", False),
+    ])
+    def test_the_flop_rule_picks(self, group, subgroup, direct, tol):
+        action, report = analyzed(group, subgroup, tol)
+        algebra, cohom = action.algebra, report.cohomogeneity
+        assert actions._direct_is_cheaper(
+            cohom, algebra.dim - cohom, algebra.ambient_size) == direct
+
+    def test_ties_go_to_ad_invariance(self):
+        # no nu, or no tangent and no pair: neither path forms anything
+        assert not actions._direct_is_cheaper(0, 190, 20)
+        assert not actions._direct_is_cheaper(1, 0, 20)
 
 
 def seeded_verdict(group, subgroup, seed):
@@ -308,23 +388,27 @@ class TestHermannVerdicts:
         assert seeded_verdict(group, subgroup, seed) == verdict
 
 
-class TestControlVerdicts:
-    """Known answers written with delta(sigma=..., on=...), pinned at five
-    seeds; they wait outside the catalog, since a catalog id that the
-    benchmark does not pin counts there as a failed operation."""
+class TestDirectPathVerdicts:
+    """Actions larger than any in the catalog on which the flop rule takes
+    the direct triple path (see TestCriterionReference), pinned at five
+    seeds."""
 
     @pytest.mark.parametrize("group,subgroup,verdict", [
-        ("so8", "delta(sigma=triality)", (2, True, True)),
-        ("so8", "delta(sigma=triality,on=so7)", (7, False, False)),
-        ("so8", "delta(on=so7)", (7, False, False)),
-        ("so8", "delta(sigma=outer_so_even,on=so7)", (7, False, False)),
-        ("su3", "delta(on=so3)", (5, False, False)),
-        # circle conjugation on S^3: polar, not hyperpolar
-        ("su2", "delta(on=cartan)", (2, True, False)),
-        ("su3", "product(h1=su2,h2=su2)", (2, False, False)),
-        # the Hopf action on S^3: not polar
-        ("su2", "product(h1=cartan,h2=zero)", (2, False, False)),
+        ("so16", "delta(sigma=id)", (8, True, True)),
+        ("su12", "product(h1=su11,h2=su11)", (2, False, False)),
+        ("so20", "product(h1=so19,h2=zero)", (19, False, False)),
     ])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_pinned_verdict(self, group, subgroup, verdict, seed):
+        assert seeded_verdict(group, subgroup, seed) == verdict
+
+
+class TestControlVerdicts:
+    """The CONTROLS, pinned at five seeds; they wait outside the catalog,
+    since a catalog id that the benchmark does not pin counts there as a
+    failed operation."""
+
+    @pytest.mark.parametrize("group,subgroup,verdict", CONTROLS)
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_pinned_verdict(self, group, subgroup, verdict, seed):
         assert seeded_verdict(group, subgroup, seed) == verdict

@@ -432,6 +432,7 @@ class TestOneProcessMatchesFresh:
                                     "product(h1=g2,h2=zero)",
                                     "--residual-tol", "1e-20"])
         assert code == 2 and "does not lie in so(7)" in err
+        assert "factor g2 of so(7)" in err and "residual_tol 1e-20" in err
         code, _, _ = run(capsys, ["analyze", "--group", "so16", "--subgroup",
                                   "product(h1=spin9,h2=so15)"])
         assert code == 0

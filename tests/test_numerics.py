@@ -38,10 +38,23 @@ class TestToleranceConfig:
         {"residual_tol": float("nan")},
         {"num_samples": 0},
         {"seed": -1},
+        {"seed": True},
+        {"num_samples": True},
+        {"num_samples": 2.5},
+        {"seed": 1.5},
+        {"residual_tol": "1e-8"},
+        {"residual_tol": True},
+        {"seed": np.float64(2.0)},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidInputError):
             ToleranceConfig(**kwargs)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        tol = ToleranceConfig(residual_tol=np.float32(0.5),
+                              num_samples=np.int32(3), seed=np.uint8(7))
+        assert (tol.residual_tol, tol.num_samples, tol.seed) == (0.5, 3, 7)
+        assert [type(v) for v in vars(tol).values()] == [float, int, int]
 
 
 class TestRank:

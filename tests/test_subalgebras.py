@@ -335,6 +335,18 @@ class TestFactorCache:
                                    match="does not lie in so.7."):
                     resolve_factor("g2", so7, fine)
 
+    @pytest.mark.parametrize("group,factor", [("so7", "g2"),
+                                              ("so8", "spin7")])
+    def test_a_failing_check_names_its_factor(self, group, factor):
+        algebra = parse_group(group)
+        with pytest.raises(ClosureError) as err:
+            resolve_factor(factor, algebra,
+                           ToleranceConfig(residual_tol=1e-20))
+        assert str(err.value).startswith(
+            f"factor {factor} of {algebra.name} fails its check at "
+            "residual_tol 1e-20: matrix does not lie in")
+        assert 0 < err.value.residual < 1e-14
+
     def test_span_file_is_read_on_every_call(self, tmp_path, tol):
         # a span file is never cached: a rewritten file gives its new
         # subspace, and its closure check runs again
