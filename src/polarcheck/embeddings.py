@@ -1,6 +1,7 @@
 """Concrete subalgebra embeddings: symmetric subalgebras, corners, complex
-structures, octonion derivations (the 14-dimensional algebra inside so(7)),
-and spin images built from real gamma matrices.
+structures, and the exceptional factors, all from the octonions: g2 is the
+fixed algebra of triality, and spin(7) and spin(9) are spanned by the
+bivectors of gamma matrices made of octonion left multiplications.
 
 Every symmetric factor is the fixed algebra of involutions Ad(s) (see
 fixed_subalgebra); the other builders lay out matrices, realified as in
@@ -14,48 +15,37 @@ loudly.
 import numpy as np
 
 from .errors import InvalidInputError
-from .lie_algebras import (_u_basis_complex, adjoint_matrix, classical_basis,
-                           conjugation_matrix, realify_complex, so_basis)
+from .lie_algebras import (_u_basis_complex, adjoint_matrix, build_classical,
+                           classical_basis, conjugation_matrix,
+                           realify_complex, so_basis, triality_matrix)
 from .numerics import split_span
-from .octonions import (derivation_matrices, octonion_table, quaternion_table,
-                        restrict_to_imaginary)
+from .octonions import left_multiplications, quaternion_table
 from .subalgebras import Subalgebra
 
-# 2x2 building blocks for Kronecker constructions
+# the complex structure of C = R^2, as a 2x2 block
 _EPS = np.array([[0.0, -1.0], [1.0, 0.0]])
-_SIG = np.array([[0.0, 1.0], [1.0, 0.0]])
-_TAU = np.array([[1.0, 0.0], [0.0, -1.0]])
-_ID2 = np.eye(2)
-
-
-def _kron3(a, b, c):
-    return np.kron(a, np.kron(b, c))
 
 
 def gamma_matrices(n):
-    """Real gamma matrices for n in {7, 9}.
+    """Real gamma matrices for n in {7, 9}, from the octonion left
+    multiplications L_c (octonions.left_multiplications).
 
-    n=7: seven skew 8x8 matrices with g_i g_j + g_j g_i = -2 delta_ij.
-    n=9: nine symmetric 16x16 matrices with anticommutator +2 delta_ij
-    (a 16-dimensional real representation with negative squares does not
-    exist for nine generators, so the sign flips; the spanned spin algebra
-    lands in so(16) either way).
+    n=7: L_1..L_7, seven skew 8x8 matrices with g_i g_j + g_j g_i =
+    -2 delta_ij.
+    n=9: [[0, L_c^T], [L_c, 0]] for c = 0..7 and diag(I, -I), nine
+    symmetric 16x16 matrices with anticommutator +2 delta_ij (a
+    16-dimensional real representation with negative squares does not exist
+    for nine generators, so the sign flips; the spanned spin algebra lands
+    in so(16) either way).
+    All entries are 0 and +-1, so both relations hold exactly.
     """
+    left = left_multiplications()
     if n == 7:
-        return [
-            _kron3(_EPS, _EPS, _EPS),
-            _kron3(_ID2, _SIG, _EPS),
-            _kron3(_ID2, _TAU, _EPS),
-            _kron3(_SIG, _EPS, _ID2),
-            _kron3(_TAU, _EPS, _ID2),
-            _kron3(_EPS, _ID2, _SIG),
-            _kron3(_EPS, _ID2, _TAU),
-        ]
+        return list(left[1:])
     if n == 9:
-        sevens = gamma_matrices(7)
-        nine = [np.kron(_EPS, g) for g in sevens]
-        nine.append(np.kron(_SIG, np.eye(8)))
-        nine.append(np.kron(_TAU, np.eye(8)))
+        zero, eye = np.zeros((8, 8)), np.eye(8)
+        nine = [np.block([[zero, lc.T], [lc, zero]]) for lc in left]
+        nine.append(np.block([[eye, zero], [zero, -eye]]))
         return nine
     raise InvalidInputError("gamma matrices only provided for n in {7, 9}")
 
@@ -171,15 +161,22 @@ def sp_in_so(ambient, tol, m, right_units=0):
 
 
 def g2_in_so7(ambient, tol):
-    """Derivations of the octonions, restricted to the imaginary part.
+    """g2 = Der(O), the fixed algebra of triality on so(8), on the
+    imaginary octonions.
 
-    Derived on every call; specs.resolve_factor, its only caller, builds it
-    once per process for each residual_tol.
+    triality_matrix - I has singular values 0 and sqrt(3) alone, so one
+    split_span gives the fixed rows with nothing in between.  Derivations
+    annihilate the unit e_0, so the unit row and column of the fixed
+    matrices are roundoff (about 1e-16) and the 7x7 imaginary block is
+    kept.  Built on every call; specs.resolve_factor, its only caller,
+    builds it once per process for each residual_tol.
     """
     if ambient.family != "so" or ambient.n != 7:
         raise InvalidInputError(f"g2 does not embed in {ambient.name}")
-    ders = restrict_to_imaginary(derivation_matrices(octonion_table()))
-    return Subalgebra.from_matrices(ambient, ders, tol, name="g2")
+    so8 = build_classical("so", 8)
+    moved = triality_matrix(so8, tol.residual_tol) - np.eye(so8.dim)
+    fixed = so8.frobenius_matrices(split_span(moved)[1])
+    return Subalgebra.from_matrices(ambient, fixed[:, 1:, 1:], tol, name="g2")
 
 
 def cartan_subalgebra(ambient, tol):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ClosureError, DimensionMismatchError, InvalidInputError
 from .numerics import orthonormal_basis, outside_norm, row_blocks
-from .octonions import octonion_table
+from .octonions import left_multiplications, octonion_table
 
 # ---------------------------------------------------------------------------
 # realification conventions
@@ -395,9 +395,9 @@ def triality_matrix(algebra, member_tol):
     so B -> C fixes Der (its fixed algebra, g2) and sends L_u -> R_u and
     R_u -> -(L_u + R_u): one solve, and no rank cut.
     """
-    table = octonion_table()
-    left = table[1:].transpose(0, 2, 1)      # L_c[a, b] = table[c, b, a]
-    right = table[:, 1:].transpose(1, 2, 0)  # R_c[a, b] = table[b, c, a]
+    left = left_multiplications()[1:]
+    # R_c[a, b] = table[b, c, a]: R_c sends e_b to e_b e_c
+    right = octonion_table()[:, 1:].transpose(1, 2, 0)
     moved = algebra.coords_of(np.concatenate([left, right]), member_tol)
     image = np.vstack([moved[7:], -(moved[:7] + moved[7:])])
     return np.eye(algebra.dim) + (image - moved).T @ np.linalg.solve(

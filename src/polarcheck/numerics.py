@@ -18,7 +18,8 @@ invariant form.
 Row spaces and complements come from the right singular vectors alone.
 LAPACK is asked for the full, square V only when the matrix has fewer rows
 than columns: otherwise the thin V is already complete, and the full U of
-a tall system (512 x 512 for the octonion Leibniz system) is never formed.
+a tall matrix (Ad(s) - I on the rows fixed so far, in
+embeddings.fixed_subalgebra) is never formed.
 
 All functions are pure; nothing here owns randomness.
 """
@@ -128,11 +129,6 @@ def split_span(matrix, scale=None):
     _, sv, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     rank, dropped = _cut(sv, scale)
     return vh[:rank], vh[rank:], dropped
-
-
-def nullspace(matrix):
-    """Orthonormal basis (rows) of the kernel of a real matrix."""
-    return split_span(matrix)[1]
 
 
 _BLOCK_BYTES = 2 ** 22  # size of each temporary in a blocked walk

@@ -1,8 +1,13 @@
-"""Cayley-Dickson algebras and derivation algebras of bilinear products.
+"""Cayley-Dickson algebras, and the octonion left multiplications.
 
 Multiplication tables are stored as tensors T with e_i e_j = sum_k T[i,j,k] e_k,
 with e_0 the unit and the remaining basis elements imaginary (so conjugation
 is diag(1, -1, ..., -1) at every doubling stage).
+
+The octonions are the one source of the exceptional factors: their left
+multiplications are the gamma matrices of spin(7) and spin(9), and with the
+right multiplications they give the triality of so(8), whose fixed algebra
+is g2 = Der(O) (see embeddings and lie_algebras.triality_matrix).
 """
 
 from functools import lru_cache
@@ -10,7 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import nullspace
 
 
 def cayley_dickson_double(table):
@@ -57,28 +61,12 @@ def octonion_table():
     return _read_only(cayley_dickson_double(quaternion_table()))
 
 
-def derivation_matrices(table):
-    """Basis of {D : D(xy) = D(x)y + x D(y)} as a (k, m, m) array.
+def left_multiplications():
+    """The octonion left multiplications L_c, c = 0..7, as an (8, 8, 8)
+    read-only view of octonion_table(): L_c[a, b] = table[c, b, a], so L_c
+    sends e_b to e_c e_b.
 
-    Computed as the nullspace of the linear Leibniz constraint system; an
-    empty result is legal (e.g. the complex numbers).
+    L_0 is the identity and L_1..L_7 are skew with L_c L_d + L_d L_c =
+    -2 delta_cd, exactly, since the octonions are alternative and normed.
     """
-    table = np.asarray(table, dtype=float)
-    if table.ndim != 3 or len(set(table.shape)) != 1:
-        raise InvalidInputError("multiplication table must be an (m,m,m) tensor")
-    m = table.shape[0]
-    eye = np.eye(m)
-    # coefficient of D[p, q] in the (i, j, l) Leibniz constraint
-    a1 = np.einsum('ijq,lp->ijlpq', table, eye)
-    a2 = np.einsum('pjl,qi->ijlpq', table, eye)
-    a3 = np.einsum('ipl,qj->ijlpq', table, eye)
-    system = (a1 - a2 - a3).reshape(m ** 3, m ** 2)
-    kernel = nullspace(system)
-    return kernel.reshape(-1, m, m)
-
-
-def restrict_to_imaginary(derivations):
-    """Drop the unit coordinate: derivations annihilate e_0 and fix its span,
-    so their unit row and column are zero up to roundoff (the tests check
-    that they stay below 1e-12 for the octonions)."""
-    return np.asarray(derivations, dtype=float)[:, 1:, 1:]
+    return octonion_table().transpose(0, 2, 1)

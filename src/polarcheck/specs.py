@@ -68,17 +68,32 @@ def _split_args(body):
     return args
 
 
-def _span(args, algebra, tol, name):
-    """Subalgebra spanned by the matrices of a span file."""
+def _failed_check(exc, what, residual_tol):
+    """The ClosureError exc, its message led by what failed and the
+    residual_tol it failed at, and its residual kept."""
+    named = ClosureError(
+        f"{what} fails its check at residual_tol {residual_tol:g}: {exc}")
+    named.residual = exc.residual
+    return named
+
+
+def _span(args, algebra, tol):
+    """Subalgebra spanned by the matrices of a span file, named
+    span(file=<path>), which leads every failed check's message."""
     if set(args) != {"file"}:
         raise InvalidInputError("span takes exactly file=...")
+    name = f"span(file={args['file']})"
     size, mats = parse_span_file(args["file"])
     if size != algebra.ambient_size:
         raise InvalidInputError(
             f"span file ambient size {size} does not match "
             f"{algebra.name} (size {algebra.ambient_size})")
-    vecs = algebra.coords_of(mats, member_tol=tol.residual_tol)
-    return Subalgebra.from_vectors(algebra, vecs, tol, name=name)
+    try:
+        vecs = algebra.coords_of(mats, member_tol=tol.residual_tol)
+        return Subalgebra.from_vectors(algebra, vecs, tol, name=name)
+    except ClosureError as exc:
+        raise _failed_check(exc, f"{name} in {algebra.name}",
+                            tol.residual_tol) from exc
 
 
 _FAMILIES = ("su", "so", "sp", "u")
@@ -131,11 +146,8 @@ def _named_factor(algebra, name, residual_tol):
                 return builders[algebra.family](
                     algebra, tol, *map(int, match.groups()))
             except ClosureError as exc:
-                named = ClosureError(
-                    f"factor {name} of {algebra.name} fails its check at "
-                    f"residual_tol {residual_tol:g}: {exc}")
-                named.residual = exc.residual
-                raise named from exc
+                raise _failed_check(exc, f"factor {name} of {algebra.name}",
+                                    residual_tol) from exc
     return None
 
 
@@ -150,7 +162,7 @@ def resolve_factor(spec, algebra, tol):
     spec = spec.strip()
     call = _CALL_RE.match(spec)
     if call and call.group(1) == "span":
-        return _span(_split_args(call.group(2)), algebra, tol, name=spec)
+        return _span(_split_args(call.group(2)), algebra, tol)
     factor = _named_factor(algebra, spec.lower(), tol.residual_tol)
     if factor is None:
         raise InvalidInputError(
@@ -181,5 +193,5 @@ def resolve_subgroup(spec, algebra, tol):
         return product(resolve_factor(args["h1"], algebra, tol),
                        resolve_factor(args["h2"], algebra, tol))
     if head == "span":
-        return _span(args, algebra.double(), tol, name="span(file)")
+        return _span(args, algebra.double(), tol)
     raise InvalidInputError(f"unknown subgroup constructor {head!r}")

@@ -59,9 +59,8 @@ class Subalgebra:
         sub = cls(parent, orthonormal_basis(vectors), name=name)
         residual = sub.closure_residual()
         if residual > tol.residual_tol:
-            raise ClosureError(
-                f"span {name or '<anonymous>'} is not bracket-closed",
-                residual=residual)
+            raise ClosureError("the span is not bracket-closed",
+                               residual=residual)
         return sub
 
     @classmethod

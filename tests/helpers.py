@@ -36,6 +36,14 @@ def gamma_anticommutation_residual(gammas):
     return worst
 
 
+def leibniz_residual(derivation, table):
+    """Max violation of D(xy) = D(x)y + x D(y) over basis pairs."""
+    lhs = np.einsum('ijq,pq->ijp', table, derivation)
+    rhs = np.einsum('pi,pjl->ijl', derivation, table) + \
+        np.einsum('pj,ipl->ijl', derivation, table)
+    return float(np.abs(lhs - rhs).max())
+
+
 def gram_residual(sub):
     """Largest deviation of a subalgebra's basis from orthonormality."""
     gram = sub.basis @ sub.basis.T

@@ -388,6 +388,27 @@ class TestHermannVerdicts:
         assert seeded_verdict(group, subgroup, seed) == verdict
 
 
+class TestOctonionFactorVerdicts:
+    """Non-transitive actions of g2, spin(7) and spin(9), the factors built
+    from the octonions, pinned at five seeds; the Table-1 rows pin only
+    transitive ones."""
+
+    @pytest.mark.parametrize("group,subgroup,verdict", [
+        ("so8", "product(h1=spin7,h2=zero)", (7, False, False)),
+        ("so8", "product(h1=spin7,h2=spin7)", (1, True, True)),
+        ("so8", "product(h1=spin7,h2=cartan)", (3, False, False)),
+        ("so8", "delta(on=spin7)", (7, False, False)),
+        ("so8", "delta(sigma=triality,on=spin7)", (7, False, False)),
+        ("so7", "product(h1=g2,h2=zero)", (7, False, False)),
+        ("so7", "product(h1=g2,h2=g2)", (1, True, True)),
+        ("so7", "delta(on=g2)", (7, False, False)),
+        ("so16", "product(h1=spin9,h2=spin9)", (48, False, False)),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_pinned_verdict(self, group, subgroup, verdict, seed):
+        assert seeded_verdict(group, subgroup, seed) == verdict
+
+
 class TestDirectPathVerdicts:
     """Actions larger than any in the catalog on which the flop rule takes
     the direct triple path (see TestCriterionReference), pinned at five

@@ -11,7 +11,7 @@ import pytest
 from polarcheck import cli, specs
 from polarcheck.actions import PolarityReport
 from polarcheck.catalog import SuiteSummary, Table1Result, catalog_entries
-from polarcheck.errors import InvalidInputError
+from polarcheck.errors import ClosureError, InvalidInputError
 from polarcheck.numerics import ToleranceConfig
 from polarcheck.specs import parse_group, resolve_factor
 
@@ -314,6 +314,53 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert "does not lie in su(2)(+)su(2)" in err
 
+def _so3_generator(i, j, size):
+    """E_ij - E_ji of size x size."""
+    mat = np.zeros((size, size))
+    mat[i, j], mat[j, i] = 1.0, -1.0
+    return mat
+
+
+# (subgroup spec with {path}, matrices of the file, what fails, residual):
+# a factor of so(3) and a span in so(3)(+)so(3), each not bracket-closed
+# and not in the algebra
+SPAN_FILE_FAILURES = [
+    ("product(h1=span(file={path}),h2=zero)",
+     [_so3_generator(0, 1, 3), _so3_generator(0, 2, 3)],
+     "in so(3) fails its check at residual_tol 1e-08: "
+     "the span is not bracket-closed", 0.5 ** 0.5),
+    ("product(h1=span(file={path}),h2=zero)", [np.eye(3)],
+     "in so(3) fails its check at residual_tol 1e-08: "
+     "matrix does not lie in so(3)", 1.0),
+    ("span(file={path})",
+     [_so3_generator(0, 1, 6) + _so3_generator(3, 4, 6),
+      _so3_generator(0, 2, 6) + _so3_generator(3, 5, 6)],
+     "in so(3)(+)so(3) fails its check at residual_tol 1e-08: "
+     "the span is not bracket-closed", 0.5),
+    ("span(file={path})", [_so3_generator(0, 4, 6)],
+     "in so(3)(+)so(3) fails its check at residual_tol 1e-08: "
+     "matrix does not lie in so(3)(+)so(3)", 1.0),
+]
+
+
+@pytest.mark.parametrize("subgroup,mats,failure,residual", SPAN_FILE_FAILURES,
+                         ids=["factor-closure", "factor-membership",
+                              "subgroup-closure", "subgroup-membership"])
+def test_a_span_file_failure_names_the_file(capsys, tmp_path, subgroup, mats,
+                                            failure, residual):
+    path = tmp_path / "span.txt"
+    path.write_text(f"{len(mats[0])}\n" + "\n".join(
+        " ".join(f"{x:g}" for x in mat.ravel()) for mat in mats) + "\n")
+    spec = subgroup.format(path=path)
+    code, out, err = run(capsys, ["analyze", "--group", "so3",
+                                  "--subgroup", spec])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: span(file={path}) {failure} (residual ")
+    with pytest.raises(ClosureError) as exc:
+        specs.resolve_subgroup(spec, parse_group("so3"), ToleranceConfig())
+    assert exc.value.residual == pytest.approx(residual)
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--group", "su3", "--subgroup", "delta(sigma=id)"],
     ["catalog-run"], ["verify-table1"]])
@@ -431,8 +478,8 @@ class TestOneProcessMatchesFresh:
         code, _, err = run(capsys, ["analyze", "--group", "so7", "--subgroup",
                                     "product(h1=g2,h2=zero)",
                                     "--residual-tol", "1e-20"])
-        assert code == 2 and "does not lie in so(7)" in err
-        assert "factor g2 of so(7)" in err and "residual_tol 1e-20" in err
+        assert code == 2 and err.startswith("error: factor g2 of so(7) ")
+        assert "residual_tol 1e-20" in err
         code, _, _ = run(capsys, ["analyze", "--group", "so16", "--subgroup",
                                   "product(h1=spin9,h2=so15)"])
         assert code == 0

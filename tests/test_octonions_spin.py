@@ -5,24 +5,31 @@ from polarcheck import embeddings
 from polarcheck.catalog import run_known_answer_suite, verify_table1
 from polarcheck.embeddings import g2_in_so7, gamma_matrices, spin_subalgebra
 from polarcheck.errors import InvalidInputError
-from polarcheck.lie_algebras import build_classical
-from polarcheck.numerics import ToleranceConfig, outside_norm
+from polarcheck.lie_algebras import (build_classical, make_automorphism,
+                                     triality_matrix)
+from polarcheck.numerics import ToleranceConfig, outside_norm, split_span
 from polarcheck.octonions import (cayley_dickson_double, complex_table,
-                                  derivation_matrices, octonion_table,
-                                  quaternion_table, real_table,
-                                  restrict_to_imaginary)
+                                  left_multiplications, octonion_table,
+                                  quaternion_table, real_table)
 
-from helpers import gamma_anticommutation_residual
+from helpers import gamma_anticommutation_residual, leibniz_residual
 from polarcheck.specs import resolve_factor
-from polarcheck.subalgebras import Subalgebra
 
 
-def leibniz_residual(derivation, table):
-    """Max violation of D(xy) = D(x)y + x D(y) over basis pairs."""
-    lhs = np.einsum('ijq,pq->ijp', table, derivation)
-    rhs = np.einsum('pi,pjl->ijl', derivation, table) + \
-        np.einsum('pj,ipl->ijl', derivation, table)
-    return float(np.abs(lhs - rhs).max())
+def triality_fixed_matrices(tol):
+    """The 8x8 matrices of so(8) that triality fixes, on orthonormal rows."""
+    aut = make_automorphism(build_classical("so", 8), "triality", tol)
+    fixed = split_span(aut.matrix - np.eye(aut.algebra.dim))[1]
+    return aut.algebra.frobenius_matrices(fixed)
+
+
+def padded_g2_matrices(tol):
+    """The 7x7 matrices of g2 in so(7), padded with a zero unit border."""
+    so7 = build_classical("so", 7)
+    imag = so7.frobenius_matrices(g2_in_so7(so7, tol).basis)
+    padded = np.zeros((len(imag), 8, 8))
+    padded[:, 1:, 1:] = imag
+    return padded
 
 
 class TestCayleyDickson:
@@ -67,43 +74,34 @@ class TestCayleyDickson:
 
 
 class TestDerivations:
-    @pytest.mark.parametrize("table_fn,expected", [
-        (complex_table, 0),
-        (quaternion_table, 3),
-        (octonion_table, 14),
-    ])
-    def test_derivation_algebra_dimension(self, table_fn, expected):
-        table = table_fn()
-        ders = derivation_matrices(table)
-        assert len(ders) == expected
+    def test_derivation_algebra_dimension(self, tol):
+        # padded with the unit border, g2 is Der(O), of dimension 14
+        ders = padded_g2_matrices(tol)
+        assert len(ders) == 14
         for d in ders:
-            assert leibniz_residual(d, table) < 1e-10
+            assert leibniz_residual(d, octonion_table()) < 1e-12
 
-    def test_derivations_close_under_commutator(self):
+    def test_derivations_close_under_commutator(self, tol):
         # independent oracle: the commutator of derivations is a derivation,
         # and it stays inside the computed span
         table = octonion_table()
-        ders = derivation_matrices(table)
+        ders = padded_g2_matrices(tol)
         flat = ders.reshape(len(ders), -1)
         for a in ders[:4]:
             for b in ders[:4]:
                 comm = a @ b - b @ a
-                assert leibniz_residual(comm, table) < 1e-9
+                assert leibniz_residual(comm, table) < 1e-12
                 coeffs, res, *_ = np.linalg.lstsq(flat.T, comm.ravel(),
                                                   rcond=None)
                 recon = (flat.T @ coeffs).reshape(comm.shape)
-                assert np.abs(comm - recon).max() < 1e-9
+                assert np.abs(comm - recon).max() < 1e-12
 
-    def test_restrict_to_imaginary(self):
-        ders = derivation_matrices(octonion_table())
-        # derivations kill the unit: what restrict_to_imaginary drops, the
-        # unit row and column, is roundoff
-        assert np.abs(ders[:, 0, :]).max() < 1e-12
-        assert np.abs(ders[:, :, 0]).max() < 1e-12
-        imag = restrict_to_imaginary(ders)
-        assert imag.shape == (14, 7, 7)
-        # derivations of a normed algebra are skew on the imaginary part
-        assert np.abs(imag + imag.transpose(0, 2, 1)).max() < 1e-10
+    def test_restrict_to_imaginary(self, tol):
+        # derivations kill the unit: what g2_in_so7 drops from the
+        # triality-fixed matrices, the unit row and column, is roundoff
+        fixed = triality_fixed_matrices(tol)
+        assert np.abs(fixed[:, 0, :]).max() < 1e-12
+        assert np.abs(fixed[:, :, 0]).max() < 1e-12
 
 
 class TestGammaMatrices:
@@ -159,28 +157,26 @@ class TestG2:
         assert g2.closure_residual() < 1e-10
 
     def test_g2_matches_octonion_derivations(self, tol):
-        # the embedding must reproduce the derivation algebra exactly
+        # g2 spans the imaginary blocks of the derivations triality fixes
         so7 = build_classical("so", 7)
-        g2 = g2_in_so7(so7, tol)
-        imag = restrict_to_imaginary(derivation_matrices(octonion_table()))
-        other = Subalgebra.from_matrices(so7, list(imag), tol)
-        assert other.dim == 14
-        assert outside_norm(other.basis, g2.basis) < 1e-9
+        imag = triality_fixed_matrices(tol)[:, 1:, 1:]
+        coords = so7.coords_of(imag, tol.residual_tol)
+        assert outside_norm(coords, g2_in_so7(so7, tol).basis) < 1e-12
 
 
 class TestG2Cache:
-    def test_derived_once_per_rank_tol(self, monkeypatch):
+    def test_derived_once_per_residual_tol(self, monkeypatch):
         # g2 is one entry of the factor cache: the seed, the catalog entry
-        # and the Table-1 row that share a residual_tol share one
-        # derivation, and another residual_tol derives anew; the rank cut
-        # is fixed, so no other setting can split the cache
+        # and the Table-1 row that share a residual_tol share one triality
+        # solve, and another residual_tol solves anew; the rank cut is
+        # fixed, so no other setting can split the cache
         calls = []
 
-        def counting(table):
-            calls.append(table.shape)
-            return derivation_matrices(table)
+        def counting(algebra, member_tol):
+            calls.append(algebra.name)
+            return triality_matrix(algebra, member_tol)
 
-        monkeypatch.setattr(embeddings, "derivation_matrices", counting)
+        monkeypatch.setattr(embeddings, "triality_matrix", counting)
         so7 = build_classical("so", 7)
         g2_rows = ["g2-so7-so6", "g2-so7-so5so2", "g2-so7-so5"]
         for seed in range(3):
@@ -194,14 +190,16 @@ class TestG2Cache:
         assert resolve_factor("g2", so7, ToleranceConfig(residual_tol=1e-9)).dim == 14
         assert resolve_factor("g2", so7, ToleranceConfig(residual_tol=1e-9,
                                                          seed=5)).dim == 14
-        assert calls == [(8, 8, 8)] * 2
+        assert calls == ["so(8)"] * 2
 
 
 @pytest.mark.parametrize("table", [
     real_table, complex_table, quaternion_table, octonion_table,
+    left_multiplications,
     lambda: resolve_factor("g2", build_classical("so", 7),
                            ToleranceConfig()).basis,
-], ids=["real", "complex", "quaternion", "octonion", "g2"])
+], ids=["real", "complex", "quaternion", "octonion", "left_multiplications",
+        "g2"])
 def test_cached_tables_are_read_only(table):
     # every caller shares the cached array, so a write must not go through
     array = table()

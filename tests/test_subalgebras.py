@@ -332,7 +332,7 @@ class TestFactorCache:
                 assert resolve_factor("g2", so7, tol).dim == 14
             for _ in range(2):
                 with pytest.raises(ClosureError,
-                                   match="does not lie in so.7."):
+                                   match=r"^factor g2 of so\(7\) "):
                     resolve_factor("g2", so7, fine)
 
     @pytest.mark.parametrize("group,factor", [("so7", "g2"),
