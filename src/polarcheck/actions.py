@@ -9,6 +9,7 @@ generated algebra nu + [nu, nu] is orthogonal to the (conjugated) h, and
 the action is hyperpolar exactly when nu is abelian.
 """
 
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,8 +55,25 @@ def _expm_skew(z):
     return ((v * np.exp(-1j * w)) @ v.conj().T).real
 
 
+class PointSampler(random.Random):
+    """The stdlib Mersenne Twister with numpy's standard_normal(size).
+
+    Python's random.Random gives the same stream for an integer seed on
+    every supported Python, and drawing from it leaves numpy.random, with
+    its compiled modules, unimported.
+    """
+
+    def standard_normal(self, size):
+        # mu and sigma are explicit: Python 3.10 has no defaults for them
+        return np.array([self.gauss(0.0, 1.0) for _ in range(size)])
+
+
 def sample_group_point(algebra, rng):
-    """exp(Z1) exp(Z2) for two independent Gaussian coefficient draws."""
+    """exp(Z1) exp(Z2) for two independent Gaussian coefficient draws.
+
+    rng is anything with numpy's standard_normal(size), such as a
+    PointSampler or a numpy Generator.
+    """
     z1 = rng.standard_normal(algebra.dim)
     z2 = rng.standard_normal(algebra.dim)
     return _expm_skew(algebra.matrix_of(z1)) @ _expm_skew(algebra.matrix_of(z2))
@@ -112,10 +130,13 @@ def principal_point(action, tol):
     dimension exceeds min(dim h, dim l).  Drawing stops at the first sample
     that reaches this ceiling, which no later sample could beat, so the
     dimension and the point are what all tol.num_samples draws would give.
+
+    The points come from one PointSampler seeded with tol.seed, so a seed
+    gives the same points in every process and on every supported Python.
     """
     algebra = action.algebra
     ceiling = min(action.h.dim, algebra.dim)
-    rng = np.random.default_rng(tol.seed)
+    rng = PointSampler(tol.seed)
     best, point = -1, None
     for drawn in range(1, tol.num_samples + 1):
         g = sample_group_point(algebra, rng)
@@ -174,14 +195,18 @@ def _ad_invariance_triples(x, tangent):
 def _direct_triples(x):
     """(extra floats per pair, reader): the reader takes a block of flat
     brackets [X,Y], forms each [[X,Y],Z] and returns the largest component
-    outside nu, which nu + tangent = l makes the tangent component."""
+    outside nu, which nu + tangent = l makes the tangent component.
+
+    A pair's c triples are held three times over at the peak: commutator
+    holds a@b, b@a and their difference, and outside_norm the triples, their
+    projection onto nu and the rest."""
     cohom, side = len(x), x.shape[-1]
     nu = x.reshape(cohom, side * side)
 
     def largest(xy):
         xyz = commutator(xy.reshape(-1, 1, side, side), x)
         return outside_norm(xyz.reshape(-1, side * side), nu)
-    return cohom * side * side, largest
+    return 3 * cohom * side * side, largest
 
 
 def _criterion_residuals(algebra, nu, tangent, h_mats, direct):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,9 +10,10 @@ from scipy.linalg import expm
 
 import polarcheck
 
-from polarcheck import actions
-from polarcheck.actions import (ActionSpec, analyze, check_group_membership,
-                                is_transitive, orbit_tangent, polarity_check,
+from polarcheck import actions, numerics
+from polarcheck.actions import (ActionSpec, PointSampler, analyze,
+                                check_group_membership, is_transitive,
+                                orbit_tangent, polarity_check,
                                 principal_point, sample_group_point,
                                 span_rank)
 from polarcheck.catalog import TABLE1_ROWS, catalog_entries
@@ -424,6 +426,37 @@ class TestDirectPathVerdicts:
         assert seeded_verdict(group, subgroup, seed) == verdict
 
 
+class TestDirectPathBlocks:
+    """A block of the direct triple path holds each pair's c triples three
+    times over at its peak (see actions._direct_triples), so the walk of
+    _criterion_residuals stays near one _BLOCK_BYTES; with one stack
+    counted it peaked near three."""
+
+    @pytest.mark.parametrize("group", ["so16", "so20"])
+    def test_walk_peak_stays_near_one_block(self, group, monkeypatch, tol):
+        block = 2 ** 18
+        monkeypatch.setattr(numerics, "_BLOCK_BYTES", block)
+        walk, peaks = actions._criterion_residuals, []
+
+        def traced(algebra, nu, tangent, h_mats, direct):
+            assert direct
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            residuals = walk(algebra, nu, tangent, h_mats, direct)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return residuals
+
+        monkeypatch.setattr(actions, "_criterion_residuals", traced)
+        action = conjugation_action("so", int(group[2:]), tol)
+        tracemalloc.start()
+        try:
+            report = analyze(action, tol)
+        finally:
+            tracemalloc.stop()
+        assert report.hyperpolar
+        assert peaks[0] < 1.5 * block
+
+
 class TestControlVerdicts:
     """The CONTROLS, pinned at five seeds; they wait outside the catalog,
     since a catalog id that the benchmark does not pin counts there as a
@@ -480,7 +513,7 @@ class TestPrincipalPointReference:
         tol = ToleranceConfig(seed=seed)
         algebra = parse_group(group)
         action = ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
-        rng = np.random.default_rng(seed)
+        rng = PointSampler(seed)
         best, point = -1, None
         for _ in range(tol.num_samples):
             g = sample_group_point(algebra, rng)
@@ -618,6 +651,23 @@ class TestSampling:
             g = sample_group_point(algebra, rng)
             check_group_membership(algebra, g, tol)
 
+    def test_principal_point_is_seeded(self, tol):
+        algebra = build_classical("su", 3)
+        action = ActionSpec(algebra, product(cartan_subalgebra(algebra, tol),
+                                             zero_subalgebra(algebra)))
+        first, again, other = (principal_point(action, ToleranceConfig(seed=s))
+                               for s in (0, 0, 1))
+        assert first[0] == again[0] and first[2] == again[2]
+        assert np.array_equal(first[1], again[1])
+        assert not np.allclose(first[1], other[1])
+
+    def test_the_stream_is_pinned(self):
+        # random.Random's stream for an integer seed does not change
+        # between Python versions, and neither may the sampled points
+        assert np.allclose(PointSampler(0).standard_normal(3),
+                           [0.9417154046806644, -1.3965781047011498,
+                            -0.6797144480784211], rtol=1e-14, atol=0)
+
     def test_sampling_is_seeded(self):
         algebra = build_classical("su", 2)
         g1 = sample_group_point(algebra, np.random.default_rng(5))
@@ -648,4 +698,17 @@ def test_import_leaves_scipy_out():
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, polarcheck, polarcheck.cli; "
             "sys.exit('scipy' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_verdicts_leave_numpy_random_out():
+    src = os.path.dirname(os.path.dirname(polarcheck.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import contextlib, io, sys\n"
+            "from polarcheck.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['analyze', '--group', 'su3', '--subgroup',\n"
+            "                 'delta(sigma=id)', '--format', 'json']) == 0\n"
+            "    assert main(['catalog-run']) == 0\n"
+            "sys.exit('numpy.random' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
