@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import InvalidInputError, NonPrincipalPointError
 from .lie_algebras import adjoint_matrix, commutator, pair_commutators
-from .numerics import (ToleranceConfig, orthonormal_basis, outside_norm,
-                       rank_and_dropped, rank_of, split_span)
+from .numerics import (ToleranceConfig, outside_norm, rank_and_dropped,
+                       split_span)
 from .subalgebras import Subalgebra
 
 
@@ -113,7 +113,7 @@ def _tangent_vectors(action, g, tol):
 def orbit_tangent(action, g, tol):
     """Orthonormal basis of the orbit tangent space at g, moved to e."""
     vectors, _ = _tangent_vectors(action, g, tol)
-    return orthonormal_basis(vectors, scale=1.0)
+    return split_span(vectors, scale=1.0)[0]
 
 
 def principal_point(action, tol):
@@ -141,7 +141,7 @@ def principal_point(action, tol):
     for drawn in range(1, tol.num_samples + 1):
         g = sample_group_point(algebra, rng)
         vectors, _ = _tangent_vectors(action, g, tol)
-        dim = rank_of(vectors, scale=1.0)
+        dim = rank_and_dropped(vectors, scale=1.0)[0]
         if dim > best:
             best, point = dim, g
         if best == ceiling:

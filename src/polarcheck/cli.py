@@ -8,14 +8,15 @@ Subcommands:
     verify-table1  check one transitive-pair table row
 
 Exit codes: 0 = success / expectations met, 1 = a verification failed,
-2 = invalid input (bad spec, bad span file, non-principal point, a
---residual-tol finer than a singular value that the rank cut drops from
-the span of two factors or an orbit tangent, an unknown catalog entry, a
-group or --param too large for memory). Every setting is a flag, and the
-seed defaults to 0; the rank cut is no setting (numerics.RANK_TOL). A JSON
-report is its result dataclass (PolarityReport plus "config", SuiteSummary
-plus "tolerances", a list of Table1Result), rendered field by field, so
-with a fixed seed and configuration it is byte-stable.
+2 = invalid input (bad spec, a group that is not simple, bad span file,
+non-principal point, a --residual-tol finer than a singular value that the
+rank cut drops from the span of two factors or an orbit tangent, an unknown
+catalog entry, a group or --param too large for memory). Every setting is
+a flag, and the seed defaults to 0; the rank cut is no setting
+(numerics.RANK_TOL). A JSON report is its result dataclass (PolarityReport
+plus "config", SuiteSummary plus "tolerances", a list of Table1Result),
+rendered field by field, so with a fixed seed and configuration it is
+byte-stable.
 """
 
 import argparse
@@ -168,7 +169,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="analyze one action")
-    p.add_argument("--group", required=True, help="e.g. su3, so8, sp2")
+    p.add_argument("--group", required=True,
+                   help="a simple group: su<n>, so3, so<n> (n >= 5) or sp<n>")
     p.add_argument("--subgroup", required=True,
                    help="delta(sigma=...,on=...), product(h1=...,h2=...), "
                         "span(file=...)")

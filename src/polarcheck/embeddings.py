@@ -22,9 +22,6 @@ from .numerics import split_span
 from .octonions import left_multiplications, quaternion_table
 from .subalgebras import Subalgebra
 
-# the complex structure of C = R^2, as a 2x2 block
-_EPS = np.array([[0.0, -1.0], [1.0, 0.0]])
-
 
 def gamma_matrices(n):
     """Real gamma matrices for n in {7, 9}, from the octonion left
@@ -137,8 +134,10 @@ def sp_in_su(ambient, tol, m):
     Ad(J o conj) of the quaternionic structure, J = [[0, -I], [I, 0]]."""
     if ambient.family != "su" or ambient.n != 2 * m:
         raise InvalidInputError(f"sp({m}) does not embed in {ambient.name}")
-    j = realify_complex(np.kron(_EPS, np.eye(m))) @ conjugation_matrix(2 * m)
-    return fixed_subalgebra(ambient, tol, [j], f"sp({m})")
+    zero, eye = np.zeros((m, m)), np.eye(m)
+    j = realify_complex(np.block([[zero, -eye], [eye, zero]]))
+    return fixed_subalgebra(ambient, tol, [j @ conjugation_matrix(2 * m)],
+                            f"sp({m})")
 
 
 def sp_in_so(ambient, tol, m, right_units=0):

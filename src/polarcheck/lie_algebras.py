@@ -13,8 +13,10 @@ The invariant inner product is fixed as <X, Y> = -tr(XY) on the realified
 defining representation.  On a simple algebra a biinvariant metric is
 unique up to a positive constant, and that constant changes no normal
 space, section or bracket, so polarity cannot depend on it and no other
-scale is offered.  On skew matrices -tr(XY) is the Frobenius product, so
-in coordinates the form is the identity.
+scale is offered.  Every group the command line acts on is simple:
+specs.parse_group rejects so(2), so(4) and u(n), which build_classical
+builds only as ambients of factors.  On skew matrices -tr(XY) is the
+Frobenius product, so in coordinates the form is the identity.
 
 The direct sum l(+)l (LieAlgebra.double) holds only l and no basis of its
 own: its coordinates are pairs of l's, its Frobenius matrices are pairs of
@@ -28,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ClosureError, DimensionMismatchError, InvalidInputError
-from .numerics import orthonormal_basis, outside_norm, row_blocks
+from .numerics import outside_norm, row_blocks, split_span
 from .octonions import left_multiplications, octonion_table
 
 # ---------------------------------------------------------------------------
@@ -128,15 +130,6 @@ class LieAlgebra:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def closed_span(cls, name, basis, family=None, n=None):
-        """Algebra on independent skew matrices whose span is known
-        bracket-closed, orthonormalized by one QR."""
-        basis = np.asarray(basis, dtype=float)
-        dim, size = basis.shape[0], basis.shape[1]
-        onb = np.linalg.qr(basis.reshape(dim, size * size).T)[0].T
-        return cls(name, onb.reshape(dim, size, size), family=family, n=n)
-
-    @classmethod
     def from_basis(cls, name, basis, family=None, n=None):
         """Algebra on caller-given skew matrices, checking their span.
 
@@ -156,7 +149,7 @@ class LieAlgebra:
         if asym > _CONSTRUCT_TOL * max(1.0, np.abs(basis).max(initial=0.0)):
             raise InvalidInputError(
                 f"{name}: basis matrices are not skew (residual {asym:.3e})")
-        onb = orthonormal_basis(basis.reshape(dim, s * s))
+        onb = split_span(basis.reshape(dim, s * s))[0]
         if len(onb) < dim:
             raise InvalidInputError(f"{name}: basis matrices are dependent")
         onb = onb.reshape(dim, s, s)
@@ -334,13 +327,16 @@ def classical_basis(family, n):
 @lru_cache(maxsize=None)
 def build_classical(family, n):
     """Standard compact algebra su/so/sp/u(n) in its realified defining rep,
-    on an orthonormalized classical_basis.
+    on classical_basis orthonormalized by one QR.
 
-    Its span is closed by construction, so closure is not checked here.
+    Its matrices are independent and their span is closed by construction,
+    so neither is checked here.
     """
-    return LieAlgebra.closed_span(f"{family}({n})",
-                                  classical_basis(family, n),
-                                  family=family, n=n)
+    basis = classical_basis(family, n)
+    dim, size = basis.shape[0], basis.shape[1]
+    onb = np.linalg.qr(basis.reshape(dim, size * size).T)[0].T
+    return LieAlgebra(f"{family}({n})", onb.reshape(dim, size, size),
+                      family=family, n=n)
 
 
 # ---------------------------------------------------------------------------

@@ -84,18 +84,14 @@ def _cut(sv, scale=None):
     return rank, float(sv[rank]) if rank < sv.size else 0.0
 
 
-def rank_of(vectors, scale=None):
-    """Number of singular values the cut keeps.
-
-    scale has the meaning it has in orthonormal_basis, and the cut is the
-    same, so this is the row count of orthonormal_basis(vectors,
-    scale=scale) without computing any singular vectors.
-    """
-    return rank_and_dropped(vectors, scale)[0]
-
-
 def rank_and_dropped(vectors, scale=None):
-    """rank_of, and the largest singular value its cut drops (0.0 if none)."""
+    """Number of singular values the cut keeps, and the largest one it
+    drops (0.0 if none).
+
+    scale has the meaning it has in split_span, and the cut is the same, so
+    the rank is the row count of split_span(vectors, scale)[0], read off
+    singular values alone.
+    """
     mat = np.atleast_2d(np.asarray(vectors, dtype=float))
     if mat.size == 0:
         return 0, 0.0
@@ -104,21 +100,15 @@ def rank_and_dropped(vectors, scale=None):
     return _cut(np.linalg.svd(mat, compute_uv=False), scale)
 
 
-def orthonormal_basis(vectors, scale=None):
-    """Orthonormal basis of the span, as a (r, d) array of rows.
+def split_span(matrix, scale=None):
+    """Orthonormal bases (rows) of the row space of a real matrix and of its
+    orthogonal complement, from one SVD, and the largest singular value the
+    cut drops (0.0 if it drops none).
 
     When the caller knows the natural magnitude of genuine input vectors
     (e.g. differences of unit vectors), passing it as `scale` makes the
     cutoff absolute with respect to that magnitude, so an all-roundoff input
     yields rank zero instead of being renormalized into a full-rank matrix.
-    """
-    return split_span(vectors, scale)[0]
-
-
-def split_span(matrix, scale=None):
-    """Orthonormal bases (rows) of the row space of a real matrix and of its
-    orthogonal complement, from one SVD and cut as orthonormal_basis cuts,
-    and the largest singular value the cut drops (0.0 if it drops none).
 
     Only V is read, never U.  A matrix with at least as many rows as
     columns has as many singular values as columns, so the thin V is

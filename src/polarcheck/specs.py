@@ -1,7 +1,7 @@
 """Parsing of group names and the subgroup mini-language.
 
-Groups are named family+n, e.g. 'su3', 'so8', 'sp2'.  Subgroups of L x L
-are written as:
+Groups are the simple classical ones, named family+n, e.g. 'su3', 'so8',
+'sp2'.  Subgroups of L x L are written as:
 
     delta(sigma=id|outer_su|outer_so_even|triality, on=<factor>)
     product(h1=<factor>, h2=<factor>)
@@ -30,12 +30,22 @@ _CALL_RE = re.compile(r"^([a-z_0-9]+)\((.*)\)$", re.S)
 
 
 def parse_group(name):
-    """Resolve a group name like 'su3' to its Lie algebra."""
+    """Resolve the name of a simple group like 'su3' to its Lie algebra.
+
+    so2 (abelian), so4 (su2(+)su2) and u<n> (u1(+)su(n)) are not simple:
+    on them -tr(XY) is one biinvariant metric among many, so they are
+    rejected here, and build_classical builds them only as ambients.
+    """
     m = _GROUP_RE.match(name.strip().lower())
     if not m:
         raise InvalidInputError(
             f"cannot parse group {name!r} (expected e.g. su3, so8, sp2)")
-    return build_classical(m.group(1), int(m.group(2)))
+    family, n = m.group(1), int(m.group(2))
+    if family == "u" or (family == "so" and n in (2, 4)):
+        raise InvalidInputError(
+            f"group {name!r} is not simple (expected su(n>=2), so(3), "
+            "so(n>=5) or sp(n>=1))")
+    return build_classical(family, n)
 
 
 def _split_args(body):
@@ -96,7 +106,7 @@ def _span(args, algebra, tol):
                             tol.residual_tol) from exc
 
 
-_FAMILIES = ("su", "so", "sp", "u")
+_FAMILIES = ("su", "so", "sp")
 
 # Factors of l by name: (pattern, {family of l: builder}).  Every builder
 # is called as builder(l, tol, *integers in the name), and the embeddings

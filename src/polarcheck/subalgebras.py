@@ -9,7 +9,7 @@ program: closure_residual projects the commutators of the basis onto the
 span (span_closure_residual, which LieAlgebra.from_basis calls on
 caller-given matrices too).  from_vectors runs it for span files, whose
 matrices have passed the membership check of coords_of.  The built-in
-embeddings (from_matrices: the membership check, then closed_span, which
+embeddings (from_matrices: the membership check, then the rank cut, which
 checks nothing), full_subalgebra, product (of closed factors) and
 diagonal_sigma (the graph of an automorphism on a closed factor) are closed
 by construction, and the rank cut keeps every vector that a built-in
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ClosureError, DimensionMismatchError, InvalidInputError
 from .lie_algebras import span_closure_residual
-from .numerics import orthonormal_basis
+from .numerics import split_span
 
 
 class Subalgebra:
@@ -49,14 +49,9 @@ class Subalgebra:
         self.name = name
 
     @classmethod
-    def closed_span(cls, parent, vectors, name=""):
-        """Orthonormalize coefficient vectors of a closed span."""
-        return cls(parent, orthonormal_basis(vectors), name=name)
-
-    @classmethod
     def from_vectors(cls, parent, vectors, tol, name=""):
         """Orthonormalize coefficient vectors and verify bracket closure."""
-        sub = cls(parent, orthonormal_basis(vectors), name=name)
+        sub = cls(parent, split_span(vectors)[0], name=name)
         residual = sub.closure_residual()
         if residual > tol.residual_tol:
             raise ClosureError("the span is not bracket-closed",
@@ -65,10 +60,11 @@ class Subalgebra:
 
     @classmethod
     def from_matrices(cls, parent, matrices, tol, name=""):
-        """closed_span of the ambient matrices of a built-in embedding,
-        which must lie in the parent algebra."""
+        """Orthonormalized span of the ambient matrices of a built-in
+        embedding, which must lie in the parent algebra; closure is not
+        checked."""
         vecs = parent.coords_of(matrices, member_tol=tol.residual_tol)
-        return cls.closed_span(parent, vecs, name=name)
+        return cls(parent, split_span(vecs)[0], name=name)
 
     def closure_residual(self):
         """Largest norm of a basis commutator's component outside the span,

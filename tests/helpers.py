@@ -6,6 +6,20 @@ from polarcheck.errors import DimensionMismatchError
 from polarcheck.lie_algebras import adjoint_matrix, commutator
 from polarcheck.subalgebras import Subalgebra
 
+# Known answers written with delta(sigma=..., on=...), and two products
+CONTROLS = [
+    ("so8", "delta(sigma=triality)", (2, True, True)),
+    ("so8", "delta(sigma=triality,on=so7)", (7, False, False)),
+    ("so8", "delta(on=so7)", (7, False, False)),
+    ("so8", "delta(sigma=outer_so_even,on=so7)", (7, False, False)),
+    ("su3", "delta(on=so3)", (5, False, False)),
+    # circle conjugation on S^3: polar, not hyperpolar
+    ("su2", "delta(on=cartan)", (2, True, False)),
+    ("su3", "product(h1=su2,h2=su2)", (2, False, False)),
+    # the Hopf action on S^3: not polar
+    ("su2", "product(h1=cartan,h2=zero)", (2, False, False)),
+]
+
 
 def killing_proportionality(algebra):
     """Least-squares fit B = -c * form; returns (c, relative residual).
@@ -68,3 +82,21 @@ def conjugated_pair_subalgebra(h, algebra, a, b, tol):
     ad_b = adjoint_matrix(algebra, b, member_tol=tol.residual_tol)
     vecs = np.hstack([left @ ad_a.T, right @ ad_b.T])
     return Subalgebra.from_vectors(h.parent, vecs, tol, name=f"Ad({h.name})")
+
+
+def swapped_halves(h, tol):
+    """(h2, h1) of h = (h1, h2) in l(+)l: its action is that of h moved by
+    the isometry g -> g^-1 of L."""
+    n = h.parent.dim // 2
+    vecs = np.hstack([h.basis[:, n:], h.basis[:, :n]])
+    return Subalgebra.from_vectors(h.parent, vecs, tol, name=f"swap({h.name})")
+
+
+def twisted_halves(h, sigma, tol):
+    """Image of h in l(+)l under (sigma, sigma), sigma an Automorphism of l:
+    its action is that of h moved by the isometry sigma of L.  The rows
+    [left Sigma^T, right Sigma^T] stay orthonormal."""
+    n = sigma.algebra.dim
+    vecs = (h.basis.reshape(-1, 2, n) @ sigma.matrix.T).reshape(-1, 2 * n)
+    return Subalgebra.from_vectors(h.parent, vecs, tol,
+                                   name=f"{sigma.kind}({h.name})")

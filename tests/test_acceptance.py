@@ -8,11 +8,13 @@ from polarcheck.actions import ActionSpec, analyze, sample_group_point
 from polarcheck.catalog import (TABLE1_ROWS, catalog_entries, evaluate_entry,
                                 get_entry, verify_table1)
 from polarcheck.embeddings import g2_in_so7, spin_subalgebra
-from polarcheck.lie_algebras import build_classical
+from polarcheck.lie_algebras import build_classical, make_automorphism
 from polarcheck.numerics import ToleranceConfig
+from polarcheck.specs import parse_group, resolve_subgroup
 from polarcheck.subalgebras import full_subalgebra
 
-from helpers import conjugated_pair_subalgebra, killing_proportionality
+from helpers import (CONTROLS, conjugated_pair_subalgebra,
+                     killing_proportionality, swapped_halves, twisted_halves)
 
 TOL = ToleranceConfig()
 
@@ -96,32 +98,51 @@ def test_diagonal_so7_obstruction():
            "(21 < 28 - 2)", ok)
 
 
+def outer_twists(algebra):
+    """The outer twists make_automorphism builds on algebra."""
+    if algebra.family == "su":
+        return ["outer_su"]
+    if algebra.family == "so" and algebra.n % 2 == 0:
+        return ["outer_so_even"] + (["triality"] if algebra.n == 8 else [])
+    return []
+
+
 def test_invariance_suite():
-    actions = [e for e in catalog_entries() if e.kind == "action"]
+    # every catalog action and every control, each moved by isometries of
+    # L: (Ad(a), Ad(b)), the swap of the halves of h (g -> g^-1) and one
+    # outer twist on both halves; and analyzed at other seeds
+    actions = [e.builder(TOL) for e in catalog_entries() if e.kind == "action"]
+    for group, subgroup, _ in CONTROLS:
+        algebra = parse_group(group)
+        actions.append(
+            ActionSpec(algebra, resolve_subgroup(subgroup, algebra, TOL)))
     flips = 0
-    for entry in actions:
-        base_action = entry.builder(TOL)
+    for base_action in actions:
         base = analyze(base_action, TOL)
         verdict = (base.cohomogeneity, base.polar, base.hyperpolar)
 
-        algebra = base_action.algebra
+        algebra, h = base_action.algebra, base_action.h
         rng = np.random.default_rng(2024)
+        moved = []
         for _ in range(10):
             a = sample_group_point(algebra, rng)
             b = sample_group_point(algebra, rng)
-            moved = conjugated_pair_subalgebra(base_action.h, algebra, a, b,
-                                               TOL)
-            rep = analyze(ActionSpec(algebra, moved), TOL)
-            flips += (rep.cohomogeneity, rep.polar,
-                      rep.hyperpolar) != verdict
+            moved.append(
+                (conjugated_pair_subalgebra(h, algebra, a, b, TOL), TOL))
+        moved += [(h, ToleranceConfig(seed=seed)) for seed in range(1, 6)]
+        moved.append((swapped_halves(h, TOL), TOL))
+        for twist in outer_twists(algebra):
+            twisted = twisted_halves(
+                h, make_automorphism(algebra, twist, TOL), TOL)
+            moved += [(twisted, ToleranceConfig(seed=seed))
+                      for seed in range(3)]
 
-        for seed in range(1, 6):
-            tol = ToleranceConfig(seed=seed)
-            rep = analyze(base_action, tol)
+        for moved_h, tol in moved:
+            rep = analyze(ActionSpec(algebra, moved_h), tol)
             flips += (rep.cohomogeneity, rep.polar,
                       rep.hyperpolar) != verdict
-    report(f"invariance: 0 verdict flips over conjugations and seeds "
-           f"(got {flips})", flips == 0)
+    report(f"invariance: 0 verdict flips over conjugations, seeds, swaps "
+           f"and outer twists (got {flips})", flips == 0)
 
 
 def test_algebra_health_and_implication():

@@ -28,7 +28,7 @@ from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
 from polarcheck.subalgebras import (Subalgebra, diagonal_sigma,
                                     full_subalgebra, product, zero_subalgebra)
 
-from helpers import conjugated_pair_subalgebra
+from helpers import CONTROLS, conjugated_pair_subalgebra
 
 
 def conjugation_action(family, n, tol):
@@ -234,20 +234,6 @@ class TestSpanFileUnits:
         assert (report.cohomogeneity, report.polar,
                 report.hyperpolar) == (2, True, True)
 
-
-# Known answers written with delta(sigma=..., on=...), and two products
-CONTROLS = [
-    ("so8", "delta(sigma=triality)", (2, True, True)),
-    ("so8", "delta(sigma=triality,on=so7)", (7, False, False)),
-    ("so8", "delta(on=so7)", (7, False, False)),
-    ("so8", "delta(sigma=outer_so_even,on=so7)", (7, False, False)),
-    ("su3", "delta(on=so3)", (5, False, False)),
-    # circle conjugation on S^3: polar, not hyperpolar
-    ("su2", "delta(on=cartan)", (2, True, False)),
-    ("su3", "product(h1=su2,h2=su2)", (2, False, False)),
-    # the Hopf action on S^3: not polar
-    ("su2", "product(h1=cartan,h2=zero)", (2, False, False)),
-]
 
 # each triple path against brute force: every catalog action, every
 # control, and small shapes of the benchmark actions

@@ -149,11 +149,28 @@ class TestAnalyze:
         assert code == 0 and payload["hyperpolar"]
         assert payload["cohomogeneity"] == rank
 
+    @pytest.mark.parametrize("group,simple", [
+        ("so2", False), ("so4", False), ("u1", False), ("u3", False),
+        ("so3", True), ("so5", True), ("su2", True), ("sp1", True)])
+    def test_only_simple_groups_are_acted_on(self, capsys, group, simple):
+        # so2 is abelian, so4 is su2(+)su2 and u<n> is u1(+)su(n): on them
+        # -tr(XY) is one biinvariant metric among many
+        code, out, err = run(capsys, ["analyze", "--group", group, "--subgroup",
+                                      "delta(sigma=id)", "--format", "json"])
+        if simple:
+            assert code == 0 and json.loads(out)["polar"]
+            assert parse_group(group).name == f"{group[:-1]}({group[-1]})"
+        else:
+            assert (code, out) == (2, "")
+            assert "not simple" in err
+            with pytest.raises(InvalidInputError, match="not simple"):
+                parse_group(group)
+
     @pytest.mark.parametrize("group,factor", [
         ("su4", "sp1"), ("su4", "u2"), ("so8", "su3"), ("so7", "u3"),
         ("so6", "sp1"), ("su3", "spin7"), ("su3", "so2"), ("so8", "g2"),
         ("sp3", "sp2"), ("so8", "so9"), ("so8", "so3so6"), ("su4", "su5"),
-        ("u3", "cartan"), ("so8", "xyz")])
+        ("so8", "xyz")])
     def test_factor_that_does_not_fit(self, capsys, group, factor, tol):
         with pytest.raises(InvalidInputError):
             resolve_factor(factor, parse_group(group), tol)
@@ -255,9 +272,11 @@ class TestAnalyze:
         "0 inf -inf 0",   # the membership residual would be nan
     ])
     def test_non_finite_span_file(self, capsys, tmp_path, entries):
+        # the 2x2 entries in the top-left corner of a 3x3 matrix
+        a, b, c, d = entries.split()
         path = tmp_path / "span.txt"
-        path.write_text(f"2\n{entries}\n")
-        code, out, err = run(capsys, ["analyze", "--group", "so2", "--subgroup",
+        path.write_text(f"3\n{a} {b} 0 {c} {d} 0 0 0 0\n")
+        code, out, err = run(capsys, ["analyze", "--group", "so3", "--subgroup",
                                       f"product(h1=span(file={path}),h2=zero)"])
         assert (code, out) == (2, "")
         assert "non-finite entry" in err

@@ -16,8 +16,7 @@ from polarcheck.lie_algebras import (LieAlgebra, _u_basis_complex,
                                      make_automorphism, realify_complex,
                                      so_basis, span_closure_residual)
 from polarcheck.octonions import quaternion_table
-from polarcheck.numerics import (ToleranceConfig, orthonormal_basis,
-                                 outside_norm)
+from polarcheck.numerics import ToleranceConfig, outside_norm, split_span
 from polarcheck.specs import (FACTORS, parse_group, resolve_factor,
                               resolve_subgroup)
 from polarcheck.subalgebras import (Subalgebra, diagonal_sigma,
@@ -70,7 +69,7 @@ class TestConstruction:
             with pytest.raises(DimensionMismatchError, match="length 6"):
                 Subalgebra.from_vectors(so4, rows, tol)
             with pytest.raises(DimensionMismatchError, match="length 6"):
-                Subalgebra.closed_span(so4, rows)
+                Subalgebra(so4, split_span(rows)[0])
 
 
 class TestDiagonalAndProduct:
@@ -128,8 +127,8 @@ BUILTIN_FACTORS = [
     ("su2", "cartan"), ("su8", "cartan"), ("so2", "cartan"),
     ("so12", "cartan"), ("sp1", "cartan"), ("sp4", "cartan"),
     # full_subalgebra and zero_subalgebra
-    ("su3", "full"), ("so5", "full"), ("sp2", "full"), ("u3", "full"),
-    ("su3", "zero"), ("so5", "zero"), ("sp2", "zero"), ("u3", "zero"),
+    ("su3", "full"), ("so5", "full"), ("sp2", "full"),
+    ("su3", "zero"), ("so5", "zero"), ("sp2", "zero"),
 ]
 
 
@@ -137,10 +136,22 @@ _DIM = {"so": lambda k: k * (k - 1) // 2, "su": lambda k: k * k - 1,
         "u": lambda k: k * k, "sp": lambda k: k * (2 * k + 1)}
 
 
+def split_name(group):
+    """('so', 4) of a name like 'so4'."""
+    family, n = re.fullmatch(r"([a-z]+)(\d+)", group).groups()
+    return family, int(n)
+
+
+def classical(group):
+    """The algebra of a group name, built with build_classical, since the
+    builder cases include so2 and so4, which parse_group rejects as not
+    simple, but in which factors still embed."""
+    return build_classical(*split_name(group))
+
+
 def factor_dimension(group, factor):
     """The dimension of a BUILTIN_FACTORS case, worked out from its name."""
-    family, n = re.fullmatch(r"([a-z]+)(\d+)", group).groups()
-    n = int(n)
+    family, n = split_name(group)
     rules = {
         "full": lambda: _DIM[family](n),
         "zero": lambda: 0,
@@ -179,7 +190,7 @@ class TestImpliedClosure:
     # at run time; it must hold anyway, and is checked here once
     @pytest.mark.parametrize("group,factor", BUILTIN_FACTORS)
     def test_builtin_factor_is_closed(self, group, factor, tol):
-        h = resolve_factor(factor, parse_group(group), tol)
+        h = resolve_factor(factor, classical(group), tol)
         assert (h.dim == 0) == (factor == "zero")
         assert h.closure_residual() < 1e-12
 
@@ -188,7 +199,7 @@ class TestImpliedClosure:
         # the rank cut keeps every vector a builder lays out, and a fixed
         # algebra has the dimension of its symmetric pair, on orthonormal
         # rows; nothing checks this at run time
-        h = resolve_factor(factor, parse_group(group), tol)
+        h = resolve_factor(factor, classical(group), tol)
         assert h.dim == factor_dimension(group, factor)
         assert gram_residual(h) < 1e-12
 
@@ -204,7 +215,7 @@ class TestImpliedClosure:
 
         monkeypatch.setattr(Subalgebra, "closure_residual", refuse)
         for group, factor in BUILTIN_FACTORS:
-            resolve_factor(factor, parse_group(group), tol)
+            resolve_factor(factor, classical(group), tol)
         for entry in catalog_entries():
             entry.builder(tol)
 
@@ -269,7 +280,7 @@ class TestFactorTable:
                  if re.fullmatch(template, factor)]
         assert cases
         for group, factor in cases:
-            resolve_factor(factor, parse_group(group), tol)
+            resolve_factor(factor, classical(group), tol)
 
     def test_readme_lists_every_entry(self):
         names = [re.sub(r"<\w+>", "3", name) for name in readme_factor_names()]
@@ -297,13 +308,13 @@ class TestFactorCache:
         # no builder reads the seed or the sample count, so they must not
         # split the cache, and the shared basis must equal a fresh build
         # bit for bit and refuse writes from any of its callers
-        ambient = parse_group(group)
-        factors = [resolve_factor(factor, ambient,
+        algebra = classical(group)
+        factors = [resolve_factor(factor, algebra,
                                   ToleranceConfig(seed=seed, num_samples=n))
                    for seed in (0, 5) for n in (1, 8)]
         assert all(h is factors[0] for h in factors)
         tol = ToleranceConfig()
-        fresh = specs._named_factor.__wrapped__(ambient, factor,
+        fresh = specs._named_factor.__wrapped__(algebra, factor,
                                                 tol.residual_tol)
         assert fresh is not factors[0]
         assert np.array_equal(fresh.basis, factors[0].basis)
@@ -387,7 +398,7 @@ def per_block_basis(ambient, factor, tol):
         if n > 2:
             blocks.insert(
                 0, embeddings.su_corner_in_su(ambient, tol, n - 1).basis)
-    return orthonormal_basis(np.vstack(blocks))
+    return split_span(np.vstack(blocks))[0]
 
 
 class TestMembershipTolerance:
@@ -408,7 +419,7 @@ class TestMembershipTolerance:
     @pytest.mark.parametrize("group,factor", BUILTIN_FACTORS)
     def test_every_factor(self, group, factor, monkeypatch):
         calls = self.recorded_member_tols(monkeypatch)
-        resolve_factor(factor, parse_group(group),
+        resolve_factor(factor, classical(group),
                        ToleranceConfig(residual_tol=1e-9))
         assert calls == [1e-9] * len(calls)
 
@@ -468,7 +479,7 @@ class TestWrittenDownRows:
     def check(h, rows, tol):
         assert np.abs(h.basis @ h.basis.T
                       - np.eye(h.dim)).max(initial=0.0) < 1e-12
-        reference = orthonormal_basis(rows)
+        reference = split_span(rows)[0]
         assert reference.shape == h.basis.shape
         assert np.abs(h.basis.T @ h.basis
                       - reference.T @ reference).max(initial=0.0) < 1e-12
@@ -529,8 +540,8 @@ class TestDiagonalOn:
 
 
 def _open_so6_span(tol, corner):
-    """closed_span (no closure check) of random so(6) vectors: the so(5)
-    corner plus one, or two alone."""
+    """The orthonormalized span (no closure check) of random so(6)
+    vectors: the so(5) corner plus one, or two alone."""
     so6 = build_classical("so", 6)
     rng = np.random.default_rng(3)
     if corner:
@@ -538,7 +549,7 @@ def _open_so6_span(tol, corner):
                           rng.standard_normal((1, so6.dim))])
     else:
         vecs = rng.standard_normal((2, so6.dim))
-    return Subalgebra.closed_span(so6, vecs)
+    return Subalgebra(so6, split_span(vecs)[0])
 
 
 # name -> builder of a subalgebra whose closure residual is checked
@@ -794,7 +805,7 @@ class TestFixedAlgebras:
             return fixed(ambient, tol, conjugators, name)
 
         monkeypatch.setattr(embeddings, "fixed_subalgebra", recording)
-        resolve_factor(factor, parse_group(group), tol)
+        resolve_factor(factor, classical(group), tol)
         [(ambient, conjugators)] = calls
         ads = []
         for s in conjugators:
@@ -824,4 +835,4 @@ class TestFixedAlgebras:
         ("su4", "s_u0u4"), ("su5", "s_u2u2"), ("so4", "s_u1u1")])
     def test_s_u_blocks_must_fill_the_group(self, group, factor, tol):
         with pytest.raises(InvalidInputError, match="does not embed"):
-            resolve_factor(factor, parse_group(group), tol)
+            resolve_factor(factor, classical(group), tol)
