@@ -7,6 +7,22 @@ principal point by conjugating the subalgebra back to the identity and
 testing the normal space nu there: nu must be a Lie triple system whose
 generated algebra nu + [nu, nu] is orthogonal to the (conjugated) h, and
 the action is hyperpolar exactly when nu is abelian.
+
+The orbit dimension and nu are read from the smaller of h and its
+complement W = h^perp in l(+)l.  With A = Ad(g^{-1}), the tangent rows are
+h times M = [A^T; -I], and M / sqrt(2) has orthonormal columns spanning
+the anti-graph G^perp = {(Y A, -Y)}; the rows Ad(g^{-1}) Y1 + Y2 over W are
+W times N = [A^T; I], whose columns / sqrt(2) span the graph G.  So the
+singular values of the two stacks are sqrt(2) times the cosines of the
+principal angles between h and G^perp and between W and G, and those
+angles agree wherever they are strictly between 0 and pi/2: the one rank
+cut keeps and drops the same directions on either side, and sees the same
+largest dropped value.  The orbit dimension dim h - dim(h n G) is dim h -
+dim l plus the rank of the W rows, and a left null vector c of the W rows
+gives c W in W n G^perp, a vector (Y A, -Y) / sqrt(2) with Y a unit normal:
+nu is sqrt(2) times the right halves of c W, with no second SVD.
+principal_point and polarity_check read W exactly when dim h > dim l, when
+it has fewer rows (2 dim l - dim h) than h; on a tie they read h.
 """
 
 import random
@@ -17,7 +33,7 @@ import numpy as np
 from .errors import InvalidInputError, NonPrincipalPointError
 from .lie_algebras import adjoint_matrix, commutator, pair_commutators
 from .numerics import (ToleranceConfig, outside_norm, rank_and_dropped,
-                       split_span)
+                       split_left_null, split_span)
 from .subalgebras import Subalgebra
 
 
@@ -93,6 +109,14 @@ def check_group_membership(algebra, g, tol):
             f"element is not in the represented group (residual {ortho:.3e})")
 
 
+def _ad_inverse(action, g, tol):
+    """Ad(g^{-1}) on l, for a g that passes check_group_membership."""
+    algebra = action.algebra
+    check_group_membership(algebra, g, tol)
+    return adjoint_matrix(algebra, np.linalg.inv(g),
+                          member_tol=np.sqrt(tol.residual_tol))
+
+
 def _tangent_vectors(action, g, tol):
     """Rows Ad(g^{-1}) X1 - X2 over h's basis, which span the orbit tangent
     at g moved to e, and Ad(g^{-1}).
@@ -102,16 +126,39 @@ def _tangent_vectors(action, g, tol):
     which keeps the cutoff honest when the whole orbit degenerates (fixed
     points).
     """
-    algebra = action.algebra
-    check_group_membership(algebra, g, tol)
-    ad_inv = adjoint_matrix(algebra, np.linalg.inv(g),
-                            member_tol=np.sqrt(tol.residual_tol))
-    n = algebra.dim
+    ad_inv = _ad_inverse(action, g, tol)
+    n = action.algebra.dim
     return action.h.basis[:, :n] @ ad_inv.T - action.h.basis[:, n:], ad_inv
 
 
+def _reads_complement(action):
+    """Whether the orbit is read from the complement W of h: exactly when
+    dim h > dim l, so that W has fewer rows than h (see the module
+    docstring)."""
+    return action.h.dim > action.algebra.dim
+
+
+def _orbit_rows(action, g, tol):
+    """(rows, offset, Ad(g^{-1})): rows whose rank plus offset is the orbit
+    dimension at g, from the side _reads_complement picks.
+
+    On h's side they are the tangent vectors, with offset 0; on W's side
+    the rows Ad(g^{-1}) Y1 + Y2 over the rows (Y1, Y2) of h's complement,
+    sums of unit vectors cut with scale=1 as the tangent vectors are, with
+    offset dim h - dim l.
+    """
+    if not _reads_complement(action):
+        vectors, ad_inv = _tangent_vectors(action, g, tol)
+        return vectors, 0, ad_inv
+    ad_inv = _ad_inverse(action, g, tol)
+    n = action.algebra.dim
+    w = action.h.complement
+    return w[:, :n] @ ad_inv.T + w[:, n:], action.h.dim - n, ad_inv
+
+
 def orbit_tangent(action, g, tol):
-    """Orthonormal basis of the orbit tangent space at g, moved to e."""
+    """Orthonormal basis of the orbit tangent space at g, moved to e, from
+    h's side whatever the dimensions."""
     vectors, _ = _tangent_vectors(action, g, tol)
     return split_span(vectors, scale=1.0)[0]
 
@@ -120,11 +167,13 @@ def principal_point(action, tol):
     """(max sampled orbit dimension, first sampled point attaining it,
     number of points drawn).
 
-    A sample needs only the orbit dimension: the rank of its tangent
-    vectors, cut as orbit_tangent cuts it, but read off singular values
-    alone, which takes about half the time of the SVD with singular
-    vectors.  polarity_check builds the tangent basis once, at the chosen
-    point.
+    A sample needs only the orbit dimension: a rank cut as orbit_tangent
+    cuts it, but read off singular values alone, which takes about half the
+    time of the SVD with singular vectors.  polarity_check builds nu once,
+    at the chosen point.  The rank is that of the tangent vectors, or, when
+    dim h > dim l, dim h - dim l plus that of the 2 dim l - dim h complement
+    vectors, which the same cut gives the same orbit dimension (see the
+    module docstring).
 
     The tangent vectors are dim h rows in dim l coordinates, so no orbit
     dimension exceeds min(dim h, dim l).  Drawing stops at the first sample
@@ -140,8 +189,8 @@ def principal_point(action, tol):
     best, point = -1, None
     for drawn in range(1, tol.num_samples + 1):
         g = sample_group_point(algebra, rng)
-        vectors, _ = _tangent_vectors(action, g, tol)
-        dim = rank_and_dropped(vectors, scale=1.0)[0]
+        rows, offset, _ = _orbit_rows(action, g, tol)
+        dim = offset + rank_and_dropped(rows, scale=1.0)[0]
         if dim > best:
             best, point = dim, g
         if best == ceiling:
@@ -237,10 +286,15 @@ def polarity_check(action, g, tol, max_orbit_dim):
     """Evaluate the polarity criterion at a principal point g.
 
     g must attain max_orbit_dim, the principal orbit dimension that
-    principal_point found.  One SVD of the tangent vectors gives the
-    tangent and nu, its orthogonal complement; InvalidInputError is raised
-    when the rank cut drops a singular value above residual_tol, i.e. when
-    residual_tol is too fine for the tangent.
+    principal_point found, or NonPrincipalPointError names the orbit
+    dimension measured at g.  One SVD gives the orbit dimension and nu, on
+    the side principal_point reads: of the tangent vectors, which gives
+    the tangent and nu, its orthogonal complement, or, when dim h > dim l,
+    of the fewer vectors of h's complement, whose left null vectors give
+    nu.  Both have the same principal angles, so the rank cut keeps the
+    same directions (see the module docstring).  InvalidInputError is
+    raised when the cut drops a singular value above residual_tol, i.e.
+    when residual_tol is too fine for the tangent.
 
     Residuals are norms of commutators of Frobenius-orthonormal matrices of
     nu, taken in the invariant form (see LieAlgebra.frobenius_matrices).
@@ -256,22 +310,33 @@ def polarity_check(action, g, tol, max_orbit_dim):
       its tangent component because nu + tangent = l; it holds only a
       block of triples at a time, and wins when nu is small.
 
-    The two agree to roundoff.
+    The two agree to roundoff.  On W's side the ad-invariance path takes
+    the tangent as the orthogonal complement of nu.
     """
     algebra = action.algebra
-    vectors, ad_inv = _tangent_vectors(action, g, tol)
-    tangent, nu, dropped = split_span(vectors, scale=1.0)
+    n = algebra.dim
+    rows, offset, ad_inv = _orbit_rows(action, g, tol)
+    if _reads_complement(action):
+        rank, null, dropped = split_left_null(rows, scale=1.0)
+        nu = np.sqrt(2.0) * (null @ action.h.complement)[:, n:]
+        tangent = None
+    else:
+        tangent, nu, dropped = split_span(rows, scale=1.0)
+        rank = len(tangent)
     _check_cut(dropped, tol, "the orbit tangent")
-    if tangent.shape[0] < max_orbit_dim:
+    orbit_dim = offset + rank
+    if orbit_dim < max_orbit_dim:
         raise NonPrincipalPointError(
-            f"point has orbit dimension {tangent.shape[0]} < sampled maximum "
+            f"point has orbit dimension {orbit_dim} < sampled maximum "
             f"{max_orbit_dim}; the criterion needs a principal point "
             "(raise num_samples / --samples if sampling looks unlucky)")
-    cohom, n = nu.shape
+    cohom = len(nu)
     conj_h = action.h.basis[:, :n] @ ad_inv.T + action.h.basis[:, n:]
     h_mats = algebra.frobenius_matrices(conj_h).reshape(
         len(conj_h), algebra.ambient_size ** 2)
-    direct = _direct_is_cheaper(cohom, tangent.shape[0], algebra.ambient_size)
+    direct = _direct_is_cheaper(cohom, n - cohom, algebra.ambient_size)
+    if tangent is None and not direct:
+        tangent = split_span(nu)[1]
     residual_triple, residual_orth, residual_abelian = _criterion_residuals(
         algebra, nu, tangent, h_mats, direct)
 

@@ -104,12 +104,16 @@ def fixed_subalgebra(ambient, tol, conjugators, name):
     fixed so far, which Ad(s) preserves, its singular values are 0 and 2
     alone, so the cut, taken against 2, splits them with nothing in between
     (a stack of every Ad(s) - I would add 2 sqrt(2)).  A fixed algebra is
-    closed."""
-    rows = np.eye(ambient.dim)
+    closed.  The rows each step moves are orthogonal to the rows it fixes
+    and to the rows moved before, so together they are the complement."""
+    rows, complement = np.eye(ambient.dim), []
     for s in conjugators:
         moved = adjoint_matrix(ambient, s, tol.residual_tol) @ rows.T - rows.T
-        rows = split_span(moved, scale=2.0)[1] @ rows
-    return Subalgebra(ambient, rows, name=name)
+        kept, fixed, _ = split_span(moved, scale=2.0)
+        complement.append(kept @ rows)
+        rows = fixed @ rows
+    return Subalgebra(ambient, rows, name=name,
+                      complement=lambda: np.vstack(complement))
 
 
 def so_in_su(ambient, tol, k):
@@ -179,16 +183,15 @@ def g2_in_so7(ambient, tol):
 
 
 def cartan_subalgebra(ambient, tol):
-    """A maximal abelian subalgebra (standard choice per family)."""
+    """A maximal abelian subalgebra (standard choice per family) of su, so
+    or sp, the families FACTORS offers it on."""
     if ambient.family == "su":
         diagonal = _u_basis_complex(ambient.n, special=True)[-(ambient.n - 1):]
         mats = realify_complex(diagonal)
     elif ambient.family == "so":
         mats = [corner_so_matrices(ambient.n, 2, 2 * k)[0]
                 for k in range(ambient.n // 2)]
-    elif ambient.family == "sp":
+    else:
         n = ambient.n  # the rows [[iE_kk, 0], [0, -iE_kk]] of sp(n)
         mats = classical_basis("sp", n)[n * (n - 1):n * n]
-    else:
-        raise InvalidInputError(f"no Cartan recipe for {ambient.name}")
     return Subalgebra.from_matrices(ambient, mats, tol, name="cartan")

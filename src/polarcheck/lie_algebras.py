@@ -14,9 +14,10 @@ defining representation.  On a simple algebra a biinvariant metric is
 unique up to a positive constant, and that constant changes no normal
 space, section or bracket, so polarity cannot depend on it and no other
 scale is offered.  Every group the command line acts on is simple:
-specs.parse_group rejects so(2), so(4) and u(n), which build_classical
-builds only as ambients of factors.  On skew matrices -tr(XY) is the
-Frobenius product, so in coordinates the form is the identity.
+specs.parse_group rejects so(2) and so(4), which build_classical builds
+only as ambients of factors, and u(n), which no family here builds.  On
+skew matrices -tr(XY) is the Frobenius product, so in coordinates the form
+is the identity.
 
 The direct sum l(+)l (LieAlgebra.double) holds only l and no basis of its
 own: its coordinates are pairs of l's, its Frobenius matrices are pairs of
@@ -307,11 +308,11 @@ def _sp_basis_complex(m):
     return z
 
 
-_SMALLEST_N = {"so": 2, "su": 2, "u": 1, "sp": 1}
+_SMALLEST_N = {"so": 2, "su": 2, "sp": 1}
 
 
 def classical_basis(family, n):
-    """Basis matrices of su/so/sp/u(n) in its realified defining rep."""
+    """Basis matrices of su/so/sp(n) in its realified defining rep."""
     if family not in _SMALLEST_N:
         raise InvalidInputError(f"unsupported family {family!r}")
     if n < _SMALLEST_N[family]:
@@ -321,12 +322,12 @@ def classical_basis(family, n):
         return so_basis(n)
     if family == "sp":
         return realify_complex(_sp_basis_complex(n))
-    return realify_complex(_u_basis_complex(n, family == "su"))
+    return realify_complex(_u_basis_complex(n, special=True))
 
 
 @lru_cache(maxsize=None)
 def build_classical(family, n):
-    """Standard compact algebra su/so/sp/u(n) in its realified defining rep,
+    """Standard compact algebra su/so/sp(n) in its realified defining rep,
     on classical_basis orthonormalized by one QR.
 
     Its matrices are independent and their span is closed by construction,

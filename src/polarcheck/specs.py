@@ -34,7 +34,8 @@ def parse_group(name):
 
     so2 (abelian), so4 (su2(+)su2) and u<n> (u1(+)su(n)) are not simple:
     on them -tr(XY) is one biinvariant metric among many, so they are
-    rejected here, and build_classical builds them only as ambients.
+    rejected here; build_classical builds so2 and so4 only as ambients of
+    factors, and u<n> not at all.
     """
     m = _GROUP_RE.match(name.strip().lower())
     if not m:

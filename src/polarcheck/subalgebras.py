@@ -20,7 +20,18 @@ and an orthogonal Sigma.
 
 Every constructor ends in Subalgebra.__init__, which rejects rows whose
 length is not the parent's dimension.
+
+A Subalgebra also answers for its complement, orthonormal rows spanning
+the orthogonal complement of h in the parent, which actions.principal_point
+and actions.polarity_check read instead of h when dim h > dim l.  It is
+computed on first use and then kept, from what the constructor already
+holds: from_vectors and from_matrices keep the complement of their rank cut,
+embeddings.fixed_subalgebra the rows moved by its involutions, full and
+zero are trivial, and product builds [h1^perp, 0; 0, h2^perp] from its
+factors' complements.  Anything else falls back to split_span(basis)[1].
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -29,29 +40,47 @@ from .lie_algebras import span_closure_residual
 from .numerics import split_span
 
 
+def _rows(rows):
+    """rows as a read-only float array."""
+    rows = np.asarray(rows, dtype=float)
+    rows.flags.writeable = False
+    return rows
+
+
 class Subalgebra:
     """A bracket-closed subspace of l or of l(+)l, on orthonormal rows.
 
     Raises DimensionMismatchError unless basis is a stack of rows of
-    length parent.dim.
+    length parent.dim.  complement, if given, is a function of no arguments
+    that returns orthonormal rows spanning the orthogonal complement of
+    basis; it is called on the first use of the complement attribute.
     """
 
-    def __init__(self, parent, basis, name=""):
+    def __init__(self, parent, basis, name="", complement=None):
         self.parent = parent
-        self.basis = np.asarray(basis, dtype=float)
+        self.basis = _rows(basis)
         if self.basis.ndim != 2 or self.basis.shape[1] != parent.dim:
             raise DimensionMismatchError(
                 f"{name or '<anonymous>'}: rows of shape {self.basis.shape} "
                 f"for {parent.name}, whose coordinate rows have length "
                 f"{parent.dim}")
-        self.basis.flags.writeable = False
         self.dim = self.basis.shape[0]
         self.name = name
+        self._complement_of = complement
+
+    @cached_property
+    def complement(self):
+        """Orthonormal rows spanning the orthogonal complement of h in the
+        parent, parent.dim - dim of them, read-only."""
+        if self._complement_of is None:
+            return _rows(split_span(self.basis)[1])
+        return _rows(self._complement_of())
 
     @classmethod
     def from_vectors(cls, parent, vectors, tol, name=""):
         """Orthonormalize coefficient vectors and verify bracket closure."""
-        sub = cls(parent, split_span(vectors)[0], name=name)
+        span, rest, _ = split_span(vectors)
+        sub = cls(parent, span, name=name, complement=lambda: rest)
         residual = sub.closure_residual()
         if residual > tol.residual_tol:
             raise ClosureError("the span is not bracket-closed",
@@ -64,7 +93,8 @@ class Subalgebra:
         embedding, which must lie in the parent algebra; closure is not
         checked."""
         vecs = parent.coords_of(matrices, member_tol=tol.residual_tol)
-        return cls(parent, split_span(vecs)[0], name=name)
+        span, rest, _ = split_span(vecs)
+        return cls(parent, span, name=name, complement=lambda: rest)
 
     def closure_residual(self):
         """Largest norm of a basis commutator's component outside the span,
@@ -81,13 +111,15 @@ class Subalgebra:
 
 
 def zero_subalgebra(parent, name="0"):
-    return Subalgebra(parent, np.zeros((0, parent.dim)), name=name)
+    return Subalgebra(parent, np.zeros((0, parent.dim)), name=name,
+                      complement=lambda: np.eye(parent.dim))
 
 
 def full_subalgebra(parent, tol, name=None):
     """l itself, on the identity rows; tol is unused, as every FACTORS
     builder takes one."""
-    return Subalgebra(parent, np.eye(parent.dim), name=name or parent.name)
+    return Subalgebra(parent, np.eye(parent.dim), name=name or parent.name,
+                      complement=lambda: np.zeros((0, parent.dim)))
 
 
 def diagonal_sigma(algebra, sigma, on=None):
@@ -107,13 +139,21 @@ def diagonal_sigma(algebra, sigma, on=None):
                       name=f"delta^{sigma.kind}({on.name})")
 
 
+def _halves(left, right):
+    """[left, 0; 0, right] of two stacks of rows of equal length."""
+    n = left.shape[1]
+    vecs = np.zeros((len(left) + len(right), 2 * n))
+    vecs[:len(left), :n] = left
+    vecs[len(left):, n:] = right
+    return vecs
+
+
 def product(h1, h2):
     """h1 x h2 = {(A, 0)} + {(0, B)} inside l(+)l, on the factors' rows,
-    which are orthonormal and lie in complementary halves."""
+    which are orthonormal and lie in complementary halves; its complement is
+    h1^perp x h2^perp, on the factors' complements."""
     if h1.parent is not h2.parent:
         raise InvalidInputError("product factors must share the parent algebra")
-    n = h1.parent.dim
-    vecs = np.zeros((h1.dim + h2.dim, 2 * n))
-    vecs[:h1.dim, :n] = h1.basis
-    vecs[h1.dim:, n:] = h2.basis
-    return Subalgebra(h1.parent.double(), vecs, name=f"{h1.name}x{h2.name}")
+    return Subalgebra(h1.parent.double(), _halves(h1.basis, h2.basis),
+                      name=f"{h1.name}x{h2.name}",
+                      complement=lambda: _halves(h1.complement, h2.complement))

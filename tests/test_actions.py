@@ -19,11 +19,13 @@ from polarcheck.actions import (ActionSpec, PointSampler, analyze,
 from polarcheck.catalog import TABLE1_ROWS, catalog_entries
 from polarcheck.embeddings import block_so, cartan_subalgebra, so_in_su
 from polarcheck.errors import InvalidInputError, NonPrincipalPointError
-from polarcheck.lie_algebras import (LieAlgebra, adjoint_matrix,
-                                     build_classical, classical_basis,
-                                     commutator, make_automorphism)
+from polarcheck.lie_algebras import (LieAlgebra, _u_basis_complex,
+                                     adjoint_matrix, build_classical,
+                                     classical_basis, commutator,
+                                     make_automorphism, realify_complex,
+                                     so_basis)
 from polarcheck.numerics import (ToleranceConfig, outside_norm,
-                                 rank_and_dropped)
+                                 rank_and_dropped, split_span)
 from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
 from polarcheck.subalgebras import (Subalgebra, diagonal_sigma,
                                     full_subalgebra, product, zero_subalgebra)
@@ -516,6 +518,131 @@ class TestPrincipalPointReference:
         assert analyze(action, tol).samples_used == drawn
 
 
+# (group, subgroup, whether the complement of h is read): principal_point
+# and polarity_check read it exactly when dim h > dim l; "so4 x so4" is a
+# span file of so(4) on the first four coordinates of so(5) on the left
+# and on the last four on the right, 12 rows against dim so(5) = 10
+SIDE_CASES = [
+    ("su10", "product(h1=su9,h2=su9)", True),
+    ("so20", "product(h1=so19,h2=u10)", True),
+    ("su4", "product(h1=so4,h2=sp2)", True),
+    ("su6", "product(h1=s_u3u3,h2=sp3)", True),
+    ("so9", "product(h1=so8,h2=so7so2)", True),
+    ("so16", "product(h1=spin9,h2=so15)", True),
+    ("so5", "so4 x so4", True),
+    ("su10", "delta(sigma=id)", False),           # a tie keeps h
+    ("su3", "product(h1=s_u_u1,h2=s_u_u1)", False),
+    ("su10", "product(h1=su9,h2=zero)", False),
+]
+COMPLEMENT_CASES = [(group, subgroup) for group, subgroup, complement
+                    in SIDE_CASES if complement]
+
+
+def side_action(group, subgroup, tmp_path, tol):
+    algebra = parse_group(group)
+    if subgroup == "so4 x so4":
+        mats = np.zeros((12, 10, 10))
+        mats[:6, 0:4, 0:4] = mats[6:, 6:10, 6:10] = so_basis(4)
+        path = write_span_file(tmp_path / "so4_so4.txt", mats)
+        subgroup = f"span(file={path})"
+    return ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
+
+
+def orbit_dimension(action, g, tol):
+    """The orbit dimension at g as principal_point reads it."""
+    rows, offset, _ = actions._orbit_rows(action, g, tol)
+    return offset + rank_and_dropped(rows, scale=1.0)[0]
+
+
+def projector(rows):
+    return rows.T @ rows
+
+
+class TestComplementSide:
+    """When dim h > dim l the orbit dimension and nu are read from the
+    complement W of h, which has the same principal angles against the
+    graph of Ad(g^-1) as h has against the anti-graph: every draw, every
+    verdict and nu must be what h's side gives."""
+
+    @pytest.mark.parametrize("group,subgroup,complement", SIDE_CASES)
+    def test_each_case_reads_its_side(self, group, subgroup, complement,
+                                      tmp_path, tol):
+        action = side_action(group, subgroup, tmp_path, tol)
+        assert actions._reads_complement(action) == complement
+        assert (action.h.dim > action.algebra.dim) == complement
+
+    @pytest.mark.parametrize("group,subgroup", COMPLEMENT_CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_each_draw_has_the_tangent_rank(self, group, subgroup, seed,
+                                            tmp_path):
+        tol = ToleranceConfig(seed=seed)
+        action = side_action(group, subgroup, tmp_path, tol)
+        rng = PointSampler(seed)
+        for _ in range(tol.num_samples):
+            g = sample_group_point(action.algebra, rng)
+            assert orbit_dimension(action, g, tol) == \
+                orbit_tangent(action, g, tol).shape[0]
+
+    @pytest.mark.parametrize("group,subgroup", COMPLEMENT_CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_the_report_is_that_of_h_side(self, group, subgroup, seed,
+                                          tmp_path, monkeypatch):
+        tol = ToleranceConfig(seed=seed)
+        action = side_action(group, subgroup, tmp_path, tol)
+        report = analyze(action, tol)
+        monkeypatch.setattr(actions, "_reads_complement", lambda _: False)
+        reference = analyze(action, tol)
+        keys = ("cohomogeneity", "polar", "hyperpolar", "samples_used")
+        assert [getattr(report, key) for key in keys] == \
+            [getattr(reference, key) for key in keys]
+        assert np.array_equal(report.principal_point,
+                              reference.principal_point)
+        assert np.abs(projector(report.section_basis)
+                      - projector(reference.section_basis)).max() < 1e-10
+        if report.polar:
+            assert max(report.residual_triple, report.residual_orth) < 1e-12
+
+    def test_the_cut_is_guarded(self, monkeypatch):
+        # h = W^perp in so3(+)so3 with W = span{(e1, 0), (0, -t)}, t a unit
+        # vector 1e-10 off e1: at e the rows e1 and -t of W drop a singular
+        # value of 7.07e-11, and so do the rows of h, as the principal
+        # angles agree
+        so3 = build_classical("so", 3)
+        tilted = np.array([-1.0, 1e-10, 0.0]) / np.hypot(1.0, 1e-10)
+        w = np.zeros((2, 6))
+        w[0, 0], w[1, 3:] = 1.0, tilted
+        h = Subalgebra(so3.double(), split_span(w)[1], name="tilted")
+        action = ActionSpec(so3, h)
+        assert actions._reads_complement(action)
+        messages = []
+        for complement in (True, False):
+            monkeypatch.setattr(actions, "_reads_complement",
+                                lambda _: complement)
+            # at the default residual_tol the cut reads an orbit of
+            # dimension 2 (dim h - dim l + 1 on W's side) at e
+            assert polarity_check(action, np.eye(3), ToleranceConfig(),
+                                  2).cohomogeneity == 1
+            with pytest.raises(InvalidInputError, match="too fine") as err:
+                polarity_check(action, np.eye(3),
+                               ToleranceConfig(residual_tol=1e-11), 0)
+            messages.append(str(err.value))
+        assert "the orbit tangent" in messages[0]
+        assert "7.071e-11" in messages[0] and "7.071e-11" in messages[1]
+
+    def test_a_non_principal_point_names_its_dimension(self, tol):
+        # at e the tangent of su9 x su9 is su9 itself, of dimension 80,
+        # which W's side reads as 160 - 99 + 19
+        algebra = parse_group("su10")
+        action = ActionSpec(algebra, resolve_subgroup(
+            "product(h1=su9,h2=su9)", algebra, tol))
+        g = np.eye(algebra.ambient_size)
+        assert orbit_dimension(action, g, tol) == 80
+        assert orbit_tangent(action, g, tol).shape[0] == 80
+        with pytest.raises(NonPrincipalPointError,
+                           match="orbit dimension 80 < sampled maximum 97"):
+            polarity_check(action, g, tol, principal_point(action, tol)[0])
+
+
 class TestTransitivity:
     def test_full_pair(self, tol):
         algebra = build_classical("su", 2)
@@ -665,8 +792,10 @@ class TestSampling:
         ("sp", 1), ("sp", 5), ("u", 1), ("u", 10)])
     def test_exponential_matches_expm(self, family, n):
         # sample_group_point reads only dim and matrix_of, so the bare basis
-        # stands in for the algebra and no structure constants are fitted
-        basis = classical_basis(family, n)
+        # stands in for the algebra and no structure constants are fitted;
+        # u(n), no family of its own, is the basis u_in_so realifies
+        basis = (realify_complex(_u_basis_complex(n)) if family == "u"
+                 else classical_basis(family, n))
         algebra = SimpleNamespace(
             dim=len(basis), matrix_of=lambda v: np.tensordot(v, basis, 1))
         for seed in range(3):

@@ -512,6 +512,62 @@ class TestWrittenDownRows:
         self.check(h, rows, tol)
 
 
+def check_complement(h):
+    """h's complement: orthonormal rows, orthogonal to h's basis, that fill
+    the parent with it."""
+    w = h.complement
+    assert w.shape == (h.parent.dim - h.dim, h.parent.dim)
+    assert np.abs(w @ w.T - np.eye(len(w))).max(initial=0.0) < 1e-12
+    assert np.abs(w @ h.basis.T).max(initial=0.0) < 1e-12
+    assert not w.flags.writeable
+    assert h.complement is w   # computed once, then kept
+
+
+class TestComplement:
+    """Each constructor hands Subalgebra the complement it already holds,
+    or builds it on first use; every way must give the same invariants."""
+
+    @pytest.mark.parametrize("group,factor", BUILTIN_FACTORS)
+    def test_builtin_factor(self, group, factor, tol):
+        check_complement(resolve_factor(factor, classical(group), tol))
+
+    @pytest.mark.parametrize("group,h1,h2", WRITTEN_DOWN_PRODUCTS + [
+        ("su3", "full", "zero"), ("so5", "zero", "full"),
+        ("su4", "so4", "sp2"), ("so9", "so8", "so7so2")])
+    def test_product(self, group, h1, h2, tol):
+        algebra = parse_group(group)
+        check_complement(product(resolve_factor(h1, algebra, tol),
+                                 resolve_factor(h2, algebra, tol)))
+
+    @pytest.mark.parametrize("group", ["su2", "so5", "sp2"])
+    def test_full_and_zero(self, group, tol):
+        algebra = parse_group(group)
+        for h in (full_subalgebra(algebra, tol), zero_subalgebra(algebra),
+                  full_subalgebra(algebra.double(), tol),
+                  zero_subalgebra(algebra.double())):
+            check_complement(h)
+
+    def test_fallback_of_a_written_down_subalgebra(self, tol):
+        algebra = parse_group("so8")
+        for h in (resolve_subgroup("delta(sigma=triality)", algebra, tol),
+                  resolve_factor("sp2sp1", algebra, tol)):
+            check_complement(h)
+
+    def test_span_file_in_the_double(self, tmp_path, tol):
+        # so(4) on the first four coordinates of so(5) on the left, and on
+        # the last four on the right: 12 rows in the 20 of so5(+)so5
+        so5 = parse_group("so5")
+        mats = np.zeros((12, 10, 10))
+        mats[:6, 0:4, 0:4] = so_basis(4)
+        mats[6:, 6:10, 6:10] = so_basis(4)
+        path = tmp_path / "so4_so4.txt"
+        path.write_text("10\n" + "\n".join(
+            " ".join(f"{x:g}" for x in mat.ravel()) for mat in mats) + "\n")
+        h = resolve_subgroup(f"span(file={path})", so5, tol)
+        assert h.dim == 12
+        check_complement(h)
+
+
 class TestDiagonalOn:
     """delta(on=<factor>): the graph of a twist over a factor of l."""
 
