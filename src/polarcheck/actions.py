@@ -15,12 +15,15 @@ the anti-graph G^perp = {(Y A, -Y)}; the rows Ad(g^{-1}) Y1 + Y2 over W are
 W times N = [A^T; I], whose columns / sqrt(2) span the graph G.  So the
 singular values of the two stacks are sqrt(2) times the cosines of the
 principal angles between h and G^perp and between W and G, and those
-angles agree wherever they are strictly between 0 and pi/2: the one rank
-cut keeps and drops the same directions on either side, and sees the same
-largest dropped value.  The orbit dimension dim h - dim(h n G) is dim h -
-dim l plus the rank of the W rows, and a left null vector c of the W rows
-gives c W in W n G^perp, a vector (Y A, -Y) / sqrt(2) with Y a unit normal:
-nu is sqrt(2) times the right halves of c W, with no second SVD.
+angles agree wherever they are strictly between 0 and pi/2.  No singular
+value of either stack exceeds sqrt(2), and the rank cut is taken against
+that bound (_ROW_SCALE) on both sides, whatever the largest value at g: so
+the cut keeps and drops the same directions on either side, and sees the
+same largest dropped value, up to roundoff.  The orbit dimension
+dim h - dim(h n G) is dim h - dim l plus the rank of the W rows, and a
+left null vector c of the W rows gives c W in W n G^perp, a vector
+(Y A, -Y) / sqrt(2) with Y a unit normal: nu is sqrt(2) times the right
+halves of c W, with no second SVD.
 principal_point and polarity_check read W exactly when dim h > dim l, when
 it has fewer rows (2 dim l - dim h) than h; on a tie they read h.
 """
@@ -33,8 +36,11 @@ import numpy as np
 from .errors import InvalidInputError, NonPrincipalPointError
 from .lie_algebras import adjoint_matrix, commutator, pair_commutators
 from .numerics import (ToleranceConfig, outside_norm, rank_and_dropped,
-                       split_left_null, split_span)
+                       split_span)
 from .subalgebras import Subalgebra
+
+
+_ROW_SCALE = np.sqrt(2.0)  # the largest singular value of either orbit stack
 
 
 @dataclass(frozen=True)
@@ -122,8 +128,8 @@ def _tangent_vectors(action, g, tol):
     at g moved to e, and Ad(g^{-1}).
 
     They are differences of unit vectors, so genuine tangent directions
-    have norm of order one; their rank is cut with scale=1,
-    which keeps the cutoff honest when the whole orbit degenerates (fixed
+    have norm of order one; their rank is cut with scale=_ROW_SCALE, which
+    keeps the cutoff honest when the whole orbit degenerates (fixed
     points).
     """
     ad_inv = _ad_inverse(action, g, tol)
@@ -144,8 +150,8 @@ def _orbit_rows(action, g, tol):
 
     On h's side they are the tangent vectors, with offset 0; on W's side
     the rows Ad(g^{-1}) Y1 + Y2 over the rows (Y1, Y2) of h's complement,
-    sums of unit vectors cut with scale=1 as the tangent vectors are, with
-    offset dim h - dim l.
+    sums of unit vectors cut with scale=_ROW_SCALE as the tangent vectors
+    are, with offset dim h - dim l.
     """
     if not _reads_complement(action):
         vectors, ad_inv = _tangent_vectors(action, g, tol)
@@ -160,7 +166,7 @@ def orbit_tangent(action, g, tol):
     """Orthonormal basis of the orbit tangent space at g, moved to e, from
     h's side whatever the dimensions."""
     vectors, _ = _tangent_vectors(action, g, tol)
-    return split_span(vectors, scale=1.0)[0]
+    return split_span(vectors, scale=_ROW_SCALE)[0]
 
 
 def principal_point(action, tol):
@@ -190,7 +196,7 @@ def principal_point(action, tol):
     for drawn in range(1, tol.num_samples + 1):
         g = sample_group_point(algebra, rng)
         rows, offset, _ = _orbit_rows(action, g, tol)
-        dim = offset + rank_and_dropped(rows, scale=1.0)[0]
+        dim = offset + rank_and_dropped(rows, scale=_ROW_SCALE)[0]
         if dim > best:
             best, point = dim, g
         if best == ceiling:
@@ -290,11 +296,12 @@ def polarity_check(action, g, tol, max_orbit_dim):
     dimension measured at g.  One SVD gives the orbit dimension and nu, on
     the side principal_point reads: of the tangent vectors, which gives
     the tangent and nu, its orthogonal complement, or, when dim h > dim l,
-    of the fewer vectors of h's complement, whose left null vectors give
-    nu.  Both have the same principal angles, so the rank cut keeps the
-    same directions (see the module docstring).  InvalidInputError is
-    raised when the cut drops a singular value above residual_tol, i.e.
-    when residual_tol is too fine for the tangent.
+    of the fewer vectors of h's complement, whose left null vectors (the
+    complement of the span of the transposed rows) give nu.  Both have the
+    same principal angles and are cut against the same bound, so the cut
+    keeps the same directions (see the module docstring).
+    InvalidInputError is raised when the cut drops a singular value above
+    residual_tol, i.e. when residual_tol is too fine for the tangent.
 
     Residuals are norms of commutators of Frobenius-orthonormal matrices of
     nu, taken in the invariant form (see LieAlgebra.frobenius_matrices).
@@ -317,14 +324,14 @@ def polarity_check(action, g, tol, max_orbit_dim):
     n = algebra.dim
     rows, offset, ad_inv = _orbit_rows(action, g, tol)
     if _reads_complement(action):
-        rank, null, dropped = split_left_null(rows, scale=1.0)
+        kept, null, dropped = split_span(rows.T, scale=_ROW_SCALE)
         nu = np.sqrt(2.0) * (null @ action.h.complement)[:, n:]
         tangent = None
     else:
-        tangent, nu, dropped = split_span(rows, scale=1.0)
-        rank = len(tangent)
+        kept, nu, dropped = split_span(rows, scale=_ROW_SCALE)
+        tangent = kept
     _check_cut(dropped, tol, "the orbit tangent")
-    orbit_dim = offset + rank
+    orbit_dim = offset + len(kept)
     if orbit_dim < max_orbit_dim:
         raise NonPrincipalPointError(
             f"point has orbit dimension {orbit_dim} < sampled maximum "

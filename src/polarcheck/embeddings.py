@@ -104,16 +104,12 @@ def fixed_subalgebra(ambient, tol, conjugators, name):
     fixed so far, which Ad(s) preserves, its singular values are 0 and 2
     alone, so the cut, taken against 2, splits them with nothing in between
     (a stack of every Ad(s) - I would add 2 sqrt(2)).  A fixed algebra is
-    closed.  The rows each step moves are orthogonal to the rows it fixes
-    and to the rows moved before, so together they are the complement."""
-    rows, complement = np.eye(ambient.dim), []
+    closed."""
+    rows = np.eye(ambient.dim)
     for s in conjugators:
         moved = adjoint_matrix(ambient, s, tol.residual_tol) @ rows.T - rows.T
-        kept, fixed, _ = split_span(moved, scale=2.0)
-        complement.append(kept @ rows)
-        rows = fixed @ rows
-    return Subalgebra(ambient, rows, name=name,
-                      complement=lambda: np.vstack(complement))
+        rows = split_span(moved, scale=2.0)[1] @ rows
+    return Subalgebra(ambient, rows, name=name)
 
 
 def so_in_su(ambient, tol, k):

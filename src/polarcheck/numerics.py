@@ -5,8 +5,9 @@ Every rank decision keeps the singular values above
     RANK_TOL * max(largest singular value, scale),  RANK_TOL = 1e-9,
 
 with scale given only where the caller knows the size of a genuine vector
-(1.0 for differences of unit vectors), so that a stack of pure roundoff has
-rank zero instead of being renormalized into a full-rank matrix.  Relative
+(sqrt(2) for the orbit rows of actions, 2 for Ad(s) - I on orthonormal
+rows), so that a stack of pure roundoff has rank zero instead of being
+renormalized into a full-rank matrix.  Relative
 to the largest value, the cut does not move when the input is rescaled, so
 no verdict depends on units.  It is a constant, not a setting: on the
 catalog, Table 1 and the benchmark actions every kept value is at least
@@ -15,8 +16,7 @@ in the middle of that gap.  Orthonormality is Euclidean: every algebra has
 a Frobenius-orthonormal basis, so coordinates are Euclidean for the
 invariant form.
 
-Row spaces and complements come from the right singular vectors alone,
-left null spaces (split_left_null) from the left ones alone.
+Row spaces and complements come from the right singular vectors alone.
 LAPACK is asked for the full, square V only when the matrix has fewer rows
 than columns: otherwise the thin V is already complete, and the full U of
 a tall matrix (Ad(s) - I on the rows fixed so far, in
@@ -120,25 +120,6 @@ def split_span(matrix, scale=None):
     _, sv, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     rank, dropped = _cut(sv, scale)
     return vh[:rank], vh[rank:], dropped
-
-
-def split_left_null(matrix, scale=None):
-    """The rank the cut keeps, orthonormal rows c spanning the left null
-    space {c : c @ matrix = 0}, and the largest singular value the cut drops
-    (0.0 if none), from one SVD of a real matrix with no more rows than
-    columns.
-
-    The cut is split_span's.  Only U is read: such a matrix has as many
-    singular values as rows, so the thin U is square and orthogonal, and
-    its columns past the rank span the left null space.
-    """
-    mat = np.asarray(matrix, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] > mat.shape[1]:
-        raise DimensionMismatchError(
-            f"expected no more rows than columns, got shape {mat.shape}")
-    u, sv, _ = np.linalg.svd(mat, full_matrices=False)
-    rank, dropped = _cut(sv, scale)
-    return rank, u[:, rank:].T, dropped
 
 
 _BLOCK_BYTES = 2 ** 22  # size of each temporary in a blocked walk

@@ -24,11 +24,10 @@ length is not the parent's dimension.
 A Subalgebra also answers for its complement, orthonormal rows spanning
 the orthogonal complement of h in the parent, which actions.principal_point
 and actions.polarity_check read instead of h when dim h > dim l.  It is
-computed on first use and then kept, from what the constructor already
-holds: from_vectors and from_matrices keep the complement of their rank cut,
-embeddings.fixed_subalgebra the rows moved by its involutions, full and
-zero are trivial, and product builds [h1^perp, 0; 0, h2^perp] from its
-factors' complements.  Anything else falls back to split_span(basis)[1].
+computed on first use and then kept: product builds [h1^perp, 0; 0, h2^perp]
+from its factors' complements, from_matrices keeps the complement of its
+rank cut, and every other subalgebra takes split_span(basis)[1], a named
+factor once per process (specs caches it).
 """
 
 from functools import cached_property
@@ -79,8 +78,7 @@ class Subalgebra:
     @classmethod
     def from_vectors(cls, parent, vectors, tol, name=""):
         """Orthonormalize coefficient vectors and verify bracket closure."""
-        span, rest, _ = split_span(vectors)
-        sub = cls(parent, span, name=name, complement=lambda: rest)
+        sub = cls(parent, split_span(vectors)[0], name=name)
         residual = sub.closure_residual()
         if residual > tol.residual_tol:
             raise ClosureError("the span is not bracket-closed",
@@ -111,15 +109,13 @@ class Subalgebra:
 
 
 def zero_subalgebra(parent, name="0"):
-    return Subalgebra(parent, np.zeros((0, parent.dim)), name=name,
-                      complement=lambda: np.eye(parent.dim))
+    return Subalgebra(parent, np.zeros((0, parent.dim)), name=name)
 
 
 def full_subalgebra(parent, tol, name=None):
     """l itself, on the identity rows; tol is unused, as every FACTORS
     builder takes one."""
-    return Subalgebra(parent, np.eye(parent.dim), name=name or parent.name,
-                      complement=lambda: np.zeros((0, parent.dim)))
+    return Subalgebra(parent, np.eye(parent.dim), name=name or parent.name)
 
 
 def diagonal_sigma(algebra, sigma, on=None):

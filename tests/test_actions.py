@@ -551,7 +551,7 @@ def side_action(group, subgroup, tmp_path, tol):
 def orbit_dimension(action, g, tol):
     """The orbit dimension at g as principal_point reads it."""
     rows, offset, _ = actions._orbit_rows(action, g, tol)
-    return offset + rank_and_dropped(rows, scale=1.0)[0]
+    return offset + rank_and_dropped(rows, scale=actions._ROW_SCALE)[0]
 
 
 def projector(rows):
@@ -628,6 +628,31 @@ class TestComplementSide:
             messages.append(str(err.value))
         assert "the orbit tangent" in messages[0]
         assert "7.071e-11" in messages[0] and "7.071e-11" in messages[1]
+
+    def test_both_sides_cut_against_the_same_bound(self, monkeypatch, tol):
+        # W = span{(e1, 0), (e2, -t) / sqrt2} in so3(+)so3, t a unit vector
+        # 1.7e-9 off e2: at e the rows of W, e1 and (e2 - t) / sqrt2, have
+        # singular values 1 and 1.2e-9, while h = W^perp (4 rows) meets the
+        # 3-dimensional anti-graph, so the largest value of its rows is
+        # sqrt2.  Cut against each side's own largest value, 1.2e-9 would
+        # be kept on W's side and dropped on h's.
+        so3 = build_classical("so", 3)
+        phi = 1.7e-9
+        w = np.zeros((2, 6))
+        w[0, 0] = 1.0
+        w[1, 1], w[1, 4], w[1, 5] = np.array(
+            [1.0, -np.cos(phi), -np.sin(phi)]) / np.sqrt(2)
+        action = ActionSpec(so3, Subalgebra(so3.double(), split_span(w)[1]))
+        g = np.eye(3)
+        largest, dims = [], []
+        for complement in (True, False):
+            monkeypatch.setattr(actions, "_reads_complement",
+                                lambda _: complement)
+            rows, _, _ = actions._orbit_rows(action, g, tol)
+            largest.append(np.linalg.svd(rows, compute_uv=False)[0])
+            dims.append(orbit_dimension(action, g, tol))
+        assert largest[0] < 1 + 1e-12 and abs(largest[1] - np.sqrt(2)) < 1e-12
+        assert dims == [2, 2]
 
     def test_a_non_principal_point_names_its_dimension(self, tol):
         # at e the tangent of su9 x su9 is su9 itself, of dimension 80,

@@ -524,8 +524,9 @@ def check_complement(h):
 
 
 class TestComplement:
-    """Each constructor hands Subalgebra the complement it already holds,
-    or builds it on first use; every way must give the same invariants."""
+    """product builds its complement from its factors', from_matrices
+    keeps the one it computed, every other subalgebra takes split_span on
+    first use; every way must give the same invariants."""
 
     @pytest.mark.parametrize("group,factor", BUILTIN_FACTORS)
     def test_builtin_factor(self, group, factor, tol):
