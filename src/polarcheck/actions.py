@@ -26,21 +26,27 @@ left null vector c of the W rows gives c W in W n G^perp, a vector
 halves of c W, with no second SVD.
 principal_point and polarity_check read W exactly when dim h > dim l, when
 it has fewer rows (2 dim l - dim h) than h; on a tie they read h.
+
+The same SVD gives the isotropy algebra h_g at g, and the principal-point
+search stops at the first draw whose slice representation, h_g acting on
+nu, is trivial, which by the slice theorem puts it on an orbit of maximal
+dimension (see principal_point).  The criterion reads that draw's SVD.
 """
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, NonPrincipalPointError
 from .lie_algebras import adjoint_matrix, commutator, pair_commutators
-from .numerics import (ToleranceConfig, outside_norm, rank_and_dropped,
-                       split_span)
+from .numerics import (RANK_TOL, ToleranceConfig, cut_svd, outside_norm,
+                       rank_and_dropped, split_span)
 from .subalgebras import Subalgebra
 
 
 _ROW_SCALE = np.sqrt(2.0)  # the largest singular value of either orbit stack
+_BRACKET_SCALE = np.sqrt(2.0)  # the largest ||[X, Y]|| of unit matrices X, Y
 
 
 @dataclass(frozen=True)
@@ -169,39 +175,108 @@ def orbit_tangent(action, g, tol):
     return split_span(vectors, scale=_ROW_SCALE)[0]
 
 
+@dataclass(frozen=True)
+class _Orbit:
+    """What the criterion reads from one SVD of the orbit rows at a point,
+    and the slice residual that may stop the principal-point search."""
+
+    point: np.ndarray
+    ad_inv: np.ndarray       # Ad(g^{-1})
+    dim: int                 # the orbit dimension at point
+    nu: np.ndarray           # orthonormal rows of the normal space
+    tangent: object          # orthonormal tangent rows, None on W's side
+    dropped: float           # the largest singular value the cut drops
+    slice_residual: float
+
+
+def _bracket_residual(left, right, onb):
+    """Largest Frobenius norm of the component of [X, Y] outside span(onb),
+    X over the matrices left and Y over the matrices right; onb holds
+    orthonormal flat matrices, possibly none."""
+    size = right.shape[-1] ** 2
+    return max((outside_norm(commutator(x, right).reshape(-1, size), onb)
+                for x in left), default=0.0)
+
+
+def _read_orbit(action, g, tol):
+    """The orbit at g from one cut_svd of _orbit_rows, so nu and the
+    tangent are split_span's bits.
+
+    The slice residual is zero exactly when the isotropy algebra h_g acts
+    trivially on nu.  h_g is {(X1, X2) in h : Ad(g^{-1}) X1 = X2}, which
+    acts on nu by ad(X2).  On h's side the left null vectors of the
+    tangent rows, the columns of U past the rank (U is square, as h's side
+    is read only when dim h <= dim l), are h_g, and the residual is the
+    largest ||[X2, Y]|| over Y in nu and the unit right halves X2 of that
+    basis.  On W's side the right halves of h_g are the orthogonal
+    complement of the span of the W rows, the first rank columns of U, and
+    by ad-invariance h_g kills nu exactly when [nu, l] lies in that span:
+    the residual is the largest component outside it of [Y, Z], Z over l's
+    orthonormal basis.
+    """
+    algebra = action.algebra
+    n, flat = algebra.dim, algebra.ambient_size ** 2
+    rows, offset, ad_inv = _orbit_rows(action, g, tol)
+    if _reads_complement(action):
+        u, rank, vh, dropped = cut_svd(rows.T, scale=_ROW_SCALE)
+        nu = np.sqrt(2.0) * (vh[rank:] @ action.h.complement)[:, n:]
+        tangent = None
+        residual = 0.0 if not len(nu) else _bracket_residual(
+            algebra.frobenius_matrices(nu), algebra.basis,
+            algebra.frobenius_matrices(u[:, :rank].T).reshape(rank, flat))
+    else:
+        u, rank, vh, dropped = cut_svd(rows, scale=_ROW_SCALE)
+        nu, tangent = vh[rank:], vh[:rank]
+        isotropy = np.sqrt(2.0) * u[:, rank:].T @ action.h.basis[:, n:]
+        residual = 0.0 if not len(isotropy) else _bracket_residual(
+            algebra.frobenius_matrices(isotropy),
+            algebra.frobenius_matrices(nu), np.empty((0, flat)))
+    return _Orbit(np.asarray(g, dtype=float), ad_inv, offset + rank, nu,
+                  tangent, dropped, residual)
+
+
+def _search(action, tol):
+    """(the orbit at the principal point, number of points drawn): see
+    principal_point."""
+    rng = PointSampler(tol.seed)
+    chosen = None
+    for drawn in range(1, tol.num_samples + 1):
+        orbit = _read_orbit(
+            action, sample_group_point(action.algebra, rng), tol)
+        if chosen is None or orbit.dim > chosen.dim:
+            chosen = orbit
+        if orbit.dim == chosen.dim and \
+                orbit.slice_residual <= RANK_TOL * _BRACKET_SCALE:
+            break
+    return chosen, drawn
+
+
 def principal_point(action, tol):
     """(max sampled orbit dimension, first sampled point attaining it,
     number of points drawn).
 
-    A sample needs only the orbit dimension: a rank cut as orbit_tangent
-    cuts it, but read off singular values alone, which takes about half the
-    time of the SVD with singular vectors.  polarity_check builds nu once,
-    at the chosen point.  The rank is that of the tangent vectors, or, when
-    dim h > dim l, dim h - dim l plus that of the 2 dim l - dim h complement
-    vectors, which the same cut gives the same orbit dimension (see the
-    module docstring).
+    Each draw takes one SVD of its orbit rows (see _read_orbit), which
+    gives the orbit dimension, nu and the isotropy algebra h_g; analyze
+    hands the chosen draw's SVD to the criterion.
 
-    The tangent vectors are dim h rows in dim l coordinates, so no orbit
-    dimension exceeds min(dim h, dim l).  Drawing stops at the first sample
-    that reaches this ceiling, which no later sample could beat, so the
+    Drawing stops at the first draw that attains the largest dimension so
+    far and whose slice representation is trivial: its largest bracket
+    residual is at most RANK_TOL * sqrt(2), the cut of numerics against
+    the largest bracket of two unit matrices.  By the slice theorem
+    (Bredon, Introduction to Compact Transformation Groups, ch. IV), when
+    h_g acts trivially on nu every point near g has the isotropy algebra
+    h_g, so orbit dimensions are constant near g; orbits of maximal
+    dimension are dense, so g attains the maximum, which no later draw
+    could beat.  Conversely every orbit of maximal dimension has a trivial
+    slice representation, so a generic first draw stops the search.  The
+    ceiling min(dim h, dim l) is the case of an empty h_g or nu.  So the
     dimension and the point are what all tol.num_samples draws would give.
 
     The points come from one PointSampler seeded with tol.seed, so a seed
     gives the same points in every process and on every supported Python.
     """
-    algebra = action.algebra
-    ceiling = min(action.h.dim, algebra.dim)
-    rng = PointSampler(tol.seed)
-    best, point = -1, None
-    for drawn in range(1, tol.num_samples + 1):
-        g = sample_group_point(algebra, rng)
-        rows, offset, _ = _orbit_rows(action, g, tol)
-        dim = offset + rank_and_dropped(rows, scale=_ROW_SCALE)[0]
-        if dim > best:
-            best, point = dim, g
-        if best == ceiling:
-            break
-    return best, point, drawn
+    orbit, drawn = _search(action, tol)
+    return orbit.dim, orbit.point, drawn
 
 
 def _check_cut(dropped, tol, what):
@@ -288,6 +363,48 @@ def _criterion_residuals(algebra, nu, tangent, h_mats, direct):
     return triple, orth, float(np.sqrt(abelian))
 
 
+def _criterion(action, orbit, tol, max_orbit_dim, samples_used):
+    """The report of polarity_check from the orbit at its point."""
+    algebra = action.algebra
+    n = algebra.dim
+    _check_cut(orbit.dropped, tol, "the orbit tangent")
+    if orbit.dim < max_orbit_dim:
+        raise NonPrincipalPointError(
+            f"point has orbit dimension {orbit.dim} < sampled maximum "
+            f"{max_orbit_dim}; the criterion needs a principal point "
+            "(raise num_samples / --samples if sampling looks unlucky)")
+    nu = orbit.nu
+    cohom = len(nu)
+    residuals = 0.0, 0.0, 0.0
+    if cohom > 1:  # every residual reads the brackets of pairs in nu
+        conj_h = action.h.basis[:, :n] @ orbit.ad_inv.T + action.h.basis[:, n:]
+        h_mats = algebra.frobenius_matrices(conj_h).reshape(
+            len(conj_h), algebra.ambient_size ** 2)
+        direct = _direct_is_cheaper(cohom, n - cohom, algebra.ambient_size)
+        tangent = orbit.tangent
+        if tangent is None and not direct:
+            tangent = split_span(nu)[1]
+        residuals = _criterion_residuals(algebra, nu, tangent, h_mats, direct)
+    residual_triple, residual_orth, residual_abelian = residuals
+
+    polar = (residual_triple < tol.residual_tol
+             and residual_orth < tol.residual_tol)
+    hyperpolar = polar and residual_abelian < tol.residual_tol
+    return PolarityReport(
+        cohomogeneity=cohom,
+        principal_point=orbit.point,
+        section_basis=nu,
+        polar=polar,
+        hyperpolar=hyperpolar,
+        residual_triple=residual_triple,
+        residual_orth=residual_orth,
+        residual_abelian=residual_abelian,
+        samples_used=samples_used,
+        seed=tol.seed,
+        tolerances=tol,
+    )
+
+
 def polarity_check(action, g, tol, max_orbit_dim):
     """Evaluate the polarity criterion at a principal point g.
 
@@ -299,7 +416,8 @@ def polarity_check(action, g, tol, max_orbit_dim):
     of the fewer vectors of h's complement, whose left null vectors (the
     complement of the span of the transposed rows) give nu.  Both have the
     same principal angles and are cut against the same bound, so the cut
-    keeps the same directions (see the module docstring).
+    keeps the same directions (see the module docstring).  It is the SVD
+    of a draw of principal_point (_read_orbit).
     InvalidInputError is raised when the cut drops a singular value above
     residual_tol, i.e. when residual_tol is too fine for the tangent.
 
@@ -318,51 +436,11 @@ def polarity_check(action, g, tol, max_orbit_dim):
       block of triples at a time, and wins when nu is small.
 
     The two agree to roundoff.  On W's side the ad-invariance path takes
-    the tangent as the orthogonal complement of nu.
+    the tangent as the orthogonal complement of nu.  At cohomogeneity 0 or
+    1 nu has no pair: every residual is 0, and nothing is built for them.
     """
-    algebra = action.algebra
-    n = algebra.dim
-    rows, offset, ad_inv = _orbit_rows(action, g, tol)
-    if _reads_complement(action):
-        kept, null, dropped = split_span(rows.T, scale=_ROW_SCALE)
-        nu = np.sqrt(2.0) * (null @ action.h.complement)[:, n:]
-        tangent = None
-    else:
-        kept, nu, dropped = split_span(rows, scale=_ROW_SCALE)
-        tangent = kept
-    _check_cut(dropped, tol, "the orbit tangent")
-    orbit_dim = offset + len(kept)
-    if orbit_dim < max_orbit_dim:
-        raise NonPrincipalPointError(
-            f"point has orbit dimension {orbit_dim} < sampled maximum "
-            f"{max_orbit_dim}; the criterion needs a principal point "
-            "(raise num_samples / --samples if sampling looks unlucky)")
-    cohom = len(nu)
-    conj_h = action.h.basis[:, :n] @ ad_inv.T + action.h.basis[:, n:]
-    h_mats = algebra.frobenius_matrices(conj_h).reshape(
-        len(conj_h), algebra.ambient_size ** 2)
-    direct = _direct_is_cheaper(cohom, n - cohom, algebra.ambient_size)
-    if tangent is None and not direct:
-        tangent = split_span(nu)[1]
-    residual_triple, residual_orth, residual_abelian = _criterion_residuals(
-        algebra, nu, tangent, h_mats, direct)
-
-    polar = (residual_triple < tol.residual_tol
-             and residual_orth < tol.residual_tol)
-    hyperpolar = polar and residual_abelian < tol.residual_tol
-    return PolarityReport(
-        cohomogeneity=cohom,
-        principal_point=np.asarray(g, dtype=float),
-        section_basis=nu,
-        polar=polar,
-        hyperpolar=hyperpolar,
-        residual_triple=residual_triple,
-        residual_orth=residual_orth,
-        residual_abelian=residual_abelian,
-        samples_used=tol.num_samples,
-        seed=tol.seed,
-        tolerances=tol,
-    )
+    return _criterion(action, _read_orbit(action, g, tol), tol,
+                      max_orbit_dim, tol.num_samples)
 
 
 def analyze(action, tol):
@@ -370,9 +448,8 @@ def analyze(action, tol):
 
     samples_used counts the points drawn, at most tol.num_samples.
     """
-    best, point, drawn = principal_point(action, tol)
-    report = polarity_check(action, point, tol, max_orbit_dim=best)
-    return replace(report, samples_used=drawn)
+    orbit, drawn = _search(action, tol)
+    return _criterion(action, orbit, tol, orbit.dim, drawn)
 
 
 def span_rank(h1, h2, algebra, tol):

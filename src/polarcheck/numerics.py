@@ -16,10 +16,16 @@ in the middle of that gap.  Orthonormality is Euclidean: every algebra has
 a Frobenius-orthonormal basis, so coordinates are Euclidean for the
 invariant form.
 
-Row spaces and complements come from the right singular vectors alone.
-LAPACK is asked for the full, square V only when the matrix has fewer rows
-than columns: otherwise the thin V is already complete, and the full U of
-a tall matrix (Ad(s) - I on the rows fixed so far, in
+The same cut stops the principal-point search: a slice representation
+counts as trivial when its largest bracket is at most RANK_TOL * sqrt(2),
+sqrt(2) being the largest Frobenius norm of a commutator of two unit
+matrices (see actions.principal_point).
+
+Row spaces and complements come from the right singular vectors; the
+orbit rows of actions also read U, from the same call (cut_svd).  LAPACK
+is asked for the full, square V only when the matrix has fewer rows than
+columns: otherwise the thin V is already complete, and the full U of a
+tall matrix (Ad(s) - I on the rows fixed so far, in
 embeddings.fixed_subalgebra) is never formed.
 
 All functions are pure; nothing here owns randomness.
@@ -101,24 +107,35 @@ def rank_and_dropped(vectors, scale=None):
     return _cut(np.linalg.svd(mat, compute_uv=False), scale)
 
 
+def cut_svd(matrix, scale=None):
+    """(U, rank, V^T, dropped): the SVD of a real matrix, with the number of
+    singular values the cut keeps and the largest one it drops (0.0 if
+    none).
+
+    A matrix with at least as many rows as columns has as many singular
+    values as columns, so the thin V is already square and orthogonal; only
+    a matrix with fewer rows than columns needs the full V, whose extra
+    rows complete the complement of its row space.  U is then square, and
+    its columns past the rank span the left null space; otherwise U is
+    thin, and only its first rank columns, the column space, are complete.
+    """
+    mat = np.atleast_2d(np.asarray(matrix, dtype=float))
+    u, sv, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
+    rank, dropped = _cut(sv, scale)
+    return u, rank, vh, dropped
+
+
 def split_span(matrix, scale=None):
     """Orthonormal bases (rows) of the row space of a real matrix and of its
-    orthogonal complement, from one SVD, and the largest singular value the
-    cut drops (0.0 if it drops none).
+    orthogonal complement, from one SVD (cut_svd's), and the largest
+    singular value the cut drops (0.0 if it drops none).
 
     When the caller knows the natural magnitude of genuine input vectors
     (e.g. differences of unit vectors), passing it as `scale` makes the
     cutoff absolute with respect to that magnitude, so an all-roundoff input
     yields rank zero instead of being renormalized into a full-rank matrix.
-
-    Only V is read, never U.  A matrix with at least as many rows as
-    columns has as many singular values as columns, so the thin V is
-    already square and orthogonal; only a matrix with fewer rows than
-    columns needs the full V, whose extra rows complete its complement.
     """
-    mat = np.atleast_2d(np.asarray(matrix, dtype=float))
-    _, sv, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    rank, dropped = _cut(sv, scale)
+    _, rank, vh, dropped = cut_svd(matrix, scale)
     return vh[:rank], vh[rank:], dropped
 
 
@@ -139,7 +156,8 @@ def outside_norm(vectors, onb):
     norm.  On coordinates it is a norm in the invariant form.  The stack
     is taken whole, so callers hand it one block at a time:
     span_closure_residual a block of commutators, the direct triple path
-    of actions.polarity_check a block of triples [[X,Y],Z].
+    of actions.polarity_check a block of triples [[X,Y],Z], and the slice
+    test of actions._read_orbit the brackets of one matrix at a time.
     """
     rest = vectors.reshape(-1, vectors.shape[-1])
     if onb.shape[0]:

@@ -480,42 +480,178 @@ class TestControlVerdicts:
                 report.hyperpolar) == (2, True, True)
 
 
-class TestPrincipalPointReference:
-    """principal_point counts ranks from singular values alone and stops at
-    the ceiling min(dim h, dim l); it must pick what a loop over the full
-    orbit tangents of all tol.num_samples points picks."""
+def slice_residual(action, g, tol):
+    """Largest ||[X2, Y]|| over the unit right halves X2 of the isotropy
+    algebra at g and Y in nu, both read from h's tangent vectors: the
+    isotropy is their left null space, nu their right one."""
+    algebra, n = action.algebra, action.algebra.dim
+    left, right = action.h.basis[:, :n], action.h.basis[:, n:]
+    rows = left @ adjoint_matrix(algebra, g.T, member_tol=1e-8).T - right
+    isotropy = np.sqrt(2) * split_span(rows.T, scale=np.sqrt(2))[1] @ right
+    nu = split_span(rows, scale=np.sqrt(2))[1]
+    brackets = commutator(algebra.frobenius_matrices(isotropy)[:, None],
+                          algebra.frobenius_matrices(nu)[None])
+    return float(np.sqrt((brackets ** 2).sum(axis=(-2, -1)).max(initial=0.0)))
 
+
+# the first five cases, then every catalog action and every control
+REFERENCE_CASES = list(dict.fromkeys([
+    ("su3", "delta(sigma=id)"),
+    ("su2", "product(h1=zero,h2=zero)"),      # the orbit collapses
+    ("so5", "delta(sigma=id)"),
+    ("su3", "product(h1=su2,h2=su2)"),
+    ("su3", "product(h1=full,h2=zero)"),      # transitive
+    *((entry.group, entry.spec) for entry in catalog_entries()
+      if entry.kind == "action"),
+    *((group, subgroup) for group, subgroup, _ in CONTROLS),
+]))
+
+
+class TestPrincipalPointReference:
+    """principal_point stops at the first draw that attains the largest
+    dimension so far and whose slice representation is trivial; it must
+    pick what a loop over the full orbit tangents of all tol.num_samples
+    points picks, after the draws that loop needs to meet such a point."""
+
+    # min(dim h, dim l) is reached: h_g or nu is empty
     CEILING_CASES = {("su2", "product(h1=zero,h2=zero)"),   # dim h = 0
                      ("su3", "product(h1=su2,h2=su2)"),     # dim h = 6
-                     ("su3", "product(h1=full,h2=zero)")}   # dim l = 8
+                     ("su3", "product(h1=full,h2=zero)"),   # dim l = 8
+                     ("su3", "product(h1=so3,h2=so3)"),
+                     ("so8", "delta(on=so7)"),
+                     ("so8", "delta(sigma=triality,on=so7)"),
+                     ("so8", "delta(sigma=outer_so_even,on=so7)"),
+                     ("su3", "delta(on=so3)"),
+                     ("su2", "delta(on=cartan)"),
+                     ("su2", "product(h1=cartan,h2=zero)")}
 
-    @pytest.mark.parametrize("group,subgroup", [
-        ("su3", "delta(sigma=id)"),
-        ("su2", "product(h1=zero,h2=zero)"),      # the orbit collapses
-        ("so5", "delta(sigma=id)"),
-        ("su3", "product(h1=su2,h2=su2)"),
-        ("su3", "product(h1=full,h2=zero)"),      # transitive
-    ])
+    @pytest.mark.parametrize("group,subgroup", REFERENCE_CASES)
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_matches_the_tangent_loop(self, group, subgroup, seed):
         tol = ToleranceConfig(seed=seed)
         algebra = parse_group(group)
         action = ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
         rng = PointSampler(seed)
-        best, point = -1, None
-        for _ in range(tol.num_samples):
+        best, point, certified = -1, None, None
+        for draw in range(1, tol.num_samples + 1):
             g = sample_group_point(algebra, rng)
             dim = orbit_tangent(action, g, tol).shape[0]
             if dim > best:
                 best, point = dim, g
+            if certified is None and dim == best and slice_residual(
+                    action, g, tol) <= numerics.RANK_TOL * np.sqrt(2):
+                certified = draw
         dim, g, drawn = principal_point(action, tol)
         assert dim == best
         assert np.array_equal(g, point)
-        # the first point of a ceiling case reaches min(dim h, dim l)
         at_ceiling = (group, subgroup) in self.CEILING_CASES
         assert (best == min(action.h.dim, algebra.dim)) == at_ceiling
-        assert drawn == (1 if at_ceiling else tol.num_samples)
+        # every first draw lies on an orbit of maximal dimension
+        assert drawn == certified == 1
         assert analyze(action, tol).samples_used == drawn
+
+
+# (group, subgroup, point, its orbit dimension, the maximal one): e and
+# exp(0.7 B0), B0 the first basis matrix of so(20), lie below the maximum
+BELOW_MAXIMUM = [
+    ("so20", "delta(sigma=id)", "e", 0, 180),
+    ("sp5", "delta(sigma=id)", "e", 0, 50),
+    ("su10", "product(h1=su9,h2=su9)", "e", 80, 97),   # read from W
+    ("so20", "delta(sigma=id)", "exp(0.7 B0)", 36, 180),
+]
+
+
+def named_point(algebra, name):
+    if name == "e":
+        return np.eye(algebra.ambient_size)
+    return actions._expm_skew(0.7 * algebra.basis[0])
+
+
+class TestSliceCertificate:
+    """A draw stops the search only when its isotropy algebra acts
+    trivially on its normal space, which by the slice theorem puts it on
+    an orbit of maximal dimension."""
+
+    @pytest.mark.parametrize("group,subgroup,where,dim,maximum",
+                             BELOW_MAXIMUM)
+    def test_points_below_the_maximum_are_refused(
+            self, group, subgroup, where, dim, maximum, tol):
+        algebra = parse_group(group)
+        action = ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
+        orbit = actions._read_orbit(action, named_point(algebra, where), tol)
+        assert (orbit.dim, principal_point(action, tol)[0]) == (dim, maximum)
+        # the cut is RANK_TOL * sqrt(2) = 1.4e-9; refused points sit far
+        # above it
+        assert orbit.slice_residual > 0.1
+
+    @pytest.mark.parametrize("group,subgroup,where,dim,maximum",
+                             BELOW_MAXIMUM)
+    def test_a_refused_first_draw_does_not_stop_the_search(
+            self, group, subgroup, where, dim, maximum, tol, monkeypatch):
+        algebra = parse_group(group)
+        action = ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
+        first = named_point(algebra, where)
+        sampled = actions.sample_group_point
+        rng = PointSampler(tol.seed)
+        points = [first] + [sampled(algebra, rng)
+                            for _ in range(tol.num_samples - 1)]
+        dims = [orbit_tangent(action, g, tol).shape[0] for g in points]
+        draws = []
+
+        def first_point_then_sampled(algebra, rng):
+            draws.append(None)
+            return first if len(draws) == 1 else sampled(algebra, rng)
+
+        monkeypatch.setattr(actions, "sample_group_point",
+                            first_point_then_sampled)
+        found, point, drawn = principal_point(action, tol)
+        assert (dims[0], found) == (dim, maximum) and max(dims) == maximum
+        assert np.array_equal(point, points[dims.index(maximum)])
+        assert drawn >= 2
+
+    @pytest.mark.parametrize("group,subgroup", [
+        ("so20", "delta(sigma=id)"),
+        ("su10", "product(h1=su9,h2=su9)"),
+        ("sp5", "delta(sigma=id)"),
+    ])
+    def test_the_criterion_reads_the_chosen_draw(self, group, subgroup, tol):
+        # analyze hands the chosen draw's split to the criterion, and
+        # polarity_check at that point takes the same SVD
+        algebra = parse_group(group)
+        action = ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
+        report = analyze(action, tol)
+        again = polarity_check(action, report.principal_point, tol,
+                               algebra.dim - report.cohomogeneity)
+        assert report.samples_used == 1
+        assert np.array_equal(report.section_basis, again.section_basis)
+        assert (report.residual_triple, report.residual_orth,
+                report.residual_abelian) == (again.residual_triple,
+                                             again.residual_orth,
+                                             again.residual_abelian)
+
+    @pytest.mark.parametrize("group,subgroup,cohomogeneity", [
+        ("so20", "product(h1=so19,h2=u10)", 0),     # read from W
+        ("su4", "product(h1=so4,h2=sp2)", 1),       # read from W
+        ("so8", "product(h1=spin7,h2=spin7)", 1),   # read from W
+        ("su3", "product(h1=full,h2=zero)", 0),
+    ])
+    def test_no_pair_in_nu_builds_nothing(self, group, subgroup,
+                                          cohomogeneity, tol, monkeypatch):
+        # at cohomogeneity 0 or 1 no residual has a bracket to read
+        algebra = parse_group(group)
+        action = ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
+
+        def unread(*args):
+            raise AssertionError("built for no pair of nu")
+
+        for name in ("_direct_is_cheaper", "_criterion_residuals",
+                     "split_span"):
+            monkeypatch.setattr(actions, name, unread)
+        report = analyze(action, tol)
+        assert report.cohomogeneity == cohomogeneity
+        assert report.polar and report.hyperpolar
+        assert (report.residual_triple, report.residual_orth,
+                report.residual_abelian) == (0.0, 0.0, 0.0)
 
 
 # (group, subgroup, whether the complement of h is read): principal_point
@@ -549,7 +685,8 @@ def side_action(group, subgroup, tmp_path, tol):
 
 
 def orbit_dimension(action, g, tol):
-    """The orbit dimension at g as principal_point reads it."""
+    """The orbit dimension at g from the rows and the cut that
+    principal_point reads, off singular values alone."""
     rows, offset, _ = actions._orbit_rows(action, g, tol)
     return offset + rank_and_dropped(rows, scale=actions._ROW_SCALE)[0]
 

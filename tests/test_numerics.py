@@ -188,6 +188,22 @@ class TestSplitSpan:
         assert rank_and_dropped(mat)[0] == cut
         assert abs(rank_and_dropped(mat)[1] - dropped) < 1e-12
 
+    @pytest.mark.parametrize("rows, d, rank", [
+        (9, 4, 2), (4, 4, 3), (3, 7, 2), (0, 5, 0), (5, 0, 0)])
+    def test_cut_svd_adds_u_to_split_span(self, rows, d, rank):
+        # split_span's bits, and U: its first rank columns span the column
+        # space; when U is square the rest span the left null space
+        rng = np.random.default_rng(100 * rows + 10 * d + rank)
+        mat = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, d))
+        u, cut, vh, dropped = numerics.cut_svd(mat)
+        span, rest, alone = split_span(mat)
+        assert cut == rank and dropped == alone
+        assert np.array_equal(vh[:cut], span) and np.array_equal(vh[cut:], rest)
+        column = u[:, :cut]
+        assert np.abs(column @ (column.T @ mat) - mat).max(initial=0.0) < 1e-12
+        if u.shape[1] == rows:
+            assert np.abs(u[:, cut:].T @ mat).max(initial=0.0) < 1e-12
+
 
 class TestComplement:
     # the complement split_span returns: nu in polarity_check
