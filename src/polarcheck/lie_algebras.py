@@ -7,7 +7,8 @@ are stored.  Complex entries are realified as 2x2 blocks [[a, -b], [b, a]]
 the complex stack {[[A, -conj(B)], [B, conj(A)]]} in u(2n), the
 commutant of the quaternionic structure J o conj on C^{2n}, with
 J = [[0, -I], [I, 0]].  The convention is fixed once here and reused by
-every embedding builder.
+every embedding builder.  so(n)'s orthonormal basis is written down;
+su(n) and sp(n) are orthonormalized by one QR (see build_classical).
 
 The invariant inner product is fixed as <X, Y> = -tr(XY) on the realified
 defining representation.  On a simple algebra a biinvariant metric is
@@ -328,14 +329,26 @@ def classical_basis(family, n):
 @lru_cache(maxsize=None)
 def build_classical(family, n):
     """Standard compact algebra su/so/sp(n) in its realified defining rep,
-    on classical_basis orthonormalized by one QR.
+    on an orthonormal basis of classical_basis.
+
+    so(n)'s basis is written down: -(E_ij - E_ji) / sqrt(2), which is what
+    a QR of so_basis returns, bit for bit.  It is laid out as that QR lays
+    out its factor, the basis index varying fastest, so every product that
+    reads it sums in the same order and keeps its bits.  su(n) and sp(n)
+    keep one QR: no closed form matches its last bits on their diagonal
+    rows (su(n)'s are not even orthogonal), and non-polar residuals, maxima
+    over a basis of nu, move with those bits.
 
     Its matrices are independent and their span is closed by construction,
     so neither is checked here.
     """
     basis = classical_basis(family, n)
     dim, size = basis.shape[0], basis.shape[1]
-    onb = np.linalg.qr(basis.reshape(dim, size * size).T)[0].T
+    flat = basis.reshape(dim, size * size)
+    if family == "so":
+        onb = np.asfortranarray(-(1 / np.sqrt(2.0)) * flat)
+    else:
+        onb = np.linalg.qr(flat.T)[0].T
     return LieAlgebra(f"{family}({n})", onb.reshape(dim, size, size),
                       family=family, n=n)
 

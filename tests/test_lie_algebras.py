@@ -97,6 +97,28 @@ class TestDimensions:
         assert np.array_equal(so_basis(n), np.array(expected))
 
 
+class TestSoClosedForm:
+    """so(n)'s basis is written down, not orthonormalized by a QR."""
+
+    @pytest.mark.parametrize("n", range(3, 57))
+    def test_matches_the_qr_it_replaces(self, n):
+        basis = classical_basis("so", n)
+        dim, size = basis.shape[0], basis.shape[1]
+        qr = np.linalg.qr(basis.reshape(dim, size * size).T)[0].T
+        qr = qr.reshape(dim, size, size)
+        # uncached, so the large algebras are not kept for the session
+        built = build_classical.__wrapped__("so", n).basis
+        assert np.array_equal(built, qr)
+        assert built.strides == qr.strides
+
+    def test_builds_without_a_qr(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("so(n) took a QR")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        assert build_classical.__wrapped__("so", 20).dim == 190
+
+
 class TestInvariants:
     @pytest.mark.parametrize("family,n", SMALL_CASES)
     def test_health_residuals(self, family, n):
