@@ -293,30 +293,44 @@ def _direct_is_cheaper(cohom, dim_t, ambient_size):
     ad-invariance path, for c = cohom, dim_t tangent directions and
     matrices of side m = ambient_size; ties go to the ad-invariance path.
 
-    A commutator costs 4 m^3 flops and a pairing of two matrices m^2.  With
-    P = c(c-1)/2 pairs X before Y in nu, the ad-invariance path forms c*dim_t
-    brackets [Z,T] and P*c*dim_t pairings; the direct path forms P*c triples
-    [[X,Y],Z] and projects each onto nu, 2c pairings each.
+    nu + tangent = l, so l has n = c + dim_t coordinates.  A commutator
+    costs 4 m^3 flops, reading a matrix into its l coordinates 2 m^2 n, a
+    pairing of two coordinate rows 2n and one of two flat matrices 2 m^2.
+    With P = c(c-1)/2 pairs X before Y in nu, the ad-invariance path forms
+    and reads c*dim_t brackets [Z,T], reads the P brackets [X,Y] and pairs
+    them in P*c*dim_t coordinate pairings; the direct path forms P*c
+    triples [[X,Y],Z] and projects each onto nu, 2c flat pairings each.
+    The direct path reads [X,Y] too when h has rows, for residual_orth;
+    the count leaves that shared read out.
     """
     pairs = cohom * (cohom - 1) // 2
+    dim_l = cohom + dim_t
     bracket = 4 * ambient_size ** 3
-    pairing = ambient_size ** 2
-    ad_invariance = cohom * dim_t * (bracket + pairs * pairing)
-    direct = pairs * cohom * (bracket + 2 * cohom * pairing)
+    read = 2 * ambient_size ** 2 * dim_l
+    ad_invariance = (cohom * dim_t * (bracket + read)
+                     + pairs * (read + cohom * dim_t * 2 * dim_l))
+    direct = pairs * cohom * (bracket + 2 * cohom * 2 * ambient_size ** 2)
     return direct < ad_invariance
 
 
-def _ad_invariance_triples(x, tangent):
+def _ad_invariance_triples(x, tangent, flat_basis):
     """(extra floats per pair, reader): the reader takes a block of flat
-    brackets [X,Y] and returns the largest tangent component of a triple
-    [[X,Y],Z], read off <[[X,Y],Z],T> = <[X,Y],[Z,T]> over the orthonormal
-    tangent matrices T, so no triple is formed."""
-    cohom, dim_t, side = len(x), len(tangent), x.shape[-1]
-    zt = commutator(x[:, None], tangent[None]).reshape(cohom * dim_t,
-                                                       side * side)
+    brackets [X,Y] and their l coordinates b, and returns the largest
+    tangent component of a triple [[X,Y],Z], read off
+    <[[X,Y],Z],T> = <[X,Y],[Z,T]> over the orthonormal tangent matrices T,
+    so no triple is formed.  Every [Z,T] is read into l coordinates once, a
+    Z at a time, so a pairing costs dim l and no stack of c*dim_t flat
+    brackets is held."""
+    cohom, dim_t, size = len(x), len(tangent), x.shape[-1] ** 2
+    zt = np.empty((cohom, dim_t, len(flat_basis)))
+    for z, coords in zip(x, zt):
+        coords[:] = commutator(z, tangent).reshape(dim_t, size) @ flat_basis.T
+    zt = zt.reshape(cohom * dim_t, len(flat_basis))
 
-    def largest(xy):
-        outside = (xy @ zt.T).reshape(len(xy), cohom, dim_t)
+    def largest(xy, b):
+        if not dim_t:   # nu is all of l: every triple lies in it
+            return 0.0
+        outside = (b @ zt.T).reshape(len(b), cohom, dim_t)
         return float(np.sqrt(np.einsum('pzt,pzt->pz', outside, outside)
                              .max(initial=0.0)))
     return zt.shape[0], largest
@@ -324,8 +338,9 @@ def _ad_invariance_triples(x, tangent):
 
 def _direct_triples(x):
     """(extra floats per pair, reader): the reader takes a block of flat
-    brackets [X,Y], forms each [[X,Y],Z] and returns the largest component
-    outside nu, which nu + tangent = l makes the tangent component.
+    brackets [X,Y] (and their l coordinates, which it does not read), forms
+    each [[X,Y],Z] and returns the largest component outside nu, which
+    nu + tangent = l makes the tangent component.
 
     A pair's c triples are held three times over at the peak: commutator
     holds a@b, b@a and their difference, and outside_norm the triples, their
@@ -333,31 +348,42 @@ def _direct_triples(x):
     cohom, side = len(x), x.shape[-1]
     nu = x.reshape(cohom, side * side)
 
-    def largest(xy):
+    def largest(xy, b):
         xyz = commutator(xy.reshape(-1, 1, side, side), x)
         return outside_norm(xyz.reshape(-1, side * side), nu)
     return 3 * cohom * side * side, largest
 
 
-def _criterion_residuals(algebra, nu, tangent, h_mats, direct):
+def _criterion_residuals(algebra, nu, tangent, conj_h, direct):
     """(residual_triple, residual_orth, residual_abelian) of the coefficient
-    rows nu against h_mats, flat matrices of the conjugated h, with the
+    rows nu against conj_h, the l coordinates of the conjugated h, with the
     triple residual taken by the direct path or, from the orthonormal
     tangent rows, by the ad-invariance path.
 
-    The brackets [X,Y], X before Y in nu, are formed a block at a time and
-    read by both residuals and the triple path.
+    The brackets [X,Y], X before Y in nu, are formed a block at a time.
+    When h or the ad-invariance path's tangent has rows, each block is read
+    once into l coordinates, b = [X,Y] B^T over the flat basis B; that is
+    exact, as [X,Y] lies in l and B is orthonormal.  residual_orth is the
+    largest |<b, conj_h>| and the ad-invariance pairings read b, so each
+    pairing costs dim l; residual_abelian and the direct path read the
+    flat brackets, and with neither rows nothing is read into coordinates.
     """
     x = algebra.frobenius_matrices(nu)
+    flat = algebra.basis.reshape(algebra.dim, -1)
     if direct:
         extra, triple_of = _direct_triples(x)
     else:
         extra, triple_of = _ad_invariance_triples(
-            x, algebra.frobenius_matrices(tangent))
+            x, algebra.frobenius_matrices(tangent), flat)
+    reads = len(conj_h) > 0 or (not direct and len(tangent) > 0)
+    if reads:
+        extra += algebra.dim
     triple = orth = abelian = 0.0
     for xy in pair_commutators(x, extra_floats=extra):
-        triple = max(triple, triple_of(xy))
-        orth = max(orth, float(np.abs(xy @ h_mats.T).max(initial=0.0)))
+        b = xy @ flat.T if reads else None
+        triple = max(triple, triple_of(xy, b))
+        if len(conj_h):
+            orth = max(orth, float(np.abs(b @ conj_h.T).max(initial=0.0)))
         abelian = max(abelian,
                       float(np.einsum('pk,pk->p', xy, xy).max(initial=0.0)))
     return triple, orth, float(np.sqrt(abelian))
@@ -378,13 +404,11 @@ def _criterion(action, orbit, tol, max_orbit_dim, samples_used):
     residuals = 0.0, 0.0, 0.0
     if cohom > 1:  # every residual reads the brackets of pairs in nu
         conj_h = action.h.basis[:, :n] @ orbit.ad_inv.T + action.h.basis[:, n:]
-        h_mats = algebra.frobenius_matrices(conj_h).reshape(
-            len(conj_h), algebra.ambient_size ** 2)
         direct = _direct_is_cheaper(cohom, n - cohom, algebra.ambient_size)
         tangent = orbit.tangent
         if tangent is None and not direct:
             tangent = split_span(nu)[1]
-        residuals = _criterion_residuals(algebra, nu, tangent, h_mats, direct)
+        residuals = _criterion_residuals(algebra, nu, tangent, conj_h, direct)
     residual_triple, residual_orth, residual_abelian = residuals
 
     polar = (residual_triple < tol.residual_tol

@@ -51,18 +51,25 @@ def parse_group(name):
 
 def _split_args(body):
     """Split 'k1=v1, k2=v2' at top-level commas, respecting parentheses;
-    a key given twice is invalid input."""
+    a key given twice or an unbalanced parenthesis is invalid input."""
     parts, depth, current = [], 0, []
     for ch in body:
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
+            if depth < 0:
+                raise InvalidInputError(
+                    f"unbalanced parenthesis: a ')' in {body!r} closes "
+                    "nothing")
         if ch == "," and depth == 0:
             parts.append("".join(current))
             current = []
         else:
             current.append(ch)
+    if depth:
+        raise InvalidInputError(
+            f"unbalanced parenthesis: a '(' in {body!r} is never closed")
     if current:
         parts.append("".join(current))
     args = {}

@@ -251,6 +251,9 @@ PATH_CASES = list(dict.fromkeys([
     ("su4", "product(h1=cartan,h2=cartan)"),
     ("so6", "product(h1=zero,h2=zero)"),          # no tangent
     ("so6", "product(h1=so5,h2=zero)"),
+    # coordinates 4 and 7 times shorter than the flat matrices
+    ("su6", "product(h1=cartan,h2=cartan)"),
+    ("sp3", "product(h1=cartan,h2=cartan)"),
 ]))
 
 
@@ -305,10 +308,16 @@ class TestCriterionReference:
     def test_each_path_matches_brute_force(self, group, subgroup, direct,
                                            tol):
         action, report = analyzed(group, subgroup, tol)
-        g = report.principal_point
+        algebra, g = action.algebra, report.principal_point
+        # the criterion reads h in l coordinates; brute force pairs the
+        # flat matrices, so it checks that reading independently
+        conj_h = algebra.coords_of(
+            conjugated_h(action, g).reshape(
+                -1, algebra.ambient_size, algebra.ambient_size),
+            member_tol=1e-10)
         residuals = actions._criterion_residuals(
-            action.algebra, report.section_basis,
-            orbit_tangent(action, g, tol), conjugated_h(action, g), direct)
+            algebra, report.section_basis, orbit_tangent(action, g, tol),
+            conj_h, direct)
         assert list(residuals) == pytest.approx(
             brute_force_residuals(action, report), abs=1e-12)
 
@@ -414,6 +423,35 @@ class TestDirectPathVerdicts:
         assert seeded_verdict(group, subgroup, seed) == verdict
 
 
+class TestNoMatricesOfH:
+    """The criterion reads the conjugated h in l coordinates: no call of
+    frobenius_matrices during analyze gets h's rows, only those of nu, the
+    tangent and the slice check's isotropy reading (h_g on h's side, the
+    span of the W rows on W's side)."""
+
+    @pytest.mark.parametrize("group,subgroup", [
+        ("so20", "delta(sigma=id)"),            # dim h 190 = dim l
+        ("su10", "product(h1=su9,h2=su9)"),     # dim h 160 > dim l 99
+    ])
+    def test_only_nu_and_tangent_rows(self, group, subgroup, monkeypatch,
+                                      tol):
+        algebra = parse_group(group)
+        action = ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
+        build, counts = LieAlgebra.frobenius_matrices, []
+
+        def recorded(self, coeffs):
+            counts.append(len(coeffs))
+            return build(self, coeffs)
+
+        monkeypatch.setattr(LieAlgebra, "frobenius_matrices", recorded)
+        report = analyze(action, tol)
+        cohom, n, dim_h = report.cohomogeneity, algebra.dim, action.h.dim
+        orbit = n - cohom
+        slice_rows = orbit - (dim_h - n) if dim_h > n else dim_h - orbit
+        assert counts and dim_h not in counts
+        assert set(counts) <= {cohom, orbit, slice_rows}
+
+
 class TestDirectPathBlocks:
     """A block of the direct triple path holds each pair's c triples three
     times over at its peak (see actions._direct_triples), so the walk of
@@ -426,11 +464,11 @@ class TestDirectPathBlocks:
         monkeypatch.setattr(numerics, "_BLOCK_BYTES", block)
         walk, peaks = actions._criterion_residuals, []
 
-        def traced(algebra, nu, tangent, h_mats, direct):
+        def traced(algebra, nu, tangent, conj_h, direct):
             assert direct
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            residuals = walk(algebra, nu, tangent, h_mats, direct)
+            residuals = walk(algebra, nu, tangent, conj_h, direct)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
             return residuals
 

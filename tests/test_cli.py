@@ -229,6 +229,21 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert f"key '{key}' is given twice" in err
 
+    @pytest.mark.parametrize("subgroup,side", [
+        # each used to end in "unknown subalgebra spec" for a half factor
+        ("product(h1=so3,h2=zero))", "')' in 'h1=so3,h2=zero)' closes"),
+        ("delta(on=(so3)", "'(' in 'on=(so3' is never closed"),
+        ("product(h1=so3),h2=(zero)", "')' in 'h1=so3),h2=(zero' closes")])
+    def test_unbalanced_parenthesis_is_invalid_input(self, capsys, subgroup,
+                                                     side):
+        code, out, err = run(capsys, ["analyze", "--group", "su3",
+                                      "--subgroup", subgroup])
+        assert (code, out) == (2, "")
+        assert f"unbalanced parenthesis: a {side}" in err
+        with pytest.raises(InvalidInputError, match="unbalanced parenthesis"):
+            specs.resolve_subgroup(subgroup, parse_group("su3"),
+                                   ToleranceConfig())
+
     @pytest.mark.parametrize("group", ["so7", "so16", "su3"])
     def test_triality_only_on_so8(self, capsys, group):
         code, out, err = run(capsys, ["analyze", "--group", group,
