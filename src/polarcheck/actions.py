@@ -293,15 +293,13 @@ def _direct_is_cheaper(cohom, dim_t, ambient_size):
     ad-invariance path, for c = cohom, dim_t tangent directions and
     matrices of side m = ambient_size; ties go to the ad-invariance path.
 
-    nu + tangent = l, so l has n = c + dim_t coordinates.  A commutator
-    costs 4 m^3 flops, reading a matrix into its l coordinates 2 m^2 n, a
-    pairing of two coordinate rows 2n and one of two flat matrices 2 m^2.
-    With P = c(c-1)/2 pairs X before Y in nu, the ad-invariance path forms
-    and reads c*dim_t brackets [Z,T], reads the P brackets [X,Y] and pairs
-    them in P*c*dim_t coordinate pairings; the direct path forms P*c
-    triples [[X,Y],Z] and projects each onto nu, 2c flat pairings each.
-    The direct path reads [X,Y] too when h has rows, for residual_orth;
-    the count leaves that shared read out.
+    l has n = c + dim_t coordinates.  A commutator costs 4 m^3 flops,
+    reading a matrix into coordinates 2 m^2 n, and a pairing 2n of
+    coordinates or 2 m^2 of matrices.  With P = c(c-1)/2 pairs X before Y
+    in nu, the ad-invariance path forms and reads c*dim_t brackets [Z,T],
+    reads the P brackets [X,Y] and makes P*c*dim_t pairings; the direct
+    path forms P*c triples [[X,Y],Z] and projects each onto nu, 2c matrix
+    pairings each.
     """
     pairs = cohom * (cohom - 1) // 2
     dim_l = cohom + dim_t
@@ -314,20 +312,18 @@ def _direct_is_cheaper(cohom, dim_t, ambient_size):
 
 
 def _ad_invariance_triples(x, tangent, flat_basis):
-    """(extra floats per pair, reader): the reader takes a block of flat
-    brackets [X,Y] and their l coordinates b, and returns the largest
-    tangent component of a triple [[X,Y],Z], read off
-    <[[X,Y],Z],T> = <[X,Y],[Z,T]> over the orthonormal tangent matrices T,
-    so no triple is formed.  Every [Z,T] is read into l coordinates once, a
-    Z at a time, so a pairing costs dim l and no stack of c*dim_t flat
-    brackets is held."""
+    """(extra floats per pair, reader): the reader takes the l coordinates
+    of a block of brackets [X,Y] and returns the largest tangent component
+    of a triple [[X,Y],Z], read off <[[X,Y],Z],T> = <[X,Y],[Z,T]> over the
+    orthonormal tangent matrices T, so no triple is formed.  Each [Z,T] is
+    read into coordinates once, a Z at a time."""
     cohom, dim_t, size = len(x), len(tangent), x.shape[-1] ** 2
     zt = np.empty((cohom, dim_t, len(flat_basis)))
     for z, coords in zip(x, zt):
         coords[:] = commutator(z, tangent).reshape(dim_t, size) @ flat_basis.T
     zt = zt.reshape(cohom * dim_t, len(flat_basis))
 
-    def largest(xy, b):
+    def largest(b):
         if not dim_t:   # nu is all of l: every triple lies in it
             return 0.0
         outside = (b @ zt.T).reshape(len(b), cohom, dim_t)
@@ -338,9 +334,8 @@ def _ad_invariance_triples(x, tangent, flat_basis):
 
 def _direct_triples(x):
     """(extra floats per pair, reader): the reader takes a block of flat
-    brackets [X,Y] (and their l coordinates, which it does not read), forms
-    each [[X,Y],Z] and returns the largest component outside nu, which
-    nu + tangent = l makes the tangent component.
+    brackets [X,Y], forms each [[X,Y],Z] and returns the largest component
+    outside nu, which nu + tangent = l makes the tangent component.
 
     A pair's c triples are held three times over at the peak: commutator
     holds a@b, b@a and their difference, and outside_norm the triples, their
@@ -348,7 +343,7 @@ def _direct_triples(x):
     cohom, side = len(x), x.shape[-1]
     nu = x.reshape(cohom, side * side)
 
-    def largest(xy, b):
+    def largest(xy):
         xyz = commutator(xy.reshape(-1, 1, side, side), x)
         return outside_norm(xyz.reshape(-1, side * side), nu)
     return 3 * cohom * side * side, largest
@@ -361,12 +356,10 @@ def _criterion_residuals(algebra, nu, tangent, conj_h, direct):
     tangent rows, by the ad-invariance path.
 
     The brackets [X,Y], X before Y in nu, are formed a block at a time.
-    When h or the ad-invariance path's tangent has rows, each block is read
-    once into l coordinates, b = [X,Y] B^T over the flat basis B; that is
-    exact, as [X,Y] lies in l and B is orthonormal.  residual_orth is the
-    largest |<b, conj_h>| and the ad-invariance pairings read b, so each
-    pairing costs dim l; residual_abelian and the direct path read the
-    flat brackets, and with neither rows nothing is read into coordinates.
+    When h or the ad-invariance tangent has rows, a block is read once into
+    its l coordinates b (exact: [X,Y] lies in l, whose basis is
+    orthonormal), which residual_orth and the ad-invariance pairings read;
+    residual_abelian and the direct path read the flat brackets.
     """
     x = algebra.frobenius_matrices(nu)
     flat = algebra.basis.reshape(algebra.dim, -1)
@@ -381,7 +374,7 @@ def _criterion_residuals(algebra, nu, tangent, conj_h, direct):
     triple = orth = abelian = 0.0
     for xy in pair_commutators(x, extra_floats=extra):
         b = xy @ flat.T if reads else None
-        triple = max(triple, triple_of(xy, b))
+        triple = max(triple, triple_of(xy if direct else b))
         if len(conj_h):
             orth = max(orth, float(np.abs(b @ conj_h.T).max(initial=0.0)))
         abelian = max(abelian,
@@ -447,14 +440,18 @@ def polarity_check(action, g, tol, max_orbit_dim):
 
     Residuals are norms of commutators of Frobenius-orthonormal matrices of
     nu, taken in the invariant form (see LieAlgebra.frobenius_matrices).
+    Brackets lie in l, whose basis is orthonormal, so residual_orth pairs
+    the l coordinates of [X,Y] with those of the conjugated h, and no
+    matrix of h is built.
     residual_triple is the largest tangent component of a triple [[X,Y],Z],
     taken by one of two exact paths, whichever costs fewer flops for the
     cohomogeneity c, the tangent dimension and the matrix size (see
     _direct_is_cheaper):
 
     - ad-invariance: <[[X,Y],Z],T> = <[X,Y],[Z,T]> over an orthonormal
-      tangent basis, from all c * dim(tangent) brackets [Z,T] at once; it
-      wins when the tangent is small (high cohomogeneity);
+      tangent basis, in the l coordinates of all c * dim(tangent) brackets
+      [Z,T] at once; it wins when the tangent is small (high
+      cohomogeneity);
     - direct: form [[X,Y],Z] and take its component outside nu, which is
       its tangent component because nu + tangent = l; it holds only a
       block of triples at a time, and wins when nu is small.

@@ -7,8 +7,8 @@ are stored.  Complex entries are realified as 2x2 blocks [[a, -b], [b, a]]
 the complex stack {[[A, -conj(B)], [B, conj(A)]]} in u(2n), the
 commutant of the quaternionic structure J o conj on C^{2n}, with
 J = [[0, -I], [I, 0]].  The convention is fixed once here and reused by
-every embedding builder.  so(n)'s orthonormal basis is written down;
-su(n) and sp(n) are orthonormalized by one QR (see build_classical).
+every embedding builder.  so(n)'s orthonormal basis is written down,
+su(n)'s and sp(n)'s come from a QR (see build_classical).
 
 The invariant inner product is fixed as <X, Y> = -tr(XY) on the realified
 defining representation.  On a simple algebra a biinvariant metric is
@@ -331,13 +331,11 @@ def build_classical(family, n):
     """Standard compact algebra su/so/sp(n) in its realified defining rep,
     on an orthonormal basis of classical_basis.
 
-    so(n)'s basis is written down: -(E_ij - E_ji) / sqrt(2), which is what
-    a QR of so_basis returns, bit for bit.  It is laid out as that QR lays
-    out its factor, the basis index varying fastest, so every product that
-    reads it sums in the same order and keeps its bits.  su(n) and sp(n)
-    keep one QR: no closed form matches its last bits on their diagonal
-    rows (su(n)'s are not even orthogonal), and non-polar residuals, maxima
-    over a basis of nu, move with those bits.
+    so(n)'s is written down as -(E_ij - E_ji) / sqrt(2), the QR's bits,
+    in the QR's layout (basis index fastest), so products that read it
+    keep their bits.  su(n) and sp(n) keep one QR: no closed form matches
+    its last bits on their diagonal rows, and non-polar residuals, maxima
+    over a basis of nu, move with them.
 
     Its matrices are independent and their span is closed by construction,
     so neither is checked here.
