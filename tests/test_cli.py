@@ -230,7 +230,6 @@ class TestAnalyze:
         assert f"key '{key}' is given twice" in err
 
     @pytest.mark.parametrize("subgroup,side", [
-        # each used to end in "unknown subalgebra spec" for a half factor
         ("product(h1=so3,h2=zero))", "')' in 'h1=so3,h2=zero)' closes"),
         ("delta(on=(so3)", "'(' in 'on=(so3' is never closed"),
         ("product(h1=so3),h2=(zero)", "')' in 'h1=so3),h2=(zero' closes")])
