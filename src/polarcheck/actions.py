@@ -107,26 +107,10 @@ def sample_group_point(algebra, rng):
     return _expm_skew(algebra.matrix_of(z1)) @ _expm_skew(algebra.matrix_of(z2))
 
 
-def check_group_membership(algebra, g, tol):
-    """g must be orthogonal (all our representations are) and normalize l."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (algebra.ambient_size,) * 2:
-        raise InvalidInputError("group element has the wrong ambient size")
-    if not np.isfinite(g).all():
-        raise InvalidInputError(
-            "group element has a non-finite entry (nan or inf)")
-    ortho = float(np.abs(g.T @ g - np.eye(algebra.ambient_size)).max())
-    if ortho > np.sqrt(tol.residual_tol):
-        raise InvalidInputError(
-            f"element is not in the represented group (residual {ortho:.3e})")
-
-
 def _ad_inverse(action, g, tol):
-    """Ad(g^{-1}) on l, for a g that passes check_group_membership."""
-    algebra = action.algebra
-    check_group_membership(algebra, g, tol)
-    return adjoint_matrix(algebra, np.linalg.inv(g),
-                          member_tol=np.sqrt(tol.residual_tol))
+    """Ad(g^{-1}) on l: Ad(g)^T, as Ad(g) is orthogonal in orthonormal
+    coordinates (see adjoint_matrix for the check of g)."""
+    return adjoint_matrix(action.algebra, g, np.sqrt(tol.residual_tol)).T
 
 
 def _tangent_vectors(action, g, tol):

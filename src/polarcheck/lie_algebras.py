@@ -7,8 +7,8 @@ are stored.  Complex entries are realified as 2x2 blocks [[a, -b], [b, a]]
 the complex stack {[[A, -conj(B)], [B, conj(A)]]} in u(2n), the
 commutant of the quaternionic structure J o conj on C^{2n}, with
 J = [[0, -I], [I, 0]].  The convention is fixed once here and reused by
-every embedding builder.  so(n)'s orthonormal basis is written down,
-su(n)'s and sp(n)'s come from a QR (see build_classical).
+every embedding builder.  Every family's orthonormal basis is written
+down (see build_classical).
 
 The invariant inner product is fixed as <X, Y> = -tr(XY) on the realified
 defining representation.  On a simple algebra a biinvariant metric is
@@ -270,20 +270,21 @@ def so_basis(n):
 
 
 def _u_basis_complex(n, special=False):
-    """Skew-Hermitian basis of u(n), or of su(n) when special, as a stack.
+    """Orthogonal skew-Hermitian stack spanning u(n), or su(n) if special.
 
     The off-diagonal pairs E_ij - E_ji, i (E_ij + E_ji) come first; the
-    diagonal ones, i E_kk for u(n) and i (E_kk - E_k+1,k+1) for su(n), last.
+    diagonal ones, i E_kk for u(n) and the generalized Gell-Mann matrices
+    i diag(1, ..., 1, -k, 0, ..., 0), k ones, for su(n), last.
     """
     real = so_basis(n)
     pairs = 2 * len(real)
-    diagonal = np.arange(n - 1 if special else n)
-    mats = np.zeros((pairs + diagonal.size, n, n), dtype=complex)
+    weights = (np.tri(n - 1, n) - np.diag(np.arange(1.0, n), 1)[:-1]
+               if special else np.eye(n))
+    mats = np.zeros((pairs + len(weights), n, n), dtype=complex)
     mats[0:pairs:2] = real
     mats[1:pairs:2] = 1j * np.abs(real)
-    mats[pairs + diagonal, diagonal, diagonal] = 1j
-    if special:
-        mats[pairs + diagonal, diagonal + 1, diagonal + 1] = -1j
+    diagonal = np.arange(n)
+    mats[pairs:, diagonal, diagonal] = 1j * weights
     return mats
 
 
@@ -328,25 +329,18 @@ def classical_basis(family, n):
 
 @lru_cache(maxsize=None)
 def build_classical(family, n):
-    """Standard compact algebra su/so/sp(n) in its realified defining rep,
-    on an orthonormal basis of classical_basis.
+    """Standard compact algebra su/so/sp(n) in its realified defining rep.
 
-    so(n)'s is written down as -(E_ij - E_ji) / sqrt(2), the QR's bits,
-    in the QR's layout (basis index fastest), so products that read it
-    keep their bits.  su(n) and sp(n) keep one QR: no closed form matches
-    its last bits on their diagonal rows, and non-polar residuals, maxima
-    over a basis of nu, move with them.
-
-    Its matrices are independent and their span is closed by construction,
-    so neither is checked here.
+    classical_basis's matrices are mutually orthogonal, so its orthonormal
+    basis is each divided by its norm, negated and laid out basis index
+    fastest, which gives so(n) the bits of a QR.  Its matrices are
+    independent and their span is closed by construction, so neither is
+    checked here.
     """
     basis = classical_basis(family, n)
     dim, size = basis.shape[0], basis.shape[1]
     flat = basis.reshape(dim, size * size)
-    if family == "so":
-        onb = np.asfortranarray(-(1 / np.sqrt(2.0)) * flat)
-    else:
-        onb = np.linalg.qr(flat.T)[0].T
+    onb = np.asfortranarray(-flat / np.linalg.norm(flat, axis=1)[:, None])
     return LieAlgebra(f"{family}({n})", onb.reshape(dim, size, size),
                       family=family, n=n)
 
@@ -380,16 +374,26 @@ class Automorphism:
 def adjoint_matrix(algebra, g, member_tol):
     """Coordinate matrix of Ad(g): X -> g X g^{-1} on the algebra.
 
-    Raises InvalidInputError when g is singular and ClosureError when it
-    does not normalize the algebra, i.e. when a conjugated basis matrix
-    leaves it by more than member_tol (see LieAlgebra.coords_of).
+    Every represented group is orthogonal: InvalidInputError unless g is a
+    finite matrix of the ambient size with |g^T g - I| <= member_tol, and
+    ClosureError when a conjugated basis matrix leaves the algebra by more
+    than member_tol (see LieAlgebra.coords_of).  It takes g^{-1}, not g^T:
+    for g = k exp(S), k orthogonal, S symmetric and small, g X g^{-1} moves
+    by [S, X], symmetric and so outside the algebra, and Ad(g) by O(S^2);
+    g X g^T would move by the skew S X + X S.
     """
     g = np.asarray(g, dtype=float)
-    try:
-        inverse = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidInputError(f"conjugator is singular: {exc}") from exc
-    conjugated = g @ algebra.basis @ inverse
+    size = algebra.ambient_size
+    if g.shape != (size, size):
+        raise InvalidInputError("group element has the wrong ambient size")
+    if not np.isfinite(g).all():
+        raise InvalidInputError(
+            "group element has a non-finite entry (nan or inf)")
+    ortho = float(np.abs(g.T @ g - np.eye(size)).max())
+    if ortho > member_tol:
+        raise InvalidInputError(
+            f"element is not in the represented group (residual {ortho:.3e})")
+    conjugated = g @ algebra.basis @ np.linalg.inv(g)
     return algebra.coords_of(conjugated, member_tol=member_tol).T
 
 

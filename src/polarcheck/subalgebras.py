@@ -19,7 +19,7 @@ orthonormal factor bases, and [k, k Sigma^T] / sqrt(2) of a factor's rows k
 and an orthogonal Sigma.
 
 Every constructor ends in Subalgebra.__init__, which rejects rows whose
-length is not the parent's dimension.
+length is not the parent's dimension or that have a non-finite entry.
 
 A Subalgebra also answers for its complement, orthonormal rows spanning
 the orthogonal complement of h in the parent, which actions.principal_point
@@ -46,18 +46,28 @@ def _rows(rows):
     return rows
 
 
+def _finite(rows, name):
+    """rows as floats; InvalidInputError on a nan or inf, which every
+    residual comparison lets through."""
+    rows = np.asarray(rows, dtype=float)
+    if not np.isfinite(rows).all():
+        raise InvalidInputError(f"{name or '<anonymous>'}: non-finite row")
+    return rows
+
+
 class Subalgebra:
     """A bracket-closed subspace of l or of l(+)l, on orthonormal rows.
 
     Raises DimensionMismatchError unless basis is a stack of rows of
-    length parent.dim.  complement, if given, is a function of no arguments
-    that returns orthonormal rows spanning the orthogonal complement of
-    basis; it is called on the first use of the complement attribute.
+    length parent.dim, and InvalidInputError on a non-finite entry.
+    complement, if given, is a function of no arguments that returns
+    orthonormal rows spanning the orthogonal complement of basis; it is
+    called on the first use of the complement attribute.
     """
 
     def __init__(self, parent, basis, name="", complement=None):
         self.parent = parent
-        self.basis = _rows(basis)
+        self.basis = _rows(_finite(basis, name))
         if self.basis.ndim != 2 or self.basis.shape[1] != parent.dim:
             raise DimensionMismatchError(
                 f"{name or '<anonymous>'}: rows of shape {self.basis.shape} "
@@ -78,7 +88,7 @@ class Subalgebra:
     @classmethod
     def from_vectors(cls, parent, vectors, tol, name=""):
         """Orthonormalize coefficient vectors and verify bracket closure."""
-        sub = cls(parent, split_span(vectors)[0], name=name)
+        sub = cls(parent, split_span(_finite(vectors, name))[0], name=name)
         residual = sub.closure_residual()
         if residual > tol.residual_tol:
             raise ClosureError("the span is not bracket-closed",

@@ -12,8 +12,7 @@ import polarcheck
 
 from polarcheck import actions, numerics
 from polarcheck.actions import (ActionSpec, PointSampler, analyze,
-                                check_group_membership, is_transitive,
-                                orbit_tangent, polarity_check,
+                                is_transitive, orbit_tangent, polarity_check,
                                 principal_point, sample_group_point,
                                 span_rank)
 from polarcheck.catalog import TABLE1_ROWS, catalog_entries
@@ -74,10 +73,11 @@ class TestOrbitTangent:
 
     def test_membership_check(self, tol):
         algebra = build_classical("su", 2)
-        with pytest.raises(InvalidInputError):
-            check_group_membership(algebra, 2.0 * np.eye(4), tol)
-        with pytest.raises(InvalidInputError):
-            check_group_membership(algebra, np.eye(3), tol)
+        member_tol = np.sqrt(tol.residual_tol)
+        with pytest.raises(InvalidInputError, match="represented group"):
+            adjoint_matrix(algebra, 2.0 * np.eye(4), member_tol)
+        with pytest.raises(InvalidInputError, match="wrong ambient size"):
+            adjoint_matrix(algebra, np.eye(3), member_tol)
 
 
 NAN_6X6 = np.full((6, 6), np.nan)
@@ -88,8 +88,13 @@ NON_FINITE_CALLS = {
                                                 tol.residual_tol),
     "inner_automorphism": lambda su3, tol: adjoint_matrix(
         su3, NAN_6X6, tol.residual_tol),
-    "group_membership": lambda su3, tol: check_group_membership(
-        su3, NAN_6X6, tol),
+    "from_vectors": lambda su3, tol: Subalgebra.from_vectors(
+        su3, [[np.nan] + [0.0] * 7], tol),
+    # the rank cut keeps no row of infs: unchecked, that is the zero
+    # subalgebra, a wrong answer from bad input
+    "from_vectors_inf": lambda su3, tol: Subalgebra.from_vectors(
+        su3, np.full((1, 8), np.inf), tol),
+    "subalgebra": lambda su3, tol: Subalgebra(su3, np.full((2, 8), np.nan)),
 }
 
 
@@ -340,6 +345,47 @@ class TestCriterionReference:
         # no nu, or no tangent and no pair: neither path forms anything
         assert not actions._direct_is_cheaper(0, 190, 20)
         assert not actions._direct_is_cheaper(1, 0, 20)
+
+
+class TestConjugationByTheInverse:
+    """Ad(g^{-1}) is the transpose of one Ad(g), which conjugates by
+    g^{-1}: each point is inverted once, and a caller's g that is
+    orthogonal only to e moves the residuals by O(e^2)."""
+
+    @pytest.mark.parametrize("group,subgroup", [
+        ("su10", "product(h1=su9,h2=su9)"), ("sp5", "delta(sigma=id)"),
+        ("so20", "delta(sigma=id)")])
+    def test_one_inverse_per_drawn_point(self, group, subgroup, tol,
+                                         monkeypatch):
+        algebra = parse_group(group)
+        action = ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
+        inverted, inv = [], np.linalg.inv
+
+        def counting(a):
+            inverted.append(a)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        report = analyze(action, tol)
+        assert len(inverted) == report.samples_used
+
+    @pytest.mark.parametrize("size", [1e-7, 1e-5])
+    @pytest.mark.parametrize("group,subgroup", [
+        ("su3", "delta(sigma=id)"), ("so5", "delta(sigma=id)"),
+        ("su3", "product(h1=so3,h2=so3)")])
+    def test_a_nearly_orthogonal_point_keeps_its_verdict(
+            self, group, subgroup, size, tol):
+        # conjugating by g^T instead would move Ad(g) by O(e) and the
+        # verdict with it
+        action, report = analyzed(group, subgroup, tol)
+        g = report.principal_point
+        noise = np.random.default_rng(5).standard_normal(g.shape)
+        orbit_dim = action.algebra.dim - report.cohomogeneity
+        moved = polarity_check(action, g + size * noise, tol, orbit_dim)
+        assert (moved.cohomogeneity, moved.polar,
+                moved.hyperpolar) == (2, True, True)
+        assert max(moved.residual_triple, moved.residual_orth,
+                   moved.residual_abelian) < 1e-9
 
 
 def seeded_verdict(group, subgroup, seed):
@@ -962,7 +1008,7 @@ class TestSampling:
         rng = np.random.default_rng(0)
         for _ in range(3):
             g = sample_group_point(algebra, rng)
-            check_group_membership(algebra, g, tol)
+            adjoint_matrix(algebra, g, np.sqrt(tol.residual_tol))
 
     def test_principal_point_is_seeded(self, tol):
         algebra = build_classical("su", 3)

@@ -97,8 +97,14 @@ class TestDimensions:
         assert np.array_equal(so_basis(n), np.array(expected))
 
 
+CLOSED_FORMS = ([("so", n) for n in range(3, 21)]
+                + [("su", n) for n in range(2, 13)]
+                + [("sp", n) for n in range(1, 7)])
+
+
 class TestSoClosedForm:
-    """so(n)'s basis is written down, not orthonormalized by a QR."""
+    """Every family's basis is written down, not orthonormalized by a QR,
+    and so(n)'s keeps the bits of the QR it replaced."""
 
     @pytest.mark.parametrize("n", range(3, 57))
     def test_matches_the_qr_it_replaces(self, n):
@@ -113,10 +119,26 @@ class TestSoClosedForm:
 
     def test_builds_without_a_qr(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("so(n) took a QR")
+            raise AssertionError("build_classical took a QR")
 
         monkeypatch.setattr(np.linalg, "qr", refuse)
-        assert build_classical.__wrapped__("so", 20).dim == 190
+        for family, n in CLOSED_FORMS:
+            # uncached, so no cached algebra stands in for a build
+            algebra = build_classical.__wrapped__(family, n)
+            assert algebra.dim == len(classical_basis(family, n))
+
+
+class TestClosedForms:
+    """The written-down bases span classical_basis; a QR of it is only the
+    reference here."""
+
+    @pytest.mark.parametrize("family,n", CLOSED_FORMS)
+    def test_spans_what_the_qr_spans(self, family, n):
+        classical = classical_basis(family, n)
+        q = np.linalg.qr(classical.reshape(len(classical), -1).T)[0]
+        algebra = build_classical(family, n)
+        flat = algebra.basis.reshape(algebra.dim, -1)
+        assert np.abs(flat.T @ flat - q @ q.T).max() <= 1e-14
 
 
 class TestInvariants:
@@ -145,16 +167,14 @@ class TestInvariants:
         comms = commutator(basis[:, None], basis[None])
         assert outside_norm(comms.reshape(-1, size), onb) < 1e-12
 
-    @pytest.mark.parametrize("family,n", [("so", n) for n in range(2, 21)]
-                             + [("su", n) for n in range(2, 11)]
-                             + [("sp", n) for n in range(1, 6)])
+    @pytest.mark.parametrize("family,n", [("so", 2)] + CLOSED_FORMS)
     def test_form_is_the_trace_form(self, family, n):
         # the form in coordinates, the identity, is -tr(XY) on the
         # built-in basis: that basis is Frobenius-orthonormal
         algebra = build_classical(family, n)
         basis = algebra.basis
         gram = -np.einsum('iab,jba->ij', basis, basis)
-        assert np.abs(gram - np.eye(algebra.dim)).max() < 1e-13
+        assert np.abs(gram - np.eye(algebra.dim)).max() <= 1e-15
         assert np.abs(basis + basis.swapaxes(1, 2)).max() < 1e-15
 
     @pytest.mark.parametrize("name,mats", [
@@ -423,7 +443,9 @@ class TestAutomorphisms:
     @pytest.mark.parametrize("k", [np.zeros((6, 6)),
                                    np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])])
     def test_singular_conjugator_is_invalid(self, k, tol):
-        with pytest.raises(InvalidInputError, match="singular"):
+        # no singular matrix is orthogonal, so the group check stops it
+        with pytest.raises(InvalidInputError,
+                           match="not in the represented group"):
             adjoint_matrix(build_classical("su", 3), k, tol.residual_tol)
 
 
