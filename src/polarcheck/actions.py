@@ -73,7 +73,6 @@ class PolarityReport:
     residual_orth: float
     residual_abelian: float
     samples_used: int
-    seed: int
     tolerances: ToleranceConfig
 
 
@@ -401,7 +400,6 @@ def _criterion(action, orbit, tol, max_orbit_dim, samples_used):
         residual_orth=residual_orth,
         residual_abelian=residual_abelian,
         samples_used=samples_used,
-        seed=tol.seed,
         tolerances=tol,
     )
 

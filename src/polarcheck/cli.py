@@ -92,7 +92,7 @@ def _report_text(report, config):
         f"residual_triple: {report.residual_triple:.3e}",
         f"residual_orth: {report.residual_orth:.3e}",
         f"residual_abelian: {report.residual_abelian:.3e}",
-        f"samples_used: {report.samples_used}  seed: {report.seed}",
+        f"samples_used: {report.samples_used}  seed: {report.tolerances.seed}",
     ]
     return "\n".join(lines)
 

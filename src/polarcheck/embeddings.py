@@ -3,21 +3,21 @@ structures, and the exceptional factors, all from the octonions: g2 is the
 fixed algebra of triality, and spin(7) and spin(9) are spanned by the
 bivectors of gamma matrices made of octonion left multiplications.
 
-Every symmetric factor is the fixed algebra of involutions Ad(s) (see
-fixed_subalgebra); the other builders lay out matrices, realified as in
-lie_algebras.  Every builder returns a Subalgebra that is bracket-closed by
-construction, and has the dimension it should, which the tests check once
-per builder; neither is checked at run time.  Matrices and conjugators still
-pass the membership check of LieAlgebra.coords_of, so a wrong sign fails
-loudly.
+Block, corner, real-point and Cartan factors are rows of the identity
+selected by a support mask (_rows_on).  sp(m) is a fixed algebra of
+involutions Ad(s); u(m), spin(n) and g2 lay out matrices, realified as in
+lie_algebras, which pass the membership check of LieAlgebra.coords_of, so a
+wrong sign fails loudly.  Every builder returns a Subalgebra that is
+bracket-closed by construction, and has the dimension it should, which the
+tests check once per builder; neither is checked at run time.
 """
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .lie_algebras import (_u_basis_complex, adjoint_matrix, build_classical,
-                           classical_basis, conjugation_matrix,
-                           realify_complex, so_basis, triality_matrix)
+                           conjugation_matrix, realify_complex,
+                           triality_matrix)
 from .numerics import split_span
 from .octonions import left_multiplications, quaternion_table
 from .subalgebras import Subalgebra
@@ -57,11 +57,25 @@ def spin_subalgebra(ambient, tol, n):
     return Subalgebra.from_matrices(ambient, mats, tol, name=f"spin({n})")
 
 
-def corner_so_matrices(size, k, offset=0):
-    """so_basis(k) placed on coordinates offset..offset+k-1 of size."""
-    mats = np.zeros((k * (k - 1) // 2, size, size))
-    mats[:, offset:offset + k, offset:offset + k] = so_basis(k)
-    return mats
+def _rows_on(ambient, mask, name):
+    """The matrices of ambient that vanish off the boolean mask, on the
+    identity rows of the basis matrices that do; the other rows are the
+    complement.  Exact, as build_classical's basis matrices have disjoint
+    supports but for su(n)'s nested Gell-Mann diagonal, which a mask here
+    keeps whole or cuts at a corner; InvalidInputError on another basis."""
+    if ambient is not build_classical(ambient.family, ambient.n):
+        raise InvalidInputError(f"{name} is read off the basis of "
+                                f"build_classical, not of {ambient.name}")
+    keep = ~ambient.basis[:, ~mask].any(axis=1)
+    return Subalgebra(ambient, np.eye(ambient.dim)[keep], name=name,
+                      complement=lambda: np.eye(ambient.dim)[~keep])
+
+
+def _blocks(size, *sizes):
+    """The size x size mask of consecutive diagonal blocks of the given
+    sizes, from the first coordinate."""
+    block = np.repeat([*range(len(sizes)), -1], [*sizes, size - sum(sizes)])
+    return (block[:, None] == block) & (block >= 0)
 
 
 def block_so(ambient, tol, *sizes):
@@ -70,10 +84,7 @@ def block_so(ambient, tol, *sizes):
     name = "(+)".join(f"so({k})" for k in sizes)
     if ambient.family != "so" or sum(sizes) > ambient.n:
         raise InvalidInputError(f"{name} does not fit in {ambient.name}")
-    offsets = np.cumsum([0, *sizes[:-1]])
-    mats = np.concatenate([corner_so_matrices(ambient.n, k, offset)
-                           for k, offset in zip(sizes, offsets)])
-    return Subalgebra.from_matrices(ambient, mats, tol, name=name)
+    return _rows_on(ambient, _blocks(ambient.n, *sizes), name)
 
 
 def u_in_so(ambient, tol, m, special=False):
@@ -89,16 +100,14 @@ def su_corner_in_su(ambient, tol, k):
     """su(k) in the top-left complex corner of su(N)."""
     if ambient.family != "su" or k > ambient.n or k < 2:
         raise InvalidInputError(f"su({k}) corner does not fit in {ambient.name}")
-    corner = _u_basis_complex(k, special=True)
-    mats = np.zeros((len(corner), ambient.n, ambient.n), dtype=complex)
-    mats[:, :k, :k] = corner
-    return Subalgebra.from_matrices(ambient, realify_complex(mats), tol,
-                                    name=f"su({k})")
+    return _rows_on(ambient, _blocks(2 * ambient.n, 2 * k), f"su({k})")
 
 
 def fixed_subalgebra(ambient, tol, conjugators, name):
     """The algebra fixed by Ad(s) for every s in conjugators, orthogonal
-    matrices whose Ad are commuting involutions, on orthonormal rows.
+    matrices whose Ad are commuting involutions, on orthonormal rows: sp(m)
+    in su(2m) and in so(4m), whose conjugators mix basis rows, so that no
+    support mask gives it.
 
     The nullspaces of Ad(s) - I are intersected one s at a time: on the rows
     fixed so far, which Ad(s) preserves, its singular values are 0 and 2
@@ -113,20 +122,19 @@ def fixed_subalgebra(ambient, tol, conjugators, name):
 
 
 def so_in_su(ambient, tol, k):
-    """The real points so(k) of su(k), fixed by complex conjugation."""
+    """The real points so(k) of su(k), the realified entries (2i+a, 2j+a)."""
     if ambient.family != "su" or ambient.n != k:
         raise InvalidInputError(f"so({k}) does not embed in {ambient.name}")
-    return fixed_subalgebra(ambient, tol, [conjugation_matrix(k)], f"so({k})")
+    even = np.add.outer(np.arange(2 * k), np.arange(2 * k)) % 2 == 0
+    return _rows_on(ambient, even, f"so({k})")
 
 
 def s_u_in_su(ambient, tol, p, q):
-    """s(u(p)u(q)), the block-diagonal matrices of su(p+q), fixed by
-    Ad(diag(I_p, -I_q))."""
+    """s(u(p)u(q)), the block-diagonal matrices of su(p+q)."""
     name = f"s(u({p})u({q}))"
     if ambient.family != "su" or min(p, q) < 1 or ambient.n != p + q:
         raise InvalidInputError(f"{name} does not embed in {ambient.name}")
-    s = realify_complex(np.diag([1.0] * p + [-1.0] * q))
-    return fixed_subalgebra(ambient, tol, [s], name)
+    return _rows_on(ambient, _blocks(2 * ambient.n, 2 * p, 2 * q), name)
 
 
 def sp_in_su(ambient, tol, m):
@@ -179,15 +187,7 @@ def g2_in_so7(ambient, tol):
 
 
 def cartan_subalgebra(ambient, tol):
-    """A maximal abelian subalgebra (standard choice per family) of su, so
-    or sp, the families FACTORS offers it on."""
-    if ambient.family == "su":
-        diagonal = _u_basis_complex(ambient.n, special=True)[-(ambient.n - 1):]
-        mats = realify_complex(diagonal)
-    elif ambient.family == "so":
-        mats = [corner_so_matrices(ambient.n, 2, 2 * k)[0]
-                for k in range(ambient.n // 2)]
-    else:
-        n = ambient.n  # the rows [[iE_kk, 0], [0, -iE_kk]] of sp(n)
-        mats = classical_basis("sp", n)[n * (n - 1):n * n]
-    return Subalgebra.from_matrices(ambient, mats, tol, name="cartan")
+    """The maximal torus in the 2x2 diagonal blocks of su, so or sp: the
+    realified imaginary diagonal, or the planes (2k, 2k + 1) of so."""
+    size = ambient.ambient_size
+    return _rows_on(ambient, _blocks(size, *[2] * (size // 2)), "cartan")

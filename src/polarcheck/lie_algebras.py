@@ -121,7 +121,7 @@ class LieAlgebra:
 
     def __init__(self, name, basis, family=None, n=None):
         self.name = name
-        self.basis = np.asarray(basis, dtype=float)
+        self.basis = np.array(basis, dtype=float)  # a copy, frozen below
         self.basis.flags.writeable = False
         self.dim = self.basis.shape[0]
         self.ambient_size = self.basis.shape[1]
@@ -291,10 +291,9 @@ def _u_basis_complex(n, special=False):
 def _sp_basis_complex(m):
     """sp(m) = {[[A, -conj(B)], [B, conj(A)]]} in u(2m), as a stack.
 
-    A skew-Hermitian with B = 0 first (the rows of _u_basis_complex(m), so
-    the diagonal [[iE_kk, 0], [0, -iE_kk]] come at m(m-1)..m^2-1), then
-    A = 0 with B complex symmetric: B_ij = B_ji = 1, then = i, for each
-    i <= j.
+    A skew-Hermitian with B = 0 first (the rows of _u_basis_complex(m)),
+    then A = 0 with B complex symmetric: B_ij = B_ji = 1, then = i, for
+    each i <= j.
     """
     a = _u_basis_complex(m)
     rows, cols = np.triu_indices(m)

@@ -9,25 +9,25 @@ program: closure_residual projects the commutators of the basis onto the
 span (span_closure_residual, which LieAlgebra.from_basis calls on
 caller-given matrices too).  from_vectors runs it for span files, whose
 matrices have passed the membership check of coords_of.  The built-in
-embeddings (from_matrices: the membership check, then the rank cut, which
-checks nothing), full_subalgebra, product (of closed factors) and
-diagonal_sigma (the graph of an automorphism on a closed factor) are closed
-by construction, and the rank cut keeps every vector that a built-in
-embedding lays out; the tests check both once.  The last three write their
-rows down orthonormal, with no rank cut: the identity, [h1, 0; 0, h2] of
+embeddings (row selections, fixed algebras, and from_matrices: the
+membership check, then the rank cut, which keeps every vector a builder
+lays out), full_subalgebra, product (of closed factors) and diagonal_sigma
+(the graph of an automorphism on a closed factor) are closed by
+construction, which the tests check once.  The last three write their rows
+down orthonormal, with no rank cut: the identity, [h1, 0; 0, h2] of
 orthonormal factor bases, and [k, k Sigma^T] / sqrt(2) of a factor's rows k
 and an orthogonal Sigma.
 
-Every constructor ends in Subalgebra.__init__, which rejects rows whose
-length is not the parent's dimension or that have a non-finite entry.
+Every constructor ends in Subalgebra.__init__, which copies the rows and
+rejects a length other than the parent's dimension or a non-finite entry.
 
 A Subalgebra also answers for its complement, orthonormal rows spanning
 the orthogonal complement of h in the parent, which actions.principal_point
 and actions.polarity_check read instead of h when dim h > dim l.  It is
 computed on first use and then kept: product builds [h1^perp, 0; 0, h2^perp]
-from its factors' complements, from_matrices keeps the complement of its
-rank cut, and every other subalgebra takes split_span(basis)[1], a named
-factor once per process (specs caches it).
+from its factors' complements, a row selection takes the rows it drops,
+from_matrices the complement of its rank cut, and every other subalgebra
+split_span(basis)[1], a named factor once per process (specs caches it).
 """
 
 from functools import cached_property
@@ -40,8 +40,8 @@ from .numerics import split_span
 
 
 def _rows(rows):
-    """rows as a read-only float array."""
-    rows = np.asarray(rows, dtype=float)
+    """A read-only float copy of rows; the caller's array stays writeable."""
+    rows = np.array(rows, dtype=float)
     rows.flags.writeable = False
     return rows
 

@@ -17,7 +17,7 @@ from polarcheck.specs import parse_group, resolve_factor
 
 REPORT_FIELDS = {"cohomogeneity", "principal_point", "section_basis", "polar",
                  "hyperpolar", "residual_triple", "residual_orth",
-                 "residual_abelian", "samples_used", "seed", "tolerances"}
+                 "residual_abelian", "samples_used", "tolerances"}
 
 
 def run(capsys, argv):
@@ -40,7 +40,7 @@ class TestAnalyze:
         assert payload["cohomogeneity"] == 2
         assert payload["polar"] is True
         assert payload["hyperpolar"] is True
-        assert payload["seed"] == 7
+        assert payload["tolerances"]["seed"] == 7
         assert len(payload["section_basis"]) == 2
         assert payload["config"] == {"group": "su3",
                                      "subgroup": "delta(sigma=id)"}

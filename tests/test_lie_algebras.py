@@ -190,6 +190,14 @@ class TestInvariants:
         assert np.abs(flat @ flat.T - np.eye(algebra.dim)).max() < 1e-13
         assert outside_norm(mats.reshape(len(mats), -1), flat) < 1e-12
 
+    def test_the_callers_basis_stays_writeable(self):
+        mats = so_basis(3)
+        algebra = LieAlgebra("so(3)", mats)
+        assert mats.flags.writeable and not algebra.basis.flags.writeable
+        mats[0] = 0.0
+        assert np.array_equal(algebra.basis, so_basis(3))
+        assert not build_classical("so", 3).basis.flags.writeable
+
     @pytest.mark.parametrize("family,n", [("so", 5), ("su", 3), ("sp", 2)])
     def test_killing_proportional_on_simple_algebras(self, family, n):
         algebra = build_classical(family, n)

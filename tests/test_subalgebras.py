@@ -71,6 +71,13 @@ class TestConstruction:
             with pytest.raises(DimensionMismatchError, match="length 6"):
                 Subalgebra(so4, split_span(rows)[0])
 
+    def test_the_callers_rows_stay_writeable(self):
+        rows = np.eye(8)[:1].copy()
+        h = Subalgebra(build_classical("su", 3), rows)
+        assert rows.flags.writeable and not h.basis.flags.writeable
+        rows[0, 0] = 5.0
+        assert np.array_equal(h.basis, np.eye(8)[:1])
+
 
 class TestDiagonalAndProduct:
     def test_diagonal_dimension(self, tol):
@@ -388,16 +395,16 @@ def per_block_basis(ambient, factor, tol):
     """Rows of so5so2 or s_u_u1 as they were once built: each block
     orthonormalized on its own, then the stack of blocks once more."""
     if factor == "so5so2":
-        blocks = [Subalgebra.from_matrices(
-            ambient, embeddings.corner_so_matrices(ambient.n, k, offset),
-            tol).basis for k, offset in ((5, 0), (2, 5))]
+        so5, so2 = np.split(block_so_reference(ambient.n, 5, 2), [10])
+        blocks = [Subalgebra.from_matrices(ambient, mats, tol).basis
+                  for mats in (so5, so2)]
     else:
         n = ambient.n
         extra = np.diag([1j] * (n - 1) + [1j * (1 - n)])
         blocks = [ambient.coords_of(realify_complex(extra), tol.residual_tol)]
         if n > 2:
-            blocks.insert(
-                0, embeddings.su_corner_in_su(ambient, tol, n - 1).basis)
+            blocks.insert(0, ambient.coords_of(su_block_reference(n, n - 1),
+                                               tol.residual_tol))
     return split_span(np.vstack(blocks))[0]
 
 
@@ -425,11 +432,12 @@ class TestMembershipTolerance:
 
     @pytest.mark.parametrize("twisted", [False, True])
     def test_so7_diagonal_graph(self, twisted, monkeypatch):
-        # the so7 corner, and the multiplications of triality_matrix
+        # the multiplications of triality_matrix; the so7 corner is a row
+        # selection and checks no membership
         calls = self.recorded_member_tols(monkeypatch)
         resolve_subgroup(SO7_GRAPHS[twisted], parse_group("so8"),
                          ToleranceConfig(residual_tol=1e-9))
-        assert calls == [1e-9] * (1 + twisted)
+        assert calls == [1e-9] * twisted
 
     @pytest.mark.parametrize("group,factor", [
         ("so7", "so5so2"), ("so8", "so5so2"), ("su2", "s_u_u1"),
@@ -525,8 +533,9 @@ def check_complement(h):
 
 class TestComplement:
     """product builds its complement from its factors', from_matrices
-    keeps the one it computed, every other subalgebra takes split_span on
-    first use; every way must give the same invariants."""
+    keeps the one it computed, a row selection the rows it drops, and every
+    other subalgebra takes split_span on first use; every way must give the
+    same invariants."""
 
     @pytest.mark.parametrize("group,factor", BUILTIN_FACTORS)
     def test_builtin_factor(self, group, factor, tol):
@@ -711,12 +720,6 @@ class TestStackedEmbeddings:
     """Realified complex stacks give the matrices of the loops they
     replaced, bit for bit."""
 
-    @staticmethod
-    def built_matrices(monkeypatch, builder, ambient, tol, *args):
-        monkeypatch.setattr(embeddings.Subalgebra, "from_matrices",
-                            lambda parent, mats, tol, name: np.asarray(mats))
-        return builder(ambient, tol, *args)
-
     @pytest.mark.parametrize("m", range(1, 6))
     def test_sp_in_su(self, m, tol):
         expected = []
@@ -741,24 +744,13 @@ class TestStackedEmbeddings:
         assert np.abs(span_projector(mats)
                       - span_projector(expected)).max() < 1e-12
 
-    @pytest.mark.parametrize("n", range(1, 5))
-    def test_sp_cartan(self, n, tol, monkeypatch):
-        expected = []
-        for k in range(n):
-            z = np.zeros((2 * n, 2 * n), dtype=complex)
-            z[k, k] = 1j
-            z[n + k, n + k] = -1j
-            expected.append(realify_complex(z))
-        mats = self.built_matrices(monkeypatch, embeddings.cartan_subalgebra,
-                                   build_classical("sp", n), tol)
-        assert np.array_equal(mats, np.array(expected))
-
 
 def span_projector(mats):
     """Orthogonal projector onto the span of a stack of matrices."""
-    flat = np.asarray(mats).reshape(len(mats), -1)
+    mats = np.asarray(mats)
+    flat = mats.reshape(len(mats), int(np.prod(mats.shape[1:])))
     _, sv, vt = np.linalg.svd(flat, full_matrices=False)
-    onb = vt[:int(np.sum(sv > 1e-10 * sv[0]))]
+    onb = vt[:int(np.sum(sv > 1e-10 * sv.max(initial=0.0)))]
     return onb.T @ onb
 
 
@@ -813,9 +805,6 @@ class TestSpInSo:
 
 # the factors built as fixed algebras, over a range of sizes
 FIXED_FACTORS = [
-    ("su2", "so2"), ("su3", "so3"), ("su6", "so6"), ("su10", "so10"),
-    ("su2", "s_u_u1"), ("su6", "s_u_u1"), ("su4", "s_u2u2"),
-    ("su7", "s_u3u4"), ("su10", "s_u6u4"),
     ("su2", "sp1"), ("su6", "sp3"), ("su10", "sp5"),
     ("so4", "sp1"), ("so8", "sp2"), ("so12", "sp3"),
     ("so4", "sp1u1"), ("so8", "sp2u1"), ("so12", "sp3u1"),
@@ -823,24 +812,59 @@ FIXED_FACTORS = [
 ]
 
 
+# The laid-out references of the factors that embeddings reads off the
+# basis of build_classical as row selections (TestRowSelection).
+
+
+def block_so_reference(n, *sizes):
+    """so_basis of each size on consecutive diagonal blocks of n x n
+    matrices, from the first coordinate."""
+    mats, offset = [], 0
+    for k in sizes:
+        block = np.zeros((k * (k - 1) // 2, n, n))
+        block[:, offset:offset + k, offset:offset + k] = so_basis(k)
+        mats.append(block)
+        offset += k
+    return np.concatenate(mats)
+
+
+def su_block_reference(n, k, offset=0):
+    """su(k) on the complex coordinates offset..offset+k-1 of su(n),
+    realified."""
+    corner = _u_basis_complex(k, special=True)
+    block = np.zeros((len(corner), n, n), dtype=complex)
+    block[:, offset:offset + k, offset:offset + k] = corner
+    return realify_complex(block)
+
+
 def s_u_reference(p, q):
     """The su(p) and su(q) corners of su(p+q) and the traceless
     i-diagonal, realified."""
-    n = p + q
-    blocks = []
-    for k, offset in ((p, 0), (q, p)):
-        corner = _u_basis_complex(k, special=True)
-        block = np.zeros((len(corner), n, n), dtype=complex)
-        block[:, offset:offset + k, offset:offset + k] = corner
-        blocks.append(block)
-    blocks.append(np.diag([1j * q] * p + [-1j * p] * q)[None])
-    return realify_complex(np.concatenate(blocks))
+    diagonal = realify_complex(np.diag([1j * q] * p + [-1j * p] * q))
+    return np.concatenate([su_block_reference(p + q, p),
+                           su_block_reference(p + q, q, p), diagonal[None]])
+
+
+def cartan_reference(family, n):
+    """The standard maximal torus: the planes E_2k,2k+1 - E_2k+1,2k of
+    so(n); i (E_kk - E_k+1,k+1) of su(n) and [[i E_kk, 0], [0, -i E_kk]]
+    of sp(n), realified."""
+    if family == "so":
+        mats = np.zeros((n // 2, n, n))
+        k = np.arange(n // 2)
+        mats[k, 2 * k, 2 * k + 1], mats[k, 2 * k + 1, 2 * k] = 1.0, -1.0
+        return mats
+    if family == "su":
+        diagonals = 1j * (np.eye(n - 1, n) - np.eye(n - 1, n, 1))
+    else:
+        diagonals = 1j * np.hstack([np.eye(n), -np.eye(n)])
+    return realify_complex(diagonals[:, None, :] * np.eye(len(diagonals[0])))
 
 
 class TestFixedAlgebras:
-    """so(n) and sp(m) in su, s(u(p)u(q)) and sp(m) in so(4m) are fixed
-    algebras of commuting involutions Ad(s), which span the subspaces that
-    were laid out by hand, and whose rank cuts see only 0 and 2."""
+    """sp(m) in su(2m) and in so(4m) are fixed algebras of commuting
+    involutions Ad(s), whose rank cuts see only 0 and 2; so(n) and
+    s(u(p)u(q)) in su span the subspaces that were laid out by hand."""
 
     @staticmethod
     def check_span(group, factor, reference, tol):
@@ -893,3 +917,89 @@ class TestFixedAlgebras:
     def test_s_u_blocks_must_fill_the_group(self, group, factor, tol):
         with pytest.raises(InvalidInputError, match="does not embed"):
             resolve_factor(factor, classical(group), tol)
+
+
+# every group the row-selection sweep covers
+MASK_GROUPS = ([f"so{n}" for n in range(3, 21)]
+               + [f"su{n}" for n in range(2, 13)]
+               + [f"sp{n}" for n in range(1, 8)])
+
+
+def mask_factors(group):
+    """(factor, laid-out reference) of every row-selected factor of a
+    group: the cartan; every so(k) corner and ordered so(p)so(q) pair of
+    so(n); and so(n), every su(k) corner and every s(u(p)u(q)) of su(n)."""
+    family, n = split_name(group)
+    yield "cartan", cartan_reference(family, n)
+    if family == "so":
+        for k in range(2, n + 1):
+            yield f"so{k}", block_so_reference(n, k)
+        for p in range(1, n):
+            for q in range(1, n - p + 1):
+                yield f"so{p}so{q}", block_so_reference(n, p, q)
+    elif family == "su":
+        yield f"so{n}", realify_complex(so_basis(n))
+        for k in range(2, n + 1):
+            yield f"su{k}", su_block_reference(n, k)
+        for p in range(1, n):
+            yield f"s_u{p}u{n - p}", s_u_reference(p, n - p)
+        yield "s_u_u1", s_u_reference(n - 1, 1)
+
+
+def built_factor(ambient, factor, tol):
+    """The FACTORS entry factor of ambient, built afresh, past the cache."""
+    return specs._named_factor.__wrapped__(ambient, factor, tol.residual_tol)
+
+
+class TestRowSelection:
+    """block_so, su_corner_in_su, s_u_in_su, so_in_su and cartan_subalgebra
+    keep the rows of build_classical's basis whose matrices vanish off a
+    support mask: they span the subspaces that were laid out by hand, and
+    the other rows span the complement."""
+
+    @pytest.mark.parametrize("group", MASK_GROUPS)
+    def test_spans_the_laid_out_factor(self, group, tol):
+        ambient = classical(group)
+        for factor, reference in mask_factors(group):
+            h = built_factor(ambient, factor, tol)
+            mats = ambient.frobenius_matrices(h.basis)
+            assert h.dim == len(reference), factor
+            assert np.abs(span_projector(mats) - span_projector(reference)
+                          ).max() < 1e-14, factor
+
+    @pytest.mark.parametrize("group", MASK_GROUPS)
+    def test_complement_is_the_other_rows(self, group, tol):
+        ambient = classical(group)
+        for factor, _ in mask_factors(group):
+            h = built_factor(ambient, factor, tol)
+            assert not np.any(h.basis @ h.complement.T), factor
+            rows = np.vstack([h.basis, h.complement])
+            assert np.array_equal(rows[np.argsort(rows.argmax(axis=1))],
+                                  np.eye(ambient.dim)), factor
+
+    def test_lays_out_no_matrix(self, tol, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row selection reads no matrix")
+
+        monkeypatch.setattr(LieAlgebra, "coords_of", refuse)
+        monkeypatch.setattr(embeddings, "adjoint_matrix", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for group in ("so9", "su6", "sp3"):
+            ambient = classical(group)
+            for factor, reference in mask_factors(group):
+                h = built_factor(ambient, factor, tol)
+                assert (h.dim, len(h.complement)) == (
+                    len(reference), ambient.dim - len(reference)), factor
+
+    @pytest.mark.parametrize("family,n,factor", [
+        ("so", 5, "so3"), ("so", 5, "so2so3"), ("so", 5, "cartan"),
+        ("su", 3, "su2"), ("su", 3, "so3"), ("su", 3, "s_u_u1"),
+        ("su", 3, "cartan"), ("sp", 2, "cartan")])
+    def test_another_basis_is_rejected(self, family, n, factor, tol):
+        # the same span on another orthonormal basis: its zeros are not the
+        # ones a mask reads
+        algebra = LieAlgebra.from_basis(f"{family}{n}'",
+                                        classical_basis(family, n),
+                                        family=family, n=n)
+        with pytest.raises(InvalidInputError, match="build_classical"):
+            built_factor(algebra, factor, tol)
