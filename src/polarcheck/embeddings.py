@@ -1,25 +1,28 @@
 """Concrete subalgebra embeddings: symmetric subalgebras, corners, complex
-structures, and the exceptional factors, all from the octonions: g2 is the
-fixed algebra of triality, and spin(7) and spin(9) are spanned by the
-bivectors of gamma matrices made of octonion left multiplications.
+structures, and the exceptional factors, all from the octonions: g2 is
+spanned by the derivations D_{x,y} of the octonions, and spin(7) and
+spin(9) by the bivectors of gamma matrices made of octonion left
+multiplications.
 
-Block, corner, real-point and Cartan factors are rows of the identity
-selected by a support mask (_rows_on).  sp(m) is a fixed algebra of
-involutions Ad(s); u(m), spin(n) and g2 lay out matrices, realified as in
-lie_algebras, which pass the membership check of LieAlgebra.coords_of, so a
-wrong sign fails loudly.  Every builder returns a Subalgebra that is
-bracket-closed by construction, and has the dimension it should, which the
-tests check once per builder; neither is checked at run time.
+Every factor is built one of two ways.  Block, corner, real-point and
+Cartan factors are rows of the identity selected by a support mask
+(_rows_on), and the rows it drops are the complement.  sp(m), u(m),
+spin(n) and g2 are written-down matrices, realified as in lie_algebras,
+that Subalgebra.from_matrices reads through the membership check of
+LieAlgebra.coords_of, so a wrong sign fails loudly, and splits into the
+factor and its complement by one rank cut.  Every builder returns a
+Subalgebra that is bracket-closed by construction, and has the dimension
+it should, which the tests check once per builder; neither is checked at
+run time.
 """
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .lie_algebras import (_u_basis_complex, adjoint_matrix, build_classical,
-                           conjugation_matrix, realify_complex,
-                           triality_matrix)
-from .numerics import split_span
-from .octonions import left_multiplications, quaternion_table
+from .lie_algebras import (_u_basis_complex, build_classical,
+                           classical_basis, commutator, realify_complex)
+from .octonions import (left_multiplications, quaternion_table,
+                        right_multiplications)
 from .subalgebras import Subalgebra
 
 
@@ -103,24 +106,6 @@ def su_corner_in_su(ambient, tol, k):
     return _rows_on(ambient, _blocks(2 * ambient.n, 2 * k), f"su({k})")
 
 
-def fixed_subalgebra(ambient, tol, conjugators, name):
-    """The algebra fixed by Ad(s) for every s in conjugators, orthogonal
-    matrices whose Ad are commuting involutions, on orthonormal rows: sp(m)
-    in su(2m) and in so(4m), whose conjugators mix basis rows, so that no
-    support mask gives it.
-
-    The nullspaces of Ad(s) - I are intersected one s at a time: on the rows
-    fixed so far, which Ad(s) preserves, its singular values are 0 and 2
-    alone, so the cut, taken against 2, splits them with nothing in between
-    (a stack of every Ad(s) - I would add 2 sqrt(2)).  A fixed algebra is
-    closed."""
-    rows = np.eye(ambient.dim)
-    for s in conjugators:
-        moved = adjoint_matrix(ambient, s, tol.residual_tol) @ rows.T - rows.T
-        rows = split_span(moved, scale=2.0)[1] @ rows
-    return Subalgebra(ambient, rows, name=name)
-
-
 def so_in_su(ambient, tol, k):
     """The real points so(k) of su(k), the realified entries (2i+a, 2j+a)."""
     if ambient.family != "su" or ambient.n != k:
@@ -138,14 +123,13 @@ def s_u_in_su(ambient, tol, p, q):
 
 
 def sp_in_su(ambient, tol, m):
-    """sp(m) = {[[A, -conj(B)], [B, conj(A)]]} inside su(2m), fixed by
-    Ad(J o conj) of the quaternionic structure, J = [[0, -I], [I, 0]]."""
+    """sp(m) = {[[A, -conj(B)], [B, conj(A)]]} inside su(2m), on its
+    written-down basis classical_basis("sp", m): no sp(m) algebra is built
+    and kept in build_classical's cache."""
     if ambient.family != "su" or ambient.n != 2 * m:
         raise InvalidInputError(f"sp({m}) does not embed in {ambient.name}")
-    zero, eye = np.zeros((m, m)), np.eye(m)
-    j = realify_complex(np.block([[zero, -eye], [eye, zero]]))
-    return fixed_subalgebra(ambient, tol, [j @ conjugation_matrix(2 * m)],
-                            f"sp({m})")
+    return Subalgebra.from_matrices(ambient, classical_basis("sp", m), tol,
+                                    name=f"sp({m})")
 
 
 def sp_in_so(ambient, tol, m, right_units=0):
@@ -153,37 +137,40 @@ def sp_in_so(ambient, tol, m, right_units=0):
     none, R_i (sp(m)(+)u(1)) or R_i, R_j, R_k (sp(m)(+)sp(1)).
 
     A block of four coordinates holds the coefficients of 1, i, j, k, on
-    which x -> x e_c acts by R_c[a, b] = quaternion_table()[b, c, a]; sp(m)
-    is fixed by Ad(R_i) and Ad(R_j).  The right scalars are orthogonal to
-    sp(m) and to each other, so their rows are only normalized.
+    which x -> x e_c acts by R_c[a, b] = quaternion_table()[b, c, a].
+    sp(m) is classical_basis("sp", m) on C^{2m} moved onto H^m by q_a =
+    z_a + j z_{m+a}: as j(x + iy) = xj - yk, the coordinates 2a, 2a+1,
+    2m+2a, 2m+2a+1 go to the block 4a..4a+3 with signs (1, 1, 1, -1).
     """
     if ambient.family != "so" or ambient.n != 4 * m:
         raise InvalidInputError(f"sp({m}) does not embed in {ambient.name}")
+    source = (2 * np.arange(m)[:, None] + [0, 1, 2 * m, 2 * m + 1]).ravel()
+    sign = np.tile([1.0, 1.0, 1.0, -1.0], m)
+    sp = classical_basis("sp", m)[:, source][:, :, source]
+    sp *= np.outer(sign, sign)
     right = np.kron(np.eye(m), quaternion_table()[:, 1:, :].transpose(1, 2, 0))
-    sp = fixed_subalgebra(ambient, tol, right[:2], f"sp({m})")
-    scalars = ambient.coords_of(right[:right_units], tol.residual_tol)
-    scalars /= np.linalg.norm(scalars, axis=1, keepdims=True)
     name = f"sp({m})" + {0: "", 1: "(+)u(1)", 3: "(+)sp(1)"}[right_units]
-    return Subalgebra(ambient, np.vstack([sp.basis, scalars]), name=name)
+    return Subalgebra.from_matrices(
+        ambient, np.concatenate([sp, right[:right_units]]), tol, name=name)
 
 
 def g2_in_so7(ambient, tol):
-    """g2 = Der(O), the fixed algebra of triality on so(8), on the
-    imaginary octonions.
+    """g2 = Der(O) on the imaginary octonions, spanned by the derivations
+    D_{x,y} = [L_x, L_y] + [L_x, R_y] + [R_x, R_y] of the imaginary units
+    x < y (Schafer, An Introduction to Nonassociative Algebras, ch. III).
 
-    triality_matrix - I has singular values 0 and sqrt(3) alone, so one
-    split_span gives the fixed rows with nothing in between.  Derivations
-    annihilate the unit e_0, so the unit row and column of the fixed
-    matrices are roundoff (about 1e-16) and the 7x7 imaginary block is
-    kept.  Built on every call; specs.resolve_factor, its only caller,
-    builds it once per process for each residual_tol.
+    The 21 derivations span 14 dimensions.  They annihilate the unit e_0,
+    so their unit row and column are exactly zero and the 7x7 imaginary
+    block is kept.  Built on every call; specs.resolve_factor, its only
+    caller, builds it once per process for each residual_tol.
     """
     if ambient.family != "so" or ambient.n != 7:
         raise InvalidInputError(f"g2 does not embed in {ambient.name}")
-    so8 = build_classical("so", 8)
-    moved = triality_matrix(so8, tol.residual_tol) - np.eye(so8.dim)
-    fixed = so8.frobenius_matrices(split_span(moved)[1])
-    return Subalgebra.from_matrices(ambient, fixed[:, 1:, 1:], tol, name="g2")
+    left, right = left_multiplications()[1:], right_multiplications()[1:]
+    x, y = np.triu_indices(7, 1)
+    ders = (commutator(left[x], left[y]) + commutator(left[x], right[y])
+            + commutator(right[x], right[y]))
+    return Subalgebra.from_matrices(ambient, ders[:, 1:, 1:], tol, name="g2")
 
 
 def cartan_subalgebra(ambient, tol):

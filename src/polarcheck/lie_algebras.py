@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ClosureError, DimensionMismatchError, InvalidInputError
 from .numerics import outside_norm, row_blocks, split_span
-from .octonions import left_multiplications, octonion_table
+from .octonions import left_multiplications, right_multiplications
 
 # ---------------------------------------------------------------------------
 # realification conventions
@@ -50,11 +50,6 @@ def realify_complex(mat):
     """
     mat = np.asarray(mat, dtype=complex)
     return np.kron(mat.real, _RE) + np.kron(mat.imag, _IM)
-
-
-def conjugation_matrix(n):
-    """Complex conjugation of C^n, realified: diag(1, -1) on each entry."""
-    return np.kron(np.eye(n), np.diag([1.0, -1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +401,7 @@ def triality_matrix(algebra, member_tol):
     so B -> C fixes Der (its fixed algebra, g2) and sends L_u -> R_u and
     R_u -> -(L_u + R_u): one solve, and no rank cut.
     """
-    left = left_multiplications()[1:]
-    # R_c[a, b] = table[b, c, a]: R_c sends e_b to e_b e_c
-    right = octonion_table()[:, 1:].transpose(1, 2, 0)
+    left, right = left_multiplications()[1:], right_multiplications()[1:]
     moved = algebra.coords_of(np.concatenate([left, right]), member_tol)
     image = np.vstack([moved[7:], -(moved[:7] + moved[7:])])
     return np.eye(algebra.dim) + (image - moved).T @ np.linalg.solve(
@@ -429,7 +422,8 @@ def make_automorphism(algebra, spec, tol):
     if spec == "outer_su":
         if algebra.family != "su":
             raise InvalidInputError("outer_su only applies to su(n)")
-        conj = conjugation_matrix(algebra.n)
+        # complex conjugation of C^n, realified: diag(1, -1) on each entry
+        conj = np.kron(np.eye(algebra.n), np.diag([1.0, -1.0]))
     elif spec == "outer_so_even":
         if algebra.family != "so" or algebra.n % 2 != 0:
             raise InvalidInputError("outer_so_even only applies to so(2m)")

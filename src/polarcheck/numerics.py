@@ -5,16 +5,15 @@ Every rank decision keeps the singular values above
     RANK_TOL * max(largest singular value, scale),  RANK_TOL = 1e-9,
 
 with scale given only where the caller knows the size of a genuine vector
-(sqrt(2) for the orbit rows of actions, 2 for Ad(s) - I on orthonormal
-rows), so that a stack of pure roundoff has rank zero instead of being
-renormalized into a full-rank matrix.  Relative
-to the largest value, the cut does not move when the input is rescaled, so
-no verdict depends on units.  It is a constant, not a setting: on the
-catalog, Table 1 and the benchmark actions every kept value is at least
-1e-2 of the reference and every dropped one at most 1e-15, and 1e-9 sits
-in the middle of that gap.  Orthonormality is Euclidean: every algebra has
-a Frobenius-orthonormal basis, so coordinates are Euclidean for the
-invariant form.
+(sqrt(2) for the orbit rows of actions, the one scale in use), so that a
+stack of pure roundoff has rank zero instead of being renormalized into a
+full-rank matrix.  Relative to the largest value, the cut does not move
+when the input is rescaled, so no verdict depends on units.  It is a
+constant, not a setting: on the catalog, Table 1 and the benchmark actions
+every kept value is at least 1e-2 of the reference and every dropped one at
+most 1e-15, and 1e-9 sits in the middle of that gap.  Orthonormality is
+Euclidean: every algebra has a Frobenius-orthonormal basis, so coordinates
+are Euclidean for the invariant form.
 
 The same cut stops the principal-point search: a slice representation
 counts as trivial when its largest bracket is at most RANK_TOL * sqrt(2),
@@ -25,8 +24,7 @@ Row spaces and complements come from the right singular vectors; the
 orbit rows of actions also read U, from the same call (cut_svd).  LAPACK
 is asked for the full, square V only when the matrix has fewer rows than
 columns: otherwise the thin V is already complete, and the full U of a
-tall matrix (Ad(s) - I on the rows fixed so far, in
-embeddings.fixed_subalgebra) is never formed.
+tall matrix is never formed.
 
 All functions are pure; nothing here owns randomness.
 """

@@ -1,4 +1,4 @@
-"""Cayley-Dickson algebras, and the octonion left multiplications.
+"""Cayley-Dickson algebras, and the octonion left and right multiplications.
 
 Multiplication tables are stored as tensors T with e_i e_j = sum_k T[i,j,k] e_k,
 with e_0 the unit and the remaining basis elements imaginary (so conjugation
@@ -6,8 +6,9 @@ is diag(1, -1, ..., -1) at every doubling stage).
 
 The octonions are the one source of the exceptional factors: their left
 multiplications are the gamma matrices of spin(7) and spin(9), and with the
-right multiplications they give the triality of so(8), whose fixed algebra
-is g2 = Der(O) (see embeddings and lie_algebras.triality_matrix).
+right multiplications they give the derivations D_{x,y} that span g2 =
+Der(O) (see embeddings) and the triality of so(8), which fixes g2 (see
+lie_algebras.triality_matrix).
 """
 
 from functools import lru_cache
@@ -70,3 +71,10 @@ def left_multiplications():
     -2 delta_cd, exactly, since the octonions are alternative and normed.
     """
     return octonion_table().transpose(0, 2, 1)
+
+
+def right_multiplications():
+    """The octonion right multiplications R_c, c = 0..7, as an (8, 8, 8)
+    read-only view of octonion_table(): R_c[a, b] = table[b, c, a], so R_c
+    sends e_b to e_b e_c."""
+    return octonion_table().transpose(1, 2, 0)

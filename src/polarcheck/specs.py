@@ -17,6 +17,8 @@ is read and checked on every call.
 import re
 from functools import lru_cache, partial
 
+import numpy as np
+
 from . import embeddings as emb
 from .errors import ClosureError, InvalidInputError
 from .lie_algebras import build_classical, make_automorphism
@@ -86,11 +88,21 @@ def _split_args(body):
     return args
 
 
+# a residual at most this is roundoff: 64 units in the last place of 1
+_ROUNDOFF = 64 * np.finfo(float).eps
+
+
 def _failed_check(exc, what, residual_tol):
     """The ClosureError exc, its message led by what failed and the
-    residual_tol it failed at, and its residual kept."""
-    named = ClosureError(
-        f"{what} fails its check at residual_tol {residual_tol:g}: {exc}")
+    residual_tol it failed at, and its residual kept.  A residual of at
+    most _ROUNDOFF is said to be roundoff, the residual_tol finer than
+    double precision can check."""
+    message = f"{what} fails its check at residual_tol {residual_tol:g}: {exc}"
+    if exc.residual is not None and exc.residual <= _ROUNDOFF:
+        message += ("; the residual is roundoff, and residual_tol "
+                    f"{residual_tol:g} is finer than double precision can "
+                    "check")
+    named = ClosureError(message)
     named.residual = exc.residual
     return named
 

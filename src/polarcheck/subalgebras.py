@@ -9,9 +9,9 @@ program: closure_residual projects the commutators of the basis onto the
 span (span_closure_residual, which LieAlgebra.from_basis calls on
 caller-given matrices too).  from_vectors runs it for span files, whose
 matrices have passed the membership check of coords_of.  The built-in
-embeddings (row selections, fixed algebras, and from_matrices: the
-membership check, then the rank cut, which keeps every vector a builder
-lays out), full_subalgebra, product (of closed factors) and diagonal_sigma
+embeddings (row selections, and from_matrices: the membership check, then
+the rank cut, which keeps every vector a builder writes down),
+full_subalgebra, product (of closed factors) and diagonal_sigma
 (the graph of an automorphism on a closed factor) are closed by
 construction, which the tests check once.  The last three write their rows
 down orthonormal, with no rank cut: the identity, [h1, 0; 0, h2] of

@@ -331,6 +331,7 @@ class TestAnalyze:
         assert code == 2
         assert "not bracket-closed" in err
         assert "residual 7.071e-01" in err
+        assert "roundoff" not in err
 
 
     def test_off_diagonal_span_file_in_the_double(self, capsys, tmp_path):
@@ -389,6 +390,7 @@ def test_a_span_file_failure_names_the_file(capsys, tmp_path, subgroup, mats,
                                   "--subgroup", spec])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: span(file={path}) {failure} (residual ")
+    assert "roundoff" not in err
     with pytest.raises(ClosureError) as exc:
         specs.resolve_subgroup(spec, parse_group("so3"), ToleranceConfig())
     assert exc.value.residual == pytest.approx(residual)
@@ -512,7 +514,9 @@ class TestOneProcessMatchesFresh:
                                     "product(h1=g2,h2=zero)",
                                     "--residual-tol", "1e-20"])
         assert code == 2 and err.startswith("error: factor g2 of so(7) ")
-        assert "residual_tol 1e-20" in err
+        assert err.rstrip().endswith(
+            "; the residual is roundoff, and residual_tol 1e-20 is finer "
+            "than double precision can check")
         code, _, _ = run(capsys, ["analyze", "--group", "so16", "--subgroup",
                                   "product(h1=spin9,h2=so15)"])
         assert code == 0

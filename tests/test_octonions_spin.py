@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from polarcheck import embeddings
 from polarcheck.catalog import run_known_answer_suite, verify_table1
 from polarcheck.embeddings import g2_in_so7, gamma_matrices, spin_subalgebra
 from polarcheck.errors import InvalidInputError
-from polarcheck.lie_algebras import (build_classical, make_automorphism,
-                                     triality_matrix)
+from polarcheck.lie_algebras import build_classical, make_automorphism
 from polarcheck.numerics import ToleranceConfig, outside_norm, split_span
 from polarcheck.octonions import (cayley_dickson_double, complex_table,
                                   left_multiplications, octonion_table,
-                                  quaternion_table, real_table)
+                                  quaternion_table, real_table,
+                                  right_multiplications)
 
 from helpers import gamma_anticommutation_residual, leibniz_residual
 from polarcheck.specs import resolve_factor
+from polarcheck.subalgebras import Subalgebra
 
 
 def triality_fixed_matrices(tol):
@@ -97,11 +97,32 @@ class TestDerivations:
                 assert np.abs(comm - recon).max() < 1e-12
 
     def test_restrict_to_imaginary(self, tol):
-        # derivations kill the unit: what g2_in_so7 drops from the
-        # triality-fixed matrices, the unit row and column, is roundoff
+        # derivations kill the unit: what the triality-fixed reference of
+        # test_g2_matches_octonion_derivations drops, the unit row and
+        # column, is roundoff
         fixed = triality_fixed_matrices(tol)
         assert np.abs(fixed[:, 0, :]).max() < 1e-12
         assert np.abs(fixed[:, :, 0]).max() < 1e-12
+
+    def test_each_written_down_derivation(self, tol, monkeypatch):
+        # every D_{x,y} that g2_in_so7 hands to from_matrices, padded with
+        # a zero unit border, is a derivation of the octonions
+        written = []
+        from_matrices = Subalgebra.from_matrices.__func__
+
+        def recording(cls, parent, matrices, tol, name=""):
+            written.append(np.array(matrices))
+            return from_matrices(cls, parent, matrices, tol, name)
+
+        monkeypatch.setattr(Subalgebra, "from_matrices",
+                            classmethod(recording))
+        g2_in_so7(build_classical("so", 7), tol)
+        [imag] = written
+        assert imag.shape == (21, 7, 7)
+        padded = np.zeros((21, 8, 8))
+        padded[:, 1:, 1:] = imag
+        for d in padded:
+            assert leibniz_residual(d, octonion_table()) <= 1e-12
 
 
 class TestGammaMatrices:
@@ -167,16 +188,18 @@ class TestG2:
 class TestG2Cache:
     def test_derived_once_per_residual_tol(self, monkeypatch):
         # g2 is one entry of the factor cache: the seed, the catalog entry
-        # and the Table-1 row that share a residual_tol share one triality
-        # solve, and another residual_tol solves anew; the rank cut is
-        # fixed, so no other setting can split the cache
+        # and the Table-1 row that share a residual_tol share one build,
+        # and another residual_tol builds anew; the rank cut is fixed, so
+        # no other setting can split the cache
         calls = []
+        from_matrices = Subalgebra.from_matrices.__func__
 
-        def counting(algebra, member_tol):
-            calls.append(algebra.name)
-            return triality_matrix(algebra, member_tol)
+        def counting(cls, parent, matrices, tol, name=""):
+            if name == "g2":
+                calls.append(parent.name)
+            return from_matrices(cls, parent, matrices, tol, name)
 
-        monkeypatch.setattr(embeddings, "triality_matrix", counting)
+        monkeypatch.setattr(Subalgebra, "from_matrices", classmethod(counting))
         so7 = build_classical("so", 7)
         g2_rows = ["g2-so7-so6", "g2-so7-so5so2", "g2-so7-so5"]
         for seed in range(3):
@@ -190,16 +213,16 @@ class TestG2Cache:
         assert resolve_factor("g2", so7, ToleranceConfig(residual_tol=1e-9)).dim == 14
         assert resolve_factor("g2", so7, ToleranceConfig(residual_tol=1e-9,
                                                          seed=5)).dim == 14
-        assert calls == ["so(8)"] * 2
+        assert calls == ["so(7)"] * 2
 
 
 @pytest.mark.parametrize("table", [
     real_table, complex_table, quaternion_table, octonion_table,
-    left_multiplications,
+    left_multiplications, right_multiplications,
     lambda: resolve_factor("g2", build_classical("so", 7),
                            ToleranceConfig()).basis,
 ], ids=["real", "complex", "quaternion", "octonion", "left_multiplications",
-        "g2"])
+        "right_multiplications", "g2"])
 def test_cached_tables_are_read_only(table):
     # every caller shares the cached array, so a write must not go through
     array = table()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from polarcheck import embeddings, specs
+from polarcheck import embeddings, lie_algebras, specs
 from polarcheck.catalog import catalog_entries, get_entry
 from polarcheck.embeddings import block_so, so_in_su
 from polarcheck.errors import (ClosureError, DimensionMismatchError,
@@ -203,9 +203,9 @@ class TestImpliedClosure:
 
     @pytest.mark.parametrize("group,factor", BUILTIN_FACTORS)
     def test_builtin_factor_has_its_dimension(self, group, factor, tol):
-        # the rank cut keeps every vector a builder lays out, and a fixed
-        # algebra has the dimension of its symmetric pair, on orthonormal
-        # rows; nothing checks this at run time
+        # the rank cut keeps the span of every matrix a builder writes
+        # down, and a row selection every row its mask admits, on
+        # orthonormal rows; nothing checks this at run time
         h = resolve_factor(factor, classical(group), tol)
         assert h.dim == factor_dimension(group, factor)
         assert gram_residual(h) < 1e-12
@@ -363,6 +363,9 @@ class TestFactorCache:
         assert str(err.value).startswith(
             f"factor {factor} of {algebra.name} fails its check at "
             "residual_tol 1e-20: matrix does not lie in")
+        assert str(err.value).endswith(
+            "; the residual is roundoff, and residual_tol 1e-20 is finer "
+            "than double precision can check")
         assert 0 < err.value.residual < 1e-14
 
     def test_span_file_is_read_on_every_call(self, tmp_path, tol):
@@ -720,7 +723,7 @@ class TestStackedEmbeddings:
     """Realified complex stacks give the matrices of the loops they
     replaced, bit for bit."""
 
-    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("m", range(1, 7))
     def test_sp_in_su(self, m, tol):
         expected = []
         for a in _u_basis_complex(m):
@@ -738,11 +741,23 @@ class TestStackedEmbeddings:
                     z[:m, m:] = -np.conj(b)
                     expected.append(realify_complex(z))
         assert np.array_equal(classical_basis("sp", m), np.array(expected))
-        # the fixed algebra of J o conj spans the stack
+        # the stack spans the commutant of the quaternionic structure
         su = build_classical("su", 2 * m)
         mats = su.frobenius_matrices(embeddings.sp_in_su(su, tol, m).basis)
         assert np.abs(span_projector(mats)
-                      - span_projector(expected)).max() < 1e-12
+                      - span_projector(j_conj_commutant(m, tol))).max() < 1e-12
+
+
+def j_conj_commutant(m, tol):
+    """The matrices of su(2m) that Ad(J o conj) fixes, J = [[0, -I],
+    [I, 0]]: the nullspace of Ad(J o conj) - I, on orthonormal rows."""
+    su = build_classical("su", 2 * m)
+    zero, eye = np.zeros((m, m)), np.eye(m)
+    j = realify_complex(np.block([[zero, -eye], [eye, zero]]))
+    conj = np.kron(np.eye(2 * m), np.diag([1.0, -1.0]))
+    moved = adjoint_matrix(su, j @ conj, tol.residual_tol) - np.eye(su.dim)
+    _, sv, vt = np.linalg.svd(moved)
+    return su.frobenius_matrices(vt[int(np.sum(sv > 1e-10 * sv[0])):])
 
 
 def span_projector(mats):
@@ -803,15 +818,6 @@ class TestSpInSo:
                       - span_projector(expected)).max() < 1e-12
 
 
-# the factors built as fixed algebras, over a range of sizes
-FIXED_FACTORS = [
-    ("su2", "sp1"), ("su6", "sp3"), ("su10", "sp5"),
-    ("so4", "sp1"), ("so8", "sp2"), ("so12", "sp3"),
-    ("so4", "sp1u1"), ("so8", "sp2u1"), ("so12", "sp3u1"),
-    ("so4", "sp1sp1"), ("so8", "sp2sp1"), ("so12", "sp3sp1"),
-]
-
-
 # The laid-out references of the factors that embeddings reads off the
 # basis of build_classical as row selections (TestRowSelection).
 
@@ -859,64 +865,6 @@ def cartan_reference(family, n):
     else:
         diagonals = 1j * np.hstack([np.eye(n), -np.eye(n)])
     return realify_complex(diagonals[:, None, :] * np.eye(len(diagonals[0])))
-
-
-class TestFixedAlgebras:
-    """sp(m) in su(2m) and in so(4m) are fixed algebras of commuting
-    involutions Ad(s), whose rank cuts see only 0 and 2; so(n) and
-    s(u(p)u(q)) in su span the subspaces that were laid out by hand."""
-
-    @staticmethod
-    def check_span(group, factor, reference, tol):
-        ambient = parse_group(group)
-        mats = ambient.frobenius_matrices(
-            resolve_factor(factor, ambient, tol).basis)
-        assert len(mats) == len(reference)
-        assert np.abs(span_projector(mats)
-                      - span_projector(reference)).max() < 1e-12
-
-    @pytest.mark.parametrize("group,factor", FIXED_FACTORS)
-    def test_conjugators_are_commuting_involutions(self, group, factor, tol,
-                                                   monkeypatch):
-        calls = []
-        fixed = embeddings.fixed_subalgebra
-
-        def recording(ambient, tol, conjugators, name):
-            calls.append((ambient, conjugators))
-            return fixed(ambient, tol, conjugators, name)
-
-        monkeypatch.setattr(embeddings, "fixed_subalgebra", recording)
-        resolve_factor(factor, classical(group), tol)
-        [(ambient, conjugators)] = calls
-        ads = []
-        for s in conjugators:
-            assert np.abs(s.T @ s - np.eye(len(s))).max() < 1e-12
-            ads.append(adjoint_matrix(ambient, s, tol.residual_tol))
-            assert np.abs(ads[-1] @ ads[-1]
-                          - np.eye(ambient.dim)).max() < 1e-12
-        for a in ads:
-            for b in ads:
-                assert np.abs(a @ b - b @ a).max() < 1e-12
-
-    @pytest.mark.parametrize("n", range(2, 11))
-    def test_so_in_su_is_the_real_points(self, n, tol):
-        self.check_span(f"su{n}", f"so{n}", realify_complex(so_basis(n)),
-                        tol)
-
-    @pytest.mark.parametrize("p,q", [(p, n - p) for n in range(2, 11)
-                                     for p in range(1, n)])
-    def test_s_u_is_block_diagonal(self, p, q, tol):
-        self.check_span(f"su{p + q}", f"s_u{p}u{q}", s_u_reference(p, q), tol)
-        if q == 1:
-            self.check_span(f"su{p + 1}", "s_u_u1", s_u_reference(p, 1), tol)
-
-    # sp(m) in su(2m) against classical_basis: TestStackedEmbeddings
-
-    @pytest.mark.parametrize("group,factor", [
-        ("su4", "s_u0u4"), ("su5", "s_u2u2"), ("so4", "s_u1u1")])
-    def test_s_u_blocks_must_fill_the_group(self, group, factor, tol):
-        with pytest.raises(InvalidInputError, match="does not embed"):
-            resolve_factor(factor, classical(group), tol)
 
 
 # every group the row-selection sweep covers
@@ -982,7 +930,6 @@ class TestRowSelection:
             raise AssertionError("a row selection reads no matrix")
 
         monkeypatch.setattr(LieAlgebra, "coords_of", refuse)
-        monkeypatch.setattr(embeddings, "adjoint_matrix", refuse)
         monkeypatch.setattr(np.linalg, "svd", refuse)
         for group in ("so9", "su6", "sp3"):
             ambient = classical(group)
@@ -990,6 +937,36 @@ class TestRowSelection:
                 h = built_factor(ambient, factor, tol)
                 assert (h.dim, len(h.complement)) == (
                     len(reference), ambient.dim - len(reference)), factor
+
+    @staticmethod
+    def check_span(group, factor, reference, tol):
+        ambient = parse_group(group)
+        mats = ambient.frobenius_matrices(
+            resolve_factor(factor, ambient, tol).basis)
+        assert len(mats) == len(reference)
+        assert np.abs(span_projector(mats)
+                      - span_projector(reference)).max() < 1e-12
+
+    # the same spans as the sweep, reached by name through parse_group and
+    # the factor cache
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_so_in_su_is_the_real_points(self, n, tol):
+        self.check_span(f"su{n}", f"so{n}", realify_complex(so_basis(n)),
+                        tol)
+
+    @pytest.mark.parametrize("p,q", [(p, n - p) for n in range(2, 11)
+                                     for p in range(1, n)])
+    def test_s_u_is_block_diagonal(self, p, q, tol):
+        self.check_span(f"su{p + q}", f"s_u{p}u{q}", s_u_reference(p, q), tol)
+        if q == 1:
+            self.check_span(f"su{p + 1}", "s_u_u1", s_u_reference(p, 1), tol)
+
+    @pytest.mark.parametrize("group,factor", [
+        ("su4", "s_u0u4"), ("su5", "s_u2u2"), ("so4", "s_u1u1")])
+    def test_s_u_blocks_must_fill_the_group(self, group, factor, tol):
+        with pytest.raises(InvalidInputError, match="does not embed"):
+            resolve_factor(factor, classical(group), tol)
 
     @pytest.mark.parametrize("family,n,factor", [
         ("so", 5, "so3"), ("so", 5, "so2so3"), ("so", 5, "cartan"),
@@ -1003,3 +980,30 @@ class TestRowSelection:
                                         family=family, n=n)
         with pytest.raises(InvalidInputError, match="build_classical"):
             built_factor(algebra, factor, tol)
+
+
+# every sp and g2 factor: sp(k) in su(2k) and so(4k), with each right factor
+WRITTEN_DOWN_FACTORS = (
+    [(f"su{2 * k}", f"sp{k}") for k in range(1, 7)]
+    + [(f"so{4 * k}", f"sp{k}{suffix}") for k in range(1, 6)
+       for suffix in ("", "u1", "sp1")]
+    + [("so7", "g2")])
+
+
+class TestWrittenDown:
+    """sp(m) and g2 are written-down matrices read by from_matrices: no
+    Ad(s) and no triality solve builds them."""
+
+    @pytest.mark.parametrize("group,factor", WRITTEN_DOWN_FACTORS)
+    def test_solves_for_nothing(self, group, factor, tol, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a written-down factor is solved for")
+
+        monkeypatch.setattr(lie_algebras, "adjoint_matrix", refuse)
+        monkeypatch.setattr(lie_algebras, "triality_matrix", refuse)
+        # what those two solve with, whatever name reaches them
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        h = built_factor(classical(group), factor, tol)
+        assert h.dim == factor_dimension(group, factor)
+        assert len(h.complement) == h.parent.dim - h.dim
