@@ -6,7 +6,9 @@ is span{Ad(g^{-1}) X1 - X2 : (X1, X2) in h}.  Polarity is decided at a
 principal point by conjugating the subalgebra back to the identity and
 testing the normal space nu there: nu must be a Lie triple system whose
 generated algebra nu + [nu, nu] is orthogonal to the (conjugated) h, and
-the action is hyperpolar exactly when nu is abelian.
+the action is hyperpolar exactly when nu is abelian.  Each condition is
+measured by a Hilbert-Schmidt norm over all pairs of an orthonormal basis
+of nu (see polarity_check), which no rotation of that basis moves.
 
 The orbit dimension and nu are read from the smaller of h and its
 complement W = h^perp in l(+)l.  With A = Ad(g^{-1}), the tangent rows are
@@ -41,7 +43,8 @@ import numpy as np
 from .errors import InvalidInputError, NonPrincipalPointError
 from .lie_algebras import adjoint_matrix, commutator, pair_commutators
 from .numerics import (RANK_TOL, ToleranceConfig, cut_svd, outside_norm,
-                       rank_and_dropped, split_span)
+                       outside_squares, rank_and_dropped, row_blocks,
+                       split_span)
 from .subalgebras import Subalgebra
 
 
@@ -280,56 +283,68 @@ def _direct_is_cheaper(cohom, dim_t, ambient_size):
     reading a matrix into coordinates 2 m^2 n, and a pairing 2n of
     coordinates or 2 m^2 of matrices.  With P = c(c-1)/2 pairs X before Y
     in nu, the ad-invariance path forms and reads c*dim_t brackets [Z,T],
-    reads the P brackets [X,Y] and makes P*c*dim_t pairings; the direct
-    path forms P*c triples [[X,Y],Z] and projects each onto nu, 2c matrix
-    pairings each.
+    takes the triangular factor R of their coordinates (about
+    2 c dim_t n^2 flops), and reads the P brackets [X,Y], each then
+    multiplied by R, at most n rows of n (2 n^2); the direct path forms
+    P*c triples [[X,Y],Z] and projects each onto nu, 2c matrix pairings
+    each.
     """
     pairs = cohom * (cohom - 1) // 2
     dim_l = cohom + dim_t
     bracket = 4 * ambient_size ** 3
     read = 2 * ambient_size ** 2 * dim_l
-    ad_invariance = (cohom * dim_t * (bracket + read)
-                     + pairs * (read + cohom * dim_t * 2 * dim_l))
+    ad_invariance = (cohom * dim_t * (bracket + read + 2 * dim_l ** 2)
+                     + pairs * (read + 2 * dim_l ** 2))
     direct = pairs * cohom * (bracket + 2 * cohom * 2 * ambient_size ** 2)
     return direct < ad_invariance
 
 
 def _ad_invariance_triples(x, tangent, flat_basis):
     """(extra floats per pair, reader): the reader takes the l coordinates
-    of a block of brackets [X,Y] and returns the largest tangent component
-    of a triple [[X,Y],Z], read off <[[X,Y],Z],T> = <[X,Y],[Z,T]> over the
-    orthonormal tangent matrices T, so no triple is formed.  Each [Z,T] is
-    read into coordinates once, a Z at a time."""
-    cohom, dim_t, size = len(x), len(tangent), x.shape[-1] ** 2
-    zt = np.empty((cohom, dim_t, len(flat_basis)))
-    for z, coords in zip(x, zt):
-        coords[:] = commutator(z, tangent).reshape(dim_t, size) @ flat_basis.T
-    zt = zt.reshape(cohom * dim_t, len(flat_basis))
+    b of a block of brackets [X,Y] and returns the sum over the block and
+    over Z in nu of the squared tangent components of [[X,Y],Z].
 
-    def largest(b):
-        if not dim_t:   # nu is all of l: every triple lies in it
-            return 0.0
-        outside = (b @ zt.T).reshape(len(b), cohom, dim_t)
-        return float(np.sqrt(np.einsum('pzt,pzt->pz', outside, outside)
-                             .max(initial=0.0)))
-    return zt.shape[0], largest
+    By ad-invariance that sum is the sum of <[X,Y],[Z,T]>^2 over Z and the
+    orthonormal tangent matrices T, ||S b||^2 for S the stacked coordinates
+    of every [Z,T], and S = QR with orthonormal columns Q gives
+    ||S b|| = ||R b||.  R has at most dim l rows.  S is read into
+    coordinates once, a block of Z at a time, and each block is stacked
+    under the R of the blocks before it and factored again, which is a
+    triangular factor of their whole stack: only R and one block are held,
+    no triple is formed, and no rank cut or Gram matrix is needed."""
+    cohom, dim_t, size = len(x), len(tangent), x.shape[-1] ** 2
+    if not dim_t:   # nu is all of l: every triple lies in it
+        return 0, lambda b: 0.0
+    r = np.empty((0, len(flat_basis)))
+    # a block of Z holds its coordinates, their stack under R, and qr's
+    # copy and LAPACK's
+    for zs in row_blocks(cohom, 4 * dim_t * len(flat_basis)):
+        r = np.linalg.qr(np.vstack([r] + [
+            commutator(z, tangent).reshape(dim_t, size) @ flat_basis.T
+            for z in x[zs]]), mode="r")
+
+    def squares(b):
+        rb = b @ r.T
+        return float(np.einsum('pk,pk->', rb, rb))
+    return len(r), squares
 
 
 def _direct_triples(x):
     """(extra floats per pair, reader): the reader takes a block of flat
-    brackets [X,Y], forms each [[X,Y],Z] and returns the largest component
-    outside nu, which nu + tangent = l makes the tangent component.
+    brackets [X,Y], forms each [[X,Y],Z] and returns the sum of the squared
+    components outside nu, which nu + tangent = l makes the tangent
+    components.
 
     A pair's c triples are held three times over at the peak: commutator
-    holds a@b, b@a and their difference, and outside_norm the triples, their
-    projection onto nu and the rest."""
+    holds a@b, b@a and their difference, and outside_squares the triples,
+    their projection onto nu and the rest."""
     cohom, side = len(x), x.shape[-1]
     nu = x.reshape(cohom, side * side)
 
-    def largest(xy):
+    def squares(xy):
         xyz = commutator(xy.reshape(-1, 1, side, side), x)
-        return outside_norm(xyz.reshape(-1, side * side), nu)
-    return 3 * cohom * side * side, largest
+        return float(outside_squares(xyz.reshape(-1, side * side), nu).sum())
+    return 3 * cohom * side * side, squares
 
 
 def _criterion_residuals(algebra, nu, tangent, conj_h, direct):
@@ -338,11 +353,13 @@ def _criterion_residuals(algebra, nu, tangent, conj_h, direct):
     triple residual taken by the direct path or, from the orthonormal
     tangent rows, by the ad-invariance path.
 
-    The brackets [X,Y], X before Y in nu, are formed a block at a time.
-    When h or the ad-invariance tangent has rows, a block is read once into
-    its l coordinates b (exact: [X,Y] lies in l, whose basis is
-    orthonormal), which residual_orth and the ad-invariance pairings read;
-    residual_abelian and the direct path read the flat brackets.
+    Each residual is a Hilbert-Schmidt norm, the root of a sum of squares
+    over the pairs X before Y in nu (see polarity_check).  The brackets are
+    formed a block at a time.  When h or the ad-invariance tangent has
+    rows, a block is read once into its l coordinates b (exact: [X,Y] lies
+    in l, whose basis is orthonormal), which residual_orth and the
+    ad-invariance path read; residual_abelian and the direct path read the
+    flat brackets.
     """
     x = algebra.frobenius_matrices(nu)
     flat = algebra.basis.reshape(algebra.dim, -1)
@@ -353,16 +370,16 @@ def _criterion_residuals(algebra, nu, tangent, conj_h, direct):
             x, algebra.frobenius_matrices(tangent), flat)
     reads = len(conj_h) > 0 or (not direct and len(tangent) > 0)
     if reads:
-        extra += algebra.dim
+        extra += algebra.dim + len(conj_h)
     triple = orth = abelian = 0.0
     for xy in pair_commutators(x, extra_floats=extra):
         b = xy @ flat.T if reads else None
-        triple = max(triple, triple_of(xy if direct else b))
+        triple += triple_of(xy if direct else b)
         if len(conj_h):
-            orth = max(orth, float(np.abs(b @ conj_h.T).max(initial=0.0)))
-        abelian = max(abelian,
-                      float(np.einsum('pk,pk->p', xy, xy).max(initial=0.0)))
-    return triple, orth, float(np.sqrt(abelian))
+            hb = b @ conj_h.T
+            orth += float(np.einsum('ph,ph->', hb, hb))
+        abelian += float(np.einsum('pk,pk->', xy, xy))
+    return tuple(float(np.sqrt(total)) for total in (triple, orth, abelian))
 
 
 def _criterion(action, orbit, tol, max_orbit_dim, samples_used):
@@ -420,19 +437,32 @@ def polarity_check(action, g, tol, max_orbit_dim):
     InvalidInputError is raised when the cut drops a singular value above
     residual_tol, i.e. when residual_tol is too fine for the tangent.
 
-    Residuals are norms of commutators of Frobenius-orthonormal matrices of
-    nu, taken in the invariant form (see LieAlgebra.frobenius_matrices).
-    Brackets lie in l, whose basis is orthonormal, so residual_orth pairs
-    the l coordinates of [X,Y] with those of the conjugated h, and no
-    matrix of h is built.
-    residual_triple is the largest tangent component of a triple [[X,Y],Z],
-    taken by one of two exact paths, whichever costs fewer flops for the
-    cohomogeneity c, the tangent dimension and the matrix size (see
-    _direct_is_cheaper):
+    Residuals are Hilbert-Schmidt (HS) norms of commutators of
+    Frobenius-orthonormal matrices of nu, taken in the invariant form (see
+    LieAlgebra.frobenius_matrices), each the root of a sum of squares over
+    the pairs X before Y in nu:
 
-    - ad-invariance: <[[X,Y],Z],T> = <[X,Y],[Z,T]> over an orthonormal
-      tangent basis, in the l coordinates of all c * dim(tangent) brackets
-      [Z,T] at once; it wins when the tangent is small (high
+    - residual_triple = sqrt(sum over X < Y and Z in nu of the squared
+      tangent component of [[X,Y],Z]);
+    - residual_orth = sqrt(sum over X < Y of ||conj_h b||^2), b the l
+      coordinates of [X,Y] and conj_h those of the conjugated h;
+    - residual_abelian = sqrt(sum over X < Y of ||[X,Y]||^2).
+
+    Each vanishes exactly when the largest of its terms does.  Unlike the
+    largest terms, the sums do not move when nu, the tangent or h's
+    orthonormal rows are rotated, so they do not depend on the bases that
+    LAPACK returns.  Brackets lie in l, whose basis is orthonormal, so
+    residual_orth reads the l coordinates of each [X,Y], and no matrix of h
+    is built.
+    residual_triple is taken by one of two exact paths, whichever costs
+    fewer flops for the cohomogeneity c, the tangent dimension and the
+    matrix size (see _direct_is_cheaper):
+
+    - ad-invariance: the sum over Z of the squared tangent components of
+      [[X,Y],Z] is that of <[X,Y],[Z,T]>^2 over Z and an orthonormal
+      tangent basis T, read as ||R b||^2 from the triangular factor R of
+      the l coordinates of all c * dim(tangent) brackets [Z,T]; R has at
+      most dim l rows, and the path wins when the tangent is small (high
       cohomogeneity);
     - direct: form [[X,Y],Z] and take its component outside nu, which is
       its tangent component because nu + tangent = l; it holds only a

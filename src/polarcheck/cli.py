@@ -15,8 +15,8 @@ catalog entry, a group or --param too large for memory). Every setting is
 a flag, and the seed defaults to 0; the rank cut is no setting
 (numerics.RANK_TOL). A JSON report is its result dataclass (PolarityReport
 plus "config", SuiteSummary plus "tolerances", a list of Table1Result),
-rendered field by field, so with a fixed seed and configuration it is
-byte-stable.
+rendered field by field on one line, so with a fixed seed and
+configuration it is byte-stable under one BLAS build and thread count.
 """
 
 import argparse
@@ -73,14 +73,15 @@ def _emit(text, args):
 
 
 def _json(payload):
-    """The JSON report: a dataclass as its fields, an array as nested lists."""
+    """The JSON report on one line: a dataclass as its fields, an array as
+    nested lists.  Without indent, json.dumps takes its C encoder."""
     def fields(obj):
         if isinstance(obj, np.ndarray):
             return obj.tolist()
         if dataclasses.is_dataclass(obj):
             return vars(obj)  # shallow: asdict would deep-copy the arrays
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-    return json.dumps(payload, sort_keys=True, indent=2, default=fields)
+    return json.dumps(payload, sort_keys=True, default=fields)
 
 
 def _report_text(report, config):

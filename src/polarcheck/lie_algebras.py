@@ -68,13 +68,14 @@ def pair_commutators(mats, extra_floats=0):
     """Flattened [M_i, M_j] for i < j, yielded a block of pairs at a time.
 
     mats holds matrices, or pairs of blocks (the halves of l(+)l), which
-    are bracketed block by block.  A block is sized for rows of the
-    commutator plus extra_floats that the caller derives from each, so the
-    whole stack of commutators never exists.
+    are bracketed block by block.  A block is sized for what a pair holds
+    at the peak, five matrices (the two gathered factors, their two
+    products and the bracket), plus extra_floats that the caller derives
+    from each bracket, so the whole stack of commutators never exists.
     """
     size = int(np.prod(mats.shape[1:]))
     first, second = np.triu_indices(mats.shape[0], 1)
-    for rows in row_blocks(first.size, size + extra_floats):
+    for rows in row_blocks(first.size, 5 * size + extra_floats):
         comms = commutator(mats[first[rows]], mats[second[rows]])
         yield comms.reshape(-1, size)
 

@@ -146,19 +146,24 @@ def row_blocks(count, row_floats):
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def outside_norm(vectors, onb):
-    """Largest Euclidean norm of a component outside span(onb) over a stack.
+def outside_squares(vectors, onb):
+    """Squared Euclidean norms of the components outside span(onb), one per
+    vector of a stack.
 
     vectors is any array whose last axis holds coordinates; onb holds
-    orthonormal rows, possibly none, in which case this is the largest
-    norm.  On coordinates it is a norm in the invariant form.  The stack
-    is taken whole, so callers hand it one block at a time:
-    span_closure_residual a block of commutators, the direct triple path
-    of actions.polarity_check a block of triples [[X,Y],Z], and the slice
-    test of actions._read_orbit the brackets of one matrix at a time.
+    orthonormal rows, possibly none, in which case these are the squared
+    norms.  On coordinates they are squared norms in the invariant form.
+    The stack is taken whole, so callers hand it one block at a time.
     """
     rest = vectors.reshape(-1, vectors.shape[-1])
     if onb.shape[0]:
         rest = rest - (rest @ onb.T) @ onb
-    sq = np.einsum('ak,ak->a', rest, rest)
-    return float(np.sqrt(sq.max(initial=0.0)))
+    return np.einsum('ak,ak->a', rest, rest)
+
+
+def outside_norm(vectors, onb):
+    """Largest Euclidean norm of a component outside span(onb) over a stack
+    (see outside_squares): span_closure_residual hands it a block of
+    commutators, and the slice test of actions._read_orbit the brackets of
+    one matrix at a time."""
+    return float(np.sqrt(outside_squares(vectors, onb).max(initial=0.0)))

@@ -80,10 +80,12 @@ class Subalgebra:
     @cached_property
     def complement(self):
         """Orthonormal rows spanning the orthogonal complement of h in the
-        parent, parent.dim - dim of them, read-only."""
+        parent, parent.dim - dim of them, read-only.  The function that
+        gave them is then dropped, with whatever rows it held."""
         if self._complement_of is None:
             return _rows(split_span(self.basis)[1])
-        return _rows(self._complement_of())
+        rows, self._complement_of = _rows(self._complement_of()), None
+        return rows
 
     @classmethod
     def from_vectors(cls, parent, vectors, tol, name=""):
@@ -102,6 +104,7 @@ class Subalgebra:
         checked."""
         vecs = parent.coords_of(matrices, member_tol=tol.residual_tol)
         span, rest, _ = split_span(vecs)
+        rest = rest.copy()  # the view would keep all of the split's V^T alive
         return cls(parent, span, name=name, complement=lambda: rest)
 
     def closure_residual(self):

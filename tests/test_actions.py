@@ -23,8 +23,8 @@ from polarcheck.lie_algebras import (LieAlgebra, _u_basis_complex,
                                      classical_basis, commutator,
                                      make_automorphism, realify_complex,
                                      so_basis)
-from polarcheck.numerics import (ToleranceConfig, outside_norm,
-                                 rank_and_dropped, split_span)
+from polarcheck.numerics import (ToleranceConfig, rank_and_dropped,
+                                 split_span)
 from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
 from polarcheck.subalgebras import (Subalgebra, diagonal_sigma,
                                     full_subalgebra, product, zero_subalgebra)
@@ -271,19 +271,21 @@ def conjugated_h(action, g):
 
 
 def brute_force_residuals(action, report):
-    """(triple, orth, abelian) over every triple [[X,Y],Z] and every pair of
-    the report's nu, with h conjugated to e at its point."""
+    """(triple, orth, abelian) as Hilbert-Schmidt norms, summed over every
+    pair X before Y of the report's nu and every Z in it, with h
+    conjugated to e at its point and each term taken on flat matrices."""
     algebra = action.algebra
     x = algebra.frobenius_matrices(report.section_basis)
     size = algebra.ambient_size ** 2
     nu = x.reshape(len(x), size)
-    xy = commutator(x[:, None], x[None])
-    triples = commutator(xy[:, :, None], x[None, None])   # [[X,Y],Z]
+    first, second = np.triu_indices(len(x), 1)
+    xy = commutator(x[first], x[second])
+    triples = commutator(xy[:, None], x[None]).reshape(-1, size)  # [[X,Y],Z]
+    tangent_parts = triples - (triples @ nu.T) @ nu
     pairings = xy.reshape(-1, size) @ conjugated_h(
         action, report.principal_point).T
-    return (outside_norm(triples.reshape(-1, size), nu),
-            float(np.abs(pairings).max(initial=0.0)),
-            outside_norm(xy.reshape(-1, size), nu[:0]))
+    return tuple(float(np.sqrt(np.sum(part ** 2)))
+                 for part in (tangent_parts, pairings, xy))
 
 
 def analyzed(group, subgroup, tol):
@@ -345,6 +347,43 @@ class TestCriterionReference:
         # no nu, or no tangent and no pair: neither path forms anything
         assert not actions._direct_is_cheaper(0, 190, 20)
         assert not actions._direct_is_cheaper(1, 0, 20)
+
+
+class TestBasisFreeResiduals:
+    """Each residual is a Hilbert-Schmidt norm over all pairs of nu, so
+    rotating nu, the tangent or h's orthonormal rows moves none of them,
+    on either triple path, where the maxima they replace moved."""
+
+    @pytest.mark.parametrize("direct", [False, True],
+                             ids=["ad_invariance", "direct"])
+    @pytest.mark.parametrize("group,subgroup", [
+        ("su3", "product(h1=su2,h2=su2)"),
+        ("su4", "product(h1=su3,h2=su3)"),      # nu read from W's side
+        ("su4", "product(h1=cartan,h2=cartan)"),
+        ("so7", "delta(on=g2)"),
+    ])
+    def test_rotations_move_no_residual(self, group, subgroup, direct, tol):
+        action, report = analyzed(group, subgroup, tol)
+        algebra, g = action.algebra, report.principal_point
+        size = algebra.ambient_size
+
+        def residuals(nu, tangent, h):
+            moved = conjugated_h(SimpleNamespace(
+                algebra=algebra, h=SimpleNamespace(basis=h)), g)
+            conj_h = algebra.coords_of(moved.reshape(-1, size, size),
+                                       member_tol=1e-10)
+            return actions._criterion_residuals(algebra, nu, tangent,
+                                                conj_h, direct)
+
+        rows = (report.section_basis, orbit_tangent(action, g, tol),
+                action.h.basis)
+        rng = np.random.default_rng(13)
+        rotated = residuals(*(  # the Q of a Gaussian matrix is orthogonal
+            np.linalg.qr(rng.standard_normal((len(r), len(r))))[0] @ r
+            for r in rows))
+        fixed = residuals(*rows)
+        assert min(fixed) > 0.1
+        assert list(rotated) == pytest.approx(fixed, rel=1e-12, abs=0)
 
 
 class TestConjugationByTheInverse:
@@ -498,6 +537,32 @@ class TestNoMatricesOfH:
         assert set(counts) <= {cohom, orbit, slice_rows}
 
 
+def walk_peaks(monkeypatch, direct):
+    """The tracemalloc peaks above its start of each walk of
+    _criterion_residuals, which must take the given triple path; the walk
+    runs once an analyze inside the traced region."""
+    walk, peaks = actions._criterion_residuals, []
+
+    def traced(algebra, nu, tangent, conj_h, path):
+        assert path == direct
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        residuals = walk(algebra, nu, tangent, conj_h, path)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return residuals
+
+    monkeypatch.setattr(actions, "_criterion_residuals", traced)
+    return peaks
+
+
+def traced_analyze(action, tol):
+    tracemalloc.start()
+    try:
+        return analyze(action, tol)
+    finally:
+        tracemalloc.stop()
+
+
 class TestDirectPathBlocks:
     """A block of the direct triple path holds each pair's c triples three
     times over at its peak (see actions._direct_triples), so the walk of
@@ -508,24 +573,29 @@ class TestDirectPathBlocks:
     def test_walk_peak_stays_near_one_block(self, group, monkeypatch, tol):
         block = 2 ** 18
         monkeypatch.setattr(numerics, "_BLOCK_BYTES", block)
-        walk, peaks = actions._criterion_residuals, []
-
-        def traced(algebra, nu, tangent, conj_h, direct):
-            assert direct
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            residuals = walk(algebra, nu, tangent, conj_h, direct)
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-            return residuals
-
-        monkeypatch.setattr(actions, "_criterion_residuals", traced)
-        action = conjugation_action("so", int(group[2:]), tol)
-        tracemalloc.start()
-        try:
-            report = analyze(action, tol)
-        finally:
-            tracemalloc.stop()
+        peaks = walk_peaks(monkeypatch, direct=True)
+        report = traced_analyze(
+            conjugation_action("so", int(group[2:]), tol), tol)
         assert report.hyperpolar
+        assert peaks[0] < 1.5 * block
+
+    @pytest.mark.parametrize("group,subgroup", [
+        ("so14", "product(h1=cartan,h2=cartan)"),   # reads R b and h
+        ("so12", "product(h1=zero,h2=zero)"),       # reads flat brackets
+    ])
+    def test_pair_blocks_count_what_a_pair_holds(self, group, subgroup,
+                                                 monkeypatch, tol):
+        # a pair holds five matrices at the bracket's peak: blocks sized
+        # for the bracket alone peaked near 3 and 5 blocks here, and the
+        # whole stack of [Z,T] coordinates under one qr (0.8 MB on so14)
+        # near 1.7
+        block = 2 ** 20
+        monkeypatch.setattr(numerics, "_BLOCK_BYTES", block)
+        peaks = walk_peaks(monkeypatch, direct=False)
+        algebra = parse_group(group)
+        report = traced_analyze(ActionSpec(
+            algebra, resolve_subgroup(subgroup, algebra, tol)), tol)
+        assert report.cohomogeneity > 60
         assert peaks[0] < 1.5 * block
 
 

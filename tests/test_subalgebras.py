@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -565,6 +566,22 @@ class TestComplement:
         for h in (resolve_subgroup("delta(sigma=triality)", algebra, tol),
                   resolve_factor("sp2sp1", algebra, tol)):
             check_complement(h)
+
+    def test_from_matrices_keeps_only_its_rows(self, tol):
+        # so20's u10 and its complement hold 8 * 190^2 bytes of rows.  A
+        # view of the rows past the rank kept all of the split's square
+        # V^T alive, 1.5 times that; a copy kept after the complement is
+        # read, 1.5 times too
+        so20 = parse_group("so20")
+        tracemalloc.start()
+        try:
+            u10 = embeddings.u_in_so(so20, tol, 10)
+            built = tracemalloc.get_traced_memory()[0]
+            assert len(u10.complement) == 90
+            read = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert max(built, read) < 1.2 * 8 * so20.dim ** 2
 
     def test_span_file_in_the_double(self, tmp_path, tol):
         # so(4) on the first four coordinates of so(5) on the left, and on
