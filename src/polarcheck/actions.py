@@ -10,24 +10,19 @@ the action is hyperpolar exactly when nu is abelian.  Each condition is
 measured by a Hilbert-Schmidt norm over all pairs of an orthonormal basis
 of nu (see polarity_check), which no rotation of that basis moves.
 
-The orbit dimension and nu are read from the smaller of h and its
-complement W = h^perp in l(+)l.  With A = Ad(g^{-1}), the tangent rows are
-h times M = [A^T; -I], and M / sqrt(2) has orthonormal columns spanning
-the anti-graph G^perp = {(Y A, -Y)}; the rows Ad(g^{-1}) Y1 + Y2 over W are
-W times N = [A^T; I], whose columns / sqrt(2) span the graph G.  So the
-singular values of the two stacks are sqrt(2) times the cosines of the
-principal angles between h and G^perp and between W and G, and those
-angles agree wherever they are strictly between 0 and pi/2.  No singular
-value of either stack exceeds sqrt(2), and the rank cut is taken against
-that bound (_ROW_SCALE) on both sides, whatever the largest value at g: so
-the cut keeps and drops the same directions on either side, and sees the
-same largest dropped value, up to roundoff.  The orbit dimension
-dim h - dim(h n G) is dim h - dim l plus the rank of the W rows, and a
-left null vector c of the W rows gives c W in W n G^perp, a vector
-(Y A, -Y) / sqrt(2) with Y a unit normal: nu is sqrt(2) times the right
-halves of c W, with no second SVD.
-principal_point and polarity_check read W exactly when dim h > dim l, when
-it has fewer rows (2 dim l - dim h) than h; on a tie they read h.
+The orbit dimension and nu are read from one SVD at g.  A product
+h1 x h2 acts by a g b^{-1}, and its tangent Ad(g^{-1}) h1 + h2 is h2 plus
+the part of Ad(g^{-1}) h1 in h2's complement.  With B1 h1's rows, C2 the
+rows of h2's complement in l and A = Ad(g^{-1}), the block
+M = B1 A^T C2^T holds that part in C2's coordinates: the orbit dimension
+is dim h2 + rank M, nu is the right null vectors of M times C2, and the
+tangent is h2's rows and the kept right vectors times C2.  Every other h
+(delta, span files in l(+)l) is read from its dim h tangent rows.  M's
+singular values are sin(theta), theta the principal angles between
+A h1 and h2, and the tangent rows have sqrt(2) sin(theta/2) for the same
+angles, so the rank cut is taken against 2 on M (_BLOCK_SCALE) and
+against sqrt(2) on the rows (_ROW_SCALE): both drop theta below about
+2 RANK_TOL, whatever the largest value at g.
 
 The same SVD gives the isotropy algebra h_g at g, and the principal-point
 search stops at the first draw whose slice representation, h_g acting on
@@ -42,13 +37,13 @@ import numpy as np
 
 from .errors import InvalidInputError, NonPrincipalPointError
 from .lie_algebras import adjoint_matrix, commutator, pair_commutators
-from .numerics import (RANK_TOL, ToleranceConfig, cut_svd, outside_norm,
-                       outside_squares, rank_and_dropped, row_blocks,
-                       split_span)
+from .numerics import (RANK_TOL, ToleranceConfig, cut_svd, outside_squares,
+                       rank_and_dropped, row_blocks, split_span)
 from .subalgebras import Subalgebra
 
 
-_ROW_SCALE = np.sqrt(2.0)  # the largest singular value of either orbit stack
+_ROW_SCALE = np.sqrt(2.0)  # the largest singular value of the tangent rows
+_BLOCK_SCALE = 2.0  # drops the theta on M that _ROW_SCALE drops on the rows
 _BRACKET_SCALE = np.sqrt(2.0)  # the largest ||[X, Y]|| of unit matrices X, Y
 
 
@@ -122,103 +117,83 @@ def _tangent_vectors(action, g, tol):
     They are differences of unit vectors, so genuine tangent directions
     have norm of order one; their rank is cut with scale=_ROW_SCALE, which
     keeps the cutoff honest when the whole orbit degenerates (fixed
-    points).
+    points).  _read_orbit reads them for every h but a product, and
+    orbit_tangent for every h.
     """
     ad_inv = _ad_inverse(action, g, tol)
     n = action.algebra.dim
     return action.h.basis[:, :n] @ ad_inv.T - action.h.basis[:, n:], ad_inv
 
 
-def _reads_complement(action):
-    """Whether the orbit is read from the complement W of h: exactly when
-    dim h > dim l, so that W has fewer rows than h (see the module
-    docstring)."""
-    return action.h.dim > action.algebra.dim
-
-
-def _orbit_rows(action, g, tol):
-    """(rows, offset, Ad(g^{-1})): rows whose rank plus offset is the orbit
-    dimension at g, from the side _reads_complement picks.
-
-    On h's side they are the tangent vectors, with offset 0; on W's side
-    the rows Ad(g^{-1}) Y1 + Y2 over the rows (Y1, Y2) of h's complement,
-    sums of unit vectors cut with scale=_ROW_SCALE as the tangent vectors
-    are, with offset dim h - dim l.
-    """
-    if not _reads_complement(action):
-        vectors, ad_inv = _tangent_vectors(action, g, tol)
-        return vectors, 0, ad_inv
-    ad_inv = _ad_inverse(action, g, tol)
-    n = action.algebra.dim
-    w = action.h.complement
-    return w[:, :n] @ ad_inv.T + w[:, n:], action.h.dim - n, ad_inv
-
-
 def orbit_tangent(action, g, tol):
     """Orthonormal basis of the orbit tangent space at g, moved to e, from
-    h's side whatever the dimensions."""
+    h's tangent rows, a product's too."""
     vectors, _ = _tangent_vectors(action, g, tol)
     return split_span(vectors, scale=_ROW_SCALE)[0]
 
 
 @dataclass(frozen=True)
 class _Orbit:
-    """What the criterion reads from one SVD of the orbit rows at a point,
+    """What the criterion reads from the SVD of _read_orbit at a point,
     and the slice residual that may stop the principal-point search."""
 
     point: np.ndarray
     ad_inv: np.ndarray       # Ad(g^{-1})
     dim: int                 # the orbit dimension at point
     nu: np.ndarray           # orthonormal rows of the normal space
-    tangent: object          # orthonormal tangent rows, None on W's side
+    tangent: np.ndarray      # orthonormal rows of the orbit tangent
     dropped: float           # the largest singular value the cut drops
     slice_residual: float
 
 
-def _bracket_residual(left, right, onb):
-    """Largest Frobenius norm of the component of [X, Y] outside span(onb),
-    X over the matrices left and Y over the matrices right; onb holds
-    orthonormal flat matrices, possibly none."""
-    size = right.shape[-1] ** 2
-    return max((outside_norm(commutator(x, right).reshape(-1, size), onb)
-                for x in left), default=0.0)
+def _bracket_residual(left, right):
+    """Largest Frobenius norm of [X, Y], X over the matrices left and Y over
+    the matrices right."""
+    return max((float(np.linalg.norm(commutator(x, right), axis=(1, 2))
+                      .max(initial=0.0)) for x in left), default=0.0)
+
+
+def _complete_svd(rows, scale):
+    """cut_svd of rows with a square U and V^T: a matrix with more rows than
+    columns is taken transposed, so that the columns of U past the rank span
+    all of its left null space, not a thin U's part of it."""
+    if len(rows) <= rows.shape[1]:
+        return cut_svd(rows, scale)
+    v, rank, uh, dropped = cut_svd(rows.T, scale)
+    return uh.T, rank, v.T, dropped
 
 
 def _read_orbit(action, g, tol):
-    """The orbit at g from one cut_svd of _orbit_rows, so nu and the
-    tangent are split_span's bits.
+    """The orbit at g from one SVD: of the block M of a product, or of the
+    tangent rows of any other h (see the module docstring).
 
     The slice residual is zero exactly when the isotropy algebra h_g acts
     trivially on nu.  h_g is {(X1, X2) in h : Ad(g^{-1}) X1 = X2}, which
-    acts on nu by ad(X2).  On h's side the left null vectors of the
-    tangent rows, the columns of U past the rank (U is square, as h's side
-    is read only when dim h <= dim l), are h_g, and the residual is the
-    largest ||[X2, Y]|| over Y in nu and the unit right halves X2 of that
-    basis.  On W's side the right halves of h_g are the orthogonal
-    complement of the span of the W rows, the first rank columns of U, and
-    by ad-invariance h_g kills nu exactly when [nu, l] lies in that span:
-    the residual is the largest component outside it of [Y, Z], Z over l's
-    orthonormal basis.
+    acts on nu by ad(X2), and the residual is the largest ||[X2, Y]|| over
+    Y in nu and the unit right halves X2 of a basis of h_g, which the left
+    null vectors c, the columns of U past the rank, give.  For a product,
+    c M = 0 gives X1 = c B1 with Ad(g^{-1}) X1 in h2, a unit X2 = c B1 A^T;
+    for the tangent rows, (X1, X2) = c h, whose halves have norm 1/sqrt(2).
     """
     algebra = action.algebra
-    n, flat = algebra.dim, algebra.ambient_size ** 2
-    rows, offset, ad_inv = _orbit_rows(action, g, tol)
-    if _reads_complement(action):
-        u, rank, vh, dropped = cut_svd(rows.T, scale=_ROW_SCALE)
-        nu = np.sqrt(2.0) * (vh[rank:] @ action.h.complement)[:, n:]
-        tangent = None
-        residual = 0.0 if not len(nu) else _bracket_residual(
-            algebra.frobenius_matrices(nu), algebra.basis,
-            algebra.frobenius_matrices(u[:, :rank].T).reshape(rank, flat))
-    else:
-        u, rank, vh, dropped = cut_svd(rows, scale=_ROW_SCALE)
-        nu, tangent = vh[rank:], vh[:rank]
+    if action.h.factors is None:
+        n = algebra.dim
+        rows, ad_inv = _tangent_vectors(action, g, tol)
+        u, rank, vh, dropped = _complete_svd(rows, _ROW_SCALE)
+        dim, nu, tangent = rank, vh[rank:], vh[:rank]
         isotropy = np.sqrt(2.0) * u[:, rank:].T @ action.h.basis[:, n:]
-        residual = 0.0 if not len(isotropy) else _bracket_residual(
-            algebra.frobenius_matrices(isotropy),
-            algebra.frobenius_matrices(nu), np.empty((0, flat)))
-    return _Orbit(np.asarray(g, dtype=float), ad_inv, offset + rank, nu,
-                  tangent, dropped, residual)
+    else:
+        h1, h2 = action.h.factors
+        ad_inv = _ad_inverse(action, g, tol)
+        moved, c2 = h1.basis @ ad_inv.T, h2.complement
+        u, rank, vh, dropped = _complete_svd(moved @ c2.T, _BLOCK_SCALE)
+        dim, nu = h2.dim + rank, vh[rank:] @ c2
+        tangent = np.vstack([h2.basis, vh[:rank] @ c2])
+        isotropy = u[:, rank:].T @ moved
+    residual = 0.0 if not (len(isotropy) and len(nu)) else _bracket_residual(
+        algebra.frobenius_matrices(isotropy), algebra.frobenius_matrices(nu))
+    return _Orbit(np.asarray(g, dtype=float), ad_inv, dim, nu, tangent,
+                  dropped, residual)
 
 
 def _search(action, tol):
@@ -241,9 +216,9 @@ def principal_point(action, tol):
     """(max sampled orbit dimension, first sampled point attaining it,
     number of points drawn).
 
-    Each draw takes one SVD of its orbit rows (see _read_orbit), which
-    gives the orbit dimension, nu and the isotropy algebra h_g; analyze
-    hands the chosen draw's SVD to the criterion.
+    Each draw takes one SVD (see _read_orbit), which gives the orbit
+    dimension, nu and the isotropy algebra h_g; analyze hands the chosen
+    draw's SVD to the criterion.
 
     Drawing stops at the first draw that attains the largest dimension so
     far and whose slice representation is trivial: its largest bracket
@@ -398,10 +373,8 @@ def _criterion(action, orbit, tol, max_orbit_dim, samples_used):
     if cohom > 1:  # every residual reads the brackets of pairs in nu
         conj_h = action.h.basis[:, :n] @ orbit.ad_inv.T + action.h.basis[:, n:]
         direct = _direct_is_cheaper(cohom, n - cohom, algebra.ambient_size)
-        tangent = orbit.tangent
-        if tangent is None and not direct:
-            tangent = split_span(nu)[1]
-        residuals = _criterion_residuals(algebra, nu, tangent, conj_h, direct)
+        residuals = _criterion_residuals(algebra, nu, orbit.tangent, conj_h,
+                                         direct)
     residual_triple, residual_orth, residual_abelian = residuals
 
     polar = (residual_triple < tol.residual_tol
@@ -426,14 +399,11 @@ def polarity_check(action, g, tol, max_orbit_dim):
 
     g must attain max_orbit_dim, the principal orbit dimension that
     principal_point found, or NonPrincipalPointError names the orbit
-    dimension measured at g.  One SVD gives the orbit dimension and nu, on
-    the side principal_point reads: of the tangent vectors, which gives
-    the tangent and nu, its orthogonal complement, or, when dim h > dim l,
-    of the fewer vectors of h's complement, whose left null vectors (the
-    complement of the span of the transposed rows) give nu.  Both have the
-    same principal angles and are cut against the same bound, so the cut
-    keeps the same directions (see the module docstring).  It is the SVD
-    of a draw of principal_point (_read_orbit).
+    dimension measured at g.  One SVD gives the orbit dimension, nu and
+    the orthonormal tangent: of the block M of a product, or of the
+    tangent rows of any other h, each cut against its own bound so that
+    both drop the same principal angles (see the module docstring).  It
+    is the SVD of a draw of principal_point (_read_orbit).
     InvalidInputError is raised when the cut drops a singular value above
     residual_tol, i.e. when residual_tol is too fine for the tangent.
 
@@ -468,9 +438,8 @@ def polarity_check(action, g, tol, max_orbit_dim):
       its tangent component because nu + tangent = l; it holds only a
       block of triples at a time, and wins when nu is small.
 
-    The two agree to roundoff.  On W's side the ad-invariance path takes
-    the tangent as the orthogonal complement of nu.  At cohomogeneity 0 or
-    1 nu has no pair: every residual is 0, and nothing is built for them.
+    The two agree to roundoff.  At cohomogeneity 0 or 1 nu has no pair:
+    every residual is 0, and nothing is built for them.
     """
     return _criterion(action, _read_orbit(action, g, tol), tol,
                       max_orbit_dim, tol.num_samples)

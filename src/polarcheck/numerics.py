@@ -4,16 +4,19 @@ Every rank decision keeps the singular values above
 
     RANK_TOL * max(largest singular value, scale),  RANK_TOL = 1e-9,
 
-with scale given only where the caller knows the size of a genuine vector
-(sqrt(2) for the orbit rows of actions, the one scale in use), so that a
-stack of pure roundoff has rank zero instead of being renormalized into a
-full-rank matrix.  Relative to the largest value, the cut does not move
-when the input is rescaled, so no verdict depends on units.  It is a
-constant, not a setting: on the catalog, Table 1 and the benchmark actions
-every kept value is at least 1e-2 of the reference and every dropped one at
-most 1e-15, and 1e-9 sits in the middle of that gap.  Orthonormality is
-Euclidean: every algebra has a Frobenius-orthonormal basis, so coordinates
-are Euclidean for the invariant form.
+with scale given only where the caller knows the size of a genuine vector,
+so that a stack of pure roundoff has rank zero instead of being
+renormalized into a full-rank matrix.  actions uses two scales: sqrt(2)
+for the tangent rows, differences of unit vectors, and 2 for the block of a
+product, whose values sin(theta) are at most 1, so that the cut drops the
+same principal angles theta on both (see the actions module docstring).
+Relative to the largest value, the cut does not move when the input is
+rescaled, so no verdict depends on units.  It is a constant, not a setting:
+on the catalog, Table 1 and the benchmark actions every kept value is at
+least 1e-2 of the reference and every dropped one at most 1e-15, and 1e-9
+sits in the middle of that gap.  Orthonormality is Euclidean: every algebra
+has a Frobenius-orthonormal basis, so coordinates are Euclidean for the
+invariant form.
 
 The same cut stops the principal-point search: a slice representation
 counts as trivial when its largest bracket is at most RANK_TOL * sqrt(2),
@@ -21,7 +24,7 @@ sqrt(2) being the largest Frobenius norm of a commutator of two unit
 matrices (see actions.principal_point).
 
 Row spaces and complements come from the right singular vectors; the
-orbit rows of actions also read U, from the same call (cut_svd).  LAPACK
+orbit reading of actions also reads U, from the same call (cut_svd).  LAPACK
 is asked for the full, square V only when the matrix has fewer rows than
 columns: otherwise the thin V is already complete, and the full U of a
 tall matrix is never formed.
@@ -164,6 +167,5 @@ def outside_squares(vectors, onb):
 def outside_norm(vectors, onb):
     """Largest Euclidean norm of a component outside span(onb) over a stack
     (see outside_squares): span_closure_residual hands it a block of
-    commutators, and the slice test of actions._read_orbit the brackets of
-    one matrix at a time."""
+    commutators."""
     return float(np.sqrt(outside_squares(vectors, onb).max(initial=0.0)))

@@ -21,12 +21,15 @@ and an orthogonal Sigma.
 Every constructor ends in Subalgebra.__init__, which copies the rows and
 rejects a length other than the parent's dimension or a non-finite entry.
 
+A product records its factors (h1, h2), from which actions reads its
+orbit (see actions._read_orbit) without a stack in l(+)l.
+
 A Subalgebra also answers for its complement, orthonormal rows spanning
-the orthogonal complement of h in the parent, which actions.principal_point
-and actions.polarity_check read instead of h when dim h > dim l.  It is
-computed on first use and then kept: product builds [h1^perp, 0; 0, h2^perp]
-from its factors' complements, a row selection takes the rows it drops,
-from_matrices the complement of its rank cut, and every other subalgebra
+the orthogonal complement of h in the parent, which actions reads for the
+second factor of a product.  It is computed on first use and then kept:
+full_subalgebra and zero_subalgebra write theirs down (no rows, the
+identity), a row selection takes the rows it drops, from_matrices the
+complement of its rank cut, and every other subalgebra
 split_span(basis)[1], a named factor once per process (specs caches it).
 """
 
@@ -62,10 +65,11 @@ class Subalgebra:
     length parent.dim, and InvalidInputError on a non-finite entry.
     complement, if given, is a function of no arguments that returns
     orthonormal rows spanning the orthogonal complement of basis; it is
-    called on the first use of the complement attribute.
+    called on the first use of the complement attribute.  factors is the
+    pair (h1, h2) of subalgebras of l whose product this is, or None.
     """
 
-    def __init__(self, parent, basis, name="", complement=None):
+    def __init__(self, parent, basis, name="", complement=None, factors=None):
         self.parent = parent
         self.basis = _rows(_finite(basis, name))
         if self.basis.ndim != 2 or self.basis.shape[1] != parent.dim:
@@ -76,6 +80,7 @@ class Subalgebra:
         self.dim = self.basis.shape[0]
         self.name = name
         self._complement_of = complement
+        self.factors = factors
 
     @cached_property
     def complement(self):
@@ -122,13 +127,16 @@ class Subalgebra:
 
 
 def zero_subalgebra(parent, name="0"):
-    return Subalgebra(parent, np.zeros((0, parent.dim)), name=name)
+    """The zero subalgebra, whose complement is the identity rows."""
+    return Subalgebra(parent, np.zeros((0, parent.dim)), name=name,
+                      complement=lambda: np.eye(parent.dim))
 
 
 def full_subalgebra(parent, tol, name=None):
-    """l itself, on the identity rows; tol is unused, as every FACTORS
-    builder takes one."""
-    return Subalgebra(parent, np.eye(parent.dim), name=name or parent.name)
+    """l itself, on the identity rows, with no complement; tol is unused,
+    as every FACTORS builder takes one."""
+    return Subalgebra(parent, np.eye(parent.dim), name=name or parent.name,
+                      complement=lambda: np.empty((0, parent.dim)))
 
 
 def diagonal_sigma(algebra, sigma, on=None):
@@ -148,21 +156,15 @@ def diagonal_sigma(algebra, sigma, on=None):
                       name=f"delta^{sigma.kind}({on.name})")
 
 
-def _halves(left, right):
-    """[left, 0; 0, right] of two stacks of rows of equal length."""
-    n = left.shape[1]
-    vecs = np.zeros((len(left) + len(right), 2 * n))
-    vecs[:len(left), :n] = left
-    vecs[len(left):, n:] = right
-    return vecs
-
-
 def product(h1, h2):
     """h1 x h2 = {(A, 0)} + {(0, B)} inside l(+)l, on the factors' rows,
-    which are orthonormal and lie in complementary halves; its complement is
-    h1^perp x h2^perp, on the factors' complements."""
+    which are orthonormal and lie in complementary halves; it records the
+    factors (h1, h2)."""
     if h1.parent is not h2.parent:
         raise InvalidInputError("product factors must share the parent algebra")
-    return Subalgebra(h1.parent.double(), _halves(h1.basis, h2.basis),
-                      name=f"{h1.name}x{h2.name}",
-                      complement=lambda: _halves(h1.complement, h2.complement))
+    n = h1.parent.dim
+    vecs = np.zeros((h1.dim + h2.dim, 2 * n))
+    vecs[:h1.dim, :n] = h1.basis
+    vecs[h1.dim:, n:] = h2.basis
+    return Subalgebra(h1.parent.double(), vecs, name=f"{h1.name}x{h2.name}",
+                      factors=(h1, h2))

@@ -358,7 +358,7 @@ class TestBasisFreeResiduals:
                              ids=["ad_invariance", "direct"])
     @pytest.mark.parametrize("group,subgroup", [
         ("su3", "product(h1=su2,h2=su2)"),
-        ("su4", "product(h1=su3,h2=su3)"),      # nu read from W's side
+        ("su4", "product(h1=su3,h2=su3)"),      # dim h > dim l
         ("su4", "product(h1=cartan,h2=cartan)"),
         ("so7", "delta(on=g2)"),
     ])
@@ -511,8 +511,8 @@ class TestDirectPathVerdicts:
 class TestNoMatricesOfH:
     """The criterion reads the conjugated h in l coordinates: no call of
     frobenius_matrices during analyze gets h's rows, only those of nu, the
-    tangent and the slice check's isotropy reading (h_g on h's side, the
-    span of the W rows on W's side)."""
+    tangent and the slice check's isotropy algebra h_g, of dimension
+    dim h minus the orbit dimension (dim h1 - rank M for a product)."""
 
     @pytest.mark.parametrize("group,subgroup", [
         ("so20", "delta(sigma=id)"),            # dim h 190 = dim l
@@ -532,9 +532,8 @@ class TestNoMatricesOfH:
         report = analyze(action, tol)
         cohom, n, dim_h = report.cohomogeneity, algebra.dim, action.h.dim
         orbit = n - cohom
-        slice_rows = orbit - (dim_h - n) if dim_h > n else dim_h - orbit
         assert counts and dim_h not in counts
-        assert set(counts) <= {cohom, orbit, slice_rows}
+        assert set(counts) <= {cohom, orbit, dim_h - orbit}
 
 
 def walk_peaks(monkeypatch, direct):
@@ -710,7 +709,7 @@ class TestPrincipalPointReference:
 BELOW_MAXIMUM = [
     ("so20", "delta(sigma=id)", "e", 0, 180),
     ("sp5", "delta(sigma=id)", "e", 0, 50),
-    ("su10", "product(h1=su9,h2=su9)", "e", 80, 97),   # read from W
+    ("su10", "product(h1=su9,h2=su9)", "e", 80, 97),   # M tall, 80 x 19
     ("so20", "delta(sigma=id)", "exp(0.7 B0)", 36, 180),
 ]
 
@@ -763,6 +762,25 @@ class TestSliceCertificate:
         assert np.array_equal(point, points[dims.index(maximum)])
         assert drawn >= 2
 
+    def test_a_tall_block_reads_all_of_the_isotropy(self, tol,
+                                                    monkeypatch):
+        # at e, M of su9 x su9 on su10 is 80 x 19 and zero, so all 80 rows
+        # of h1 are isotropy, dim h1 - rank M; a thin U of M holds only 19
+        algebra = parse_group("su10")
+        action = ActionSpec(algebra, resolve_subgroup(
+            "product(h1=su9,h2=su9)", algebra, tol))
+        build, counts = LieAlgebra.frobenius_matrices, []
+
+        def recorded(self, coeffs):
+            counts.append(len(coeffs))
+            return build(self, coeffs)
+
+        monkeypatch.setattr(LieAlgebra, "frobenius_matrices", recorded)
+        orbit = actions._read_orbit(action, named_point(algebra, "e"), tol)
+        assert orbit.dim == 80
+        assert counts == [80, 19]   # the isotropy, then nu
+        assert orbit.slice_residual > 0.1
+
     @pytest.mark.parametrize("group,subgroup", [
         ("so20", "delta(sigma=id)"),
         ("su10", "product(h1=su9,h2=su9)"),
@@ -784,9 +802,9 @@ class TestSliceCertificate:
                                              again.residual_abelian)
 
     @pytest.mark.parametrize("group,subgroup,cohomogeneity", [
-        ("so20", "product(h1=so19,h2=u10)", 0),     # read from W
-        ("su4", "product(h1=so4,h2=sp2)", 1),       # read from W
-        ("so8", "product(h1=spin7,h2=spin7)", 1),   # read from W
+        ("so20", "product(h1=so19,h2=u10)", 0),     # M tall
+        ("su4", "product(h1=so4,h2=sp2)", 1),       # M tall
+        ("so8", "product(h1=spin7,h2=spin7)", 1),   # M tall
         ("su3", "product(h1=full,h2=zero)", 0),
     ])
     def test_no_pair_in_nu_builds_nothing(self, group, subgroup,
@@ -808,24 +826,30 @@ class TestSliceCertificate:
                 report.residual_abelian) == (0.0, 0.0, 0.0)
 
 
-# (group, subgroup, whether the complement of h is read): principal_point
-# and polarity_check read it exactly when dim h > dim l; "so4 x so4" is a
-# span file of so(4) on the first four coordinates of so(5) on the left
-# and on the last four on the right, 12 rows against dim so(5) = 10
-SIDE_CASES = [
-    ("su10", "product(h1=su9,h2=su9)", True),
-    ("so20", "product(h1=so19,h2=u10)", True),
-    ("su4", "product(h1=so4,h2=sp2)", True),
-    ("su6", "product(h1=s_u3u3,h2=sp3)", True),
-    ("so9", "product(h1=so8,h2=so7so2)", True),
-    ("so16", "product(h1=spin9,h2=so15)", True),
-    ("so5", "so4 x so4", True),
-    ("su10", "delta(sigma=id)", False),           # a tie keeps h
-    ("su3", "product(h1=s_u_u1,h2=s_u_u1)", False),
-    ("su10", "product(h1=su9,h2=zero)", False),
+# Products, read from the block M of actions._read_orbit, of dim h1 rows
+# and dim l - dim h2 columns: the first six have dim h > dim l, so M is
+# tall, and the rest square or wide; the first two and the last three are
+# the benchmark's products
+PRODUCT_CASES = [
+    ("su10", "product(h1=su9,h2=su9)"),     # 80 x 19
+    ("so20", "product(h1=so19,h2=u10)"),    # 171 x 90
+    ("su4", "product(h1=so4,h2=sp2)"),      # 6 x 5
+    ("su6", "product(h1=s_u3u3,h2=sp3)"),
+    ("so9", "product(h1=so8,h2=so7so2)"),
+    ("so16", "product(h1=spin9,h2=so15)"),
+    ("su3", "product(h1=s_u_u1,h2=s_u_u1)"),    # 4 x 4
+    ("su10", "product(h1=su9,h2=zero)"),        # 80 x 99
+    ("so14", "product(h1=cartan,h2=cartan)"),
+    ("su8", "product(h1=cartan,h2=cartan)"),
+    ("so12", "product(h1=zero,h2=zero)"),
 ]
-COMPLEMENT_CASES = [(group, subgroup) for group, subgroup, complement
-                    in SIDE_CASES if complement]
+# Read from h's tangent rows: "so4 x so4" is a span file of so(4) on the
+# first four coordinates of so(5) on the left and on the last four on the
+# right, 12 rows against dim so(5) = 10
+ROW_CASES = [
+    ("so5", "so4 x so4"),
+    ("su10", "delta(sigma=id)"),
+]
 
 
 def side_action(group, subgroup, tmp_path, tol):
@@ -838,31 +862,33 @@ def side_action(group, subgroup, tmp_path, tol):
     return ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
 
 
-def orbit_dimension(action, g, tol):
-    """The orbit dimension at g from the rows and the cut that
-    principal_point reads, off singular values alone."""
-    rows, offset, _ = actions._orbit_rows(action, g, tol)
-    return offset + rank_and_dropped(rows, scale=actions._ROW_SCALE)[0]
+def rows_action(action):
+    """The action of action's h on its rows alone, with no factors, which
+    _read_orbit reads from the tangent rows."""
+    h = action.h
+    return ActionSpec(action.algebra, Subalgebra(h.parent, h.basis, h.name))
 
 
 def projector(rows):
     return rows.T @ rows
 
 
-class TestComplementSide:
-    """When dim h > dim l the orbit dimension and nu are read from the
-    complement W of h, which has the same principal angles against the
-    graph of Ad(g^-1) as h has against the anti-graph: every draw, every
-    verdict and nu must be what h's side gives."""
+class TestProductBlock:
+    """A product h1 x h2 is read from the block M = B1 Ad(g^-1)^T C2^T, the
+    part of Ad(g^-1) h1 in h2's complement: every draw, every verdict and
+    nu must be what h's tangent rows give."""
 
-    @pytest.mark.parametrize("group,subgroup,complement", SIDE_CASES)
-    def test_each_case_reads_its_side(self, group, subgroup, complement,
-                                      tmp_path, tol):
+    @pytest.mark.parametrize("group,subgroup", PRODUCT_CASES + ROW_CASES)
+    def test_each_case_reads_its_side(self, group, subgroup, tmp_path, tol):
         action = side_action(group, subgroup, tmp_path, tol)
-        assert actions._reads_complement(action) == complement
-        assert (action.h.dim > action.algebra.dim) == complement
+        is_product = (group, subgroup) in PRODUCT_CASES
+        assert (action.h.factors is not None) == is_product
+        if is_product:
+            h1, h2 = action.h.factors
+            assert np.array_equal(action.h.basis,
+                                  product(h1, h2).basis)
 
-    @pytest.mark.parametrize("group,subgroup", COMPLEMENT_CASES)
+    @pytest.mark.parametrize("group,subgroup", PRODUCT_CASES)
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_each_draw_has_the_tangent_rank(self, group, subgroup, seed,
                                             tmp_path):
@@ -871,18 +897,24 @@ class TestComplementSide:
         rng = PointSampler(seed)
         for _ in range(tol.num_samples):
             g = sample_group_point(action.algebra, rng)
-            assert orbit_dimension(action, g, tol) == \
-                orbit_tangent(action, g, tol).shape[0]
+            orbit = actions._read_orbit(action, g, tol)
+            tangent = orbit_tangent(action, g, tol)
+            assert orbit.dim == len(orbit.tangent) == tangent.shape[0]
+            # [B2; kept V times C2] is orthonormal, orthogonal to nu and
+            # spans what h's rows span
+            rows = np.vstack([orbit.tangent, orbit.nu])
+            assert np.abs(rows @ rows.T - np.eye(len(rows))).max() < 1e-12
+            assert np.abs(projector(orbit.tangent)
+                          - projector(tangent)).max() < 1e-10
 
-    @pytest.mark.parametrize("group,subgroup", COMPLEMENT_CASES)
+    @pytest.mark.parametrize("group,subgroup", PRODUCT_CASES + ROW_CASES)
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_the_report_is_that_of_h_side(self, group, subgroup, seed,
-                                          tmp_path, monkeypatch):
+                                          tmp_path):
         tol = ToleranceConfig(seed=seed)
         action = side_action(group, subgroup, tmp_path, tol)
         report = analyze(action, tol)
-        monkeypatch.setattr(actions, "_reads_complement", lambda _: False)
-        reference = analyze(action, tol)
+        reference = analyze(rows_action(action), tol)
         keys = ("cohomogeneity", "polar", "hyperpolar", "samples_used")
         assert [getattr(report, key) for key in keys] == \
             [getattr(reference, key) for key in keys]
@@ -890,69 +922,68 @@ class TestComplementSide:
                               reference.principal_point)
         assert np.abs(projector(report.section_basis)
                       - projector(reference.section_basis)).max() < 1e-10
+        for key in ("residual_triple", "residual_orth", "residual_abelian"):
+            assert getattr(report, key) == pytest.approx(
+                getattr(reference, key), rel=1e-9, abs=1e-12), key
         if report.polar:
             assert max(report.residual_triple, report.residual_orth) < 1e-12
 
-    def test_the_cut_is_guarded(self, monkeypatch):
-        # h = W^perp in so3(+)so3 with W = span{(e1, 0), (0, -t)}, t a unit
-        # vector 1e-10 off e1: at e the rows e1 and -t of W drop a singular
-        # value of 7.07e-11, and so do the rows of h, as the principal
-        # angles agree
-        so3 = build_classical("so", 3)
-        tilted = np.array([-1.0, 1e-10, 0.0]) / np.hypot(1.0, 1e-10)
-        w = np.zeros((2, 6))
-        w[0, 0], w[1, 3:] = 1.0, tilted
-        h = Subalgebra(so3.double(), split_span(w)[1], name="tilted")
-        action = ActionSpec(so3, h)
-        assert actions._reads_complement(action)
-        messages = []
-        for complement in (True, False):
-            monkeypatch.setattr(actions, "_reads_complement",
-                                lambda _: complement)
-            # at the default residual_tol the cut reads an orbit of
-            # dimension 2 (dim h - dim l + 1 on W's side) at e
-            assert polarity_check(action, np.eye(3), ToleranceConfig(),
-                                  2).cohomogeneity == 1
-            with pytest.raises(InvalidInputError, match="too fine") as err:
-                polarity_check(action, np.eye(3),
-                               ToleranceConfig(residual_tol=1e-11), 0)
-            messages.append(str(err.value))
-        assert "the orbit tangent" in messages[0]
-        assert "7.071e-11" in messages[0] and "7.071e-11" in messages[1]
+    @staticmethod
+    def at_the_cut(theta):
+        """h1 x h2 in so3(+)so3 for h1 = span{e1} and h2 = span{cos(theta)
+        e1 + sin(theta) e2}, and the same h on its rows alone.
 
-    def test_both_sides_cut_against_the_same_bound(self, monkeypatch, tol):
-        # W = span{(e1, 0), (e2, -t) / sqrt2} in so3(+)so3, t a unit vector
-        # 1.7e-9 off e2: at e the rows of W, e1 and (e2 - t) / sqrt2, have
-        # singular values 1 and 1.2e-9, while h = W^perp (4 rows) meets the
-        # 3-dimensional anti-graph, so the largest value of its rows is
-        # sqrt2.  Cut against each side's own largest value, 1.2e-9 would
-        # be kept on W's side and dropped on h's.
+        At e, M = B1 C2^T has the one singular value sin(theta), cut
+        against 2; h's rows e1 and -(cos(theta) e1 + sin(theta) e2) have
+        sqrt(2) cos(theta/2) and sqrt(2) sin(theta/2), cut against sqrt(2).
+        Both keep theta above 2 RANK_TOL = 2e-9 and drop it below, where a
+        cut against M's own largest value would keep every theta."""
         so3 = build_classical("so", 3)
-        phi = 1.7e-9
-        w = np.zeros((2, 6))
-        w[0, 0] = 1.0
-        w[1, 1], w[1, 4], w[1, 5] = np.array(
-            [1.0, -np.cos(phi), -np.sin(phi)]) / np.sqrt(2)
-        action = ActionSpec(so3, Subalgebra(so3.double(), split_span(w)[1]))
-        g = np.eye(3)
-        largest, dims = [], []
-        for complement in (True, False):
-            monkeypatch.setattr(actions, "_reads_complement",
-                                lambda _: complement)
-            rows, _, _ = actions._orbit_rows(action, g, tol)
-            largest.append(np.linalg.svd(rows, compute_uv=False)[0])
-            dims.append(orbit_dimension(action, g, tol))
-        assert largest[0] < 1 + 1e-12 and abs(largest[1] - np.sqrt(2)) < 1e-12
-        assert dims == [2, 2]
+        h = product(Subalgebra(so3, [[1.0, 0.0, 0.0]]),
+                    Subalgebra(so3, [[np.cos(theta), np.sin(theta), 0.0]]))
+        action = ActionSpec(so3, h)
+        return action, rows_action(action)
+
+    @pytest.mark.parametrize("theta,dim", [(1.9e-9, 1), (2.1e-9, 2)])
+    def test_both_sides_cut_against_the_same_bound(self, theta, dim, tol):
+        sides = self.at_the_cut(theta)
+        assert [sides[0].h.factors is None,
+                sides[1].h.factors is None] == [False, True]
+        block, rows = (actions._read_orbit(action, np.eye(3), tol)
+                       for action in sides)
+        assert (block.dim, rows.dim) == (dim, dim)
+        # below the cut the block keeps h2 and the rows the bisector of h1
+        # and h2: their normal spaces differ by theta / 2
+        assert np.abs(projector(block.nu) - projector(rows.nu)).max() < theta
+        dropped = (np.sin(theta), np.sqrt(2) * np.sin(theta / 2))
+        if dim == 1:
+            assert block.dropped == pytest.approx(dropped[0], rel=1e-6)
+            assert rows.dropped == pytest.approx(dropped[1], rel=1e-6)
+        else:
+            assert (block.dropped, rows.dropped) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("theta", [1.9e-9, 2.1e-9])
+    def test_the_cut_is_guarded(self, theta):
+        # below the cut each side drops a value above residual_tol = 1e-11;
+        # above it neither drops anything
+        fine = ToleranceConfig(residual_tol=1e-11)
+        for action in self.at_the_cut(theta):
+            if theta < 2e-9:
+                with pytest.raises(InvalidInputError,
+                                   match="too fine for the orbit tangent"):
+                    polarity_check(action, np.eye(3), fine, 0)
+            else:
+                assert polarity_check(action, np.eye(3), fine,
+                                      2).cohomogeneity == 1
 
     def test_a_non_principal_point_names_its_dimension(self, tol):
         # at e the tangent of su9 x su9 is su9 itself, of dimension 80,
-        # which W's side reads as 160 - 99 + 19
+        # which the block reads as dim h2 + rank M = 80 + 0
         algebra = parse_group("su10")
         action = ActionSpec(algebra, resolve_subgroup(
             "product(h1=su9,h2=su9)", algebra, tol))
         g = np.eye(algebra.ambient_size)
-        assert orbit_dimension(action, g, tol) == 80
+        assert actions._read_orbit(action, g, tol).dim == 80
         assert orbit_tangent(action, g, tol).shape[0] == 80
         with pytest.raises(NonPrincipalPointError,
                            match="orbit dimension 80 < sampled maximum 97"):

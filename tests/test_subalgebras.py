@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from polarcheck import embeddings, lie_algebras, specs
+from polarcheck import embeddings, lie_algebras, specs, subalgebras
 from polarcheck.catalog import catalog_entries, get_entry
 from polarcheck.embeddings import block_so, so_in_su
 from polarcheck.errors import (ClosureError, DimensionMismatchError,
@@ -100,6 +100,8 @@ class TestDiagonalAndProduct:
         h2 = block_so(algebra, tol, 3)
         h = product(h1, h2)
         assert h.dim == h1.dim + h2.dim
+        assert h.factors == (h1, h2)
+        assert h1.factors is None and h2.factors is None
 
     def test_product_rejects_mixed_parents(self, tol):
         a = build_classical("so", 4)
@@ -536,10 +538,10 @@ def check_complement(h):
 
 
 class TestComplement:
-    """product builds its complement from its factors', from_matrices
-    keeps the one it computed, a row selection the rows it drops, and every
-    other subalgebra takes split_span on first use; every way must give the
-    same invariants."""
+    """full_subalgebra and zero_subalgebra write their complements down,
+    from_matrices keeps the one it computed, a row selection the rows it
+    drops, and every other subalgebra, a product too, takes split_span on
+    first use; every way must give the same invariants."""
 
     @pytest.mark.parametrize("group,factor", BUILTIN_FACTORS)
     def test_builtin_factor(self, group, factor, tol):
@@ -554,7 +556,13 @@ class TestComplement:
                                  resolve_factor(h2, algebra, tol)))
 
     @pytest.mark.parametrize("group", ["su2", "so5", "sp2"])
-    def test_full_and_zero(self, group, tol):
+    def test_full_and_zero(self, group, tol, monkeypatch):
+        # no rows and the identity are written down, with no SVD of the
+        # identity; so40's took 0.2 s
+        def refuse(*args, **kwargs):
+            raise AssertionError("a written-down complement is solved for")
+
+        monkeypatch.setattr(subalgebras, "split_span", refuse)
         algebra = parse_group(group)
         for h in (full_subalgebra(algebra, tol), zero_subalgebra(algebra),
                   full_subalgebra(algebra.double(), tol),
