@@ -22,12 +22,16 @@ singular values are sin(theta), theta the principal angles between
 A h1 and h2, and the tangent rows have sqrt(2) sin(theta/2) for the same
 angles, so the rank cut is taken against 2 on M (_BLOCK_SCALE) and
 against sqrt(2) on the rows (_ROW_SCALE): both drop theta below about
-2 RANK_TOL, whatever the largest value at g.
+2 RANK_TOL, whatever the largest value at g.  The same block at g = e,
+where A is the identity, gives dim(h1 + h2) = dim h2 + rank M (span_rank),
+and with it transitivity.
 
 The same SVD gives the isotropy algebra h_g at g, and the principal-point
 search stops at the first draw whose slice representation, h_g acting on
 nu, is trivial, which by the slice theorem puts it on an orbit of maximal
-dimension (see principal_point).  The criterion reads that draw's SVD.
+dimension (see principal_point).  The criterion reads that draw's SVD
+and nothing else of h: nu, the tangent and the l coordinates of the
+conjugated h, all of which _read_orbit hands it.
 """
 
 import random
@@ -38,7 +42,7 @@ import numpy as np
 from .errors import InvalidInputError, NonPrincipalPointError
 from .lie_algebras import adjoint_matrix, commutator, pair_commutators
 from .numerics import (RANK_TOL, ToleranceConfig, cut_svd, outside_squares,
-                       rank_and_dropped, row_blocks, split_span)
+                       row_blocks, split_span)
 from .subalgebras import Subalgebra
 
 
@@ -110,38 +114,38 @@ def _ad_inverse(action, g, tol):
     return adjoint_matrix(action.algebra, g, np.sqrt(tol.residual_tol)).T
 
 
-def _tangent_vectors(action, g, tol):
-    """Rows Ad(g^{-1}) X1 - X2 over h's basis, which span the orbit tangent
-    at g moved to e, and Ad(g^{-1}).
+def _halves(action, g, tol):
+    """The halves Ad(g^{-1}) X1 and X2 over h's rows (X1, X2), whose
+    differences, the tangent rows, span the orbit tangent at g moved to e.
 
-    They are differences of unit vectors, so genuine tangent directions
-    have norm of order one; their rank is cut with scale=_ROW_SCALE, which
-    keeps the cutoff honest when the whole orbit degenerates (fixed
-    points).  _read_orbit reads them for every h but a product, and
-    orbit_tangent for every h.
+    The tangent rows are differences of unit vectors, so genuine tangent
+    directions have norm of order one; their rank is cut with
+    scale=_ROW_SCALE, which keeps the cutoff honest when the whole orbit
+    degenerates (fixed points).  _read_orbit reads them for every h but a
+    product, and orbit_tangent for every h.
     """
-    ad_inv = _ad_inverse(action, g, tol)
     n = action.algebra.dim
-    return action.h.basis[:, :n] @ ad_inv.T - action.h.basis[:, n:], ad_inv
+    return (action.h.basis[:, :n] @ _ad_inverse(action, g, tol).T,
+            action.h.basis[:, n:])
 
 
 def orbit_tangent(action, g, tol):
     """Orthonormal basis of the orbit tangent space at g, moved to e, from
     h's tangent rows, a product's too."""
-    vectors, _ = _tangent_vectors(action, g, tol)
-    return split_span(vectors, scale=_ROW_SCALE)[0]
+    left, right = _halves(action, g, tol)
+    return split_span(left - right, scale=_ROW_SCALE)[0]
 
 
 @dataclass(frozen=True)
 class _Orbit:
-    """What the criterion reads from the SVD of _read_orbit at a point,
-    and the slice residual that may stop the principal-point search."""
+    """All that the criterion reads of h, from _read_orbit at a point, and
+    the slice residual that may stop the principal-point search."""
 
     point: np.ndarray
-    ad_inv: np.ndarray       # Ad(g^{-1})
     dim: int                 # the orbit dimension at point
     nu: np.ndarray           # orthonormal rows of the normal space
     tangent: np.ndarray      # orthonormal rows of the orbit tangent
+    conj_h: np.ndarray       # l coordinates of Ad(g^{-1}) X1 + X2 over h
     dropped: float           # the largest singular value the cut drops
     slice_residual: float
 
@@ -153,14 +157,11 @@ def _bracket_residual(left, right):
                       .max(initial=0.0)) for x in left), default=0.0)
 
 
-def _complete_svd(rows, scale):
-    """cut_svd of rows with a square U and V^T: a matrix with more rows than
-    columns is taken transposed, so that the columns of U past the rank span
-    all of its left null space, not a thin U's part of it."""
-    if len(rows) <= rows.shape[1]:
-        return cut_svd(rows, scale)
-    v, rank, uh, dropped = cut_svd(rows.T, scale)
-    return uh.T, rank, v.T, dropped
+def _block_svd(moved, h2):
+    """cut_svd of the block M = moved C2^T, against _BLOCK_SCALE, for
+    moved the rows of Ad(g^{-1}) h1 and C2 those of h2's complement: its
+    rank is dim(Ad(g^{-1}) h1 + h2) - dim h2 (see the module docstring)."""
+    return cut_svd(moved @ h2.complement.T, _BLOCK_SCALE)
 
 
 def _read_orbit(action, g, tol):
@@ -177,22 +178,22 @@ def _read_orbit(action, g, tol):
     """
     algebra = action.algebra
     if action.h.factors is None:
-        n = algebra.dim
-        rows, ad_inv = _tangent_vectors(action, g, tol)
-        u, rank, vh, dropped = _complete_svd(rows, _ROW_SCALE)
+        left, right = _halves(action, g, tol)
+        u, rank, vh, dropped = cut_svd(left - right, _ROW_SCALE)
         dim, nu, tangent = rank, vh[rank:], vh[:rank]
-        isotropy = np.sqrt(2.0) * u[:, rank:].T @ action.h.basis[:, n:]
+        isotropy = np.sqrt(2.0) * u[:, rank:].T @ right
+        conj_h = left + right
     else:
         h1, h2 = action.h.factors
-        ad_inv = _ad_inverse(action, g, tol)
-        moved, c2 = h1.basis @ ad_inv.T, h2.complement
-        u, rank, vh, dropped = _complete_svd(moved @ c2.T, _BLOCK_SCALE)
+        moved, c2 = h1.basis @ _ad_inverse(action, g, tol).T, h2.complement
+        u, rank, vh, dropped = _block_svd(moved, h2)
         dim, nu = h2.dim + rank, vh[rank:] @ c2
         tangent = np.vstack([h2.basis, vh[:rank] @ c2])
         isotropy = u[:, rank:].T @ moved
+        conj_h = np.vstack([moved, h2.basis])
     residual = 0.0 if not (len(isotropy) and len(nu)) else _bracket_residual(
         algebra.frobenius_matrices(isotropy), algebra.frobenius_matrices(nu))
-    return _Orbit(np.asarray(g, dtype=float), ad_inv, dim, nu, tangent,
+    return _Orbit(np.asarray(g, dtype=float), dim, nu, tangent, conj_h,
                   dropped, residual)
 
 
@@ -360,7 +361,6 @@ def _criterion_residuals(algebra, nu, tangent, conj_h, direct):
 def _criterion(action, orbit, tol, max_orbit_dim, samples_used):
     """The report of polarity_check from the orbit at its point."""
     algebra = action.algebra
-    n = algebra.dim
     _check_cut(orbit.dropped, tol, "the orbit tangent")
     if orbit.dim < max_orbit_dim:
         raise NonPrincipalPointError(
@@ -371,10 +371,10 @@ def _criterion(action, orbit, tol, max_orbit_dim, samples_used):
     cohom = len(nu)
     residuals = 0.0, 0.0, 0.0
     if cohom > 1:  # every residual reads the brackets of pairs in nu
-        conj_h = action.h.basis[:, :n] @ orbit.ad_inv.T + action.h.basis[:, n:]
-        direct = _direct_is_cheaper(cohom, n - cohom, algebra.ambient_size)
-        residuals = _criterion_residuals(algebra, nu, orbit.tangent, conj_h,
-                                         direct)
+        direct = _direct_is_cheaper(cohom, algebra.dim - cohom,
+                                    algebra.ambient_size)
+        residuals = _criterion_residuals(algebra, nu, orbit.tangent,
+                                         orbit.conj_h, direct)
     residual_triple, residual_orth, residual_abelian = residuals
 
     polar = (residual_triple < tol.residual_tol
@@ -403,7 +403,8 @@ def polarity_check(action, g, tol, max_orbit_dim):
     the orthonormal tangent: of the block M of a product, or of the
     tangent rows of any other h, each cut against its own bound so that
     both drop the same principal angles (see the module docstring).  It
-    is the SVD of a draw of principal_point (_read_orbit).
+    is the SVD of a draw of principal_point (_read_orbit), which also
+    gives conj_h; the criterion reads nothing else of h.
     InvalidInputError is raised when the cut drops a singular value above
     residual_tol, i.e. when residual_tol is too fine for the tangent.
 
@@ -455,14 +456,17 @@ def analyze(action, tol):
 
 
 def span_rank(h1, h2, algebra, tol):
-    """Dimension of h1 + h2 inside l, from a guarded cut (see _check_cut)."""
+    """Dimension of h1 + h2 inside l, dim h2 + rank M for the block M of
+    h1 x h2 at e, where Ad is the identity, from a guarded cut (see
+    _check_cut): the orbit dimension at e that _read_orbit reads."""
     if h1.parent is not algebra or h2.parent is not algebra:
         raise InvalidInputError("h1, h2 must be subalgebras of the acted-on l")
-    rank, dropped = rank_and_dropped(np.vstack([h1.basis, h2.basis]))
+    _, rank, _, dropped = _block_svd(h1.basis, h2)
     _check_cut(dropped, tol, f"the span of {h1.name} and {h2.name}")
-    return rank
+    return h2.dim + rank
 
 
 def is_transitive(h1, h2, algebra, tol):
-    """True iff h1 + h2 spans l (orbit through e open, hence everything)."""
+    """True iff h1 + h2 spans l (orbit through e open, hence everything);
+    M then has full column rank, and its cut drops nothing."""
     return span_rank(h1, h2, algebra, tol) == algebra.dim

@@ -10,13 +10,13 @@ Subcommands:
 Exit codes: 0 = success / expectations met, 1 = a verification failed,
 2 = invalid input (bad spec, a group that is not simple, bad span file,
 non-principal point, a --residual-tol finer than a singular value that the
-rank cut drops from the span of two factors or an orbit tangent, an unknown
-catalog entry, a group or --param too large for memory). Every setting is
-a flag, and the seed defaults to 0; the rank cut is no setting
-(numerics.RANK_TOL). A JSON report is its result dataclass (PolarityReport
-plus "config", SuiteSummary plus "tolerances", a list of Table1Result),
-rendered field by field on one line, so with a fixed seed and
-configuration it is byte-stable under one BLAS build and thread count.
+rank cut drops from an orbit tangent or from the span of two factors that
+do not span l, an unknown catalog entry, a group or --param too large for
+memory). Every setting is a flag, and the seed defaults to 0; the rank cut
+is no setting (numerics.RANK_TOL). A JSON report is its result dataclass
+(PolarityReport plus "config", SuiteSummary plus "tolerances", a list of
+Table1Result), rendered field by field on one line, so with a fixed seed
+and configuration it is byte-stable under one BLAS build and thread count.
 """
 
 import argparse

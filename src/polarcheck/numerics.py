@@ -10,6 +10,7 @@ renormalized into a full-rank matrix.  actions uses two scales: sqrt(2)
 for the tangent rows, differences of unit vectors, and 2 for the block of a
 product, whose values sin(theta) are at most 1, so that the cut drops the
 same principal angles theta on both (see the actions module docstring).
+The span of two subalgebras of l is read from that block at the identity.
 Relative to the largest value, the cut does not move when the input is
 rescaled, so no verdict depends on units.  It is a constant, not a setting:
 on the catalog, Table 1 and the benchmark actions every kept value is at
@@ -23,11 +24,9 @@ counts as trivial when its largest bracket is at most RANK_TOL * sqrt(2),
 sqrt(2) being the largest Frobenius norm of a commutator of two unit
 matrices (see actions.principal_point).
 
-Row spaces and complements come from the right singular vectors; the
-orbit reading of actions also reads U, from the same call (cut_svd).  LAPACK
-is asked for the full, square V only when the matrix has fewer rows than
-columns: otherwise the thin V is already complete, and the full U of a
-tall matrix is never formed.
+Every SVD is cut_svd's, complete on both sides: row spaces and their
+complements are read from the square V^T, and the orbit reading of actions
+reads the left null space from the square U of the same call.
 
 All functions are pure; nothing here owns randomness.
 """
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidInputError
+from .errors import InvalidInputError
 
 
 RANK_TOL = 1e-9
@@ -92,36 +91,16 @@ def _cut(sv, scale=None):
     return rank, float(sv[rank]) if rank < sv.size else 0.0
 
 
-def rank_and_dropped(vectors, scale=None):
-    """Number of singular values the cut keeps, and the largest one it
-    drops (0.0 if none).
-
-    scale has the meaning it has in split_span, and the cut is the same, so
-    the rank is the row count of split_span(vectors, scale)[0], read off
-    singular values alone.
-    """
-    mat = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if mat.size == 0:
-        return 0, 0.0
-    if mat.ndim != 2:
-        raise DimensionMismatchError("expected a list of equal-length vectors")
-    return _cut(np.linalg.svd(mat, compute_uv=False), scale)
-
-
 def cut_svd(matrix, scale=None):
-    """(U, rank, V^T, dropped): the SVD of a real matrix, with the number of
-    singular values the cut keeps and the largest one it drops (0.0 if
-    none).
+    """(U, rank, V^T, dropped): the complete SVD of a real matrix, with the
+    number of singular values the cut keeps and the largest one it drops
+    (0.0 if none).
 
-    A matrix with at least as many rows as columns has as many singular
-    values as columns, so the thin V is already square and orthogonal; only
-    a matrix with fewer rows than columns needs the full V, whose extra
-    rows complete the complement of its row space.  U is then square, and
-    its columns past the rank span the left null space; otherwise U is
-    thin, and only its first rank columns, the column space, are complete.
+    U and V^T are square and orthogonal: the columns of U past the rank
+    span the left null space, and the rows of V^T past the rank the
+    orthogonal complement of the row space.
     """
-    mat = np.atleast_2d(np.asarray(matrix, dtype=float))
-    u, sv, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
+    u, sv, vh = np.linalg.svd(np.atleast_2d(np.asarray(matrix, dtype=float)))
     rank, dropped = _cut(sv, scale)
     return u, rank, vh, dropped
 

@@ -26,10 +26,11 @@ orbit (see actions._read_orbit) without a stack in l(+)l.
 
 A Subalgebra also answers for its complement, orthonormal rows spanning
 the orthogonal complement of h in the parent, which actions reads for the
-second factor of a product.  It is computed on first use and then kept:
-full_subalgebra and zero_subalgebra write theirs down (no rows, the
-identity), a row selection takes the rows it drops, from_matrices the
-complement of its rank cut, and every other subalgebra
+second factor of a product, and of a pair whose span it takes (span_rank
+reads the product's block at the identity).  It is computed on first use
+and then kept: full_subalgebra and zero_subalgebra write theirs down (no
+rows, the identity), a row selection takes the rows it drops,
+from_matrices the complement of its rank cut, and every other subalgebra
 split_span(basis)[1], a named factor once per process (specs caches it).
 """
 

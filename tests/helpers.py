@@ -4,6 +4,7 @@ import numpy as np
 
 from polarcheck.errors import DimensionMismatchError
 from polarcheck.lie_algebras import adjoint_matrix, commutator
+from polarcheck.numerics import _cut
 from polarcheck.subalgebras import Subalgebra
 
 # Known answers written with delta(sigma=..., on=...), and two products
@@ -56,6 +57,14 @@ def leibniz_residual(derivation, table):
     rhs = np.einsum('pi,pjl->ijl', derivation, table) + \
         np.einsum('pj,ipl->ijl', derivation, table)
     return float(np.abs(lhs - rhs).max())
+
+
+def stacked_rank(h1, h2):
+    """(rank, largest dropped singular value) of the stacked rows [B1; B2]
+    of two subalgebras of l, from the singular values alone under the rank
+    cut: dim(h1 + h2) read apart from actions.span_rank."""
+    return _cut(np.linalg.svd(np.vstack([h1.basis, h2.basis]),
+                              compute_uv=False))
 
 
 def gram_residual(sub):

@@ -23,13 +23,12 @@ from polarcheck.lie_algebras import (LieAlgebra, _u_basis_complex,
                                      classical_basis, commutator,
                                      make_automorphism, realify_complex,
                                      so_basis)
-from polarcheck.numerics import (ToleranceConfig, rank_and_dropped,
-                                 split_span)
+from polarcheck.numerics import ToleranceConfig, split_span
 from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
 from polarcheck.subalgebras import (Subalgebra, diagonal_sigma,
                                     full_subalgebra, product, zero_subalgebra)
 
-from helpers import CONTROLS, conjugated_pair_subalgebra
+from helpers import CONTROLS, conjugated_pair_subalgebra, stacked_rank
 
 
 def conjugation_action(family, n, tol):
@@ -536,6 +535,37 @@ class TestNoMatricesOfH:
         assert set(counts) <= {cohom, orbit, dim_h - orbit}
 
 
+class _Sealed:
+    """A stand-in for h that raises on any attribute access."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"the criterion read h.{name}")
+
+
+class TestCriterionReadsTheOrbit:
+    """_read_orbit hands the criterion nu, the tangent and the l
+    coordinates of the conjugated h; the criterion reads nothing of h."""
+
+    @pytest.mark.parametrize("group,subgroup,verdict", CONTROLS + [
+        ("su10", "product(h1=su9,h2=su9)", (2, False, False)),  # M tall
+        ("so14", "product(h1=cartan,h2=cartan)", (77, False, False)),
+    ])
+    def test_the_report_is_polarity_checks(self, group, subgroup, verdict,
+                                           tol):
+        algebra = parse_group(group)
+        action = ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
+        g = analyze(action, tol).principal_point
+        orbit = actions._read_orbit(action, g, tol)
+        sealed = SimpleNamespace(algebra=algebra, h=_Sealed())
+        report = actions._criterion(sealed, orbit, tol, orbit.dim,
+                                    tol.num_samples)
+        again = polarity_check(action, g, tol, orbit.dim)
+        assert (report.cohomogeneity, report.polar,
+                report.hyperpolar) == verdict
+        for key, value in vars(again).items():
+            assert np.array_equal(getattr(report, key), value), key
+
+
 def walk_peaks(monkeypatch, direct):
     """The tracemalloc peaks above its start of each walk of
     _criterion_residuals, which must take the given triple path; the walk
@@ -1021,16 +1051,23 @@ class TestTransitivity:
         ("su4", "su3", "su3"), ("su3", "so3", "so3"), ("so8", "sp2", "sp2"),
         ("so7", "g2", "g2")])
     def test_default_cut_drops_only_roundoff(self, group, h1, h2, tol):
+        # span_rank reads the block M of h1 x h2 at e: it is the rank of the
+        # stacked rows and the orbit dimension that _read_orbit reads there
         algebra = parse_group(group)
         f1, f2 = (resolve_factor(h, algebra, tol) for h in (h1, h2))
-        rank, dropped = rank_and_dropped(np.vstack([f1.basis, f2.basis]))
+        rank, dropped = stacked_rank(f1, f2)
         assert dropped < 1e-14
-        assert span_rank(f1, f2, algebra, tol) == rank
+        assert actions._block_svd(f1.basis, f2)[3] < 1e-14
+        orbit = actions._read_orbit(ActionSpec(algebra, product(f1, f2)),
+                                    np.eye(algebra.ambient_size), tol)
+        assert span_rank(f1, f2, algebra, tol) == rank == orbit.dim
 
     def test_residual_tol_finer_than_the_cut_is_invalid_input(self, tol):
-        # e1 and a unit vector 1e-10 off it: the cut drops the second
-        # singular value, 7.07e-11, which a residual_tol of 1e-11 would
-        # have to tell from zero
+        # e1 and a unit vector 1e-10 off it: M = e1 C2^T, for C2 the
+        # complement of the second, has the one singular value sin(theta)
+        # = 1.0e-10, which the cut against 2 drops and a residual_tol of
+        # 1e-11 would have to tell from zero (the stacked rows' smaller
+        # value, sqrt(2) sin(theta / 2) = 7.07e-11, trips the same guard)
         so3 = build_classical("so", 3)
         tilted = np.array([[1.0, 1e-10, 0.0]])
         h1 = Subalgebra(so3, np.eye(3)[:1], name="a")
@@ -1039,7 +1076,7 @@ class TestTransitivity:
         with pytest.raises(InvalidInputError, match="too fine") as err:
             span_rank(h1, h2, so3, ToleranceConfig(residual_tol=1e-11))
         assert "the span of a and b" in str(err.value)
-        assert "7.071e-11" in str(err.value)
+        assert "1.000e-10" in str(err.value)
 
 
 class TestFlatSection:

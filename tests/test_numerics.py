@@ -7,8 +7,8 @@ from polarcheck.actions import ActionSpec, analyze
 from polarcheck.errors import InvalidInputError
 from polarcheck import numerics
 from polarcheck.lie_algebras import build_classical
-from polarcheck.numerics import (ToleranceConfig, outside_norm,
-                                 rank_and_dropped, split_span)
+from polarcheck.numerics import (ToleranceConfig, cut_svd, outside_norm,
+                                 split_span)
 from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
 from polarcheck.subalgebras import Subalgebra
 
@@ -57,15 +57,15 @@ class TestToleranceConfig:
 
 class TestRank:
     def test_identity(self):
-        assert rank_and_dropped(np.eye(5))[0] == 5
+        assert cut_svd(np.eye(5))[1] == 5
 
     def test_zero(self):
-        assert rank_and_dropped(np.zeros((3, 4)))[0] == 0
-        assert rank_and_dropped(np.zeros((0, 4)))[0] == 0
+        assert cut_svd(np.zeros((3, 4)))[1] == 0
+        assert cut_svd(np.zeros((0, 4)))[1] == 0
 
     def test_dependent_rows(self):
         mat = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 0.0]])
-        assert rank_and_dropped(mat)[0] == 2
+        assert cut_svd(mat)[1] == 2
 
     def test_cut_is_relative_unless_a_reference_is_given(self):
         sv = np.array([1e-3, 1e-3, 1e-14])
@@ -79,14 +79,14 @@ class TestRank:
            cols=st.integers(1, 8), scale=st.floats(1e-6, 1e6))
     def test_rank_is_scale_invariant(self, seed, rows, cols, scale):
         mat = random_matrix(seed, rows, cols)
-        assert rank_and_dropped(mat)[0] == rank_and_dropped(scale * mat)[0]
+        assert cut_svd(mat)[1] == cut_svd(scale * mat)[1]
 
     @given(seed=st.integers(0, 10**6), rows=st.integers(1, 6),
            cols=st.integers(1, 6))
     def test_duplicating_rows_keeps_rank(self, seed, rows, cols):
         mat = random_matrix(seed, rows, cols)
         doubled = np.vstack([mat, mat])
-        assert rank_and_dropped(mat)[0] == rank_and_dropped(doubled)[0]
+        assert cut_svd(mat)[1] == cut_svd(doubled)[1]
 
 
 class TestOrthonormalBasis:
@@ -97,7 +97,7 @@ class TestOrthonormalBasis:
         mat = random_matrix(seed, rows, d)
         onb = split_span(mat)[0]
         assert np.abs(onb @ onb.T - np.eye(onb.shape[0])).max() < 1e-12
-        assert onb.shape[0] == rank_and_dropped(mat)[0]
+        assert onb.shape[0] == cut_svd(mat)[1]
         assert outside_norm(mat, onb) < 1e-12 * np.abs(mat).max()
 
     def test_empty_input(self):
@@ -111,16 +111,15 @@ class TestOrthonormalBasis:
 
     def test_rank_takes_the_same_scale(self):
         noise = 1e-15 * random_matrix(0, 3, 4)
-        assert rank_and_dropped(noise)[0] == 3
-        assert rank_and_dropped(noise, scale=1.0)[0] == 0
+        assert cut_svd(noise)[1] == 3
+        assert cut_svd(noise, scale=1.0)[1] == 0
         # the cut is RANK_TOL * max(largest singular value, scale)
         mat = np.diag([1e-3, 1e-11, 0.0])
-        assert rank_and_dropped(mat)[0] == rank_and_dropped(
-            mat, scale=1e-6)[0] == 2
-        assert rank_and_dropped(mat, scale=1.0)[0] == 1
+        assert cut_svd(mat)[1] == cut_svd(mat, scale=1e-6)[1] == 2
+        assert cut_svd(mat, scale=1.0)[1] == 1
         for rows in range(1, 4):
             mat = random_matrix(rows, rows, 4) * 10.0 ** -rows
-            assert rank_and_dropped(mat, scale=1.0)[0] == split_span(
+            assert cut_svd(mat, scale=1.0)[1] == split_span(
                 mat, scale=1.0)[0].shape[0]
 
 
@@ -128,7 +127,7 @@ class TestSplitSpan:
     @given(seed=st.integers(0, 10**6), rows=st.integers(0, 8),
            d=st.integers(1, 8), drop=st.integers(0, 8))
     @example(seed=0, rows=0, d=3, drop=0)   # the complement is everything
-    @example(seed=1, rows=8, d=3, drop=1)   # tall: the thin V is complete
+    @example(seed=1, rows=8, d=3, drop=1)   # tall: more rows than columns
     @example(seed=2, rows=8, d=3, drop=0)
     @settings(deadline=None)
     def test_span_and_complement(self, seed, rows, d, drop):
@@ -148,7 +147,7 @@ class TestSplitSpan:
         assert np.abs(span.T @ span - onb.T @ onb).max() < 1e-12
         assert dropped == pytest.approx(1e-12 if kept < sv.size else 0.0)
         # the same cut from singular values alone
-        rank, alone = rank_and_dropped(mat, scale=1.0)
+        _, rank, _, alone = cut_svd(mat, scale=1.0)
         assert rank == kept and abs(alone - dropped) < 1e-15
 
     def test_scale_keeps_roundoff_out_of_the_span(self):
@@ -157,19 +156,22 @@ class TestSplitSpan:
         assert (span.shape[0], rest.shape[0]) == (0, 4)
         assert dropped == pytest.approx(np.linalg.svd(noise, compute_uv=False)[0])
 
-    def test_asks_for_the_full_v_only_when_fat(self, monkeypatch):
-        calls = []
-        svd = np.linalg.svd
-
-        def recording(mat, *args, **kwargs):
-            calls.append((mat.shape, kwargs["full_matrices"]))
-            return svd(mat, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recording)
-        for shape in [(512, 64), (9, 4), (4, 4), (3, 7)]:
-            split_span(random_matrix(0, *shape))
-        assert calls == [((512, 64), False), ((9, 4), False), ((4, 4), False),
-                         ((3, 7), True)]
+    @pytest.mark.parametrize("rows, d", [
+        (512, 64), (9, 4), (4, 4), (3, 7), (0, 5)])
+    def test_u_and_vt_are_square(self, rows, d):
+        # rank one short of full, so both null spaces have a column to hold
+        rank = max(0, min(rows, d) - 1)
+        rng = np.random.default_rng(10 * rows + d)
+        mat = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, d))
+        u, cut, vh, _ = cut_svd(mat)
+        assert (u.shape, cut, vh.shape) == ((rows, rows), rank, (d, d))
+        assert np.abs(u.T @ u - np.eye(rows)).max(initial=0.0) < 1e-12
+        assert np.abs(vh @ vh.T - np.eye(d)).max(initial=0.0) < 1e-12
+        # the columns of U past the rank hold the left null space, and the
+        # rows of V^T past it the complement of the row space
+        scale = max(1.0, np.abs(mat).max(initial=0.0))
+        assert np.abs(u[:, cut:].T @ mat).max(initial=0.0) < 1e-12 * scale
+        assert np.abs(mat @ vh[cut:].T).max(initial=0.0) < 1e-12 * scale
 
     @pytest.mark.parametrize("rows, d, rank", [
         (9, 4, 4), (9, 4, 2), (4, 4, 4), (4, 4, 3), (3, 7, 3), (3, 7, 2),
@@ -185,14 +187,14 @@ class TestSplitSpan:
             gap = got.T @ got - want.T @ want
             assert np.abs(gap).max(initial=0.0) < 1e-12
         assert abs(dropped - (sv[cut] if cut < sv.size else 0.0)) < 1e-12
-        assert rank_and_dropped(mat)[0] == cut
-        assert abs(rank_and_dropped(mat)[1] - dropped) < 1e-12
+        assert cut_svd(mat)[1] == cut
+        assert abs(cut_svd(mat)[3] - dropped) < 1e-12
 
     @pytest.mark.parametrize("rows, d, rank", [
         (9, 4, 2), (4, 4, 3), (3, 7, 2), (0, 5, 0), (5, 0, 0)])
     def test_cut_svd_adds_u_to_split_span(self, rows, d, rank):
         # split_span's bits, and U: its first rank columns span the column
-        # space; when U is square the rest span the left null space
+        # space, and the rest, U being square, the left null space
         rng = np.random.default_rng(100 * rows + 10 * d + rank)
         mat = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, d))
         u, cut, vh, dropped = numerics.cut_svd(mat)
@@ -201,8 +203,7 @@ class TestSplitSpan:
         assert np.array_equal(vh[:cut], span) and np.array_equal(vh[cut:], rest)
         column = u[:, :cut]
         assert np.abs(column @ (column.T @ mat) - mat).max(initial=0.0) < 1e-12
-        if u.shape[1] == rows:
-            assert np.abs(u[:, cut:].T @ mat).max(initial=0.0) < 1e-12
+        assert np.abs(u[:, cut:].T @ mat).max(initial=0.0) < 1e-12
 
 
 class TestComplement:
@@ -213,7 +214,7 @@ class TestComplement:
     def test_dimensions_add_up(self, seed, rows, d):
         mat = random_matrix(seed, rows, d)
         comp = split_span(mat)[1]
-        assert rank_and_dropped(mat)[0] + comp.shape[0] == d
+        assert cut_svd(mat)[1] + comp.shape[0] == d
 
     @given(seed=st.integers(0, 10**6), rows=st.integers(1, 6),
            d=st.integers(2, 8))
@@ -234,11 +235,11 @@ class TestNullspace:
     # the kernel of a matrix is the complement of its row space
     @given(seed=st.integers(0, 10**6), rows=st.integers(1, 8),
            cols=st.integers(1, 8))
-    @example(seed=0, rows=8, cols=3)   # tall: the thin V is complete
+    @example(seed=0, rows=8, cols=3)   # tall: more rows than columns
     def test_kernel_property(self, seed, rows, cols):
         mat = random_matrix(seed, rows, cols)
         ns = split_span(mat)[1]
-        assert rank_and_dropped(mat)[0] + ns.shape[0] == cols
+        assert cut_svd(mat)[1] + ns.shape[0] == cols
         if ns.shape[0]:
             assert np.abs(mat @ ns.T).max() < 1e-9 * max(1.0, np.abs(mat).max())
 
