@@ -42,7 +42,7 @@ import numpy as np
 from .errors import InvalidInputError, NonPrincipalPointError
 from .lie_algebras import adjoint_matrix, commutator, pair_commutators
 from .numerics import (RANK_TOL, ToleranceConfig, cut_svd, outside_squares,
-                       row_blocks, split_span)
+                       row_blocks)
 from .subalgebras import Subalgebra
 
 
@@ -108,34 +108,6 @@ def sample_group_point(algebra, rng):
     return _expm_skew(algebra.matrix_of(z1)) @ _expm_skew(algebra.matrix_of(z2))
 
 
-def _ad_inverse(action, g, tol):
-    """Ad(g^{-1}) on l: Ad(g)^T, as Ad(g) is orthogonal in orthonormal
-    coordinates (see adjoint_matrix for the check of g)."""
-    return adjoint_matrix(action.algebra, g, np.sqrt(tol.residual_tol)).T
-
-
-def _halves(action, g, tol):
-    """The halves Ad(g^{-1}) X1 and X2 over h's rows (X1, X2), whose
-    differences, the tangent rows, span the orbit tangent at g moved to e.
-
-    The tangent rows are differences of unit vectors, so genuine tangent
-    directions have norm of order one; their rank is cut with
-    scale=_ROW_SCALE, which keeps the cutoff honest when the whole orbit
-    degenerates (fixed points).  _read_orbit reads them for every h but a
-    product, and orbit_tangent for every h.
-    """
-    n = action.algebra.dim
-    return (action.h.basis[:, :n] @ _ad_inverse(action, g, tol).T,
-            action.h.basis[:, n:])
-
-
-def orbit_tangent(action, g, tol):
-    """Orthonormal basis of the orbit tangent space at g, moved to e, from
-    h's tangent rows, a product's too."""
-    left, right = _halves(action, g, tol)
-    return split_span(left - right, scale=_ROW_SCALE)[0]
-
-
 @dataclass(frozen=True)
 class _Orbit:
     """All that the criterion reads of h, from _read_orbit at a point, and
@@ -168,6 +140,13 @@ def _read_orbit(action, g, tol):
     """The orbit at g from one SVD: of the block M of a product, or of the
     tangent rows of any other h (see the module docstring).
 
+    A row X of l moved by Ad(g^{-1}) is X Ad(g^{-1})^T = X Ad(g), Ad(g)
+    being orthogonal in orthonormal coordinates (see adjoint_matrix for the
+    check of g).  The tangent rows Ad(g^{-1}) X1 - X2 over h's rows
+    (X1, X2) are differences of unit vectors, so genuine tangent directions
+    have norm of order one, and their cut against _ROW_SCALE keeps the
+    cutoff honest when the whole orbit degenerates (fixed points).
+
     The slice residual is zero exactly when the isotropy algebra h_g acts
     trivially on nu.  h_g is {(X1, X2) in h : Ad(g^{-1}) X1 = X2}, which
     acts on nu by ad(X2), and the residual is the largest ||[X2, Y]|| over
@@ -177,15 +156,19 @@ def _read_orbit(action, g, tol):
     for the tangent rows, (X1, X2) = c h, whose halves have norm 1/sqrt(2).
     """
     algebra = action.algebra
+    member_tol = np.sqrt(tol.residual_tol)
     if action.h.factors is None:
-        left, right = _halves(action, g, tol)
+        n = algebra.dim
+        left = action.h.basis[:, :n] @ adjoint_matrix(algebra, g, member_tol)
+        right = action.h.basis[:, n:]
         u, rank, vh, dropped = cut_svd(left - right, _ROW_SCALE)
         dim, nu, tangent = rank, vh[rank:], vh[:rank]
         isotropy = np.sqrt(2.0) * u[:, rank:].T @ right
         conj_h = left + right
     else:
         h1, h2 = action.h.factors
-        moved, c2 = h1.basis @ _ad_inverse(action, g, tol).T, h2.complement
+        moved = h1.basis @ adjoint_matrix(algebra, g, member_tol)
+        c2 = h2.complement
         u, rank, vh, dropped = _block_svd(moved, h2)
         dim, nu = h2.dim + rank, vh[rank:] @ c2
         tangent = np.vstack([h2.basis, vh[:rank] @ c2])
@@ -197,29 +180,20 @@ def _read_orbit(action, g, tol):
                   dropped, residual)
 
 
-def _search(action, tol):
-    """(the orbit at the principal point, number of points drawn): see
-    principal_point."""
-    rng = PointSampler(tol.seed)
-    chosen = None
-    for drawn in range(1, tol.num_samples + 1):
-        orbit = _read_orbit(
-            action, sample_group_point(action.algebra, rng), tol)
-        if chosen is None or orbit.dim > chosen.dim:
-            chosen = orbit
-        if orbit.dim == chosen.dim and \
-                orbit.slice_residual <= RANK_TOL * _BRACKET_SCALE:
-            break
-    return chosen, drawn
+def orbit_tangent(action, g, tol):
+    """Orthonormal basis of the orbit tangent space at g, moved to e, as
+    _read_orbit reads it: from the block M of a product, from the tangent
+    rows of any other h."""
+    return _read_orbit(action, g, tol).tangent
 
 
 def principal_point(action, tol):
-    """(max sampled orbit dimension, first sampled point attaining it,
+    """(the orbit at the first sampled point of maximal sampled dimension,
     number of points drawn).
 
     Each draw takes one SVD (see _read_orbit), which gives the orbit
     dimension, nu and the isotropy algebra h_g; analyze hands the chosen
-    draw's SVD to the criterion.
+    draw's orbit to the criterion.
 
     Drawing stops at the first draw that attains the largest dimension so
     far and whose slice representation is trivial: its largest bracket
@@ -232,13 +206,24 @@ def principal_point(action, tol):
     could beat.  Conversely every orbit of maximal dimension has a trivial
     slice representation, so a generic first draw stops the search.  The
     ceiling min(dim h, dim l) is the case of an empty h_g or nu.  So the
-    dimension and the point are what all tol.num_samples draws would give.
+    orbit is what all ToleranceConfig.num_samples draws, at most 8, would
+    give; the cap is a constant, not a setting, since every catalog and
+    benchmark action stops at its first draw.
 
     The points come from one PointSampler seeded with tol.seed, so a seed
     gives the same points in every process and on every supported Python.
     """
-    orbit, drawn = _search(action, tol)
-    return orbit.dim, orbit.point, drawn
+    rng = PointSampler(tol.seed)
+    chosen = None
+    for drawn in range(1, tol.num_samples + 1):
+        orbit = _read_orbit(
+            action, sample_group_point(action.algebra, rng), tol)
+        if chosen is None or orbit.dim > chosen.dim:
+            chosen = orbit
+        if orbit.dim == chosen.dim and \
+                orbit.slice_residual <= RANK_TOL * _BRACKET_SCALE:
+            break
+    return chosen, drawn
 
 
 def _check_cut(dropped, tol, what):
@@ -365,8 +350,7 @@ def _criterion(action, orbit, tol, max_orbit_dim, samples_used):
     if orbit.dim < max_orbit_dim:
         raise NonPrincipalPointError(
             f"point has orbit dimension {orbit.dim} < sampled maximum "
-            f"{max_orbit_dim}; the criterion needs a principal point "
-            "(raise num_samples / --samples if sampling looks unlucky)")
+            f"{max_orbit_dim}; the criterion needs a principal point")
     nu = orbit.nu
     cohom = len(nu)
     residuals = 0.0, 0.0, 0.0
@@ -407,6 +391,7 @@ def polarity_check(action, g, tol, max_orbit_dim):
     gives conj_h; the criterion reads nothing else of h.
     InvalidInputError is raised when the cut drops a singular value above
     residual_tol, i.e. when residual_tol is too fine for the tangent.
+    It draws no point, so its report's samples_used is 0.
 
     Residuals are Hilbert-Schmidt (HS) norms of commutators of
     Frobenius-orthonormal matrices of nu, taken in the invariant form (see
@@ -443,15 +428,15 @@ def polarity_check(action, g, tol, max_orbit_dim):
     every residual is 0, and nothing is built for them.
     """
     return _criterion(action, _read_orbit(action, g, tol), tol,
-                      max_orbit_dim, tol.num_samples)
+                      max_orbit_dim, 0)
 
 
 def analyze(action, tol):
-    """Cohomogeneity sampling followed by the polarity criterion.
+    """The principal-point search followed by the polarity criterion.
 
-    samples_used counts the points drawn, at most tol.num_samples.
+    samples_used counts the points drawn, at most ToleranceConfig.num_samples.
     """
-    orbit, drawn = _search(action, tol)
+    orbit, drawn = principal_point(action, tol)
     return _criterion(action, orbit, tol, orbit.dim, drawn)
 
 

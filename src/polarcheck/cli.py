@@ -12,11 +12,13 @@ Exit codes: 0 = success / expectations met, 1 = a verification failed,
 non-principal point, a --residual-tol finer than a singular value that the
 rank cut drops from an orbit tangent or from the span of two factors that
 do not span l, an unknown catalog entry, a group or --param too large for
-memory). Every setting is a flag, and the seed defaults to 0; the rank cut
-is no setting (numerics.RANK_TOL). A JSON report is its result dataclass
-(PolarityReport plus "config", SuiteSummary plus "tolerances", a list of
-Table1Result), rendered field by field on one line, so with a fixed seed
-and configuration it is byte-stable under one BLAS build and thread count.
+memory). Every setting is a flag, and the seed defaults to 0; neither the
+rank cut (numerics.RANK_TOL) nor the most points that the principal-point
+search draws (ToleranceConfig.num_samples, 8) is a setting. A JSON report
+is its result dataclass (PolarityReport plus "config", SuiteSummary plus
+"tolerances", a list of Table1Result), rendered field by field on one line,
+so with a fixed seed and configuration it is byte-stable under one BLAS
+build and thread count.
 """
 
 import argparse
@@ -37,8 +39,6 @@ from .specs import parse_group, resolve_subgroup
 
 def _add_common(parser):
     defaults = ToleranceConfig()
-    parser.add_argument("--samples", type=int, default=defaults.num_samples,
-                        help="most points sampled to find a principal orbit")
     parser.add_argument("--seed", type=int, default=defaults.seed,
                         help="RNG seed, >= 0")
     parser.add_argument("--residual-tol", type=float,
@@ -50,8 +50,7 @@ def _add_common(parser):
 
 
 def _tolerances(args):
-    return ToleranceConfig(residual_tol=args.residual_tol,
-                           num_samples=args.samples, seed=args.seed)
+    return ToleranceConfig(residual_tol=args.residual_tol, seed=args.seed)
 
 
 def _emit(text, args):

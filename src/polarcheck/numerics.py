@@ -33,6 +33,7 @@ All functions are pure; nothing here owns randomness.
 
 import numbers
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,28 +48,27 @@ class ToleranceConfig:
     """Numerical policy shared by every verdict-producing routine.
 
     residual_tol, a positive and finite real, bounds membership and closure
-    residuals; num_samples, an integer >= 1, controls the principal-point
-    search; seed, an integer >= 0, feeds the single RNG.  A bool is neither
-    a number nor an integer here.  NumPy scalars are taken and stored as
-    Python float and int, so the fields write to JSON as numbers.  The rank
-    cut is RANK_TOL, not a setting.
+    residuals; seed, an integer >= 0, feeds the single RNG.  A bool is
+    neither a number nor an integer here.  NumPy scalars are taken and
+    stored as Python float and int, so the fields write to JSON as numbers.
+    Neither the rank cut, RANK_TOL, nor num_samples, the most points the
+    principal-point search draws, is a setting: the search stops at its
+    first certified draw (see actions.principal_point), which on every
+    catalog and benchmark action is the first.
     """
 
     residual_tol: float = 1e-8
-    num_samples: int = 8
     seed: int = 0
+    num_samples: ClassVar[int] = 8
 
     def __post_init__(self):
         if not _is_real(self.residual_tol) or \
                 not 0 < self.residual_tol < np.inf:
             raise InvalidInputError(
                 "residual_tol must be a positive, finite real number")
-        if not _is_integer(self.num_samples) or self.num_samples < 1:
-            raise InvalidInputError("num_samples must be an integer >= 1")
         if not _is_integer(self.seed) or self.seed < 0:
             raise InvalidInputError("seed must be an integer >= 0")
         object.__setattr__(self, "residual_tol", float(self.residual_tol))
-        object.__setattr__(self, "num_samples", int(self.num_samples))
         object.__setattr__(self, "seed", int(self.seed))
 
 

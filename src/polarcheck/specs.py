@@ -9,9 +9,9 @@ Groups are the simple classical ones, named family+n, e.g. 'su3', 'so8',
 
 delta is the graph of sigma (default id) over the factor on (default l).
 Factors (subalgebras of l) are the names in FACTORS or span(file=path).
-A named factor reads no seed and no sample count, so it is built once per
-process for each algebra and each residual_tol and then shared; a span file
-is read and checked on every call.
+A named factor reads no seed, so it is built once per process for each
+algebra and each residual_tol and then shared; a span file is read and
+checked on every call.
 """
 
 import re

@@ -111,21 +111,21 @@ class TestCohomogeneity:
         # oracle: the conjugation action has cohomogeneity = rank, computed
         # independently as the generic dimension of ker(ad X)
         action = conjugation_action(family, n, tol)
-        orbit_dim, _, _ = principal_point(action, tol)
-        assert action.algebra.dim - orbit_dim == \
+        orbit, _ = principal_point(action, tol)
+        assert action.algebra.dim - orbit.dim == \
             brute_force_rank(action.algebra)
 
     def test_transitive_action_has_cohomogeneity_zero(self, tol):
         algebra = build_classical("su", 2)
         h = product(full_subalgebra(algebra, tol), zero_subalgebra(algebra))
-        orbit_dim, _, _ = principal_point(ActionSpec(algebra, h), tol)
-        assert orbit_dim == algebra.dim
+        orbit, _ = principal_point(ActionSpec(algebra, h), tol)
+        assert orbit.dim == algebra.dim
 
     def test_determinism(self, tol):
         action = conjugation_action("su", 3, tol)
-        _, p1, _ = principal_point(action, tol)
-        _, p2, _ = principal_point(action, tol)
-        assert np.array_equal(p1, p2)
+        first, _ = principal_point(action, tol)
+        again, _ = principal_point(action, tol)
+        assert np.array_equal(first.point, again.point)
 
 
 class TestPolarityCheck:
@@ -156,7 +156,7 @@ class TestPolarityCheck:
         action = conjugation_action("su", 3, tol)
         with pytest.raises(NonPrincipalPointError):
             polarity_check(action, np.eye(6), tol,
-                           principal_point(action, tol)[0])
+                           principal_point(action, tol)[0].dim)
 
     def test_reports_are_reproducible(self, tol):
         action = conjugation_action("su", 3, tol)
@@ -557,8 +557,7 @@ class TestCriterionReadsTheOrbit:
         g = analyze(action, tol).principal_point
         orbit = actions._read_orbit(action, g, tol)
         sealed = SimpleNamespace(algebra=algebra, h=_Sealed())
-        report = actions._criterion(sealed, orbit, tol, orbit.dim,
-                                    tol.num_samples)
+        report = actions._criterion(sealed, orbit, tol, orbit.dim, 0)
         again = polarity_check(action, g, tol, orbit.dim)
         assert (report.cohomogeneity, report.polar,
                 report.hyperpolar) == verdict
@@ -693,8 +692,9 @@ REFERENCE_CASES = list(dict.fromkeys([
 class TestPrincipalPointReference:
     """principal_point stops at the first draw that attains the largest
     dimension so far and whose slice representation is trivial; it must
-    pick what a loop over the full orbit tangents of all tol.num_samples
-    points picks, after the draws that loop needs to meet such a point."""
+    pick what a loop over the orbit tangents of all tol.num_samples points,
+    read from h's tangent rows, picks, after the draws that loop needs to
+    meet such a point."""
 
     # min(dim h, dim l) is reached: h_g or nu is empty
     CEILING_CASES = {("su2", "product(h1=zero,h2=zero)"),   # dim h = 0
@@ -718,15 +718,15 @@ class TestPrincipalPointReference:
         best, point, certified = -1, None, None
         for draw in range(1, tol.num_samples + 1):
             g = sample_group_point(algebra, rng)
-            dim = orbit_tangent(action, g, tol).shape[0]
+            dim = orbit_tangent(rows_action(action), g, tol).shape[0]
             if dim > best:
                 best, point = dim, g
             if certified is None and dim == best and slice_residual(
                     action, g, tol) <= numerics.RANK_TOL * np.sqrt(2):
                 certified = draw
-        dim, g, drawn = principal_point(action, tol)
-        assert dim == best
-        assert np.array_equal(g, point)
+        orbit, drawn = principal_point(action, tol)
+        assert orbit.dim == best
+        assert np.array_equal(orbit.point, point)
         at_ceiling = (group, subgroup) in self.CEILING_CASES
         assert (best == min(action.h.dim, algebra.dim)) == at_ceiling
         # every first draw lies on an orbit of maximal dimension
@@ -762,7 +762,8 @@ class TestSliceCertificate:
         algebra = parse_group(group)
         action = ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
         orbit = actions._read_orbit(action, named_point(algebra, where), tol)
-        assert (orbit.dim, principal_point(action, tol)[0]) == (dim, maximum)
+        assert (orbit.dim, principal_point(action, tol)[0].dim) == \
+            (dim, maximum)
         # the cut is RANK_TOL * sqrt(2) = 1.4e-9; refused points sit far
         # above it
         assert orbit.slice_residual > 0.1
@@ -787,9 +788,9 @@ class TestSliceCertificate:
 
         monkeypatch.setattr(actions, "sample_group_point",
                             first_point_then_sampled)
-        found, point, drawn = principal_point(action, tol)
-        assert (dims[0], found) == (dim, maximum) and max(dims) == maximum
-        assert np.array_equal(point, points[dims.index(maximum)])
+        found, drawn = principal_point(action, tol)
+        assert (dims[0], found.dim) == (dim, maximum) and max(dims) == maximum
+        assert np.array_equal(found.point, points[dims.index(maximum)])
         assert drawn >= 2
 
     def test_a_tall_block_reads_all_of_the_isotropy(self, tol,
@@ -824,7 +825,8 @@ class TestSliceCertificate:
         report = analyze(action, tol)
         again = polarity_check(action, report.principal_point, tol,
                                algebra.dim - report.cohomogeneity)
-        assert report.samples_used == 1
+        # analyze drew one point; polarity_check draws none
+        assert (report.samples_used, again.samples_used) == (1, 0)
         assert np.array_equal(report.section_basis, again.section_basis)
         assert (report.residual_triple, report.residual_orth,
                 report.residual_abelian) == (again.residual_triple,
@@ -846,8 +848,7 @@ class TestSliceCertificate:
         def unread(*args):
             raise AssertionError("built for no pair of nu")
 
-        for name in ("_direct_is_cheaper", "_criterion_residuals",
-                     "split_span"):
+        for name in ("_direct_is_cheaper", "_criterion_residuals"):
             monkeypatch.setattr(actions, name, unread)
         report = analyze(action, tol)
         assert report.cohomogeneity == cohomogeneity
@@ -928,7 +929,8 @@ class TestProductBlock:
         for _ in range(tol.num_samples):
             g = sample_group_point(action.algebra, rng)
             orbit = actions._read_orbit(action, g, tol)
-            tangent = orbit_tangent(action, g, tol)
+            # the same rows without factors: the tangent rows' reading
+            tangent = actions._read_orbit(rows_action(action), g, tol).tangent
             assert orbit.dim == len(orbit.tangent) == tangent.shape[0]
             # [B2; kept V times C2] is orthonormal, orthogonal to nu and
             # spans what h's rows span
@@ -936,6 +938,19 @@ class TestProductBlock:
             assert np.abs(rows @ rows.T - np.eye(len(rows))).max() < 1e-12
             assert np.abs(projector(orbit.tangent)
                           - projector(tangent)).max() < 1e-10
+
+    @pytest.mark.parametrize("group,subgroup", [
+        ("so20", "product(h1=so19,h2=u10)"),
+        ("su10", "delta(sigma=id)"),
+    ])
+    def test_orbit_tangent_is_the_orbit_reading(self, group, subgroup,
+                                                tmp_path, tol):
+        # one reader: a product's tangent comes from its block, a delta's
+        # from its tangent rows, both through _read_orbit
+        action = side_action(group, subgroup, tmp_path, tol)
+        g = sample_group_point(action.algebra, PointSampler(tol.seed))
+        assert np.array_equal(orbit_tangent(action, g, tol),
+                              actions._read_orbit(action, g, tol).tangent)
 
     @pytest.mark.parametrize("group,subgroup", PRODUCT_CASES + ROW_CASES)
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -1014,10 +1029,11 @@ class TestProductBlock:
             "product(h1=su9,h2=su9)", algebra, tol))
         g = np.eye(algebra.ambient_size)
         assert actions._read_orbit(action, g, tol).dim == 80
-        assert orbit_tangent(action, g, tol).shape[0] == 80
+        assert orbit_tangent(rows_action(action), g, tol).shape[0] == 80
         with pytest.raises(NonPrincipalPointError,
                            match="orbit dimension 80 < sampled maximum 97"):
-            polarity_check(action, g, tol, principal_point(action, tol)[0])
+            polarity_check(action, g, tol,
+                           principal_point(action, tol)[0].dim)
 
 
 class TestTransitivity:
@@ -1135,9 +1151,9 @@ class TestProperties:
         algebra = build_classical("su", 3)
         h1, h2 = builder(algebra, tol)
         action = ActionSpec(algebra, product(h1, h2))
-        orbit_dim, _, _ = principal_point(action, tol)
+        orbit, _ = principal_point(action, tol)
         assert is_transitive(h1, h2, algebra, tol) == transitive
-        assert (orbit_dim == algebra.dim) == transitive
+        assert (orbit.dim == algebra.dim) == transitive
 
 
 class TestSampling:
@@ -1154,9 +1170,9 @@ class TestSampling:
                                              zero_subalgebra(algebra)))
         first, again, other = (principal_point(action, ToleranceConfig(seed=s))
                                for s in (0, 0, 1))
-        assert first[0] == again[0] and first[2] == again[2]
-        assert np.array_equal(first[1], again[1])
-        assert not np.allclose(first[1], other[1])
+        assert first[0].dim == again[0].dim and first[1] == again[1]
+        assert np.array_equal(first[0].point, again[0].point)
+        assert not np.allclose(first[0].point, other[0].point)
 
     def test_the_stream_is_pinned(self):
         # random.Random's stream for an integer seed does not change

@@ -40,7 +40,8 @@ class TestAnalyze:
         assert payload["cohomogeneity"] == 2
         assert payload["polar"] is True
         assert payload["hyperpolar"] is True
-        assert payload["tolerances"]["seed"] == 7
+        # the sample count is a constant, not a tolerance
+        assert payload["tolerances"] == {"residual_tol": 1e-8, "seed": 7}
         assert len(payload["section_basis"]) == 2
         assert payload["config"] == {"group": "su3",
                                      "subgroup": "delta(sigma=id)"}
@@ -127,14 +128,16 @@ class TestAnalyze:
         ["--seed", "-1"],
         ["--residual-tol", "inf"],
         ["--rank-tol", "inf"],
+        ["--samples", "2"],
     ])
     def test_bad_tolerance_is_invalid_input(self, capsys, option):
-        # the rank cut is no setting: argparse rejects --rank-tol itself
+        # neither the rank cut nor the sample count is a setting: argparse
+        # rejects --rank-tol and --samples themselves
         code, out, err = run(capsys, ["analyze", "--group", "su3", "--subgroup",
                                       "product(h1=su2,h2=su2)"] + option)
         assert (code, out) == (2, "")
-        if option[0] == "--rank-tol":
-            assert "unrecognized arguments: --rank-tol" in err
+        if option[0] in ("--rank-tol", "--samples"):
+            assert f"unrecognized arguments: {option[0]}" in err
         else:
             assert err.startswith("error: ")
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -29,16 +31,16 @@ class TestToleranceConfig:
         {"residual_tol": -1e-8},
         {"residual_tol": -0.0},
         {"residual_tol": float("-inf")},
-        {"num_samples": -1},
+        {"seed": "3"},
         {"seed": -10**9},
         {"residual_tol": 0.0},
         {"residual_tol": float("inf")},
         {"residual_tol": float("nan")},
-        {"num_samples": 0},
+        {"seed": None},
         {"seed": -1},
         {"seed": True},
-        {"num_samples": True},
-        {"num_samples": 2.5},
+        {"residual_tol": None},
+        {"residual_tol": 1e-8 + 0j},
         {"seed": 1.5},
         {"residual_tol": "1e-8"},
         {"residual_tol": True},
@@ -49,10 +51,20 @@ class TestToleranceConfig:
             ToleranceConfig(**kwargs)
 
     def test_numpy_scalars_are_stored_as_python_numbers(self):
-        tol = ToleranceConfig(residual_tol=np.float32(0.5),
-                              num_samples=np.int32(3), seed=np.uint8(7))
-        assert (tol.residual_tol, tol.num_samples, tol.seed) == (0.5, 3, 7)
-        assert [type(v) for v in vars(tol).values()] == [float, int, int]
+        tol = ToleranceConfig(residual_tol=np.float32(0.5), seed=np.uint8(7))
+        assert (tol.residual_tol, tol.seed) == (0.5, 7)
+        assert [type(v) for v in vars(tol).values()] == [float, int]
+
+    def test_the_sample_count_is_not_a_setting(self):
+        # the most points the principal-point search draws is a constant,
+        # readable on the class and on every instance, and no field
+        with pytest.raises(TypeError, match="num_samples"):
+            ToleranceConfig(num_samples=3)
+        assert ToleranceConfig.num_samples == 8
+        assert ToleranceConfig(seed=5).num_samples == 8
+        assert [f.name for f in dataclasses.fields(ToleranceConfig)] == \
+            ["residual_tol", "seed"]
+        assert sorted(vars(ToleranceConfig())) == ["residual_tol", "seed"]
 
 
 class TestRank:

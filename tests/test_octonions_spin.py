@@ -203,7 +203,7 @@ class TestG2Cache:
         so7 = build_classical("so", 7)
         g2_rows = ["g2-so7-so6", "g2-so7-so5so2", "g2-so7-so5"]
         for seed in range(3):
-            tol = ToleranceConfig(seed=seed, num_samples=seed + 1)
+            tol = ToleranceConfig(seed=seed)
             assert resolve_factor("g2", so7, tol).dim == 14
             summary = run_known_answer_suite(
                 tol, entry_ids={f"table1-{row}" for row in g2_rows})
