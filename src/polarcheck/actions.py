@@ -8,7 +8,11 @@ testing the normal space nu there: nu must be a Lie triple system whose
 generated algebra nu + [nu, nu] is orthogonal to the (conjugated) h, and
 the action is hyperpolar exactly when nu is abelian.  Each condition is
 measured by a Hilbert-Schmidt norm over all pairs of an orthonormal basis
-of nu (see polarity_check), which no rotation of that basis moves.
+of nu (see polarity_check), which no rotation of that basis moves.  The
+pairs decide first: the orthogonality residual alone can rule polarity
+out, and the abelian residual bounds the triple one, so it can rule
+hyperpolarity in; the triples [[X,Y],Z] are summed only when neither
+decides (see _criterion).
 
 The orbit dimension and nu are read from one SVD at g.  A product
 h1 x h2 acts by a g b^{-1}, and its tangent Ad(g^{-1}) h1 + h2 is h2 plus
@@ -30,8 +34,8 @@ The same SVD gives the isotropy algebra h_g at g, and the principal-point
 search stops at the first draw whose slice representation, h_g acting on
 nu, is trivial, which by the slice theorem puts it on an orbit of maximal
 dimension (see principal_point).  The criterion reads that draw's SVD
-and nothing else of h: nu, the tangent and the l coordinates of the
-conjugated h, all of which _read_orbit hands it.
+and nothing else of h: nu and the l coordinates of the conjugated h, both
+of which _read_orbit hands it.
 """
 
 import random
@@ -41,8 +45,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NonPrincipalPointError
 from .lie_algebras import adjoint_matrix, commutator, pair_commutators
-from .numerics import (RANK_TOL, ToleranceConfig, cut_svd, outside_squares,
-                       row_blocks)
+from .numerics import RANK_TOL, ToleranceConfig, cut_svd, outside_squares
 from .subalgebras import Subalgebra
 
 
@@ -74,6 +77,7 @@ class PolarityReport:
     residual_triple: float
     residual_orth: float
     residual_abelian: float
+    triple_is_bound: bool       # residual_triple is sqrt(2c) residual_abelian
     samples_used: int
     tolerances: ToleranceConfig
 
@@ -110,8 +114,9 @@ def sample_group_point(algebra, rng):
 
 @dataclass(frozen=True)
 class _Orbit:
-    """All that the criterion reads of h, from _read_orbit at a point, and
-    the slice residual that may stop the principal-point search."""
+    """All that the criterion and orbit_tangent read of h, from _read_orbit
+    at a point, and the slice residual that may stop the principal-point
+    search."""
 
     point: np.ndarray
     dim: int                 # the orbit dimension at point
@@ -235,117 +240,61 @@ def _check_cut(dropped, tol, what):
             f"rank cut drops a singular value {dropped:.3e} above it")
 
 
-def _direct_is_cheaper(cohom, dim_t, ambient_size):
-    """Whether the direct triple path costs fewer flops than the
-    ad-invariance path, for c = cohom, dim_t tangent directions and
-    matrices of side m = ambient_size; ties go to the ad-invariance path.
+def _pair_residuals(algebra, x, conj_h):
+    """(residual_orth, residual_abelian) of the Frobenius matrices x of nu
+    against conj_h, the l coordinates of the conjugated h (see
+    polarity_check).
 
-    l has n = c + dim_t coordinates.  A commutator costs 4 m^3 flops,
-    reading a matrix into coordinates 2 m^2 n, and a pairing 2n of
-    coordinates or 2 m^2 of matrices.  With P = c(c-1)/2 pairs X before Y
-    in nu, the ad-invariance path forms and reads c*dim_t brackets [Z,T],
-    takes the triangular factor R of their coordinates (about
-    2 c dim_t n^2 flops), and reads the P brackets [X,Y], each then
-    multiplied by R, at most n rows of n (2 n^2); the direct path forms
-    P*c triples [[X,Y],Z] and projects each onto nu, 2c matrix pairings
-    each.
-    """
-    pairs = cohom * (cohom - 1) // 2
-    dim_l = cohom + dim_t
-    bracket = 4 * ambient_size ** 3
-    read = 2 * ambient_size ** 2 * dim_l
-    ad_invariance = (cohom * dim_t * (bracket + read + 2 * dim_l ** 2)
-                     + pairs * (read + 2 * dim_l ** 2))
-    direct = pairs * cohom * (bracket + 2 * cohom * 2 * ambient_size ** 2)
-    return direct < ad_invariance
-
-
-def _ad_invariance_triples(x, tangent, flat_basis):
-    """(extra floats per pair, reader): the reader takes the l coordinates
-    b of a block of brackets [X,Y] and returns the sum over the block and
-    over Z in nu of the squared tangent components of [[X,Y],Z].
-
-    By ad-invariance that sum is the sum of <[X,Y],[Z,T]>^2 over Z and the
-    orthonormal tangent matrices T, ||S b||^2 for S the stacked coordinates
-    of every [Z,T], and S = QR with orthonormal columns Q gives
-    ||S b|| = ||R b||.  R has at most dim l rows.  S is read into
-    coordinates once, a block of Z at a time, and each block is stacked
-    under the R of the blocks before it and factored again, which is a
-    triangular factor of their whole stack: only R and one block are held,
-    no triple is formed, and no rank cut or Gram matrix is needed."""
-    cohom, dim_t, size = len(x), len(tangent), x.shape[-1] ** 2
-    if not dim_t:   # nu is all of l: every triple lies in it
-        return 0, lambda b: 0.0
-    r = np.empty((0, len(flat_basis)))
-    # a block of Z holds its coordinates, their stack under R, and qr's
-    # copy and LAPACK's
-    for zs in row_blocks(cohom, 4 * dim_t * len(flat_basis)):
-        r = np.linalg.qr(np.vstack([r] + [
-            commutator(z, tangent).reshape(dim_t, size) @ flat_basis.T
-            for z in x[zs]]), mode="r")
-
-    def squares(b):
-        rb = b @ r.T
-        return float(np.einsum('pk,pk->', rb, rb))
-    return len(r), squares
-
-
-def _direct_triples(x):
-    """(extra floats per pair, reader): the reader takes a block of flat
-    brackets [X,Y], forms each [[X,Y],Z] and returns the sum of the squared
-    components outside nu, which nu + tangent = l makes the tangent
-    components.
-
-    A pair's c triples are held three times over at the peak: commutator
-    holds a@b, b@a and their difference, and outside_squares the triples,
-    their projection onto nu and the rest."""
-    cohom, side = len(x), x.shape[-1]
-    nu = x.reshape(cohom, side * side)
-
-    def squares(xy):
-        xyz = commutator(xy.reshape(-1, 1, side, side), x)
-        return float(outside_squares(xyz.reshape(-1, side * side), nu).sum())
-    return 3 * cohom * side * side, squares
-
-
-def _criterion_residuals(algebra, nu, tangent, conj_h, direct):
-    """(residual_triple, residual_orth, residual_abelian) of the coefficient
-    rows nu against conj_h, the l coordinates of the conjugated h, with the
-    triple residual taken by the direct path or, from the orthonormal
-    tangent rows, by the ad-invariance path.
-
-    Each residual is a Hilbert-Schmidt norm, the root of a sum of squares
-    over the pairs X before Y in nu (see polarity_check).  The brackets are
-    formed a block at a time.  When h or the ad-invariance tangent has
+    The brackets [X,Y] are formed a block of pairs at a time.  When h has
     rows, a block is read once into its l coordinates b (exact: [X,Y] lies
-    in l, whose basis is orthonormal), which residual_orth and the
-    ad-invariance path read; residual_abelian and the direct path read the
-    flat brackets.
+    in l, whose basis is orthonormal), which residual_orth pairs with
+    conj_h; residual_abelian reads the flat brackets.
     """
-    x = algebra.frobenius_matrices(nu)
     flat = algebra.basis.reshape(algebra.dim, -1)
-    if direct:
-        extra, triple_of = _direct_triples(x)
-    else:
-        extra, triple_of = _ad_invariance_triples(
-            x, algebra.frobenius_matrices(tangent), flat)
-    reads = len(conj_h) > 0 or (not direct and len(tangent) > 0)
-    if reads:
-        extra += algebra.dim + len(conj_h)
-    triple = orth = abelian = 0.0
+    extra = algebra.dim + len(conj_h) if len(conj_h) else 0
+    orth = abelian = 0.0
     for xy in pair_commutators(x, extra_floats=extra):
-        b = xy @ flat.T if reads else None
-        triple += triple_of(xy if direct else b)
         if len(conj_h):
-            hb = b @ conj_h.T
+            hb = (xy @ flat.T) @ conj_h.T
             orth += float(np.einsum('ph,ph->', hb, hb))
         abelian += float(np.einsum('pk,pk->', xy, xy))
-    return tuple(float(np.sqrt(total)) for total in (triple, orth, abelian))
+    return float(np.sqrt(orth)), float(np.sqrt(abelian))
+
+
+def _triple_residual(algebra, x):
+    """residual_triple of the Frobenius matrices x of nu: each [[X,Y],Z]
+    is formed, a block of pairs at a time, and its component outside nu,
+    which nu + tangent = l makes its tangent component, is summed.
+
+    When nu is all of l every triple lies in it: the residual is 0 and no
+    bracket is formed.  A pair's c triples are held three times over at
+    the peak: commutator holds a@b, b@a and their difference, and
+    outside_squares the triples, their projection onto nu and the rest.
+    """
+    cohom, side = len(x), x.shape[-1]
+    if cohom == algebra.dim:
+        return 0.0
+    nu = x.reshape(cohom, side * side)
+    total = 0.0
+    for xy in pair_commutators(x, extra_floats=3 * cohom * side * side):
+        xyz = commutator(xy.reshape(-1, 1, side, side), x)
+        total += float(outside_squares(xyz.reshape(-1, side * side), nu).sum())
+    return float(np.sqrt(total))
 
 
 def _criterion(action, orbit, tol, max_orbit_dim, samples_used):
-    """The report of polarity_check from the orbit at its point."""
-    algebra = action.algebra
+    """The report of polarity_check from the orbit at its point, decided
+    verdict-first.
+
+    The pair walk gives residual_orth and residual_abelian.  If
+    residual_orth reaches residual_tol the action is not polar, whatever
+    the triples.  Otherwise the bound sqrt(2 c) residual_abelian on
+    residual_triple (see polarity_check) is taken, and if it is below
+    residual_tol the action is hyperpolar.  Only when neither decides are
+    the triples summed.  A triple residual that is not summed reports its
+    bound, with triple_is_bound set, so that the verdict reads off the
+    reported residuals either way.
+    """
     _check_cut(orbit.dropped, tol, "the orbit tangent")
     if orbit.dim < max_orbit_dim:
         raise NonPrincipalPointError(
@@ -353,13 +302,19 @@ def _criterion(action, orbit, tol, max_orbit_dim, samples_used):
             f"{max_orbit_dim}; the criterion needs a principal point")
     nu = orbit.nu
     cohom = len(nu)
-    residuals = 0.0, 0.0, 0.0
+    residual_triple = residual_orth = residual_abelian = 0.0
+    triple_is_bound = False
     if cohom > 1:  # every residual reads the brackets of pairs in nu
-        direct = _direct_is_cheaper(cohom, algebra.dim - cohom,
-                                    algebra.ambient_size)
-        residuals = _criterion_residuals(algebra, nu, orbit.tangent,
-                                         orbit.conj_h, direct)
-    residual_triple, residual_orth, residual_abelian = residuals
+        algebra = action.algebra
+        x = algebra.frobenius_matrices(nu)
+        residual_orth, residual_abelian = _pair_residuals(
+            algebra, x, orbit.conj_h)
+        residual_triple = float(_BRACKET_SCALE * np.sqrt(cohom)
+                                * residual_abelian)
+        triple_is_bound = (residual_orth >= tol.residual_tol
+                           or residual_triple < tol.residual_tol)
+        if not triple_is_bound:
+            residual_triple = _triple_residual(algebra, x)
 
     polar = (residual_triple < tol.residual_tol
              and residual_orth < tol.residual_tol)
@@ -373,6 +328,7 @@ def _criterion(action, orbit, tol, max_orbit_dim, samples_used):
         residual_triple=residual_triple,
         residual_orth=residual_orth,
         residual_abelian=residual_abelian,
+        triple_is_bound=triple_is_bound,
         samples_used=samples_used,
         tolerances=tol,
     )
@@ -383,15 +339,15 @@ def polarity_check(action, g, tol, max_orbit_dim):
 
     g must attain max_orbit_dim, the principal orbit dimension that
     principal_point found, or NonPrincipalPointError names the orbit
-    dimension measured at g.  One SVD gives the orbit dimension, nu and
-    the orthonormal tangent: of the block M of a product, or of the
-    tangent rows of any other h, each cut against its own bound so that
-    both drop the same principal angles (see the module docstring).  It
-    is the SVD of a draw of principal_point (_read_orbit), which also
-    gives conj_h; the criterion reads nothing else of h.
-    InvalidInputError is raised when the cut drops a singular value above
-    residual_tol, i.e. when residual_tol is too fine for the tangent.
-    It draws no point, so its report's samples_used is 0.
+    dimension measured at g.  One SVD gives the orbit dimension and nu: of
+    the block M of a product, or of the tangent rows of any other h, each
+    cut against its own bound so that both drop the same principal angles
+    (see the module docstring).  It is the SVD of a draw of
+    principal_point (_read_orbit), which also gives conj_h; the criterion
+    reads nothing else of h.  InvalidInputError is raised when the cut
+    drops a singular value above residual_tol, i.e. when residual_tol is
+    too fine for the tangent.  It draws no point, so its report's
+    samples_used is 0.
 
     Residuals are Hilbert-Schmidt (HS) norms of commutators of
     Frobenius-orthonormal matrices of nu, taken in the invariant form (see
@@ -405,27 +361,19 @@ def polarity_check(action, g, tol, max_orbit_dim):
     - residual_abelian = sqrt(sum over X < Y of ||[X,Y]||^2).
 
     Each vanishes exactly when the largest of its terms does.  Unlike the
-    largest terms, the sums do not move when nu, the tangent or h's
-    orthonormal rows are rotated, so they do not depend on the bases that
-    LAPACK returns.  Brackets lie in l, whose basis is orthonormal, so
-    residual_orth reads the l coordinates of each [X,Y], and no matrix of h
-    is built.
-    residual_triple is taken by one of two exact paths, whichever costs
-    fewer flops for the cohomogeneity c, the tangent dimension and the
-    matrix size (see _direct_is_cheaper):
+    largest terms, the sums do not move when nu or h's orthonormal rows
+    are rotated, so they do not depend on the bases that LAPACK returns.
+    Brackets lie in l, whose basis is orthonormal, so residual_orth reads
+    the l coordinates of each [X,Y], and no matrix of h is built.
 
-    - ad-invariance: the sum over Z of the squared tangent components of
-      [[X,Y],Z] is that of <[X,Y],[Z,T]>^2 over Z and an orthonormal
-      tangent basis T, read as ||R b||^2 from the triangular factor R of
-      the l coordinates of all c * dim(tangent) brackets [Z,T]; R has at
-      most dim l rows, and the path wins when the tangent is small (high
-      cohomogeneity);
-    - direct: form [[X,Y],Z] and take its component outside nu, which is
-      its tangent component because nu + tangent = l; it holds only a
-      block of triples at a time, and wins when nu is small.
-
-    The two agree to roundoff.  At cohomogeneity 0 or 1 nu has no pair:
-    every residual is 0, and nothing is built for them.
+    The verdict is decided pairs first (see _criterion).  By
+    Boettcher-Wenzel, ||[A,B]|| <= sqrt(2) ||A|| ||B||, and the c = dim nu
+    matrices Z are orthonormal, so residual_triple <= sqrt(2 c)
+    residual_abelian: when residual_orth already rules polarity out, or
+    that bound already rules it in, the triples are not formed and
+    residual_triple reports the bound, with triple_is_bound True.  At
+    cohomogeneity 0 or 1 nu has no pair: every residual is 0, and nothing
+    is built for them.
     """
     return _criterion(action, _read_orbit(action, g, tol), tol,
                       max_orbit_dim, 0)

@@ -216,6 +216,7 @@ def evaluate_entry(entry, tol):
         "polar": report.polar,
         "hyperpolar": report.hyperpolar,
         "residual_triple": report.residual_triple,
+        "triple_is_bound": report.triple_is_bound,
         "residual_orth": report.residual_orth,
         "residual_abelian": report.residual_abelian,
     }

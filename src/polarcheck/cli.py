@@ -89,7 +89,8 @@ def _report_text(report, config):
         f"polar: {report.polar}",
         f"hyperpolar: {report.hyperpolar}",
         f"cohomogeneity: {report.cohomogeneity}",
-        f"residual_triple: {report.residual_triple:.3e}",
+        f"residual_triple: {report.residual_triple:.3e}"
+        + (" (bound)" if report.triple_is_bound else ""),
         f"residual_orth: {report.residual_orth:.3e}",
         f"residual_abelian: {report.residual_abelian:.3e}",
         f"samples_used: {report.samples_used}  seed: {report.tolerances.seed}",

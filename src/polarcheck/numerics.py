@@ -105,18 +105,11 @@ def cut_svd(matrix, scale=None):
     return u, rank, vh, dropped
 
 
-def split_span(matrix, scale=None):
+def split_span(matrix):
     """Orthonormal bases (rows) of the row space of a real matrix and of its
-    orthogonal complement, from one SVD (cut_svd's), and the largest
-    singular value the cut drops (0.0 if it drops none).
-
-    When the caller knows the natural magnitude of genuine input vectors
-    (e.g. differences of unit vectors), passing it as `scale` makes the
-    cutoff absolute with respect to that magnitude, so an all-roundoff input
-    yields rank zero instead of being renormalized into a full-rank matrix.
-    """
-    _, rank, vh, dropped = cut_svd(matrix, scale)
-    return vh[:rank], vh[rank:], dropped
+    orthogonal complement, from one SVD (cut_svd's)."""
+    _, rank, vh, _ = cut_svd(matrix)
+    return vh[:rank], vh[rank:]
 
 
 _BLOCK_BYTES = 2 ** 22  # size of each temporary in a blocked walk

@@ -109,7 +109,7 @@ class Subalgebra:
         embedding, which must lie in the parent algebra; closure is not
         checked."""
         vecs = parent.coords_of(matrices, member_tol=tol.residual_tol)
-        span, rest, _ = split_span(vecs)
+        span, rest = split_span(vecs)
         rest = rest.copy()  # the view would keep all of the split's V^T alive
         return cls(parent, span, name=name, complement=lambda: rest)
 

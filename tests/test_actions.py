@@ -23,7 +23,7 @@ from polarcheck.lie_algebras import (LieAlgebra, _u_basis_complex,
                                      classical_basis, commutator,
                                      make_automorphism, realify_complex,
                                      so_basis)
-from polarcheck.numerics import ToleranceConfig, split_span
+from polarcheck.numerics import ToleranceConfig, cut_svd
 from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
 from polarcheck.subalgebras import (Subalgebra, diagonal_sigma,
                                     full_subalgebra, product, zero_subalgebra)
@@ -241,8 +241,8 @@ class TestSpanFileUnits:
                 report.hyperpolar) == (2, True, True)
 
 
-# each triple path against brute force: every catalog action, every
-# control, and small shapes of the benchmark actions
+# the pair walk and the triple sum against brute force: every catalog
+# action, every control, and small shapes of the benchmark actions
 PATH_CASES = list(dict.fromkeys([
     *((entry.group, entry.spec) for entry in catalog_entries()
       if entry.kind == "action"),
@@ -293,6 +293,14 @@ def analyzed(group, subgroup, tol):
     return action, analyze(action, tol)
 
 
+def criterion_sums(algebra, nu, conj_h):
+    """(triple, orth, abelian) from the pair walk and the triple sum, each
+    summed whatever the verdict."""
+    x = algebra.frobenius_matrices(nu)
+    return (actions._triple_residual(algebra, x),
+            *actions._pair_residuals(algebra, x, conj_h))
+
+
 class TestCriterionReference:
     """The criterion's residuals against brute force over every triple."""
 
@@ -301,18 +309,23 @@ class TestCriterionReference:
         ("su3", "product(h1=cartan,h2=cartan)"),
         ("so5", "delta(sigma=id)"),               # zero residuals
         ("su2", "product(h1=zero,h2=zero)"),      # empty tangent
+        ("su2", "delta(on=cartan)"),              # the triples are summed
     ])
     def test_residuals_match_brute_force(self, group, subgroup, tol):
+        # a triple residual that is a bound is at least the sum it bounds
         action, report = analyzed(group, subgroup, tol)
-        assert [report.residual_triple, report.residual_orth,
-                report.residual_abelian] == pytest.approx(
-            brute_force_residuals(action, report), abs=1e-12)
+        triple, orth, abelian = brute_force_residuals(action, report)
+        assert [report.residual_orth, report.residual_abelian] == \
+            pytest.approx([orth, abelian], abs=1e-12)
+        if report.triple_is_bound:
+            assert triple <= report.residual_triple + 1e-12
+            assert report.residual_triple == pytest.approx(
+                np.sqrt(2 * report.cohomogeneity) * abelian, abs=1e-12)
+        else:
+            assert report.residual_triple == pytest.approx(triple, abs=1e-12)
 
-    @pytest.mark.parametrize("direct", [False, True],
-                             ids=["ad_invariance", "direct"])
     @pytest.mark.parametrize("group,subgroup", PATH_CASES)
-    def test_each_path_matches_brute_force(self, group, subgroup, direct,
-                                           tol):
+    def test_pairs_and_triples_match_brute_force(self, group, subgroup, tol):
         action, report = analyzed(group, subgroup, tol)
         algebra, g = action.algebra, report.principal_point
         # the criterion reads h in l coordinates; brute force pairs the
@@ -321,61 +334,35 @@ class TestCriterionReference:
             conjugated_h(action, g).reshape(
                 -1, algebra.ambient_size, algebra.ambient_size),
             member_tol=1e-10)
-        residuals = actions._criterion_residuals(
-            algebra, report.section_basis, orbit_tangent(action, g, tol),
-            conj_h, direct)
+        residuals = criterion_sums(algebra, report.section_basis, conj_h)
         assert list(residuals) == pytest.approx(
             brute_force_residuals(action, report), abs=1e-12)
-
-    @pytest.mark.parametrize("group,subgroup,direct", [
-        ("so20", "delta(sigma=id)", True),
-        ("so16", "delta(sigma=id)", True),
-        ("su12", "product(h1=su11,h2=su11)", True),
-        ("so20", "product(h1=so19,h2=zero)", True),
-        ("so14", "product(h1=cartan,h2=cartan)", False),
-        ("so12", "product(h1=zero,h2=zero)", False),
-        ("so6", "product(h1=zero,h2=zero)", False),
-    ])
-    def test_the_flop_rule_picks(self, group, subgroup, direct, tol):
-        action, report = analyzed(group, subgroup, tol)
-        algebra, cohom = action.algebra, report.cohomogeneity
-        assert actions._direct_is_cheaper(
-            cohom, algebra.dim - cohom, algebra.ambient_size) == direct
-
-    def test_ties_go_to_ad_invariance(self):
-        # no nu, or no tangent and no pair: neither path forms anything
-        assert not actions._direct_is_cheaper(0, 190, 20)
-        assert not actions._direct_is_cheaper(1, 0, 20)
 
 
 class TestBasisFreeResiduals:
     """Each residual is a Hilbert-Schmidt norm over all pairs of nu, so
-    rotating nu, the tangent or h's orthonormal rows moves none of them,
-    on either triple path, where the maxima they replace moved."""
+    rotating nu or h's orthonormal rows moves none of them, where the
+    maxima they replace moved."""
 
-    @pytest.mark.parametrize("direct", [False, True],
-                             ids=["ad_invariance", "direct"])
     @pytest.mark.parametrize("group,subgroup", [
         ("su3", "product(h1=su2,h2=su2)"),
         ("su4", "product(h1=su3,h2=su3)"),      # dim h > dim l
         ("su4", "product(h1=cartan,h2=cartan)"),
         ("so7", "delta(on=g2)"),
     ])
-    def test_rotations_move_no_residual(self, group, subgroup, direct, tol):
+    def test_rotations_move_no_residual(self, group, subgroup, tol):
         action, report = analyzed(group, subgroup, tol)
         algebra, g = action.algebra, report.principal_point
         size = algebra.ambient_size
 
-        def residuals(nu, tangent, h):
+        def residuals(nu, h):
             moved = conjugated_h(SimpleNamespace(
                 algebra=algebra, h=SimpleNamespace(basis=h)), g)
             conj_h = algebra.coords_of(moved.reshape(-1, size, size),
                                        member_tol=1e-10)
-            return actions._criterion_residuals(algebra, nu, tangent,
-                                                conj_h, direct)
+            return criterion_sums(algebra, nu, conj_h)
 
-        rows = (report.section_basis, orbit_tangent(action, g, tol),
-                action.h.basis)
+        rows = (report.section_basis, action.h.basis)
         rng = np.random.default_rng(13)
         rotated = residuals(*(  # the Q of a Gaussian matrix is orthogonal
             np.linalg.qr(rng.standard_normal((len(r), len(r))))[0] @ r
@@ -383,6 +370,65 @@ class TestBasisFreeResiduals:
         fixed = residuals(*rows)
         assert min(fixed) > 0.1
         assert list(rotated) == pytest.approx(fixed, rel=1e-12, abs=0)
+
+
+# the actions that the CI step "Each pinned action gives its verdict at
+# each of its seeds" pins
+PINNED = [
+    ("so12", "product(h1=sp3,h2=u6)"),
+    ("so8", "delta(sigma=triality)"),
+    ("su2", "delta(on=cartan)"),
+    ("so24", "delta(sigma=id)"),
+    ("so14", "product(h1=cartan,h2=cartan)"),
+    ("su6", "product(h1=cartan,h2=cartan)"),
+    ("sp3", "product(h1=cartan,h2=cartan)"),
+    ("su10", "product(h1=su9,h2=su9)"),
+    ("su4", "product(h1=so4,h2=sp2)"),
+    ("sp5", "delta(sigma=id)"),
+    ("su4", "product(h1=s_u2u2,h2=s_u2u2)"),
+    ("su6", "product(h1=s_u3u3,h2=so6)"),
+    ("so9", "product(h1=so4so5,h2=so3so6)"),
+    ("su5", "product(h1=s_u_u1,h2=s_u2u3)"),
+    ("so10", "product(h1=so5so5,h2=u5)"),
+    ("so8", "product(h1=spin7,h2=spin7)"),
+    ("so7", "product(h1=g2,h2=g2)"),
+    ("su6", "product(h1=sp3,h2=s_u3u3)"),
+    ("su8", "product(h1=sp4,h2=s_u4u4)"),
+    ("so7", "delta(on=g2)"),
+]
+
+BOUND_CASES = list(dict.fromkeys([
+    *((group, subgroup) for group, subgroup, _ in CONTROLS),
+    *((entry.group, entry.spec) for entry in catalog_entries()
+      if entry.kind == "action"),
+    *PINNED,
+]))
+
+
+class TestTripleBound:
+    """By Boettcher-Wenzel ||[A,B]|| <= sqrt(2) ||A|| ||B||, so the summed
+    triple residual is at most sqrt(2c) residual_abelian, and the verdict
+    decided pairs first is the verdict of the full sum."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("group,subgroup", BOUND_CASES)
+    def test_the_bound_holds_and_keeps_the_verdict(self, group, subgroup,
+                                                   seed):
+        tol = ToleranceConfig(seed=seed)
+        action, report = analyzed(group, subgroup, tol)
+        algebra, cohom = action.algebra, report.cohomogeneity
+        summed = 0.0 if cohom < 2 else actions._triple_residual(
+            algebra, algebra.frobenius_matrices(report.section_basis))
+        bound = np.sqrt(2.0 * cohom) * report.residual_abelian
+        assert summed <= bound * (1 + 1e-12)
+        polar = (summed < tol.residual_tol
+                 and report.residual_orth < tol.residual_tol)
+        hyperpolar = polar and report.residual_abelian < tol.residual_tol
+        assert (report.polar, report.hyperpolar) == (polar, hyperpolar)
+        if report.triple_is_bound:
+            assert report.residual_triple == pytest.approx(bound, rel=1e-12)
+        else:
+            assert report.residual_triple == summed
 
 
 class TestConjugationByTheInverse:
@@ -492,10 +538,10 @@ class TestOctonionFactorVerdicts:
         assert seeded_verdict(group, subgroup, seed) == verdict
 
 
-class TestDirectPathVerdicts:
-    """Actions larger than any in the catalog on which the flop rule takes
-    the direct triple path (see TestCriterionReference), pinned at five
-    seeds."""
+class TestLargeActionVerdicts:
+    """Actions larger than any in the catalog, pinned at five seeds: the
+    bound on the triple residual decides so16's conjugation action, and
+    the orthogonality residual the other two."""
 
     @pytest.mark.parametrize("group,subgroup,verdict", [
         ("so16", "delta(sigma=id)", (8, True, True)),
@@ -565,63 +611,62 @@ class TestCriterionReadsTheOrbit:
             assert np.array_equal(getattr(report, key), value), key
 
 
-def walk_peaks(monkeypatch, direct):
-    """The tracemalloc peaks above its start of each walk of
-    _criterion_residuals, which must take the given triple path; the walk
-    runs once an analyze inside the traced region."""
-    walk, peaks = actions._criterion_residuals, []
+def walk_peaks(monkeypatch, name):
+    """The tracemalloc peaks above its start of each call of the walk
+    actions.<name>, called inside a traced region."""
+    walk, peaks = getattr(actions, name), []
 
-    def traced(algebra, nu, tangent, conj_h, path):
-        assert path == direct
+    def traced(*args):
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        residuals = walk(algebra, nu, tangent, conj_h, path)
+        residuals = walk(*args)
         peaks.append(tracemalloc.get_traced_memory()[1] - base)
         return residuals
 
-    monkeypatch.setattr(actions, "_criterion_residuals", traced)
+    monkeypatch.setattr(actions, name, traced)
     return peaks
 
 
-def traced_analyze(action, tol):
+def traced_call(call, *args):
     tracemalloc.start()
     try:
-        return analyze(action, tol)
+        return call(*args)
     finally:
         tracemalloc.stop()
 
 
-class TestDirectPathBlocks:
-    """A block of the direct triple path holds each pair's c triples three
-    times over at its peak (see actions._direct_triples), so the walk of
-    _criterion_residuals stays near one _BLOCK_BYTES; with one stack
-    counted it peaked near three."""
+class TestWalkBlocks:
+    """Both walks over the pairs of nu stay near one _BLOCK_BYTES at their
+    peak, each block sized for what a pair holds in it."""
 
     @pytest.mark.parametrize("group", ["so16", "so20"])
-    def test_walk_peak_stays_near_one_block(self, group, monkeypatch, tol):
+    def test_triple_peak_stays_near_one_block(self, group, monkeypatch, tol):
+        # a pair holds its c triples three times over at the peak (see
+        # actions._triple_residual); with one stack counted the walk
+        # peaked near three blocks
         block = 2 ** 18
         monkeypatch.setattr(numerics, "_BLOCK_BYTES", block)
-        peaks = walk_peaks(monkeypatch, direct=True)
-        report = traced_analyze(
-            conjugation_action("so", int(group[2:]), tol), tol)
-        assert report.hyperpolar
+        action = conjugation_action("so", int(group[2:]), tol)
+        report = analyze(action, tol)
+        assert report.hyperpolar and report.triple_is_bound
+        x = action.algebra.frobenius_matrices(report.section_basis)
+        peaks = walk_peaks(monkeypatch, "_triple_residual")
+        assert traced_call(actions._triple_residual, action.algebra, x) < 1e-12
         assert peaks[0] < 1.5 * block
 
     @pytest.mark.parametrize("group,subgroup", [
-        ("so14", "product(h1=cartan,h2=cartan)"),   # reads R b and h
+        ("so14", "product(h1=cartan,h2=cartan)"),   # reads conj_h b
         ("so12", "product(h1=zero,h2=zero)"),       # reads flat brackets
     ])
     def test_pair_blocks_count_what_a_pair_holds(self, group, subgroup,
                                                  monkeypatch, tol):
         # a pair holds five matrices at the bracket's peak: blocks sized
-        # for the bracket alone peaked near 3 and 5 blocks here, and the
-        # whole stack of [Z,T] coordinates under one qr (0.8 MB on so14)
-        # near 1.7
+        # for the bracket alone peaked near 3 and 5 blocks here
         block = 2 ** 20
         monkeypatch.setattr(numerics, "_BLOCK_BYTES", block)
-        peaks = walk_peaks(monkeypatch, direct=False)
+        peaks = walk_peaks(monkeypatch, "_pair_residuals")
         algebra = parse_group(group)
-        report = traced_analyze(ActionSpec(
+        report = traced_call(analyze, ActionSpec(
             algebra, resolve_subgroup(subgroup, algebra, tol)), tol)
         assert report.cohomogeneity > 60
         assert peaks[0] < 1.5 * block
@@ -645,7 +690,11 @@ class TestControlVerdicts:
         su2 = parse_group("su2")
         h = resolve_subgroup("product(h1=cartan,h2=zero)", su2, tol)
         report = analyze(ActionSpec(su2, h), tol)
-        assert report.residual_triple < 1e-12
+        # the verdict needs no triple, so the report holds a bound; the
+        # sum itself reads nu as a Lie triple system
+        assert report.triple_is_bound and not report.polar
+        x = su2.frobenius_matrices(report.section_basis)
+        assert actions._triple_residual(su2, x) < 1e-12
         assert report.residual_orth > 0.5
 
     def test_triality_needs_no_rank_cut(self):
@@ -669,8 +718,10 @@ def slice_residual(action, g, tol):
     algebra, n = action.algebra, action.algebra.dim
     left, right = action.h.basis[:, :n], action.h.basis[:, n:]
     rows = left @ adjoint_matrix(algebra, g.T, member_tol=1e-8).T - right
-    isotropy = np.sqrt(2) * split_span(rows.T, scale=np.sqrt(2))[1] @ right
-    nu = split_span(rows, scale=np.sqrt(2))[1]
+    _, rank, vh, _ = cut_svd(rows.T, np.sqrt(2))
+    isotropy = np.sqrt(2) * vh[rank:] @ right
+    _, rank, vh, _ = cut_svd(rows, np.sqrt(2))
+    nu = vh[rank:]
     brackets = commutator(algebra.frobenius_matrices(isotropy)[:, None],
                           algebra.frobenius_matrices(nu)[None])
     return float(np.sqrt((brackets ** 2).sum(axis=(-2, -1)).max(initial=0.0)))
@@ -848,7 +899,7 @@ class TestSliceCertificate:
         def unread(*args):
             raise AssertionError("built for no pair of nu")
 
-        for name in ("_direct_is_cheaper", "_criterion_residuals"):
+        for name in ("_pair_residuals", "_triple_residual"):
             monkeypatch.setattr(actions, name, unread)
         report = analyze(action, tol)
         assert report.cohomogeneity == cohomogeneity

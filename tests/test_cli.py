@@ -17,7 +17,8 @@ from polarcheck.specs import parse_group, resolve_factor
 
 REPORT_FIELDS = {"cohomogeneity", "principal_point", "section_basis", "polar",
                  "hyperpolar", "residual_triple", "residual_orth",
-                 "residual_abelian", "samples_used", "tolerances"}
+                 "residual_abelian", "triple_is_bound", "samples_used",
+                 "tolerances"}
 
 
 def run(capsys, argv):
@@ -61,6 +62,18 @@ class TestAnalyze:
         assert lines[1].startswith("polar: ")
         assert lines[2].startswith("hyperpolar: ")
         assert any(l.startswith("residual_triple") for l in lines)
+
+    @pytest.mark.parametrize("group,subgroup,bound", [
+        ("su3", "product(h1=so3,h2=so3)", True),   # the bound decides
+        ("su2", "delta(on=cartan)", False),        # the triples are summed
+    ])
+    def test_text_output_marks_a_bound(self, capsys, group, subgroup, bound):
+        code, out, _ = run(capsys, ["analyze", "--group", group,
+                                    "--subgroup", subgroup])
+        assert code == 0
+        line, = (l for l in out.splitlines()
+                 if l.startswith("residual_triple: "))
+        assert line.endswith(" (bound)") == bound
 
     def test_seed_environment_is_not_read(self, capsys, monkeypatch):
         # --seed is the one way to set the seed
