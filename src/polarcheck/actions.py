@@ -52,6 +52,10 @@ from .subalgebras import Subalgebra
 _ROW_SCALE = np.sqrt(2.0)  # the largest singular value of the tangent rows
 _BLOCK_SCALE = 2.0  # drops the theta on M that _ROW_SCALE drops on the rows
 _BRACKET_SCALE = np.sqrt(2.0)  # the largest ||[X, Y]|| of unit matrices X, Y
+# What one block of the pair walk holds when it streams no basis of l (see
+# _pair_residuals): its blocks meet only the small matrices of h, so they
+# are sized to stay in cache, which also keeps the walk's peak low.
+_CACHE_BLOCK_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -240,23 +244,48 @@ def _check_cut(dropped, tol, what):
             f"rank cut drops a singular value {dropped:.3e} above it")
 
 
+def _folds(rows, pairs, dim, size):
+    """True when the pair walk reads h's own flat matrices for fewer flops
+    than l coordinates: p = rows of conj_h, P = pairs of nu, d = dim and
+    s = size, the floats of a flat matrix (see _pair_residuals)."""
+    return rows * size * (dim + pairs) < pairs * dim * (size + rows)
+
+
 def _pair_residuals(algebra, x, conj_h):
     """(residual_orth, residual_abelian) of the Frobenius matrices x of nu
     against conj_h, the l coordinates of the conjugated h (see
     polarity_check).
 
-    The brackets [X,Y] are formed a block of pairs at a time.  When h has
-    rows, a block is read once into its l coordinates b (exact: [X,Y] lies
-    in l, whose basis is orthonormal), which residual_orth pairs with
-    conj_h; residual_abelian reads the flat brackets.
+    The brackets [X,Y] are formed a block of pairs at a time, and
+    residual_abelian reads them flat.  residual_orth reads each block
+    against h in one of two ways, whichever costs fewer flops over the
+    walk, for p rows of conj_h, P pairs, d = dim l and flat matrices of s
+    floats:
+
+    - folded: h's own flat matrices, reader = (conj_h flat)^T, are built
+      once (p d s flops) and a block is read as xy reader (P s p);
+    - basis: a block is read into its l coordinates b = xy flat^T (exact:
+      [X,Y] lies in l, whose basis is orthonormal), which are paired with
+      conj_h (P d (s + p)).
+
+    Both read xy flat^T conj_h^T, grouped two ways.  A folded block meets
+    only the s x p reader, so it holds _CACHE_BLOCK_BYTES; a basis block
+    streams l's basis and holds numerics._BLOCK_BYTES, so that each pass
+    over the basis serves many pairs.  An h with no rows always folds, to
+    an empty reader.
     """
     flat = algebra.basis.reshape(algebra.dim, -1)
-    extra = algebra.dim + len(conj_h) if len(conj_h) else 0
+    rows = len(conj_h)
+    if _folds(rows, len(x) * (len(x) - 1) // 2, *flat.shape):
+        reader = (conj_h @ flat).T
+        blocks = pair_commutators(x, rows, _CACHE_BLOCK_BYTES)
+    else:
+        reader = None
+        blocks = pair_commutators(x, algebra.dim + rows)
     orth = abelian = 0.0
-    for xy in pair_commutators(x, extra_floats=extra):
-        if len(conj_h):
-            hb = (xy @ flat.T) @ conj_h.T
-            orth += float(np.einsum('ph,ph->', hb, hb))
+    for xy in blocks:
+        hb = xy @ reader if reader is not None else (xy @ flat.T) @ conj_h.T
+        orth += float(np.einsum('ph,ph->', hb, hb))
         abelian += float(np.einsum('pk,pk->', xy, xy))
     return float(np.sqrt(orth)), float(np.sqrt(abelian))
 
@@ -363,8 +392,10 @@ def polarity_check(action, g, tol, max_orbit_dim):
     Each vanishes exactly when the largest of its terms does.  Unlike the
     largest terms, the sums do not move when nu or h's orthonormal rows
     are rotated, so they do not depend on the bases that LAPACK returns.
-    Brackets lie in l, whose basis is orthonormal, so residual_orth reads
-    the l coordinates of each [X,Y], and no matrix of h is built.
+    Brackets lie in l, whose basis is orthonormal, so conj_h b is also the
+    Frobenius products of [X,Y] with the flat matrices of the conjugated
+    h: the pair walk reads whichever costs fewer flops, the l coordinates
+    of each [X,Y] or h's own matrices, built once (see _pair_residuals).
 
     The verdict is decided pairs first (see _criterion).  By
     Boettcher-Wenzel, ||[A,B]|| <= sqrt(2) ||A|| ||B||, and the c = dim nu

@@ -64,7 +64,7 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
-def pair_commutators(mats, extra_floats=0):
+def pair_commutators(mats, extra_floats=0, block_bytes=None):
     """Flattened [M_i, M_j] for i < j, yielded a block of pairs at a time.
 
     mats holds matrices, or pairs of blocks (the halves of l(+)l), which
@@ -72,10 +72,11 @@ def pair_commutators(mats, extra_floats=0):
     at the peak, five matrices (the two gathered factors, their two
     products and the bracket), plus extra_floats that the caller derives
     from each bracket, so the whole stack of commutators never exists.
+    Blocks hold block_bytes (see row_blocks).
     """
     size = int(np.prod(mats.shape[1:]))
     first, second = np.triu_indices(mats.shape[0], 1)
-    for rows in row_blocks(first.size, 5 * size + extra_floats):
+    for rows in row_blocks(first.size, 5 * size + extra_floats, block_bytes):
         comms = commutator(mats[first[rows]], mats[second[rows]])
         yield comms.reshape(-1, size)
 

@@ -112,12 +112,18 @@ def split_span(matrix):
     return vh[:rank], vh[rank:]
 
 
-_BLOCK_BYTES = 2 ** 22  # size of each temporary in a blocked walk
+# What one block of a blocked walk holds, all its temporaries together.
+# Walks that stream a basis against every block (l's in coords_of and in
+# the pair walk's coordinate reading, nu's in the triple walk, span(M)'s in
+# span_closure_residual) take large blocks, so that each pass over the
+# basis serves many rows.
+_BLOCK_BYTES = 2 ** 22
 
 
-def row_blocks(count, row_floats):
-    """Slices over count rows of row_floats floats each, _BLOCK_BYTES a slice."""
-    step = max(1, _BLOCK_BYTES // (8 * row_floats))
+def row_blocks(count, row_floats, block_bytes=None):
+    """Slices over count rows of row_floats floats each, block_bytes (by
+    default _BLOCK_BYTES) a slice."""
+    step = max(1, (block_bytes or _BLOCK_BYTES) // (8 * row_floats))
     return [slice(start, start + step) for start in range(0, count, step)]
 
 

@@ -255,7 +255,9 @@ PATH_CASES = list(dict.fromkeys([
     ("su4", "product(h1=cartan,h2=cartan)"),
     ("so6", "product(h1=zero,h2=zero)"),          # no tangent
     ("so6", "product(h1=so5,h2=zero)"),
-    # coordinates 4 and 7 times shorter than the flat matrices
+    # the pair walk folds h into its reading on every cartan x cartan and
+    # zero x zero row here and on su3 delta(on=so3), and reads l
+    # coordinates on the rest (see actions._folds)
     ("su6", "product(h1=cartan,h2=cartan)"),
     ("sp3", "product(h1=cartan,h2=cartan)"),
 ]))
@@ -636,8 +638,10 @@ def traced_call(call, *args):
 
 
 class TestWalkBlocks:
-    """Both walks over the pairs of nu stay near one _BLOCK_BYTES at their
-    peak, each block sized for what a pair holds in it."""
+    """Each walk over the pairs of nu stays near one block at its peak,
+    each block sized for what a pair holds in it: a block that streams l's
+    basis holds numerics._BLOCK_BYTES, and a block of the folded pair walk,
+    which reads h's own matrices, holds actions._CACHE_BLOCK_BYTES."""
 
     @pytest.mark.parametrize("group", ["so16", "so20"])
     def test_triple_peak_stays_near_one_block(self, group, monkeypatch, tol):
@@ -654,22 +658,73 @@ class TestWalkBlocks:
         assert traced_call(actions._triple_residual, action.algebra, x) < 1e-12
         assert peaks[0] < 1.5 * block
 
-    @pytest.mark.parametrize("group,subgroup", [
-        ("so14", "product(h1=cartan,h2=cartan)"),   # reads conj_h b
-        ("so12", "product(h1=zero,h2=zero)"),       # reads flat brackets
+    @pytest.mark.parametrize("group,subgroup,cohomogeneity,module,name", [
+        # folds h into its reading
+        ("so14", "product(h1=cartan,h2=cartan)", 77,
+         actions, "_CACHE_BLOCK_BYTES"),
+        # reads flat brackets
+        ("so12", "product(h1=zero,h2=zero)", 66,
+         actions, "_CACHE_BLOCK_BYTES"),
+        # reads l coordinates
+        ("so20", "delta(sigma=id)", 10, numerics, "_BLOCK_BYTES"),
     ])
-    def test_pair_blocks_count_what_a_pair_holds(self, group, subgroup,
-                                                 monkeypatch, tol):
+    def test_pair_blocks_count_what_a_pair_holds(
+            self, group, subgroup, cohomogeneity, module, name, monkeypatch,
+            tol):
         # a pair holds five matrices at the bracket's peak: blocks sized
-        # for the bracket alone peaked near 3 and 5 blocks here
-        block = 2 ** 20
-        monkeypatch.setattr(numerics, "_BLOCK_BYTES", block)
+        # for the bracket alone peaked near 3 and 5 blocks on so14 and so12
+        block = 2 ** 18
+        monkeypatch.setattr(module, name, block)
         peaks = walk_peaks(monkeypatch, "_pair_residuals")
         algebra = parse_group(group)
         report = traced_call(analyze, ActionSpec(
             algebra, resolve_subgroup(subgroup, algebra, tol)), tol)
-        assert report.cohomogeneity > 60
+        assert report.cohomogeneity == cohomogeneity
         assert peaks[0] < 1.5 * block
+
+    @pytest.mark.parametrize("group,subgroup", [
+        ("so14", "product(h1=cartan,h2=cartan)"),
+        ("su8", "product(h1=cartan,h2=cartan)"),
+        ("so12", "product(h1=zero,h2=zero)"),
+    ])
+    def test_high_cohomogeneity_walks_in_cache_blocks(self, group, subgroup,
+                                                      monkeypatch, tol):
+        # at the real constants: read against l's basis in blocks of
+        # numerics._BLOCK_BYTES, these walks peaked near 4 MiB
+        peaks = walk_peaks(monkeypatch, "_pair_residuals")
+        algebra = parse_group(group)
+        traced_call(analyze, ActionSpec(
+            algebra, resolve_subgroup(subgroup, algebra, tol)), tol)
+        assert peaks[0] < 1.5 * 2 ** 20
+
+
+class TestPairReadings:
+    """The pair walk reads each block of brackets against h's own flat
+    matrices or through l coordinates (see actions._pair_residuals); both
+    readings give the same residuals, and the flop count picks one."""
+
+    @pytest.mark.parametrize("group,subgroup,folds", [
+        ("so14", "product(h1=cartan,h2=cartan)", True),
+        ("su6", "product(h1=cartan,h2=cartan)", True),
+        ("so8", "delta(sigma=id)", False),
+        ("su10", "product(h1=su9,h2=su9)", False),
+    ])
+    def test_both_readings_agree(self, group, subgroup, folds, monkeypatch,
+                                 tol):
+        action, report = analyzed(group, subgroup, tol)
+        algebra = action.algebra
+        orbit = actions._read_orbit(action, report.principal_point, tol)
+        pairs = len(orbit.nu) * (len(orbit.nu) - 1) // 2
+        assert actions._folds(len(orbit.conj_h), pairs, algebra.dim,
+                              algebra.ambient_size ** 2) is folds
+        x = algebra.frobenius_matrices(orbit.nu)
+        readings = []
+        for fold in (True, False):
+            monkeypatch.setattr(actions, "_folds", lambda *sizes: fold)
+            readings.append(actions._pair_residuals(algebra, x, orbit.conj_h))
+        assert readings[0] == pytest.approx(readings[1], rel=1e-12)
+        assert (report.residual_orth, report.residual_abelian) == \
+            readings[0 if folds else 1]
 
 
 class TestControlVerdicts:
