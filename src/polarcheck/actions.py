@@ -14,16 +14,19 @@ out, and the abelian residual bounds the triple one, so it can rule
 hyperpolarity in; the triples [[X,Y],Z] are summed only when neither
 decides (see _criterion).
 
-The orbit dimension and nu are read from one SVD at g.  A product
-h1 x h2 acts by a g b^{-1}, and its tangent Ad(g^{-1}) h1 + h2 is h2 plus
-the part of Ad(g^{-1}) h1 in h2's complement.  With B1 h1's rows, C2 the
-rows of h2's complement in l and A = Ad(g^{-1}), the block
-M = B1 A^T C2^T holds that part in C2's coordinates: the orbit dimension
-is dim h2 + rank M, nu is the right null vectors of M times C2, and the
-tangent is h2's rows and the kept right vectors times C2.  Every other h
-(delta, span files in l(+)l) is read from its dim h tangent rows.  M's
-singular values are sin(theta), theta the principal angles between
-A h1 and h2, and the tangent rows have sqrt(2) sin(theta/2) for the same
+The orbit dimension and nu are read from one SVD at g, and h from its
+parts: a subgroup the paper names is a Product or a Diagonal (see
+subalgebras), and only a span file has rows in l(+)l.  A product h1 x h2
+acts by a g b^{-1}, and its tangent Ad(g^{-1}) h1 + h2 is h2 plus the part
+of Ad(g^{-1}) h1 in h2's complement.  With B1 h1's rows, C2 the rows of
+h2's complement in l and A = Ad(g^{-1}), the block M = B1 A^T C2^T holds
+that part in C2's coordinates: the orbit dimension is dim h2 + rank M, nu
+is the right null vectors of M times C2, and the tangent is h2's rows and
+the kept right vectors times C2.  A Diagonal, the graph of sigma over the
+rows k of on (all of l when on is None), and a span file are read from
+their dim h tangent rows, k (A^T - Sigma^T) / sqrt(2) for a Diagonal.  M's
+singular values are sin(theta), theta the principal angles between A h1
+and h2, and the tangent rows have sqrt(2) sin(theta/2) for the same
 angles, so the rank cut is taken against 2 on M (_BLOCK_SCALE) and
 against sqrt(2) on the rows (_ROW_SCALE): both drop theta below about
 2 RANK_TOL, whatever the largest value at g.  The same block at g = e,
@@ -35,7 +38,8 @@ search stops at the first draw whose slice representation, h_g acting on
 nu, is trivial, which by the slice theorem puts it on an orbit of maximal
 dimension (see principal_point).  The criterion reads that draw's SVD
 and nothing else of h: nu and the l coordinates of the conjugated h, both
-of which _read_orbit hands it.
+of which _read_orbit hands it.  A read builds only what is read: the
+tangent only for orbit_tangent, h_g only when nu is not empty.
 """
 
 import random
@@ -46,7 +50,7 @@ import numpy as np
 from .errors import InvalidInputError, NonPrincipalPointError
 from .lie_algebras import adjoint_matrix, commutator, pair_commutators
 from .numerics import RANK_TOL, ToleranceConfig, cut_svd, outside_squares
-from .subalgebras import Subalgebra
+from .subalgebras import Diagonal, Product
 
 
 _ROW_SCALE = np.sqrt(2.0)  # the largest singular value of the tangent rows
@@ -63,7 +67,7 @@ class ActionSpec:
     """The action of the group of h on L by left-right translation."""
 
     algebra: object  # LieAlgebra, the group L
-    h: Subalgebra    # subalgebra of l(+)l
+    h: object        # Product, Diagonal or a Subalgebra of l(+)l
 
     def __post_init__(self):
         if self.h.parent is not self.algebra.double():
@@ -118,17 +122,16 @@ def sample_group_point(algebra, rng):
 
 @dataclass(frozen=True)
 class _Orbit:
-    """All that the criterion and orbit_tangent read of h, from _read_orbit
-    at a point, and the slice residual that may stop the principal-point
-    search."""
+    """All that the criterion reads of h, from _read_orbit at a point, and
+    the slice residual that may stop the principal-point search."""
 
     point: np.ndarray
     dim: int                 # the orbit dimension at point
     nu: np.ndarray           # orthonormal rows of the normal space
-    tangent: np.ndarray      # orthonormal rows of the orbit tangent
     conj_h: np.ndarray       # l coordinates of Ad(g^{-1}) X1 + X2 over h
     dropped: float           # the largest singular value the cut drops
     slice_residual: float
+    tangent: np.ndarray = None  # its orthonormal rows, for orbit_tangent
 
 
 def _bracket_residual(left, right):
@@ -145,55 +148,88 @@ def _block_svd(moved, h2):
     return cut_svd(moved @ h2.complement.T, _BLOCK_SCALE)
 
 
-def _read_orbit(action, g, tol):
-    """The orbit at g from one SVD: of the block M of a product, or of the
-    tangent rows of any other h (see the module docstring).
+def _halves(h, ad):
+    """(left, right, norm) of a Diagonal or a span file h: its unit vectors
+    (X1, X2) moved to (X1 Ad(g), X2) are (left, right) / norm, left in an
+    array of its own that _read_orbit overwrites.  A Diagonal over the rows
+    k of on has left k Ad(g), right k Sigma^T and norm sqrt(2); with on
+    None, k is the identity and never formed: left is ad itself."""
+    if isinstance(h, Diagonal):
+        sigma_t = h.sigma.matrix.T
+        if h.on is None:
+            return ad, sigma_t, np.sqrt(2.0)
+        return h.on.basis @ ad, h.on.basis @ sigma_t, np.sqrt(2.0)
+    n = h.parent.half.dim
+    return h.basis[:, :n] @ ad, h.basis[:, n:], 1.0
+
+
+def _read_orbit(action, g, tol, tangent=False):
+    """The orbit at g from one SVD: of the block M of a Product, or of the
+    tangent rows of a Diagonal or a span file (see the module docstring).
+    The orbit's tangent is built only when tangent is True.
 
     A row X of l moved by Ad(g^{-1}) is X Ad(g^{-1})^T = X Ad(g), Ad(g)
     being orthogonal in orthonormal coordinates (see adjoint_matrix for the
-    check of g).  The tangent rows Ad(g^{-1}) X1 - X2 over h's rows
+    check of g).  The tangent rows Ad(g^{-1}) X1 - X2 over h's unit vectors
     (X1, X2) are differences of unit vectors, so genuine tangent directions
     have norm of order one, and their cut against _ROW_SCALE keeps the
-    cutoff honest when the whole orbit degenerates (fixed points).
+    cutoff honest when the whole orbit degenerates (fixed points).  They
+    are formed in place in the array of the moved left halves (see
+    _halves), which after the SVD becomes conj_h, the rows
+    Ad(g^{-1}) X1 + X2: k (Ad(g) -/+ Sigma^T) / sqrt(2) for a Diagonal.  A
+    Product's conj_h holds Ad(g^{-1}) h1, which M reads, and h2's rows.
 
     The slice residual is zero exactly when the isotropy algebra h_g acts
-    trivially on nu.  h_g is {(X1, X2) in h : Ad(g^{-1}) X1 = X2}, which
-    acts on nu by ad(X2), and the residual is the largest ||[X2, Y]|| over
-    Y in nu and the unit right halves X2 of a basis of h_g, which the left
-    null vectors c, the columns of U past the rank, give.  For a product,
-    c M = 0 gives X1 = c B1 with Ad(g^{-1}) X1 in h2, a unit X2 = c B1 A^T;
-    for the tangent rows, (X1, X2) = c h, whose halves have norm 1/sqrt(2).
+    trivially on nu; h_g is formed only when nu is not empty.  h_g is
+    {(X1, X2) in h : Ad(g^{-1}) X1 = X2}, which acts on nu by ad(X2), and
+    the residual is the largest ||[X2, Y]|| over Y in nu and the unit right
+    halves X2 of a basis of h_g, which the left null vectors c, the columns
+    of U past the rank, give.  For a product, c M = 0 gives X1 = c B1 with
+    Ad(g^{-1}) X1 in h2, a unit X2 = c B1 A^T; for the tangent rows,
+    (X1, X2) = c h, whose halves have norm 1/sqrt(2).
     """
-    algebra = action.algebra
-    member_tol = np.sqrt(tol.residual_tol)
-    if action.h.factors is None:
-        n = algebra.dim
-        left = action.h.basis[:, :n] @ adjoint_matrix(algebra, g, member_tol)
-        right = action.h.basis[:, n:]
-        u, rank, vh, dropped = cut_svd(left - right, _ROW_SCALE)
-        dim, nu, tangent = rank, vh[rank:], vh[:rank]
-        isotropy = np.sqrt(2.0) * u[:, rank:].T @ right
-        conj_h = left + right
-    else:
-        h1, h2 = action.h.factors
-        moved = h1.basis @ adjoint_matrix(algebra, g, member_tol)
+    algebra, h = action.algebra, action.h
+    ad = adjoint_matrix(algebra, g, np.sqrt(tol.residual_tol))
+    kept = None
+    if isinstance(h, Product):
+        h1, h2 = h.h1, h.h2
+        conj_h = np.empty((h.dim, algebra.dim))
+        moved = np.matmul(h1.basis, ad, out=conj_h[:h1.dim])
+        conj_h[h1.dim:] = h2.basis
         c2 = h2.complement
         u, rank, vh, dropped = _block_svd(moved, h2)
         dim, nu = h2.dim + rank, vh[rank:] @ c2
-        tangent = np.vstack([h2.basis, vh[:rank] @ c2])
-        isotropy = u[:, rank:].T @ moved
-        conj_h = np.vstack([moved, h2.basis])
-    residual = 0.0 if not (len(isotropy) and len(nu)) else _bracket_residual(
-        algebra.frobenius_matrices(isotropy), algebra.frobenius_matrices(nu))
-    return _Orbit(np.asarray(g, dtype=float), dim, nu, tangent, conj_h,
-                  dropped, residual)
+        if tangent:
+            kept = np.vstack([h2.basis, vh[:rank] @ c2])
+        lifted, weight = moved, 1.0
+    else:
+        rows, right, norm = _halves(h, ad)
+        rows *= 1.0 / norm
+        rows -= right / norm
+        u, rank, vh, dropped = cut_svd(rows, _ROW_SCALE)
+        dim, nu = rank, vh[rank:]
+        if tangent:
+            kept = vh[:rank]
+        # the right halves of h's unit vectors, divided again after the
+        # SVD, not held through it
+        lifted, weight = right / norm, np.sqrt(2.0)
+        rows += lifted
+        rows += lifted
+        conj_h = rows
+    residual = 0.0
+    if len(nu) and rank < len(u):
+        isotropy = (weight * u[:, rank:].T) @ lifted
+        residual = _bracket_residual(algebra.frobenius_matrices(isotropy),
+                                     algebra.frobenius_matrices(nu))
+    return _Orbit(np.asarray(g, dtype=float), dim, nu, conj_h, dropped,
+                  residual, kept)
 
 
 def orbit_tangent(action, g, tol):
     """Orthonormal basis of the orbit tangent space at g, moved to e, as
     _read_orbit reads it: from the block M of a product, from the tangent
     rows of any other h."""
-    return _read_orbit(action, g, tol).tangent
+    return _read_orbit(action, g, tol, tangent=True).tangent
 
 
 def principal_point(action, tol):

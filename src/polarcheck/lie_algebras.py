@@ -72,12 +72,19 @@ def pair_commutators(mats, extra_floats=0, block_bytes=None):
     at the peak, five matrices (the two gathered factors, their two
     products and the bracket), plus extra_floats that the caller derives
     from each bracket, so the whole stack of commutators never exists.
-    Blocks hold block_bytes (see row_blocks).
+    Blocks hold block_bytes (see row_blocks).  The pairs come in the order
+    of np.triu_indices, each block's indices read off its slice of that
+    order, so no index array spans all the pairs.
     """
-    size = int(np.prod(mats.shape[1:]))
-    first, second = np.triu_indices(mats.shape[0], 1)
-    for rows in row_blocks(first.size, 5 * size + extra_floats, block_bytes):
-        comms = commutator(mats[first[rows]], mats[second[rows]])
+    count, size = mats.shape[0], int(np.prod(mats.shape[1:]))
+    # ends[i]: the pairs whose first index is at most i, in triu order
+    ends = np.cumsum(np.arange(count - 1, 0, -1))
+    pairs = count * (count - 1) // 2
+    for rows in row_blocks(pairs, 5 * size + extra_floats, block_bytes):
+        index = np.arange(*rows.indices(pairs))
+        first = np.searchsorted(ends, index, side="right")
+        second = index - ends[first] + count
+        comms = commutator(mats[first], mats[second])
         yield comms.reshape(-1, size)
 
 
@@ -190,13 +197,16 @@ class LieAlgebra:
         flat = self.basis.reshape(self.dim, size * size)
         coords = np.empty((mats.shape[0], self.dim))
         residual = 0.0
+        # a block holds one temporary, its rows' residuals of size^2 floats
         for rows in row_blocks(mats.shape[0], size * size):
             block = mats[rows]
-            coords[rows] = block @ flat.T
-            scale = np.maximum(1.0, np.abs(block).max(axis=1, initial=0.0))
+            np.matmul(block, flat.T, out=coords[rows])
+            scale = np.maximum(1.0, np.maximum(
+                block.max(axis=1, initial=0.0), -block.min(axis=1, initial=0.0)))
+            rest = coords[rows] @ flat
+            np.abs(np.subtract(block, rest, out=rest), out=rest)
             residual = max(residual, float(
-                (np.abs(block - coords[rows] @ flat).max(axis=1, initial=0.0)
-                 / scale).max(initial=0.0)))
+                (rest.max(axis=1, initial=0.0) / scale).max(initial=0.0)))
         if residual > member_tol:
             raise ClosureError(
                 f"matrix does not lie in {self.name}", residual=residual)

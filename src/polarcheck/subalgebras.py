@@ -1,8 +1,15 @@
-"""Subalgebras of l and of l(+)l: diagonals, products, spans.
+"""Subalgebras of l and of l(+)l: factors, products, diagonals, spans.
 
 A Subalgebra stores an orthonormal basis of coefficient rows.  Its parent's
 coordinates are Frobenius-orthonormal, so these rows are orthonormal in the
 invariant form, and residual thresholds have a uniform meaning.
+
+A subgroup of L x L that the paper names is held as its parts, with no
+rows in l(+)l: product(h1, h2) is a Product of two subalgebras of l, and
+diagonal_sigma(l, sigma, on) a Diagonal, the graph of an automorphism
+sigma over a subalgebra on of l, or over all of l when on is None.
+actions reads both from their parts (see actions._read_orbit).  Rows in
+l(+)l remain only for span files, the one subgroup with no parts.
 
 Bracket closure is checked one way, and only on input from outside the
 program: closure_residual projects the commutators of the basis onto the
@@ -10,19 +17,13 @@ span (span_closure_residual, which LieAlgebra.from_basis calls on
 caller-given matrices too).  from_vectors runs it for span files, whose
 matrices have passed the membership check of coords_of.  The built-in
 embeddings (row selections, and from_matrices: the membership check, then
-the rank cut, which keeps every vector a builder writes down),
-full_subalgebra, product (of closed factors) and diagonal_sigma
-(the graph of an automorphism on a closed factor) are closed by
-construction, which the tests check once.  The last three write their rows
-down orthonormal, with no rank cut: the identity, [h1, 0; 0, h2] of
-orthonormal factor bases, and [k, k Sigma^T] / sqrt(2) of a factor's rows k
-and an orthogonal Sigma.
+the rank cut, which keeps every vector a builder writes down) and
+full_subalgebra are closed by construction, which the tests check once;
+so are a product of closed factors and the graph of an automorphism over a
+closed factor, whose closure_residual is read from their parts.
 
-Every constructor ends in Subalgebra.__init__, which copies the rows and
+Every Subalgebra ends in Subalgebra.__init__, which copies the rows and
 rejects a length other than the parent's dimension or a non-finite entry.
-
-A product records its factors (h1, h2), from which actions reads its
-orbit (see actions._read_orbit) without a stack in l(+)l.
 
 A Subalgebra also answers for its complement, orthonormal rows spanning
 the orthogonal complement of h in the parent, which actions reads for the
@@ -66,11 +67,10 @@ class Subalgebra:
     length parent.dim, and InvalidInputError on a non-finite entry.
     complement, if given, is a function of no arguments that returns
     orthonormal rows spanning the orthogonal complement of basis; it is
-    called on the first use of the complement attribute.  factors is the
-    pair (h1, h2) of subalgebras of l whose product this is, or None.
+    called on the first use of the complement attribute.
     """
 
-    def __init__(self, parent, basis, name="", complement=None, factors=None):
+    def __init__(self, parent, basis, name="", complement=None):
         self.parent = parent
         self.basis = _rows(_finite(basis, name))
         if self.basis.ndim != 2 or self.basis.shape[1] != parent.dim:
@@ -81,7 +81,6 @@ class Subalgebra:
         self.dim = self.basis.shape[0]
         self.name = name
         self._complement_of = complement
-        self.factors = factors
 
     @cached_property
     def complement(self):
@@ -140,32 +139,52 @@ def full_subalgebra(parent, tol, name=None):
                       complement=lambda: np.empty((0, parent.dim)))
 
 
-def diagonal_sigma(algebra, sigma, on=None):
-    """Twisted diagonal {(X, sigma(X)) : X in on} inside l(+)l, on is a
-    subalgebra of l or None for all of l.
+class Product:
+    """h1 x h2 = {(A, 0)} + {(0, B)} inside l(+)l, held as its factors, the
+    subalgebras h1 and h2 of l; it lays out no rows."""
 
-    Its rows (k_i, sigma(k_i)) / sqrt(2), k_i the rows of on, are
-    orthonormal, because make_automorphism has checked that sigma's matrix
-    is orthogonal.
-    """
-    on = on or full_subalgebra(algebra, None)
-    if sigma.algebra is not algebra or on.parent is not algebra:
+    def __init__(self, h1, h2):
+        self.h1, self.h2 = h1, h2
+        self.parent = h1.parent.double()
+        self.dim = h1.dim + h2.dim
+        self.name = f"{h1.name}x{h2.name}"
+
+    def closure_residual(self):
+        """The factors' larger one: [(A, 0), (0, B)] = 0."""
+        return max(self.h1.closure_residual(), self.h2.closure_residual())
+
+
+class Diagonal:
+    """The twisted diagonal {(X, sigma(X)) : X in on} inside l(+)l, held as
+    the automorphism sigma of l and on, a subalgebra of l or None for all
+    of l; it lays out no rows.  Its unit vectors are (X, sigma(X)) / sqrt(2)
+    over unit X in on, as make_automorphism has checked that sigma's
+    matrix is orthogonal."""
+
+    def __init__(self, sigma, on=None):
+        self.sigma, self.on = sigma, on
+        self.parent = sigma.algebra.double()
+        self.dim = sigma.algebra.dim if on is None else on.dim
+        self.name = f"delta^{sigma.kind}({(on or sigma.algebra).name})"
+
+    def closure_residual(self):
+        """on's over sqrt(2), sigma preserving brackets; 0 for all of l."""
+        return 0.0 if self.on is None else (self.on.closure_residual()
+                                            / np.sqrt(2.0))
+
+
+def diagonal_sigma(algebra, sigma, on=None):
+    """The Diagonal {(X, sigma(X)) : X in on} inside l(+)l, on a
+    subalgebra of l or None for all of l."""
+    if sigma.algebra is not algebra or (on is not None
+                                        and on.parent is not algebra):
         raise InvalidInputError(
             "the automorphism or the factor belongs to a different algebra")
-    vecs = np.hstack([on.basis, on.basis @ sigma.matrix.T]) / np.sqrt(2.0)
-    return Subalgebra(algebra.double(), vecs,
-                      name=f"delta^{sigma.kind}({on.name})")
+    return Diagonal(sigma, on)
 
 
 def product(h1, h2):
-    """h1 x h2 = {(A, 0)} + {(0, B)} inside l(+)l, on the factors' rows,
-    which are orthonormal and lie in complementary halves; it records the
-    factors (h1, h2)."""
+    """The Product h1 x h2 = {(A, 0)} + {(0, B)} inside l(+)l."""
     if h1.parent is not h2.parent:
         raise InvalidInputError("product factors must share the parent algebra")
-    n = h1.parent.dim
-    vecs = np.zeros((h1.dim + h2.dim, 2 * n))
-    vecs[:h1.dim, :n] = h1.basis
-    vecs[h1.dim:, n:] = h2.basis
-    return Subalgebra(h1.parent.double(), vecs, name=f"{h1.name}x{h2.name}",
-                      factors=(h1, h2))
+    return Product(h1, h2)

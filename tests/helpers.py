@@ -2,10 +2,11 @@
 
 import numpy as np
 
+from polarcheck.actions import ActionSpec
 from polarcheck.errors import DimensionMismatchError
 from polarcheck.lie_algebras import adjoint_matrix, commutator
 from polarcheck.numerics import _cut
-from polarcheck.subalgebras import Subalgebra
+from polarcheck.subalgebras import Diagonal, Product, Subalgebra
 
 # Known answers written with delta(sigma=..., on=...), and two products
 CONTROLS = [
@@ -80,13 +81,43 @@ def conjugated_subalgebra(h, a, tol):
                                    name=f"Ad({h.name})")
 
 
+def doubled_rows(h):
+    """The orthonormal rows of a subgroup h of L x L in l(+)l: a Product's
+    [h1, 0; 0, h2], a Diagonal's [k, k Sigma^T] / sqrt(2), k the rows of on
+    or the identity when on is None, and a span file's own rows.  The
+    program holds products and diagonals as their parts, so these rows are
+    a reference that reads them apart from actions."""
+    if isinstance(h, Product):
+        n = h.h1.parent.dim
+        rows = np.zeros((h.dim, 2 * n))
+        rows[:h.h1.dim, :n] = h.h1.basis
+        rows[h.h1.dim:, n:] = h.h2.basis
+        return rows
+    if isinstance(h, Diagonal):
+        k = np.eye(h.sigma.algebra.dim) if h.on is None else h.on.basis
+        return np.hstack([k, k @ h.sigma.matrix.T]) / np.sqrt(2.0)
+    return h.basis
+
+
+def rows_subalgebra(h):
+    """h on its rows in l(+)l alone (see doubled_rows), which
+    actions._read_orbit reads from the tangent rows, as a span file."""
+    return Subalgebra(h.parent, doubled_rows(h), h.name)
+
+
+def rows_action(action):
+    """The action of action's h on its rows alone (see rows_subalgebra)."""
+    return ActionSpec(action.algebra, rows_subalgebra(action.h))
+
+
 def conjugated_pair_subalgebra(h, algebra, a, b, tol):
     """Image of h in l(+)l under (Ad(a), Ad(b)); `algebra` is the factor l."""
     n = algebra.dim
     if h.parent.dim != 2 * n:
         raise DimensionMismatchError("h does not live in the double of algebra")
-    left = h.basis[:, :n]
-    right = h.basis[:, n:]
+    rows = doubled_rows(h)
+    left = rows[:, :n]
+    right = rows[:, n:]
     ad_a = adjoint_matrix(algebra, a, member_tol=tol.residual_tol)
     ad_b = adjoint_matrix(algebra, b, member_tol=tol.residual_tol)
     vecs = np.hstack([left @ ad_a.T, right @ ad_b.T])
@@ -97,7 +128,8 @@ def swapped_halves(h, tol):
     """(h2, h1) of h = (h1, h2) in l(+)l: its action is that of h moved by
     the isometry g -> g^-1 of L."""
     n = h.parent.dim // 2
-    vecs = np.hstack([h.basis[:, n:], h.basis[:, :n]])
+    rows = doubled_rows(h)
+    vecs = np.hstack([rows[:, n:], rows[:, :n]])
     return Subalgebra.from_vectors(h.parent, vecs, tol, name=f"swap({h.name})")
 
 
@@ -106,6 +138,7 @@ def twisted_halves(h, sigma, tol):
     its action is that of h moved by the isometry sigma of L.  The rows
     [left Sigma^T, right Sigma^T] stay orthonormal."""
     n = sigma.algebra.dim
-    vecs = (h.basis.reshape(-1, 2, n) @ sigma.matrix.T).reshape(-1, 2 * n)
+    vecs = (doubled_rows(h).reshape(-1, 2, n)
+            @ sigma.matrix.T).reshape(-1, 2 * n)
     return Subalgebra.from_vectors(h.parent, vecs, tol,
                                    name=f"{sigma.kind}({h.name})")

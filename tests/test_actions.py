@@ -25,10 +25,11 @@ from polarcheck.lie_algebras import (LieAlgebra, _u_basis_complex,
                                      so_basis)
 from polarcheck.numerics import ToleranceConfig, cut_svd
 from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
-from polarcheck.subalgebras import (Subalgebra, diagonal_sigma,
+from polarcheck.subalgebras import (Product, Subalgebra, diagonal_sigma,
                                     full_subalgebra, product, zero_subalgebra)
 
-from helpers import CONTROLS, conjugated_pair_subalgebra, stacked_rank
+from helpers import (CONTROLS, conjugated_pair_subalgebra, doubled_rows,
+                     rows_action, stacked_rank)
 
 
 def conjugation_action(family, n, tol):
@@ -265,7 +266,7 @@ PATH_CASES = list(dict.fromkeys([
 
 def conjugated_h(action, g):
     """Flat matrices of h moved to e: (A, B) becomes g^-1 A g + B."""
-    algebra, h, n = action.algebra, action.h.basis, action.algebra.dim
+    algebra, h, n = action.algebra, doubled_rows(action.h), action.algebra.dim
     moved = (g.T @ algebra.frobenius_matrices(h[:, :n]) @ g
              + algebra.frobenius_matrices(h[:, n:]))
     return moved.reshape(len(h), algebra.ambient_size ** 2)
@@ -364,7 +365,7 @@ class TestBasisFreeResiduals:
                                        member_tol=1e-10)
             return criterion_sums(algebra, nu, conj_h)
 
-        rows = (report.section_basis, action.h.basis)
+        rows = (report.section_basis, doubled_rows(action.h))
         rng = np.random.default_rng(13)
         rotated = residuals(*(  # the Q of a Gaussian matrix is orthogonal
             np.linalg.qr(rng.standard_normal((len(r), len(r))))[0] @ r
@@ -397,6 +398,9 @@ PINNED = [
     ("su6", "product(h1=sp3,h2=s_u3u3)"),
     ("su8", "product(h1=sp4,h2=s_u4u4)"),
     ("so7", "delta(on=g2)"),
+    ("su6", "delta(sigma=outer_su)"),
+    ("so10", "delta(sigma=outer_so_even)"),
+    ("so8", "delta(on=spin7)"),
 ]
 
 BOUND_CASES = list(dict.fromkeys([
@@ -758,9 +762,9 @@ class TestControlVerdicts:
         so8 = parse_group("so8")
         h = resolve_subgroup("delta(sigma=triality)", so8,
                              ToleranceConfig(residual_tol=1e-6))
-        assert np.array_equal(h.basis, resolve_subgroup(
+        assert np.array_equal(h.sigma.matrix, resolve_subgroup(
             "delta(sigma=triality)", so8,
-            ToleranceConfig(residual_tol=1e-12)).basis)
+            ToleranceConfig(residual_tol=1e-12)).sigma.matrix)
         report = analyze(ActionSpec(so8, h), ToleranceConfig())
         assert (report.cohomogeneity, report.polar,
                 report.hyperpolar) == (2, True, True)
@@ -771,7 +775,8 @@ def slice_residual(action, g, tol):
     algebra at g and Y in nu, both read from h's tangent vectors: the
     isotropy is their left null space, nu their right one."""
     algebra, n = action.algebra, action.algebra.dim
-    left, right = action.h.basis[:, :n], action.h.basis[:, n:]
+    h = doubled_rows(action.h)
+    left, right = h[:, :n], h[:, n:]
     rows = left @ adjoint_matrix(algebra, g.T, member_tol=1e-8).T - right
     _, rank, vh, _ = cut_svd(rows.T, np.sqrt(2))
     isotropy = np.sqrt(2) * vh[rank:] @ right
@@ -999,13 +1004,6 @@ def side_action(group, subgroup, tmp_path, tol):
     return ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
 
 
-def rows_action(action):
-    """The action of action's h on its rows alone, with no factors, which
-    _read_orbit reads from the tangent rows."""
-    h = action.h
-    return ActionSpec(action.algebra, Subalgebra(h.parent, h.basis, h.name))
-
-
 def projector(rows):
     return rows.T @ rows
 
@@ -1019,11 +1017,9 @@ class TestProductBlock:
     def test_each_case_reads_its_side(self, group, subgroup, tmp_path, tol):
         action = side_action(group, subgroup, tmp_path, tol)
         is_product = (group, subgroup) in PRODUCT_CASES
-        assert (action.h.factors is not None) == is_product
-        if is_product:
-            h1, h2 = action.h.factors
-            assert np.array_equal(action.h.basis,
-                                  product(h1, h2).basis)
+        assert isinstance(action.h, Product) == is_product
+        assert (action.h.dim == len(doubled_rows(action.h))
+                == rows_action(action).h.dim)
 
     @pytest.mark.parametrize("group,subgroup", PRODUCT_CASES)
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -1034,9 +1030,9 @@ class TestProductBlock:
         rng = PointSampler(seed)
         for _ in range(tol.num_samples):
             g = sample_group_point(action.algebra, rng)
-            orbit = actions._read_orbit(action, g, tol)
+            orbit = actions._read_orbit(action, g, tol, tangent=True)
             # the same rows without factors: the tangent rows' reading
-            tangent = actions._read_orbit(rows_action(action), g, tol).tangent
+            tangent = orbit_tangent(rows_action(action), g, tol)
             assert orbit.dim == len(orbit.tangent) == tangent.shape[0]
             # [B2; kept V times C2] is orthonormal, orthogonal to nu and
             # spans what h's rows span
@@ -1052,11 +1048,14 @@ class TestProductBlock:
     def test_orbit_tangent_is_the_orbit_reading(self, group, subgroup,
                                                 tmp_path, tol):
         # one reader: a product's tangent comes from its block, a delta's
-        # from its tangent rows, both through _read_orbit
+        # from its tangent rows, both through _read_orbit, which builds it
+        # only when asked
         action = side_action(group, subgroup, tmp_path, tol)
         g = sample_group_point(action.algebra, PointSampler(tol.seed))
-        assert np.array_equal(orbit_tangent(action, g, tol),
-                              actions._read_orbit(action, g, tol).tangent)
+        assert np.array_equal(
+            orbit_tangent(action, g, tol),
+            actions._read_orbit(action, g, tol, tangent=True).tangent)
+        assert actions._read_orbit(action, g, tol).tangent is None
 
     @pytest.mark.parametrize("group,subgroup", PRODUCT_CASES + ROW_CASES)
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -1098,8 +1097,8 @@ class TestProductBlock:
     @pytest.mark.parametrize("theta,dim", [(1.9e-9, 1), (2.1e-9, 2)])
     def test_both_sides_cut_against_the_same_bound(self, theta, dim, tol):
         sides = self.at_the_cut(theta)
-        assert [sides[0].h.factors is None,
-                sides[1].h.factors is None] == [False, True]
+        assert [isinstance(side.h, Product) for side in sides] == \
+            [True, False]
         block, rows = (actions._read_orbit(action, np.eye(3), tol)
                        for action in sides)
         assert (block.dim, rows.dim) == (dim, dim)
@@ -1140,6 +1139,69 @@ class TestProductBlock:
                            match="orbit dimension 80 < sampled maximum 97"):
             polarity_check(action, g, tol,
                            principal_point(action, tol)[0].dim)
+
+
+# Diagonals under each twist, over all of l and over a factor: read from
+# their parts, (on, sigma), and from their rows in l(+)l
+PARTS_CASES = [
+    ("su3", "delta(sigma=id)"), ("su3", "delta(sigma=id,on=so3)"),
+    ("su4", "delta(sigma=outer_su)"), ("su4", "delta(sigma=outer_su,on=sp2)"),
+    ("so8", "delta(sigma=outer_so_even)"),
+    ("so8", "delta(sigma=outer_so_even,on=so7)"),
+    ("so8", "delta(sigma=triality)"), ("so8", "delta(sigma=triality,on=spin7)"),
+    ("so10", "delta(sigma=id,on=u5)"),
+]
+
+
+class TestPartsAgainstRows:
+    """A Diagonal is read from its parts, k (Ad(g) - Sigma^T) / sqrt(2) in
+    one buffer, and a span file from its rows in l(+)l: at each sampled
+    point both give the same orbit."""
+
+    @pytest.mark.parametrize("group,subgroup", PARTS_CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_parts_read_as_rows(self, group, subgroup, seed):
+        tol = ToleranceConfig(seed=seed)
+        algebra = parse_group(group)
+        action = ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
+        assert not hasattr(action.h, "basis")
+        g = sample_group_point(algebra, PointSampler(seed))
+        parts, rows = (actions._read_orbit(a, g, tol)
+                       for a in (action, rows_action(action)))
+        assert parts.dim == rows.dim
+        assert len(parts.conj_h) == len(rows.conj_h) == action.h.dim
+        for key in ("nu", "conj_h"):
+            assert np.abs(projector(getattr(parts, key))
+                          - projector(getattr(rows, key))).max() < 1e-12, key
+        assert parts.slice_residual == pytest.approx(rows.slice_residual,
+                                                     abs=1e-12)
+
+
+class TestPartsMemory:
+    """Resolving a product or a diagonal lays out no rows in l(+)l, and a
+    read builds only the arrays it reads (see actions._read_orbit)."""
+
+    @pytest.mark.parametrize("group,subgroup", [
+        ("so20", "delta(sigma=id)"), ("so20", "product(h1=so19,h2=u10)")])
+    def test_resolve_and_one_read(self, group, subgroup, tol):
+        # rows in l(+)l (dim h x 2 dim l: 0.55 and 0.79 MiB here) and the
+        # left, right, difference and conj_h arrays of a delta's read
+        # peaked at 2.57 and 2.80 MiB; from the parts, 1.72 and 1.44 MiB
+        algebra = parse_group(group)
+        g = sample_group_point(algebra, PointSampler(tol.seed))
+        # the cached factors, h2's complement and BLAS's first call
+        actions._read_orbit(ActionSpec(
+            algebra, resolve_subgroup(subgroup, algebra, tol)), g, tol)
+        tracemalloc.start()
+        try:
+            h = resolve_subgroup(subgroup, algebra, tol)
+            resolved = tracemalloc.get_traced_memory()[1]
+            actions._read_orbit(ActionSpec(algebra, h), g, tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert resolved < 8 * h.dim * 2 * algebra.dim
+        assert peak < 2 * 2 ** 20
 
 
 class TestTransitivity:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from polarcheck.lie_algebras import (Automorphism, LieAlgebra,
                                      _u_basis_complex, adjoint_matrix,
                                      build_classical, classical_basis,
                                      commutator, make_automorphism,
-                                     realify_complex, so_basis)
+                                     pair_commutators, realify_complex,
+                                     so_basis)
 from polarcheck.numerics import outside_norm, split_span
 from polarcheck.octonions import octonion_table
 
@@ -265,6 +268,53 @@ class TestBracket:
         with pytest.raises(ClosureError):
             algebra.coords_of(np.concatenate([mats, np.eye(6)[None]]),
                               tol.residual_tol)
+
+    def test_membership_residual_is_relative_to_the_largest_entry(self,
+                                                                  tol):
+        # the check keeps the residual in one temporary, and its value is
+        # the largest |M - its projection onto l| over max(1, max |M|)
+        algebra = build_classical("su", 3)
+        scales = np.array([1.0, 3.0, 0.2, 1e3, 1e-3])[:, None, None]
+        mats = np.random.default_rng(6).standard_normal((5, 6, 6)) * scales
+        flat = algebra.basis.reshape(algebra.dim, -1)
+        rows = mats.reshape(5, -1)
+        rest = np.abs(rows - (rows @ flat.T) @ flat).max(axis=1)
+        scale = np.maximum(1.0, np.abs(rows).max(axis=1))
+        with pytest.raises(ClosureError) as err:
+            algebra.coords_of(mats, tol.residual_tol)
+        assert err.value.residual == (rest / scale).max()
+
+    @pytest.mark.parametrize("family,n", [("so", 20), ("su", 10)])
+    def test_membership_check_holds_one_stack(self, family, n):
+        # the coordinates and one stack of residuals: with |M| and
+        # M - coords @ basis each a stack of their own, so20 peaked near
+        # three stacks
+        algebra = build_classical(family, n)
+        mats = np.ascontiguousarray(algebra.basis)
+        tracemalloc.start()
+        try:
+            coords = algebra.coords_of(mats, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.abs(coords - np.eye(algebra.dim)).max() < 1e-14
+        assert peak < 1.2 * mats.nbytes + coords.nbytes
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (1, 3, 3), (2, 3, 3),
+                                       (7, 3, 3), (17, 3, 3), (9, 2, 3, 3)])
+    def test_pair_blocks_keep_the_triu_order(self, shape):
+        # each block reads its pair indices off its slice of the
+        # np.triu_indices order, so the blocks concatenate to it bit for
+        # bit, pairs of blocks (the halves of l(+)l) too
+        mats = np.random.default_rng(5).standard_normal(shape)
+        first, second = np.triu_indices(shape[0], 1)
+        size = int(np.prod(shape[1:]))
+        whole = commutator(mats[first], mats[second]).reshape(-1, size)
+        for block_bytes in (8 * 5 * size, 4 * 8 * 5 * size, None):
+            blocks = list(pair_commutators(mats, block_bytes=block_bytes))
+            assert sum(map(len, blocks)) == len(whole)
+            if blocks:
+                assert np.array_equal(np.concatenate(blocks), whole)
 
     def test_open_span_is_rejected(self):
         with pytest.raises(ClosureError, match="not bracket-closed"):

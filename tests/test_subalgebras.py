@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from polarcheck import embeddings, lie_algebras, specs, subalgebras
+from polarcheck import actions, embeddings, lie_algebras, specs, subalgebras
+from polarcheck.actions import ActionSpec, PointSampler, sample_group_point
 from polarcheck.catalog import catalog_entries, get_entry
 from polarcheck.embeddings import block_so, so_in_su
 from polarcheck.errors import (ClosureError, DimensionMismatchError,
@@ -24,7 +25,7 @@ from polarcheck.subalgebras import (Subalgebra, diagonal_sigma,
                                     full_subalgebra, product, zero_subalgebra)
 
 from helpers import (conjugated_pair_subalgebra, conjugated_subalgebra,
-                     gram_residual)
+                     doubled_rows, gram_residual, rows_subalgebra)
 
 
 class TestConstruction:
@@ -100,8 +101,9 @@ class TestDiagonalAndProduct:
         h2 = block_so(algebra, tol, 3)
         h = product(h1, h2)
         assert h.dim == h1.dim + h2.dim
-        assert h.factors == (h1, h2)
-        assert h1.factors is None and h2.factors is None
+        assert h.h1 is h1 and h.h2 is h2
+        # held as its factors, with no rows in l(+)l
+        assert not hasattr(h, "basis")
 
     def test_product_rejects_mixed_parents(self, tol):
         a = build_classical("so", 4)
@@ -485,16 +487,19 @@ WRITTEN_DOWN_SUB_DIAGONALS = [
 
 
 class TestWrittenDownRows:
-    """product and diagonal_sigma write their rows down orthonormal, with
-    the span that the rank cut of the unnormalized rows gives."""
+    """The parts of a product and of a diagonal_sigma give orthonormal
+    rows in l(+)l as they stand (doubled_rows lays them out), with the span
+    that the rank cut of the unnormalized rows gives: actions reads them as
+    unit vectors."""
 
     @staticmethod
     def check(h, rows, tol):
-        assert np.abs(h.basis @ h.basis.T
+        basis = doubled_rows(h)
+        assert np.abs(basis @ basis.T
                       - np.eye(h.dim)).max(initial=0.0) < 1e-12
         reference = split_span(rows)[0]
-        assert reference.shape == h.basis.shape
-        assert np.abs(h.basis.T @ h.basis
+        assert reference.shape == basis.shape
+        assert np.abs(basis.T @ basis
                       - reference.T @ reference).max(initial=0.0) < 1e-12
 
     @pytest.mark.parametrize("group,h1,h2", WRITTEN_DOWN_PRODUCTS)
@@ -539,8 +544,9 @@ def check_complement(h):
 class TestComplement:
     """full_subalgebra and zero_subalgebra write their complements down,
     from_matrices keeps the one it computed, a row selection the rows it
-    drops, and every other subalgebra, a product too, takes split_span on
-    first use; every way must give the same invariants."""
+    drops, and every other subalgebra, a product's or a diagonal's rows in
+    l(+)l too, takes split_span on first use; every way must give the same
+    invariants."""
 
     @pytest.mark.parametrize("group,factor", BUILTIN_FACTORS)
     def test_builtin_factor(self, group, factor, tol):
@@ -551,8 +557,9 @@ class TestComplement:
         ("su4", "so4", "sp2"), ("so9", "so8", "so7so2")])
     def test_product(self, group, h1, h2, tol):
         algebra = parse_group(group)
-        check_complement(product(resolve_factor(h1, algebra, tol),
-                                 resolve_factor(h2, algebra, tol)))
+        check_complement(rows_subalgebra(product(
+            resolve_factor(h1, algebra, tol),
+            resolve_factor(h2, algebra, tol))))
 
     @pytest.mark.parametrize("group", ["su2", "so5", "sp2"])
     def test_full_and_zero(self, group, tol, monkeypatch):
@@ -570,7 +577,8 @@ class TestComplement:
 
     def test_fallback_of_a_written_down_subalgebra(self, tol):
         algebra = parse_group("so8")
-        for h in (resolve_subgroup("delta(sigma=triality)", algebra, tol),
+        for h in (rows_subalgebra(resolve_subgroup("delta(sigma=triality)",
+                                                   algebra, tol)),
                   resolve_factor("sp2sp1", algebra, tol)):
             check_complement(h)
 
@@ -615,8 +623,16 @@ class TestDiagonalOn:
         algebra = parse_group(group)
         whole = resolve_subgroup(f"delta(sigma={sigma})", algebra, tol)
         full = resolve_subgroup(f"delta(sigma={sigma},on=full)", algebra, tol)
-        assert np.array_equal(whole.basis, full.basis)
+        assert np.array_equal(doubled_rows(whole), doubled_rows(full))
         assert whole.name == full.name
+        # on=None omits the identity rows that on=full multiplies by,
+        # which moves no bit of the reading
+        g = sample_group_point(algebra, PointSampler(tol.seed))
+        read = [actions._read_orbit(ActionSpec(algebra, h), g, tol)
+                for h in (whole, full)]
+        for key in ("dim", "nu", "conj_h", "dropped", "slice_residual"):
+            assert np.array_equal(getattr(read[0], key),
+                                  getattr(read[1], key)), key
 
     @pytest.mark.parametrize("group,sigma", [("su3", "id"),
                                              ("so8", "triality")])
@@ -670,8 +686,9 @@ class TestClosureReference:
 
     @staticmethod
     def brute_force(h):
-        """outside_norm of every [H_i, H_j] against span H."""
-        mats = h.parent.frobenius_matrices(h.basis)
+        """outside_norm of every [H_i, H_j] against span H, from h's rows
+        in its parent (see doubled_rows)."""
+        mats = h.parent.frobenius_matrices(doubled_rows(h))
         flat = mats.reshape(h.dim, int(np.prod(mats.shape[1:])))
         comms = commutator(mats[:, None], mats[None])
         return outside_norm(comms.reshape(-1, flat.shape[1]), flat)
@@ -680,7 +697,7 @@ class TestClosureReference:
     def test_branches_match_brute_force(self, case, tol):
         h = CLOSURE_CASES[case](tol)
         reference = self.brute_force(h)
-        mats = h.parent.frobenius_matrices(h.basis)
+        mats = h.parent.frobenius_matrices(doubled_rows(h))
         for residual in (h.closure_residual(), span_closure_residual(mats)):
             assert residual == pytest.approx(reference, abs=1e-12)
 
