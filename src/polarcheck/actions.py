@@ -39,7 +39,10 @@ nu, is trivial, which by the slice theorem puts it on an orbit of maximal
 dimension (see principal_point).  The criterion reads that draw's SVD
 and nothing else of h: nu and the l coordinates of the conjugated h, both
 of which _read_orbit hands it.  A read builds only what is read: the
-tangent only for orbit_tangent, h_g only when nu is not empty.
+tangent only for orbit_tangent, h_g only when nu is not empty, no singular
+vector when a product's orbit is all of L (its M then has full column
+rank, which the singular values alone show), and no matrix for sigma = id,
+whose halves are the identity.
 """
 
 import random
@@ -49,7 +52,8 @@ import numpy as np
 
 from .errors import InvalidInputError, NonPrincipalPointError
 from .lie_algebras import adjoint_matrix, commutator, pair_commutators
-from .numerics import RANK_TOL, ToleranceConfig, cut_svd, outside_squares
+from .numerics import (RANK_TOL, ToleranceConfig, cut_svd, cut_values,
+                       outside_squares)
 from .subalgebras import Diagonal, Product
 
 
@@ -141,11 +145,11 @@ def _bracket_residual(left, right):
                       .max(initial=0.0)) for x in left), default=0.0)
 
 
-def _block_svd(moved, h2):
-    """cut_svd of the block M = moved C2^T, against _BLOCK_SCALE, for
-    moved the rows of Ad(g^{-1}) h1 and C2 those of h2's complement: its
-    rank is dim(Ad(g^{-1}) h1 + h2) - dim h2 (see the module docstring)."""
-    return cut_svd(moved @ h2.complement.T, _BLOCK_SCALE)
+def _block(moved, h2):
+    """The block M = moved C2^T, for moved the rows of Ad(g^{-1}) h1 and C2
+    those of h2's complement: its rank, cut against _BLOCK_SCALE, is
+    dim(Ad(g^{-1}) h1 + h2) - dim h2 (see the module docstring)."""
+    return moved @ h2.complement.T
 
 
 def _halves(h, ad):
@@ -153,14 +157,26 @@ def _halves(h, ad):
     (X1, X2) moved to (X1 Ad(g), X2) are (left, right) / norm, left in an
     array of its own that _read_orbit overwrites.  A Diagonal over the rows
     k of on has left k Ad(g), right k Sigma^T and norm sqrt(2); with on
-    None, k is the identity and never formed: left is ad itself."""
+    None, k is the identity and never formed: left is ad itself.  sigma = id
+    holds no matrix: right is k, and None when k is the identity too."""
     if isinstance(h, Diagonal):
-        sigma_t = h.sigma.matrix.T
+        twist = h.sigma.twist
         if h.on is None:
-            return ad, sigma_t, np.sqrt(2.0)
-        return h.on.basis @ ad, h.on.basis @ sigma_t, np.sqrt(2.0)
+            return ad, None if twist is None else twist.T, np.sqrt(2.0)
+        k = h.on.basis
+        return k @ ad, k if twist is None else k @ twist.T, np.sqrt(2.0)
     n = h.parent.half.dim
     return h.basis[:, :n] @ ad, h.basis[:, n:], 1.0
+
+
+def _add_halves(rows, right, norm):
+    """rows += right / norm in place, right None being the identity: 1/norm
+    is added on rows' diagonal alone, and no array holds it."""
+    if right is None:
+        diagonal = np.einsum('ii->i', rows)
+        diagonal += 1.0 / norm
+    else:
+        rows += right / norm
 
 
 def _read_orbit(action, g, tol, tangent=False):
@@ -176,8 +192,16 @@ def _read_orbit(action, g, tol, tangent=False):
     cutoff honest when the whole orbit degenerates (fixed points).  They
     are formed in place in the array of the moved left halves (see
     _halves), which after the SVD becomes conj_h, the rows
-    Ad(g^{-1}) X1 + X2: k (Ad(g) -/+ Sigma^T) / sqrt(2) for a Diagonal.  A
-    Product's conj_h holds Ad(g^{-1}) h1, which M reads, and h2's rows.
+    Ad(g^{-1}) X1 + X2: k (Ad(g) -/+ Sigma^T) / sqrt(2) for a Diagonal.
+    For sigma = id over all of l they are (Ad(g) -/+ I) / sqrt(2), the
+    identity taken on the diagonal alone (see _add_halves).  A Product's
+    conj_h holds Ad(g^{-1}) h1, which M reads, and h2's rows.
+
+    A product's M may have full column rank when it has no more columns
+    than rows.  Unless the tangent is asked for, its singular values are
+    then cut first, with no vector: at full column rank the orbit is all of
+    L, nu is empty and so is every slice, and only below it is M's complete
+    SVD taken.
 
     The slice residual is zero exactly when the isotropy algebra h_g acts
     trivially on nu; h_g is formed only when nu is not empty.  h_g is
@@ -186,9 +210,11 @@ def _read_orbit(action, g, tol, tangent=False):
     halves X2 of a basis of h_g, which the left null vectors c, the columns
     of U past the rank, give.  For a product, c M = 0 gives X1 = c B1 with
     Ad(g^{-1}) X1 in h2, a unit X2 = c B1 A^T; for the tangent rows,
-    (X1, X2) = c h, whose halves have norm 1/sqrt(2).
+    (X1, X2) = c h, whose halves have norm 1/sqrt(2), so that for sigma = id
+    over all of l the unit X2 are the rows of c themselves.
     """
     algebra, h = action.algebra, action.h
+    g = np.asarray(g, dtype=float)
     ad = adjoint_matrix(algebra, g, np.sqrt(tol.residual_tol))
     kept = None
     if isinstance(h, Product):
@@ -197,32 +223,36 @@ def _read_orbit(action, g, tol, tangent=False):
         moved = np.matmul(h1.basis, ad, out=conj_h[:h1.dim])
         conj_h[h1.dim:] = h2.basis
         c2 = h2.complement
-        u, rank, vh, dropped = _block_svd(moved, h2)
+        block = _block(moved, h2)
+        if not tangent and block.shape[1] <= block.shape[0]:
+            rank, dropped = cut_values(block, _BLOCK_SCALE)
+            if rank == block.shape[1]:  # all of L: no vector is read
+                return _Orbit(g, algebra.dim, np.empty((0, algebra.dim)),
+                              conj_h, dropped, 0.0)
+        u, rank, vh, dropped = cut_svd(block, _BLOCK_SCALE)
         dim, nu = h2.dim + rank, vh[rank:] @ c2
         if tangent:
             kept = np.vstack([h2.basis, vh[:rank] @ c2])
-        lifted, weight = moved, 1.0
+        lifted, unit = moved, 1.0
     else:
         rows, right, norm = _halves(h, ad)
         rows *= 1.0 / norm
-        rows -= right / norm
+        _add_halves(rows, right, -norm)
         u, rank, vh, dropped = cut_svd(rows, _ROW_SCALE)
         dim, nu = rank, vh[rank:]
         if tangent:
             kept = vh[:rank]
-        # the right halves of h's unit vectors, divided again after the
-        # SVD, not held through it
-        lifted, weight = right / norm, np.sqrt(2.0)
-        rows += lifted
-        rows += lifted
+        _add_halves(rows, right, norm)
+        _add_halves(rows, right, norm)
         conj_h = rows
+        lifted, unit = right, np.sqrt(2.0) / norm
     residual = 0.0
     if len(nu) and rank < len(u):
-        isotropy = (weight * u[:, rank:].T) @ lifted
+        null = u[:, rank:].T
+        isotropy = null if lifted is None else (unit * null) @ lifted
         residual = _bracket_residual(algebra.frobenius_matrices(isotropy),
                                      algebra.frobenius_matrices(nu))
-    return _Orbit(np.asarray(g, dtype=float), dim, nu, conj_h, dropped,
-                  residual, kept)
+    return _Orbit(g, dim, nu, conj_h, dropped, residual, kept)
 
 
 def orbit_tangent(action, g, tol):
@@ -461,7 +491,7 @@ def span_rank(h1, h2, algebra, tol):
     _check_cut): the orbit dimension at e that _read_orbit reads."""
     if h1.parent is not algebra or h2.parent is not algebra:
         raise InvalidInputError("h1, h2 must be subalgebras of the acted-on l")
-    _, rank, _, dropped = _block_svd(h1.basis, h2)
+    rank, dropped = cut_values(_block(h1.basis, h2), _BLOCK_SCALE)
     _check_cut(dropped, tol, f"the span of {h1.name} and {h2.name}")
     return h2.dim + rank
 

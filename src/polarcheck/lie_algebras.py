@@ -57,6 +57,10 @@ def realify_complex(mat):
 
 
 _CONSTRUCT_TOL = 1e-10  # closure residual allowed for caller-given matrices
+# What one block of adjoint_matrix's so(n) reading holds.  Each basis matrix
+# is conjugated once, so no basis is streamed against the blocks, and they
+# are sized to stay in cache, which also keeps the read's peak low.
+_ADJOINT_BLOCK_BYTES = 2 ** 19
 
 
 def commutator(a, b):
@@ -359,21 +363,30 @@ def build_classical(family, n):
 class Automorphism:
     """Coordinate matrix of a bracket- and form-preserving map.
 
-    The identity is np.eye; the outer twists are Ad(k) of a k that
-    adjoint_matrix has shown to normalize the algebra, so they preserve
-    commutators identically; triality is not an Ad(k), and preserves them
-    by the Moufang identity (see triality_matrix).  Only the form residual
-    of a twist is checked at run time.
+    The identity holds no matrix: its twist is None, matrix builds np.eye
+    on each access, and actions reads it without one.  The outer twists are
+    Ad(k) of a k that adjoint_matrix has shown to normalize the algebra, so
+    they preserve commutators identically; triality is not an Ad(k), and
+    preserves them by the Moufang identity (see triality_matrix).  Only the
+    form residual of a twist is checked at run time.
     """
 
     algebra: LieAlgebra
-    matrix: np.ndarray
+    twist: np.ndarray  # the coordinate matrix, None for the identity
     kind: str
+
+    @property
+    def matrix(self):
+        """The coordinate matrix, np.eye for the identity."""
+        return np.eye(self.algebra.dim) if self.twist is None else self.twist
 
     def form_residual(self):
         """Largest entry of M^T M - I: in orthonormal coordinates a map
-        preserves the form exactly when its matrix M is orthogonal."""
-        d = self.matrix.T @ self.matrix - np.eye(self.algebra.dim)
+        preserves the form exactly when its matrix M is orthogonal.  The
+        identity's is 0."""
+        if self.twist is None:
+            return 0.0
+        d = self.twist.T @ self.twist - np.eye(self.algebra.dim)
         return float(np.abs(d).max(initial=0.0))
 
 
@@ -387,6 +400,10 @@ def adjoint_matrix(algebra, g, member_tol):
     for g = k exp(S), k orthogonal, S symmetric and small, g X g^{-1} moves
     by [S, X], symmetric and so outside the algebra, and Ad(g) by O(S^2);
     g X g^T would move by the skew S X + X S.
+
+    On build_classical's so(n) the conjugated matrices are read off their
+    entries (see _so_adjoint); every other algebra reads them through
+    coords_of, two products with its flat basis.
     """
     g = np.asarray(g, dtype=float)
     size = algebra.ambient_size
@@ -399,8 +416,47 @@ def adjoint_matrix(algebra, g, member_tol):
     if ortho > member_tol:
         raise InvalidInputError(
             f"element is not in the represented group (residual {ortho:.3e})")
-    conjugated = g @ algebra.basis @ np.linalg.inv(g)
+    inv = np.linalg.inv(g)
+    if algebra.family == "so" and algebra is build_classical("so", algebra.n):
+        return _so_adjoint(algebra, g, inv, member_tol)
+    conjugated = g @ algebra.basis @ inv
     return algebra.coords_of(conjugated, member_tol=member_tol).T
+
+
+def _so_adjoint(algebra, g, inv, member_tol):
+    """Ad(g) on build_classical's so(n), from the entries of each
+    conjugated basis matrix M = g B g^{-1}, with no product against the
+    flat basis.
+
+    The basis matrix of the pair k < l is -(E_kl - E_lk) / sqrt(2), so M's
+    coordinate there is -(M_kl - M_lk) / sqrt(2), and M's component outside
+    so(n) is its symmetric part (M + M^T) / 2: the residual that coords_of
+    measures, relative to max(1, max |M|), and checked against member_tol
+    the same way.  Each basis matrix is conjugated once, in blocks that
+    hold the two products and the gathered coordinates.
+    """
+    size, dim = algebra.ambient_size, algebra.dim
+    upper = ~np.tri(size, dtype=bool)  # the pairs k < l, in basis order
+    # entries[a, c, k] = (B_k)[a, c], a contiguous view: build_classical
+    # lays the basis out basis index fastest
+    entries = algebra.basis.transpose(1, 2, 0)
+    ad = np.empty((dim, dim), order="F")  # the layout of coords_of(...).T
+    residual = 0.0
+    for cols in row_blocks(dim, 2 * size * size + dim, _ADJOINT_BLOCK_BYTES):
+        right = np.matmul(inv.T, entries[:, :, cols])  # (B_k g^{-1})[a, c]
+        moved = np.matmul(g, right.reshape(size, -1)).reshape(right.shape)
+        # at k < l: M_lk - M_kl, the coordinate times sqrt(2)
+        pair = np.subtract(moved.transpose(1, 0, 2), moved, out=right)
+        np.divide(pair[upper], np.sqrt(2.0), out=ad[:, cols])
+        sym = np.add(moved, moved.transpose(1, 0, 2), out=right)
+        rest = 0.5 * np.abs(sym, out=sym).reshape(size * size, -1).max(axis=0)
+        scale = np.abs(moved, out=moved).reshape(size * size, -1).max(axis=0)
+        residual = max(residual, float((rest / np.maximum(1.0, scale)).max()))
+        del right, moved, pair, sym  # before the next block's products
+    if residual > member_tol:
+        raise ClosureError(
+            f"matrix does not lie in {algebra.name}", residual=residual)
+    return ad
 
 
 def triality_matrix(algebra, member_tol):
@@ -424,13 +480,14 @@ def make_automorphism(algebra, spec, tol):
     """Build an automorphism from the twists delta(sigma=...) can name:
     'id', 'outer_su', 'outer_so_even' or 'triality'.
 
-    The outer specs are complex conjugation on su(n) and conjugation by
-    diag(-1, 1, ..., 1) on so(2m); 'triality' is the order-3 outer
-    automorphism of so(8) of triality_matrix.  Each matrix must preserve
-    the form within tol.residual_tol.
+    'id' holds no matrix (see Automorphism).  The outer specs are complex
+    conjugation on su(n) and conjugation by diag(-1, 1, ..., 1) on so(2m);
+    'triality' is the order-3 outer automorphism of so(8) of
+    triality_matrix.  Each matrix must preserve the form within
+    tol.residual_tol.
     """
     if spec == "id":
-        return Automorphism(algebra, np.eye(algebra.dim), "id")
+        return Automorphism(algebra, None, "id")
     if spec == "outer_su":
         if algebra.family != "su":
             raise InvalidInputError("outer_su only applies to su(n)")

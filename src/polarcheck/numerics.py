@@ -24,9 +24,13 @@ counts as trivial when its largest bracket is at most RANK_TOL * sqrt(2),
 sqrt(2) being the largest Frobenius norm of a commutator of two unit
 matrices (see actions.principal_point).
 
-Every SVD is cut_svd's, complete on both sides: row spaces and their
-complements are read from the square V^T, and the orbit reading of actions
-reads the left null space from the square U of the same call.
+Every SVD that reads singular vectors is cut_svd's, complete on both
+sides: row spaces and their complements are read from the square V^T, and
+the orbit reading of actions reads the left null space from the square U
+of the same call.  A caller that reads only a rank takes cut_values, the
+same cut on the singular values alone: span_rank, and the orbit reading of
+a product whose block may have full column rank, which then leaves nu
+empty and needs no vector.
 
 All functions are pure; nothing here owns randomness.
 """
@@ -103,6 +107,14 @@ def cut_svd(matrix, scale=None):
     u, sv, vh = np.linalg.svd(np.atleast_2d(np.asarray(matrix, dtype=float)))
     rank, dropped = _cut(sv, scale)
     return u, rank, vh, dropped
+
+
+def cut_values(matrix, scale=None):
+    """(rank, dropped) of cut_svd's cut, from the singular values alone:
+    for a caller that reads only the rank, no singular vector is formed."""
+    sv = np.linalg.svd(np.atleast_2d(np.asarray(matrix, dtype=float)),
+                       compute_uv=False)
+    return _cut(sv, scale)
 
 
 def split_span(matrix):

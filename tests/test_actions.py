@@ -23,7 +23,7 @@ from polarcheck.lie_algebras import (LieAlgebra, _u_basis_complex,
                                      classical_basis, commutator,
                                      make_automorphism, realify_complex,
                                      so_basis)
-from polarcheck.numerics import ToleranceConfig, cut_svd
+from polarcheck.numerics import ToleranceConfig, cut_svd, cut_values
 from polarcheck.specs import parse_group, resolve_factor, resolve_subgroup
 from polarcheck.subalgebras import (Product, Subalgebra, diagonal_sigma,
                                     full_subalgebra, product, zero_subalgebra)
@@ -1184,9 +1184,10 @@ class TestPartsMemory:
     @pytest.mark.parametrize("group,subgroup", [
         ("so20", "delta(sigma=id)"), ("so20", "product(h1=so19,h2=u10)")])
     def test_resolve_and_one_read(self, group, subgroup, tol):
-        # rows in l(+)l (dim h x 2 dim l: 0.55 and 0.79 MiB here) and the
-        # left, right, difference and conj_h arrays of a delta's read
-        # peaked at 2.57 and 2.80 MiB; from the parts, 1.72 and 1.44 MiB
+        # rows in l(+)l would be dim h x 2 dim l (0.55 and 0.79 MiB here);
+        # a read peaks at 0.98 and 0.84 MiB, with Ad(g) read off so(n)'s
+        # entries, no identity matrix for sigma = id and no singular
+        # vector for the transitive product
         algebra = parse_group(group)
         g = sample_group_point(algebra, PointSampler(tol.seed))
         # the cached factors, h2's complement and BLAS's first call
@@ -1201,7 +1202,92 @@ class TestPartsMemory:
         finally:
             tracemalloc.stop()
         assert resolved < 8 * h.dim * 2 * algebra.dim
-        assert peak < 2 * 2 ** 20
+        assert peak < 1.3 * 2 ** 20
+
+    def test_the_identity_holds_no_matrix(self, tol):
+        # np.eye(dim l) would be 0.28 MiB here
+        algebra = parse_group("so20")
+        resolve_subgroup("delta(sigma=id)", algebra, tol)
+        tracemalloc.start()
+        try:
+            h = resolve_subgroup("delta(sigma=id)", algebra, tol)
+            resolved = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.sigma.twist is None
+        assert resolved < 8 * algebra.dim
+
+
+def zero_cohomogeneity_products():
+    """(group, h1, h2) of every product that acts transitively in the
+    catalog, in Table 1 (at its three smallest n) and in the CI pins."""
+    catalog = [(entry.group, *entry.spec) for entry in catalog_entries()
+               if entry.kind == "pair" and entry.expectation.transitive]
+    table = [specs(n) for _, min_n, specs in TABLE1_ROWS.values()
+             for n in ((None,) if min_n is None
+                       else (min_n, min_n + 1, min_n + 2))]
+    return sorted(set(catalog + table + [("so20", "so19", "u10")]))
+
+
+def full_svd_reads(monkeypatch):
+    """Make every read take the complete SVD, as a read for the tangent
+    does, instead of cutting a product's singular values first."""
+    read = actions._read_orbit
+    monkeypatch.setattr(actions, "_read_orbit",
+                        lambda action, g, tol, tangent=False:
+                        read(action, g, tol, tangent=True))
+
+
+class TestValuesFirst:
+    """A product whose M can have full column rank is cut on its singular
+    values first; at full rank nu is empty and no singular vector is
+    formed, and below it the complete SVD gives what it always gave."""
+
+    @pytest.mark.parametrize("group,h1,h2", zero_cohomogeneity_products())
+    def test_transitive_products_form_no_vector(self, group, h1, h2, tol,
+                                                monkeypatch):
+        algebra = parse_group(group)
+        action = ActionSpec(algebra, resolve_subgroup(
+            f"product(h1={h1},h2={h2})", algebra, tol))
+        with monkeypatch.context() as patch:
+            full_svd_reads(patch)
+            full = analyze(action, tol)
+        with monkeypatch.context() as patch:
+            def refuse(*args, **kwargs):
+                raise AssertionError("a singular vector was formed")
+
+            patch.setattr(actions, "cut_svd", refuse)
+            values = analyze(action, tol)
+        keys = ("cohomogeneity", "polar", "hyperpolar", "samples_used")
+        assert [getattr(values, key) for key in keys] == \
+            [getattr(full, key) for key in keys] == [0, True, True, 1]
+        assert values.section_basis.shape == (0, algebra.dim)
+        g = sample_group_point(algebra, PointSampler(tol.seed))
+        assert orbit_tangent(action, g, tol).shape == (algebra.dim,
+                                                       algebra.dim)
+
+    @pytest.mark.parametrize("group,subgroup,verdict", [
+        ("su4", "product(h1=so4,h2=sp2)", (1, True, True)),
+        ("su10", "product(h1=su9,h2=su9)", (2, False, False)),
+        ("so12", "product(h1=so6so6,h2=so11)", (1, True, True))])
+    def test_below_full_rank_takes_the_complete_svd(self, group, subgroup,
+                                                    verdict, tol,
+                                                    monkeypatch):
+        # tall blocks whose orbit is not all of L: su10's 80 x 19 and
+        # so12's so6so6 x so11 (30 x 11), a small copy of the CI pin so40
+        # so20so20 x so39 (380 x 39)
+        algebra = parse_group(group)
+        action = ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
+        with monkeypatch.context() as patch:
+            full_svd_reads(patch)
+            full = analyze(action, tol)
+        report = analyze(action, tol)
+        for key in ("cohomogeneity", "polar", "hyperpolar", "samples_used"):
+            assert getattr(report, key) == getattr(full, key), key
+        for key in ("residual_triple", "residual_orth", "residual_abelian"):
+            assert getattr(report, key) == getattr(full, key), key
+        assert (report.cohomogeneity, report.polar,
+                report.hyperpolar) == verdict
 
 
 class TestTransitivity:
@@ -1241,7 +1327,8 @@ class TestTransitivity:
         f1, f2 = (resolve_factor(h, algebra, tol) for h in (h1, h2))
         rank, dropped = stacked_rank(f1, f2)
         assert dropped < 1e-14
-        assert actions._block_svd(f1.basis, f2)[3] < 1e-14
+        assert cut_values(actions._block(f1.basis, f2),
+                          actions._BLOCK_SCALE)[1] < 1e-14
         orbit = actions._read_orbit(ActionSpec(algebra, product(f1, f2)),
                                     np.eye(algebra.ambient_size), tol)
         assert span_rank(f1, f2, algebra, tol) == rank == orbit.dim

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarcheck import numerics
+from polarcheck import lie_algebras, numerics
+from polarcheck.actions import sample_group_point
 from polarcheck.errors import (ClosureError, DimensionMismatchError,
                                InvalidInputError)
 from polarcheck.lie_algebras import (Automorphism, LieAlgebra,
@@ -457,7 +458,9 @@ class TestAutomorphisms:
     def test_identity(self, tol):
         algebra = build_classical("su", 3)
         aut = make_automorphism(algebra, "id", tol)
+        assert aut.twist is None  # built on access, held by no one
         assert np.array_equal(aut.matrix, np.eye(algebra.dim))
+        assert aut.form_residual() == 0.0
         assert commutator_residual(aut) < 1e-12
         assert self._fixed_dim(aut) == algebra.dim
 
@@ -505,6 +508,96 @@ class TestAutomorphisms:
         with pytest.raises(InvalidInputError,
                            match="not in the represented group"):
             adjoint_matrix(build_classical("su", 3), k, tol.residual_tol)
+
+
+def coords_of_adjoint(algebra, g, member_tol):
+    """Ad(g) through coords_of, two products with the flat basis, after
+    adjoint_matrix's group check: how adjoint_matrix reads every algebra
+    but build_classical's so(n)."""
+    if np.abs(g.T @ g - np.eye(len(g))).max() > member_tol:
+        raise InvalidInputError("not in the represented group")
+    return algebra.coords_of(g @ algebra.basis @ np.linalg.inv(g),
+                             member_tol).T
+
+
+def near_orthogonal(algebra, rng, size):
+    """k exp(S) for a sampled k in the group and a symmetric S of entries
+    about size: g B g^{-1} leaves so(n) by about size."""
+    k = sample_group_point(algebra, rng)
+    s = rng.standard_normal(k.shape)
+    w, v = np.linalg.eigh(size * (s + s.T) / 2)
+    return k @ (v * np.exp(w)) @ v.T
+
+
+def outcome(read, *args):
+    """The error type a reading raises, or None."""
+    try:
+        read(*args)
+    except (ClosureError, InvalidInputError) as err:
+        return type(err)
+    return None
+
+
+class TestSoAdjoint:
+    """adjoint_matrix reads build_classical's so(n) off the entries of
+    g B g^{-1}, with no product against the flat basis, and gives what
+    coords_of reads from the same matrices."""
+
+    @pytest.mark.parametrize("n", range(3, 25))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_entries_read_as_coords_of(self, n, seed, tol, monkeypatch):
+        algebra = build_classical("so", n)
+        g = sample_group_point(algebra, np.random.default_rng(seed))
+        reference = coords_of_adjoint(algebra, g, tol.residual_tol)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("so(n) is read through coords_of")
+
+        monkeypatch.setattr(LieAlgebra, "coords_of", refuse)
+        ad = adjoint_matrix(algebra, g, tol.residual_tol)
+        assert ad.flags.f_contiguous  # the layout coords_of(...).T had
+        assert np.abs(ad - reference).max() < 1e-14
+
+    @pytest.mark.parametrize("n", range(4, 25, 2))
+    def test_outer_so_even_reads_as_coords_of(self, n, tol):
+        algebra = build_classical("so", n)
+        conj = np.diag([-1.0] + [1.0] * (n - 1))
+        aut = make_automorphism(algebra, "outer_so_even", tol)
+        reference = coords_of_adjoint(algebra, conj, tol.residual_tol)
+        assert np.abs(aut.matrix - reference).max() < 1e-14
+
+    @pytest.mark.parametrize("n", [3, 8, 13, 20])
+    @pytest.mark.parametrize("size", [1e-9, 1e-7, 1e-5])
+    def test_near_orthogonal_raises_as_coords_of(self, n, size):
+        algebra = build_classical("so", n)
+        g = near_orthogonal(algebra, np.random.default_rng(n), size)
+        inv = np.linalg.inv(g)
+        # the membership residual alone, past the group check: each reading
+        # raises exactly when the other does, with the same residual
+        with pytest.raises(ClosureError) as entries:
+            lie_algebras._so_adjoint(algebra, g, inv, 0.0)
+        with pytest.raises(ClosureError) as coords:
+            algebra.coords_of(g @ algebra.basis @ inv, 0.0)
+        residual = coords.value.residual
+        assert abs(entries.value.residual - residual) < 1e-14
+        for member_tol in (0.5 * residual, 2.0 * residual,
+                           *np.logspace(-11, -3, 17)):
+            assert outcome(lie_algebras._so_adjoint, algebra, g, inv,
+                           member_tol) is outcome(
+                algebra.coords_of, g @ algebra.basis @ inv, member_tol)
+            # and with the group check, which a g this far from the group
+            # trips first
+            assert outcome(adjoint_matrix, algebra, g, member_tol) is \
+                outcome(coords_of_adjoint, algebra, g, member_tol)
+
+    def test_another_so_basis_reads_through_coords_of(self, tol):
+        # the entries are read only on build_classical's own basis
+        algebra = build_classical.__wrapped__("so", 6)
+        assert algebra is not build_classical("so", 6)
+        g = sample_group_point(algebra, np.random.default_rng(0))
+        assert np.abs(adjoint_matrix(algebra, g, tol.residual_tol)
+                      - coords_of_adjoint(algebra, g, tol.residual_tol)
+                      ).max() == 0.0
 
 
 def triality_reference(algebra):
