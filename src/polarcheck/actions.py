@@ -53,7 +53,7 @@ import numpy as np
 from .errors import InvalidInputError, NonPrincipalPointError
 from .lie_algebras import adjoint_matrix, commutator, pair_commutators
 from .numerics import (RANK_TOL, ToleranceConfig, cut_svd, cut_values,
-                       outside_squares)
+                       outside_squares, row_blocks)
 from .subalgebras import Diagonal, Product
 
 
@@ -94,10 +94,47 @@ class PolarityReport:
     tolerances: ToleranceConfig
 
 
+# The [13/13] Pade approximant of exp (Higham, "The scaling and squaring
+# method for the matrix exponential revisited", SIAM J. Matrix Anal. Appl.
+# 26, 2005, the algorithm of scipy.linalg.expm) is (v - u)^{-1} (v + u) with
+#   u = z (z6 (b13 z6 + b11 z4 + b9 z2) + b7 z6 + b5 z4 + b3 z2 + b1 I),
+#   v = z6 (b12 z6 + b10 z4 + b8 z2) + b6 z6 + b4 z4 + b2 z2 + b0 I.
+# Each row of _PADE13_MIX weighs (z2, z4, z6) in one of the four sums, in
+# the order outer u, inner u, outer v, inner v; _PADE13_EYE holds their
+# identity terms.
+_PADE13_MIX = np.array([
+    [1187353796428800., 10559470521600., 33522128640.],  # b3, b5, b7
+    [40840800., 16380., 1.],                               # b9, b11, b13
+    [7771770303897600., 129060195264000., 670442572800.],  # b2, b4, b6
+    [1323241920., 960960., 182.]])                         # b8, b10, b12
+_PADE13_EYE = np.array([32382376266240000., 0.0, 64764752532480000., 0.0])
+_PADE13_NORM = 5.371920351148152  # the largest 1-norm it takes to roundoff
+
+
 def _expm_skew(z):
-    """exp(z) for a real skew-symmetric z, from the eigenbasis of i z."""
-    w, v = np.linalg.eigh(1j * z)
-    return ((v * np.exp(-1j * w)) @ v.conj().T).real
+    """exp of a real skew-symmetric z, or of each matrix of a stack z, in
+    real arithmetic: the [13/13] Pade approximant r = (v - u)^{-1} (v + u)
+    of z / 2^s, squared s times, s the binary exponent of the largest
+    1-norm over _PADE13_NORM, so that z / 2^s has 1-norm below it.  For
+    skew z, (v + u)^T = v - u, so r is orthogonal in exact arithmetic.  A
+    stack shares s, so that each step is one call for all of it."""
+    size = z.shape[-1]
+    scale = max(0, int(np.frexp(
+        np.abs(z).sum(axis=-2).max() / _PADE13_NORM)[1]))
+    z = z * 0.5 ** scale
+    powers = np.empty((3,) + z.shape)
+    z2 = np.matmul(z, z, out=powers[0])
+    z4 = np.matmul(z2, z2, out=powers[1])
+    z6 = np.matmul(z4, z2, out=powers[2])
+    sums = (_PADE13_MIX @ powers.reshape(3, -1)).reshape((4,) + z.shape)
+    sums.reshape(4, -1, size * size)[..., ::size + 1] += \
+        _PADE13_EYE[:, None, None]
+    odd, even = z6 @ sums[1::2] + sums[::2]
+    u = z @ odd
+    r = np.linalg.solve(even - u, even + u)
+    for _ in range(scale):
+        r = r @ r
+    return r
 
 
 class PointSampler(random.Random):
@@ -114,20 +151,26 @@ class PointSampler(random.Random):
 
 
 def sample_group_point(algebra, rng):
-    """exp(Z1) exp(Z2) for two independent Gaussian coefficient draws.
+    """exp(Z1) exp(Z2) for two independent Gaussian coefficient draws, each
+    exponential a real Pade approximant (see _expm_skew), so that no
+    complex array is formed.
 
     rng is anything with numpy's standard_normal(size), such as a
     PointSampler or a numpy Generator.
     """
     z1 = rng.standard_normal(algebra.dim)
     z2 = rng.standard_normal(algebra.dim)
-    return _expm_skew(algebra.matrix_of(z1)) @ _expm_skew(algebra.matrix_of(z2))
+    first, second = _expm_skew(
+        np.stack([algebra.matrix_of(z1), algebra.matrix_of(z2)]))
+    return first @ second
 
 
 @dataclass(frozen=True)
 class _Orbit:
     """All that the criterion reads of h, from _read_orbit at a point, and
-    the slice residual that may stop the principal-point search."""
+    the slice residual that may stop the principal-point search.  A
+    product's conj_h is None when nu has no pair: the criterion reads h
+    only through pairs of nu."""
 
     point: np.ndarray
     dim: int                 # the orbit dimension at point
@@ -138,11 +181,21 @@ class _Orbit:
     tangent: np.ndarray = None  # its orthonormal rows, for orbit_tangent
 
 
-def _bracket_residual(left, right):
-    """Largest Frobenius norm of [X, Y], X over the matrices left and Y over
-    the matrices right."""
-    return max((float(np.linalg.norm(commutator(x, right), axis=(1, 2))
-                      .max(initial=0.0)) for x in left), default=0.0)
+def _bracket_residual(algebra, null, lifted, unit, nu):
+    """Largest Frobenius norm of [X2, Y] over Y in nu and the unit right
+    halves X2 of a basis of h_g: the rows (unit null) lifted, or null
+    itself when lifted is None (see _read_orbit).  The rows and their
+    matrices are formed a block of null's rows at a time, each block
+    _CACHE_BLOCK_BYTES, so all of h_g is never held at once."""
+    right = algebra.frobenius_matrices(nu)
+    residual = 0.0
+    for rows in row_blocks(len(null), algebra.dim + algebra.ambient_size ** 2,
+                           _CACHE_BLOCK_BYTES):
+        halves = null[rows] if lifted is None else (unit * null[rows]) @ lifted
+        for x in algebra.frobenius_matrices(halves):
+            residual = max(residual, float(np.linalg.norm(
+                commutator(x, right), axis=(1, 2)).max()))
+    return residual
 
 
 def _block(moved, h2):
@@ -195,7 +248,8 @@ def _read_orbit(action, g, tol, tangent=False):
     Ad(g^{-1}) X1 + X2: k (Ad(g) -/+ Sigma^T) / sqrt(2) for a Diagonal.
     For sigma = id over all of l they are (Ad(g) -/+ I) / sqrt(2), the
     identity taken on the diagonal alone (see _add_halves).  A Product's
-    conj_h holds Ad(g^{-1}) h1, which M reads, and h2's rows.
+    conj_h, Ad(g^{-1}) h1 (which M reads) over h2's rows, is built only
+    when nu has a pair, the one case in which the criterion reads it.
 
     A product's M may have full column rank when it has no more columns
     than rows.  Unless the tangent is asked for, its singular values are
@@ -204,7 +258,8 @@ def _read_orbit(action, g, tol, tangent=False):
     SVD taken.
 
     The slice residual is zero exactly when the isotropy algebra h_g acts
-    trivially on nu; h_g is formed only when nu is not empty.  h_g is
+    trivially on nu; h_g is formed only when nu is not empty, and then a
+    block of its rows at a time (see _bracket_residual).  h_g is
     {(X1, X2) in h : Ad(g^{-1}) X1 = X2}, which acts on nu by ad(X2), and
     the residual is the largest ||[X2, Y]|| over Y in nu and the unit right
     halves X2 of a basis of h_g, which the left null vectors c, the columns
@@ -219,18 +274,20 @@ def _read_orbit(action, g, tol, tangent=False):
     kept = None
     if isinstance(h, Product):
         h1, h2 = h.h1, h.h2
-        conj_h = np.empty((h.dim, algebra.dim))
-        moved = np.matmul(h1.basis, ad, out=conj_h[:h1.dim])
-        conj_h[h1.dim:] = h2.basis
+        moved = h1.basis @ ad
         c2 = h2.complement
         block = _block(moved, h2)
         if not tangent and block.shape[1] <= block.shape[0]:
             rank, dropped = cut_values(block, _BLOCK_SCALE)
             if rank == block.shape[1]:  # all of L: no vector is read
                 return _Orbit(g, algebra.dim, np.empty((0, algebra.dim)),
-                              conj_h, dropped, 0.0)
+                              None, dropped, 0.0)
         u, rank, vh, dropped = cut_svd(block, _BLOCK_SCALE)
         dim, nu = h2.dim + rank, vh[rank:] @ c2
+        conj_h = None
+        if len(nu) > 1:
+            conj_h = np.vstack([moved, h2.basis])
+            moved = conj_h[:h1.dim]  # and the separate copy is freed
         if tangent:
             kept = np.vstack([h2.basis, vh[:rank] @ c2])
         lifted, unit = moved, 1.0
@@ -248,10 +305,7 @@ def _read_orbit(action, g, tol, tangent=False):
         lifted, unit = right, np.sqrt(2.0) / norm
     residual = 0.0
     if len(nu) and rank < len(u):
-        null = u[:, rank:].T
-        isotropy = null if lifted is None else (unit * null) @ lifted
-        residual = _bracket_residual(algebra.frobenius_matrices(isotropy),
-                                     algebra.frobenius_matrices(nu))
+        residual = _bracket_residual(algebra, u[:, rank:].T, lifted, unit, nu)
     return _Orbit(g, dim, nu, conj_h, dropped, residual, kept)
 
 

@@ -920,7 +920,7 @@ class TestSliceCertificate:
         monkeypatch.setattr(LieAlgebra, "frobenius_matrices", recorded)
         orbit = actions._read_orbit(action, named_point(algebra, "e"), tol)
         assert orbit.dim == 80
-        assert counts == [80, 19]   # the isotropy, then nu
+        assert counts == [19, 80]   # nu, then the isotropy in one block
         assert orbit.slice_residual > 0.1
 
     @pytest.mark.parametrize("group,subgroup", [
@@ -1204,6 +1204,30 @@ class TestPartsMemory:
         assert resolved < 8 * h.dim * 2 * algebra.dim
         assert peak < 1.3 * 2 ** 20
 
+    def test_a_product_with_no_pair_holds_no_conj_h(self, tol, monkeypatch):
+        # so40 so20so20 x so39 has c = 1 and an isotropy algebra of
+        # dimension 342: conj_h would take 6.7 MiB, and h_g's rows and
+        # matrices 6.2 MiB at once; the read peaks at 9.8 MiB, most of it
+        # Ad(g), the moved rows of h1 and the U of M
+        algebra = parse_group("so40")
+        subgroup = "product(h1=so20so20,h2=so39)"
+        g = sample_group_point(algebra, PointSampler(tol.seed))
+        action = ActionSpec(algebra, resolve_subgroup(subgroup, algebra, tol))
+        actions._read_orbit(action, g, tol)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            orbit = actions._read_orbit(action, g, tol)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(orbit.nu) == 1 and orbit.conj_h is None
+        assert peak < 11 * 2 ** 20
+        # h_g in blocks of rows takes its maximum over the same brackets
+        monkeypatch.setattr(actions, "_CACHE_BLOCK_BYTES", 2 ** 40)
+        whole = actions._read_orbit(action, g, tol)
+        assert whole.slice_residual == orbit.slice_residual
+
     def test_the_identity_holds_no_matrix(self, tol):
         # np.eye(dim l) would be 0.28 MiB here
         algebra = parse_group("so20")
@@ -1443,12 +1467,13 @@ class TestSampling:
         assert np.array_equal(g1, g2)
 
     @pytest.mark.parametrize("family,n", [
-        ("so", 3), ("so", 8), ("so", 20), ("su", 2), ("su", 10),
-        ("sp", 1), ("sp", 5), ("u", 1), ("u", 10)])
+        ("so", 3), ("so", 8), ("so", 20), ("so", 40), ("su", 2), ("su", 10),
+        ("su", 20), ("sp", 1), ("sp", 5), ("u", 1), ("u", 10)])
     def test_exponential_matches_expm(self, family, n):
         # sample_group_point reads only dim and matrix_of, so the bare basis
         # stands in for the algebra and no structure constants are fitted;
-        # u(n), no family of its own, is the basis u_in_so realifies
+        # u(n), no family of its own, is the basis u_in_so realifies; so40
+        # and su20 draw the largest norms, so the most squarings
         basis = (realify_complex(_u_basis_complex(n)) if family == "u"
                  else classical_basis(family, n))
         algebra = SimpleNamespace(
@@ -1461,6 +1486,27 @@ class TestSampling:
             ref = expm(algebra.matrix_of(z1)) @ expm(algebra.matrix_of(z2))
             assert np.abs(g - ref).max() < 1e-12
             assert np.abs(g.T @ g - np.eye(len(g))).max() < 1e-13
+
+    @pytest.mark.parametrize("group,subgroup,verdict", [
+        ("so20", "delta(sigma=id)", (10, True, True)),
+        ("su10", "product(h1=su9,h2=su9)", (2, False, False)),
+        ("sp5", "delta(sigma=id)", (5, True, True)),
+        ("so12", "product(h1=zero,h2=zero)", (66, True, False))])
+    def test_points_are_drawn_in_real_arithmetic(self, group, subgroup,
+                                                 verdict, tol, monkeypatch):
+        # the exponential is a real Pade approximant: no eigendecomposition,
+        # and with it no complex LAPACK, is on the path of a verdict
+        def refuse(*args, **kwargs):
+            raise AssertionError("a point is drawn from an eigenbasis")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        algebra = parse_group(group)
+        report = analyze(ActionSpec(
+            algebra, resolve_subgroup(subgroup, algebra, tol)), tol)
+        assert (report.cohomogeneity, report.polar,
+                report.hyperpolar) == verdict
+        assert report.principal_point.dtype == np.float64
 
 
 def test_import_leaves_scipy_out():
